@@ -10,8 +10,10 @@ and above the local specific-entropy bound.  The constraint function
 is 3-convex along rays (third derivative of fixed negative sign), which the
 quadratic Newton update exploits to keep a valid bracket at all times.
 
-All operations are vectorized with masked selects so batches of lanes run
-with identical control flow.
+A batch of lanes is evaluated together at t_R.  Lanes whose step is already
+final leave the batch, and the Newton iterations run only on the gathered
+operands of the lanes still open.  Every operation is elementwise per lane,
+so a lane's result does not depend on the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -159,35 +161,60 @@ def limiter_compute(
 
     First clamps the right bracket endpoint by the density interval, then
     performs up to max_newton bracketing quadratic Newton iterations on the
-    entropy constraint.  Lanes that converge early are masked out; all lanes
-    share the control flow.
+    entropy constraint.  A lane leaves the iteration when Psi(t_R) >= 0
+    (l = t_R) or Psi(t_L) <= tol (l = t_L); each iteration gathers the lanes
+    still open and runs the Newton update on those only.  The factor of each
+    lane is the same as with a single lane.
     """
+    shape = np.broadcast_shapes(
+        U.shape[:-1], P.shape[:-1],
+        np.shape(rho_min), np.shape(rho_max), np.shape(phi_min),
+    )
+    lane_shape = shape or (1,)
+    tol = TOL_SCALE * np.abs(_rho_eps(U))
+    U, P = (np.broadcast_to(a, lane_shape + a.shape[-1:]) for a in (U, P))
+    rho_min, rho_max, phi_min, tol = (
+        np.broadcast_to(a, lane_shape) for a in (rho_min, rho_max, phi_min, tol)
+    )
+
     rho_u = U[..., 0]
     rho_p = P[..., 0]
     abs_rho_p = np.maximum(np.abs(rho_p), _TINY)
-
-    t_R = np.ones(np.broadcast_shapes(rho_u.shape, rho_p.shape), dtype=U.dtype)
-    over = rho_u + t_R * rho_p > rho_max
-    t_R = np.where(over, np.abs(rho_max - rho_u) / abs_rho_p, t_R)
-    under = rho_u + t_R * rho_p < rho_min
-    t_R = np.where(under, np.abs(rho_min - rho_u) / abs_rho_p, t_R)
+    t_R = np.ones(lane_shape, dtype=U.dtype)
+    # the unselected quotients of lanes with a vanishing rho_p may overflow
+    with np.errstate(over="ignore"):
+        over = rho_u + t_R * rho_p > rho_max
+        t_R = np.where(over, np.abs(rho_max - rho_u) / abs_rho_p, t_R)
+        under = rho_u + t_R * rho_p < rho_min
+        t_R = np.where(under, np.abs(rho_min - rho_u) / abs_rho_p, t_R)
     t_R = np.clip(t_R, 0.0, 1.0)
     t_L = np.zeros_like(t_R)
 
-    tol = TOL_SCALE * np.abs(_rho_eps(U)) * np.ones_like(t_R)
-    active = np.ones(t_R.shape, dtype=bool)
+    # index of the open lanes into t_L: all of them (Ellipsis) until the
+    # first narrowing, then a tuple of index arrays
+    lanes = ...
+    U_o, P_o, phi_o, tol_o, tL, tR = U, P, phi_min, tol, t_L, t_R
     for _ in range(max_newton):
-        Psi_R = psi_entropy(U + t_R[..., None] * P, phi_min, gas)
-        closed = active & (Psi_R >= 0.0)
-        t_L = np.where(closed, t_R, t_L)
-        active = active & ~closed
-        Psi_L = psi_entropy(U + t_L[..., None] * P, phi_min, gas)
-        active = active & (Psi_L > tol)
-        if not active.any():
+        Psi_R = psi_entropy(U_o + tR[..., None] * P_o, phi_o, gas)
+        closed = Psi_R >= 0.0
+        t_L[lanes] = np.where(closed, tR, tL)
+        lanes, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R) = _narrow(
+            lanes, ~closed, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R
+        )
+        Psi_L = psi_entropy(U_o + tL[..., None] * P_o, phi_o, gas)
+        lanes, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L) = _narrow(
+            lanes, Psi_L > tol_o, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L
+        )
+        if tL.size == 0:
             break
-        dPsi_L = dpsi_dt(U, P, t_L, phi_min, gas)
-        dPsi_R = dpsi_dt(U, P, t_R, phi_min, gas)
-        new_L, new_R = quadratic_newton_step(t_L, t_R, Psi_L, Psi_R, dPsi_L, dPsi_R)
-        t_L = np.where(active, new_L, t_L)
-        t_R = np.where(active, new_R, t_R)
-    return t_L
+        dPsi_L = dpsi_dt(U_o, P_o, tL, phi_o, gas)
+        dPsi_R = dpsi_dt(U_o, P_o, tR, phi_o, gas)
+        tL, tR = quadratic_newton_step(tL, tR, Psi_L, Psi_R, dPsi_L, dPsi_R)
+        t_L[lanes] = tL
+    return t_L.reshape(shape)
+
+
+def _narrow(lanes, keep, *operands):
+    """Index and gathered operands of the open lanes where keep holds."""
+    lanes = np.nonzero(keep) if lanes is Ellipsis else tuple(ix[keep] for ix in lanes)
+    return lanes, [a[keep] for a in operands]

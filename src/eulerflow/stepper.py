@@ -2,10 +2,10 @@
 
 One forward-Euler step proceeds in phases over the stencil graph: nodal
 entropies and fluxes, the low-order graph viscosity from the two-rarefaction
-wavespeed bound together with the entropy-commutator indicator, the viscosity
-mirroring and time-step bound, the low-order update with its bar-state
-bounds, the antisymmetric high-order correction fluxes, and finally one or
-more symmetrized limiter passes.  Three such steps with a shared time step
+wavespeed bound (once per edge, on the upper triangle) together with the
+entropy-commutator indicator, the viscosity mirroring and time-step bound,
+the low-order update with its bar-state bounds, the antisymmetric high-order
+correction fluxes, and finally one or more symmetrized limiter passes.  Three such steps with a shared time step
 form the strong-stability-preserving RK3 update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
@@ -63,6 +63,10 @@ def compute_tau(d_diag: np.ndarray, m_i: np.ndarray, c_cfl: float) -> float:
     return c_cfl * float(np.min(m_i[mask] / (-2.0 * d_diag[mask])))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _tau_local(d_diag: np.ndarray, m_i: np.ndarray) -> float:
     mask = d_diag < 0.0
     if not mask.any():
@@ -76,7 +80,8 @@ class _RankData:
     # populated by Solver._build_rank; listed here for readability
     __slots__ = [
         "numbering", "pattern", "padded", "width", "cols", "valid", "gcols",
-        "upper", "lower", "trans_row", "trans_slot", "diag_slot", "card",
+        "up_row", "up_slot", "up_ptr", "lower", "trans_row", "trans_slot",
+        "diag_slot", "card",
         "lam", "c_slot", "cT_slot", "b_slot", "bT_slot", "m_i", "inv_m",
         "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "d",
         "alpha", "R", "P", "l", "l_next", "rho_min", "rho_max", "phi_min",
@@ -105,6 +110,11 @@ class Solver:
             raise ValueError("c_cfl must lie in (0, 1]")
         if limiter_passes < 0:
             raise ValueError("limiter_passes must be >= 0")
+        if not _is_int(newton_steps) or newton_steps < 0:
+            raise ValueError("newton_steps must be an integer >= 0")
+        for name, value in (("lanes", lanes), ("workers", workers), ("chunk_size", chunk_size)):
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         self.matrices = matrices
         self.gas = gas
         self.c_cfl = c_cfl
@@ -208,8 +218,12 @@ class Solver:
         rk.cm_of_new = cm_of_new
         rk.orig_of_new = part.cm_inv[cm_of_new]
         rk.gcols = cm_of_new[padded.cols]
-        rk.upper = padded.valid & (rk.gcols > cm_of_new[:, None])
+        upper = padded.valid & (rk.gcols > cm_of_new[:, None])
         rk.lower = padded.valid & (rk.gcols < cm_of_new[:, None])
+        # (row, slot) pairs of the upper edges in row-major order; the pairs
+        # of rows [a, b) are up_ptr[a]:up_ptr[b]
+        rk.up_row, rk.up_slot = np.nonzero(upper)
+        rk.up_ptr = np.concatenate([[0], np.cumsum(upper.sum(axis=1))])
         rk.card = padded.valid.sum(axis=1)
         lam_den = np.maximum(rk.card[: numbering.n_lo] - 1, 1)
         rk.lam = 1.0 / lam_den
@@ -405,15 +419,21 @@ class Solver:
         rk.f[lo:hi] = physics.flux(U, self.gas)
 
     def _k_viscosity(self, rk, lo, hi, with_alpha):
+        # d_ij is evaluated once per edge, on the upper slots (global id of j
+        # above that of i) only; _k_mirror fills the lower triangle
         sl = slice(lo, hi)
-        cols = rk.cols[sl]
-        U_i = rk.U[sl]
-        U_j = rk.U[cols]
-        c = rk.c_slot[sl]
-        cT = rk.cT_slot[sl]
-        d_full = riemann.d_ij_low(U_i[:, None], U_j, c, cT, self.gas)
-        rk.d[sl] = np.where(rk.upper[sl], d_full, 0.0)
+        up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
+        rows, slots = rk.up_row[up], rk.up_slot[up]
+        rk.d[sl] = 0.0
+        rk.d[rows, slots] = riemann.d_ij_low(
+            rk.U[rows], rk.U[rk.cols[rows, slots]],
+            rk.c_slot[rows, slots], rk.cT_slot[rows, slots], self.gas,
+        )
         if with_alpha:
+            cols = rk.cols[sl]
+            U_i = rk.U[sl]
+            U_j = rk.U[cols]
+            c = rk.c_slot[sl]
             acc = IndicatorAccumulator(self.gas)
             acc.reset(U_i, eta_over_rho_i=rk.eor[sl], f_i=rk.f[sl])
             for s in range(rk.width):
@@ -509,7 +529,9 @@ class Solver:
         """One forward-Euler step; returns the time step used.
 
         When tau is None the CFL bound is computed and capped by tau_max;
-        otherwise the given step is used unchanged (RK stages 2 and 3).
+        otherwise the given step is used unchanged (RK stages 2 and 3).  The
+        new state is checked before it is committed: on an AdmissibilityError
+        the state is left as it was.
         """
         R = self.part.n_ranks
         t0 = time.perf_counter()
@@ -610,32 +632,42 @@ class Solver:
         return tau
 
     def _finish_step(self):
-        for rk in self.ranks:
-            rk.U, rk.U_next = rk.U_next, rk.U
+        # check before committing, so a failed step leaves U untouched
         for rk in self.ranks:
             n_lo = rk.numbering.n_lo
-            ok = physics.is_admissible(rk.U[:n_lo])
+            ok = physics.is_admissible(rk.U_next[:n_lo])
             if not ok.all():
                 bad = int(np.argmin(ok))
                 gid = int(rk.orig_of_new[bad])
                 raise AdmissibilityError(f"inadmissible state at node {gid}")
+        for rk in self.ranks:
+            rk.U, rk.U_next = rk.U_next, rk.U
         self.n_euler_steps += 1
 
     def ssp_rk3_step(self, tau: Optional[float] = None, tau_max: float = np.inf) -> float:
-        """One SSP-RK3 step; the first stage's time step is reused by all stages."""
+        """One SSP-RK3 step; the first stage's time step is reused by all stages.
+
+        If a stage fails, the state before the step is restored on every rank
+        before the error propagates.
+        """
         U0 = [rk.U.copy() for rk in self.ranks]
-        tau = self.euler_step(tau, tau_max)
-        self.euler_step(tau)
-        # incremental form of the convex combinations: a vanishing stage
-        # update leaves the state bitwise unchanged
-        for rk, u0 in zip(self.ranks, U0):
-            rk.U[:] = u0 + 0.25 * (rk.U - u0)
-        self.euler_step(tau)
+        try:
+            tau = self.euler_step(tau, tau_max)
+            self.euler_step(tau)
+            # incremental form of the convex combinations: a vanishing stage
+            # update leaves the state bitwise unchanged
+            for rk, u0 in zip(self.ranks, U0):
+                rk.U[:] = u0 + 0.25 * (rk.U - u0)
+            self.euler_step(tau)
+        except BaseException:
+            for rk, u0 in zip(self.ranks, U0):
+                rk.U[:] = u0
+            raise
         for rk, u0 in zip(self.ranks, U0):
             rk.U[:] = u0 + (2.0 / 3.0) * (rk.U - u0)
         return tau
 
-    def advance(self, t_final: float, use_rk3: bool = True, on_step=None) -> float:
+    def advance(self, t_final: float, use_rk3: bool = True, on_step=None) -> int:
         """March from t = 0 to t_final; returns the number of steps taken."""
         t = 0.0
         steps = 0

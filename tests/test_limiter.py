@@ -158,6 +158,54 @@ def test_density_clamp_handles_overshoot():
     assert V[0] == pytest.approx(1.5, abs=1e-12)
 
 
+def stepper_shaped_case(rng, n=12, L=9, dim=2):
+    """Base states (n, 1, nvar), directions (n, L, nvar), row bounds (n, 1).
+
+    Even rows sit on their entropy bound (phi_min = phi(U)), odd rows have
+    slack.  Per row, the lanes mix small directions, directions that drain
+    internal energy and directions that push the density past its bounds.
+    """
+    nvar = dim + 2
+    U = np.zeros((n, 1, nvar))
+    U[:, 0, 0] = 0.5 + rng.random(n)
+    U[:, 0, 1:-1] = rng.normal(0.0, 0.5, (n, dim)) * U[:, 0, :1]
+    p = 0.5 + rng.random(n)
+    U[:, 0, -1] = p / AIR.gm1 + 0.5 * (U[:, 0, 1:-1] ** 2).sum(axis=1) / U[:, 0, 0]
+    phi = physics.specific_entropy_phi(U[:, 0])
+    phi_min = np.where(np.arange(n) % 2 == 0, phi, 0.9 * phi)[:, None]
+    rho_min = 0.7 * U[..., 0]
+    rho_max = 1.3 * U[..., 0]
+    rho_eps = physics.internal_energy(U)  # (n, 1), per unit volume
+    P = rng.normal(0.0, 1e-3, (n, L, nvar)) * np.abs(U)
+    # lanes 0-2 stay small (lane 0 adds energy); 3-5 drain 30-90% of the
+    # internal energy; 6-8 also move the density by 50-100%
+    P[:, 0, -1] = np.abs(P[:, 0, -1]) + 1e-2 * rho_eps[:, 0]
+    P[:, 3:, -1] -= rng.uniform(0.3, 0.9, (n, L - 3)) * rho_eps
+    sign = rng.choice([-1.0, 1.0], (n, L - 6))
+    P[:, 6:, 0] = sign * rng.uniform(0.5, 1.0, (n, L - 6)) * U[:, :, 0]
+    return U, P, rho_min, rho_max, phi_min
+
+
+def lane_kinds(U, P, rho_min, rho_max, phi_min):
+    """How the lanes of a stepper-shaped batch leave the limiter iteration."""
+    kinds = set()
+    n, L, _ = P.shape
+    for i in range(n):
+        tol = TOL_SCALE * abs(float(psi_entropy(U[i, 0], 0.0)))
+        psi_0 = float(psi_entropy(U[i, 0], phi_min[i, 0]))
+        for s in range(L):
+            V = U[i, 0] + P[i, s]
+            if not rho_min[i, 0] <= V[0] <= rho_max[i, 0]:
+                kinds.add("density clamp")
+            elif float(psi_entropy(V, phi_min[i, 0])) >= 0.0:
+                kinds.add("closes at t_R")
+            elif psi_0 <= tol:
+                kinds.add("stops on Psi_L <= tol")
+            else:
+                kinds.add("needs Newton")
+    return kinds
+
+
 def test_batched_matches_scalar():
     rng = np.random.default_rng(7)
     cases = [make_case(rng) for _ in range(32)]
@@ -169,6 +217,68 @@ def test_batched_matches_scalar():
     batch = limiter_compute(U, P, rmin, rmax, pmin)
     for k, c in enumerate(cases):
         assert batch[k] == float(limiter_compute(*c))
+
+    # the stepper's call shape: one base state per row against a row of
+    # directions, bounds per row
+    U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
+    n, L, _ = P.shape
+    assert lane_kinds(U, P, rho_min, rho_max, phi_min) == {
+        "density clamp", "closes at t_R", "stops on Psi_L <= tol", "needs Newton",
+    }
+    for max_newton in (0, 1, 2, 4):
+        batch = limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=max_newton)
+        assert batch.shape == (n, L)
+        for i in range(n):
+            for s in range(L):
+                lane = limiter_compute(
+                    U[i, 0], P[i, s], rho_min[i, 0], rho_max[i, 0], phi_min[i, 0],
+                    max_newton=max_newton,
+                )
+                assert batch[i, s] == lane
+
+
+def primitive_state(rho, velocity, p):
+    U = np.empty(len(velocity) + 2)
+    U[0] = rho
+    U[1:-1] = rho * np.asarray(velocity)
+    U[-1] = p / AIR.gm1 + 0.5 * rho * float(np.dot(velocity, velocity))
+    return U
+
+
+@given(
+    log_rho=st.floats(-10.0, 10.0),
+    log_rho_ratio=st.floats(-3.0, 3.0),
+    log_p_ratio=st.floats(-12.0, 12.0),
+    mach=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    mach_target=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    lo=st.floats(0.0, 0.5),
+    hi=st.floats(0.0, 1.0),
+    slack=st.floats(0.0, 0.5),
+    scale=st.floats(1e-3, 1.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_extreme_ratios_stay_feasible(
+    log_rho, log_rho_ratio, log_p_ratio, mach, mach_target, lo, hi, slack, scale
+):
+    # a base state and a direction towards a state with up to 1e12 times
+    # (or 1e-12 times) its pressure; the bounds admit the base state
+    rho = 10.0**log_rho
+    p = rho ** AIR.gamma
+    c = np.sqrt(AIR.gamma * p / rho)
+    U = primitive_state(rho, c * np.array(mach), p)
+    rho_t = rho * 10.0**log_rho_ratio
+    p_t = p * 10.0**log_p_ratio
+    c_t = np.sqrt(AIR.gamma * p_t / rho_t)
+    P = scale * (primitive_state(rho_t, c_t * np.array(mach_target), p_t) - U)
+    rho_min, rho_max = rho * (1.0 - lo), rho * (1.0 + hi)
+    phi_min = float(physics.specific_entropy_phi(U)) * (1.0 - slack)
+
+    l = float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2))
+    assert 0.0 <= l <= 1.0
+    V = U + l * P
+    assert rho_min * (1.0 - 1e-12) <= V[0] <= rho_max * (1.0 + 1e-12)
+    tol = TOL_SCALE * abs(float(psi_entropy(U, 0.0)))
+    assert float(psi_entropy(V, phi_min)) >= -tol
 
 
 def test_dpsi_matches_finite_differences():

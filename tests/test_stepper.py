@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import assembly, physics, problems
+from eulerflow import assembly, physics, problems, riemann
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
 from eulerflow.physics import AdmissibilityError
@@ -101,6 +101,15 @@ def test_invalid_parameters(small_periodic):
         Solver(mat, c_cfl=1.5)
     with pytest.raises(ValueError):
         Solver(mat, limiter_passes=-1)
+    for bad in (-1, 1.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError):
+            Solver(mat, newton_steps=bad)
+    for name in ("lanes", "workers", "chunk_size"):
+        for bad in (0, -1, 2.5, 4.0, True, "4", None):
+            with pytest.raises(ValueError):
+                Solver(mat, **{name: bad})
+    Solver(mat, newton_steps=0, lanes=1, workers=1, chunk_size=1)
+    Solver(mat, newton_steps=np.int64(3), lanes=np.int32(2))
 
 
 def test_rank_worker_determinism_quick(small_periodic):
@@ -192,3 +201,67 @@ def test_timers_and_counters_advance(small_periodic):
     assert s.comm.sync_volume > 0
     assert all(v >= 0.0 for v in s.timers.values())
     assert s.timers["step3"] > 0.0
+
+
+def _inject_negative_density(monkeypatch, solver, at_stage):
+    """Make the boundary kernel write rho < 0 in the solver's next
+    forward-Euler step number at_stage (1 = the next one)."""
+    at_step = solver.n_euler_steps + at_stage - 1
+    original = Solver._k_boundary
+
+    def faulty(self, rk, lo, hi):
+        original(self, rk, lo, hi)
+        if self is solver and self.n_euler_steps == at_step and hi > lo:
+            rk.U_next[lo, 0] = -1.0
+
+    monkeypatch.setattr(Solver, "_k_boundary", faulty)
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+@pytest.mark.parametrize("at_stage", [1, 2, 3])
+def test_failed_rk3_stage_restores_state(small_periodic, monkeypatch, ranks, at_stage):
+    mat, U = small_periodic
+    s = Solver(mat, ranks=ranks)
+    s.set_state(U)
+    s.ssp_rk3_step()
+    before = s.get_state()
+    _inject_negative_density(monkeypatch, s, at_stage)
+    with pytest.raises(AdmissibilityError):
+        s.ssp_rk3_step()
+    assert np.array_equal(s.get_state(), before)
+    # the restored solver steps on as if the failed step never happened
+    monkeypatch.undo()
+    s.ssp_rk3_step()
+    ref = Solver(mat, ranks=ranks)
+    ref.set_state(U)
+    ref.ssp_rk3_step()
+    ref.ssp_rk3_step()
+    assert np.array_equal(s.get_state(), ref.get_state())
+
+
+def test_failed_euler_step_keeps_state(small_periodic, monkeypatch):
+    mat, U = small_periodic
+    s = Solver(mat, limiter_passes=0)
+    s.set_state(U)
+    _inject_negative_density(monkeypatch, s, 1)
+    with pytest.raises(AdmissibilityError):
+        s.euler_step()
+    assert np.array_equal(s.get_state(), U)
+    assert s.n_euler_steps == 0
+
+
+def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
+    mat, U = small_periodic
+    s = Solver(mat, chunk_size=5)
+    s.set_state(U)
+    evaluated = []
+    original = riemann.d_ij_low
+
+    def counting(Ui, Uj, c_ij, c_ji, gas=physics.AIR):
+        out = original(Ui, Uj, c_ij, c_ji, gas)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(riemann, "d_ij_low", counting)
+    s.euler_step()
+    assert sum(evaluated) == (mat.nnz - mat.n) // 2
