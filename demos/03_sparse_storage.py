@@ -1,57 +1,54 @@
-"""Hybrid sliced-ELL / CSR stencil storage.
+"""Padded slot view of the stencil graph.
 
-Stencil matrices are stored in a SIMD-friendly layout: rows with the
-standard cardinality are grouped into lanes of width k and interleaved
-(sliced ELL), while irregular rows fall back to CSR at the tail.  A
-precomputed transpose table gives O(1) access to the mirrored entry, which
-the solver needs for the skew-symmetric transport terms.
+The kernels read every stencil matrix as a dense (rows, width) slot view:
+row i lists its columns ordered by global node id, and rows shorter than
+the widest stencil are padded with slots that point at row i itself and
+carry zero values.  A precomputed mirror slot gives O(1) access to the
+entry (j, i) of every stored (i, j), which the solver needs for the
+skew-symmetric transport terms and the symmetrized limiter.
 
 Run:  python3 demos/03_sparse_storage.py
 """
 
 import numpy as np
 
+from eulerflow import problems
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
-from eulerflow.sparsity import StencilMatrix, build_pattern, renumber, transpose_position
+from eulerflow.sparsity import build_pattern, renumber
 
-mesh = rectangle_mesh(12, 12)
-matrices = assemble(mesh)
-conn = matrices.connectivity()
-print(f"mesh graph: {matrices.n} rows, {matrices.nnz} entries")
+for name, mesh in [
+    ("periodic 12 x 12 grid", rectangle_mesh(12, 12, periodic=(True, True))),
+    ("12 x 12 grid with boundary", rectangle_mesh(12, 12)),
+    ("channel with a disc", problems.mach3_channel(2, refine=1).mesh),
+]:
+    matrices = assemble(mesh)
+    numbering = renumber(matrices.n)
+    pattern = build_pattern(matrices.connectivity(), numbering)
+    view = pattern.padded()
+    card = view.valid.sum(axis=1)
+    print(f"{name}: {matrices.n} rows, {matrices.nnz} entries, "
+          f"stencil sizes {card.min()}..{card.max()}, width {view.width}, "
+          f"padding ratio {view.cols.size / matrices.nnz:.2f}")
 
-for k in (1, 4, 8):
-    numbering = renumber(conn, k)
-    pattern = build_pattern(conn, numbering)
-    share = numbering.n_i / matrices.n
-    print(f"\nlane width k = {k}:")
-    print(f"  standard cardinality {numbering.standard_card}, "
-          f"{numbering.n_i} rows ({share:.0%}) in the interleaved block")
-    print(f"  {matrices.n - numbering.n_i} irregular rows kept in CSR")
+# values are gathered into the view, pads hold zeros
+matrices = assemble(rectangle_mesh(12, 12))
+numbering = renumber(matrices.n)
+view = build_pattern(matrices.connectivity(), numbering).padded()
+dense = matrices.csr(matrices.m).toarray()
+rows = np.arange(matrices.n)[:, None]
+m_slot = np.where(view.valid, dense[rows, view.cols], 0.0)
+back = np.zeros_like(dense)
+back[np.nonzero(view.valid)[0], view.cols[view.valid]] = m_slot[view.valid]
+assert np.array_equal(back, dense)
 
-    # entries of one SIMD slice sit k apart so a lane loads contiguously
-    i = 0
-    positions = [pattern.position(i, s) for s in range(pattern.row_length(i))]
-    print(f"  row 0 slot positions: {positions[:6]} ... (stride {k})")
-
-# values round-trip bit for bit regardless of the layout
-rng = np.random.default_rng(1)
-numbering = renumber(conn, 4)
-pattern = build_pattern(conn, numbering)
-dense = np.zeros((matrices.n, matrices.n))
-csr = conn.tocsr()
-dense[csr.nonzero()] = rng.normal(size=matrices.nnz)
-perm = dense[np.ix_(numbering.inv, numbering.inv)]
-mat = StencilMatrix(pattern)
-mat.fill_from_dense(perm)
-assert np.array_equal(mat.to_dense(), perm)
-
-# transpose lookups
-i = matrices.n // 2
-j = pattern.row_columns(i)[1]
-p = pattern.position(i, 1)
-q = transpose_position(pattern, p)
-print(f"\ntranspose table: entry ({i},{j}) at position {p}, "
-      f"mirror ({j},{i}) at position {q}")
-assert mat.values[q] == perm[j, i]
-print("dense round-trip and transpose lookups verified bitwise")
+# mirror lookup: slot (i, s) holds (i, j), slot (j, trans_slot[i, s]) holds (j, i)
+i = 0
+s = int(np.argmax(view.valid[i] & (view.cols[i] != i)))
+j, t = int(view.cols[i, s]), int(view.trans_slot[i, s])
+print(f"\nentry ({i},{j}) sits in slot {s} of row {i}; "
+      f"its mirror ({j},{i}) sits in slot {t} of row {j}")
+assert view.cols[j, t] == i and m_slot[j, t] == dense[j, i]
+pad = ~view.valid
+assert (view.cols[pad] == np.nonzero(pad)[0]).all() and (m_slot[pad] == 0.0).all()
+print("dense round-trip, mirror lookups and pad slots verified bitwise")

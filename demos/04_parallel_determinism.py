@@ -1,7 +1,7 @@
 """Bitwise-deterministic parallel execution.
 
 The solver partitions the Cuthill-McKee row order into simulated ranks with
-one ghost layer, exchanges ghost data through a phase-counted communicator,
+one ghost layer, exchanges ghost data through a staging communicator,
 and overlaps the exchange with the interior row loop.  All configurations
 produce bitwise identical states: sums are evaluated slot by slot in a
 globally fixed order, and rows are padded to the global maximal cardinality

@@ -1,6 +1,6 @@
 """Invariant-domain-preserving collocation solver for the compressible Euler
-equations, with convex limiting, graph viscosity, hybrid SELL/CSR stencil
-storage and simulated-rank ghost exchange."""
+equations, with convex limiting, graph viscosity, a padded stencil slot
+view and simulated-rank ghost exchange."""
 
 from . import (
     assembly,

@@ -1,10 +1,10 @@
 """Precomputation of the stencil-graph matrices of the Q1 discretization.
 
 Assembles, once before the time loop, the consistent mass matrix m_ij, its
-lumped diagonal m_i (with precomputed inverse), the vector-valued matrix
-c_ij = integral(phi_i grad phi_j), and the stiffness matrix beta_ij, all on
-a shared sparsity pattern given by the node stencil graph.  Quadrature is
-tensor-product 2-point Gauss, exact for affine cells.
+lumped diagonal m_i (with precomputed inverse) and the vector-valued matrix
+c_ij = integral(phi_i grad phi_j), both on a shared sparsity pattern given
+by the node stencil graph.  Quadrature is tensor-product 2-point Gauss,
+exact for affine cells.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class PrecomputedMatrices:
     indices: np.ndarray
     m: np.ndarray        # consistent mass, per nnz
     c: np.ndarray        # (nnz, dim)
-    beta: np.ndarray     # stiffness, per nnz
     m_lumped: np.ndarray  # (n,)
     inv_m: np.ndarray     # (n,)
 
@@ -74,7 +73,7 @@ def _shape_values(dim: int, xi: np.ndarray):
 
 
 def assemble(mesh: Mesh) -> PrecomputedMatrices:
-    """Assemble m_ij, c_ij, beta_ij and the lumped mass over the stencil graph."""
+    """Assemble m_ij, c_ij and the lumped mass over the stencil graph."""
     d = mesh.dim
     cells = mesh.cells
     red = mesh.reduced_index
@@ -87,7 +86,6 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
     cols = np.tile(red[cells], (1, nv)).ravel()
 
     m_loc = np.zeros((len(cells), nv, nv))
-    beta_loc = np.zeros((len(cells), nv, nv))
     c_loc = np.zeros((len(cells), nv, nv, d))
     for xi, w in zip(qpts, qw):
         N, dN = _shape_values(d, xi)
@@ -99,25 +97,22 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         grad = np.einsum("al,mlk->mak", dN, Jinv)  # physical gradients
         scale = (w * detJ)[:, None, None]
         m_loc += scale * (N[:, None] * N[None, :])
-        beta_loc += scale * np.einsum("mak,mbk->mab", grad, grad)
         c_loc += scale[..., None] * N[None, :, None, None] * grad[:, None, :, :]
 
     shape = (n, n)
     m_mat = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    beta_mat = sp.coo_matrix((beta_loc.ravel(), (rows, cols)), shape=shape).tocsr()
     c_mats = [
         sp.coo_matrix((c_loc[..., k].ravel(), (rows, cols)), shape=shape).tocsr()
         for k in range(d)
     ]
-    # enforce exact symmetry of m and beta
+    # enforce exact symmetry of m
     m_mat = (0.5 * (m_mat + m_mat.T)).tocsr()
-    beta_mat = (0.5 * (beta_mat + beta_mat.T)).tocsr()
-    for mat in [m_mat, beta_mat] + c_mats:
+    for mat in [m_mat] + c_mats:
         mat.sort_indices()
 
     indptr = m_mat.indptr.copy()
     indices = m_mat.indices.copy()
-    for mat in c_mats + [beta_mat]:
+    for mat in c_mats:
         if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
             raise AssertionError("assembled matrices disagree on the sparsity pattern")
     c = np.stack([mat.data for mat in c_mats], axis=-1)
@@ -131,7 +126,6 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         indices=indices,
         m=m_mat.data.copy(),
         c=c,
-        beta=beta_mat.data.copy(),
         m_lumped=m_lumped,
         inv_m=1.0 / m_lumped,
     )

@@ -27,7 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cfl", type=float, dest="c_cfl", help="CFL number in (0, 1]")
     parser.add_argument("--limiter-passes", type=int, dest="limiter_passes")
     parser.add_argument("--newton-steps", type=int, dest="newton_steps")
-    parser.add_argument("--lanes", type=int, help="SIMD lane width of the SELL storage")
     parser.add_argument("--workers", type=int, help="threads per simulated rank")
     parser.add_argument("--ranks", type=int, help="simulated rank count")
     parser.add_argument("--no-overlap", action="store_true",
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
     for key in ("problem", "refine", "t_final", "c_cfl", "limiter_passes",
-                "newton_steps", "lanes", "workers", "ranks", "output_every",
+                "newton_steps", "workers", "ranks", "output_every",
                 "output_dir"):
         value = getattr(args, key, None)
         if value is not None:
@@ -63,7 +62,6 @@ def run(cfg: RunConfig, log=print) -> Solver:
         c_cfl=cfg.c_cfl,
         limiter_passes=cfg.limiter_passes,
         newton_steps=cfg.newton_steps,
-        lanes=cfg.lanes,
         workers=cfg.workers,
         ranks=cfg.ranks,
         overlap=cfg.overlap,
@@ -71,7 +69,7 @@ def run(cfg: RunConfig, log=print) -> Solver:
     )
     solver.set_state(setup.U0)
     log(f"{cfg.problem}: {matrices.n} nodes, {matrices.nnz} stencil nonzeros, "
-        f"ranks={cfg.ranks} workers={cfg.workers} lanes={cfg.lanes}")
+        f"ranks={cfg.ranks} workers={cfg.workers}")
 
     os.makedirs(cfg.output_dir, exist_ok=True)
 

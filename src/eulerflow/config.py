@@ -18,7 +18,6 @@ class RunConfig:
     c_cfl: float = 0.9
     limiter_passes: int = 2
     newton_steps: int = 2
-    lanes: int = 4
     workers: int = 1
     ranks: int = 1
     overlap: bool = True
@@ -33,8 +32,8 @@ class RunConfig:
             raise ValueError("c_cfl must lie in (0, 1]")
         if self.refine < 0 or self.limiter_passes < 0 or self.newton_steps < 0:
             raise ValueError("counts must be non-negative")
-        if self.lanes < 1 or self.workers < 1 or self.ranks < 1:
-            raise ValueError("lanes, workers and ranks must be >= 1")
+        if self.workers < 1 or self.ranks < 1:
+            raise ValueError("workers and ranks must be >= 1")
         if self.t_final <= 0.0:
             raise ValueError("t_final must be positive")
         if self.output_every < 0:

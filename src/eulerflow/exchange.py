@@ -11,7 +11,7 @@ the performance report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 __all__ = [
     "Partition",
     "partition",
-    "GhostPlan",
     "Communicator",
     "allreduce_min",
     "overlapped_loop",
@@ -80,67 +79,35 @@ def partition(connectivity: sp.spmatrix, n_ranks: int) -> Partition:
         cols = np.unique(conn_cm.indices[conn_cm.indptr[s] : conn_cm.indptr[e]])
         ghosts.append(cols[(cols < s) | (cols >= e)])
 
-    exports: List[Dict[int, np.ndarray]] = [dict() for _ in range(n_ranks)]
-    for r in range(n_ranks):
-        gh = ghosts[r]
-        if len(gh) == 0:
-            continue
-        owners = Partition(
-            n=n, n_ranks=n_ranks, cm_perm=cm_perm, cm_inv=cm_inv,
-            ranges=ranges, ghosts=[], exports=[],
-        ).owner_of(gh)
-        for owner in np.unique(owners):
-            ids = gh[owners == owner]
-            exports[int(owner)].setdefault(r, ids)
-            exports[int(owner)][r] = ids
-    return Partition(
+    part = Partition(
         n=n,
         n_ranks=n_ranks,
         cm_perm=cm_perm,
         cm_inv=cm_inv,
         ranges=ranges,
         ghosts=ghosts,
-        exports=exports,
+        exports=[dict() for _ in range(n_ranks)],
     )
-
-
-@dataclass
-class GhostPlan:
-    """Precomputed gather/scatter indices for one synchronized quantity.
-
-    For every rank: a list of (src_rank, src_index_arrays, dst_index_arrays)
-    where indices address rank-local storage (rows, or (row, slot) pairs for
-    stencil matrices).
-    """
-
-    copies: List[List[tuple]]
+    for r, gh in enumerate(ghosts):
+        owners = part.owner_of(gh)
+        for owner in np.unique(owners):
+            part.exports[int(owner)][r] = gh[owners == owner]
+    return part
 
 
 class Communicator:
-    """Phase-counted collective sync over simulated ranks.
+    """Staged sync over simulated ranks.
 
-    All collectives must be entered in the same order by the driving loop; a
-    phase counter guards against mismatched schedules.  Staged sends support
-    the communication-hiding loop split: `stage` snapshots the exported
-    values, `deliver` copies them into ghost storage.
+    Staged sends support the communication-hiding loop split: `stage`
+    snapshots the exported values, `deliver` copies them into ghost storage.
     """
 
     def __init__(self, n_ranks: int):
         self.n_ranks = n_ranks
-        self.phase = 0
         self.sync_count = 0
         self.sync_volume = 0
         self._staged: Dict[int, list] = {}
         self._lock = threading.Lock()
-
-    def _check_phase(self, tag: int):
-        if tag != self.phase - 1:
-            raise RuntimeError("collective entered out of order")
-
-    def begin_collective(self) -> int:
-        tag = self.phase
-        self.phase += 1
-        return tag
 
     def stage(self, rank: int, items: list):
         """Snapshot exported values of one rank (the 'send')."""
@@ -167,7 +134,6 @@ def allreduce_min(values) -> float:
 
 def overlapped_loop(
     n_e: int,
-    n_i: int,
     n_lo: int,
     body: Callable[[int, int], None],
     start_sync: Optional[Callable[[], None]],
@@ -176,17 +142,17 @@ def overlapped_loop(
 ) -> int:
     """Row loop with communication hiding.
 
-    Processes [n_i, n_lo) and [0, n_e) first; the worker completing the last
-    chunk of that export phase triggers start_sync exactly once; the interior
-    [n_e, n_i) follows.  Returns the number of times start_sync fired (always
-    0 or 1), so callers can assert the contract.
+    Processes the exported rows [0, n_e) first; the worker completing the
+    last chunk of that export phase triggers start_sync exactly once; the
+    interior [n_e, n_lo) follows.  Returns the number of times start_sync
+    fired (always 0 or 1), so callers can assert the contract.
     """
 
     def chunks(lo, hi):
         return [(s, min(s + chunk_size, hi)) for s in range(lo, hi, chunk_size)]
 
-    pre = chunks(n_i, n_lo) + chunks(0, n_e)
-    post = chunks(n_e, n_i)
+    pre = chunks(0, n_e)
+    post = chunks(n_e, n_lo)
 
     fired = [0]
     remaining = [len(pre)]
@@ -194,11 +160,9 @@ def overlapped_loop(
 
     def run_pre(rng):
         body(*rng)
-        this_thread_ready = False
         with lock:
             remaining[0] -= 1
-            if remaining[0] == 0 and not this_thread_ready:
-                this_thread_ready = True
+            if remaining[0] == 0:
                 fired[0] += 1
                 if start_sync is not None:
                     start_sync()

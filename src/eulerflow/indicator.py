@@ -41,14 +41,11 @@ class IndicatorAccumulator:
         self.b = np.zeros(U_i.shape, dtype=U_i.dtype)
         self._ready = True
 
-    def accumulate(
-        self, U_j: np.ndarray, c_ij: np.ndarray, beta_ij=None, eta_over_rho_j=None, f_j=None
-    ):
+    def accumulate(self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j=None, f_j=None):
         """Add the contribution of stencil neighbor j.
 
-        The beta_ij argument is accepted for call-signature compatibility but
-        not used by the commutator formulas.  Precomputed per-node quantities
-        can be passed to avoid recomputation in hot loops.
+        Precomputed per-node quantities can be passed to avoid recomputation
+        in hot loops.
         """
         if not self._ready:
             raise RuntimeError("accumulate called before reset")

@@ -10,23 +10,19 @@ and above the local specific-entropy bound.  The constraint function
 is 3-convex along rays (third derivative of fixed negative sign), which the
 quadratic Newton update exploits to keep a valid bracket at all times.
 
-A batch of lanes is evaluated together at t_R.  Lanes whose step is already
+A batch of entries is evaluated together at t_R.  Entries whose step is already
 final leave the batch, and the Newton iterations run only on the gathered
-operands of the lanes still open.  Every operation is elementwise per lane,
-so a lane's result does not depend on the batch it was computed in.
+operands of the entries still open.  Every operation is elementwise per entry,
+so an entry's result does not depend on the batch it was computed in.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .physics import AIR, GasConstants, power
 
 __all__ = [
-    "Bounds",
-    "accumulate_bounds",
     "psi_entropy",
     "dpsi_dt",
     "quadratic_newton_step",
@@ -40,44 +36,6 @@ PSI_SIGN = -1.0
 # Relative tolerance on Psi, scaled by the magnitude of Psi at t = 0.
 TOL_SCALE = 1e-10
 _TINY = float(np.finfo(np.float64).tiny)
-
-
-@dataclass
-class Bounds:
-    """Per-row limiter bounds: density interval and entropy floor."""
-
-    rho_min: np.ndarray
-    rho_max: np.ndarray
-    phi_min: np.ndarray
-
-    @classmethod
-    def fresh(cls, shape, dtype=np.float64) -> "Bounds":
-        return cls(
-            rho_min=np.full(shape, np.inf, dtype=dtype),
-            rho_max=np.full(shape, -np.inf, dtype=dtype),
-            phi_min=np.full(shape, np.inf, dtype=dtype),
-        )
-
-
-def accumulate_bounds(
-    acc: Bounds,
-    U_i: np.ndarray,
-    U_j: np.ndarray,
-    Ubar_ij: np.ndarray,
-    gas: GasConstants = AIR,
-) -> Bounds:
-    """Fold one stencil neighbor into the running bounds.
-
-    Tracks min/max of the bar-state density and the minimum of the scaled
-    specific entropy of the neighbor states.
-    """
-    rho_bar = Ubar_ij[..., 0]
-    np.minimum(acc.rho_min, rho_bar, out=acc.rho_min)
-    np.maximum(acc.rho_max, rho_bar, out=acc.rho_max)
-    rho_j = U_j[..., 0]
-    eps_j = U_j[..., -1] - 0.5 * (U_j[..., 1:-1] ** 2).sum(axis=-1) / rho_j
-    np.minimum(acc.phi_min, eps_j * power(rho_j, -gas.gamma), out=acc.phi_min)
-    return acc
 
 
 def _rho_eps(U: np.ndarray) -> np.ndarray:
@@ -138,7 +96,7 @@ def quadratic_newton_step(t_L, t_R, Psi_L, Psi_R, dPsi_L, dPsi_R, sign=PSI_SIGN)
             np.abs(den_R) > eps, t_R - 2.0 * Psi_R / np.where(den_R, den_R, 1.0), t_R
         )
     # collapsed brackets can overflow the divided differences; keep such
-    # lanes at their old endpoints
+    # entries at their old endpoints
     new_L = np.where(np.isfinite(new_L), new_L, t_L)
     new_R = np.where(np.isfinite(new_R), new_R, t_R)
     new_L = np.clip(new_L, t_L, t_R)
@@ -161,27 +119,27 @@ def limiter_compute(
 
     First clamps the right bracket endpoint by the density interval, then
     performs up to max_newton bracketing quadratic Newton iterations on the
-    entropy constraint.  A lane leaves the iteration when Psi(t_R) >= 0
-    (l = t_R) or Psi(t_L) <= tol (l = t_L); each iteration gathers the lanes
+    entropy constraint.  An entry leaves the iteration when Psi(t_R) >= 0
+    (l = t_R) or Psi(t_L) <= tol (l = t_L); each iteration gathers the entries
     still open and runs the Newton update on those only.  The factor of each
-    lane is the same as with a single lane.
+    entry is the same as with a single entry.
     """
     shape = np.broadcast_shapes(
         U.shape[:-1], P.shape[:-1],
         np.shape(rho_min), np.shape(rho_max), np.shape(phi_min),
     )
-    lane_shape = shape or (1,)
+    batch_shape = shape or (1,)
     tol = TOL_SCALE * np.abs(_rho_eps(U))
-    U, P = (np.broadcast_to(a, lane_shape + a.shape[-1:]) for a in (U, P))
+    U, P = (np.broadcast_to(a, batch_shape + a.shape[-1:]) for a in (U, P))
     rho_min, rho_max, phi_min, tol = (
-        np.broadcast_to(a, lane_shape) for a in (rho_min, rho_max, phi_min, tol)
+        np.broadcast_to(a, batch_shape) for a in (rho_min, rho_max, phi_min, tol)
     )
 
     rho_u = U[..., 0]
     rho_p = P[..., 0]
     abs_rho_p = np.maximum(np.abs(rho_p), _TINY)
-    t_R = np.ones(lane_shape, dtype=U.dtype)
-    # the unselected quotients of lanes with a vanishing rho_p may overflow
+    t_R = np.ones(batch_shape, dtype=U.dtype)
+    # the unselected quotients of entries with a vanishing rho_p may overflow
     with np.errstate(over="ignore"):
         over = rho_u + t_R * rho_p > rho_max
         t_R = np.where(over, np.abs(rho_max - rho_u) / abs_rho_p, t_R)
@@ -190,31 +148,31 @@ def limiter_compute(
     t_R = np.clip(t_R, 0.0, 1.0)
     t_L = np.zeros_like(t_R)
 
-    # index of the open lanes into t_L: all of them (Ellipsis) until the
+    # index of the open entries into t_L: all of them (Ellipsis) until the
     # first narrowing, then a tuple of index arrays
-    lanes = ...
+    open_ix = ...
     U_o, P_o, phi_o, tol_o, tL, tR = U, P, phi_min, tol, t_L, t_R
     for _ in range(max_newton):
         Psi_R = psi_entropy(U_o + tR[..., None] * P_o, phi_o, gas)
         closed = Psi_R >= 0.0
-        t_L[lanes] = np.where(closed, tR, tL)
-        lanes, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R) = _narrow(
-            lanes, ~closed, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R
+        t_L[open_ix] = np.where(closed, tR, tL)
+        open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R) = _narrow(
+            open_ix, ~closed, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R
         )
         Psi_L = psi_entropy(U_o + tL[..., None] * P_o, phi_o, gas)
-        lanes, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L) = _narrow(
-            lanes, Psi_L > tol_o, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L
+        open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L) = _narrow(
+            open_ix, Psi_L > tol_o, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L
         )
         if tL.size == 0:
             break
         dPsi_L = dpsi_dt(U_o, P_o, tL, phi_o, gas)
         dPsi_R = dpsi_dt(U_o, P_o, tR, phi_o, gas)
         tL, tR = quadratic_newton_step(tL, tR, Psi_L, Psi_R, dPsi_L, dPsi_R)
-        t_L[lanes] = tL
+        t_L[open_ix] = tL
     return t_L.reshape(shape)
 
 
-def _narrow(lanes, keep, *operands):
-    """Index and gathered operands of the open lanes where keep holds."""
-    lanes = np.nonzero(keep) if lanes is Ellipsis else tuple(ix[keep] for ix in lanes)
-    return lanes, [a[keep] for a in operands]
+def _narrow(open_ix, keep, *operands):
+    """Index and gathered operands of the open entries where keep holds."""
+    open_ix = np.nonzero(keep) if open_ix is Ellipsis else tuple(ix[keep] for ix in open_ix)
+    return open_ix, [a[keep] for a in operands]

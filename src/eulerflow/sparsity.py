@@ -1,168 +1,125 @@
-"""Local dof renumbering and hybrid sliced-ELL / CSR stencil storage.
+"""Local row numbering and the padded slot view of the stencil graph.
 
-Rows with the standard stencil cardinality are stored in a sliced-ELL region
-(slice length = lane width k, column indices interleaved k rows at a time);
-all remaining rows fall back to CSR.  The numbering markers satisfy
-N_e <= N_i <= N_lo <= N_lr: exported regular rows first, then the rest of
-the SIMD-friendly regular block (N_i is a multiple of k), then irregular and
-leftover owned rows, then ghost rows.
+A rank's local rows arrive in the global Cuthill-McKee order: owned rows
+first, then its ghost rows.  `renumber` keeps that order and only moves the
+exported rows (those other ranks hold as ghosts) to the front, so the
+numbering markers satisfy n_e <= n_lo <= n_lr: exported rows [0, n_e), the
+other owned rows [n_e, n_lo), ghost rows [n_lo, n_lr).
 
-A per-nnz transpose table maps every stored (i, j) position to the position
-of (j, i), which the solver uses for mirroring the viscosity matrix and for
-the symmetrized limiter factors.
+`build_pattern` gives each local row its columns ordered by a sort key
+(the global node id in the solver), and `SparsityPattern.padded` lays the
+rows out as a dense (rows, width) slot view for the vectorized kernels,
+with the slot of every entry's mirror (j, i).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
     "LocalNumbering",
     "SparsityPattern",
-    "StencilMatrix",
     "PaddedView",
     "renumber",
     "build_pattern",
-    "transpose_position",
 ]
 
 
 @dataclass
 class LocalNumbering:
-    """Permutation old->new with the range markers of the hybrid layout."""
+    """Permutation old -> new with the exported / owned / ghost markers."""
 
     perm: np.ndarray
     inv: np.ndarray
     n_e: int
-    n_i: int
     n_lo: int
     n_lr: int
-    k: int
-    standard_card: int
 
 
-def renumber(
-    connectivity: sp.spmatrix,
-    k: int,
-    export_set=(),
-    n_owned: Optional[int] = None,
-    standard_card: Optional[int] = None,
-) -> LocalNumbering:
-    """Cuthill-McKee order, then regular/irregular and export partitioning.
+def renumber(n_rows: int, export_set=(), n_owned: Optional[int] = None) -> LocalNumbering:
+    """Exported owned rows first, then the other owned rows, then the ghosts.
 
-    Rows at indices >= n_owned (ghost rows) keep their relative order and are
-    placed after all owned rows.  N_i is the number of regular rows rounded
-    down to a multiple of k; regular rows beyond N_i spill into the remainder
-    range together with the irregular rows.
+    export_set is an array or list of owned row ids; rows at indices >=
+    n_owned are ghost rows.  Every group keeps the relative order of its rows.
     """
-    conn = sp.csr_matrix(connectivity)
-    n_total = conn.shape[0]
-    n_owned = n_total if n_owned is None else n_owned
-    card = np.diff(conn.indptr)[:n_owned]
-    if standard_card is None:
-        vals, counts = np.unique(card, return_counts=True)
-        standard_card = int(vals[np.argmax(counts)])
-
-    owned_graph = conn[:n_owned, :n_owned]
-    owned_graph = (owned_graph + owned_graph.T).tocsr()
-    rcm = reverse_cuthill_mckee(owned_graph, symmetric_mode=True)
-    cm = np.asarray(rcm[::-1], dtype=np.int64)
-
-    regular = card == standard_card
-    order = np.concatenate([cm[regular[cm]], cm[~regular[cm]]])
-    n_reg = int(regular.sum())
-    n_i = (n_reg // k) * k
-
+    n_owned = n_rows if n_owned is None else n_owned
     exported = np.zeros(n_owned, dtype=bool)
-    export_list = np.fromiter(export_set, dtype=np.int64, count=-1) if len(export_set) else []
-    if len(export_list):
-        exported[export_list] = True
-    head = order[:n_i]
-    head = np.concatenate([head[exported[head]], head[~exported[head]]])
-    order = np.concatenate([head, order[n_i:]])
-    n_e = int(exported[head].sum())
-
-    inv = np.concatenate([order, np.arange(n_owned, n_total, dtype=np.int64)])
-    perm = np.empty(n_total, dtype=np.int64)
-    perm[inv] = np.arange(n_total)
+    exported[np.asarray(export_set, dtype=np.int64)] = True
+    inv = np.concatenate([
+        np.flatnonzero(exported),
+        np.flatnonzero(~exported),
+        np.arange(n_owned, n_rows, dtype=np.int64),
+    ])
+    perm = np.empty(n_rows, dtype=np.int64)
+    perm[inv] = np.arange(n_rows)
     return LocalNumbering(
-        perm=perm,
-        inv=inv,
-        n_e=n_e,
-        n_i=n_i,
-        n_lo=n_owned,
-        n_lr=n_total,
-        k=k,
-        standard_card=standard_card,
+        perm=perm, inv=inv, n_e=int(exported.sum()), n_lo=n_owned, n_lr=n_rows,
     )
 
 
 @dataclass
 class SparsityPattern:
-    """Hybrid sliced-ELL + CSR pattern over renumbered local rows."""
+    """CSR pattern over renumbered local rows, columns ordered by a key."""
 
     numbering: LocalNumbering
-    k: int
-    standard_card: int
-    sell_cols: np.ndarray      # interleaved, len = (n_i//k) * standard_card * k
-    csr_indptr: np.ndarray     # rows n_i..n_lr, offsets into csr_cols
-    csr_cols: np.ndarray
-    transpose: np.ndarray = field(default=None)  # per-position transpose position
+    indptr: np.ndarray
+    cols: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return self.numbering.n_lr
 
     @property
-    def sell_size(self) -> int:
-        return len(self.sell_cols)
+    def nnz(self) -> int:
+        return len(self.cols)
 
     @property
-    def nnz(self) -> int:
-        return self.sell_size + len(self.csr_cols)
-
-    def row_length(self, i: int) -> int:
-        n_i = self.numbering.n_i
-        if i < n_i:
-            return self.standard_card
-        return int(self.csr_indptr[i - n_i + 1] - self.csr_indptr[i - n_i])
-
-    def position(self, i: int, slot: int) -> int:
-        """Storage position of the given (row, slot)."""
-        n_i = self.numbering.n_i
-        if i < n_i:
-            s, lane = divmod(i, self.k)
-            return s * self.standard_card * self.k + slot * self.k + lane
-        return self.sell_size + int(self.csr_indptr[i - n_i]) + slot
-
-    def row_columns(self, i: int) -> np.ndarray:
-        n_i = self.numbering.n_i
-        if i < n_i:
-            s, lane = divmod(i, self.k)
-            base = s * self.standard_card * self.k
-            return self.sell_cols[base + lane : base + self.standard_card * self.k : self.k]
-        lo = self.sell_size + self.csr_indptr[i - n_i]
-        hi = self.sell_size + self.csr_indptr[i - n_i + 1]
-        return self.csr_cols[lo - self.sell_size : hi - self.sell_size]
-
-    def row_positions(self, i: int) -> np.ndarray:
-        length = self.row_length(i)
-        return np.array([self.position(i, s) for s in range(length)], dtype=np.int64)
-
-    def find(self, i: int, j: int) -> int:
-        cols = self.row_columns(i)
-        slots = np.nonzero(cols == j)[0]
-        if len(slots) != 1:
-            raise KeyError((i, j))
-        return self.position(i, int(slots[0]))
+    def card(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     def padded(self, pad_to: Optional[int] = None) -> "PaddedView":
-        return _build_padded(self, pad_to)
+        """The (n_rows, width) slot view; width is the widest row or pad_to.
+
+        Raises ValueError when pad_to is narrower than the widest row, when
+        a row lacks its diagonal, or when a stored (i, j) has no stored
+        mirror (j, i).
+        """
+        n, card = self.n_rows, self.card
+        width = int(card.max(initial=0))
+        if pad_to is not None:
+            if pad_to < width:
+                raise ValueError("pad_to smaller than the widest row")
+            width = pad_to
+        row = np.repeat(np.arange(n, dtype=np.int64), card)
+        slot = np.arange(self.nnz, dtype=np.int64) - self.indptr[row]
+
+        cols = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
+        cols[row, slot] = self.cols
+        valid = np.zeros((n, width), dtype=bool)
+        valid[row, slot] = True
+
+        diag_slot = np.full(n, -1, dtype=np.int64)
+        on_diag = self.cols == row
+        diag_slot[row[on_diag]] = slot[on_diag]
+        if np.any(diag_slot < 0):
+            raise ValueError("every stencil must contain its own row")
+
+        # the mirror of (i, j) is found among the entries sorted by (row, col)
+        keys = row * n + self.cols
+        order = np.argsort(keys)
+        hit = np.searchsorted(keys[order], self.cols * n + row)
+        hit = np.minimum(hit, self.nnz - 1)
+        if not np.array_equal(keys[order[hit]], self.cols * n + row):
+            raise ValueError("a stored entry (i, j) has no stored transpose (j, i)")
+        trans_slot = np.repeat(np.arange(width, dtype=np.int64)[None, :], n, axis=0)
+        trans_slot[row, slot] = slot[order[hit]]
+        return PaddedView(
+            width=width, cols=cols, valid=valid, diag_slot=diag_slot, trans_slot=trans_slot,
+        )
 
 
 def build_pattern(
@@ -170,172 +127,35 @@ def build_pattern(
     numbering: LocalNumbering,
     col_key: Optional[np.ndarray] = None,
 ) -> SparsityPattern:
-    """Build the hybrid pattern; within each row, slots are ordered by col_key.
+    """Pattern of the connectivity in new ids; each row's columns sorted by col_key.
 
     connectivity is given in old local ids; col_key maps a *new* local id to
     its sort key (typically the global node id), defaulting to the new id.
     """
-    conn = sp.csr_matrix(connectivity)
-    k = numbering.k
-    n_lr = numbering.n_lr
+    coo = sp.coo_matrix(connectivity)
+    n = numbering.n_lr
     if col_key is None:
-        col_key = np.arange(n_lr, dtype=np.int64)
-
-    rows_cols = []
-    for i_new in range(n_lr):
-        old = numbering.inv[i_new]
-        cols_old = conn.indices[conn.indptr[old] : conn.indptr[old + 1]]
-        cols_new = numbering.perm[cols_old]
-        order = np.argsort(col_key[cols_new], kind="stable")
-        rows_cols.append(cols_new[order].astype(np.int64))
-
-    n_i = numbering.n_i
-    card = numbering.standard_card
-    for i in range(n_i):
-        if len(rows_cols[i]) != card:
-            raise ValueError(f"row {i} in the SIMD region has cardinality {len(rows_cols[i])}")
-
-    sell_cols = np.zeros(((n_i // k) if k else 0) * card * k, dtype=np.int64)
-    for i in range(n_i):
-        s, lane = divmod(i, k)
-        base = s * card * k
-        sell_cols[base + lane : base + card * k : k] = rows_cols[i]
-
-    csr_indptr = np.zeros(n_lr - n_i + 1, dtype=np.int64)
-    csr_chunks = []
-    for idx, i in enumerate(range(n_i, n_lr)):
-        csr_chunks.append(rows_cols[i])
-        csr_indptr[idx + 1] = csr_indptr[idx] + len(rows_cols[i])
-    csr_cols = (
-        np.concatenate(csr_chunks) if csr_chunks else np.zeros(0, dtype=np.int64)
-    )
-
-    pattern = SparsityPattern(
-        numbering=numbering,
-        k=k,
-        standard_card=card,
-        sell_cols=sell_cols,
-        csr_indptr=csr_indptr,
-        csr_cols=csr_cols,
-    )
-    pattern.transpose = _build_transpose(pattern)
-    return pattern
-
-
-def _build_transpose(pattern: SparsityPattern) -> np.ndarray:
-    pos_of = {}
-    for i in range(pattern.n_rows):
-        cols = pattern.row_columns(i)
-        for slot, j in enumerate(cols):
-            pos_of[(i, int(j))] = pattern.position(i, slot)
-    table = np.full(pattern.nnz, -1, dtype=np.int64)
-    for (i, j), p in pos_of.items():
-        q = pos_of.get((j, i))
-        if q is None:
-            raise ValueError(f"stored entry ({i},{j}) has no stored transpose")
-        table[p] = q
-    return table
-
-
-def transpose_position(pattern: SparsityPattern, position: int) -> int:
-    """Storage position of (j, i) for the entry (i, j) stored at position."""
-    return int(pattern.transpose[position])
+        col_key = np.arange(n, dtype=np.int64)
+    rows = numbering.perm[coo.row]
+    cols = numbering.perm[coo.col]
+    order = np.lexsort((col_key[cols], rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparsityPattern(numbering=numbering, indptr=indptr, cols=cols[order])
 
 
 @dataclass
 class PaddedView:
     """Dense (n_rows, width) slot view of a pattern for vectorized kernels.
 
-    Padding slots reference the row itself (their transpose is the slot
-    itself), so gathered state differences and zero-filled matrix values
-    contribute exactly zero.
+    The mirror of slot (i, s) is slot trans_slot[i, s] of row cols[i, s].
+    Padding slots reference the row itself and are their own mirror, so
+    gathered state differences and zero-filled matrix values contribute
+    exactly zero.
     """
 
     width: int
-    cols: np.ndarray       # (n, width) column ids, pad -> row id
-    valid: np.ndarray      # (n, width) bool
-    pos: np.ndarray        # (n, width) storage position, pad -> diagonal position
-    diag_slot: np.ndarray  # (n,)
-    trans_row: np.ndarray  # (n, width)
+    cols: np.ndarray        # (n, width) column ids, pad -> row id
+    valid: np.ndarray       # (n, width) bool
+    diag_slot: np.ndarray   # (n,)
     trans_slot: np.ndarray  # (n, width)
-
-
-def _build_padded(pattern: SparsityPattern, pad_to: Optional[int]) -> PaddedView:
-    n = pattern.n_rows
-    width = max((pattern.row_length(i) for i in range(n)), default=0)
-    if pad_to is not None:
-        if pad_to < width:
-            raise ValueError("pad_to smaller than the widest row")
-        width = pad_to
-    cols = np.empty((n, width), dtype=np.int64)
-    valid = np.zeros((n, width), dtype=bool)
-    pos = np.empty((n, width), dtype=np.int64)
-    diag_slot = np.full(n, -1, dtype=np.int64)
-    slot_of = {}
-    for i in range(n):
-        rc = pattern.row_columns(i)
-        length = len(rc)
-        cols[i, :length] = rc
-        cols[i, length:] = i
-        valid[i, :length] = True
-        for s, j in enumerate(rc):
-            slot_of[(i, int(j))] = s
-            pos[i, s] = pattern.position(i, s)
-            if j == i:
-                diag_slot[i] = s
-        pos[i, length:] = pos[i, diag_slot[i]]
-    if np.any(diag_slot < 0):
-        raise ValueError("every stencil must contain its own row")
-
-    trans_row = cols.copy()
-    trans_slot = np.empty((n, width), dtype=np.int64)
-    for i in range(n):
-        length = len(pattern.row_columns(i))
-        for s in range(width):
-            if s < length:
-                j = int(cols[i, s])
-                trans_slot[i, s] = slot_of[(j, i)]
-            else:
-                trans_row[i, s] = i
-                trans_slot[i, s] = s
-    return PaddedView(
-        width=width,
-        cols=cols,
-        valid=valid,
-        pos=pos,
-        diag_slot=diag_slot,
-        trans_row=trans_row,
-        trans_slot=trans_slot,
-    )
-
-
-class StencilMatrix:
-    """Per-nnz values (scalar or fixed-size vector) over a hybrid pattern."""
-
-    def __init__(self, pattern: SparsityPattern, ncomp: int = 1, dtype=np.float64):
-        self.pattern = pattern
-        self.ncomp = ncomp
-        shape = (pattern.nnz,) if ncomp == 1 else (pattern.nnz, ncomp)
-        self.values = np.zeros(shape, dtype=dtype)
-
-    def get(self, i: int, j: int):
-        return self.values[self.pattern.find(i, j)]
-
-    def set(self, i: int, j: int, value):
-        self.values[self.pattern.find(i, j)] = value
-
-    def fill_from_dense(self, dense: np.ndarray):
-        for i in range(self.pattern.n_rows):
-            cols = self.pattern.row_columns(i)
-            for slot, j in enumerate(cols):
-                self.values[self.pattern.position(i, slot)] = dense[i, j]
-
-    def to_dense(self) -> np.ndarray:
-        n = self.pattern.n_rows
-        shape = (n, n) if self.ncomp == 1 else (n, n, self.ncomp)
-        out = np.zeros(shape, dtype=self.values.dtype)
-        for i in range(n):
-            cols = self.pattern.row_columns(i)
-            for slot, j in enumerate(cols):
-                out[i, j] = self.values[self.pattern.position(i, slot)]
-        return out

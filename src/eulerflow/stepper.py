@@ -5,16 +5,21 @@ entropies and fluxes, the low-order graph viscosity from the two-rarefaction
 wavespeed bound (once per edge, on the upper triangle) together with the
 entropy-commutator indicator, the viscosity mirroring and time-step bound,
 the low-order update with its bar-state bounds, the antisymmetric high-order
-correction fluxes, and finally one or more symmetrized limiter passes.  Three such steps with a shared time step
-form the strong-stability-preserving RK3 update.
+correction fluxes, and finally one or more symmetrized limiter passes.  Three
+such steps with a shared time step form the strong-stability-preserving RK3
+update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
 nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
 are recomputed redundantly instead of being synchronized, so only per-node
-quantities (alpha, R, U) and limiter rows travel between ranks.  All row
-kernels pad stencils to one global width and order slots by global node id,
-which makes results bitwise independent of the rank count, the worker count,
-and the communication-hiding loop split.
+quantities (alpha, R, U) and limiter rows travel between ranks.  A rank's
+rows keep the Cuthill-McKee order, with the rows other ranks need moved to
+the front: the overlapped loop stages the sync once they are done and runs
+the interior rows while it is in flight.  All row kernels read one padded
+slot view per rank (sparsity.PaddedView), padded to one global width with
+slots ordered by global node id, which makes results bitwise independent of
+the rank count, the worker count, the row order and the communication-hiding
+loop split.
 """
 
 from __future__ import annotations
@@ -57,10 +62,10 @@ def compute_tau(d_diag: np.ndarray, m_i: np.ndarray, c_cfl: float) -> float:
 
     Raises on a globally constant field, where the bound is unbounded.
     """
-    mask = d_diag < 0.0
-    if not mask.any():
+    tau_min = _tau_local(d_diag, m_i)
+    if not np.isfinite(tau_min):
         raise ValueError("constant field, the time step bound is unbounded")
-    return c_cfl * float(np.min(m_i[mask] / (-2.0 * d_diag[mask])))
+    return c_cfl * tau_min
 
 
 def _is_int(x) -> bool:
@@ -68,6 +73,7 @@ def _is_int(x) -> bool:
 
 
 def _tau_local(d_diag: np.ndarray, m_i: np.ndarray) -> float:
+    """min_i m_i / (-2 d_ii) over the nodes with d_ii < 0; inf if there are none."""
     mask = d_diag < 0.0
     if not mask.any():
         return np.inf
@@ -79,8 +85,8 @@ class _RankData:
 
     # populated by Solver._build_rank; listed here for readability
     __slots__ = [
-        "numbering", "pattern", "padded", "width", "cols", "valid", "gcols",
-        "up_row", "up_slot", "up_ptr", "lower", "trans_row", "trans_slot",
+        "numbering", "width", "cols", "valid", "gcols",
+        "up_row", "up_slot", "up_ptr", "lower", "trans_slot",
         "diag_slot", "card",
         "lam", "c_slot", "cT_slot", "b_slot", "bT_slot", "m_i", "inv_m",
         "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "d",
@@ -90,7 +96,7 @@ class _RankData:
 
 
 class Solver:
-    """Time integrator over simulated ranks with hybrid stencil storage."""
+    """Time integrator over simulated ranks on padded stencil slot views."""
 
     def __init__(
         self,
@@ -98,7 +104,6 @@ class Solver:
         c_cfl: float = 0.9,
         limiter_passes: int = 2,
         newton_steps: int = 2,
-        lanes: int = 4,
         workers: int = 1,
         ranks: int = 1,
         overlap: bool = True,
@@ -108,11 +113,10 @@ class Solver:
     ):
         if not 0.0 < c_cfl <= 1.0:
             raise ValueError("c_cfl must lie in (0, 1]")
-        if limiter_passes < 0:
-            raise ValueError("limiter_passes must be >= 0")
-        if not _is_int(newton_steps) or newton_steps < 0:
-            raise ValueError("newton_steps must be an integer >= 0")
-        for name, value in (("lanes", lanes), ("workers", workers), ("chunk_size", chunk_size)):
+        for name, value in (("limiter_passes", limiter_passes), ("newton_steps", newton_steps)):
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0")
+        for name, value in (("workers", workers), ("ranks", ranks), ("chunk_size", chunk_size)):
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
         self.matrices = matrices
@@ -120,7 +124,6 @@ class Solver:
         self.c_cfl = c_cfl
         self.limiter_passes = limiter_passes
         self.newton_steps = newton_steps
-        self.lanes = lanes
         self.workers = workers
         self.overlap = overlap
         self.chunk_size = chunk_size
@@ -135,7 +138,7 @@ class Solver:
 
         # global matrices permuted to CM node ids on one shared pattern
         self._permute_matrices()
-        card = np.diff(self.indptr_cm)
+        card = np.diff(self.conn_cm.indptr)
         self.pad_width = int(card.max())
         vals, counts = np.unique(card, return_counts=True)
         self.standard_card = int(vals[np.argmax(counts)])
@@ -163,8 +166,12 @@ class Solver:
         )
         tag.sort_indices()
         src = tag.data - 1
-        self.indptr_cm = tag.indptr.astype(np.int64)
-        self.indices_cm = tag.indices.astype(np.int64)
+        self.conn_cm = sp.csr_matrix(
+            (np.ones(mat.nnz, dtype=np.int8), tag.indices, tag.indptr), shape=(self.n, self.n),
+        )
+        # row * n + column of every entry, ascending
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(tag.indptr))
+        self.key_cm = rows * self.n + tag.indices
         self.m_cm = mat.m[src]
         self.c_cm = mat.c[src]
         self.m_lumped_cm = mat.m_lumped[part.cm_inv]
@@ -177,43 +184,21 @@ class Solver:
         gh = part.ghosts[r]
         local_cm = np.concatenate([np.arange(s, e, dtype=np.int64), gh])
         n_local = len(local_cm)
-        lut = np.full(self.n, -1, dtype=np.int64)
-        lut[local_cm] = np.arange(n_local)
+        # ghost rows see a truncated stencil
+        conn_local = self.conn_cm[local_cm][:, local_cm]
 
-        indptr_l = np.zeros(n_local + 1, dtype=np.int64)
-        chunks = []
-        for pre in range(n_local):
-            g = local_cm[pre]
-            cols = self.indices_cm[self.indptr_cm[g] : self.indptr_cm[g + 1]]
-            loc = lut[cols]
-            loc = loc[loc >= 0]  # ghost rows see a truncated stencil
-            chunks.append(loc)
-            indptr_l[pre + 1] = indptr_l[pre] + len(loc)
-        conn_local = sp.csr_matrix(
-            (np.ones(indptr_l[-1], dtype=np.int8), np.concatenate(chunks), indptr_l),
-            shape=(n_local, n_local),
-        )
-
-        export_pre = set()
-        for ids in part.exports[r].values():
-            export_pre.update((ids - s).tolist())
-        numbering = sparsity.renumber(
-            conn_local, self.lanes, sorted(export_pre),
-            n_owned=n_owned, standard_card=self.standard_card,
-        )
+        export_ids = np.concatenate([np.zeros(0, dtype=np.int64), *part.exports[r].values()])
+        numbering = sparsity.renumber(n_local, export_ids - s, n_owned=n_owned)
         cm_of_new = local_cm[numbering.inv]
         pattern = sparsity.build_pattern(conn_local, numbering, col_key=cm_of_new)
         padded = pattern.padded(pad_to=self.pad_width)
 
         rk = _RankData()
         rk.numbering = numbering
-        rk.pattern = pattern
-        rk.padded = padded
         rk.width = padded.width
         rk.cols = padded.cols
         rk.valid = padded.valid
         rk.diag_slot = padded.diag_slot
-        rk.trans_row = padded.trans_row
         rk.trans_slot = padded.trans_slot
         rk.cm_of_new = cm_of_new
         rk.orig_of_new = part.cm_inv[cm_of_new]
@@ -228,20 +213,13 @@ class Solver:
         lam_den = np.maximum(rk.card[: numbering.n_lo] - 1, 1)
         rk.lam = 1.0 / lam_den
 
+        # global CSR offset of every slot; a pad finds its row's diagonal and
+        # takes zero values
         N, L, d = n_local, padded.width, self.dim
-        rk.c_slot = np.zeros((N, L, d))
-        m_slot = np.zeros((N, L))
-        for i in range(N):
-            g = cm_of_new[i]
-            lo, hi = self.indptr_cm[g], self.indptr_cm[g + 1]
-            seg = self.indices_cm[lo:hi]
-            nv = int(rk.card[i])
-            offs = lo + np.searchsorted(seg, rk.gcols[i, :nv])
-            if not np.array_equal(self.indices_cm[offs], rk.gcols[i, :nv]):
-                raise AssertionError("local stencil column missing in global pattern")
-            m_slot[i, :nv] = self.m_cm[offs]
-            rk.c_slot[i, :nv] = self.c_cm[offs]
-        rk.cT_slot = rk.c_slot[padded.trans_row, padded.trans_slot]
+        offs = np.searchsorted(self.key_cm, cm_of_new[:, None] * self.n + rk.gcols)
+        m_slot = np.where(padded.valid, self.m_cm[offs], 0.0)
+        rk.c_slot = np.where(padded.valid[..., None], self.c_cm[offs], 0.0)
+        rk.cT_slot = rk.c_slot[padded.cols, padded.trans_slot]
         rk.m_i = self.m_lumped_cm[cm_of_new]
         rk.inv_m = self.inv_m_cm[cm_of_new]
 
@@ -299,34 +277,30 @@ class Solver:
                 self.sends_rows[o].append((r, src_new, dst_new))
 
     def _build_l_sends(self):
+        # every valid slot of a ghost row receives the limiter value of the
+        # same edge in the owner's row
         part = self.part
-        grouped: Dict[tuple, list] = {}
-        for r in range(part.n_ranks):
-            rk = self.ranks[r]
-            nb = rk.numbering
-            for i in range(nb.n_lo, nb.n_lr):
-                g = int(rk.cm_of_new[i])
-                o = int(part.owner_of(np.array([g]))[0])
-                s_o = part.ranges[o][0]
-                ork = self.ranks[o]
-                orow = int(ork.numbering.perm[g - s_o])
-                nv = int(rk.card[i])
-                gc = rk.gcols[i, :nv]
-                o_gc = ork.gcols[orow, : int(ork.card[orow])]
-                oslots = np.searchsorted(o_gc, gc)
-                if not np.array_equal(o_gc[oslots], gc):
-                    raise AssertionError("ghost row stencil not contained in owner row")
-                grouped.setdefault((o, r), []).append(
-                    (np.full(nv, orow, dtype=np.int64), oslots,
-                     np.full(nv, i, dtype=np.int64), np.arange(nv, dtype=np.int64))
-                )
         self.sends_l: List[list] = [[] for _ in range(part.n_ranks)]
-        for (o, r), entries in sorted(grouped.items()):
-            src_rows = np.concatenate([t[0] for t in entries])
-            src_slots = np.concatenate([t[1] for t in entries])
-            dst_rows = np.concatenate([t[2] for t in entries])
-            dst_slots = np.concatenate([t[3] for t in entries])
-            self.sends_l[o].append((r, src_rows, src_slots, dst_rows, dst_slots))
+        for r, rk in enumerate(self.ranks):
+            n_lo = rk.numbering.n_lo
+            dst_rows, dst_slots = np.nonzero(rk.valid[n_lo:])
+            dst_rows += n_lo
+            g = rk.cm_of_new[dst_rows]
+            owners = part.owner_of(g)
+            for o in np.unique(owners):
+                sel = owners == o
+                ork = self.ranks[o]
+                o_rows, o_slots = np.nonzero(ork.valid)
+                o_keys = ork.cm_of_new[o_rows] * self.n + ork.gcols[o_rows, o_slots]
+                keys = g[sel] * self.n + rk.gcols[dst_rows[sel], dst_slots[sel]]
+                order = np.argsort(o_keys)
+                pos = np.searchsorted(o_keys, keys, sorter=order)
+                hit = order[np.minimum(pos, len(order) - 1)]
+                if not np.array_equal(o_keys[hit], keys):
+                    raise AssertionError("ghost row stencil not contained in owner row")
+                self.sends_l[o].append(
+                    (r, o_rows[hit], o_slots[hit], dst_rows[sel], dst_slots[sel])
+                )
 
     # ----- state ---------------------------------------------------------
 
@@ -399,7 +373,7 @@ class Solver:
         nb = self.ranks[rank].numbering
         if self.overlap:
             fired = exchange.overlapped_loop(
-                nb.n_e, nb.n_i, nb.n_lo, body, stage_fn,
+                nb.n_e, nb.n_lo, body, stage_fn,
                 workers=self.workers, chunk_size=self.chunk_size,
             )
             if fired != 1:
@@ -446,7 +420,7 @@ class Solver:
 
     def _k_mirror(self, rk, lo, hi):
         sl = slice(lo, hi)
-        dT = rk.d[rk.trans_row[sl], rk.trans_slot[sl]]
+        dT = rk.d[rk.cols[sl], rk.trans_slot[sl]]
         dd = np.where(rk.lower[sl], dT, rk.d[sl])
         rowsum = dd.sum(axis=1)
         rows = np.arange(lo, hi)
@@ -495,7 +469,7 @@ class Solver:
 
     def _k_limited_update(self, rk, lo, hi, last):
         sl = slice(lo, hi)
-        lT = rk.l[rk.trans_row[sl], rk.trans_slot[sl]]
+        lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
         minl = np.minimum(rk.l[sl], lT)
         upd = (minl[..., None] * rk.P[sl]).sum(axis=1)
         rk.U_next[sl] += rk.lam[sl][:, None] * upd

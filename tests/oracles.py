@@ -287,3 +287,27 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
                     P[(i, j)] = (1.0 - le) * P[(i, j)]
             lmat = compute_l(U_new)
     return tau, U_new, alpha
+
+
+# ----- padded stencil slot view ------------------------------------------------
+
+def slot_view_reference(pattern, col_key, width):
+    """cols, valid and trans_slot of the padded slot view, with plain loops.
+
+    Row i of the dense boolean pattern lists its columns ordered by col_key,
+    then pad slots that point at row i and are their own mirror.
+    """
+    n = len(pattern)
+    rows = [sorted((j for j in range(n) if pattern[i, j]), key=lambda j: col_key[j])
+            for i in range(n)]
+    cols = np.zeros((n, width), dtype=np.int64)
+    valid = np.zeros((n, width), dtype=bool)
+    trans_slot = np.zeros((n, width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for s in range(width):
+            if s < len(row):
+                j = row[s]
+                cols[i, s], valid[i, s], trans_slot[i, s] = j, True, rows[j].index(i)
+            else:
+                cols[i, s], trans_slot[i, s] = i, s
+    return cols, valid, trans_slot

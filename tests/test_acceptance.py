@@ -12,7 +12,7 @@ from eulerflow.assembly import assemble
 from eulerflow.limiter import limiter_compute, psi_entropy, quadratic_newton_step
 from eulerflow.mesh import rectangle_mesh
 from eulerflow.physics import AIR
-from eulerflow.sparsity import StencilMatrix, build_pattern, renumber, transpose_position
+from eulerflow.sparsity import build_pattern, renumber
 from eulerflow.stepper import Solver
 
 import oracles
@@ -245,7 +245,7 @@ def test_criterion_07_quadratic_newton():
     _report(7, "quadratic newton", ok, "; ".join(detail))
 
 
-# ----- 8: hybrid storage equivalence ------------------------------------------------
+# ----- 8: stencil storage equivalence ----------------------------------------------
 
 def test_criterion_08_storage_equivalence():
     import scipy.sparse as sp
@@ -260,32 +260,46 @@ def test_criterion_08_storage_equivalence():
             for j in rng.integers(0, n, rng.integers(1, 4)):
                 dense_pat[i, j] = dense_pat[j, i] = True
         conn = sp.csr_matrix(dense_pat.astype(np.int8))
+        width = int(dense_pat.sum(axis=1).max())
+        # three row orders: no exports, a random export set, and a random
+        # export set with the last rows as ghosts
+        n_owned = int(rng.integers(1, n + 1))
+        layouts = [
+            ((), n),
+            (rng.choice(n, int(rng.integers(1, n + 1)), replace=False), n),
+            (rng.choice(n_owned, int(rng.integers(0, n_owned + 1)), replace=False), n_owned),
+        ]
         for ncomp in (1, dim, dim + 2):
             shape = (n, n) if ncomp == 1 else (n, n, ncomp)
             values = rng.normal(size=shape) * (
                 dense_pat if ncomp == 1 else dense_pat[:, :, None]
             )
-            per_k = []
-            for k in (1, 4, 8):
-                numbering = renumber(conn, k)
-                pattern = build_pattern(conn, numbering)
+            per_layout = []
+            for export_set, owned in layouts:
+                numbering = renumber(n, export_set, n_owned=owned)
+                pv = build_pattern(conn, numbering, col_key=numbering.inv).padded()
+                perm_pat = dense_pat[np.ix_(numbering.inv, numbering.inv)]
+                cols, valid, trans_slot = oracles.slot_view_reference(
+                    perm_pat, numbering.inv, width)
+                assert np.array_equal(pv.cols, cols)
+                assert np.array_equal(pv.valid, valid)
+                assert np.array_equal(pv.trans_slot, trans_slot)
                 perm = values[np.ix_(numbering.inv, numbering.inv)]
-                mat = StencilMatrix(pattern, ncomp=ncomp)
-                mat.fill_from_dense(perm)
-                assert np.array_equal(mat.to_dense(), perm)
-                for i in range(n):
-                    for slot, j in enumerate(pattern.row_columns(i)):
-                        p = pattern.position(i, slot)
-                        q = transpose_position(pattern, p)
-                        assert np.array_equal(mat.values[q], perm[j, i])
-                back = np.empty_like(values)
-                back[np.ix_(numbering.inv, numbering.inv)] = mat.to_dense()
-                per_k.append(back)
-            assert np.array_equal(per_k[0], per_k[1])
-            assert np.array_equal(per_k[0], per_k[2])
+                rows = np.arange(n)[:, None]
+                mask = valid if ncomp == 1 else valid[..., None]
+                slots = np.where(mask, perm[rows, pv.cols], 0.0)
+                back = np.zeros_like(perm)
+                back[np.nonzero(valid)[0], pv.cols[valid]] = slots[valid]
+                assert np.array_equal(back, perm)
+                mirrored = slots[pv.cols, pv.trans_slot]
+                assert np.array_equal(mirrored[valid], perm.swapaxes(0, 1)[rows, pv.cols][valid])
+                # slot rows in the original row order
+                per_layout.append(slots[numbering.perm])
+            assert np.array_equal(per_layout[0], per_layout[1])
+            assert np.array_equal(per_layout[0], per_layout[2])
             checked += 1
     _report(8, "storage equivalence", checked == 300,
-            "100 graphs x components (1, d, d+2), k in (1, 4, 8) bitwise")
+            "100 graphs x components (1, d, d+2), 3 row orders, slot view bitwise")
 
 
 # ----- 9: determinism across workers, ranks and overlap -----------------------------

@@ -71,14 +71,6 @@ def test_communicator_stage_deliver_counts_volume():
     assert set(seen) == {(0, "x"), (1, "y")}
 
 
-def test_communicator_phase_guard():
-    comm = exchange.Communicator(1)
-    tag = comm.begin_collective()
-    comm._check_phase(tag)
-    with pytest.raises(RuntimeError):
-        comm._check_phase(tag + 5)
-
-
 def test_allreduce_min():
     assert exchange.allreduce_min([3.0, 1.0, 2.0]) == 1.0
     with pytest.raises(ValueError):
@@ -87,7 +79,7 @@ def test_allreduce_min():
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_overlapped_loop_covers_rows_once_and_fires_once(workers):
-    n_e, n_i, n_lo = 6, 16, 21
+    n_e, n_lo = 6, 21
     hits = np.zeros(n_lo, dtype=int)
     fired_at = []
 
@@ -97,21 +89,20 @@ def test_overlapped_loop_covers_rows_once_and_fires_once(workers):
     def sync():
         fired_at.append(hits.copy())
 
-    fired = exchange.overlapped_loop(n_e, n_i, n_lo, body, sync,
+    fired = exchange.overlapped_loop(n_e, n_lo, body, sync,
                                      workers=workers, chunk_size=4)
     assert fired == 1
     assert (hits == 1).all()
     assert len(fired_at) == 1
     snap = fired_at[0]
-    # all exported and remainder rows were complete when the sync started
+    # all exported rows were complete when the sync started
     assert (snap[:n_e] == 1).all()
-    assert (snap[n_i:n_lo] == 1).all()
 
 
 def test_overlapped_loop_sequential_order():
     calls = []
     exchange.overlapped_loop(
-        2, 6, 8, lambda lo, hi: calls.append(("body", lo, hi)),
+        3, 8, lambda lo, hi: calls.append(("body", lo, hi)),
         lambda: calls.append(("sync",)), workers=1, chunk_size=2,
     )
     names = [c[0] for c in calls]
@@ -119,10 +110,17 @@ def test_overlapped_loop_sequential_order():
     covered_before = set()
     for c in calls[:sync_pos]:
         covered_before.update(range(c[1], c[2]))
-    assert covered_before == set(range(6, 8)) | set(range(0, 2))
+    assert covered_before == set(range(0, 3))
+    covered_after = set()
+    for c in calls[sync_pos + 1:]:
+        covered_after.update(range(c[1], c[2]))
+    assert covered_after == set(range(3, 8))
 
 
 def test_overlapped_loop_empty_pre_region_still_fires():
-    fired = exchange.overlapped_loop(0, 0, 0, lambda lo, hi: None,
-                                     lambda: None, workers=1)
+    calls = []
+    fired = exchange.overlapped_loop(0, 5, lambda lo, hi: calls.append((lo, hi)),
+                                     lambda: calls.append("sync"), workers=1)
     assert fired == 1
+    assert calls == ["sync", (0, 5)]
+    assert exchange.overlapped_loop(0, 0, lambda lo, hi: None, None) == 1

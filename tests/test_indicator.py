@@ -54,20 +54,6 @@ def test_result_clipped_to_unit_interval():
         assert 0.0 <= alpha <= 1.0
 
 
-def test_beta_argument_is_ignored():
-    rng = np.random.default_rng(23)
-    states = random_states(rng, 5)
-    cs = rng.normal(0.0, 1.0, (4, 2))
-    results = []
-    for beta in (None, 3.7):
-        acc = IndicatorAccumulator()
-        acc.reset(states[0])
-        for U_j, c in zip(states[1:], cs):
-            acc.accumulate(U_j, c, beta_ij=beta)
-        results.append(float(acc.result()))
-    assert results[0] == results[1]
-
-
 def test_batched_rows_match_scalar():
     rng = np.random.default_rng(40)
     nrows, card = 7, 5

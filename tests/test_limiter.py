@@ -162,7 +162,7 @@ def stepper_shaped_case(rng, n=12, L=9, dim=2):
     """Base states (n, 1, nvar), directions (n, L, nvar), row bounds (n, 1).
 
     Even rows sit on their entropy bound (phi_min = phi(U)), odd rows have
-    slack.  Per row, the lanes mix small directions, directions that drain
+    slack.  Per row, the entries mix small directions, directions that drain
     internal energy and directions that push the density past its bounds.
     """
     nvar = dim + 2
@@ -177,7 +177,7 @@ def stepper_shaped_case(rng, n=12, L=9, dim=2):
     rho_max = 1.3 * U[..., 0]
     rho_eps = physics.internal_energy(U)  # (n, 1), per unit volume
     P = rng.normal(0.0, 1e-3, (n, L, nvar)) * np.abs(U)
-    # lanes 0-2 stay small (lane 0 adds energy); 3-5 drain 30-90% of the
+    # entries 0-2 stay small (entry 0 adds energy); 3-5 drain 30-90% of the
     # internal energy; 6-8 also move the density by 50-100%
     P[:, 0, -1] = np.abs(P[:, 0, -1]) + 1e-2 * rho_eps[:, 0]
     P[:, 3:, -1] -= rng.uniform(0.3, 0.9, (n, L - 3)) * rho_eps
@@ -186,8 +186,8 @@ def stepper_shaped_case(rng, n=12, L=9, dim=2):
     return U, P, rho_min, rho_max, phi_min
 
 
-def lane_kinds(U, P, rho_min, rho_max, phi_min):
-    """How the lanes of a stepper-shaped batch leave the limiter iteration."""
+def entry_kinds(U, P, rho_min, rho_max, phi_min):
+    """How the entries of a stepper-shaped batch leave the limiter iteration."""
     kinds = set()
     n, L, _ = P.shape
     for i in range(n):
@@ -222,7 +222,7 @@ def test_batched_matches_scalar():
     # directions, bounds per row
     U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
     n, L, _ = P.shape
-    assert lane_kinds(U, P, rho_min, rho_max, phi_min) == {
+    assert entry_kinds(U, P, rho_min, rho_max, phi_min) == {
         "density clamp", "closes at t_R", "stops on Psi_L <= tol", "needs Newton",
     }
     for max_newton in (0, 1, 2, 4):
@@ -230,11 +230,11 @@ def test_batched_matches_scalar():
         assert batch.shape == (n, L)
         for i in range(n):
             for s in range(L):
-                lane = limiter_compute(
+                one = limiter_compute(
                     U[i, 0], P[i, s], rho_min[i, 0], rho_max[i, 0], phi_min[i, 0],
                     max_newton=max_newton,
                 )
-                assert batch[i, s] == lane
+                assert batch[i, s] == one
 
 
 def primitive_state(rho, velocity, p):

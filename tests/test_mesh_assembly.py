@@ -154,10 +154,6 @@ def test_matrix_invariants(make):
     for k in range(mat.dim):
         rowsum = np.asarray(mat.csr(mat.c[:, k]).sum(axis=1)).ravel()
         assert np.abs(rowsum).max() < 1e-13
-    # beta symmetric with zero row sums
-    B = mat.csr(mat.beta)
-    assert abs(B - B.T).max() == 0.0
-    assert np.abs(np.asarray(B.sum(axis=1))).max() < 1e-12
     # mass symmetric
     M = mat.csr(mat.m)
     assert abs(M - M.T).max() == 0.0

@@ -134,7 +134,7 @@ def test_parser_exposes_documented_flags():
     parser = build_parser()
     text = parser.format_help()
     for flag in ["--problem", "--refine", "--t-final", "--cfl",
-                 "--limiter-passes", "--newton-steps", "--lanes", "--workers",
+                 "--limiter-passes", "--newton-steps", "--workers",
                  "--ranks", "--output-every", "--output-dir", "--perf"]:
         assert flag in text
 

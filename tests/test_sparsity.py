@@ -1,11 +1,12 @@
-"""Hybrid sliced-ELL / CSR storage against a dense oracle."""
+"""Local renumbering and the padded slot view against a dense oracle."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eulerflow import sparsity
-from eulerflow.sparsity import StencilMatrix, build_pattern, renumber, transpose_position
+from eulerflow.sparsity import build_pattern, renumber
+
+import oracles
 
 
 def random_stencil_graph(rng, n, extra=3):
@@ -17,120 +18,113 @@ def random_stencil_graph(rng, n, extra=3):
     return dense
 
 
-def make_pattern(dense, k, export_set=()):
+def slot_view(dense, export_set=(), n_owned=None, pad_to=None):
+    """Numbering and slot view; slots are sorted by old row id, as the solver
+    sorts them by global node id."""
     conn = sp.csr_matrix(dense.astype(np.int8))
-    numbering = renumber(conn, k, export_set)
-    return numbering, build_pattern(conn, numbering)
-
-
-def test_markers_and_simd_block():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(6, 40))
-        dense = random_stencil_graph(rng, n)
-        k = int(rng.choice([1, 2, 4, 8]))
-        numbering, pattern = make_pattern(dense, k)
-        nb = numbering
-        assert 0 <= nb.n_e <= nb.n_i <= nb.n_lo <= nb.n_lr == n
-        assert nb.n_i % k == 0
-        card = dense.sum(axis=1)
-        for i in range(nb.n_i):
-            assert card[nb.inv[i]] == nb.standard_card
-        # permutation is a bijection
-        assert np.array_equal(np.sort(nb.inv), np.arange(n))
+    numbering = renumber(len(dense), export_set, n_owned=n_owned)
+    pattern = build_pattern(conn, numbering, col_key=numbering.inv)
+    return numbering, pattern.padded(pad_to=pad_to)
 
 
 def test_roundtrip_against_dense_oracle():
     rng = np.random.default_rng(11)
-    for case in range(100):
+    for _ in range(100):
         n = int(rng.integers(4, 32))
         dense_pat = random_stencil_graph(rng, n)
-        k = int(rng.choice([1, 2, 4]))
-        numbering, pattern = make_pattern(dense_pat, k)
-        values = rng.normal(size=(n, n)) * dense_pat
-        # express in the new numbering
-        perm_vals = values[np.ix_(numbering.inv, numbering.inv)]
-        mat = StencilMatrix(pattern)
-        mat.fill_from_dense(perm_vals)
-        assert np.array_equal(mat.to_dense(), perm_vals)
-        # transpose table maps every entry onto its mirror
-        for i in range(n):
-            for slot, j in enumerate(pattern.row_columns(i)):
-                p = pattern.position(i, slot)
-                q = transpose_position(pattern, p)
-                assert mat.values[q] == perm_vals[j, i]
+        n_owned = int(rng.integers(1, n + 1))
+        exports = rng.choice(n_owned, int(rng.integers(0, n_owned + 1)), replace=False)
+        width = int(dense_pat.sum(axis=1).max()) + int(rng.integers(0, 3))
+        numbering, pv = slot_view(dense_pat, exports, n_owned, pad_to=width)
+        pat_new = dense_pat[np.ix_(numbering.inv, numbering.inv)]
+        cols, valid, trans_slot = oracles.slot_view_reference(pat_new, numbering.inv, width)
+        assert pv.width == width
+        assert np.array_equal(pv.cols, cols)
+        assert np.array_equal(pv.valid, valid)
+        assert np.array_equal(pv.trans_slot, trans_slot)
+        assert np.array_equal(pv.cols[np.arange(n), pv.diag_slot], np.arange(n))
+
+        rows = np.arange(n)[:, None]
+        for ncomp in (1, 2, 4):
+            shape = (n, n) if ncomp == 1 else (n, n, ncomp)
+            mask = pat_new if ncomp == 1 else pat_new[:, :, None]
+            values = rng.normal(size=shape) * mask
+            slots = values[rows, pv.cols] * (valid if ncomp == 1 else valid[..., None])
+            back = np.zeros_like(values)
+            back[np.nonzero(valid)[0], pv.cols[valid]] = slots[valid]
+            assert np.array_equal(back, values)
+            # the mirror slot holds (j, i)
+            mirrored = slots[pv.cols, pv.trans_slot]
+            assert np.array_equal(mirrored[valid], values.swapaxes(0, 1)[rows, pv.cols][valid])
 
 
-def test_lane_width_does_not_change_content():
+def test_row_order_does_not_change_content():
     rng = np.random.default_rng(29)
     dense_pat = random_stencil_graph(rng, 24)
     values = rng.normal(size=(24, 24)) * dense_pat
     outputs = []
-    for k in (1, 4, 8):
-        numbering, pattern = make_pattern(dense_pat, k)
-        mat = StencilMatrix(pattern)
-        mat.fill_from_dense(values[np.ix_(numbering.inv, numbering.inv)])
-        back = np.empty_like(values)
-        back[np.ix_(numbering.inv, numbering.inv)] = mat.to_dense()
-        outputs.append(back)
-    assert np.array_equal(outputs[0], outputs[1])
-    assert np.array_equal(outputs[0], outputs[2])
+    for exports, n_owned in (((), 24), (np.arange(0, 24, 3), 24), ([17, 2, 7], 18)):
+        numbering, pv = slot_view(dense_pat, exports, n_owned)
+        old_rows = numbering.inv[:, None]
+        slots = np.where(pv.valid, values[old_rows, numbering.inv[pv.cols]], 0.0)
+        # slot rows in the old row order, columns as old ids
+        outputs.append((slots[numbering.perm], numbering.inv[pv.cols][numbering.perm]))
+    for slots, cols in outputs[1:]:
+        assert np.array_equal(slots, outputs[0][0])
+        assert np.array_equal(cols, outputs[0][1])
 
 
-def test_interleaved_sell_layout():
-    # rows in the SIMD block store their slots k entries apart
-    rng = np.random.default_rng(5)
-    dense_pat = random_stencil_graph(rng, 16)
-    numbering, pattern = make_pattern(dense_pat, 4)
-    k, card = pattern.k, pattern.standard_card
-    for i in range(pattern.numbering.n_i):
-        s, lane = divmod(i, k)
-        for slot in range(card):
-            assert pattern.position(i, slot) == s * card * k + slot * k + lane
-
-
-def test_export_rows_come_first():
-    rng = np.random.default_rng(41)
-    dense_pat = random_stencil_graph(rng, 30)
-    conn = sp.csr_matrix(dense_pat.astype(np.int8))
-    card = dense_pat.sum(axis=1)
-    regular = np.nonzero(card == np.bincount(card).argmax())[0]
-    exports = set(regular[:3].tolist())
-    numbering = renumber(conn, 1, exports)
-    head = set(numbering.inv[: numbering.n_e].tolist())
-    assert head <= exports
-    # all exported regular rows in the SIMD block sit in the head
-    for i in range(numbering.n_e, numbering.n_i):
-        assert numbering.inv[i] not in exports
+def test_markers_and_permutation():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(6, 40))
+        n_owned = int(rng.integers(1, n + 1))
+        exports = rng.choice(n_owned, int(rng.integers(0, n_owned + 1)), replace=False)
+        nb = renumber(n, exports, n_owned=n_owned)
+        assert 0 <= nb.n_e <= nb.n_lo <= nb.n_lr == n
+        assert nb.n_e == len(exports) and nb.n_lo == n_owned
+        # the permutation is a bijection and perm inverts inv
+        assert np.array_equal(np.sort(nb.inv), np.arange(n))
+        assert np.array_equal(nb.perm[nb.inv], np.arange(n))
 
 
 def test_padded_view_pads_reference_self():
     rng = np.random.default_rng(55)
     dense_pat = random_stencil_graph(rng, 12)
-    numbering, pattern = make_pattern(dense_pat, 2)
-    padded = pattern.padded(pad_to=pattern.padded().width + 3)
-    n = pattern.n_rows
-    for i in range(n):
-        length = pattern.row_length(i)
-        assert padded.valid[i, :length].all()
-        assert not padded.valid[i, length:].any()
-        assert (padded.cols[i, length:] == i).all()
-        assert (padded.trans_row[i, length:] == i).all()
-    # transpose gather is an involution on valid slots
-    tr, ts = padded.trans_row, padded.trans_slot
-    back_r = tr[tr, ts]
-    back_s = ts[tr, ts]
-    rows = np.arange(n)[:, None] * np.ones_like(tr)
-    slots = np.arange(padded.width)[None, :] * np.ones_like(tr)
-    assert np.array_equal(back_r[padded.valid], rows[padded.valid])
-    assert np.array_equal(back_s[padded.valid], slots[padded.valid])
+    _, narrow = slot_view(dense_pat)
+    _, pv = slot_view(dense_pat, pad_to=narrow.width + 3)
+    card = dense_pat.sum(axis=1)
+    for i in range(12):
+        assert pv.valid[i, : card[i]].all()
+        assert not pv.valid[i, card[i]:].any()
+        assert (pv.cols[i, card[i]:] == i).all()
+        assert np.array_equal(pv.trans_slot[i, card[i]:], np.arange(card[i], pv.width))
+    with pytest.raises(ValueError):
+        slot_view(dense_pat, pad_to=narrow.width - 1)
+    # the transpose gather is an involution on valid slots
+    back_r = pv.cols[pv.cols, pv.trans_slot]
+    back_s = pv.trans_slot[pv.cols, pv.trans_slot]
+    rows = np.broadcast_to(np.arange(12)[:, None], pv.cols.shape)
+    slots = np.broadcast_to(np.arange(pv.width)[None, :], pv.cols.shape)
+    assert np.array_equal(back_r[pv.valid], rows[pv.valid])
+    assert np.array_equal(back_s[pv.valid], slots[pv.valid])
+
+
+def test_export_rows_come_first():
+    exports = np.array([17, 3, 25, 9])
+    numbering = renumber(30, exports, n_owned=26)
+    assert numbering.n_e == 4 and numbering.n_lo == 26 and numbering.n_lr == 30
+    assert np.array_equal(numbering.inv[:4], np.sort(exports))
+    # the other owned rows keep their order
+    rest = np.setdiff1d(np.arange(26), exports)
+    assert np.array_equal(numbering.inv[4:26], rest)
+    assert np.array_equal(numbering.perm[numbering.inv], np.arange(30))
+    # a row listed for two destination ranks is exported once
+    assert renumber(30, [3, 3, 9], n_owned=26).n_e == 2
 
 
 def test_ghost_rows_keep_identity_order():
-    rng = np.random.default_rng(60)
-    dense_pat = random_stencil_graph(rng, 20)
-    conn = sp.csr_matrix(dense_pat.astype(np.int8))
-    numbering = renumber(conn, 2, (), n_owned=14)
+    numbering = renumber(20, [13, 0, 5], n_owned=14)
     assert np.array_equal(numbering.inv[14:], np.arange(14, 20))
     assert numbering.n_lo == 14
 
@@ -138,7 +132,12 @@ def test_ghost_rows_keep_identity_order():
 def test_missing_transpose_entry_rejected():
     dense = np.eye(3, dtype=bool)
     dense[0, 1] = True  # no (1, 0) mirror
-    conn = sp.csr_matrix(dense.astype(np.int8))
-    numbering = renumber(conn, 1)
     with pytest.raises(ValueError):
-        build_pattern(conn, numbering)
+        slot_view(dense)
+
+
+def test_missing_diagonal_rejected():
+    dense = np.ones((3, 3), dtype=bool)
+    dense[2, 2] = False
+    with pytest.raises(ValueError):
+        slot_view(dense)
