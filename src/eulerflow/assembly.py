@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .mesh import _REF_CORNERS, Mesh
 
-__all__ = ["PrecomputedMatrices", "assemble", "derived_n_ij", "derived_b_ij"]
+__all__ = ["PrecomputedMatrices", "assemble"]
 
 
 @dataclass
@@ -130,16 +130,3 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         inv_m=1.0 / m_lumped,
     )
 
-
-def derived_n_ij(c_ij: np.ndarray) -> np.ndarray:
-    """Unit vector c_ij / |c_ij|; callers must not request it for zero c."""
-    norm = np.linalg.norm(c_ij, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ZeroDivisionError("n_ij undefined for zero c_ij")
-    return c_ij / norm
-
-
-def derived_b_ij(m_ij, m_i, m_j, is_diagonal) -> np.ndarray:
-    """b_ij = delta_ij - m_ij / m_j, derived on the fly from the mass matrix."""
-    delta = np.where(is_diagonal, 1.0, 0.0)
-    return delta - m_ij / m_j

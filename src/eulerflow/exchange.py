@@ -68,15 +68,10 @@ def partition(connectivity: sp.spmatrix, n_ranks: int) -> Partition:
         ranges.append((start, start + size))
         start += size
 
-    # connectivity in cm ids
-    perm_mat = sp.csr_matrix(
-        (np.ones(n, dtype=np.int8), (cm_perm, np.arange(n))), shape=(n, n)
-    )
-    conn_cm = (perm_mat @ conn @ perm_mat.T).tocsr()
-
+    # ghosts: columns of the owned rows that lie outside the owned range
     ghosts = []
-    for r, (s, e) in enumerate(ranges):
-        cols = np.unique(conn_cm.indices[conn_cm.indptr[s] : conn_cm.indptr[e]])
+    for s, e in ranges:
+        cols = np.unique(cm_perm[conn[cm_inv[s:e]].indices])
         ghosts.append(cols[(cols < s) | (cols >= e)])
 
     part = Partition(

@@ -8,6 +8,14 @@ nodes onto the circular arc.
 
 Cell vertex ordering is counterclockwise for quads and the standard
 bottom-face-then-top-face ordering for hexahedra.
+
+Refinement and boundary extraction are table driven: each gathers the node
+sets of all child corners (or all cell faces) at once and finds the distinct
+sets with one sort.  Refinement numbers the new nodes in order of first
+appearance over (cell, child, corner), and boundary faces come in order of
+first appearance over (cell, local face).  This is the order a cell-by-cell
+walk produces; the node ids fix the Cuthill-McKee order and with it the
+solver's results, so the numbering must not change with the implementation.
 """
 
 from __future__ import annotations
@@ -75,14 +83,8 @@ def rectangle_mesh(
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            cells.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    cells = np.asarray(cells, dtype=np.int64)
+    base = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    cells = np.column_stack([base, base + ny + 1, base + ny + 2, base + 1])
 
     # periodic identification: wrap the last grid line onto the first
     rep_i = np.arange(nx + 1)
@@ -231,73 +233,69 @@ _REF_CORNERS = {
 }
 
 
+def _parent_table(d: int) -> np.ndarray:
+    """table[child, corner]: the parent corners whose mean is that corner of
+    that child, padded with 2^d."""
+    ref = _REF_CORNERS[d]
+    twice = ref[:, None, :] + ref[None, :, :]
+    gen = np.all(np.abs(twice[:, :, None, :] - 2 * ref) <= 1, axis=-1)
+    return np.where(gen, np.arange(len(ref)), len(ref))
+
+
+_PARENTS = {d: _parent_table(d) for d in _REF_CORNERS}
+
+
+def _distinct_sorted(ids: np.ndarray, sentinel: int) -> np.ndarray:
+    """Each row's distinct ids ascending, padded with sentinel (> every id).
+
+    Two rows come out equal exactly when they hold the same set of ids.
+    """
+    keys = np.sort(ids, axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = sentinel
+    keys.sort(axis=1)
+    return keys
+
+
 def refine(mesh: Mesh) -> Mesh:
     """Split every cell into 2^d children; snap new disc-boundary nodes.
 
-    New nodes whose generating parent nodes all lie on the disc circle are
-    projected radially back onto it, keeping the curved boundary under
-    refinement.
+    New nodes are numbered after the old ones in order of first appearance
+    over (cell, child, corner).  A new node is the mean of its distinct
+    parent nodes, projected radially back onto the disc circle when all of
+    them lie on it, keeping the curved boundary under refinement.
     """
-    if mesh.reduced_index is not None and not np.array_equal(
-        mesh.reduced_index, np.arange(len(mesh.points))
-    ):
+    n = len(mesh.points)
+    if not np.array_equal(mesh.reduced_index, np.arange(n)):
         raise ValueError("refinement of periodically identified meshes is not supported")
-    d = mesh.dim
-    ref = _REF_CORNERS[d]
-    points = [tuple(p) for p in mesh.points]
-    key_to_id = {}
-    on_disc = (
-        _on_disc(mesh.points[:, :2], mesh.disc)
-        if mesh.disc is not None
-        else np.zeros(len(mesh.points), dtype=bool)
+    n_children = 2**mesh.dim
+    cells = np.column_stack([mesh.cells, np.full(len(mesh.cells), n)])
+    keys = _distinct_sorted(cells[:, _PARENTS[mesh.dim]].reshape(-1, n_children), n)
+    ids = keys[:, 0].copy()
+    new = keys[:, 1] < n
+    parents, first, inverse = np.unique(
+        keys[new], axis=0, return_index=True, return_inverse=True
     )
+    # number the distinct parent sets by first appearance, as a cell walk does
+    order = np.argsort(first)
+    ids[new] = n + np.argsort(order)[inverse.ravel()]
+    parents = parents[order]
 
-    def get_point(parent_ids):
-        key = frozenset(parent_ids)
-        if len(key) == 1:
-            return next(iter(key))
-        if key in key_to_id:
-            return key_to_id[key]
-        xy = np.mean([mesh.points[p] for p in key], axis=0)
-        if mesh.disc is not None and all(on_disc[p] for p in key):
-            center, radius = mesh.disc
-            v = xy[:2] - center
-            xy = xy.copy()
-            xy[:2] = center + radius * v / np.linalg.norm(v)
-        key_to_id[key] = len(points)
-        points.append(tuple(xy))
-        return key_to_id[key]
-
-    new_cells = []
-    half = {0.0: (0,), 0.5: (0, 1), 1.0: (1,)}
-    for cell in mesh.cells:
-        for oct_corner in ref:
-            child = []
-            for corner in ref:
-                r = (np.asarray(oct_corner) + corner) / 2.0
-                # generating parent corners of this reference position
-                gens = [()]
-                for axis in range(d):
-                    gens = [g + (v,) for g in gens for v in half[r[axis]]]
-                parent_ids = [cell[_corner_index(d, g)] for g in gens]
-                child.append(get_point(parent_ids))
-            new_cells.append(child)
+    # the sentinel id n stands for a zero point that lies on the disc
+    ext = np.vstack([mesh.points, np.zeros(mesh.points.shape[1])])
+    points = ext[parents].sum(axis=1) / (parents < n).sum(axis=1)[:, None]
+    if mesh.disc is not None:
+        center, radius = mesh.disc
+        snap = np.append(_on_disc(mesh.points[:, :2], mesh.disc), True)[parents].all(axis=1)
+        v = points[snap, :2] - center
+        points[snap, :2] = center + radius * v / np.linalg.norm(v, axis=1, keepdims=True)
 
     return Mesh(
-        points=np.asarray(points, dtype=np.float64),
-        cells=np.asarray(new_cells, dtype=np.int64),
-        dim=d,
+        points=np.concatenate([mesh.points, points]),
+        cells=ids.reshape(-1, n_children),
+        dim=mesh.dim,
         disc=mesh.disc,
         domain=mesh.domain,
     )
-
-
-def _corner_index(d: int, coords) -> int:
-    ref = _REF_CORNERS[d]
-    for idx, c in enumerate(ref):
-        if tuple(c) == tuple(coords):
-            return idx
-    raise KeyError(coords)
 
 
 # local faces of the reference cell, ordered so the induced normal points
@@ -322,41 +320,20 @@ def boundary_faces(mesh: Mesh):
     full node ids, normals are unit outward vectors, measures are edge
     lengths or face areas (bilinear faces approximated by two triangles).
     """
-    face_count = {}
-    face_repr = {}
-    red = mesh.reduced_index
-    for cell in mesh.cells:
-        for loc in _LOCAL_FACES[mesh.dim]:
-            fnodes = tuple(cell[list(loc)])
-            key = frozenset(red[list(fnodes)])
-            face_count[key] = face_count.get(key, 0) + 1
-            face_repr[key] = (fnodes, cell)
-    faces, normals, measures = [], [], []
-    for key, cnt in face_count.items():
-        if cnt != 1:
-            continue
-        fnodes, cell = face_repr[key]
-        pts = mesh.points[list(fnodes)]
-        centroid_cell = mesh.points[cell].mean(axis=0)
-        if mesh.dim == 2:
-            t = pts[1] - pts[0]
-            normal = np.array([t[1], -t[0]])
-            measure = np.linalg.norm(t)
-        else:
-            d1 = pts[2] - pts[0]
-            d2 = pts[3] - pts[1]
-            normal = 0.5 * np.cross(d1, d2)
-            measure = np.linalg.norm(normal)
-        nn = np.linalg.norm(normal)
-        normal = normal / nn if nn > 0 else normal
-        outward = pts.mean(axis=0) - centroid_cell
-        if np.dot(normal, outward) < 0.0:
-            normal = -normal
-        faces.append(fnodes)
-        normals.append(normal)
-        measures.append(measure)
-    return (
-        np.asarray(faces, dtype=np.int64),
-        np.asarray(normals, dtype=np.float64),
-        np.asarray(measures, dtype=np.float64),
-    )
+    loc = np.asarray(_LOCAL_FACES[mesh.dim])
+    all_faces = mesh.cells[:, loc].reshape(-1, loc.shape[1])
+    keys = _distinct_sorted(mesh.reduced_index[all_faces], mesh.n_nodes)
+    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    once = np.sort(first[counts == 1])
+    faces = all_faces[once]
+    pts = mesh.points[faces]
+    if mesh.dim == 2:
+        t = pts[:, 1] - pts[:, 0]
+        normals = np.column_stack([t[:, 1], -t[:, 0]])
+    else:
+        normals = 0.5 * np.cross(pts[:, 2] - pts[:, 0], pts[:, 3] - pts[:, 1])
+    measures = np.linalg.norm(normals, axis=1)
+    normals /= np.where(measures > 0.0, measures, 1.0)[:, None]
+    outward = pts.mean(axis=1) - mesh.points[mesh.cells[once // len(loc)]].mean(axis=1)
+    normals[np.einsum("ij,ij->i", normals, outward) < 0.0] *= -1.0
+    return faces, normals, measures

@@ -48,24 +48,21 @@ def mach3_channel(dim: int = 2, refine: int = 0, gas: GasConstants = AIR) -> Pro
         m = meshmod.refine(m)
     faces, normals, measures = meshmod.boundary_faces(m)
     red = m.reduced_index
-    x = m.points[:, 0]
     x_out = m.domain[0][1] if m.domain else 4.0
+    fx = m.points[faces, 0]
+    inflow = np.all(fx < _GEOM_TOL, axis=1)
+    # faces on the outflow are left free (do-nothing)
+    slip = ~inflow & ~np.all(fx > x_out - _GEOM_TOL, axis=1)
 
     n_nodes = m.n_nodes
-    acc = np.zeros((n_nodes, m.dim))
     is_inflow = np.zeros(n_nodes, dtype=bool)
+    is_inflow[red[faces[inflow]]] = True
     is_slip = np.zeros(n_nodes, dtype=bool)
-    for fnodes, normal, measure in zip(faces, normals, measures):
-        fx = x[list(fnodes)]
-        rnodes = red[list(fnodes)]
-        if np.all(fx < _GEOM_TOL):
-            is_inflow[rnodes] = True
-        elif np.all(fx > x_out - _GEOM_TOL):
-            continue  # do-nothing outflow
-        else:
-            is_slip[rnodes] = True
-            acc[rnodes] += measure * normal
+    is_slip[red[faces[slip]]] = True
     is_slip &= ~is_inflow
+    # np.add.at adds face after face, so each nodal sum keeps the face order
+    acc = np.zeros((n_nodes, m.dim))
+    np.add.at(acc, red[faces[slip]], (measures[slip, None] * normals[slip])[:, None, :])
     slip_nodes = np.nonzero(is_slip)[0]
     nrm = acc[slip_nodes]
     length = np.linalg.norm(nrm, axis=1, keepdims=True)

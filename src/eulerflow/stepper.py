@@ -642,13 +642,18 @@ class Solver:
         return tau
 
     def advance(self, t_final: float, use_rk3: bool = True, on_step=None) -> int:
-        """March from t = 0 to t_final; returns the number of steps taken."""
+        """March from t = 0 to t_final; returns the number of steps taken.
+
+        The step that the remaining time caps is the last one and ends at
+        t_final exactly.
+        """
         t = 0.0
         steps = 0
-        while t < t_final - 1e-14:
-            step = self.ssp_rk3_step if use_rk3 else self.euler_step
-            tau = step(tau_max=t_final - t)
-            t += tau
+        step = self.ssp_rk3_step if use_rk3 else self.euler_step
+        while t < t_final:
+            remaining = t_final - t
+            tau = step(tau_max=remaining)
+            t = t_final if tau >= remaining else t + tau
             steps += 1
             if on_step is not None:
                 on_step(steps, t)

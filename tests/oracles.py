@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
+
 GAMMA = 1.4
 
 
@@ -311,3 +313,156 @@ def slot_view_reference(pattern, col_key, width):
             else:
                 cols[i, s], trans_slot[i, s] = i, s
     return cols, valid, trans_slot
+
+
+# ----- mesh refinement and boundary extraction ----------------------------------
+# The loop versions the vectorized mesh code replaced; the tests require the
+# same node numbering, cells and faces from both.
+
+def _corner_index(d: int, coords) -> int:
+    ref = _REF_CORNERS[d]
+    for idx, c in enumerate(ref):
+        if tuple(c) == tuple(coords):
+            return idx
+    raise KeyError(coords)
+
+
+def refine_reference(mesh):
+    """Split every cell into 2^d children; snap new disc-boundary nodes.
+
+    New nodes are numbered in order of first appearance over (cell, child,
+    corner); a new node's point is the mean of its distinct parents, projected
+    onto the disc circle when all of them lie on it.
+    """
+    if mesh.reduced_index is not None and not np.array_equal(
+        mesh.reduced_index, np.arange(len(mesh.points))
+    ):
+        raise ValueError("refinement of periodically identified meshes is not supported")
+    d = mesh.dim
+    ref = _REF_CORNERS[d]
+    points = [tuple(p) for p in mesh.points]
+    key_to_id = {}
+    on_disc = (
+        _on_disc(mesh.points[:, :2], mesh.disc)
+        if mesh.disc is not None
+        else np.zeros(len(mesh.points), dtype=bool)
+    )
+
+    def get_point(parent_ids):
+        key = frozenset(parent_ids)
+        if len(key) == 1:
+            return next(iter(key))
+        if key in key_to_id:
+            return key_to_id[key]
+        xy = np.mean([mesh.points[p] for p in key], axis=0)
+        if mesh.disc is not None and all(on_disc[p] for p in key):
+            center, radius = mesh.disc
+            v = xy[:2] - center
+            xy = xy.copy()
+            xy[:2] = center + radius * v / np.linalg.norm(v)
+        key_to_id[key] = len(points)
+        points.append(tuple(xy))
+        return key_to_id[key]
+
+    new_cells = []
+    half = {0.0: (0,), 0.5: (0, 1), 1.0: (1,)}
+    for cell in mesh.cells:
+        for oct_corner in ref:
+            child = []
+            for corner in ref:
+                r = (np.asarray(oct_corner) + corner) / 2.0
+                # generating parent corners of this reference position
+                gens = [()]
+                for axis in range(d):
+                    gens = [g + (v,) for g in gens for v in half[r[axis]]]
+                parent_ids = [cell[_corner_index(d, g)] for g in gens]
+                child.append(get_point(parent_ids))
+            new_cells.append(child)
+
+    return Mesh(
+        points=np.asarray(points, dtype=np.float64),
+        cells=np.asarray(new_cells, dtype=np.int64),
+        dim=d,
+        disc=mesh.disc,
+        domain=mesh.domain,
+    )
+
+
+def boundary_faces_reference(mesh):
+    """Faces seen once, in order of first appearance, with outward normals."""
+    face_count = {}
+    face_repr = {}
+    red = mesh.reduced_index
+    for cell in mesh.cells:
+        for loc in _LOCAL_FACES[mesh.dim]:
+            fnodes = tuple(cell[list(loc)])
+            key = frozenset(red[list(fnodes)])
+            face_count[key] = face_count.get(key, 0) + 1
+            face_repr[key] = (fnodes, cell)
+    faces, normals, measures = [], [], []
+    for key, cnt in face_count.items():
+        if cnt != 1:
+            continue
+        fnodes, cell = face_repr[key]
+        pts = mesh.points[list(fnodes)]
+        centroid_cell = mesh.points[cell].mean(axis=0)
+        if mesh.dim == 2:
+            t = pts[1] - pts[0]
+            normal = np.array([t[1], -t[0]])
+            measure = np.linalg.norm(t)
+        else:
+            d1 = pts[2] - pts[0]
+            d2 = pts[3] - pts[1]
+            normal = 0.5 * np.cross(d1, d2)
+            measure = np.linalg.norm(normal)
+        nn = np.linalg.norm(normal)
+        normal = normal / nn if nn > 0 else normal
+        outward = pts.mean(axis=0) - centroid_cell
+        if np.dot(normal, outward) < 0.0:
+            normal = -normal
+        faces.append(fnodes)
+        normals.append(normal)
+        measures.append(measure)
+    return (
+        np.asarray(faces, dtype=np.int64),
+        np.asarray(normals, dtype=np.float64),
+        np.asarray(measures, dtype=np.float64),
+    )
+
+
+def rectangle_cells_reference(nx, ny):
+    """Cells of the (nx+1) x (ny+1) tensor grid, node (i, j) = i * (ny+1) + j."""
+
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            cells.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
+    return np.asarray(cells, dtype=np.int64)
+
+
+def channel_boundary_reference(mesh, faces, normals, measures, x_out, tol=1e-9):
+    """Inflow and slip flags and summed measure-weighted normals, face by face.
+
+    Faces on x = 0 are inflow, faces on x = x_out are left free, all others
+    are slip walls; a node on an inflow face is not a slip node.
+    """
+    red = mesh.reduced_index
+    x = mesh.points[:, 0]
+    acc = np.zeros((mesh.n_nodes, mesh.dim))
+    is_inflow = np.zeros(mesh.n_nodes, dtype=bool)
+    is_slip = np.zeros(mesh.n_nodes, dtype=bool)
+    for fnodes, normal, measure in zip(faces, normals, measures):
+        fx = x[list(fnodes)]
+        rnodes = red[list(fnodes)]
+        if np.all(fx < tol):
+            is_inflow[rnodes] = True
+        elif np.all(fx > x_out - tol):
+            continue  # do-nothing outflow
+        else:
+            is_slip[rnodes] = True
+            acc[rnodes] += measure * normal
+    is_slip &= ~is_inflow
+    return is_inflow, is_slip, acc

@@ -10,9 +10,13 @@ from eulerflow.mesh import rectangle_mesh
 
 
 def test_partition_covers_and_ghosts_match_stencils():
-    mat = assemble(rectangle_mesh(8, 8, periodic=(True, True)))
-    conn = mat.connectivity()
-    part = exchange.partition(conn, 4)
+    for m in [rectangle_mesh(8, 8, periodic=(True, True)), rectangle_mesh(8, 7)]:
+        conn = assemble(m).connectivity()
+        for n_ranks in range(1, 6):
+            _check_partition(conn, exchange.partition(conn, n_ranks))
+
+
+def _check_partition(conn, part):
     covered = np.concatenate([np.arange(s, e) for s, e in part.ranges])
     assert np.array_equal(np.sort(covered), np.arange(part.n))
     # permuted connectivity reproduces the ghost sets

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from eulerflow import assembly, mesh
-from eulerflow.assembly import assemble, derived_b_ij, derived_n_ij
+from eulerflow import assembly, mesh, problems
+from eulerflow.assembly import assemble
 from eulerflow.mesh import (
     DISC_CENTER,
     DISC_RADIUS,
@@ -13,6 +13,9 @@ from eulerflow.mesh import (
     rectangle_mesh,
     refine,
 )
+from eulerflow.stepper import Solver
+
+import oracles
 
 
 # ----- meshes ----------------------------------------------------------------
@@ -82,6 +85,64 @@ def test_boundary_faces_channel_include_obstacle():
 def test_refine_rejects_periodic():
     with pytest.raises(ValueError):
         refine(rectangle_mesh(2, 2, periodic=(True, False)))
+
+
+# ----- vectorized mesh code against the loop references -----------------------
+
+def _close(a, b):
+    """Agreement to 4 eps of the largest magnitude: means and norms may round
+    differently from the loop code, by an ulp or so."""
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= 4 * np.finfo(np.float64).eps * np.abs(b).max(initial=0.0)
+
+
+def _check_faces(m):
+    faces, normals, measures = boundary_faces(m)
+    ref_faces, ref_normals, ref_measures = oracles.boundary_faces_reference(m)
+    # the loop code returns shape (0,) when no face is found
+    assert len(faces) == len(ref_faces)
+    assert np.array_equal(faces.reshape(ref_faces.shape), ref_faces)
+    _close(normals.reshape(ref_normals.shape), ref_normals)
+    _close(measures, ref_measures)
+
+
+@pytest.mark.parametrize("dim, levels", [(2, 3), (3, 2)])
+def test_refine_and_faces_match_loop_reference(dim, levels):
+    m = cylinder_channel_mesh(dim)
+    for _ in range(levels):
+        r = refine(m)
+        ref = oracles.refine_reference(m)
+        assert r.n_nodes == ref.n_nodes
+        assert np.array_equal(r.cells, ref.cells)
+        _close(r.points, ref.points)
+        _check_faces(r)
+        m = r
+
+
+@pytest.mark.parametrize("nx, ny, x_range, y_range, periodic", [
+    (5, 4, (0.0, 1.0), (0.0, 1.0), (False, False)),
+    (4, 3, (0.0, 2.0), (-1.0, 1.0), (True, False)),
+    (6, 1, (0.0, 1.0), (0.0, 1.0 / 6.0), (False, True)),
+    (4, 4, (0.0, 1.0), (0.0, 1.0), (True, True)),
+])
+def test_rectangle_mesh_matches_loop_reference(nx, ny, x_range, y_range, periodic):
+    m = rectangle_mesh(nx, ny, x_range, y_range, periodic)
+    assert np.array_equal(m.cells, oracles.rectangle_cells_reference(nx, ny))
+    _check_faces(m)
+
+
+@pytest.mark.parametrize("dim, level", [(2, 2), (3, 1)])
+def test_channel_boundary_matches_loop_reference(dim, level):
+    setup = problems.mach3_channel(dim, refine=level)
+    m = setup.mesh
+    is_inflow, is_slip, acc = oracles.channel_boundary_reference(
+        m, *boundary_faces(m), x_out=m.domain[0][1]
+    )
+    bc = setup.boundary
+    assert np.array_equal(bc.inflow_nodes, np.nonzero(is_inflow)[0])
+    assert np.array_equal(bc.slip_nodes, np.nonzero(is_slip)[0])
+    nrm = acc[bc.slip_nodes]
+    assert np.array_equal(bc.slip_normals, nrm / np.linalg.norm(nrm, axis=1, keepdims=True))
 
 
 # ----- assembled matrices -----------------------------------------------------
@@ -172,17 +233,11 @@ def test_total_mass_is_domain_volume():
 
 
 def test_derived_quantities():
-    c = np.array([3.0, 4.0])
-    assert np.allclose(derived_n_ij(c), [0.6, 0.8])
-    with pytest.raises(ZeroDivisionError):
-        derived_n_ij(np.zeros(2))
-    # column sums of b_ji vanish: sum_j (delta - m_ji/m_i) = 1 - m_i/m_i = 0
-    mat = assemble(rectangle_mesh(4, 4, periodic=(True, True)))
-    M = mat.csr(mat.m).toarray()
-    n = mat.n
-    b = np.where(np.eye(n, dtype=bool), 1.0, 0.0) - M / mat.m_lumped[None, :]
-    mask = M != 0
-    colsums = (b * mask).sum(axis=0)
-    assert np.abs(colsums).max() < 1e-13
-    one = derived_b_ij(M[0, 1], mat.m_lumped[0], mat.m_lumped[1], False)
-    assert one == pytest.approx(-M[0, 1] / mat.m_lumped[1])
+    # b_ij = delta_ij - m_ij / m_j; its transpose bT has vanishing row sums
+    # sum_j (delta_ij - m_ij / m_i) = 1 - m_i / m_i on complete (owned) rows
+    s = Solver(assemble(rectangle_mesh(6, 6, periodic=(True, True))), ranks=2)
+    for rk in s.ranks:
+        n_lo = rk.numbering.n_lo
+        rowsum = np.where(rk.valid, rk.bT_slot, 0.0)[:n_lo].sum(axis=1)
+        assert np.abs(rowsum).max() < 1e-13
+        assert np.array_equal(rk.b_slot, rk.bT_slot[rk.cols, rk.trans_slot])

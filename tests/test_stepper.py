@@ -152,6 +152,20 @@ def test_advance_hits_final_time(small_periodic):
     assert abs(sum(taus) - 0.02) < 1e-13
 
 
+@pytest.mark.parametrize("t_final", [5e-15, 0.02])
+def test_advance_ends_on_the_capped_step(t_final):
+    setup = problems.periodic_smooth(n=8)
+    s = Solver(assemble(setup.mesh))
+    s.set_state(setup.U0)
+    times = []
+    steps = s.advance(t_final, on_step=lambda k, t: times.append(t))
+    assert steps == len(times)
+    assert times[-1] == t_final
+    assert all(t < t_final for t in times[:-1])
+    if t_final < 1e-14:
+        assert steps == 1
+
+
 def test_slip_wall_removes_normal_momentum():
     setup = problems.mach3_channel(2, refine=0)
     mat = assemble(setup.mesh)
