@@ -1,16 +1,20 @@
-"""Simulated-rank partitioning, ghost synchronization and overlap helpers.
+"""Simulated-rank partitioning, ghost synchronization and the overlapped loop.
 
 Ranks are simulated in-process: the index range (in Cuthill-McKee order) is
 split into contiguous owned ranges, each rank additionally holding one ghost
-layer of locally relevant indices.  Synchronization copies owner values into
-ghost slots through in-memory staging buffers, mirroring the semantics of a
-message-passing backend without network transport.  Volumes are counted for
-the performance report.
+layer of locally relevant indices.  A sync is a start and a finish, as in a
+message-passing backend without network transport: `Communicator.stage`
+snapshots what a rank sends, and `Communicator.deliver` copies every staged
+send into ghost storage and counts the volume for the performance report.
+`overlapped_loop` is the one row loop that starts a sync: it runs the rows
+other ranks need, starts the sync, then runs the interior rows on the
+caller's worker pool while the sync is in flight.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -129,25 +133,26 @@ def allreduce_min(values) -> float:
 
 def overlapped_loop(
     n_e: int,
-    n_lo: int,
+    n: int,
     body: Callable[[int, int], None],
     start_sync: Optional[Callable[[], None]],
-    workers: int = 1,
+    pool: Optional[Executor] = None,
     chunk_size: int = 2048,
 ) -> int:
     """Row loop with communication hiding.
 
-    Processes the exported rows [0, n_e) first; the worker completing the
-    last chunk of that export phase triggers start_sync exactly once; the
-    interior [n_e, n_lo) follows.  Returns the number of times start_sync
-    fired (always 0 or 1), so callers can assert the contract.
+    Processes rows [0, n_e) first; the call completing the last chunk of
+    that range triggers start_sync exactly once, and rows [n_e, n) follow.
+    Chunks run on pool when one is given, one after another otherwise.
+    Returns the number of times start_sync fired (always 0 or 1), so callers
+    can assert the contract.
     """
 
     def chunks(lo, hi):
         return [(s, min(s + chunk_size, hi)) for s in range(lo, hi, chunk_size)]
 
     pre = chunks(0, n_e)
-    post = chunks(n_e, n_lo)
+    post = chunks(n_e, n)
 
     fired = [0]
     remaining = [len(pre)]
@@ -167,15 +172,12 @@ def overlapped_loop(
         if start_sync is not None:
             start_sync()
 
-    if workers <= 1:
+    if pool is None:
         for rng in pre:
             run_pre(rng)
         for rng in post:
             body(*rng)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_pre, pre))
-            list(pool.map(lambda rng: body(*rng), post))
+        list(pool.map(run_pre, pre))
+        list(pool.map(lambda rng: body(*rng), post))
     return fired[0]

@@ -12,18 +12,23 @@ update.
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
 nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
 are recomputed redundantly instead of being synchronized, so only per-node
-quantities (alpha, R, U) and limiter rows travel between ranks.  A rank's
-rows keep the Cuthill-McKee order, with the rows other ranks need moved to
-the front: the overlapped loop stages the sync once they are done and runs
-the interior rows while it is in flight.  All row kernels read one padded
-slot view per rank (sparsity.PaddedView), padded to one global width with
-slots ordered by global node id, which makes results bitwise independent of
-the rank count, the worker count, the row order and the communication-hiding
-loop split.
+quantities (alpha, R, U) and limiter rows travel between ranks.  One send
+table matches every valid slot of a ghost row to the owner's slot of the same
+edge; its diagonal slots are the rows the per-node arrays send.  A sync
+writes into the array it reads from.  Every phase runs through one driver: a
+rank's rows keep the Cuthill-McKee order with the rows other ranks need moved
+to the front, and the overlapped loop stages the phase's synced array once
+they are done and runs the interior rows while it is in flight.  All row
+loops share one worker pool, built with the solver.  All row kernels read one
+padded slot view per rank (sparsity.PaddedView), padded to one global width
+with slots ordered by global node id, which makes results bitwise
+independent of the rank count, the worker count, the row order and the
+communication-hiding loop split.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +45,9 @@ from .physics import AIR, AdmissibilityError, GasConstants
 __all__ = ["BoundaryConditions", "Solver", "compute_tau"]
 
 STEP_NAMES = ["step0", "step1", "step2", "step3", "step4", "step5", "step6"]
+
+# synced per-slot arrays; every other synced array holds one value per node
+_SLOT_ARRAYS = ("l", "l_next")
 
 
 @dataclass
@@ -70,6 +78,40 @@ def compute_tau(d_diag: np.ndarray, m_i: np.ndarray, c_cfl: float) -> float:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
+    """The boundary data as arrays, empty where bc gives none.
+
+    Raises ValueError for node ids that are not integers in [0, n), for
+    inflow nodes without an admissible farfield state of shape (nvar,) and
+    for slip normals whose shape is not (len(slip_nodes), dim).
+    """
+    bc = bc if bc is not None else BoundaryConditions()
+
+    def given(value, **kw):
+        return np.asarray([] if value is None else value, **kw)
+
+    def node_ids(name):
+        ids = given(getattr(bc, name))
+        if ids.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n:
+            raise ValueError(f"{name} must be integer node ids in [0, {n})")
+        return ids.astype(np.int64)
+
+    inflow, slip = node_ids("inflow_nodes"), node_ids("slip_nodes")
+    farfield = bc.farfield
+    if len(inflow):
+        farfield = given(farfield, dtype=np.float64)
+        if farfield.shape != (nvar,) or not physics.is_admissible(farfield):
+            raise ValueError(f"inflow nodes need an admissible farfield state of shape ({nvar},)")
+    normals = np.zeros((0, dim))
+    if len(slip):
+        normals = given(bc.slip_normals, dtype=np.float64)
+        if normals.shape != (len(slip), dim):
+            raise ValueError(f"slip_normals must have shape ({len(slip)}, {dim})")
+    return BoundaryConditions(inflow, farfield, slip, normals)
 
 
 def _tau_local(d_diag: np.ndarray, m_i: np.ndarray) -> float:
@@ -127,10 +169,10 @@ class Solver:
         self.workers = workers
         self.overlap = overlap
         self.chunk_size = chunk_size
-        self.bc = boundary
         self.n = matrices.n
         self.dim = matrices.dim
         self.nvar = physics.n_variables(matrices.dim)
+        self.bc = _checked_boundary(boundary, self.n, self.nvar, self.dim)
 
         conn = matrices.connectivity()
         self.part = exchange.partition(conn, ranks)
@@ -144,8 +186,9 @@ class Solver:
         self.standard_card = int(vals[np.argmax(counts)])
 
         self.ranks: List[_RankData] = [self._build_rank(r) for r in range(ranks)]
-        self._build_row_sends()
-        self._build_l_sends()
+        self._build_sends()
+        # one pool serves every row loop of the solver
+        self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
         self.timers: Dict[str, float] = {name: 0.0 for name in STEP_NAMES}
         self.n_euler_steps = 0
@@ -244,63 +287,46 @@ class Solver:
         rk.rho_max = np.zeros(n_lo)
         rk.phi_min = np.zeros(n_lo)
 
-        rk.inflow_idx = np.zeros(0, dtype=np.int64)
-        rk.slip_idx = np.zeros(0, dtype=np.int64)
-        rk.slip_n = np.zeros((0, d))
-        if self.bc is not None:
-            def to_owned(orig_ids):
-                cm = part.cm_perm[np.asarray(orig_ids, dtype=np.int64)]
-                sel = (cm >= s) & (cm < e)
-                return numbering.perm[cm[sel] - s], sel
-            if self.bc.inflow_nodes is not None and len(self.bc.inflow_nodes):
-                rk.inflow_idx, _ = to_owned(self.bc.inflow_nodes)
-            if self.bc.slip_nodes is not None and len(self.bc.slip_nodes):
-                rk.slip_idx, sel = to_owned(self.bc.slip_nodes)
-                rk.slip_n = np.asarray(self.bc.slip_normals)[sel]
+        def to_owned(orig_ids):
+            cm = part.cm_perm[orig_ids]
+            sel = (cm >= s) & (cm < e)
+            return numbering.perm[cm[sel] - s], sel
+
+        rk.inflow_idx, _ = to_owned(self.bc.inflow_nodes)
+        rk.slip_idx, sel = to_owned(self.bc.slip_nodes)
+        rk.slip_n = self.bc.slip_normals[sel]
         return rk
 
-    def _build_row_sends(self):
-        part = self.part
-        self.sends_rows: List[list] = [[] for _ in range(part.n_ranks)]
-        for r in range(part.n_ranks):
-            s_r, _ = part.ranges[r]
-            gh = part.ghosts[r]
-            n_owned = part.ranges[r][1] - s_r
-            for o in range(part.n_ranks):
-                ids = part.exports[o].get(r)
-                if ids is None or len(ids) == 0:
-                    continue
-                s_o = part.ranges[o][0]
-                src_new = self.ranks[o].numbering.perm[ids - s_o]
-                pre_dst = n_owned + np.searchsorted(gh, ids)
-                dst_new = self.ranks[r].numbering.perm[pre_dst]
-                self.sends_rows[o].append((r, src_new, dst_new))
+    def _build_sends(self):
+        # every valid slot of a ghost row receives the value of the same edge
+        # (global row, col) in the owner's row; slot_sends[o] holds
+        # (dst rank, src, dst) as flat indices row * pad_width + slot, and its
+        # diagonal slots give row_sends[o], the rows of the per-node arrays
+        part, W = self.part, self.pad_width
+        self.slot_sends: List[list] = [[] for _ in range(part.n_ranks)]
+        self.row_sends: List[list] = [[] for _ in range(part.n_ranks)]
 
-    def _build_l_sends(self):
-        # every valid slot of a ghost row receives the limiter value of the
-        # same edge in the owner's row
-        part = self.part
-        self.sends_l: List[list] = [[] for _ in range(part.n_ranks)]
+        def keys(rk, flat):
+            return rk.cm_of_new[flat // W] * self.n + rk.gcols.reshape(-1)[flat]
+
         for r, rk in enumerate(self.ranks):
             n_lo = rk.numbering.n_lo
-            dst_rows, dst_slots = np.nonzero(rk.valid[n_lo:])
-            dst_rows += n_lo
-            g = rk.cm_of_new[dst_rows]
-            owners = part.owner_of(g)
+            ghost_slots = np.flatnonzero(rk.valid[n_lo:]) + n_lo * W
+            owners = part.owner_of(rk.cm_of_new[ghost_slots // W])
             for o in np.unique(owners):
-                sel = owners == o
+                dst = ghost_slots[owners == o]
                 ork = self.ranks[o]
-                o_rows, o_slots = np.nonzero(ork.valid)
-                o_keys = ork.cm_of_new[o_rows] * self.n + ork.gcols[o_rows, o_slots]
-                keys = g[sel] * self.n + rk.gcols[dst_rows[sel], dst_slots[sel]]
+                o_slots = np.flatnonzero(ork.valid)
+                o_keys = keys(ork, o_slots)
+                want = keys(rk, dst)
                 order = np.argsort(o_keys)
-                pos = np.searchsorted(o_keys, keys, sorter=order)
-                hit = order[np.minimum(pos, len(order) - 1)]
-                if not np.array_equal(o_keys[hit], keys):
+                pos = np.searchsorted(o_keys, want, sorter=order)
+                src = o_slots[order[np.minimum(pos, len(order) - 1)]]
+                if not np.array_equal(keys(ork, src), want):
                     raise AssertionError("ghost row stencil not contained in owner row")
-                self.sends_l[o].append(
-                    (r, o_rows[hit], o_slots[hit], dst_rows[sel], dst_slots[sel])
-                )
+                self.slot_sends[o].append((r, src, dst))
+                diag = dst % W == rk.diag_slot[dst // W]
+                self.row_sends[o].append((r, src[diag] // W, dst[diag] // W))
 
     # ----- state ---------------------------------------------------------
 
@@ -325,62 +351,65 @@ class Solver:
 
     # ----- sync plumbing --------------------------------------------------
 
-    def _stage_rows(self, rank: int, name: str):
-        rk = self.ranks[rank]
-        items = [
-            ("rows", name, dst, dst_idx, getattr(rk, name)[src_idx].copy())
-            for dst, src_idx, dst_idx in self.sends_rows[rank]
-        ]
-        self.comm.stage(rank, items)
+    def _synced(self, rank: int, name: str) -> np.ndarray:
+        """Array name of a rank as the send tables index it: the limiter
+        arrays flat over row * pad_width + slot (a view, as they are
+        C-contiguous), the per-node arrays by row."""
+        arr = getattr(self.ranks[rank], name)
+        return arr.reshape(-1) if name in _SLOT_ARRAYS else arr
 
-    def _stage_l(self, rank: int, name: str = "l"):
-        rk = self.ranks[rank]
-        items = [
-            ("slots", "l", dst, dst_rows, dst_slots,
-             getattr(rk, name)[src_rows, src_slots].copy())
-            for dst, src_rows, src_slots, dst_rows, dst_slots in self.sends_l[rank]
-        ]
-        self.comm.stage(rank, items)
+    def _stage(self, rank: int, name: str):
+        """Stage the values of array name that other ranks hold as ghosts."""
+        sends = self.slot_sends if name in _SLOT_ARRAYS else self.row_sends
+        src = self._synced(rank, name)
+        self.comm.stage(rank, [
+            (dst, name, dst_idx, src[src_idx]) for dst, src_idx, dst_idx in sends[rank]
+        ])
 
     def _deliver(self):
+        """Write every staged item into the receiver's array of the same name."""
         def apply(_rank, items):
-            count = 0
-            for item in items:
-                if item[0] == "rows":
-                    _, name, dst, dst_idx, vals = item
-                    getattr(self.ranks[dst], name)[dst_idx] = vals
-                else:
-                    _, name, dst, dst_rows, dst_slots, vals = item
-                    getattr(self.ranks[dst], name)[dst_rows, dst_slots] = vals
-                count += vals.size
-            return count
+            for dst, name, dst_idx, vals in items:
+                self._synced(dst, name)[dst_idx] = vals
+            return sum(item[-1].size for item in items)
         self.comm.deliver(apply)
 
     # ----- row loop drivers ------------------------------------------------
 
-    def _run(self, body, lo, hi):
-        ranges = [
-            (a, min(a + self.chunk_size, hi)) for a in range(lo, hi, self.chunk_size)
-        ]
-        if self.workers <= 1 or len(ranges) <= 1:
+    def _run(self, body, hi):
+        ranges = [(a, min(a + self.chunk_size, hi)) for a in range(0, hi, self.chunk_size)]
+        if self.pool is None or len(ranges) <= 1:
             for a, b in ranges:
                 body(a, b)
         else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(lambda rng: body(*rng), ranges))
+            list(self.pool.map(lambda rng: body(*rng), ranges))
 
-    def _run_owned_staged(self, rank, body, stage_fn):
-        nb = self.ranks[rank].numbering
-        if self.overlap:
+    def _phase(self, step: str, kernel, synced: Optional[str] = None, ghosts: bool = False):
+        """Run kernel(rk, lo, hi) over the owned rows of every rank, and over
+        its ghost rows too when ghosts is set; the time goes to timers[step].
+
+        With synced, a rank stages that array once its exported rows are done
+        (all of its owned rows without overlap) and runs the rest while the
+        sync is in flight; one delivery to all ranks ends the phase.
+        """
+        t0 = time.perf_counter()
+        for r, rk in enumerate(self.ranks):
+            nb = rk.numbering
+            body = functools.partial(kernel, rk)
+            hi = nb.n_lr if ghosts else nb.n_lo
+            if synced is None:
+                self._run(body, hi)
+                continue
             fired = exchange.overlapped_loop(
-                nb.n_e, nb.n_lo, body, stage_fn,
-                workers=self.workers, chunk_size=self.chunk_size,
+                nb.n_e if self.overlap else nb.n_lo, hi, body,
+                functools.partial(self._stage, r, synced),
+                pool=self.pool, chunk_size=self.chunk_size,
             )
             if fired != 1:
                 raise RuntimeError("communication start fired more than once")
-        else:
-            self._run(body, 0, nb.n_lo)
-            stage_fn()
+        if synced is not None:
+            self._deliver()
+        self.timers[step] += time.perf_counter() - t0
 
     # ----- phase kernels ---------------------------------------------------
 
@@ -392,18 +421,19 @@ class Solver:
         rk.phi[lo:hi] = eps * physics.power(rho, -self.gas.gamma)
         rk.f[lo:hi] = physics.flux(U, self.gas)
 
-    def _k_viscosity(self, rk, lo, hi, with_alpha):
+    def _k_viscosity(self, rk, lo, hi):
         # d_ij is evaluated once per edge, on the upper slots (global id of j
         # above that of i) only; _k_mirror fills the lower triangle
-        sl = slice(lo, hi)
         up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
         rows, slots = rk.up_row[up], rk.up_slot[up]
-        rk.d[sl] = 0.0
+        rk.d[lo:hi] = 0.0
         rk.d[rows, slots] = riemann.d_ij_low(
             rk.U[rows], rk.U[rk.cols[rows, slots]],
             rk.c_slot[rows, slots], rk.cT_slot[rows, slots], self.gas,
         )
-        if with_alpha:
+        # ghost rows receive alpha from their owner
+        sl = slice(lo, min(hi, rk.numbering.n_lo))
+        if sl.start < sl.stop:
             cols = rk.cols[sl]
             U_i = rk.U[sl]
             U_j = rk.U[cols]
@@ -427,7 +457,7 @@ class Solver:
         dd[rows - lo, rk.diag_slot[sl]] = -rowsum
         rk.d[sl] = dd
 
-    def _k_low_order(self, rk, tau, lo, hi):
+    def _k_low_order(self, rk, lo, hi, tau):
         sl = slice(lo, hi)
         cols = rk.cols[sl]
         U_i = rk.U[sl]
@@ -447,7 +477,7 @@ class Solver:
         rk.rho_max[sl] = Ubar[..., 0].max(axis=1)
         rk.phi_min[sl] = rk.phi[cols].min(axis=1)
 
-    def _k_correction(self, rk, tau, lo, hi):
+    def _k_correction(self, rk, lo, hi, tau):
         sl = slice(lo, hi)
         cols = rk.cols[sl]
         d = rk.d[sl]
@@ -495,7 +525,7 @@ class Solver:
         if len(rk.inflow_idx):
             idx = rk.inflow_idx[(rk.inflow_idx >= lo) & (rk.inflow_idx < hi)]
             if len(idx):
-                rk.U_next[idx] = np.asarray(self.bc.farfield, dtype=np.float64)
+                rk.U_next[idx] = self.bc.farfield
 
     # ----- stepping --------------------------------------------------------
 
@@ -507,30 +537,10 @@ class Solver:
         new state is checked before it is committed: on an AdmissibilityError
         the state is left as it was.
         """
-        R = self.part.n_ranks
+        self._phase("step0", self._k_entropies, ghosts=True)
+        self._phase("step1", self._k_viscosity, "alpha", ghosts=True)
+        self._phase("step2", self._k_mirror)
         t0 = time.perf_counter()
-        for rk in self.ranks:
-            self._run(lambda a, b, rk=rk: self._k_entropies(rk, a, b), 0, rk.numbering.n_lr)
-        t1 = time.perf_counter()
-        self.timers["step0"] += t1 - t0
-
-        for r in range(R):
-            rk = self.ranks[r]
-            self._run_owned_staged(
-                r,
-                lambda a, b, rk=rk: self._k_viscosity(rk, a, b, with_alpha=True),
-                lambda r=r: self._stage_rows(r, "alpha"),
-            )
-            self._run(
-                lambda a, b, rk=rk: self._k_viscosity(rk, a, b, with_alpha=False),
-                rk.numbering.n_lo, rk.numbering.n_lr,
-            )
-        self._deliver()
-        t2 = time.perf_counter()
-        self.timers["step1"] += t2 - t1
-
-        for rk in self.ranks:
-            self._run(lambda a, b, rk=rk: self._k_mirror(rk, a, b), 0, rk.numbering.n_lo)
         if tau is None:
             locs = []
             for rk in self.ranks:
@@ -544,64 +554,19 @@ class Solver:
             tau = min(self.c_cfl * tau_min, tau_max)
         tau = float(tau)
         self.tau_last = tau
-        t3 = time.perf_counter()
-        self.timers["step2"] += t3 - t2
+        self.timers["step2"] += time.perf_counter() - t0
 
-        for r in range(R):
-            rk = self.ranks[r]
-            self._run_owned_staged(
-                r,
-                lambda a, b, rk=rk: self._k_low_order(rk, tau, a, b),
-                lambda r=r: self._stage_rows(r, "R"),
-            )
-        self._deliver()
-        t4 = time.perf_counter()
-        self.timers["step3"] += t4 - t3
-
-        if self.limiter_passes == 0:
-            for r in range(R):
-                rk = self.ranks[r]
-                self._run_owned_staged(
-                    r,
-                    lambda a, b, rk=rk: self._k_boundary(rk, a, b),
-                    lambda r=r: self._stage_rows(r, "U_next"),
-                )
-            self._deliver()
-            self._finish_step()
-            self.timers["step6"] += time.perf_counter() - t4
-            return tau
-
-        for r in range(R):
-            rk = self.ranks[r]
-            self._run_owned_staged(
-                r,
-                lambda a, b, rk=rk: self._k_correction(rk, tau, a, b),
-                lambda r=r: self._stage_l(r, "l"),
-            )
-        self._deliver()
-        t5 = time.perf_counter()
-        self.timers["step4"] += t5 - t4
-
-        for p in range(self.limiter_passes):
-            last = p == self.limiter_passes - 1
-            for r in range(R):
-                rk = self.ranks[r]
-                if last:
-                    stage = lambda r=r: self._stage_rows(r, "U_next")
-                else:
-                    stage = lambda r=r: self._stage_l(r, "l_next")
-                self._run_owned_staged(
-                    r,
-                    lambda a, b, rk=rk, last=last: self._k_limited_update(rk, a, b, last),
-                    stage,
-                )
-            if not last:
-                for rk in self.ranks:
-                    rk.l, rk.l_next = rk.l_next, rk.l
-            self._deliver()
-            t6 = time.perf_counter()
-            self.timers["step6" if last else "step5"] += t6 - t5
-            t5 = t6
+        self._phase("step3", functools.partial(self._k_low_order, tau=tau), "R")
+        passes = self.limiter_passes
+        if passes:
+            self._phase("step4", functools.partial(self._k_correction, tau=tau), "l")
+        for _ in range(passes - 1):
+            self._phase("step5", functools.partial(self._k_limited_update, last=False), "l_next")
+            # the limiter values just computed and synced drive the next pass
+            for rk in self.ranks:
+                rk.l, rk.l_next = rk.l_next, rk.l
+        last = functools.partial(self._k_limited_update, last=True) if passes else self._k_boundary
+        self._phase("step6", last, "U_next")
         self._finish_step()
         return tau
 

@@ -466,3 +466,27 @@ def channel_boundary_reference(mesh, faces, normals, measures, x_out, tol=1e-9):
             acc[rnodes] += measure * normal
     is_slip &= ~is_inflow
     return is_inflow, is_slip, acc
+
+
+# ----- ghost row sends ------------------------------------------------------------
+# The per-rank-pair loop the solver once used for its row send table, built
+# from the partition's export lists instead of from the slot matches.
+
+def row_sends_reference(solver):
+    """Per sending rank, the (dst rank, src rows, dst rows) of every ghost row."""
+    part = solver.part
+    sends_rows = [[] for _ in range(part.n_ranks)]
+    for r in range(part.n_ranks):
+        s_r, _ = part.ranges[r]
+        gh = part.ghosts[r]
+        n_owned = part.ranges[r][1] - s_r
+        for o in range(part.n_ranks):
+            ids = part.exports[o].get(r)
+            if ids is None or len(ids) == 0:
+                continue
+            s_o = part.ranges[o][0]
+            src_new = solver.ranks[o].numbering.perm[ids - s_o]
+            pre_dst = n_owned + np.searchsorted(gh, ids)
+            dst_new = solver.ranks[r].numbering.perm[pre_dst]
+            sends_rows[o].append((r, src_new, dst_new))
+    return sends_rows

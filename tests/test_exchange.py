@@ -1,5 +1,7 @@
 """Simulated-rank partitioning, staging communicator and overlap loop."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -83,6 +85,14 @@ def test_allreduce_min():
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_overlapped_loop_covers_rows_once_and_fires_once(workers):
+    if workers == 1:
+        _check_overlapped_loop(None)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        _check_overlapped_loop(pool)
+
+
+def _check_overlapped_loop(pool):
     n_e, n_lo = 6, 21
     hits = np.zeros(n_lo, dtype=int)
     fired_at = []
@@ -94,7 +104,7 @@ def test_overlapped_loop_covers_rows_once_and_fires_once(workers):
         fired_at.append(hits.copy())
 
     fired = exchange.overlapped_loop(n_e, n_lo, body, sync,
-                                     workers=workers, chunk_size=4)
+                                     pool=pool, chunk_size=4)
     assert fired == 1
     assert (hits == 1).all()
     assert len(fired_at) == 1
@@ -107,7 +117,7 @@ def test_overlapped_loop_sequential_order():
     calls = []
     exchange.overlapped_loop(
         3, 8, lambda lo, hi: calls.append(("body", lo, hi)),
-        lambda: calls.append(("sync",)), workers=1, chunk_size=2,
+        lambda: calls.append(("sync",)), pool=None, chunk_size=2,
     )
     names = [c[0] for c in calls]
     sync_pos = names.index("sync")
@@ -124,7 +134,7 @@ def test_overlapped_loop_sequential_order():
 def test_overlapped_loop_empty_pre_region_still_fires():
     calls = []
     fired = exchange.overlapped_loop(0, 5, lambda lo, hi: calls.append((lo, hi)),
-                                     lambda: calls.append("sync"), workers=1)
+                                     lambda: calls.append("sync"), pool=None)
     assert fired == 1
     assert calls == ["sync", (0, 5)]
     assert exchange.overlapped_loop(0, 0, lambda lo, hi: None, None) == 1

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from eulerflow import assembly, physics, problems, riemann
+from eulerflow import assembly, physics, problems, riemann, stepper
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
 from eulerflow.physics import AdmissibilityError
-from eulerflow.stepper import Solver, compute_tau
+from eulerflow.stepper import BoundaryConditions, Solver, compute_tau
 
 import oracles
 
@@ -29,15 +29,78 @@ def small_periodic():
     return mat, random_field(rng, mat.n)
 
 
-@pytest.mark.parametrize("passes", [0, 1, 2, 3])
-def test_matches_dense_reference(small_periodic, passes):
+MULTI_RANK = dict(ranks=3, workers=2, chunk_size=3)
+
+
+@pytest.mark.parametrize("passes,settings", [
+    *[pytest.param(p, {}, id=str(p)) for p in range(4)],
+    *[pytest.param(p, MULTI_RANK, id=f"ranks3-{p}") for p in range(4)],
+])
+def test_matches_dense_reference(small_periodic, passes, settings):
     mat, U = small_periodic
     tau_ref, U_ref, alpha_ref = oracles.dense_euler_step(U, mat, passes=passes)
-    s = Solver(mat, limiter_passes=passes)
-    s.set_state(U)
-    tau = s.euler_step()
+
+    def step(**kw):
+        s = Solver(mat, limiter_passes=passes, **kw)
+        s.set_state(U)
+        return s.euler_step(), s.get_state()
+
+    tau, state = step(**settings)
     assert tau == tau_ref
-    assert np.allclose(s.get_state(), U_ref, rtol=1e-13, atol=1e-13)
+    assert np.allclose(state, U_ref, rtol=1e-13, atol=1e-13)
+    if settings:
+        assert np.array_equal(state, step()[1])
+
+
+def _row_pairs(sends):
+    return sorted((r, a, b) for r, src, dst in sends for a, b in zip(src, dst))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_send_tables_match_reference(periodic):
+    mesh = rectangle_mesh(8, 8, periodic=(True, True)) if periodic else rectangle_mesh(8, 7)
+    mat = assemble(mesh)
+    for ranks in range(1, 6):
+        s = Solver(mat, ranks=ranks)
+        W = s.pad_width
+        ref = oracles.row_sends_reference(s)
+        received = [[] for _ in range(ranks)]
+        for o, ork in enumerate(s.ranks):
+            # equal as sets, and each ghost row is sent once
+            assert _row_pairs(s.row_sends[o]) == _row_pairs(ref[o])
+            for r, src, dst in s.slot_sends[o]:
+                rk = s.ranks[r]
+                # both ends are stored slots of the same global (row, col)
+                assert ork.valid.reshape(-1)[src].all() and rk.valid.reshape(-1)[dst].all()
+                assert np.array_equal(ork.cm_of_new[src // W], rk.cm_of_new[dst // W])
+                assert np.array_equal(ork.gcols.reshape(-1)[src], rk.gcols.reshape(-1)[dst])
+                received[r].append(dst)
+        # every stored slot of every ghost row receives exactly once
+        for rk, dst in zip(s.ranks, received):
+            n_lo = rk.numbering.n_lo
+            got = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *dst]))
+            assert np.array_equal(got, np.flatnonzero(rk.valid[n_lo:]) + n_lo * W)
+
+
+def test_one_worker_pool_per_solver(small_periodic, monkeypatch):
+    mat, U = small_periodic
+    built = []
+
+    class CountingPool(stepper.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "ThreadPoolExecutor", CountingPool)
+    s = Solver(mat, workers=2, ranks=2, chunk_size=3)
+    assert built == [2]
+    s.set_state(U)
+    s.ssp_rk3_step()
+    assert built == [2]
+    s = Solver(mat, workers=1, ranks=2, chunk_size=3)
+    s.set_state(U)
+    s.ssp_rk3_step()
+    assert built == [2]
 
 
 def test_tau_equals_compute_tau_on_assembled_viscosity(small_periodic):
@@ -109,6 +172,42 @@ def test_invalid_parameters(small_periodic):
                 Solver(mat, **{name: bad})
     Solver(mat, limiter_passes=0, newton_steps=0, workers=1, ranks=1, chunk_size=1)
     Solver(mat, limiter_passes=np.int64(1), newton_steps=np.int64(3), ranks=np.int32(2))
+
+    # boundary data: node ids in [0, n), an admissible farfield for inflow
+    # nodes and one normal per slip node
+    setup = problems.mach3_channel(2, refine=0)
+    mat = assemble(setup.mesh)
+    bc = setup.boundary
+    n = mat.n
+
+    def with_(**kw):
+        fields = dict(inflow_nodes=bc.inflow_nodes, farfield=bc.farfield,
+                      slip_nodes=bc.slip_nodes, slip_normals=bc.slip_normals)
+        fields.update(kw)
+        return BoundaryConditions(**fields)
+
+    bad = [
+        with_(inflow_nodes=np.append(bc.inflow_nodes, -1)),
+        with_(inflow_nodes=np.append(bc.inflow_nodes, n)),
+        with_(inflow_nodes=bc.inflow_nodes.astype(np.float64)),
+        with_(inflow_nodes=bc.inflow_nodes > 0),
+        with_(slip_nodes=np.append(bc.slip_nodes, n + 5)),
+        with_(slip_nodes=bc.slip_nodes[:, None]),
+        with_(farfield=None),
+        with_(farfield=bc.farfield[:-1]),
+        with_(farfield=np.append(bc.farfield[:-1], -1.0)),
+        with_(farfield=np.array([-1.0, 0.0, 0.0, 1.0])),
+        with_(slip_normals=None),
+        with_(slip_normals=bc.slip_normals[:-1]),
+        with_(slip_normals=bc.slip_normals[:, :1]),
+    ]
+    for boundary in bad:
+        with pytest.raises(ValueError):
+            Solver(mat, boundary=boundary)
+    # the same data without inflow nodes needs no farfield
+    Solver(mat, boundary=with_(inflow_nodes=None, farfield=None))
+    Solver(mat, boundary=with_(inflow_nodes=[], slip_nodes=[], slip_normals=None))
+    Solver(mat, boundary=BoundaryConditions())
 
 
 def test_rank_worker_determinism_quick(small_periodic):
