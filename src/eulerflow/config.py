@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
+
+from .stepper import _is_int
+
 __all__ = ["RunConfig", "parse_config_file"]
 
 PROBLEMS = ("cylinder2d", "cylinder3d", "periodic-smooth", "sod1d")
@@ -30,14 +34,16 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}, choose from {PROBLEMS}")
         if not 0.0 < self.c_cfl <= 1.0:
             raise ValueError("c_cfl must lie in (0, 1]")
-        if self.refine < 0 or self.limiter_passes < 0 or self.newton_steps < 0:
-            raise ValueError("counts must be non-negative")
-        if self.workers < 1 or self.ranks < 1:
-            raise ValueError("workers and ranks must be >= 1")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
-        if self.output_every < 0:
-            raise ValueError("output_every must be >= 0")
+        for name in ("refine", "limiter_passes", "newton_steps", "output_every"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0")
+        for name in ("workers", "ranks"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not (np.isfinite(self.t_final) and self.t_final > 0.0):
+            raise ValueError("t_final must be a finite number > 0")
         return self
 
 

@@ -24,8 +24,10 @@ class IndicatorAccumulator:
     """Accumulates the commutator sums for one node (or a batch of nodes).
 
     All arrays broadcast over leading axes, so a batch of rows can be
-    processed with one accumulator.  Every j in the stencil must be visited
-    exactly once, including j = i (which contributes zero).
+    processed with one accumulator.  Pass the whole stencil, slot axis
+    first: the j-arrays have one more leading axis than the i-arrays, and
+    j = i contributes zero.  On C-ordered blocks numpy adds the slots one
+    after the other, in the order of a loop over the stencil.
     """
 
     def __init__(self, gas: GasConstants = AIR):
@@ -42,7 +44,7 @@ class IndicatorAccumulator:
         self._ready = True
 
     def accumulate(self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j=None, f_j=None):
-        """Add the contribution of stencil neighbor j.
+        """Add the contributions of the stencil neighbors j along axis 0.
 
         Precomputed per-node quantities can be passed to avoid recomputation
         in hot loops.
@@ -52,10 +54,10 @@ class IndicatorAccumulator:
         if eta_over_rho_j is None:
             eta_over_rho_j = physics.harten_entropy(U_j, self.gas) / U_j[..., 0]
         mom_j = U_j[..., 1:-1]
-        self.a += (eta_over_rho_j - self.eor_i) * (mom_j * c_ij).sum(axis=-1)
+        self.a += np.add.reduce((eta_over_rho_j - self.eor_i) * (mom_j * c_ij).sum(axis=-1), axis=0)
         if f_j is None:
             f_j = physics.flux(U_j, self.gas)
-        self.b += ((f_j - self.f_i) * c_ij[..., None, :]).sum(axis=-1)
+        self.b += np.add.reduce(((f_j - self.f_i) * c_ij[..., None, :]).sum(axis=-1), axis=0)
 
     def result(self) -> np.ndarray:
         """Normalized ratio alpha = N / D clamped to [0, 1]; 0 when D vanishes."""

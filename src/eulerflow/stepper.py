@@ -3,11 +3,13 @@
 One forward-Euler step proceeds in phases over the stencil graph: nodal
 entropies and fluxes, the low-order graph viscosity from the two-rarefaction
 wavespeed bound (once per edge, on the upper triangle) together with the
-entropy-commutator indicator, the viscosity mirroring and time-step bound,
-the low-order update with its bar-state bounds, the antisymmetric high-order
-correction fluxes, and finally one or more symmetrized limiter passes.  Three
-such steps with a shared time step form the strong-stability-preserving RK3
-update.
+entropy-commutator indicator (one pass over each chunk's stencil block), the
+viscosity mirroring and time-step bound, the low-order update with its
+bar-state bounds, which also leaves the viscous part (d^H_ij - d_ij)(U_j -
+U_i) of the correction fluxes in P, the antisymmetric high-order correction
+fluxes completed from P, and finally one or more symmetrized limiter passes.
+Three such steps with a shared time step form the strong-stability-preserving
+RK3 update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
 nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
@@ -29,6 +31,7 @@ communication-hiding loop split.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,6 +81,10 @@ def compute_tau(d_diag: np.ndarray, m_i: np.ndarray, c_cfl: float) -> float:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and bool(np.isfinite(x))
 
 
 def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
@@ -434,18 +441,15 @@ class Solver:
         # ghost rows receive alpha from their owner
         sl = slice(lo, min(hi, rk.numbering.n_lo))
         if sl.start < sl.stop:
-            cols = rk.cols[sl]
-            U_i = rk.U[sl]
-            U_j = rk.U[cols]
-            c = rk.c_slot[sl]
+            # one block over the stencil, slot axis first and C-ordered, so that
+            # the slot sum runs in stencil order
+            cols = np.ascontiguousarray(rk.cols[sl].T)
             acc = IndicatorAccumulator(self.gas)
-            acc.reset(U_i, eta_over_rho_i=rk.eor[sl], f_i=rk.f[sl])
-            for s in range(rk.width):
-                js = cols[:, s]
-                acc.accumulate(
-                    U_j[:, s], c[:, s],
-                    eta_over_rho_j=rk.eor[js], f_j=rk.f[js],
-                )
+            acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl], f_i=rk.f[sl])
+            acc.accumulate(
+                rk.U[cols], np.ascontiguousarray(rk.c_slot[sl].swapaxes(0, 1)),
+                eta_over_rho_j=rk.eor[cols], f_j=rk.f[cols],
+            )
             rk.alpha[sl] = acc.result()
 
     def _k_mirror(self, rk, lo, hi):
@@ -470,6 +474,8 @@ class Solver:
         )
         dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
         rk.R[sl] = (dH[..., None] * dU - fdc).sum(axis=1)
+        # the viscous part of the correction fluxes; _k_correction adds the rest
+        np.multiply((dH - d)[..., None], dU, out=rk.P[sl])
         d_safe = np.where(d != 0.0, d, 1.0)
         corr = np.where(d[..., None] != 0.0, fdc / (2.0 * d_safe[..., None]), 0.0)
         Ubar = 0.5 * (U_i[:, None] + U_j) - corr
@@ -477,25 +483,22 @@ class Solver:
         rk.rho_max[sl] = Ubar[..., 0].max(axis=1)
         rk.phi_min[sl] = rk.phi[cols].min(axis=1)
 
-    def _k_correction(self, rk, lo, hi, tau):
-        sl = slice(lo, hi)
-        cols = rk.cols[sl]
-        d = rk.d[sl]
-        dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
-        dU = rk.U[cols] - rk.U[sl][:, None]
-        K = (
-            rk.b_slot[sl][..., None] * rk.R[cols]
-            - rk.bT_slot[sl][..., None] * rk.R[sl][:, None]
-            + (dH - d)[..., None] * dU
-        )
-        factor = tau * rk.inv_m[sl] * (rk.card[sl] - 1)
-        rk.P[sl] = factor[:, None, None] * K
-        rk.l[sl] = limiter.limiter_compute(
+    def _limit(self, rk, sl):
+        """Limiter values of the rows sl for the correction fluxes in P."""
+        return limiter.limiter_compute(
             rk.U_next[sl][:, None, :], rk.P[sl],
             rk.rho_min[sl][:, None], rk.rho_max[sl][:, None],
             rk.phi_min[sl][:, None],
             max_newton=self.newton_steps, gas=self.gas,
         )
+
+    def _k_correction(self, rk, lo, hi, tau):
+        sl = slice(lo, hi)
+        P = rk.P[sl]
+        P += (rk.b_slot[sl][..., None] * rk.R[rk.cols[sl]]
+              - rk.bT_slot[sl][..., None] * rk.R[sl][:, None])
+        P *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
+        rk.l[sl] = self._limit(rk, sl)
 
     def _k_limited_update(self, rk, lo, hi, last):
         sl = slice(lo, hi)
@@ -507,12 +510,7 @@ class Solver:
             self._k_boundary(rk, lo, hi)
         else:
             rk.P[sl] *= (1.0 - minl)[..., None]
-            rk.l_next[sl] = limiter.limiter_compute(
-                rk.U_next[sl][:, None, :], rk.P[sl],
-                rk.rho_min[sl][:, None], rk.rho_max[sl][:, None],
-                rk.phi_min[sl][:, None],
-                max_newton=self.newton_steps, gas=self.gas,
-            )
+            rk.l_next[sl] = self._limit(rk, sl)
 
     def _k_boundary(self, rk, lo, hi):
         if len(rk.slip_idx):
@@ -535,8 +533,14 @@ class Solver:
         When tau is None the CFL bound is computed and capped by tau_max;
         otherwise the given step is used unchanged (RK stages 2 and 3).  The
         new state is checked before it is committed: on an AdmissibilityError
-        the state is left as it was.
+        the state is left as it was.  Raises ValueError, before any phase
+        runs, for a given tau that is not finite and > 0 and for a tau_max
+        that is not > 0.
         """
+        if tau is not None and not (_is_finite(tau) and tau > 0.0):
+            raise ValueError("tau must be a finite number > 0")
+        if not tau_max > 0.0:
+            raise ValueError("tau_max must be > 0")
         self._phase("step0", self._k_entropies, ghosts=True)
         self._phase("step1", self._k_viscosity, "alpha", ghosts=True)
         self._phase("step2", self._k_mirror)
@@ -610,8 +614,11 @@ class Solver:
         """March from t = 0 to t_final; returns the number of steps taken.
 
         The step that the remaining time caps is the last one and ends at
-        t_final exactly.
+        t_final exactly.  Raises ValueError for a t_final that is not a
+        finite number >= 0.
         """
+        if not (_is_finite(t_final) and t_final >= 0.0):
+            raise ValueError("t_final must be a finite number >= 0")
         t = 0.0
         steps = 0
         step = self.ssp_rk3_step if use_rk3 else self.euler_step

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
 
 GAMMA = 1.4
@@ -120,6 +121,27 @@ def indicator_reference(U_i, neighbors, c_rows, gamma=GAMMA):
     if denom <= 1e-300:
         return 0.0
     return float(np.clip(numer / denom, 0.0, 1.0))
+
+
+def indicator_loop_reference(solver, rk, lo, hi):
+    """alpha of the owned rows [lo, hi) of a solver rank, summed one stencil
+    slot at a time: the per-neighbour loop and accumulate body the stepper
+    ran before the indicator took whole stencil blocks.  Needs the entropies
+    and fluxes of the current state (phase step0) in rk."""
+    sl = slice(lo, hi)
+    cols = rk.cols[sl]
+    U_i = rk.U[sl]
+    U_j = rk.U[cols]
+    c = rk.c_slot[sl]
+    acc = IndicatorAccumulator(solver.gas)
+    acc.reset(U_i, eta_over_rho_i=rk.eor[sl], f_i=rk.f[sl])
+    for s in range(rk.width):
+        js = cols[:, s]
+        U_js, c_ij, eta_over_rho_j, f_j = U_j[:, s], c[:, s], rk.eor[js], rk.f[js]
+        mom_j = U_js[..., 1:-1]
+        acc.a += (eta_over_rho_j - acc.eor_i) * (mom_j * c_ij).sum(axis=-1)
+        acc.b += ((f_j - acc.f_i) * c_ij[..., None, :]).sum(axis=-1)
+    return acc.result()
 
 
 # ----- limiter feasibility bisection -----------------------------------------

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from eulerflow import problems
+from eulerflow.assembly import assemble
 from eulerflow.indicator import IndicatorAccumulator
+from eulerflow.stepper import Solver
 
 import oracles
 
@@ -26,8 +29,7 @@ def test_matches_reference():
         c_rows = rng.normal(0.0, 0.5, (card, 2))
         acc = IndicatorAccumulator()
         acc.reset(U_i)
-        for U_j, c in zip(neighbors, c_rows):
-            acc.accumulate(U_j, c)
+        acc.accumulate(neighbors, c_rows)
         expect = oracles.indicator_reference(U_i, neighbors, c_rows)
         assert float(acc.result()) == pytest.approx(expect, rel=1e-12, abs=1e-13)
 
@@ -37,8 +39,7 @@ def test_constant_state_is_exactly_zero():
     U = random_states(rng, 1)[0]
     acc = IndicatorAccumulator()
     acc.reset(U)
-    for _ in range(8):
-        acc.accumulate(U.copy(), rng.normal(0.0, 1.0, 2))
+    acc.accumulate(np.tile(U, (8, 1)), rng.normal(0.0, 1.0, (8, 2)))
     assert float(acc.result()) == 0.0
 
 
@@ -48,8 +49,7 @@ def test_result_clipped_to_unit_interval():
         states = random_states(rng, 6)
         acc = IndicatorAccumulator()
         acc.reset(states[0])
-        for U_j in states[1:]:
-            acc.accumulate(U_j, rng.normal(0.0, 2.0, 2))
+        acc.accumulate(states[1:], rng.normal(0.0, 2.0, (5, 2)))
         alpha = float(acc.result())
         assert 0.0 <= alpha <= 1.0
 
@@ -62,18 +62,34 @@ def test_batched_rows_match_scalar():
     cs = rng.normal(0.0, 1.0, (card, nrows, 2))
     acc = IndicatorAccumulator()
     acc.reset(U_i)
-    for s in range(card):
-        acc.accumulate(U_j[s], cs[s])
+    acc.accumulate(U_j, cs)
     batch = acc.result()
     for r in range(nrows):
         one = IndicatorAccumulator()
         one.reset(U_i[r])
-        for s in range(card):
-            one.accumulate(U_j[s, r], cs[s, r])
+        one.accumulate(U_j[:, r], cs[:, r])
         assert batch[r] == float(one.result())
 
 
 def test_accumulate_before_reset_raises():
     acc = IndicatorAccumulator()
     with pytest.raises(RuntimeError):
-        acc.accumulate(np.array([1.0, 0.0, 0.0, 2.5]), np.zeros(2))
+        acc.accumulate(np.array([[1.0, 0.0, 0.0, 2.5]]), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("dim,width", [(2, 11), (3, 33)])
+def test_stepper_blocks_match_the_slot_loop_bitwise(dim, width):
+    # padded slot blocks of the stepper, rough data so that most alpha are
+    # neither 0 nor 1
+    setup = problems.mach3_channel(dim, refine=1)
+    mat = assemble(setup.mesh)
+    s = Solver(mat, ranks=2, chunk_size=256)
+    s.set_state(random_states(np.random.default_rng(dim), mat.n, dim))
+    s._phase("step0", s._k_entropies, ghosts=True)
+    s._phase("step1", s._k_viscosity, "alpha", ghosts=True)
+    assert s.pad_width == width
+    for rk in s.ranks:
+        n_lo = rk.numbering.n_lo
+        ref = oracles.indicator_loop_reference(s, rk, 0, n_lo)
+        assert np.array_equal(rk.alpha[:n_lo], ref)
+        assert 0.1 < np.mean((ref > 0.0) & (ref < 1.0))

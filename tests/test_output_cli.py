@@ -128,6 +128,15 @@ def test_config_rejects_bad_input(tmp_path):
         RunConfig(problem="nope").validate()
     with pytest.raises(ValueError):
         RunConfig(c_cfl=2.0).validate()
+    for bad in [
+        dict(refine=1.5), dict(refine=-1), dict(limiter_passes=2.0), dict(newton_steps=-1),
+        dict(workers=True), dict(workers=0), dict(ranks=1.0), dict(output_every=2.5),
+        dict(t_final=float("inf")), dict(t_final=float("nan")), dict(t_final=0.0),
+    ]:
+        with pytest.raises(ValueError):
+            RunConfig(**bad).validate()
+    RunConfig(refine=np.int64(1), workers=2, output_every=0, t_final=1).validate()
+    assert main(["--problem", "sod1d", "--t-final", "inf"]) == 1
 
 
 def test_parser_exposes_documented_flags():

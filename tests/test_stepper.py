@@ -157,7 +157,7 @@ def test_rejects_inadmissible_initial_state(small_periodic):
 
 
 def test_invalid_parameters(small_periodic):
-    mat, _ = small_periodic
+    mat, U = small_periodic
     with pytest.raises(ValueError):
         Solver(mat, c_cfl=0.0)
     with pytest.raises(ValueError):
@@ -172,6 +172,24 @@ def test_invalid_parameters(small_periodic):
                 Solver(mat, **{name: bad})
     Solver(mat, limiter_passes=0, newton_steps=0, workers=1, ranks=1, chunk_size=1)
     Solver(mat, limiter_passes=np.int64(1), newton_steps=np.int64(3), ranks=np.int32(2))
+
+    # time arguments are checked before any phase runs
+    s = Solver(mat)
+    s.set_state(U)
+    for bad in (np.nan, np.inf, -np.inf, -1.0, True, "1", None):
+        with pytest.raises(ValueError):
+            s.advance(bad)
+    for step in (s.euler_step, s.ssp_rk3_step):
+        for bad in (-1e-3, 0.0, np.nan, np.inf, -np.inf, True, "1e-3"):
+            with pytest.raises(ValueError):
+                step(tau=bad)
+        for bad in (-1e-3, 0.0, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                step(tau_max=bad)
+    assert s.n_euler_steps == 0 and s.timers["step0"] == 0.0
+    assert np.array_equal(s.get_state(), U)
+    assert s.advance(0.0) == 0
+    assert s.advance(np.float64(1e-3)) > 0
 
     # boundary data: node ids in [0, n), an admissible farfield for inflow
     # nodes and one normal per slip node
@@ -365,3 +383,51 @@ def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
     monkeypatch.setattr(riemann, "d_ij_low", counting)
     s.euler_step()
     assert sum(evaluated) == (mat.nnz - mat.n) // 2
+
+
+def test_correction_reuses_the_low_order_products():
+    # step 3 leaves (dH - d) dU in P; step 4's P equals the formula that
+    # gathers U and alpha again
+    setup = problems.mach3_channel(2, refine=0)
+    mat = assemble(setup.mesh)
+    s = Solver(mat, ranks=2, limiter_passes=1, boundary=setup.boundary)
+    s.set_state(random_field(np.random.default_rng(5), mat.n))
+    tau = s.euler_step()
+    for rk in s.ranks:
+        # the step swapped U and U_next, so U_next holds the state stepped from
+        U = rk.U_next
+        sl = slice(0, rk.numbering.n_lo)
+        cols = rk.cols[sl]
+        d = rk.d[sl]
+        dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
+        dU = U[cols] - U[sl][:, None]
+        K = (
+            rk.b_slot[sl][..., None] * rk.R[cols]
+            - rk.bT_slot[sl][..., None] * rk.R[sl][:, None]
+            + (dH - d)[..., None] * dU
+        )
+        factor = tau * rk.inv_m[sl] * (rk.card[sl] - 1)
+        assert np.array_equal(rk.P[sl], factor[:, None, None] * K)
+        assert np.count_nonzero(rk.P[sl]) > 0
+
+
+def test_cylinder3d_steps_identically_over_ranks_workers_and_overlap():
+    setup = problems.mach3_channel(3, refine=0)
+    mat = assemble(setup.mesh)
+    assert mat.n == 208
+    finals = []
+    configs = [(1, 1, True, 2048), (3, 2, True, 64), (2, 1, False, 2048)]
+    for ranks, workers, overlap, chunk in configs:
+        s = Solver(mat, ranks=ranks, workers=workers, overlap=overlap, chunk_size=chunk,
+                   boundary=setup.boundary)
+        s.set_state(setup.U0)
+        for _ in range(10):
+            s.ssp_rk3_step()
+            assert physics.is_admissible(s.get_state()).all()
+            for rk in s.ranks:
+                alpha = rk.alpha[:rk.numbering.n_lo]
+                assert ((alpha >= 0.0) & (alpha <= 1.0)).all()
+        finals.append(s.get_state())
+    assert not np.array_equal(finals[0], setup.U0)
+    for state in finals[1:]:
+        assert np.array_equal(state, finals[0])
