@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-import numpy as np
-
-from .stepper import _is_int
+from .stepper import _is_finite, _is_int
 
 __all__ = ["RunConfig", "parse_config_file"]
 
@@ -42,7 +40,7 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        if not (np.isfinite(self.t_final) and self.t_final > 0.0):
+        if not (_is_finite(self.t_final) and self.t_final > 0.0):
             raise ValueError("t_final must be a finite number > 0")
         return self
 

@@ -26,8 +26,9 @@ class IndicatorAccumulator:
     All arrays broadcast over leading axes, so a batch of rows can be
     processed with one accumulator.  Pass the whole stencil, slot axis
     first: the j-arrays have one more leading axis than the i-arrays, and
-    j = i contributes zero.  On C-ordered blocks numpy adds the slots one
-    after the other, in the order of a loop over the stencil.
+    j = i contributes zero.  On C-ordered blocks the slots are added one
+    after the other, in the order of a loop over the stencil, whatever the
+    number of rows.
     """
 
     def __init__(self, gas: GasConstants = AIR):
@@ -53,10 +54,14 @@ class IndicatorAccumulator:
             raise RuntimeError("accumulate called before reset")
         if eta_over_rho_j is None:
             eta_over_rho_j = physics.harten_entropy(U_j, self.gas) / U_j[..., 0]
-        mom_j = U_j[..., 1:-1]
-        self.a += np.add.reduce((eta_over_rho_j - self.eor_i) * (mom_j * c_ij).sum(axis=-1), axis=0)
         if f_j is None:
             f_j = physics.flux(U_j, self.gas)
+        mom_j = U_j[..., 1:-1]
+        # np.add.reduce sums pairwise when the slot axis is the only axis it
+        # walks, as on a one-row block; accumulate always sums slot after slot
+        a_term = (eta_over_rho_j - self.eor_i) * (mom_j * c_ij).sum(axis=-1)
+        self.a += np.add.accumulate(a_term, axis=0)[-1]
+        # the variable axis is innermost, so this reduce is slot after slot
         self.b += np.add.reduce(((f_j - self.f_i) * c_ij[..., None, :]).sum(axis=-1), axis=0)
 
     def result(self) -> np.ndarray:

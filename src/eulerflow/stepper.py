@@ -6,8 +6,9 @@ wavespeed bound (once per edge, on the upper triangle) together with the
 entropy-commutator indicator (one pass over each chunk's stencil block), the
 viscosity mirroring and time-step bound, the low-order update with its
 bar-state bounds, which also leaves the viscous part (d^H_ij - d_ij)(U_j -
-U_i) of the correction fluxes in P, the antisymmetric high-order correction
-fluxes completed from P, and finally one or more symmetrized limiter passes.
+U_i) of the correction fluxes in P when limiter passes follow, the
+antisymmetric high-order correction fluxes completed from P, and finally one
+or more symmetrized limiter passes.
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -475,7 +476,8 @@ class Solver:
         dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
         rk.R[sl] = (dH[..., None] * dU - fdc).sum(axis=1)
         # the viscous part of the correction fluxes; _k_correction adds the rest
-        np.multiply((dH - d)[..., None], dU, out=rk.P[sl])
+        if self.limiter_passes:
+            np.multiply((dH - d)[..., None], dU, out=rk.P[sl])
         d_safe = np.where(d != 0.0, d, 1.0)
         corr = np.where(d[..., None] != 0.0, fdc / (2.0 * d_safe[..., None]), 0.0)
         Ubar = 0.5 * (U_i[:, None] + U_j) - corr

@@ -13,7 +13,7 @@ def run_demo(script, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -77,19 +77,28 @@ def test_accumulate_before_reset_raises():
         acc.accumulate(np.array([[1.0, 0.0, 0.0, 2.5]]), np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("dim,width", [(2, 11), (3, 33)])
-def test_stepper_blocks_match_the_slot_loop_bitwise(dim, width):
+@pytest.mark.parametrize("dim,width,tail", [(2, 11, 61), (3, 33, 29)])
+def test_stepper_blocks_match_the_slot_loop_bitwise(dim, width, tail):
     # padded slot blocks of the stepper, rough data so that most alpha are
-    # neither 0 nor 1
+    # neither 0 nor 1; chunk_size 1, and a chunk size that leaves one owned
+    # row in the chunk across the end of the owned rows, give one-row blocks
     setup = problems.mach3_channel(dim, refine=1)
     mat = assemble(setup.mesh)
-    s = Solver(mat, ranks=2, chunk_size=256)
-    s.set_state(random_states(np.random.default_rng(dim), mat.n, dim))
-    s._phase("step0", s._k_entropies, ghosts=True)
-    s._phase("step1", s._k_viscosity, "alpha", ghosts=True)
-    assert s.pad_width == width
-    for rk in s.ranks:
-        n_lo = rk.numbering.n_lo
-        ref = oracles.indicator_loop_reference(s, rk, 0, n_lo)
-        assert np.array_equal(rk.alpha[:n_lo], ref)
-        assert 0.1 < np.mean((ref > 0.0) & (ref < 1.0))
+    U = random_states(np.random.default_rng(dim), mat.n, dim)
+    alphas = []
+    for chunk in (None, 1, tail):
+        s = Solver(mat, ranks=2) if chunk is None else Solver(mat, ranks=2, chunk_size=chunk)
+        s.set_state(U)
+        s._phase("step0", s._k_entropies, ghosts=True)
+        s._phase("step1", s._k_viscosity, "alpha", ghosts=True)
+        assert s.pad_width == width
+        if chunk == tail:
+            assert all((rk.numbering.n_lo - 1) % tail == 0 for rk in s.ranks)
+        for rk in s.ranks:
+            n_lo = rk.numbering.n_lo
+            ref = oracles.indicator_loop_reference(s, rk, 0, n_lo)
+            assert np.array_equal(rk.alpha[:n_lo], ref)
+            assert 0.1 < np.mean((ref > 0.0) & (ref < 1.0))
+        alphas.append(np.concatenate([rk.alpha[:rk.numbering.n_lo] for rk in s.ranks]))
+    for alpha in alphas[1:]:
+        assert np.array_equal(alpha, alphas[0])

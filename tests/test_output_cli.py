@@ -132,6 +132,7 @@ def test_config_rejects_bad_input(tmp_path):
         dict(refine=1.5), dict(refine=-1), dict(limiter_passes=2.0), dict(newton_steps=-1),
         dict(workers=True), dict(workers=0), dict(ranks=1.0), dict(output_every=2.5),
         dict(t_final=float("inf")), dict(t_final=float("nan")), dict(t_final=0.0),
+        dict(t_final=True), dict(t_final="1"),
     ]:
         with pytest.raises(ValueError):
             RunConfig(**bad).validate()
