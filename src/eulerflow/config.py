@@ -30,8 +30,8 @@ class RunConfig:
     def validate(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}, choose from {PROBLEMS}")
-        if not 0.0 < self.c_cfl <= 1.0:
-            raise ValueError("c_cfl must lie in (0, 1]")
+        if not (_is_finite(self.c_cfl) and 0.0 < self.c_cfl <= 1.0):
+            raise ValueError("c_cfl must be a number in (0, 1]")
         for name in ("refine", "limiter_passes", "newton_steps", "output_every"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import physics
-from .physics import AIR, GasConstants
+from .physics import AIR, GasConstants, component_sum
 
 __all__ = ["IndicatorAccumulator", "DENOMINATOR_FLOOR"]
 
@@ -59,19 +59,19 @@ class IndicatorAccumulator:
         mom_j = U_j[..., 1:-1]
         # np.add.reduce sums pairwise when the slot axis is the only axis it
         # walks, as on a one-row block; accumulate always sums slot after slot
-        a_term = (eta_over_rho_j - self.eor_i) * (mom_j * c_ij).sum(axis=-1)
+        a_term = (eta_over_rho_j - self.eor_i) * component_sum(mom_j * c_ij)
         self.a += np.add.accumulate(a_term, axis=0)[-1]
         # the variable axis is innermost, so this reduce is slot after slot
-        self.b += np.add.reduce(((f_j - self.f_i) * c_ij[..., None, :]).sum(axis=-1), axis=0)
+        self.b += np.add.reduce(component_sum((f_j - self.f_i) * c_ij[..., None, :]), axis=0)
 
     def result(self) -> np.ndarray:
         """Normalized ratio alpha = N / D clamped to [0, 1]; 0 when D vanishes."""
         numer = np.abs(
-            self.a - (self.etaprime_i * self.b).sum(axis=-1) + self.eor_i * self.b[..., 0]
+            self.a - component_sum(self.etaprime_i * self.b) + self.eor_i * self.b[..., 0]
         )
         weights = np.abs(self.etaprime_i.copy())
         weights[..., 0] = np.abs(self.etaprime_i[..., 0] - self.eor_i)
-        denom = np.abs(self.a) + (weights * np.abs(self.b)).sum(axis=-1)
+        denom = np.abs(self.a) + component_sum(weights * np.abs(self.b))
         safe = np.where(denom > DENOMINATOR_FLOOR, denom, 1.0)
         alpha = np.clip(numer / safe, 0.0, 1.0)
         return np.where(denom > DENOMINATOR_FLOOR, alpha, 0.0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .physics import AIR, GasConstants, power
+from .physics import AIR, GasConstants, component_sum, power
 
 __all__ = [
     "psi_entropy",
@@ -42,7 +42,7 @@ def _rho_eps(U: np.ndarray) -> np.ndarray:
     rho = U[..., 0]
     mom = U[..., 1:-1]
     E = U[..., -1]
-    return rho * E - 0.5 * (mom * mom).sum(axis=-1)
+    return rho * E - 0.5 * component_sum(mom * mom)
 
 
 def psi_entropy(U: np.ndarray, phi_min: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
@@ -65,7 +65,7 @@ def dpsi_dt(
     return (
         rho_p * E
         + rho * E_p
-        - (mom * mom_p).sum(axis=-1)
+        - component_sum(mom * mom_p)
         - phi_min * (gas.gamma + 1.0) * power(rho, gas.gamma) * rho_p
     )
 
@@ -121,8 +121,14 @@ def limiter_compute(
     performs up to max_newton bracketing quadratic Newton iterations on the
     entropy constraint.  An entry leaves the iteration when Psi(t_R) >= 0
     (l = t_R) or Psi(t_L) <= tol (l = t_L); each iteration gathers the entries
-    still open and runs the Newton update on those only.  The factor of each
-    entry is the same as with a single entry.
+    still open and runs the Newton update on those only.  With max_newton = 0
+    the test at the density-clamped t_R still runs: l = t_R where
+    Psi(t_R) >= 0 and 0 elsewhere.  The factor of each entry is the same as
+    with a single entry.
+
+    An entry with P = 0 (of either sign) never reaches a Newton update: its
+    factor is t_R where Psi(U) >= 0 and 0 elsewhere, so it depends on its
+    base state and bounds alone.
     """
     shape = np.broadcast_shapes(
         U.shape[:-1], P.shape[:-1],
@@ -152,10 +158,13 @@ def limiter_compute(
     # first narrowing, then a tuple of index arrays
     open_ix = ...
     U_o, P_o, phi_o, tol_o, tL, tR = U, P, phi_min, tol, t_L, t_R
-    for _ in range(max_newton):
+    # the test at t_R runs once even without Newton iterations
+    for _ in range(max(max_newton, 1)):
         Psi_R = psi_entropy(U_o + tR[..., None] * P_o, phi_o, gas)
         closed = Psi_R >= 0.0
         t_L[open_ix] = np.where(closed, tR, tL)
+        if not max_newton:
+            break
         open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R) = _narrow(
             open_ix, ~closed, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import AIR, AdmissibilityError, GasConstants, power
+from .physics import AIR, AdmissibilityError, GasConstants, component_sum, power
 
 __all__ = [
     "Projected1DState",
@@ -58,9 +58,9 @@ def project(U: np.ndarray, n: np.ndarray, gas: GasConstants = AIR) -> Projected1
     rho = U[..., 0]
     mom = U[..., 1:-1]
     E = U[..., -1]
-    m_t = (mom * n).sum(axis=-1)
+    m_t = component_sum(mom * n)
     tang = mom - m_t[..., None] * n
-    E_t = E - 0.5 * (tang * tang).sum(axis=-1) / rho
+    E_t = E - 0.5 * component_sum(tang * tang) / rho
     u = m_t / rho
     p = gas.gm1 * (E_t - 0.5 * m_t * m_t / rho)
     if np.any(rho <= 0.0) or np.any(p <= 0.0):
@@ -128,8 +128,8 @@ def d_ij_low(
     Zero-length c vectors contribute zero; the select keeps the control flow
     lane-uniform.
     """
-    norm_ij = np.linalg.norm(c_ij, axis=-1)
-    norm_ji = np.linalg.norm(c_ji, axis=-1)
+    norm_ij = np.sqrt(component_sum(c_ij * c_ij))
+    norm_ji = np.sqrt(component_sum(c_ji * c_ji))
     e1 = np.zeros_like(c_ij)
     e1[..., 0] = 1.0
     n_ij = np.where(norm_ij[..., None] > 0.0, c_ij / np.where(norm_ij, norm_ij, 1.0)[..., None], e1)

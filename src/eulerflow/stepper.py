@@ -8,7 +8,13 @@ viscosity mirroring and time-step bound, the low-order update with its
 bar-state bounds, which also leaves the viscous part (d^H_ij - d_ij)(U_j -
 U_i) of the correction fluxes in P when limiter passes follow, the
 antisymmetric high-order correction fluxes completed from P, and finally one
-or more symmetrized limiter passes.
+or more symmetrized limiter passes.  The first pass limits every padded slot.
+Each later pass scales P by 1 - min(l_ij, l_ji), which leaves P = 0 wherever
+the previous factor was 1; the limiter value of such an entry depends on its
+row alone, so one limiter batch per chunk holds each row once, with a zero
+P, and the entries with min(l_ij, l_ji) < 1.  With newton_steps = 0 an entry
+still takes its density-clamped full step where that step meets the entropy
+bound (see limiter.limiter_compute).
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -161,8 +167,8 @@ class Solver:
         boundary: Optional[BoundaryConditions] = None,
         gas: GasConstants = AIR,
     ):
-        if not 0.0 < c_cfl <= 1.0:
-            raise ValueError("c_cfl must lie in (0, 1]")
+        if not (_is_finite(c_cfl) and 0.0 < c_cfl <= 1.0):
+            raise ValueError("c_cfl must be a number in (0, 1]")
         for name, value in (("limiter_passes", limiter_passes), ("newton_steps", newton_steps)):
             if not _is_int(value) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0")
@@ -468,7 +474,9 @@ class Solver:
         U_i = rk.U[sl]
         U_j = rk.U[cols]
         dU = U_j - U_i[:, None]
-        fdc = ((rk.f[cols] - rk.f[sl][:, None]) * rk.c_slot[sl][:, :, None, :]).sum(axis=-1)
+        fdc = physics.component_sum(
+            (rk.f[cols] - rk.f[sl][:, None]) * rk.c_slot[sl][:, :, None, :]
+        )
         d = rk.d[sl]
         rk.U_next[sl] = U_i + (tau * rk.inv_m[sl])[:, None] * (
             (d[..., None] * dU - fdc).sum(axis=1)
@@ -485,12 +493,11 @@ class Solver:
         rk.rho_max[sl] = Ubar[..., 0].max(axis=1)
         rk.phi_min[sl] = rk.phi[cols].min(axis=1)
 
-    def _limit(self, rk, sl):
-        """Limiter values of the rows sl for the correction fluxes in P."""
+    def _limit(self, rk, rows, P):
+        """Limiter values of the correction fluxes P; rows holds the row of
+        each entry of P (broadcast against P's leading axes)."""
         return limiter.limiter_compute(
-            rk.U_next[sl][:, None, :], rk.P[sl],
-            rk.rho_min[sl][:, None], rk.rho_max[sl][:, None],
-            rk.phi_min[sl][:, None],
+            rk.U_next[rows], P, rk.rho_min[rows], rk.rho_max[rows], rk.phi_min[rows],
             max_newton=self.newton_steps, gas=self.gas,
         )
 
@@ -500,7 +507,7 @@ class Solver:
         P += (rk.b_slot[sl][..., None] * rk.R[rk.cols[sl]]
               - rk.bT_slot[sl][..., None] * rk.R[sl][:, None])
         P *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
-        rk.l[sl] = self._limit(rk, sl)
+        rk.l[sl] = self._limit(rk, np.arange(lo, hi)[:, None], P)
 
     def _k_limited_update(self, rk, lo, hi, last):
         sl = slice(lo, hi)
@@ -510,9 +517,21 @@ class Solver:
         rk.U_next[sl] += rk.lam[sl][:, None] * upd
         if last:
             self._k_boundary(rk, lo, hi)
-        else:
-            rk.P[sl] *= (1.0 - minl)[..., None]
-            rk.l_next[sl] = self._limit(rk, sl)
+            return
+        P = rk.P[sl]
+        P *= (1.0 - minl)[..., None]
+        # P is +-0 wherever minl == 1, and the limiter value of such an entry
+        # depends on its row alone: one batch holds every row with a zero P
+        # and the entries with minl < 1
+        live_rows, live_slots = np.nonzero(minl < 1.0)
+        rows = np.arange(lo, hi)
+        l = self._limit(
+            rk, np.concatenate([rows, rows[live_rows]]),
+            np.concatenate([np.zeros((hi - lo, self.nvar)), P[live_rows, live_slots]]),
+        )
+        l_next = rk.l_next[sl]
+        l_next[:] = l[: hi - lo, None]
+        l_next[live_rows, live_slots] = l[hi - lo:]
 
     def _k_boundary(self, rk, lo, hi):
         if len(rk.slip_idx):
@@ -521,7 +540,7 @@ class Solver:
             if len(idx):
                 nrm = rk.slip_n[in_range]
                 mom = rk.U_next[idx, 1:-1]
-                rk.U_next[idx, 1:-1] = mom - (mom * nrm).sum(axis=1)[:, None] * nrm
+                rk.U_next[idx, 1:-1] = mom - physics.component_sum(mom * nrm)[:, None] * nrm
         if len(rk.inflow_idx):
             idx = rk.inflow_idx[(rk.inflow_idx >= lo) & (rk.inflow_idx < hi)]
             if len(idx):

@@ -185,6 +185,22 @@ def limiter_bisection(U, P, rho_min, rho_max, phi_min, gamma=GAMMA,
     return lo
 
 
+def limiter_entries_reference(solver, rk, lo, hi):
+    """Limiter values of the owned rows [lo, hi) of a solver rank with one
+    limiter_compute entry per (row, slot), padding included: the dense batch
+    that every limiter pass of the stepper ran before the second and later
+    passes settled the entries with a zero correction once per row.  Needs
+    the pass's U_next, P and bounds in rk."""
+    from eulerflow.limiter import limiter_compute
+
+    sl = slice(lo, hi)
+    return limiter_compute(
+        rk.U_next[sl][:, None, :], rk.P[sl],
+        rk.rho_min[sl][:, None], rk.rho_max[sl][:, None], rk.phi_min[sl][:, None],
+        max_newton=solver.newton_steps, gas=solver.gas,
+    )
+
+
 # ----- dense single-rank forward-Euler step ----------------------------------
 
 def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,

@@ -65,3 +65,29 @@ def test_traced_step_records_every_layer():
     for (owner, attr), original in zip(TRACED, originals):
         assert getattr(owner, attr) is original, attr
     assert physics._pow is np.power
+
+
+def test_second_limiter_pass_runs_on_fewer_lanes_than_the_stencil():
+    # the first pass limits every padded slot of every row; the second one
+    # batches one entry per row plus the entries that are still limited
+    spans = load_spans()
+    mat = assemble(rectangle_mesh(6, 6, periodic=(True, True)))
+    rng = np.random.default_rng(3)
+    U = np.tile([1.0, 0.2, -0.1, 2.5], (mat.n, 1))
+    U[:, 0] += 0.2 * rng.random(mat.n)
+
+    lanes = {}
+    for passes in (1, 2):
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        try:
+            solver = stepper.Solver(mat, limiter_passes=passes)
+            solver.set_state(U)
+            solver.euler_step()
+        finally:
+            tracer.uninstall()
+        lanes[passes] = tracer.counts["limiter.lanes"]
+    n_lo = solver.ranks[0].numbering.n_lo
+    assert lanes[1] == n_lo * solver.pad_width
+    second = lanes[2] - lanes[1]
+    assert n_lo < second < n_lo * solver.pad_width

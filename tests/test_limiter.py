@@ -237,6 +237,39 @@ def test_batched_matches_scalar():
                 assert batch[i, s] == one
 
 
+def test_no_newton_steps_keep_the_admissible_clamped_step():
+    # without Newton iterations an entry still takes its density-clamped t_R
+    # where Psi(t_R) >= 0, and 0 elsewhere
+    rng = np.random.default_rng(11)
+    U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
+    l0 = limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=0)
+    l2 = limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2)
+    assert (l0 <= l2).all()
+    n, L, _ = P.shape
+    taken = 0
+    for i in range(n):
+        rho = U[i, 0, 0]
+        for s in range(L):
+            rho_p = P[i, s, 0]
+            t_R = 1.0
+            if rho + rho_p > rho_max[i, 0]:
+                t_R = abs(rho_max[i, 0] - rho) / abs(rho_p)
+            elif rho + rho_p < rho_min[i, 0]:
+                t_R = abs(rho_min[i, 0] - rho) / abs(rho_p)
+            t_R = min(max(t_R, 0.0), 1.0)
+            if float(psi_entropy(U[i, 0] + t_R * P[i, s], phi_min[i, 0])) >= 0.0:
+                assert l0[i, s] == t_R
+                taken += 1
+            else:
+                assert l0[i, s] == 0.0
+    assert 0 < taken < n * L
+
+    U, P, rho_min, rho_max, phi_min = make_case(rng)
+    P = 1e-3 * P
+    assert float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=1)) == 1.0
+    assert float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=0)) == 1.0
+
+
 def primitive_state(rho, velocity, p):
     U = np.empty(len(velocity) + 2)
     U[0] = rho

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eulerflow import physics
 from eulerflow.physics import AIR, AdmissibilityError, GasConstants
@@ -18,6 +19,28 @@ def random_admissible(rng, n, dim):
     p = 0.05 + 2.0 * rng.random(n)
     U[:, -1] = p / AIR.gm1 + 0.5 * (U[:, 1:-1] ** 2).sum(axis=1) / U[:, 0]
     return U
+
+
+# values from 1e-13 to 1e14 in magnitude, zeros of both signs included
+WIDE = st.tuples(st.floats(-10.0, 10.0), st.integers(-13, 13)).map(lambda t: t[0] * 10.0 ** t[1])
+
+
+@given(
+    x=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=WIDE),
+    layout=st.sampled_from(["contiguous", "transposed", "one-row", "blocks"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_component_sum_equals_numpy_sum_bitwise(x, layout):
+    if layout == "transposed":
+        x = np.asfortranarray(x)
+    elif layout == "one-row":
+        x = x[:1]
+    elif layout == "blocks":
+        x = np.broadcast_to(x, (3,) + x.shape) * np.array([1.0, -1.0, 1e-7])[:, None, None]
+    got = physics.component_sum(x)
+    want = x.sum(axis=-1)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_gas_constants():

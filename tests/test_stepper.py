@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import assembly, physics, problems, riemann, stepper
+from eulerflow import assembly, limiter, physics, problems, riemann, stepper
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
 from eulerflow.physics import AdmissibilityError
@@ -158,10 +158,11 @@ def test_rejects_inadmissible_initial_state(small_periodic):
 
 def test_invalid_parameters(small_periodic):
     mat, U = small_periodic
-    with pytest.raises(ValueError):
-        Solver(mat, c_cfl=0.0)
-    with pytest.raises(ValueError):
-        Solver(mat, c_cfl=1.5)
+    for bad in (0.0, 1.5, np.nan, True, "0.5", None):
+        with pytest.raises(ValueError):
+            Solver(mat, c_cfl=bad)
+    Solver(mat, c_cfl=1)
+    Solver(mat, c_cfl=np.float32(0.5))
     for name in ("limiter_passes", "newton_steps"):
         for bad in (-1, 1.5, 2.0, True, "2", None):
             with pytest.raises(ValueError):
@@ -309,6 +310,22 @@ def test_alpha_zero_on_constant_state(small_periodic):
     assert np.abs(s.ranks[0].alpha).max() == 0.0
 
 
+def test_no_newton_steps_still_apply_the_correction(small_periodic):
+    # newton_steps=0 keeps every correction whose full step is admissible;
+    # it is not the low-order update of limiter_passes=0
+    mat, U = small_periodic
+
+    def run(**kw):
+        s = Solver(mat, **kw)
+        s.set_state(U)
+        s.ssp_rk3_step()
+        return s.get_state()
+
+    state = run(newton_steps=0)
+    assert physics.is_admissible(state).all()
+    assert not np.array_equal(state, run(limiter_passes=0))
+
+
 def test_timers_and_counters_advance(small_periodic):
     mat, U = small_periodic
     s = Solver(mat, ranks=2)
@@ -409,6 +426,46 @@ def test_correction_reuses_the_low_order_products():
         factor = tau * rk.inv_m[sl] * (rk.card[sl] - 1)
         assert np.array_equal(rk.P[sl], factor[:, None, None] * K)
         assert np.count_nonzero(rk.P[sl]) > 0
+
+
+def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
+    # the second pass settles entries with minl == 1 once per row; every
+    # value must equal the per-entry limiter on the whole padded stencil,
+    # also in a row whose base state violates its raised entropy bound
+    setup = problems.mach3_channel(2, refine=1)
+    mat = assemble(setup.mesh)
+    s = Solver(mat, ranks=2, chunk_size=64, boundary=setup.boundary)
+    s.set_state(setup.U0)
+    for _ in range(3):
+        s.ssp_rk3_step()
+    original = s._k_limited_update
+    seen = dict(chunks=0, live=0, dead=0, pads=0, diagonal=0, forced=0)
+
+    def checked(rk, lo, hi, last):
+        if last:
+            return original(rk, lo, hi, last)
+        sl = slice(lo, hi)
+        # raise the entropy bound of one row so that Psi(U_i) < 0 there
+        rk.phi_min[lo] = 2.0 * physics.specific_entropy_phi(rk.U_next[lo])
+        lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
+        live = np.minimum(rk.l[sl], lT) < 1.0
+        original(rk, lo, hi, last)
+        assert limiter.psi_entropy(rk.U_next[lo], rk.phi_min[lo]) < 0.0
+        want = oracles.limiter_entries_reference(s, rk, lo, hi)
+        assert np.array_equal(rk.l_next[sl], want)
+        assert (rk.l_next[lo] == 0.0).all()
+        seen["chunks"] += 1
+        seen["live"] += np.count_nonzero(live)
+        seen["dead"] += np.count_nonzero(~live)
+        seen["pads"] += np.count_nonzero(~rk.valid[sl])
+        seen["diagonal"] += np.count_nonzero(~live[np.arange(hi - lo), rk.diag_slot[sl]])
+        seen["forced"] += np.count_nonzero(~live[0])
+        return None
+
+    monkeypatch.setattr(s, "_k_limited_update", checked)
+    s.euler_step()
+    assert seen["chunks"] > 2
+    assert min(seen.values()) > 0, seen
 
 
 def test_cylinder3d_steps_identically_over_ranks_workers_and_overlap():
