@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .stepper import _is_finite, _is_int
+from .stepper import _is_bool, _is_finite, _is_int
 
 __all__ = ["RunConfig", "parse_config_file"]
 
@@ -42,6 +42,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= 1")
         if not (_is_finite(self.t_final) and self.t_final > 0.0):
             raise ValueError("t_final must be a finite number > 0")
+        for name in ("overlap", "perf"):
+            if not _is_bool(getattr(self, name)):
+                raise ValueError(f"{name} must be a bool")
         return self
 
 

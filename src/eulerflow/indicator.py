@@ -35,34 +35,40 @@ class IndicatorAccumulator:
         self.gas = gas
         self._ready = False
 
-    def reset(self, U_i: np.ndarray, eta_over_rho_i=None, f_i=None):
+    def reset(self, U_i: np.ndarray, eta_over_rho_i=None):
+        self.U_i = U_i
         eta_i = physics.harten_entropy(U_i, self.gas)
         self.eor_i = eta_i / U_i[..., 0] if eta_over_rho_i is None else eta_over_rho_i
         self.etaprime_i = physics.harten_entropy_derivative(U_i, self.gas)
-        self.f_i = physics.flux(U_i, self.gas) if f_i is None else f_i
         self.a = np.zeros(U_i.shape[:-1], dtype=U_i.dtype)
         self.b = np.zeros(U_i.shape, dtype=U_i.dtype)
         self._ready = True
 
-    def accumulate(self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j=None, f_j=None):
+    def accumulate(self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j=None, fdc=None):
         """Add the contributions of the stencil neighbors j along axis 0.
 
-        Precomputed per-node quantities can be passed to avoid recomputation
-        in hot loops.
+        fdc is the flux contraction (f_j - f_i) . c_ij of every neighbor, of
+        the shape of U_j, as physics.flux_contraction forms it; the stepper
+        passes a slot-first view of the contraction it keeps for the
+        low-order update.  Like eta_over_rho_j, it is computed here when it
+        is not given.
         """
         if not self._ready:
             raise RuntimeError("accumulate called before reset")
         if eta_over_rho_j is None:
             eta_over_rho_j = physics.harten_entropy(U_j, self.gas) / U_j[..., 0]
-        if f_j is None:
-            f_j = physics.flux(U_j, self.gas)
+        if fdc is None:
+            fdc = physics.flux_contraction(
+                physics.flux(U_j, self.gas), physics.flux(self.U_i, self.gas), c_ij,
+            )
         mom_j = U_j[..., 1:-1]
         # np.add.reduce sums pairwise when the slot axis is the only axis it
         # walks, as on a one-row block; accumulate always sums slot after slot
         a_term = (eta_over_rho_j - self.eor_i) * component_sum(mom_j * c_ij)
         self.a += np.add.accumulate(a_term, axis=0)[-1]
-        # the variable axis is innermost, so this reduce is slot after slot
-        self.b += np.add.reduce(component_sum((f_j - self.f_i) * c_ij[..., None, :]), axis=0)
+        # the variable axis is the innermost in memory, also on the stepper's
+        # slot-first view, so this reduce is slot after slot
+        self.b += np.add.reduce(fdc, axis=0)
 
     def result(self) -> np.ndarray:
         """Normalized ratio alpha = N / D clamped to [0, 1]; 0 when D vanishes."""

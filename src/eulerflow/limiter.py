@@ -14,13 +14,21 @@ A batch of entries is evaluated together at t_R.  Entries whose step is already
 final leave the batch, and the Newton iterations run only on the gathered
 operands of the entries still open.  Every operation is elementwise per entry,
 so an entry's result does not depend on the batch it was computed in.
+
+Psi along the ray, Psi(U + t P), is evaluated one state component at a
+time: each component of U + t P is formed as a 1-D array of the batch and
+added into the result, left to right as physics.component_sum adds, with
+no (..., d+2) temporary.  The batch's states come in as strided or
+broadcast (..., d+2) blocks, and the per-component arrays spare every
+operation a walk over that short axis; the values are those of
+psi_entropy(U + t[..., None] * P) bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .physics import AIR, GasConstants, component_sum, power
+from .physics import AIR, GasConstants, component_sum, power, sum_left_to_right
 
 __all__ = [
     "psi_entropy",
@@ -49,6 +57,19 @@ def psi_entropy(U: np.ndarray, phi_min: np.ndarray, gas: GasConstants = AIR) -> 
     """Psi = rho*eps - phi_min * rho^(gamma+1); nonnegative iff phi(U) >= phi_min."""
     rho = U[..., 0]
     return _rho_eps(U) - phi_min * power(rho, gas.gamma + 1.0)
+
+
+def _psi_on_ray(
+    U: np.ndarray, P: np.ndarray, t: np.ndarray, phi_min: np.ndarray, gas: GasConstants
+) -> np.ndarray:
+    """psi_entropy(U + t[..., None] * P, phi_min), one component at a time."""
+    def at(k):
+        return U[..., k] + t * P[..., k]
+
+    rho = at(0)
+    mom = (at(k) for k in range(1, U.shape[-1] - 1))
+    rho_eps = rho * at(-1) - 0.5 * sum_left_to_right(m * m for m in mom)
+    return rho_eps - phi_min * power(rho, gas.gamma + 1.0)
 
 
 def dpsi_dt(
@@ -160,7 +181,7 @@ def limiter_compute(
     U_o, P_o, phi_o, tol_o, tL, tR = U, P, phi_min, tol, t_L, t_R
     # the test at t_R runs once even without Newton iterations
     for _ in range(max(max_newton, 1)):
-        Psi_R = psi_entropy(U_o + tR[..., None] * P_o, phi_o, gas)
+        Psi_R = _psi_on_ray(U_o, P_o, tR, phi_o, gas)
         closed = Psi_R >= 0.0
         t_L[open_ix] = np.where(closed, tR, tL)
         if not max_newton:
@@ -168,7 +189,7 @@ def limiter_compute(
         open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R) = _narrow(
             open_ix, ~closed, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R
         )
-        Psi_L = psi_entropy(U_o + tL[..., None] * P_o, phi_o, gas)
+        Psi_L = _psi_on_ray(U_o, P_o, tL, phi_o, gas)
         open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L) = _narrow(
             open_ix, Psi_L > tol_o, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L
         )

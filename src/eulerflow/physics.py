@@ -9,7 +9,8 @@ which adds the components as whole arrays, left to right in index order.
 A numpy reduce over so short an inner axis pays its per-row setup on every
 row and runs an order of magnitude slower; the explicit adds give the same
 bits as numpy's sum, which adds a short axis in the same order starting
-from +0.0.
+from +0.0.  Kernels that hold the components as separate arrays add them
+with sum_left_to_right, which component_sum is built on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ __all__ = [
     "power",
     "set_power_function",
     "n_variables",
+    "sum_left_to_right",
     "component_sum",
+    "flux_contraction",
     "internal_energy",
     "pressure",
     "speed_of_sound",
@@ -87,18 +90,35 @@ def n_variables(dim: int) -> int:
     return dim + 2
 
 
-def component_sum(x: np.ndarray) -> np.ndarray:
-    """x[..., 0] + x[..., 1] + ..., added left to right.
+def sum_left_to_right(terms, out=None) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added left to right from +0.0.
+
+    terms may be a generator, so that each term is formed only when it is
+    added; the sum is written into out when one is given.  The +0.0 start
+    makes a sum of negative zeros +0.0, as numpy's sum does, and changes no
+    other value.
+    """
+    terms = iter(terms)
+    out = np.add(next(terms), 0.0, out=out)
+    for term in terms:
+        out += term
+    return out
+
+
+def component_sum(x: np.ndarray, out=None) -> np.ndarray:
+    """x[..., 0] + x[..., 1] + ..., added left to right (sum_left_to_right).
 
     On a last axis shorter than 8 this is numpy's sum over that axis, bit for
-    bit: numpy adds so few values in index order.  Like numpy's sum, it
-    starts from +0.0, so that a sum of negative zeros is +0.0; that start
-    changes no other value.
+    bit: numpy adds so few values in index order.
     """
-    out = x[..., 0] + 0.0
-    for k in range(1, x.shape[-1]):
-        out += x[..., k]
-    return out
+    return sum_left_to_right((x[..., k] for k in range(x.shape[-1])), out=out)
+
+
+def flux_contraction(f_j: np.ndarray, f_i: np.ndarray, c_ij: np.ndarray, out=None) -> np.ndarray:
+    """(f_j - f_i) . c_ij: each state component's flux difference contracted
+    with c_ij over the space axis, shape (..., d+2); written into out when
+    one is given."""
+    return component_sum((f_j - f_i) * c_ij[..., None, :], out=out)
 
 
 def _split(U: np.ndarray):

@@ -5,10 +5,14 @@ entropies and fluxes, the low-order graph viscosity from the two-rarefaction
 wavespeed bound (once per edge, on the upper triangle) together with the
 entropy-commutator indicator (one pass over each chunk's stencil block), the
 viscosity mirroring and time-step bound, the low-order update with its
-bar-state bounds, which also leaves the viscous part (d^H_ij - d_ij)(U_j -
-U_i) of the correction fluxes in P when limiter passes follow, the
-antisymmetric high-order correction fluxes completed from P, and finally one
-or more symmetrized limiter passes.  The first pass limits every padded slot.
+density bar-state bounds, the antisymmetric high-order correction fluxes,
+and finally one or more symmetrized limiter passes.  The per-slot buffer P
+carries work from phase to phase: step 1 writes the flux contraction
+(f_j - f_i) . c_ij of every slot into it, which the indicator sums and the
+low-order update reads, and step 3 then replaces it with the viscous part
+(d^H_ij - d_ij)(U_j - U_i) of the correction fluxes when limiter passes
+follow; step 4 completes the correction fluxes in place, and the limiter
+passes scale them.  The first pass limits every padded slot.
 Each later pass scales P by 1 - min(l_ij, l_ji), which leaves P = 0 wherever
 the previous factor was 1; the limiter value of such an entry depends on its
 row alone, so one limiter batch per chunk holds each row once, with a zero
@@ -88,6 +92,10 @@ def compute_tau(d_diag: np.ndarray, m_i: np.ndarray, c_cfl: float) -> float:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_bool(x) -> bool:
+    return isinstance(x, (bool, np.bool_))
 
 
 def _is_finite(x) -> bool:
@@ -175,6 +183,10 @@ class Solver:
         for name, value in (("workers", workers), ("ranks", ranks), ("chunk_size", chunk_size)):
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
+        if not _is_bool(overlap):
+            raise ValueError("overlap must be a bool")
+        if not isinstance(gas, GasConstants):
+            raise ValueError("gas must be a GasConstants")
         self.matrices = matrices
         self.gas = gas
         self.c_cfl = c_cfl
@@ -448,14 +460,19 @@ class Solver:
         # ghost rows receive alpha from their owner
         sl = slice(lo, min(hi, rk.numbering.n_lo))
         if sl.start < sl.stop:
+            # the flux contraction of every slot, formed once per substep: the
+            # indicator sums it here and the low-order update reads it from P
+            fdc = physics.flux_contraction(
+                rk.f[rk.cols[sl]], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl],
+            )
             # one block over the stencil, slot axis first and C-ordered, so that
-            # the slot sum runs in stencil order
+            # the slot sums run in stencil order
             cols = np.ascontiguousarray(rk.cols[sl].T)
             acc = IndicatorAccumulator(self.gas)
-            acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl], f_i=rk.f[sl])
+            acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
             acc.accumulate(
                 rk.U[cols], np.ascontiguousarray(rk.c_slot[sl].swapaxes(0, 1)),
-                eta_over_rho_j=rk.eor[cols], f_j=rk.f[cols],
+                eta_over_rho_j=rk.eor[cols], fdc=fdc.swapaxes(0, 1),
             )
             rk.alpha[sl] = acc.result()
 
@@ -474,24 +491,25 @@ class Solver:
         U_i = rk.U[sl]
         U_j = rk.U[cols]
         dU = U_j - U_i[:, None]
-        fdc = physics.component_sum(
-            (rk.f[cols] - rk.f[sl][:, None]) * rk.c_slot[sl][:, :, None, :]
-        )
+        # the flux contraction that step 1 left in P
+        fdc = rk.P[sl]
         d = rk.d[sl]
         rk.U_next[sl] = U_i + (tau * rk.inv_m[sl])[:, None] * (
             (d[..., None] * dU - fdc).sum(axis=1)
         )
         dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
         rk.R[sl] = (dH[..., None] * dU - fdc).sum(axis=1)
-        # the viscous part of the correction fluxes; _k_correction adds the rest
-        if self.limiter_passes:
-            np.multiply((dH - d)[..., None], dU, out=rk.P[sl])
+        # the bar states bound the density only
         d_safe = np.where(d != 0.0, d, 1.0)
-        corr = np.where(d[..., None] != 0.0, fdc / (2.0 * d_safe[..., None]), 0.0)
-        Ubar = 0.5 * (U_i[:, None] + U_j) - corr
-        rk.rho_min[sl] = Ubar[..., 0].min(axis=1)
-        rk.rho_max[sl] = Ubar[..., 0].max(axis=1)
+        corr = np.where(d != 0.0, fdc[..., 0] / (2.0 * d_safe), 0.0)
+        rho_bar = 0.5 * (U_i[:, None, 0] + U_j[..., 0]) - corr
+        rk.rho_min[sl] = rho_bar.min(axis=1)
+        rk.rho_max[sl] = rho_bar.max(axis=1)
         rk.phi_min[sl] = rk.phi[cols].min(axis=1)
+        # the viscous part of the correction fluxes replaces the contraction;
+        # _k_correction adds the rest
+        if self.limiter_passes:
+            np.multiply((dH - d)[..., None], dU, out=fdc)
 
     def _limit(self, rk, rows, P):
         """Limiter values of the correction fluxes P; rows holds the row of

@@ -12,6 +12,8 @@ from scipy.optimize import brentq
 
 from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
+from eulerflow.physics import AIR, component_sum
+from eulerflow.riemann import Projected1DState, _lambda_max_projected
 
 GAMMA = 1.4
 
@@ -60,6 +62,44 @@ def exact_lambda_max(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma=GAMMA):
     lam1 = u_l - c_l * np.sqrt(1.0 + gp * max((p_star - p_l) / p_l, 0.0))
     lam3 = u_r + c_r * np.sqrt(1.0 + gp * max((p_star - p_r) / p_r, 0.0))
     return max(max(-lam1, 0.0), max(lam3, 0.0))
+
+
+# ----- whole-block wavespeed formulas ------------------------------------------
+
+def project_block_reference(U, n, gas=AIR):
+    """riemann.project as it was before it worked one component at a time:
+    products and sums on whole (..., d) blocks of momenta and directions."""
+    rho = U[..., 0]
+    mom = U[..., 1:-1]
+    E = U[..., -1]
+    m_t = component_sum(mom * n)
+    tang = mom - m_t[..., None] * n
+    E_t = E - 0.5 * component_sum(tang * tang) / rho
+    u = m_t / rho
+    p = gas.gm1 * (E_t - 0.5 * m_t * m_t / rho)
+    c = np.sqrt(gas.gamma * p / rho)
+    return Projected1DState(rho=rho, m=m_t, E=E_t, u=u, p=p, c=c)
+
+
+def d_ij_low_block_reference(Ui, Uj, c_ij, c_ji, gas=AIR):
+    """riemann.d_ij_low as it was before it worked one component at a time:
+    the unit directions are built as (..., d) blocks with an e_1 block for
+    zero-length c vectors."""
+    def lam(Ua, Ub, n):
+        return _lambda_max_projected(
+            project_block_reference(Ua, n, gas), project_block_reference(Ub, n, gas), gas
+        )
+
+    norm_ij = np.sqrt(component_sum(c_ij * c_ij))
+    norm_ji = np.sqrt(component_sum(c_ji * c_ji))
+    e1 = np.zeros_like(c_ij)
+    e1[..., 0] = 1.0
+    n_ij = np.where(norm_ij[..., None] > 0.0, c_ij / np.where(norm_ij, norm_ij, 1.0)[..., None], e1)
+    n_ji = np.where(norm_ji[..., None] > 0.0, c_ji / np.where(norm_ji, norm_ji, 1.0)[..., None], e1)
+    return np.maximum(
+        np.where(norm_ij > 0.0, lam(Ui, Uj, n_ij) * norm_ij, 0.0),
+        np.where(norm_ji > 0.0, lam(Uj, Ui, n_ji) * norm_ji, 0.0),
+    )
 
 
 # ----- scalar state helpers --------------------------------------------------
@@ -133,14 +173,15 @@ def indicator_loop_reference(solver, rk, lo, hi):
     U_i = rk.U[sl]
     U_j = rk.U[cols]
     c = rk.c_slot[sl]
+    f_i = rk.f[sl]
     acc = IndicatorAccumulator(solver.gas)
-    acc.reset(U_i, eta_over_rho_i=rk.eor[sl], f_i=rk.f[sl])
+    acc.reset(U_i, eta_over_rho_i=rk.eor[sl])
     for s in range(rk.width):
         js = cols[:, s]
         U_js, c_ij, eta_over_rho_j, f_j = U_j[:, s], c[:, s], rk.eor[js], rk.f[js]
         mom_j = U_js[..., 1:-1]
         acc.a += (eta_over_rho_j - acc.eor_i) * (mom_j * c_ij).sum(axis=-1)
-        acc.b += ((f_j - acc.f_i) * c_ij[..., None, :]).sum(axis=-1)
+        acc.b += ((f_j - f_i) * c_ij[..., None, :]).sum(axis=-1)
     return acc.result()
 
 
@@ -199,6 +240,30 @@ def limiter_entries_reference(solver, rk, lo, hi):
         rk.rho_min[sl][:, None], rk.rho_max[sl][:, None], rk.phi_min[sl][:, None],
         max_newton=solver.newton_steps, gas=solver.gas,
     )
+
+
+# ----- low-order update with the full bar states -------------------------------
+
+def low_order_reference(solver, rk, lo, hi, tau):
+    """U_next, R, rho_min and rho_max of the owned rows [lo, hi) of a solver
+    rank by the low-order update (phase step3) as it was before it read the
+    flux contraction of phase step1: it gathers the fluxes f[cols] afresh and
+    builds the full bar states Ubar, of which the bounds use the density.
+    Needs the state, fluxes, viscosities and alpha of the substep in rk."""
+    sl = slice(lo, hi)
+    cols = rk.cols[sl]
+    U_i = rk.U[sl]
+    U_j = rk.U[cols]
+    dU = U_j - U_i[:, None]
+    fdc = component_sum((rk.f[cols] - rk.f[sl][:, None]) * rk.c_slot[sl][:, :, None, :])
+    d = rk.d[sl]
+    U_next = U_i + (tau * rk.inv_m[sl])[:, None] * ((d[..., None] * dU - fdc).sum(axis=1))
+    dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
+    R = (dH[..., None] * dU - fdc).sum(axis=1)
+    d_safe = np.where(d != 0.0, d, 1.0)
+    corr = np.where(d[..., None] != 0.0, fdc / (2.0 * d_safe[..., None]), 0.0)
+    Ubar = 0.5 * (U_i[:, None] + U_j) - corr
+    return U_next, R, Ubar[..., 0].min(axis=1), Ubar[..., 0].max(axis=1)
 
 
 # ----- dense single-rank forward-Euler step ----------------------------------

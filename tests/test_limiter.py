@@ -326,3 +326,39 @@ def test_dpsi_matches_finite_differences():
         ) / (2 * h)
         an = float(limiter.dpsi_dt(U, P, np.array(t), phi_min))
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+# components of U + t P: ordinary values, signed zeros and extreme magnitudes
+_component = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150),
+)
+
+
+@given(
+    dim=st.integers(1, 3),
+    rows=st.integers(1, 4),
+    slots=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_psi_along_the_ray_matches_the_state_block_formula_bitwise(dim, rows, slots, data):
+    # the limiter forms Psi(U + t P) one component at a time; the values must
+    # be those of psi_entropy on the (..., d+2) block U + t[..., None] * P,
+    # on a row state broadcast over the slots as the stepper passes it
+    nvar = dim + 2
+    block = st.lists(_component, min_size=rows * slots * nvar, max_size=rows * slots * nvar)
+    rho = data.draw(st.lists(st.floats(1e-10, 1e10), min_size=rows, max_size=rows))
+    rest = data.draw(st.lists(_component, min_size=rows * (nvar - 1), max_size=rows * (nvar - 1)))
+    U = np.column_stack([rho, np.reshape(rest, (rows, nvar - 1))])
+    U = np.broadcast_to(U[:, None], (rows, slots, nvar))
+    P = np.reshape(data.draw(block), (rows, slots, nvar))
+    t = np.reshape(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.just(-0.0)), min_size=rows * slots, max_size=rows * slots,
+    )), (rows, slots))
+    phi_min = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=rows, max_size=rows)))[:, None]
+
+    with np.errstate(all="ignore"):
+        got = limiter._psi_on_ray(U, P, t, phi_min, AIR)
+        want = psi_entropy(U + t[..., None] * P, phi_min)
+    assert got.shape == want.shape == (rows, slots)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

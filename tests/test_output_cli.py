@@ -134,10 +134,13 @@ def test_config_rejects_bad_input(tmp_path):
         dict(t_final=float("inf")), dict(t_final=float("nan")), dict(t_final=0.0),
         dict(t_final=True), dict(t_final="1"),
         dict(c_cfl=True), dict(c_cfl="0.5"), dict(c_cfl=float("nan")), dict(c_cfl=None),
+        dict(overlap="no"), dict(overlap=None), dict(overlap=1), dict(overlap=0.0),
+        dict(perf="yes"), dict(perf=None), dict(perf=0), dict(perf=1.0),
     ]:
         with pytest.raises(ValueError):
             RunConfig(**bad).validate()
     RunConfig(refine=np.int64(1), workers=2, output_every=0, t_final=1, c_cfl=1).validate()
+    RunConfig(overlap=np.bool_(False), perf=np.bool_(True)).validate()
     assert main(["--problem", "sod1d", "--t-final", "inf"]) == 1
 
 

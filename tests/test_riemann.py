@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerflow import physics, riemann
 from eulerflow.physics import AIR, AdmissibilityError
@@ -107,3 +109,84 @@ def test_lambda_batch_matches_scalar():
     lam = riemann.lambda_max(Ui, Uj, n)
     for k in range(len(pairs)):
         assert lam[k] == float(riemann.lambda_max(Ui[k], Uj[k], n[k]))
+
+
+def batched_operands(rng, dim, shape):
+    """Admissible state pairs and c vectors of the given batch shape, with
+    signed zero momenta and zero-length c vectors of either sign."""
+    def states():
+        rho = 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        vel = rng.normal(0.0, 2.0, shape + (dim,))
+        vel[rng.random(shape + (dim,)) < 0.2] = 0.0
+        vel[rng.random(shape + (dim,)) < 0.2] = -0.0
+        p = 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        U = np.empty(shape + (dim + 2,))
+        U[..., 0] = rho
+        U[..., 1:-1] = rho[..., None] * vel
+        U[..., -1] = p / AIR.gm1 + 0.5 * rho * (vel * vel).sum(axis=-1)
+        return U
+
+    def cs():
+        c = rng.normal(0.0, 1.0, shape + (dim,))
+        c[rng.random(shape) < 0.15] = 0.0
+        c[rng.random(shape) < 0.15] = -0.0
+        c[rng.random(shape + (dim,)) < 0.1] = -0.0
+        return c
+
+    return states(), states(), cs(), cs()
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(400,), (7, 60), ()])
+def test_per_component_formulas_match_the_block_formulas_bitwise(dim, shape):
+    rng = np.random.default_rng(10 * dim + len(shape))
+    Ui, Uj, c_ij, c_ji = batched_operands(rng, dim, shape)
+    if shape:
+        assert (c_ij == 0.0).all(axis=-1).any() and np.signbit(c_ij).any()
+    d = riemann.d_ij_low(Ui, Uj, c_ij, c_ji)
+    assert same_bits(d, oracles.d_ij_low_block_reference(Ui, Uj, c_ij, c_ji))
+    assert same_bits(d, riemann.d_ij_low(Uj, Ui, c_ji, c_ij))
+    both_zero = (c_ij == 0.0).all(axis=-1) & (c_ji == 0.0).all(axis=-1)
+    assert (d[both_zero] == 0.0).all() and (d[~both_zero] > 0.0).all()
+
+    # batched directions with signed zero components, and one direction for all
+    norm = np.linalg.norm(c_ij, axis=-1)
+    n = c_ij / np.where(norm > 0.0, norm, 1.0)[..., None]
+    n[norm == 0.0] = np.eye(dim)[0]
+    for direction in (n, n.reshape(-1, dim)[0]):
+        got = riemann.project(Ui, direction)
+        want = oracles.project_block_reference(Ui, direction)
+        for name in ("rho", "m", "E", "u", "p", "c"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+        lam = riemann.lambda_max(Ui, Uj, direction)
+        want = riemann._lambda_max_projected(
+            oracles.project_block_reference(Ui, direction),
+            oracles.project_block_reference(Uj, direction), AIR,
+        )
+        assert same_bits(lam, want)
+
+
+@given(
+    log_rho=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    log_p=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    mach=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p, mach, sign):
+    # densities 1e-10 to 1e10 and pressure ratios up to 1e12; velocities of
+    # up to twice the smaller sound speed never open a vacuum
+    rho = [10.0**x for x in log_rho]
+    p = [10.0**x for x in log_p]
+    c_min = min(np.sqrt(AIR.gamma * pk / rk) for pk, rk in zip(p, rho))
+    Ui, Uj = (oracles.primitive_to_conserved(rk, [m * c_min], pk)
+              for rk, m, pk in zip(rho, mach, p))
+    n = np.array([sign])
+    Li, Rj = riemann.project(Ui, n), riemann.project(Uj, n)
+    exact = oracles.exact_lambda_max(Li.rho, Li.u, Li.p, Rj.rho, Rj.u, Rj.p)
+    lam = float(riemann.lambda_max(Ui, Uj, n))
+    assert lam >= exact * (1.0 - 1e-12)

@@ -173,6 +173,16 @@ def test_invalid_parameters(small_periodic):
                 Solver(mat, **{name: bad})
     Solver(mat, limiter_passes=0, newton_steps=0, workers=1, ranks=1, chunk_size=1)
     Solver(mat, limiter_passes=np.int64(1), newton_steps=np.int64(3), ranks=np.int32(2))
+    # "no" ran overlapped and None without overlap
+    for bad in ("no", "False", None, 0, 1, 1.0):
+        with pytest.raises(ValueError):
+            Solver(mat, overlap=bad)
+    Solver(mat, overlap=False)
+    Solver(mat, overlap=np.bool_(False))
+    for bad in (None, 1.4, "air", physics.GasConstants, {"gamma": 1.4}):
+        with pytest.raises(ValueError):
+            Solver(mat, gas=bad)
+    Solver(mat, gas=physics.GasConstants(gamma=5.0 / 3.0))
 
     # time arguments are checked before any phase runs
     s = Solver(mat)
@@ -428,6 +438,45 @@ def test_correction_reuses_the_low_order_products():
         assert np.count_nonzero(rk.P[sl]) > 0
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_low_order_update_matches_the_full_bar_state_formula_bitwise(monkeypatch):
+    # step 3 reads the flux contraction that step 1 left in P and bounds the
+    # density bar states only; U_next, R and the bounds must equal the
+    # formula that gathers f[cols] afresh and builds the full Ubar, at the
+    # default chunk size and at one that leaves a one-row block
+    setup = problems.mach3_channel(2, refine=1)
+    mat = assemble(setup.mesh)
+    U = random_field(np.random.default_rng(11), mat.n)
+    numberings = [rk.numbering for rk in Solver(mat, ranks=2).ranks]
+    # step 3 runs the exported rows [0, n_e) and then [n_e, n_lo) in chunks
+    tail = next(c for c in range(8, 400) if any(
+        nb.n_e % c == 1 or (nb.n_lo - nb.n_e) % c == 1 for nb in numberings))
+    finals = []
+    for chunk in (2048, tail):
+        s = Solver(mat, ranks=2, chunk_size=chunk, boundary=setup.boundary)
+        s.set_state(U)
+        original = s._k_low_order
+        sizes = []
+
+        def checked(rk, lo, hi, tau, s=s, original=original, sizes=sizes):
+            want = oracles.low_order_reference(s, rk, lo, hi, tau)
+            original(rk, lo, hi, tau)
+            got = (rk.U_next[lo:hi], rk.R[lo:hi], rk.rho_min[lo:hi], rk.rho_max[lo:hi])
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+            sizes.append(hi - lo)
+
+        monkeypatch.setattr(s, "_k_low_order", checked)
+        s.ssp_rk3_step()
+        assert len(sizes) >= 3 * len(s.ranks)
+        if chunk == tail:
+            assert 1 in sizes
+        finals.append(s.get_state())
+    assert same_bits(finals[0], finals[1])
+
+
 def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
     # the second pass settles entries with minl == 1 once per row; every
     # value must equal the per-entry limiter on the whole padded stencil,
@@ -488,3 +537,18 @@ def test_cylinder3d_steps_identically_over_ranks_workers_and_overlap():
     assert not np.array_equal(finals[0], setup.U0)
     for state in finals[1:]:
         assert np.array_equal(state, finals[0])
+
+
+@pytest.mark.parametrize("ranks,workers,chunk", [(1, 1, 2048), (3, 2, 64)])
+def test_cylinder3d_constant_state_is_exactly_preserved(ranks, workers, chunk):
+    # without boundary data every flux difference, viscous term and
+    # correction of a constant state is zero, also on the boundary rows
+    setup = problems.mach3_channel(3, refine=0)
+    mat = assemble(setup.mesh)
+    U = np.tile(oracles.primitive_to_conserved(1.4, [0.8, -0.3, 0.2], 1.0), (mat.n, 1))
+    s = Solver(mat, ranks=ranks, workers=workers, chunk_size=chunk)
+    s.set_state(U)
+    for _ in range(10):
+        assert s.ssp_rk3_step() > 0.0
+    assert s.n_euler_steps == 30
+    assert same_bits(s.get_state(), U)
