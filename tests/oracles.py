@@ -1,8 +1,14 @@
 """Independent reference implementations used to validate the package.
 
-Everything here is written from first principles with plain loops and
+The exact Riemann solver, the scalar indicator, the limiter bisection and
+the dense step are written from first principles with plain loops and
 scipy root finding, deliberately avoiding the package's own vectorized
-kernels, so agreement between the two is meaningful.
+kernels, so agreement between the two is meaningful.  Other references
+keep the loop or formula a kernel had before it was rewritten (the slot
+loop of the indicator, the whole-block wavespeed formulas, the full
+bar-state update, the loop-based mesh refinement, ...), so that tests can
+check the rewrite against it bitwise; these share the package's helpers
+where the arithmetic is unchanged.
 """
 
 from __future__ import annotations
