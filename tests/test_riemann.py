@@ -189,4 +189,6 @@ def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p,
     Li, Rj = riemann.project(Ui, n), riemann.project(Uj, n)
     exact = oracles.exact_lambda_max(Li.rho, Li.u, Li.p, Rj.rho, Rj.u, Rj.p)
     lam = float(riemann.lambda_max(Ui, Uj, n))
-    assert lam >= exact * (1.0 - 1e-12)
+    # brentq places the exact p* within 1e-15 in absolute terms, which moves
+    # a shock speed by up to about 0.5e-15 / p <= 1e-9 in relative terms
+    assert lam >= exact * (1.0 - 1e-8)
