@@ -1,15 +1,16 @@
 """Local row numbering and the padded slot view of the stencil graph.
 
-A rank's local rows arrive in the global Cuthill-McKee order: owned rows
-first, then its ghost rows.  `renumber` keeps that order and only moves the
-exported rows (those other ranks hold as ghosts) to the front, so the
-numbering markers satisfy n_e <= n_lo <= n_lr: exported rows [0, n_e), the
-other owned rows [n_e, n_lo), ghost rows [n_lo, n_lr).
+`build_pattern` gives each row its columns ordered by a sort key, and
+`SparsityPattern.padded` lays the rows out as a dense (rows, width) slot view
+for the vectorized kernels, with the slot of every entry's mirror (j, i).
+The solver builds one such view of the whole stencil, in global
+Cuthill-McKee ids, and `PaddedView.select` cuts each rank's view out of it.
 
-`build_pattern` gives each local row its columns ordered by a sort key
-(the global node id in the solver), and `SparsityPattern.padded` lays the
-rows out as a dense (rows, width) slot view for the vectorized kernels,
-with the slot of every entry's mirror (j, i).
+A rank's local rows are its owned rows in the global Cuthill-McKee order,
+then its ghost rows in ascending global id.  `renumber` keeps that order and
+only moves the exported rows (those other ranks hold as ghosts) to the
+front, so the numbering markers satisfy n_e <= n_lo <= n_lr: exported rows
+[0, n_e), the other owned rows [n_e, n_lo), ghost rows [n_lo, n_lr).
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def build_pattern(
 ) -> SparsityPattern:
     """Pattern of the connectivity in new ids; each row's columns sorted by col_key.
 
-    connectivity is given in old local ids; col_key maps a *new* local id to
-    its sort key (typically the global node id), defaulting to the new id.
+    connectivity is given in old ids; col_key maps a *new* id to its sort
+    key, defaulting to the new id.
     """
     coo = sp.coo_matrix(connectivity)
     n = numbering.n_lr
@@ -159,3 +160,24 @@ class PaddedView:
     valid: np.ndarray       # (n, width) bool
     diag_slot: np.ndarray   # (n,)
     trans_slot: np.ndarray  # (n, width)
+
+    def select(self, rows: np.ndarray) -> "PaddedView":
+        """The view of the given rows, renumbered 0, 1, ... in that order.
+
+        A slot whose column is not among rows becomes a pad where it stands:
+        it points at its own row and is its own mirror.  Every other slot
+        keeps its index, so an edge between two selected rows sits in the
+        same slot as in self.
+        """
+        n_sel = len(rows)
+        new_id = np.full(len(self.cols), -1, dtype=np.int64)
+        new_id[rows] = np.arange(n_sel)
+        cols = new_id[self.cols[rows]]
+        cut = cols < 0
+        cols[cut] = np.nonzero(cut)[0]
+        trans_slot = self.trans_slot[rows]
+        trans_slot[cut] = np.nonzero(cut)[1]
+        return PaddedView(
+            width=self.width, cols=cols, valid=self.valid[rows] & ~cut,
+            diag_slot=self.diag_slot[rows], trans_slot=trans_slot,
+        )

@@ -25,18 +25,21 @@ RK3 update.
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
 nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
 are recomputed redundantly instead of being synchronized, so only per-node
-quantities (alpha, R, U) and limiter rows travel between ranks.  One send
-table matches every valid slot of a ghost row to the owner's slot of the same
-edge; its diagonal slots are the rows the per-node arrays send.  A sync
-writes into the array it reads from.  Every phase runs through one driver: a
-rank's rows keep the Cuthill-McKee order with the rows other ranks need moved
-to the front, and the overlapped loop stages the phase's synced array once
-they are done and runs the interior rows while it is in flight.  All row
-loops share one worker pool, built with the solver.  All row kernels read one
-padded slot view per rank (sparsity.PaddedView), padded to one global width
-with slots ordered by global node id, which makes results bitwise
-independent of the rank count, the worker count, the row order and the
-communication-hiding loop split.
+quantities (alpha, R, U) and limiter rows travel between ranks.  The solver
+builds one padded slot view of the whole stencil (sparsity.PaddedView),
+slots ordered by global node id, and each rank's view is the rows of its
+owned and ghost nodes; in a ghost row, the slots to nodes outside the rank
+are pads where they stand.  An edge thus has the same slot index in its
+owner's row and in every ghost copy, so the row send table comes from the
+partition's export lists and the slot send table is the valid slots of those
+ghost rows.  A sync writes into the array it reads from.  Every phase runs
+through one driver: a rank's rows keep the Cuthill-McKee order with the rows
+other ranks need moved to the front, and the overlapped loop stages the
+phase's synced array once they are done and runs the interior rows while it
+is in flight.  All row loops share one worker pool, built with the solver.
+The slot order by global node id makes results bitwise independent of the
+rank count, the worker count, the row order and the communication-hiding
+loop split.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import exchange, limiter, physics, riemann, sparsity
 from .assembly import PrecomputedMatrices
@@ -107,7 +109,8 @@ def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
 
     Raises ValueError for node ids that are not integers in [0, n), for
     inflow nodes without an admissible farfield state of shape (nvar,) and
-    for slip normals whose shape is not (len(slip_nodes), dim).
+    for slip normals whose shape is not (len(slip_nodes), dim) or that are
+    not finite unit vectors.
     """
     bc = bc if bc is not None else BoundaryConditions()
 
@@ -133,6 +136,10 @@ def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
         normals = given(bc.slip_normals, dtype=np.float64)
         if normals.shape != (len(slip), dim):
             raise ValueError(f"slip_normals must have shape ({len(slip)}, {dim})")
+        # false for NaN and infinite components too
+        norm = np.sqrt(physics.component_sum(normals * normals))
+        if not np.all(np.abs(1.0 - norm) <= 1e-12):
+            raise ValueError("slip_normals must be finite unit vectors")
     return BoundaryConditions(inflow, farfield, slip, normals)
 
 
@@ -149,7 +156,7 @@ class _RankData:
 
     # populated by Solver._build_rank; listed here for readability
     __slots__ = [
-        "numbering", "width", "cols", "valid", "gcols",
+        "numbering", "width", "cols", "valid",
         "up_row", "up_slot", "up_ptr", "lower", "trans_slot",
         "diag_slot", "card",
         "lam", "c_slot", "cT_slot", "b_slot", "bT_slot", "m_i", "inv_m",
@@ -201,17 +208,24 @@ class Solver:
         self.bc = _checked_boundary(boundary, self.n, self.nvar, self.dim)
 
         conn = matrices.connectivity()
-        self.part = exchange.partition(conn, ranks)
+        self.part = part = exchange.partition(conn, ranks)
         self.comm = exchange.Communicator(ranks)
 
-        # global matrices permuted to CM node ids on one shared pattern
-        self._permute_matrices()
-        card = np.diff(self.conn_cm.indptr)
-        self.pad_width = int(card.max())
-        vals, counts = np.unique(card, return_counts=True)
-        self.standard_card = int(vals[np.argmax(counts)])
+        # one padded slot view of the whole stencil, rows and slot order in
+        # CM ids, and the assembled CSR offset of every slot, found among the
+        # ascending keys row * n + column (a pad finds its row's diagonal);
+        # each rank's view is a selection of its rows
+        view = sparsity.build_pattern(
+            conn, sparsity.LocalNumbering(part.cm_perm, part.cm_inv, 0, self.n, self.n),
+        ).padded()
+        keys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, matrices.card)
+        keys += matrices.indices
+        orig = part.cm_inv
+        offs = np.searchsorted(keys, orig[:, None] * self.n + orig[view.cols])
+        self.pad_width = view.width
+        self.standard_card = int(np.argmax(np.bincount(matrices.card)))
 
-        self.ranks: List[_RankData] = [self._build_rank(r) for r in range(ranks)]
+        self.ranks: List[_RankData] = [self._build_rank(r, view, offs) for r in range(ranks)]
         self._build_sends()
         # one pool serves every row loop of the solver
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -222,45 +236,17 @@ class Solver:
 
     # ----- setup ---------------------------------------------------------
 
-    def _permute_matrices(self):
-        mat = self.matrices
-        part = self.part
-        row_orig = np.repeat(np.arange(self.n), mat.card)
-        tag = sp.csr_matrix(
-            (
-                np.arange(mat.nnz, dtype=np.int64) + 1,
-                (part.cm_perm[row_orig], part.cm_perm[mat.indices]),
-            ),
-            shape=(self.n, self.n),
-        )
-        tag.sort_indices()
-        src = tag.data - 1
-        self.conn_cm = sp.csr_matrix(
-            (np.ones(mat.nnz, dtype=np.int8), tag.indices, tag.indptr), shape=(self.n, self.n),
-        )
-        # row * n + column of every entry, ascending
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(tag.indptr))
-        self.key_cm = rows * self.n + tag.indices
-        self.m_cm = mat.m[src]
-        self.c_cm = mat.c[src]
-        self.m_lumped_cm = mat.m_lumped[part.cm_inv]
-        self.inv_m_cm = mat.inv_m[part.cm_inv]
-
-    def _build_rank(self, r: int) -> _RankData:
-        part = self.part
+    def _build_rank(self, r: int, view: sparsity.PaddedView, offs: np.ndarray) -> _RankData:
+        mat, part = self.matrices, self.part
         s, e = part.ranges[r]
         n_owned = e - s
-        gh = part.ghosts[r]
-        local_cm = np.concatenate([np.arange(s, e, dtype=np.int64), gh])
-        n_local = len(local_cm)
-        # ghost rows see a truncated stencil
-        conn_local = self.conn_cm[local_cm][:, local_cm]
-
+        local_cm = np.concatenate([np.arange(s, e, dtype=np.int64), part.ghosts[r]])
         export_ids = np.concatenate([np.zeros(0, dtype=np.int64), *part.exports[r].values()])
-        numbering = sparsity.renumber(n_local, export_ids - s, n_owned=n_owned)
+        numbering = sparsity.renumber(len(local_cm), export_ids - s, n_owned=n_owned)
         cm_of_new = local_cm[numbering.inv]
-        pattern = sparsity.build_pattern(conn_local, numbering, col_key=cm_of_new)
-        padded = pattern.padded(pad_to=self.pad_width)
+        # a ghost row keeps its owner's slots; those to nodes outside the
+        # rank are pads
+        padded = view.select(cm_of_new)
 
         rk = _RankData()
         rk.numbering = numbering
@@ -271,9 +257,9 @@ class Solver:
         rk.trans_slot = padded.trans_slot
         rk.cm_of_new = cm_of_new
         rk.orig_of_new = part.cm_inv[cm_of_new]
-        rk.gcols = cm_of_new[padded.cols]
-        upper = padded.valid & (rk.gcols > cm_of_new[:, None])
-        rk.lower = padded.valid & (rk.gcols < cm_of_new[:, None])
+        gcols = cm_of_new[padded.cols]
+        upper = padded.valid & (gcols > cm_of_new[:, None])
+        rk.lower = padded.valid & (gcols < cm_of_new[:, None])
         # (row, slot) pairs of the upper edges in row-major order; the pairs
         # of rows [a, b) are up_ptr[a]:up_ptr[b]
         rk.up_row, rk.up_slot = np.nonzero(upper)
@@ -282,15 +268,14 @@ class Solver:
         lam_den = np.maximum(rk.card[: numbering.n_lo] - 1, 1)
         rk.lam = 1.0 / lam_den
 
-        # global CSR offset of every slot; a pad finds its row's diagonal and
-        # takes zero values
-        N, L, d = n_local, padded.width, self.dim
-        offs = np.searchsorted(self.key_cm, cm_of_new[:, None] * self.n + rk.gcols)
-        m_slot = np.where(padded.valid, self.m_cm[offs], 0.0)
-        rk.c_slot = np.where(padded.valid[..., None], self.c_cm[offs], 0.0)
+        # pads take zero values
+        N, L, d = len(cm_of_new), padded.width, self.dim
+        slot_offs = offs[cm_of_new]
+        m_slot = np.where(padded.valid, mat.m[slot_offs], 0.0)
+        rk.c_slot = np.where(padded.valid[..., None], mat.c[slot_offs], 0.0)
         rk.cT_slot = rk.c_slot[padded.cols, padded.trans_slot]
-        rk.m_i = self.m_lumped_cm[cm_of_new]
-        rk.inv_m = self.inv_m_cm[cm_of_new]
+        rk.m_i = mat.m_lumped[rk.orig_of_new]
+        rk.inv_m = mat.inv_m[rk.orig_of_new]
 
         delta = (padded.cols == np.arange(N)[:, None]).astype(np.float64)
         rk.b_slot = delta - m_slot * rk.inv_m[padded.cols]
@@ -324,35 +309,23 @@ class Solver:
         return rk
 
     def _build_sends(self):
-        # every valid slot of a ghost row receives the value of the same edge
-        # (global row, col) in the owner's row; slot_sends[o] holds
-        # (dst rank, src, dst) as flat indices row * pad_width + slot, and its
-        # diagonal slots give row_sends[o], the rows of the per-node arrays
+        # a ghost row has the slots of its owner's row, so every synced value
+        # has the same index on both sides: row_sends[o] holds (dst rank, src
+        # rows, dst rows) of the rows rank o exports, and slot_sends[o] the
+        # valid slots of those ghost rows as flat indices row * pad_width + slot
         part, W = self.part, self.pad_width
-        self.slot_sends: List[list] = [[] for _ in range(part.n_ranks)]
         self.row_sends: List[list] = [[] for _ in range(part.n_ranks)]
-
-        def keys(rk, flat):
-            return rk.cm_of_new[flat // W] * self.n + rk.gcols.reshape(-1)[flat]
-
-        for r, rk in enumerate(self.ranks):
-            n_lo = rk.numbering.n_lo
-            ghost_slots = np.flatnonzero(rk.valid[n_lo:]) + n_lo * W
-            owners = part.owner_of(rk.cm_of_new[ghost_slots // W])
-            for o in np.unique(owners):
-                dst = ghost_slots[owners == o]
-                ork = self.ranks[o]
-                o_slots = np.flatnonzero(ork.valid)
-                o_keys = keys(ork, o_slots)
-                want = keys(rk, dst)
-                order = np.argsort(o_keys)
-                pos = np.searchsorted(o_keys, want, sorter=order)
-                src = o_slots[order[np.minimum(pos, len(order) - 1)]]
-                if not np.array_equal(keys(ork, src), want):
-                    raise AssertionError("ghost row stencil not contained in owner row")
-                self.slot_sends[o].append((r, src, dst))
-                diag = dst % W == rk.diag_slot[dst // W]
-                self.row_sends[o].append((r, src[diag] // W, dst[diag] // W))
+        self.slot_sends: List[list] = [[] for _ in range(part.n_ranks)]
+        for o, ork in enumerate(self.ranks):
+            s_o = part.ranges[o][0]
+            for r, ids in part.exports[o].items():
+                rk = self.ranks[r]
+                src = ork.numbering.perm[ids - s_o]
+                # ghost rows follow the owned rows in ascending CM id
+                dst = rk.numbering.n_lo + np.searchsorted(part.ghosts[r], ids)
+                self.row_sends[o].append((r, src, dst))
+                rows, slots = np.nonzero(rk.valid[dst])
+                self.slot_sends[o].append((r, src[rows] * W + slots, dst[rows] * W + slots))
 
     # ----- state ---------------------------------------------------------
 
@@ -649,8 +622,8 @@ class Solver:
             rk.U[:] = u0 + (2.0 / 3.0) * (rk.U - u0)
         return tau
 
-    def advance(self, t_final: float, use_rk3: bool = True, on_step=None) -> int:
-        """March from t = 0 to t_final; returns the number of steps taken.
+    def advance(self, t_final: float, on_step=None) -> int:
+        """March from t = 0 to t_final in SSP-RK3 steps; returns their number.
 
         The step that the remaining time caps is the last one and ends at
         t_final exactly.  Raises ValueError for a t_final that is not a
@@ -660,10 +633,9 @@ class Solver:
             raise ValueError("t_final must be a finite number >= 0")
         t = 0.0
         steps = 0
-        step = self.ssp_rk3_step if use_rk3 else self.euler_step
         while t < t_final:
             remaining = t_final - t
-            tau = step(tau_max=remaining)
+            tau = self.ssp_rk3_step(tau_max=remaining)
             t = t_final if tau >= remaining else t + tau
             steps += 1
             if on_step is not None:

@@ -578,8 +578,10 @@ def channel_boundary_reference(mesh, faces, normals, measures, x_out, tol=1e-9):
 
 
 # ----- ghost row sends ------------------------------------------------------------
-# The per-rank-pair loop the solver once used for its row send table, built
-# from the partition's export lists instead of from the slot matches.
+# The row send table as a loop over every (receiver, owner) rank pair, built
+# from the partition's export lists.  The solver takes its rows from the same
+# lists and sends the valid slots of each ghost row at the same slot indices
+# on both sides, where it once matched every slot by its (row, col) key.
 
 def row_sends_reference(solver):
     """Per sending rank, the (dst rank, src rows, dst rows) of every ghost row."""

@@ -73,13 +73,49 @@ def test_send_tables_match_reference(periodic):
                 # both ends are stored slots of the same global (row, col)
                 assert ork.valid.reshape(-1)[src].all() and rk.valid.reshape(-1)[dst].all()
                 assert np.array_equal(ork.cm_of_new[src // W], rk.cm_of_new[dst // W])
-                assert np.array_equal(ork.gcols.reshape(-1)[src], rk.gcols.reshape(-1)[dst])
+                assert np.array_equal(ork.cm_of_new[ork.cols].reshape(-1)[src],
+                                      rk.cm_of_new[rk.cols].reshape(-1)[dst])
                 received[r].append(dst)
         # every stored slot of every ghost row receives exactly once
         for rk, dst in zip(s.ranks, received):
             n_lo = rk.numbering.n_lo
             got = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *dst]))
             assert np.array_equal(got, np.flatnonzero(rk.valid[n_lo:]) + n_lo * W)
+
+
+@pytest.mark.parametrize("case", ["periodic", "bounded", "cylinder3d"])
+def test_ghost_rows_are_owner_rows_with_outside_slots_masked(case):
+    if case == "cylinder3d":
+        mesh = problems.mach3_channel(3, refine=0).mesh
+    elif case == "periodic":
+        mesh = rectangle_mesh(8, 8, periodic=(True, True))
+    else:
+        mesh = rectangle_mesh(8, 7)
+    mat = assemble(mesh)
+    for ranks in range(1, 6):
+        s = Solver(mat, ranks=ranks)
+        # each rank's row of a global (CM) id, -1 where it holds none
+        row_of = np.full((ranks, mat.n), -1)
+        for r, rk in enumerate(s.ranks):
+            row_of[r, rk.cm_of_new] = np.arange(len(rk.cm_of_new))
+        for rk in s.ranks:
+            n_lo = rk.numbering.n_lo
+            # owned rows hold their whole stencil, pads only after it
+            card = mat.card[rk.orig_of_new[:n_lo]]
+            assert np.array_equal(rk.valid[:n_lo], np.arange(s.pad_width) < card[:, None])
+            ghosts = rk.cm_of_new[n_lo:]
+            owners = s.part.owner_of(ghosts)
+            for o in np.unique(owners):
+                ork = s.ranks[o]
+                g = ghosts[owners == o]
+                i, k = row_of[s.ranks.index(rk), g], row_of[o, g]
+                v = rk.valid[i]
+                # the valid slots are a subset of the owner's, with the same
+                # global column, values and mirror slot at the same index
+                assert np.all(ork.valid[k][v])
+                assert np.array_equal(rk.cm_of_new[rk.cols[i]][v], ork.cm_of_new[ork.cols[k]][v])
+                assert same_bits(rk.c_slot[i][v], ork.c_slot[k][v])
+                assert np.array_equal(rk.trans_slot[i][v], ork.trans_slot[k][v])
 
 
 def test_one_worker_pool_per_solver(small_periodic, monkeypatch):
@@ -229,6 +265,12 @@ def test_invalid_parameters(small_periodic):
         with_(slip_normals=None),
         with_(slip_normals=bc.slip_normals[:-1]),
         with_(slip_normals=bc.slip_normals[:, :1]),
+        # these passed setup and failed the first step on an inadmissible state
+        with_(slip_normals=np.where(np.arange(len(bc.slip_nodes))[:, None] == 3, np.nan,
+                                    bc.slip_normals)),
+        with_(slip_normals=np.where(np.arange(len(bc.slip_nodes))[:, None] == 3, 0.0,
+                                    bc.slip_normals)),
+        with_(slip_normals=5.0 * bc.slip_normals),
     ]
     for boundary in bad:
         with pytest.raises(ValueError):
