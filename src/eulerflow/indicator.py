@@ -4,6 +4,12 @@ The indicator measures local production of the Harten entropy relative to a
 worst-case bound and returns a per-node factor alpha in [0, 1].  Constant or
 smooth data yields alpha close to zero; strong shocks yield alpha close to
 one.
+
+The accumulator takes whole stencil blocks as the stepper holds them: the
+neighbour axis is the second to last, before the state components, and the
+per-neighbour terms are added into the running sums one slot after the other
+(a loop over the stencil), so a block of rows gives the bits of a loop over
+its nodes.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ class IndicatorAccumulator:
     """Accumulates the commutator sums for one node (or a batch of nodes).
 
     All arrays broadcast over leading axes, so a batch of rows can be
-    processed with one accumulator.  Pass the whole stencil, slot axis
-    first: the j-arrays have one more leading axis than the i-arrays, and
-    j = i contributes zero.  On C-ordered blocks the slots are added one
-    after the other, in the order of a loop over the stencil, whatever the
-    number of rows.
+    processed with one accumulator.  Pass the whole stencil: the j-arrays
+    have one more axis than the i-arrays, the neighbour axis, which is the
+    last one before the state (or space) components: (k, nvar) neighbour
+    states for one node, (n, L, nvar) for a batch of n rows of L slots.  A
+    neighbour j = i contributes zero.
     """
 
     def __init__(self, gas: GasConstants = AIR):
@@ -37,38 +43,37 @@ class IndicatorAccumulator:
 
     def reset(self, U_i: np.ndarray, eta_over_rho_i=None):
         self.U_i = U_i
-        eta_i = physics.harten_entropy(U_i, self.gas)
-        self.eor_i = eta_i / U_i[..., 0] if eta_over_rho_i is None else eta_over_rho_i
+        if eta_over_rho_i is None:
+            eta_over_rho_i = physics.harten_entropy(U_i, self.gas) / U_i[..., 0]
+        self.eor_i = eta_over_rho_i
         self.etaprime_i = physics.harten_entropy_derivative(U_i, self.gas)
         self.a = np.zeros(U_i.shape[:-1], dtype=U_i.dtype)
         self.b = np.zeros(U_i.shape, dtype=U_i.dtype)
         self._ready = True
 
     def accumulate(self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j=None, fdc=None):
-        """Add the contributions of the stencil neighbors j along axis 0.
+        """Add the contributions of the stencil neighbors j along axis -2
+        (axis -1 of eta_over_rho_j), one neighbour after the other.
 
         fdc is the flux contraction (f_j - f_i) . c_ij of every neighbor, of
         the shape of U_j, as physics.flux_contraction forms it; the stepper
-        passes a slot-first view of the contraction it keeps for the
-        low-order update.  Like eta_over_rho_j, it is computed here when it
-        is not given.
+        passes the contraction it keeps for the low-order update.  Like
+        eta_over_rho_j, it is computed here when it is not given.
         """
         if not self._ready:
             raise RuntimeError("accumulate called before reset")
         if eta_over_rho_j is None:
             eta_over_rho_j = physics.harten_entropy(U_j, self.gas) / U_j[..., 0]
         if fdc is None:
+            f_i = physics.flux(self.U_i, self.gas)
             fdc = physics.flux_contraction(
-                physics.flux(U_j, self.gas), physics.flux(self.U_i, self.gas), c_ij,
+                physics.flux(U_j, self.gas), f_i[..., None, :, :], c_ij,
             )
-        mom_j = U_j[..., 1:-1]
-        # np.add.reduce sums pairwise when the slot axis is the only axis it
-        # walks, as on a one-row block; accumulate always sums slot after slot
-        a_term = (eta_over_rho_j - self.eor_i) * component_sum(mom_j * c_ij)
-        self.a += np.add.accumulate(a_term, axis=0)[-1]
-        # the variable axis is the innermost in memory, also on the stepper's
-        # slot-first view, so this reduce is slot after slot
-        self.b += np.add.reduce(fdc, axis=0)
+        eor_i = np.asarray(self.eor_i)[..., None]
+        a_term = (eta_over_rho_j - eor_i) * component_sum(U_j[..., 1:-1] * c_ij)
+        for k in range(U_j.shape[-2]):
+            self.a += a_term[..., k]
+            self.b += fdc[..., k, :]
 
     def result(self) -> np.ndarray:
         """Normalized ratio alpha = N / D clamped to [0, 1]; 0 when D vanishes."""

@@ -10,7 +10,10 @@ A numpy reduce over so short an inner axis pays its per-row setup on every
 row and runs an order of magnitude slower; the explicit adds give the same
 bits as numpy's sum, which adds a short axis in the same order starting
 from +0.0.  Kernels that hold the components as separate arrays add them
-with sum_left_to_right, which component_sum is built on.
+with sum_left_to_right, which component_sum is built on.  The stepper's sums
+over the stencil slots of a row go through sum_left_to_right too, one slot
+after the other: the bits of numpy's sum over a slot axis that is not the
+innermost, without the reduce.
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ row alone, so one limiter batch per chunk holds each row once, with a zero
 P, and the entries with min(l_ij, l_ji) < 1.  With newton_steps = 0 an entry
 still takes its density-clamped full step where that step meets the entropy
 bound (see limiter.limiter_compute).
+Every per-row sum, minimum and maximum over the stencil slots (the indicator
+sums, the low-order update and its bounds, the limited update) runs slot
+after slot as whole-chunk array operations on the slot-last blocks, a row
+loop over the stencil written one slot at a time; only the viscosity
+mirroring's row sum of d stays a numpy reduce.
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -100,8 +105,12 @@ def _is_bool(x) -> bool:
     return isinstance(x, (bool, np.bool_))
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and bool(np.isfinite(x))
+    return _is_real(x) and bool(np.isfinite(x))
 
 
 def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
@@ -141,6 +150,32 @@ def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
         if not np.all(np.abs(1.0 - norm) <= 1e-12):
             raise ValueError("slip_normals must be finite unit vectors")
     return BoundaryConditions(inflow, farfield, slip, normals)
+
+
+def _slot_sum(x: np.ndarray, out=None) -> np.ndarray:
+    """x[:, 0] + x[:, 1] + ... over the slots of an (n, L, ...) block, added
+    slot after slot from +0.0 (physics.sum_left_to_right); written into out
+    when one is given.
+
+    With an axis after the slots this is x.sum(axis=1) bit for bit, as numpy
+    reduces a non-innermost axis in the same order, at a third of its time;
+    numpy sums an innermost slot axis pairwise instead.
+    """
+    return physics.sum_left_to_right((x[:, k] for k in range(x.shape[1])), out=out)
+
+
+def _slot_bound(bound, x: np.ndarray, out=None) -> np.ndarray:
+    """x.min(axis=1) (bound np.minimum) or x.max(axis=1) (np.maximum) of an
+    (n, L, ...) block, taken slot after slot; written into out when one is
+    given.  Without signed zeros or NaNs the result does not depend on the
+    order of the slots."""
+    if out is None:
+        out = x[:, 0].copy()
+    else:
+        out[...] = x[:, 0]
+    for k in range(1, x.shape[1]):
+        bound(out, x[:, k], out=out)
+    return out
 
 
 def _tau_local(d_diag: np.ndarray, m_i: np.ndarray) -> float:
@@ -435,18 +470,13 @@ class Solver:
         if sl.start < sl.stop:
             # the flux contraction of every slot, formed once per substep: the
             # indicator sums it here and the low-order update reads it from P
+            cols = rk.cols[sl]
             fdc = physics.flux_contraction(
-                rk.f[rk.cols[sl]], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl],
+                rk.f[cols], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl],
             )
-            # one block over the stencil, slot axis first and C-ordered, so that
-            # the slot sums run in stencil order
-            cols = np.ascontiguousarray(rk.cols[sl].T)
             acc = IndicatorAccumulator(self.gas)
             acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
-            acc.accumulate(
-                rk.U[cols], np.ascontiguousarray(rk.c_slot[sl].swapaxes(0, 1)),
-                eta_over_rho_j=rk.eor[cols], fdc=fdc.swapaxes(0, 1),
-            )
+            acc.accumulate(rk.U[cols], rk.c_slot[sl], eta_over_rho_j=rk.eor[cols], fdc=fdc)
             rk.alpha[sl] = acc.result()
 
     def _k_mirror(self, rk, lo, hi):
@@ -467,18 +497,16 @@ class Solver:
         # the flux contraction that step 1 left in P
         fdc = rk.P[sl]
         d = rk.d[sl]
-        rk.U_next[sl] = U_i + (tau * rk.inv_m[sl])[:, None] * (
-            (d[..., None] * dU - fdc).sum(axis=1)
-        )
+        rk.U_next[sl] = U_i + (tau * rk.inv_m[sl])[:, None] * _slot_sum(d[..., None] * dU - fdc)
         dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
-        rk.R[sl] = (dH[..., None] * dU - fdc).sum(axis=1)
+        _slot_sum(dH[..., None] * dU - fdc, out=rk.R[sl])
         # the bar states bound the density only
         d_safe = np.where(d != 0.0, d, 1.0)
         corr = np.where(d != 0.0, fdc[..., 0] / (2.0 * d_safe), 0.0)
         rho_bar = 0.5 * (U_i[:, None, 0] + U_j[..., 0]) - corr
-        rk.rho_min[sl] = rho_bar.min(axis=1)
-        rk.rho_max[sl] = rho_bar.max(axis=1)
-        rk.phi_min[sl] = rk.phi[cols].min(axis=1)
+        _slot_bound(np.minimum, rho_bar, out=rk.rho_min[sl])
+        _slot_bound(np.maximum, rho_bar, out=rk.rho_max[sl])
+        _slot_bound(np.minimum, rk.phi[cols], out=rk.phi_min[sl])
         # the viscous part of the correction fluxes replaces the contraction;
         # _k_correction adds the rest
         if self.limiter_passes:
@@ -504,8 +532,7 @@ class Solver:
         sl = slice(lo, hi)
         lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
         minl = np.minimum(rk.l[sl], lT)
-        upd = (minl[..., None] * rk.P[sl]).sum(axis=1)
-        rk.U_next[sl] += rk.lam[sl][:, None] * upd
+        rk.U_next[sl] += rk.lam[sl][:, None] * _slot_sum(minl[..., None] * rk.P[sl])
         if last:
             self._k_boundary(rk, lo, hi)
             return
@@ -547,12 +574,12 @@ class Solver:
         new state is checked before it is committed: on an AdmissibilityError
         the state is left as it was.  Raises ValueError, before any phase
         runs, for a given tau that is not finite and > 0 and for a tau_max
-        that is not > 0.
+        that is not a number > 0 (inf allowed, bools rejected).
         """
         if tau is not None and not (_is_finite(tau) and tau > 0.0):
             raise ValueError("tau must be a finite number > 0")
-        if not tau_max > 0.0:
-            raise ValueError("tau_max must be > 0")
+        if not (_is_real(tau_max) and tau_max > 0.0):
+            raise ValueError("tau_max must be a number > 0")
         self._phase("step0", self._k_entropies, ghosts=True)
         self._phase("step1", self._k_viscosity, "alpha", ghosts=True)
         self._phase("step2", self._k_mirror)

@@ -251,11 +251,13 @@ def limiter_entries_reference(solver, rk, lo, hi):
 # ----- low-order update with the full bar states -------------------------------
 
 def low_order_reference(solver, rk, lo, hi, tau):
-    """U_next, R, rho_min and rho_max of the owned rows [lo, hi) of a solver
-    rank by the low-order update (phase step3) as it was before it read the
-    flux contraction of phase step1: it gathers the fluxes f[cols] afresh and
-    builds the full bar states Ubar, of which the bounds use the density.
-    Needs the state, fluxes, viscosities and alpha of the substep in rk."""
+    """U_next, R, rho_min, rho_max and phi_min of the owned rows [lo, hi) of
+    a solver rank by the low-order update (phase step3) as it was before it
+    read the flux contraction of phase step1: it gathers the fluxes f[cols]
+    afresh, builds the full bar states Ubar, of which the bounds use the
+    density, and takes every sum, minimum and maximum over the slots with a
+    numpy reduce.  Needs the state, fluxes, viscosities and alpha of the
+    substep in rk."""
     sl = slice(lo, hi)
     cols = rk.cols[sl]
     U_i = rk.U[sl]
@@ -269,7 +271,18 @@ def low_order_reference(solver, rk, lo, hi, tau):
     d_safe = np.where(d != 0.0, d, 1.0)
     corr = np.where(d[..., None] != 0.0, fdc / (2.0 * d_safe[..., None]), 0.0)
     Ubar = 0.5 * (U_i[:, None] + U_j) - corr
-    return U_next, R, Ubar[..., 0].min(axis=1), Ubar[..., 0].max(axis=1)
+    return U_next, R, Ubar[..., 0].min(axis=1), Ubar[..., 0].max(axis=1), rk.phi[cols].min(axis=1)
+
+
+def limited_update_reference(rk, lo, hi):
+    """U_next of the owned rows [lo, hi) of a solver rank after the limited
+    update of phases step5 and step6, before any boundary data: the slot sum
+    of min(l_ij, l_ji) P_ij by numpy's reduce over the slot axis, as the
+    stepper formed it before it added the slots one after the other.  Needs
+    the pass's U_next, P and limiter values in rk."""
+    sl = slice(lo, hi)
+    minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
+    return rk.U_next[sl] + rk.lam[sl][:, None] * (minl[..., None] * rk.P[sl]).sum(axis=1)
 
 
 # ----- dense single-rank forward-Euler step ----------------------------------

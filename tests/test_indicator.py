@@ -58,8 +58,9 @@ def test_batched_rows_match_scalar():
     rng = np.random.default_rng(40)
     nrows, card = 7, 5
     U_i = random_states(rng, nrows)
-    U_j = np.stack([random_states(rng, nrows) for _ in range(card)], axis=0)
-    cs = rng.normal(0.0, 1.0, (card, nrows, 2))
+    # slot-last blocks, (rows, slots, components), as the stepper holds them
+    U_j = np.stack([random_states(rng, nrows) for _ in range(card)], axis=1)
+    cs = rng.normal(0.0, 1.0, (card, nrows, 2)).swapaxes(0, 1)
     acc = IndicatorAccumulator()
     acc.reset(U_i)
     acc.accumulate(U_j, cs)
@@ -67,7 +68,7 @@ def test_batched_rows_match_scalar():
     for r in range(nrows):
         one = IndicatorAccumulator()
         one.reset(U_i[r])
-        one.accumulate(U_j[:, r], cs[:, r])
+        one.accumulate(U_j[r], cs[r])
         assert batch[r] == float(one.result())
 
 

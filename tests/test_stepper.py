@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eulerflow import assembly, limiter, physics, problems, riemann, stepper
 from eulerflow.assembly import assemble
@@ -230,7 +233,8 @@ def test_invalid_parameters(small_periodic):
         for bad in (-1e-3, 0.0, np.nan, np.inf, -np.inf, True, "1e-3"):
             with pytest.raises(ValueError):
                 step(tau=bad)
-        for bad in (-1e-3, 0.0, -np.inf, np.nan):
+        # True capped tau at 1.0; "1" and None raised TypeError
+        for bad in (-1e-3, 0.0, -np.inf, np.nan, True, "1", None):
             with pytest.raises(ValueError):
                 step(tau_max=bad)
     assert s.n_euler_steps == 0 and s.timers["step0"] == 0.0
@@ -484,18 +488,31 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# slot values: ordinary values, signed zeros and extreme magnitudes
+_entry = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150),
+)
+
+
+def _one_row_chunk(mat, ranks=2):
+    """The first chunk size >= 8 that leaves a one-row block in a synced
+    phase, which runs the exported rows [0, n_e) and then [n_e, n_lo) in
+    chunks."""
+    numberings = [rk.numbering for rk in Solver(mat, ranks=ranks).ranks]
+    return next(c for c in range(8, 400) if any(
+        nb.n_e % c == 1 or (nb.n_lo - nb.n_e) % c == 1 for nb in numberings))
+
+
 def test_low_order_update_matches_the_full_bar_state_formula_bitwise(monkeypatch):
-    # step 3 reads the flux contraction that step 1 left in P and bounds the
-    # density bar states only; U_next, R and the bounds must equal the
-    # formula that gathers f[cols] afresh and builds the full Ubar, at the
-    # default chunk size and at one that leaves a one-row block
+    # step 3 reads the flux contraction that step 1 left in P, bounds the
+    # density bar states only and sums and bounds over the slots one slot at
+    # a time; U_next, R and the bounds must equal the formula that gathers
+    # f[cols] afresh, builds the full Ubar and reduces over the slot axis, at
+    # the default chunk size and at one that leaves a one-row block
     setup = problems.mach3_channel(2, refine=1)
     mat = assemble(setup.mesh)
     U = random_field(np.random.default_rng(11), mat.n)
-    numberings = [rk.numbering for rk in Solver(mat, ranks=2).ranks]
-    # step 3 runs the exported rows [0, n_e) and then [n_e, n_lo) in chunks
-    tail = next(c for c in range(8, 400) if any(
-        nb.n_e % c == 1 or (nb.n_lo - nb.n_e) % c == 1 for nb in numberings))
+    tail = _one_row_chunk(mat)
     finals = []
     for chunk in (2048, tail):
         s = Solver(mat, ranks=2, chunk_size=chunk, boundary=setup.boundary)
@@ -506,7 +523,9 @@ def test_low_order_update_matches_the_full_bar_state_formula_bitwise(monkeypatch
         def checked(rk, lo, hi, tau, s=s, original=original, sizes=sizes):
             want = oracles.low_order_reference(s, rk, lo, hi, tau)
             original(rk, lo, hi, tau)
-            got = (rk.U_next[lo:hi], rk.R[lo:hi], rk.rho_min[lo:hi], rk.rho_max[lo:hi])
+            got = (rk.U_next[lo:hi], rk.R[lo:hi], rk.rho_min[lo:hi], rk.rho_max[lo:hi],
+                   rk.phi_min[lo:hi])
+            assert len(got) == len(want)
             assert all(same_bits(g, w) for g, w in zip(got, want))
             sizes.append(hi - lo)
 
@@ -517,6 +536,66 @@ def test_low_order_update_matches_the_full_bar_state_formula_bitwise(monkeypatch
             assert 1 in sizes
         finals.append(s.get_state())
     assert same_bits(finals[0], finals[1])
+
+
+def test_limited_update_matches_the_slot_reduce_bitwise(monkeypatch):
+    # steps 5 and 6 add min(l_ij, l_ji) P_ij into U_next one slot at a time;
+    # U_next must equal the numpy reduce over the slot axis before any
+    # boundary data, at the default chunk size and at one that leaves a
+    # one-row block
+    setup = problems.mach3_channel(2, refine=1)
+    mat = assemble(setup.mesh)
+    tail = _one_row_chunk(mat)
+    finals = []
+    for chunk in (2048, tail):
+        s = Solver(mat, ranks=2, chunk_size=chunk, boundary=setup.boundary)
+        s.set_state(setup.U0)
+        s.ssp_rk3_step()
+        update, boundary = s._k_limited_update, s._k_boundary
+        want = {}
+        sizes = {False: [], True: []}
+
+        def checked_update(rk, lo, hi, last, update=update, want=want, sizes=sizes):
+            want[id(rk), lo] = oracles.limited_update_reference(rk, lo, hi)
+            update(rk, lo, hi, last)
+            if not last:
+                assert same_bits(rk.U_next[lo:hi], want.pop((id(rk), lo)))
+            sizes[last].append(hi - lo)
+
+        # the last pass applies the boundary data right after the update
+        def checked_boundary(rk, lo, hi, boundary=boundary, want=want):
+            assert same_bits(rk.U_next[lo:hi], want.pop((id(rk), lo)))
+            boundary(rk, lo, hi)
+
+        monkeypatch.setattr(s, "_k_limited_update", checked_update)
+        monkeypatch.setattr(s, "_k_boundary", checked_boundary)
+        s.ssp_rk3_step()
+        assert not want
+        assert min(len(sizes[False]), len(sizes[True])) >= 3 * len(s.ranks)
+        if chunk == tail:
+            assert 1 in sizes[False] and 1 in sizes[True]
+        finals.append(s.get_state())
+    assert same_bits(finals[0], finals[1])
+
+
+@given(rows=st.integers(1, 4), slots=st.integers(1, 33), comps=st.integers(2, 5), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_slot_sum_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, comps, data):
+    # with an axis after the slots, numpy reduces the slot axis slot after
+    # slot, so the bits agree, signed zeros included; numpy sums an innermost
+    # slot axis pairwise, and the stepper only bounds such blocks
+    x = data.draw(hnp.arrays(np.float64, (rows, slots, comps), elements=_entry))
+    out = np.full((rows, comps), np.nan)
+    assert same_bits(stepper._slot_sum(x, out=out), x.sum(axis=1))
+    assert same_bits(out, x.sum(axis=1))
+    assert same_bits(stepper._slot_bound(np.minimum, x), x.min(axis=1))
+    assert same_bits(stepper._slot_bound(np.maximum, x), x.max(axis=1))
+    # the density bar states and phi, (rows, slots) blocks of positive values
+    pos = data.draw(hnp.arrays(np.float64, (rows, slots), elements=st.floats(1e-300, 1e300)))
+    out = np.full(rows, np.nan)
+    assert same_bits(stepper._slot_bound(np.minimum, pos, out=out), pos.min(axis=1))
+    assert same_bits(out, pos.min(axis=1))
+    assert same_bits(stepper._slot_bound(np.maximum, pos), pos.max(axis=1))
 
 
 def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
