@@ -494,11 +494,11 @@ _entry = st.one_of(
 )
 
 
-def _one_row_chunk(mat, ranks=2):
+def _one_row_chunk(mat):
     """The first chunk size >= 8 that leaves a one-row block in a synced
-    phase, which runs the exported rows [0, n_e) and then [n_e, n_lo) in
-    chunks."""
-    numberings = [rk.numbering for rk in Solver(mat, ranks=ranks).ranks]
+    phase on 2 ranks, which runs the exported rows [0, n_e) and then
+    [n_e, n_lo) in chunks."""
+    numberings = [rk.numbering for rk in Solver(mat, ranks=2).ranks]
     return next(c for c in range(8, 400) if any(
         nb.n_e % c == 1 or (nb.n_lo - nb.n_e) % c == 1 for nb in numberings))
 
