@@ -18,7 +18,7 @@ from . import (
     stepper,
 )
 from .physics import AIR, AdmissibilityError, GasConstants
-from .stepper import BoundaryConditions, Solver, compute_tau
+from .stepper import BoundaryConditions, Solver
 
 __version__ = "1.0.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "assembly", "config", "exchange", "indicator", "limiter", "mesh",
     "output", "perf", "physics", "problems", "riemann", "sparsity", "stepper",
     "AIR", "AdmissibilityError", "GasConstants", "BoundaryConditions",
-    "Solver", "compute_tau", "__version__",
+    "Solver", "__version__",
 ]

@@ -6,9 +6,9 @@ layer of locally relevant indices.  A sync is a start and a finish, as in a
 message-passing backend without network transport: `Communicator.stage`
 snapshots what a rank sends, and `Communicator.deliver` copies every staged
 send into ghost storage and counts the volume for the performance report.
-`overlapped_loop` is the one row loop that starts a sync: it runs the rows
-other ranks need, starts the sync, then runs the interior rows on the
-caller's worker pool while the sync is in flight.
+`overlapped_loop` is the solver's one row loop: it runs the rows other
+ranks need, starts the sync, then runs the interior rows on the caller's
+worker pool while the sync is in flight; without a sync it runs every row.
 """
 
 from __future__ import annotations

@@ -41,34 +41,26 @@ class IndicatorAccumulator:
         self.gas = gas
         self._ready = False
 
-    def reset(self, U_i: np.ndarray, eta_over_rho_i=None):
-        self.U_i = U_i
-        if eta_over_rho_i is None:
-            eta_over_rho_i = physics.harten_entropy(U_i, self.gas) / U_i[..., 0]
+    def reset(self, U_i: np.ndarray, eta_over_rho_i: np.ndarray):
+        """Start the sums of the nodes U_i, whose eta / rho is eta_over_rho_i."""
         self.eor_i = eta_over_rho_i
         self.etaprime_i = physics.harten_entropy_derivative(U_i, self.gas)
         self.a = np.zeros(U_i.shape[:-1], dtype=U_i.dtype)
         self.b = np.zeros(U_i.shape, dtype=U_i.dtype)
         self._ready = True
 
-    def accumulate(self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j=None, fdc=None):
+    def accumulate(
+        self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j: np.ndarray, fdc: np.ndarray,
+    ):
         """Add the contributions of the stencil neighbors j along axis -2
         (axis -1 of eta_over_rho_j), one neighbour after the other.
 
         fdc is the flux contraction (f_j - f_i) . c_ij of every neighbor, of
         the shape of U_j, as physics.flux_contraction forms it; the stepper
-        passes the contraction it keeps for the low-order update.  Like
-        eta_over_rho_j, it is computed here when it is not given.
+        passes the contraction it keeps for the low-order update.
         """
         if not self._ready:
             raise RuntimeError("accumulate called before reset")
-        if eta_over_rho_j is None:
-            eta_over_rho_j = physics.harten_entropy(U_j, self.gas) / U_j[..., 0]
-        if fdc is None:
-            f_i = physics.flux(self.U_i, self.gas)
-            fdc = physics.flux_contraction(
-                physics.flux(U_j, self.gas), f_i[..., None, :, :], c_ij,
-            )
         eor_i = np.asarray(self.eor_i)[..., None]
         a_term = (eta_over_rho_j - eor_i) * component_sum(U_j[..., 1:-1] * c_ij)
         for k in range(U_j.shape[-2]):

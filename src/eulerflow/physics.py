@@ -18,6 +18,7 @@ innermost, without the reduce.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GasConstants:
-    """Ratio of specific heats plus frequently used derived constants."""
+    """Ratio of specific heats, a finite real number > 1, plus derived constants."""
 
     gamma: float = 7.0 / 5.0
     gm1: float = field(init=False)
@@ -55,8 +56,9 @@ class GasConstants:
     two_g_over_gm1: float = field(init=False)
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        gamma = self.gamma
+        if not (isinstance(gamma, numbers.Real) and np.isfinite(gamma) and gamma > 1.0):
+            raise ValueError(f"gamma must be a finite real number > 1, got {gamma!r}")
         object.__setattr__(self, "gm1", self.gamma - 1.0)
         object.__setattr__(self, "gp1_inv", 1.0 / (self.gamma + 1.0))
         object.__setattr__(self, "gm1_over_2g", (self.gamma - 1.0) / (2.0 * self.gamma))

@@ -1,8 +1,10 @@
 """Local row numbering and the padded slot view of the stencil graph.
 
-`build_pattern` gives each row its columns ordered by a sort key, and
-`SparsityPattern.padded` lays the rows out as a dense (rows, width) slot view
-for the vectorized kernels, with the slot of every entry's mirror (j, i).
+`build_pattern` renumbers an assembled CSR pattern with one sort by the key
+new row * n + new column, which orders each row's columns by new id and
+records every entry's offset in the assembled CSR.  `SparsityPattern.padded`
+lays the rows out as a dense (rows, width) slot view for the vectorized
+kernels, with the slot of every entry's mirror (j, i) and its CSR offset.
 The solver builds one such view of the whole stencil, in global
 Cuthill-McKee ids, and `PaddedView.select` cuts each rank's view out of it.
 
@@ -16,7 +18,6 @@ front, so the numbering markers satisfy n_e <= n_lo <= n_lr: exported rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,13 +42,12 @@ class LocalNumbering:
     n_lr: int
 
 
-def renumber(n_rows: int, export_set=(), n_owned: Optional[int] = None) -> LocalNumbering:
+def renumber(n_rows: int, export_set, n_owned: int) -> LocalNumbering:
     """Exported owned rows first, then the other owned rows, then the ghosts.
 
     export_set is an array or list of owned row ids; rows at indices >=
     n_owned are ghost rows.  Every group keeps the relative order of its rows.
     """
-    n_owned = n_rows if n_owned is None else n_owned
     exported = np.zeros(n_owned, dtype=bool)
     exported[np.asarray(export_set, dtype=np.int64)] = True
     inv = np.concatenate([
@@ -64,39 +64,23 @@ def renumber(n_rows: int, export_set=(), n_owned: Optional[int] = None) -> Local
 
 @dataclass
 class SparsityPattern:
-    """CSR pattern over renumbered local rows, columns ordered by a key."""
+    """CSR pattern in new ids, each row's columns ascending; src is the
+    offset of every entry in the CSR the pattern was built from."""
 
-    numbering: LocalNumbering
     indptr: np.ndarray
     cols: np.ndarray
+    src: np.ndarray
 
-    @property
-    def n_rows(self) -> int:
-        return self.numbering.n_lr
+    def padded(self) -> "PaddedView":
+        """The (n_rows, width) slot view, width the widest row.
 
-    @property
-    def nnz(self) -> int:
-        return len(self.cols)
-
-    @property
-    def card(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def padded(self, pad_to: Optional[int] = None) -> "PaddedView":
-        """The (n_rows, width) slot view; width is the widest row or pad_to.
-
-        Raises ValueError when pad_to is narrower than the widest row, when
-        a row lacks its diagonal, or when a stored (i, j) has no stored
-        mirror (j, i).
+        Raises ValueError when a row lacks its diagonal or when a stored
+        (i, j) has no stored mirror (j, i).
         """
-        n, card = self.n_rows, self.card
+        n, nnz, card = len(self.indptr) - 1, len(self.cols), np.diff(self.indptr)
         width = int(card.max(initial=0))
-        if pad_to is not None:
-            if pad_to < width:
-                raise ValueError("pad_to smaller than the widest row")
-            width = pad_to
         row = np.repeat(np.arange(n, dtype=np.int64), card)
-        slot = np.arange(self.nnz, dtype=np.int64) - self.indptr[row]
+        slot = np.arange(nnz, dtype=np.int64) - self.indptr[row]
 
         cols = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
         cols[row, slot] = self.cols
@@ -108,41 +92,39 @@ class SparsityPattern:
         diag_slot[row[on_diag]] = slot[on_diag]
         if np.any(diag_slot < 0):
             raise ValueError("every stencil must contain its own row")
+        src = np.repeat(self.src[self.indptr[:-1] + diag_slot][:, None], width, axis=1)
+        src[row, slot] = self.src
 
-        # the mirror of (i, j) is found among the entries sorted by (row, col)
+        # the entries are sorted by the key row * n + col, so the mirror
+        # (j, i) of every (i, j) is one binary search away
         keys = row * n + self.cols
-        order = np.argsort(keys)
-        hit = np.searchsorted(keys[order], self.cols * n + row)
-        hit = np.minimum(hit, self.nnz - 1)
-        if not np.array_equal(keys[order[hit]], self.cols * n + row):
+        mirror = self.cols * n + row
+        hit = np.minimum(np.searchsorted(keys, mirror), nnz - 1)
+        if not np.array_equal(keys[hit], mirror):
             raise ValueError("a stored entry (i, j) has no stored transpose (j, i)")
         trans_slot = np.repeat(np.arange(width, dtype=np.int64)[None, :], n, axis=0)
-        trans_slot[row, slot] = slot[order[hit]]
+        trans_slot[row, slot] = slot[hit]
         return PaddedView(
             width=width, cols=cols, valid=valid, diag_slot=diag_slot, trans_slot=trans_slot,
+            src=src,
         )
 
 
-def build_pattern(
-    connectivity: sp.spmatrix,
-    numbering: LocalNumbering,
-    col_key: Optional[np.ndarray] = None,
-) -> SparsityPattern:
-    """Pattern of the connectivity in new ids; each row's columns sorted by col_key.
+def build_pattern(connectivity: sp.spmatrix, perm: np.ndarray) -> SparsityPattern:
+    """Pattern of the connectivity in the ids that perm (old id -> new id) gives.
 
-    connectivity is given in old ids; col_key maps a *new* id to its sort
-    key, defaulting to the new id.
+    One sort by the key perm[row] * n + perm[col] orders the rows and each
+    row's columns by new id; the sort order is the offset of every entry in
+    the connectivity taken as CSR.
     """
-    coo = sp.coo_matrix(connectivity)
-    n = numbering.n_lr
-    if col_key is None:
-        col_key = np.arange(n, dtype=np.int64)
-    rows = numbering.perm[coo.row]
-    cols = numbering.perm[coo.col]
-    order = np.lexsort((col_key[cols], rows))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparsityPattern(numbering=numbering, indptr=indptr, cols=cols[order])
+    csr = sp.csr_matrix(connectivity)
+    n = csr.shape[0]
+    perm = np.asarray(perm, dtype=np.int64)
+    keys = np.repeat(perm * n, np.diff(csr.indptr)) + perm[csr.indices]
+    src = np.argsort(keys)
+    keys = keys[src]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return SparsityPattern(indptr=indptr, cols=keys % n, src=src)
 
 
 @dataclass
@@ -160,12 +142,14 @@ class PaddedView:
     valid: np.ndarray       # (n, width) bool
     diag_slot: np.ndarray   # (n,)
     trans_slot: np.ndarray  # (n, width)
+    src: np.ndarray         # (n, width) CSR offset of the entry, pad -> diagonal's
 
     def select(self, rows: np.ndarray) -> "PaddedView":
         """The view of the given rows, renumbered 0, 1, ... in that order.
 
         A slot whose column is not among rows becomes a pad where it stands:
-        it points at its own row and is its own mirror.  Every other slot
+        it points at its own row, is its own mirror and takes the diagonal's
+        CSR offset.  Every other slot
         keeps its index, so an edge between two selected rows sits in the
         same slot as in self.
         """
@@ -174,10 +158,14 @@ class PaddedView:
         new_id[rows] = np.arange(n_sel)
         cols = new_id[self.cols[rows]]
         cut = cols < 0
-        cols[cut] = np.nonzero(cut)[0]
+        cut_rows, cut_slots = np.nonzero(cut)
+        cols[cut] = cut_rows
         trans_slot = self.trans_slot[rows]
-        trans_slot[cut] = np.nonzero(cut)[1]
+        trans_slot[cut] = cut_slots
+        diag_slot = self.diag_slot[rows]
+        src = self.src[rows]
+        src[cut] = src[cut_rows, diag_slot[cut_rows]]
         return PaddedView(
             width=self.width, cols=cols, valid=self.valid[rows] & ~cut,
-            diag_slot=self.diag_slot[rows], trans_slot=trans_slot,
+            diag_slot=diag_slot, trans_slot=trans_slot, src=src,
         )

@@ -32,16 +32,19 @@ nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
 are recomputed redundantly instead of being synchronized, so only per-node
 quantities (alpha, R, U) and limiter rows travel between ranks.  The solver
 builds one padded slot view of the whole stencil (sparsity.PaddedView),
-slots ordered by global node id, and each rank's view is the rows of its
-owned and ghost nodes; in a ghost row, the slots to nodes outside the rank
-are pads where they stand.  An edge thus has the same slot index in its
+slots ordered by global node id, from one sort of the assembled CSR entries
+that also gives each slot's matrix offset, and each rank's view is the rows
+of its owned and ghost nodes; in a ghost row, the slots to nodes outside the
+rank are pads where they stand.  An edge thus has the same slot index in its
 owner's row and in every ghost copy, so the row send table comes from the
 partition's export lists and the slot send table is the valid slots of those
 ghost rows.  A sync writes into the array it reads from.  Every phase runs
-through one driver: a rank's rows keep the Cuthill-McKee order with the rows
-other ranks need moved to the front, and the overlapped loop stages the
-phase's synced array once they are done and runs the interior rows while it
-is in flight.  All row loops share one worker pool, built with the solver.
+through one driver, exchange.overlapped_loop: a rank's rows keep the
+Cuthill-McKee order with the rows other ranks need moved to the front, and
+the loop stages the phase's synced array once they are done and runs the
+interior rows while it is in flight; a phase without a synced array runs
+all its rows after an empty front.  All row loops share one worker pool,
+built with the solver.
 The slot order by global node id makes results bitwise independent of the
 rank count, the worker count, the row order and the communication-hiding
 loop split.
@@ -63,7 +66,7 @@ from .assembly import PrecomputedMatrices
 from .indicator import IndicatorAccumulator
 from .physics import AIR, AdmissibilityError, GasConstants
 
-__all__ = ["BoundaryConditions", "Solver", "compute_tau"]
+__all__ = ["BoundaryConditions", "Solver"]
 
 STEP_NAMES = ["step0", "step1", "step2", "step3", "step4", "step5", "step6"]
 
@@ -84,17 +87,6 @@ class BoundaryConditions:
     farfield: Optional[np.ndarray] = None
     slip_nodes: Optional[np.ndarray] = None
     slip_normals: Optional[np.ndarray] = None
-
-
-def compute_tau(d_diag: np.ndarray, m_i: np.ndarray, c_cfl: float) -> float:
-    """CFL time step c_cfl * min_i m_i / (-2 d_ii).
-
-    Raises on a globally constant field, where the bound is unbounded.
-    """
-    tau_min = _tau_local(d_diag, m_i)
-    if not np.isfinite(tau_min):
-        raise ValueError("constant field, the time step bound is unbounded")
-    return c_cfl * tau_min
 
 
 def _is_int(x) -> bool:
@@ -178,20 +170,12 @@ def _slot_bound(bound, x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _tau_local(d_diag: np.ndarray, m_i: np.ndarray) -> float:
-    """min_i m_i / (-2 d_ii) over the nodes with d_ii < 0; inf if there are none."""
-    mask = d_diag < 0.0
-    if not mask.any():
-        return np.inf
-    return float(np.min(m_i[mask] / (-2.0 * d_diag[mask])))
-
-
 class _RankData:
     """Per-rank renumbered stencil data and work arrays."""
 
     # populated by Solver._build_rank; listed here for readability
     __slots__ = [
-        "numbering", "width", "cols", "valid",
+        "numbering", "cols", "valid",
         "up_row", "up_slot", "up_ptr", "lower", "trans_slot",
         "diag_slot", "card",
         "lam", "c_slot", "cT_slot", "b_slot", "bT_slot", "m_i", "inv_m",
@@ -247,20 +231,13 @@ class Solver:
         self.comm = exchange.Communicator(ranks)
 
         # one padded slot view of the whole stencil, rows and slot order in
-        # CM ids, and the assembled CSR offset of every slot, found among the
-        # ascending keys row * n + column (a pad finds its row's diagonal);
-        # each rank's view is a selection of its rows
-        view = sparsity.build_pattern(
-            conn, sparsity.LocalNumbering(part.cm_perm, part.cm_inv, 0, self.n, self.n),
-        ).padded()
-        keys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, matrices.card)
-        keys += matrices.indices
-        orig = part.cm_inv
-        offs = np.searchsorted(keys, orig[:, None] * self.n + orig[view.cols])
+        # CM ids, with the assembled CSR offset of every slot; each rank's
+        # view is a selection of its rows
+        view = sparsity.build_pattern(conn, part.cm_perm).padded()
         self.pad_width = view.width
         self.standard_card = int(np.argmax(np.bincount(matrices.card)))
 
-        self.ranks: List[_RankData] = [self._build_rank(r, view, offs) for r in range(ranks)]
+        self.ranks: List[_RankData] = [self._build_rank(r, view) for r in range(ranks)]
         self._build_sends()
         # one pool serves every row loop of the solver
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -271,7 +248,7 @@ class Solver:
 
     # ----- setup ---------------------------------------------------------
 
-    def _build_rank(self, r: int, view: sparsity.PaddedView, offs: np.ndarray) -> _RankData:
+    def _build_rank(self, r: int, view: sparsity.PaddedView) -> _RankData:
         mat, part = self.matrices, self.part
         s, e = part.ranges[r]
         n_owned = e - s
@@ -285,7 +262,6 @@ class Solver:
 
         rk = _RankData()
         rk.numbering = numbering
-        rk.width = padded.width
         rk.cols = padded.cols
         rk.valid = padded.valid
         rk.diag_slot = padded.diag_slot
@@ -300,14 +276,12 @@ class Solver:
         rk.up_row, rk.up_slot = np.nonzero(upper)
         rk.up_ptr = np.concatenate([[0], np.cumsum(upper.sum(axis=1))])
         rk.card = padded.valid.sum(axis=1)
-        lam_den = np.maximum(rk.card[: numbering.n_lo] - 1, 1)
-        rk.lam = 1.0 / lam_den
+        rk.lam = 1.0 / np.maximum(rk.card[: numbering.n_lo] - 1, 1)
 
         # pads take zero values
         N, L, d = len(cm_of_new), padded.width, self.dim
-        slot_offs = offs[cm_of_new]
-        m_slot = np.where(padded.valid, mat.m[slot_offs], 0.0)
-        rk.c_slot = np.where(padded.valid[..., None], mat.c[slot_offs], 0.0)
+        m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
+        rk.c_slot = np.where(padded.valid[..., None], mat.c[padded.src], 0.0)
         rk.cT_slot = rk.c_slot[padded.cols, padded.trans_slot]
         rk.m_i = mat.m_lumped[rk.orig_of_new]
         rk.inv_m = mat.inv_m[rk.orig_of_new]
@@ -318,20 +292,12 @@ class Solver:
 
         nvar = self.nvar
         n_lo = numbering.n_lo
-        rk.U = np.zeros((N, nvar))
-        rk.U_next = np.zeros((N, nvar))
+        rk.U, rk.U_next, rk.R = (np.zeros((N, nvar)) for _ in range(3))
+        rk.eor, rk.phi, rk.alpha = (np.zeros(N) for _ in range(3))
+        rk.d, rk.l, rk.l_next = (np.zeros((N, L)) for _ in range(3))
+        rk.rho_min, rk.rho_max, rk.phi_min = (np.zeros(n_lo) for _ in range(3))
         rk.f = np.zeros((N, nvar, d))
-        rk.eor = np.zeros(N)
-        rk.phi = np.zeros(N)
-        rk.d = np.zeros((N, L))
-        rk.alpha = np.zeros(N)
-        rk.R = np.zeros((N, nvar))
         rk.P = np.zeros((n_lo, L, nvar))
-        rk.l = np.zeros((N, L))
-        rk.l_next = np.zeros((N, L))
-        rk.rho_min = np.zeros(n_lo)
-        rk.rho_max = np.zeros(n_lo)
-        rk.phi_min = np.zeros(n_lo)
 
         def to_owned(orig_ids):
             cm = part.cm_perm[orig_ids]
@@ -408,15 +374,7 @@ class Solver:
             return sum(item[-1].size for item in items)
         self.comm.deliver(apply)
 
-    # ----- row loop drivers ------------------------------------------------
-
-    def _run(self, body, hi):
-        ranges = [(a, min(a + self.chunk_size, hi)) for a in range(0, hi, self.chunk_size)]
-        if self.pool is None or len(ranges) <= 1:
-            for a, b in ranges:
-                body(a, b)
-        else:
-            list(self.pool.map(lambda rng: body(*rng), ranges))
+    # ----- row loop driver ---------------------------------------------------
 
     def _phase(self, step: str, kernel, synced: Optional[str] = None, ghosts: bool = False):
         """Run kernel(rk, lo, hi) over the owned rows of every rank, and over
@@ -424,19 +382,19 @@ class Solver:
 
         With synced, a rank stages that array once its exported rows are done
         (all of its owned rows without overlap) and runs the rest while the
-        sync is in flight; one delivery to all ranks ends the phase.
+        sync is in flight; one delivery to all ranks ends the phase.  Without
+        one, the overlapped loop has no rows to run before the sync.
         """
         t0 = time.perf_counter()
         for r, rk in enumerate(self.ranks):
             nb = rk.numbering
-            body = functools.partial(kernel, rk)
             hi = nb.n_lr if ghosts else nb.n_lo
-            if synced is None:
-                self._run(body, hi)
-                continue
+            n_e, start_sync = 0, None
+            if synced is not None:
+                n_e = nb.n_e if self.overlap else nb.n_lo
+                start_sync = functools.partial(self._stage, r, synced)
             fired = exchange.overlapped_loop(
-                nb.n_e if self.overlap else nb.n_lo, hi, body,
-                functools.partial(self._stage, r, synced),
+                n_e, hi, functools.partial(kernel, rk), start_sync,
                 pool=self.pool, chunk_size=self.chunk_size,
             )
             if fired != 1:
@@ -585,15 +543,16 @@ class Solver:
         self._phase("step2", self._k_mirror)
         t0 = time.perf_counter()
         if tau is None:
+            # min_i m_i / (-2 d_ii) over the owned nodes with d_ii < 0
             locs = []
             for rk in self.ranks:
                 n_lo = rk.numbering.n_lo
-                rows = np.arange(n_lo)
-                d_diag = rk.d[rows, rk.diag_slot[:n_lo]]
-                locs.append(_tau_local(d_diag, rk.m_i[:n_lo]))
+                d_diag = rk.d[np.arange(n_lo), rk.diag_slot[:n_lo]]
+                neg = d_diag < 0.0
+                locs.append(np.min(rk.m_i[:n_lo][neg] / (-2.0 * d_diag[neg]), initial=np.inf))
             tau_min = exchange.allreduce_min(locs)
             if not np.isfinite(tau_min):
-                raise ValueError("constant field, the time step bound is unbounded")
+                raise ValueError("no node has d_ii < 0, the time step bound is unbounded")
             tau = min(self.c_cfl * tau_min, tau_max)
         tau = float(tau)
         self.tau_last = tau

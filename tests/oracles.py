@@ -182,7 +182,7 @@ def indicator_loop_reference(solver, rk, lo, hi):
     f_i = rk.f[sl]
     acc = IndicatorAccumulator(solver.gas)
     acc.reset(U_i, eta_over_rho_i=rk.eor[sl])
-    for s in range(rk.width):
+    for s in range(solver.pad_width):
         js = cols[:, s]
         U_js, c_ij, eta_over_rho_j, f_j = U_j[:, s], c[:, s], rk.eor[js], rk.f[js]
         mom_j = U_js[..., 1:-1]
@@ -285,7 +285,13 @@ def limited_update_reference(rk, lo, hi):
     return rk.U_next[sl] + rk.lam[sl][:, None] * (minl[..., None] * rk.P[sl]).sum(axis=1)
 
 
-# ----- dense single-rank forward-Euler step ----------------------------------
+# ----- time step and dense single-rank forward-Euler step ---------------------
+
+def cfl_tau(d_ii, m_i, c_cfl):
+    """c_cfl * min_i m_i / (-2 d_ii) over the nodes with d_ii < 0, one node at
+    a time."""
+    return c_cfl * min(m / (-2.0 * d) for d, m in zip(d_ii, m_i) if d < 0.0)
+
 
 def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
                      gamma=GAMMA):

@@ -13,13 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from eulerflow import exchange, indicator, limiter, physics, riemann, stepper
+from eulerflow import exchange, indicator, limiter, physics, riemann, sparsity, stepper
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
 TRACED = [
+    (sparsity, "renumber"),
+    (sparsity, "build_pattern"),
+    (sparsity.SparsityPattern, "padded"),
     (exchange, "overlapped_loop"),
     (exchange.Communicator, "deliver"),
     (riemann, "d_ij_low"),
@@ -57,6 +60,9 @@ def test_traced_step_records_every_layer():
         tracer.uninstall()
 
     calls = tracer.calls()
+    # the setup spans that sparsity.build_s sums
+    for name in ("sparsity.renumber", "sparsity.build_pattern", "sparsity.padded"):
+        assert calls.get(name, 0) > 0, name
     for name in ("exchange.overlapped_loop", "exchange.deliver", "riemann.d_ij_low",
                  "indicator.accumulate", "limiter.limiter_compute"):
         assert calls.get(name, 0) > 0, name

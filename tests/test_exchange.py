@@ -1,5 +1,6 @@
 """Simulated-rank partitioning, staging communicator and overlap loop."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -138,3 +139,20 @@ def test_overlapped_loop_empty_pre_region_still_fires():
     assert fired == 1
     assert calls == ["sync", (0, 5)]
     assert exchange.overlapped_loop(0, 0, lambda lo, hi: None, None) == 1
+
+
+def test_overlapped_loop_without_sync_covers_rows_once_on_a_pool():
+    # the solver's phases without a synced array run through this path; the
+    # lock makes a chunk run twice count twice
+    n = 37
+    hits = np.zeros(n, dtype=int)
+    lock = threading.Lock()
+
+    def body(lo, hi):
+        with lock:
+            hits[lo:hi] += 1
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        fired = exchange.overlapped_loop(0, n, body, None, pool=pool, chunk_size=4)
+    assert fired == 1
+    assert (hits == 1).all()

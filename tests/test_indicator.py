@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import problems
+from eulerflow import physics, problems
 from eulerflow.assembly import assemble
 from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.stepper import Solver
@@ -20,6 +20,22 @@ def random_states(rng, n, dim=2):
     return U
 
 
+def eta_over_rho(U):
+    return physics.harten_entropy(U) / U[..., 0]
+
+
+def accumulated(U_i, U_j, c):
+    """An accumulator over the stencil U_j, c of the nodes U_i, given eta / rho
+    and the flux contraction formed as the stepper forms them."""
+    fdc = physics.flux_contraction(
+        physics.flux(U_j), physics.flux(U_i)[..., None, :, :], c,
+    )
+    acc = IndicatorAccumulator()
+    acc.reset(U_i, eta_over_rho(U_i))
+    acc.accumulate(U_j, c, eta_over_rho(U_j), fdc)
+    return acc
+
+
 def test_matches_reference():
     rng = np.random.default_rng(31)
     for _ in range(25):
@@ -27,9 +43,7 @@ def test_matches_reference():
         states = random_states(rng, card + 1)
         U_i, neighbors = states[0], states[1:]
         c_rows = rng.normal(0.0, 0.5, (card, 2))
-        acc = IndicatorAccumulator()
-        acc.reset(U_i)
-        acc.accumulate(neighbors, c_rows)
+        acc = accumulated(U_i, neighbors, c_rows)
         expect = oracles.indicator_reference(U_i, neighbors, c_rows)
         assert float(acc.result()) == pytest.approx(expect, rel=1e-12, abs=1e-13)
 
@@ -37,9 +51,7 @@ def test_matches_reference():
 def test_constant_state_is_exactly_zero():
     rng = np.random.default_rng(8)
     U = random_states(rng, 1)[0]
-    acc = IndicatorAccumulator()
-    acc.reset(U)
-    acc.accumulate(np.tile(U, (8, 1)), rng.normal(0.0, 1.0, (8, 2)))
+    acc = accumulated(U, np.tile(U, (8, 1)), rng.normal(0.0, 1.0, (8, 2)))
     assert float(acc.result()) == 0.0
 
 
@@ -47,9 +59,7 @@ def test_result_clipped_to_unit_interval():
     rng = np.random.default_rng(17)
     for _ in range(50):
         states = random_states(rng, 6)
-        acc = IndicatorAccumulator()
-        acc.reset(states[0])
-        acc.accumulate(states[1:], rng.normal(0.0, 2.0, (5, 2)))
+        acc = accumulated(states[0], states[1:], rng.normal(0.0, 2.0, (5, 2)))
         alpha = float(acc.result())
         assert 0.0 <= alpha <= 1.0
 
@@ -61,21 +71,16 @@ def test_batched_rows_match_scalar():
     # slot-last blocks, (rows, slots, components), as the stepper holds them
     U_j = np.stack([random_states(rng, nrows) for _ in range(card)], axis=1)
     cs = rng.normal(0.0, 1.0, (card, nrows, 2)).swapaxes(0, 1)
-    acc = IndicatorAccumulator()
-    acc.reset(U_i)
-    acc.accumulate(U_j, cs)
-    batch = acc.result()
+    batch = accumulated(U_i, U_j, cs).result()
     for r in range(nrows):
-        one = IndicatorAccumulator()
-        one.reset(U_i[r])
-        one.accumulate(U_j[r], cs[r])
-        assert batch[r] == float(one.result())
+        assert batch[r] == float(accumulated(U_i[r], U_j[r], cs[r]).result())
 
 
 def test_accumulate_before_reset_raises():
     acc = IndicatorAccumulator()
+    U_j = np.array([[1.0, 0.0, 0.0, 2.5]])
     with pytest.raises(RuntimeError):
-        acc.accumulate(np.array([[1.0, 0.0, 0.0, 2.5]]), np.zeros((1, 2)))
+        acc.accumulate(U_j, np.zeros((1, 2)), eta_over_rho(U_j), np.zeros_like(U_j))
 
 
 @pytest.mark.parametrize("dim,width,tail", [(2, 11, 61), (3, 33, 29)])

@@ -120,6 +120,20 @@ def test_roundtrip_primitive(rho, u, p):
     assert physics.is_admissible(U)
 
 
+@pytest.mark.parametrize("gamma", [
+    float("inf"), float("-inf"), float("nan"), 1.0, 0.5, -2.0, True, "2", None, 1.5 + 0j,
+])
+def test_gas_constants_reject_gamma_that_is_not_a_finite_real_above_one(gamma):
+    with pytest.raises(ValueError):
+        GasConstants(gamma)
+
+
+def test_gas_constants_accept_real_numbers_above_one():
+    for gamma in (1.0000001, 5.0 / 3.0, np.float64(1.4), 3, np.int64(2), 1e300):
+        gas = GasConstants(gamma)
+        assert np.isfinite(gas.gm1) and gas.gp1_inv > 0.0
+
+
 def test_custom_gas():
     gas = GasConstants(gamma=5.0 / 3.0)
     U = np.array([1.0, 0.0, 1.0])

@@ -18,13 +18,22 @@ def random_stencil_graph(rng, n, extra=3):
     return dense
 
 
-def slot_view(dense, export_set=(), n_owned=None, pad_to=None):
-    """Numbering and slot view; slots are sorted by old row id, as the solver
-    sorts them by global node id."""
-    conn = sp.csr_matrix(dense.astype(np.int8))
-    numbering = renumber(len(dense), export_set, n_owned=n_owned)
-    pattern = build_pattern(conn, numbering, col_key=numbering.inv)
-    return numbering, pattern.padded(pad_to=pad_to)
+def whole_view(dense, order=None):
+    """The padded view of the whole graph in the ids order gives (old id ->
+    new id, default the identity), as the solver builds it in global
+    Cuthill-McKee ids."""
+    order = np.arange(len(dense)) if order is None else order
+    return build_pattern(sp.csr_matrix(dense.astype(np.int8)), order).padded()
+
+
+def slot_view(dense, export_set=(), n_owned=None, order=None):
+    """Numbering and slot view of the renumbered rows, selected from the whole
+    view as the solver selects a rank's rows; each row's slots are ordered by
+    the ids order gives."""
+    n = len(dense)
+    order = np.arange(n) if order is None else order
+    numbering = renumber(n, export_set, n_owned=n if n_owned is None else n_owned)
+    return numbering, whole_view(dense, order).select(order[numbering.inv])
 
 
 def test_roundtrip_against_dense_oracle():
@@ -34,15 +43,24 @@ def test_roundtrip_against_dense_oracle():
         dense_pat = random_stencil_graph(rng, n)
         n_owned = int(rng.integers(1, n + 1))
         exports = rng.choice(n_owned, int(rng.integers(0, n_owned + 1)), replace=False)
-        width = int(dense_pat.sum(axis=1).max()) + int(rng.integers(0, 3))
-        numbering, pv = slot_view(dense_pat, exports, n_owned, pad_to=width)
+        order = rng.permutation(n)
+        width = int(dense_pat.sum(axis=1).max())
+        numbering, pv = slot_view(dense_pat, exports, n_owned, order)
         pat_new = dense_pat[np.ix_(numbering.inv, numbering.inv)]
-        cols, valid, trans_slot = oracles.slot_view_reference(pat_new, numbering.inv, width)
+        cols, valid, trans_slot = oracles.slot_view_reference(
+            pat_new, order[numbering.inv], width)
         assert pv.width == width
         assert np.array_equal(pv.cols, cols)
         assert np.array_equal(pv.valid, valid)
         assert np.array_equal(pv.trans_slot, trans_slot)
         assert np.array_equal(pv.cols[np.arange(n), pv.diag_slot], np.arange(n))
+        # src is the offset of the slot's entry in the input CSR, of the
+        # diagonal entry for a pad
+        conn = sp.csr_matrix(dense_pat.astype(np.int8))
+        entry_row = np.repeat(np.arange(n), np.diff(conn.indptr))
+        rows = np.broadcast_to(np.arange(n)[:, None], pv.cols.shape)
+        assert np.array_equal(entry_row[pv.src], numbering.inv[rows])
+        assert np.array_equal(conn.indices[pv.src], numbering.inv[np.where(valid, pv.cols, rows)])
 
         rows = np.arange(n)[:, None]
         for ncomp in (1, 2, 4):
@@ -63,8 +81,9 @@ def test_row_order_does_not_change_content():
     dense_pat = random_stencil_graph(rng, 24)
     values = rng.normal(size=(24, 24)) * dense_pat
     outputs = []
+    order = rng.permutation(24)
     for exports, n_owned in (((), 24), (np.arange(0, 24, 3), 24), ([17, 2, 7], 18)):
-        numbering, pv = slot_view(dense_pat, exports, n_owned)
+        numbering, pv = slot_view(dense_pat, exports, n_owned, order)
         old_rows = numbering.inv[:, None]
         slots = np.where(pv.valid, values[old_rows, numbering.inv[pv.cols]], 0.0)
         # slot rows in the old row order, columns as old ids
@@ -91,16 +110,15 @@ def test_markers_and_permutation():
 def test_padded_view_pads_reference_self():
     rng = np.random.default_rng(55)
     dense_pat = random_stencil_graph(rng, 12)
-    _, narrow = slot_view(dense_pat)
-    _, pv = slot_view(dense_pat, pad_to=narrow.width + 3)
+    pv = whole_view(dense_pat)
     card = dense_pat.sum(axis=1)
+    assert pv.width == card.max() > card.min()
     for i in range(12):
         assert pv.valid[i, : card[i]].all()
         assert not pv.valid[i, card[i]:].any()
         assert (pv.cols[i, card[i]:] == i).all()
         assert np.array_equal(pv.trans_slot[i, card[i]:], np.arange(card[i], pv.width))
-    with pytest.raises(ValueError):
-        slot_view(dense_pat, pad_to=narrow.width - 1)
+        assert (pv.src[i, card[i]:] == pv.src[i, pv.diag_slot[i]]).all()
     # the transpose gather is an involution on valid slots
     back_r = pv.cols[pv.cols, pv.trans_slot]
     back_s = pv.trans_slot[pv.cols, pv.trans_slot]
@@ -108,6 +126,26 @@ def test_padded_view_pads_reference_self():
     slots = np.broadcast_to(np.arange(pv.width)[None, :], pv.cols.shape)
     assert np.array_equal(back_r[pv.valid], rows[pv.valid])
     assert np.array_equal(back_s[pv.valid], slots[pv.valid])
+
+
+def test_select_makes_pads_of_the_slots_it_cuts():
+    rng = np.random.default_rng(56)
+    dense_pat = random_stencil_graph(rng, 16)
+    pv = whole_view(dense_pat)
+    rows = np.array([9, 2, 14, 5, 0, 7])
+    sel = pv.select(rows)
+    kept = dense_pat[rows][:, rows]
+    for i, old in enumerate(rows):
+        cut = ~np.isin(pv.cols[old], rows)
+        # a cut slot points at its own row, is its own mirror and takes the
+        # diagonal's offset; every other slot stays where it was
+        assert np.array_equal(sel.valid[i], pv.valid[old] & ~cut)
+        assert (sel.cols[i, cut] == i).all()
+        assert np.array_equal(sel.trans_slot[i, cut], np.flatnonzero(cut))
+        assert (sel.src[i, cut] == pv.src[old, pv.diag_slot[old]]).all()
+        assert np.array_equal(rows[sel.cols[i, ~cut]], pv.cols[old, ~cut])
+        assert np.array_equal(sel.src[i, ~cut], pv.src[old, ~cut])
+        assert sel.valid[i].sum() == kept[i].sum()
 
 
 def test_export_rows_come_first():

@@ -10,7 +10,7 @@ from eulerflow import assembly, limiter, physics, problems, riemann, stepper
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
 from eulerflow.physics import AdmissibilityError
-from eulerflow.stepper import BoundaryConditions, Solver, compute_tau
+from eulerflow.stepper import BoundaryConditions, Solver
 
 import oracles
 
@@ -142,20 +142,35 @@ def test_one_worker_pool_per_solver(small_periodic, monkeypatch):
     assert built == [2]
 
 
-def test_tau_equals_compute_tau_on_assembled_viscosity(small_periodic):
+def test_tau_is_the_cfl_bound_of_the_assembled_viscosity(small_periodic):
     mat, U = small_periodic
-    s = Solver(mat, c_cfl=0.5)
+    s = Solver(mat, c_cfl=0.5, ranks=2)
     s.set_state(U)
     tau = s.euler_step()
-    rk = s.ranks[0]
-    n_lo = rk.numbering.n_lo
-    d_diag = rk.d[np.arange(n_lo), rk.diag_slot[:n_lo]]
-    assert tau == compute_tau(d_diag, rk.m_i[:n_lo], 0.5)
+    d_ii, m_i = [], []
+    for rk in s.ranks:
+        n_lo = rk.numbering.n_lo
+        d_ii.extend(rk.d[np.arange(n_lo), rk.diag_slot[:n_lo]])
+        m_i.extend(rk.m_i[:n_lo])
+    assert tau == s.tau_last == oracles.cfl_tau(d_ii, m_i, 0.5)
 
 
-def test_compute_tau_raises_on_constant_field():
-    with pytest.raises(ValueError):
-        compute_tau(np.zeros(5), np.ones(5), 0.9)
+def test_unbounded_time_step_raises_and_keeps_the_state():
+    # without edges every d_ii is zero: the time step bound of the constant
+    # state is unbounded
+    n = 6
+    mat = assembly.PrecomputedMatrices(
+        n=n, dim=2, indptr=np.arange(n + 1), indices=np.arange(n), m=np.ones(n),
+        c=np.zeros((n, 2)), m_lumped=np.ones(n), inv_m=np.ones(n),
+    )
+    U = np.tile([1.4, 4.2, 0.0, 8.8], (n, 1))
+    for ranks in (1, 2):
+        s = Solver(mat, ranks=ranks)
+        s.set_state(U)
+        with pytest.raises(ValueError, match="unbounded"):
+            s.euler_step()
+        assert np.array_equal(s.get_state(), U)
+        assert s.n_euler_steps == 0
 
 
 def test_constant_state_is_exactly_preserved(small_periodic):
