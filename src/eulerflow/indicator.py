@@ -56,8 +56,9 @@ class IndicatorAccumulator:
         (axis -1 of eta_over_rho_j), one neighbour after the other.
 
         fdc is the flux contraction (f_j - f_i) . c_ij of every neighbor, of
-        the shape of U_j, as physics.flux_contraction forms it; the stepper
-        passes the contraction it keeps for the low-order update.
+        the shape of U_j, with the components of each product added left to
+        right (physics.component_sum); the stepper passes the contraction
+        that rowkernels.flux_contraction writes for the low-order update.
         """
         if not self._ready:
             raise RuntimeError("accumulate called before reset")

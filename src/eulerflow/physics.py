@@ -10,10 +10,7 @@ A numpy reduce over so short an inner axis pays its per-row setup on every
 row and runs an order of magnitude slower; the explicit adds give the same
 bits as numpy's sum, which adds a short axis in the same order starting
 from +0.0.  Kernels that hold the components as separate arrays add them
-with sum_left_to_right, which component_sum is built on.  The stepper's sums
-over the stencil slots of a row go through sum_left_to_right too, one slot
-after the other: the bits of numpy's sum over a slot axis that is not the
-innermost, without the reduce.
+with sum_left_to_right, which component_sum is built on.
 """
 
 from __future__ import annotations
@@ -32,13 +29,11 @@ __all__ = [
     "n_variables",
     "sum_left_to_right",
     "component_sum",
-    "flux_contraction",
     "internal_energy",
     "pressure",
     "speed_of_sound",
     "specific_entropy",
     "specific_entropy_phi",
-    "harten_entropy",
     "harten_entropy_derivative",
     "flux",
     "is_admissible",
@@ -119,13 +114,6 @@ def component_sum(x: np.ndarray, out=None) -> np.ndarray:
     return sum_left_to_right((x[..., k] for k in range(x.shape[-1])), out=out)
 
 
-def flux_contraction(f_j: np.ndarray, f_i: np.ndarray, c_ij: np.ndarray, out=None) -> np.ndarray:
-    """(f_j - f_i) . c_ij: each state component's flux difference contracted
-    with c_ij over the space axis, shape (..., d+2); written into out when
-    one is given."""
-    return component_sum((f_j - f_i) * c_ij[..., None, :], out=out)
-
-
 def _split(U: np.ndarray):
     return U[..., 0], U[..., 1:-1], U[..., -1]
 
@@ -167,14 +155,6 @@ def specific_entropy_phi(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
     if np.any(rho <= 0.0):
         raise AdmissibilityError("specific_entropy_phi requires rho > 0")
     return internal_energy(U) * power(rho, -gas.gamma)
-
-
-def harten_entropy(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
-    """eta = (rho * epsilon)^{1/(gamma+1)}."""
-    rho_eps = U[..., 0] * internal_energy(U)
-    if np.any(rho_eps <= 0.0):
-        raise AdmissibilityError("harten_entropy requires rho*epsilon > 0")
-    return power(rho_eps, gas.gp1_inv)
 
 
 def harten_entropy_derivative(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:

@@ -1,0 +1,209 @@
+/* Row kernels of the forward-Euler phases that need no pow().
+ *
+ * Every kernel walks the rows [lo, hi) of one rank's padded slot view
+ * (sparsity.PaddedView): row i has L slots, slot s of row i is entry
+ * i * L + s of cols, trans and every per-slot array, and a per-slot state
+ * vector is entry (i * L + s) * nvar.  On an owned row the card[i] valid
+ * slots come first and the pads follow; a pad points at its own row, has
+ * zero matrix entries and a zero viscosity, so every term it would add to a
+ * row sum is +0.0, which leaves a sum that starts from +0.0 unchanged.  The
+ * owned-row loops therefore stop at card[i] and never write a pad.
+ *
+ * Each kernel does the operations of the numpy expressions it stands for in
+ * the same order (tests/oracles.py keeps them): sums start from +0.0 and add
+ * one slot after the other, products keep numpy's grouping, and the bounds
+ * follow np.minimum / np.maximum.  Built with -ffp-contract=off, so no
+ * multiply-add is fused, the results are bitwise those of numpy.
+ */
+
+#include <stdint.h>
+
+typedef int64_t idx;
+
+/* np.minimum(a, b) and np.maximum(a, b): a NaN operand propagates, the first
+ * one when both are NaN, and of two equal values (+0.0 and -0.0) the second
+ * is returned.  C's fmin and fmax would drop a NaN. */
+static inline double np_min(double a, double b) { return a != a ? a : (a < b ? a : b); }
+static inline double np_max(double a, double b) { return a != a ? a : (a > b ? a : b); }
+
+/* numpy's pairwise sum of n contiguous doubles (the inner loop of a reduce
+ * over the innermost axis): below 8 values left to right, up to 128 values
+ * in 8 interleaved accumulators combined as a tree plus the remaining
+ * values, beyond that split in halves that are multiples of 8. */
+static double pairwise_sum(const double *a, idx n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (idx i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        idx i;
+        for (int k = 0; k < 8; ++k)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; ++k)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    idx n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Phase step1: the flux contraction P[i, s, k] = (f_j - f_i)[k] . c_ij of
+ * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim). */
+void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
+                      const idx *card, const double *f, const double *c, double *P)
+{
+    for (idx i = lo; i < hi; ++i) {
+        const double *fi = f + i * nvar * dim;
+        for (idx s = 0; s < card[i]; ++s) {
+            idx is = i * L + s;
+            const double *fj = f + cols[is] * nvar * dim;
+            const double *cs = c + is * dim;
+            for (idx k = 0; k < nvar; ++k) {
+                double acc = 0.0;
+                for (idx x = 0; x < dim; ++x)
+                    acc += (fj[k * dim + x] - fi[k * dim + x]) * cs[x];
+                P[is * nvar + k] = acc;
+            }
+        }
+    }
+}
+
+/* Phase step2: the lower slots of d take the mirror d_ji, and the diagonal
+ * takes minus the row sum, summed as numpy sums the innermost axis of the
+ * (rows, L) block, pads included.  Reads only upper slots of other rows. */
+void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const uint8_t *lower,
+            const idx *diag, double *d)
+{
+    double dd[L];
+    for (idx i = lo; i < hi; ++i) {
+        for (idx s = 0; s < L; ++s) {
+            idx is = i * L + s;
+            dd[s] = lower[is] ? d[cols[is] * L + trans[is]] : d[is];
+        }
+        double rowsum = 0.0 + pairwise_sum(dd, L);
+        for (idx s = 0; s < L; ++s)
+            if (lower[i * L + s])
+                d[i * L + s] = dd[s];
+        d[i * L + diag[i]] = -rowsum;
+    }
+}
+
+/* Phase step3: the low-order update U_next, the high-order residual R, the
+ * density bar-state bounds and the minimum of phi over the stencil, from
+ * the flux contraction in P.  With viscous set, P then takes the viscous
+ * part (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes. */
+void low_order(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card, double tau,
+               const double *inv_m, const double *U, const double *d, const double *alpha,
+               const double *phi, int viscous, double *P, double *U_next, double *R,
+               double *rho_min, double *rho_max, double *phi_min)
+{
+    double low[nvar], high[nvar];
+    for (idx i = lo; i < hi; ++i) {
+        const double *Ui = U + i * nvar;
+        double rmin = 0.0, rmax = 0.0, pmin = 0.0;
+        for (idx k = 0; k < nvar; ++k)
+            low[k] = high[k] = 0.0;
+        for (idx s = 0; s < card[i]; ++s) {
+            idx is = i * L + s, j = cols[is];
+            const double *Uj = U + j * nvar;
+            double *p = P + is * nvar;
+            double dij = d[is];
+            double dH = dij * (0.5 * (alpha[i] + alpha[j]));
+            double corr = dij != 0.0 ? p[0] / (2.0 * dij) : 0.0;
+            double rho_bar = 0.5 * (Ui[0] + Uj[0]) - corr;
+            if (s == 0) {
+                rmin = rmax = rho_bar;
+                pmin = phi[j];
+            } else {
+                rmin = np_min(rmin, rho_bar);
+                rmax = np_max(rmax, rho_bar);
+                pmin = np_min(pmin, phi[j]);
+            }
+            for (idx k = 0; k < nvar; ++k) {
+                double dU = Uj[k] - Ui[k];
+                low[k] += dij * dU - p[k];
+                high[k] += dH * dU - p[k];
+                if (viscous)
+                    p[k] = (dH - dij) * dU;
+            }
+        }
+        double scale = tau * inv_m[i];
+        for (idx k = 0; k < nvar; ++k) {
+            U_next[i * nvar + k] = Ui[k] + scale * low[k];
+            R[i * nvar + k] = high[k];
+        }
+        rho_min[i] = rmin;
+        rho_max[i] = rmax;
+        phi_min[i] = pmin;
+    }
+}
+
+/* Phase step4: the correction fluxes P += b_ij R_j - b_ji R_i, scaled by
+ * tau / m_i (card_i - 1). */
+void correction(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card, double tau,
+                const double *inv_m, const double *b, const double *bT, const double *R,
+                double *P)
+{
+    for (idx i = lo; i < hi; ++i) {
+        double scale = tau * inv_m[i] * (double)(card[i] - 1);
+        const double *Ri = R + i * nvar;
+        for (idx s = 0; s < card[i]; ++s) {
+            idx is = i * L + s;
+            const double *Rj = R + cols[is] * nvar;
+            double *p = P + is * nvar;
+            for (idx k = 0; k < nvar; ++k) {
+                p[k] = p[k] + (b[is] * Rj[k] - bT[is] * Ri[k]);
+                p[k] = p[k] * scale;
+            }
+        }
+    }
+}
+
+/* Phases step5 and step6: U_next += lam_i sum_s min(l_ij, l_ji) P_ij.
+ * Unless last, P is then scaled by 1 - min(l_ij, l_ji), and every slot,
+ * pads included, with min(l_ij, l_ji) < 1 is gathered in row-major order:
+ * its row into live_row, its flat index i * L + s into live_flat and its
+ * scaled P into live_P.  Returns the number of slots gathered. */
+idx limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *trans,
+                   const idx *card, const double *lam, const double *l, int last, double *P,
+                   double *U_next, idx *live_row, idx *live_flat, double *live_P)
+{
+    double acc[nvar];
+    idx n_live = 0;
+    for (idx i = lo; i < hi; ++i) {
+        for (idx k = 0; k < nvar; ++k)
+            acc[k] = 0.0;
+        idx n_slots = last ? card[i] : L;
+        for (idx s = 0; s < n_slots; ++s) {
+            idx is = i * L + s;
+            double minl = np_min(l[is], l[cols[is] * L + trans[is]]);
+            double *p = P + is * nvar;
+            if (s < card[i]) {
+                for (idx k = 0; k < nvar; ++k)
+                    acc[k] += minl * p[k];
+                if (!last)
+                    for (idx k = 0; k < nvar; ++k)
+                        p[k] = p[k] * (1.0 - minl);
+            }
+            if (!last && minl < 1.0) {
+                live_row[n_live] = i;
+                live_flat[n_live] = is;
+                for (idx k = 0; k < nvar; ++k)
+                    live_P[n_live * nvar + k] = p[k];
+                ++n_live;
+            }
+        }
+        for (idx k = 0; k < nvar; ++k)
+            U_next[i * nvar + k] = U_next[i * nvar + k] + lam[i] * acc[k];
+    }
+    return n_live;
+}

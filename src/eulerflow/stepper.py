@@ -19,11 +19,14 @@ row alone, so one limiter batch per chunk holds each row once, with a zero
 P, and the entries with min(l_ij, l_ji) < 1.  With newton_steps = 0 an entry
 still takes its density-clamped full step where that step meets the entropy
 bound (see limiter.limiter_compute).
-Every per-row sum, minimum and maximum over the stencil slots (the indicator
-sums, the low-order update and its bounds, the limited update) runs slot
-after slot as whole-chunk array operations on the slot-last blocks, a row
-loop over the stencil written one slot at a time; only the viscosity
-mirroring's row sum of d stays a numpy reduce.
+The phases that need no pow() run as compiled row kernels (rowkernels), one
+call per chunk of rows: step 1's flux contraction, step 2's mirroring,
+step 3 in full, step 4's assembly of the correction fluxes and the limited
+update, rescale and live-entry gather of steps 5 and 6.  They walk each
+row's valid slots once with the row's sums in registers and give the bits
+of the numpy expressions they replaced (kept in tests/oracles.py).  The
+entropies and fluxes, the wavespeeds, the indicator and the limiter stay in
+numpy; the indicator also sums over the slots one slot after the other.
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -61,7 +64,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import exchange, limiter, physics, riemann, sparsity
+from . import exchange, limiter, physics, riemann, rowkernels, sparsity
 from .assembly import PrecomputedMatrices
 from .indicator import IndicatorAccumulator
 from .physics import AIR, AdmissibilityError, GasConstants
@@ -142,32 +145,6 @@ def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
         if not np.all(np.abs(1.0 - norm) <= 1e-12):
             raise ValueError("slip_normals must be finite unit vectors")
     return BoundaryConditions(inflow, farfield, slip, normals)
-
-
-def _slot_sum(x: np.ndarray, out=None) -> np.ndarray:
-    """x[:, 0] + x[:, 1] + ... over the slots of an (n, L, ...) block, added
-    slot after slot from +0.0 (physics.sum_left_to_right); written into out
-    when one is given.
-
-    With an axis after the slots this is x.sum(axis=1) bit for bit, as numpy
-    reduces a non-innermost axis in the same order, at a third of its time;
-    numpy sums an innermost slot axis pairwise instead.
-    """
-    return physics.sum_left_to_right((x[:, k] for k in range(x.shape[1])), out=out)
-
-
-def _slot_bound(bound, x: np.ndarray, out=None) -> np.ndarray:
-    """x.min(axis=1) (bound np.minimum) or x.max(axis=1) (np.maximum) of an
-    (n, L, ...) block, taken slot after slot; written into out when one is
-    given.  Without signed zeros or NaNs the result does not depend on the
-    order of the slots."""
-    if out is None:
-        out = x[:, 0].copy()
-    else:
-        out[...] = x[:, 0]
-    for k in range(1, x.shape[1]):
-        bound(out, x[:, k], out=out)
-    return out
 
 
 class _RankData:
@@ -428,47 +405,24 @@ class Solver:
         if sl.start < sl.stop:
             # the flux contraction of every slot, formed once per substep: the
             # indicator sums it here and the low-order update reads it from P
+            rowkernels.flux_contraction(sl.start, sl.stop, rk.cols, rk.card, rk.f, rk.c_slot, rk.P)
             cols = rk.cols[sl]
-            fdc = physics.flux_contraction(
-                rk.f[cols], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl],
-            )
             acc = IndicatorAccumulator(self.gas)
             acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
-            acc.accumulate(rk.U[cols], rk.c_slot[sl], eta_over_rho_j=rk.eor[cols], fdc=fdc)
+            acc.accumulate(rk.U[cols], rk.c_slot[sl], eta_over_rho_j=rk.eor[cols], fdc=rk.P[sl])
             rk.alpha[sl] = acc.result()
 
     def _k_mirror(self, rk, lo, hi):
-        sl = slice(lo, hi)
-        dT = rk.d[rk.cols[sl], rk.trans_slot[sl]]
-        dd = np.where(rk.lower[sl], dT, rk.d[sl])
-        rowsum = dd.sum(axis=1)
-        rows = np.arange(lo, hi)
-        dd[rows - lo, rk.diag_slot[sl]] = -rowsum
-        rk.d[sl] = dd
+        rowkernels.mirror(lo, hi, rk.cols, rk.trans_slot, rk.lower, rk.diag_slot, rk.d)
 
     def _k_low_order(self, rk, lo, hi, tau):
-        sl = slice(lo, hi)
-        cols = rk.cols[sl]
-        U_i = rk.U[sl]
-        U_j = rk.U[cols]
-        dU = U_j - U_i[:, None]
-        # the flux contraction that step 1 left in P
-        fdc = rk.P[sl]
-        d = rk.d[sl]
-        rk.U_next[sl] = U_i + (tau * rk.inv_m[sl])[:, None] * _slot_sum(d[..., None] * dU - fdc)
-        dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
-        _slot_sum(dH[..., None] * dU - fdc, out=rk.R[sl])
-        # the bar states bound the density only
-        d_safe = np.where(d != 0.0, d, 1.0)
-        corr = np.where(d != 0.0, fdc[..., 0] / (2.0 * d_safe), 0.0)
-        rho_bar = 0.5 * (U_i[:, None, 0] + U_j[..., 0]) - corr
-        _slot_bound(np.minimum, rho_bar, out=rk.rho_min[sl])
-        _slot_bound(np.maximum, rho_bar, out=rk.rho_max[sl])
-        _slot_bound(np.minimum, rk.phi[cols], out=rk.phi_min[sl])
-        # the viscous part of the correction fluxes replaces the contraction;
-        # _k_correction adds the rest
-        if self.limiter_passes:
-            np.multiply((dH - d)[..., None], dU, out=fdc)
+        # the viscous part of the correction fluxes replaces step 1's flux
+        # contraction in P when limiter passes follow; _k_correction adds the
+        # rest
+        rowkernels.low_order(
+            lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.U, rk.d, rk.alpha, rk.phi,
+            self.limiter_passes > 0, rk.P, rk.U_next, rk.R, rk.rho_min, rk.rho_max, rk.phi_min,
+        )
 
     def _limit(self, rk, rows, P):
         """Limiter values of the correction fluxes P; rows holds the row of
@@ -479,35 +433,27 @@ class Solver:
         )
 
     def _k_correction(self, rk, lo, hi, tau):
-        sl = slice(lo, hi)
-        P = rk.P[sl]
-        P += (rk.b_slot[sl][..., None] * rk.R[rk.cols[sl]]
-              - rk.bT_slot[sl][..., None] * rk.R[sl][:, None])
-        P *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
-        rk.l[sl] = self._limit(rk, np.arange(lo, hi)[:, None], P)
+        rowkernels.correction(lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.b_slot, rk.bT_slot,
+                              rk.R, rk.P)
+        rk.l[lo:hi] = self._limit(rk, np.arange(lo, hi)[:, None], rk.P[lo:hi])
 
     def _k_limited_update(self, rk, lo, hi, last):
-        sl = slice(lo, hi)
-        lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
-        minl = np.minimum(rk.l[sl], lT)
-        rk.U_next[sl] += rk.lam[sl][:, None] * _slot_sum(minl[..., None] * rk.P[sl])
+        live = rowkernels.limited_update(
+            lo, hi, rk.cols, rk.trans_slot, rk.card, rk.lam, rk.l, rk.P, rk.U_next, last,
+        )
         if last:
             self._k_boundary(rk, lo, hi)
             return
-        P = rk.P[sl]
-        P *= (1.0 - minl)[..., None]
-        # P is +-0 wherever minl == 1, and the limiter value of such an entry
-        # depends on its row alone: one batch holds every row with a zero P
-        # and the entries with minl < 1
-        live_rows, live_slots = np.nonzero(minl < 1.0)
-        rows = np.arange(lo, hi)
+        # P is +-0 wherever min(l_ij, l_ji) == 1, and the limiter value of such
+        # an entry depends on its row alone: one batch holds every row with a
+        # zero P and the live entries, those with min(l_ij, l_ji) < 1
+        live_rows, live_flat, live_P = live
         l = self._limit(
-            rk, np.concatenate([rows, rows[live_rows]]),
-            np.concatenate([np.zeros((hi - lo, self.nvar)), P[live_rows, live_slots]]),
+            rk, np.concatenate([np.arange(lo, hi), live_rows]),
+            np.concatenate([np.zeros((hi - lo, self.nvar)), live_P]),
         )
-        l_next = rk.l_next[sl]
-        l_next[:] = l[: hi - lo, None]
-        l_next[live_rows, live_slots] = l[hi - lo:]
+        rk.l_next[lo:hi] = l[: hi - lo, None]
+        rk.l_next.reshape(-1)[live_flat] = l[hi - lo:]
 
     def _k_boundary(self, rk, lo, hi):
         if len(rk.slip_idx):

@@ -16,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+from eulerflow import physics, riemann
 from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
-from eulerflow.physics import AIR, component_sum
+from eulerflow.physics import AIR, AdmissibilityError, component_sum, sum_left_to_right
 from eulerflow.riemann import Projected1DState, _lambda_max_projected
 
 GAMMA = 1.4
@@ -137,6 +138,21 @@ def flux_of(U, gamma=GAMMA):
         f[1 + k, k] += p
     f[-1] = v * (E + p)
     return f
+
+
+def harten_entropy(U, gas=AIR):
+    """eta = (rho * epsilon)^{1/(gamma+1)}."""
+    rho_eps = U[..., 0] * physics.internal_energy(U)
+    if np.any(rho_eps <= 0.0):
+        raise AdmissibilityError("harten_entropy requires rho*epsilon > 0")
+    return physics.power(rho_eps, gas.gp1_inv)
+
+
+def flux_contraction(f_j, f_i, c_ij, out=None):
+    """(f_j - f_i) . c_ij: each state component's flux difference contracted
+    with c_ij over the space axis, shape (..., d+2); written into out when
+    one is given."""
+    return component_sum((f_j - f_i) * c_ij[..., None, :], out=out)
 
 
 # ----- commutator indicator, straight-line implementation -------------------
@@ -283,6 +299,117 @@ def limited_update_reference(rk, lo, hi):
     sl = slice(lo, hi)
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
     return rk.U_next[sl] + rk.lam[sl][:, None] * (minl[..., None] * rk.P[sl]).sum(axis=1)
+
+
+# ----- numpy forms of the compiled row kernels ----------------------------------
+# The phase kernels of stepper.Solver as they were written in numpy before
+# rowkernels.c replaced their pow-free parts, with the same signature as the
+# Solver methods; the solver is passed explicitly.  Every per-row sum, minimum
+# and maximum over the slots runs slot after slot, padded slots included.
+
+def slot_sum(x, out=None):
+    """x[:, 0] + x[:, 1] + ... over the slots of an (n, L, ...) block, added
+    slot after slot from +0.0; with an axis after the slots this is
+    x.sum(axis=1) bit for bit."""
+    return sum_left_to_right((x[:, k] for k in range(x.shape[1])), out=out)
+
+
+def slot_bound(bound, x, out=None):
+    """x.min(axis=1) (bound np.minimum) or x.max(axis=1) (np.maximum) of an
+    (n, L, ...) block, taken slot after slot."""
+    if out is None:
+        out = x[:, 0].copy()
+    else:
+        out[...] = x[:, 0]
+    for k in range(1, x.shape[1]):
+        bound(out, x[:, k], out=out)
+    return out
+
+
+def viscosity_kernel(solver, rk, lo, hi):
+    """Phase step1: d_ij on the upper slots, the flux contraction into P and
+    the indicator."""
+    up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
+    rows, slots = rk.up_row[up], rk.up_slot[up]
+    rk.d[lo:hi] = 0.0
+    rk.d[rows, slots] = riemann.d_ij_low(
+        rk.U[rows], rk.U[rk.cols[rows, slots]],
+        rk.c_slot[rows, slots], rk.cT_slot[rows, slots], solver.gas,
+    )
+    sl = slice(lo, min(hi, rk.numbering.n_lo))
+    if sl.start < sl.stop:
+        cols = rk.cols[sl]
+        fdc = flux_contraction(rk.f[cols], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl])
+        acc = IndicatorAccumulator(solver.gas)
+        acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
+        acc.accumulate(rk.U[cols], rk.c_slot[sl], eta_over_rho_j=rk.eor[cols], fdc=fdc)
+        rk.alpha[sl] = acc.result()
+
+
+def mirror_kernel(solver, rk, lo, hi):
+    """Phase step2: the lower slots of d from their mirrors, d_ii = -(row sum)."""
+    sl = slice(lo, hi)
+    dT = rk.d[rk.cols[sl], rk.trans_slot[sl]]
+    dd = np.where(rk.lower[sl], dT, rk.d[sl])
+    rowsum = dd.sum(axis=1)
+    dd[np.arange(hi - lo), rk.diag_slot[sl]] = -rowsum
+    rk.d[sl] = dd
+
+
+def low_order_kernel(solver, rk, lo, hi, tau):
+    """Phase step3: the low-order update, R, the bounds and, with limiter
+    passes, the viscous part of the correction fluxes in P."""
+    sl = slice(lo, hi)
+    cols = rk.cols[sl]
+    U_i = rk.U[sl]
+    U_j = rk.U[cols]
+    dU = U_j - U_i[:, None]
+    fdc = rk.P[sl]
+    d = rk.d[sl]
+    rk.U_next[sl] = U_i + (tau * rk.inv_m[sl])[:, None] * slot_sum(d[..., None] * dU - fdc)
+    dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
+    slot_sum(dH[..., None] * dU - fdc, out=rk.R[sl])
+    d_safe = np.where(d != 0.0, d, 1.0)
+    corr = np.where(d != 0.0, fdc[..., 0] / (2.0 * d_safe), 0.0)
+    rho_bar = 0.5 * (U_i[:, None, 0] + U_j[..., 0]) - corr
+    slot_bound(np.minimum, rho_bar, out=rk.rho_min[sl])
+    slot_bound(np.maximum, rho_bar, out=rk.rho_max[sl])
+    slot_bound(np.minimum, rk.phi[cols], out=rk.phi_min[sl])
+    if solver.limiter_passes:
+        np.multiply((dH - d)[..., None], dU, out=fdc)
+
+
+def correction_kernel(solver, rk, lo, hi, tau):
+    """Phase step4: the correction fluxes and the first limiter pass."""
+    sl = slice(lo, hi)
+    P = rk.P[sl]
+    P += (rk.b_slot[sl][..., None] * rk.R[rk.cols[sl]]
+          - rk.bT_slot[sl][..., None] * rk.R[sl][:, None])
+    P *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
+    rk.l[sl] = solver._limit(rk, np.arange(lo, hi)[:, None], P)
+
+
+def limited_update_kernel(solver, rk, lo, hi, last):
+    """Phases step5 and step6: the limited update and, unless last, the
+    rescaled P and the next pass's limiter values from one batch of every
+    row (with a zero P) and the entries with min(l_ij, l_ji) < 1."""
+    sl = slice(lo, hi)
+    minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
+    rk.U_next[sl] += rk.lam[sl][:, None] * slot_sum(minl[..., None] * rk.P[sl])
+    if last:
+        solver._k_boundary(rk, lo, hi)
+        return
+    P = rk.P[sl]
+    P *= (1.0 - minl)[..., None]
+    live_rows, live_slots = np.nonzero(minl < 1.0)
+    rows = np.arange(lo, hi)
+    l = solver._limit(
+        rk, np.concatenate([rows, rows[live_rows]]),
+        np.concatenate([np.zeros((hi - lo, solver.nvar)), P[live_rows, live_slots]]),
+    )
+    l_next = rk.l_next[sl]
+    l_next[:] = l[: hi - lo, None]
+    l_next[live_rows, live_slots] = l[hi - lo:]
 
 
 # ----- time step and dense single-rank forward-Euler step ---------------------

@@ -21,13 +21,13 @@ def random_states(rng, n, dim=2):
 
 
 def eta_over_rho(U):
-    return physics.harten_entropy(U) / U[..., 0]
+    return oracles.harten_entropy(U) / U[..., 0]
 
 
 def accumulated(U_i, U_j, c):
     """An accumulator over the stencil U_j, c of the nodes U_i, given eta / rho
     and the flux contraction formed as the stepper forms them."""
-    fdc = physics.flux_contraction(
+    fdc = oracles.flux_contraction(
         physics.flux(U_j), physics.flux(U_i)[..., None, :, :], c,
     )
     acc = IndicatorAccumulator()

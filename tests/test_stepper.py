@@ -2,9 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from eulerflow import assembly, limiter, physics, problems, riemann, stepper
 from eulerflow.assembly import assemble
@@ -503,12 +500,6 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-# slot values: ordinary values, signed zeros and extreme magnitudes
-_entry = st.one_of(
-    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150),
-)
-
-
 def _one_row_chunk(mat):
     """The first chunk size >= 8 that leaves a one-row block in a synced
     phase on 2 ranks, which runs the exported rows [0, n_e) and then
@@ -591,26 +582,6 @@ def test_limited_update_matches_the_slot_reduce_bitwise(monkeypatch):
             assert 1 in sizes[False] and 1 in sizes[True]
         finals.append(s.get_state())
     assert same_bits(finals[0], finals[1])
-
-
-@given(rows=st.integers(1, 4), slots=st.integers(1, 33), comps=st.integers(2, 5), data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_slot_sum_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, comps, data):
-    # with an axis after the slots, numpy reduces the slot axis slot after
-    # slot, so the bits agree, signed zeros included; numpy sums an innermost
-    # slot axis pairwise, and the stepper only bounds such blocks
-    x = data.draw(hnp.arrays(np.float64, (rows, slots, comps), elements=_entry))
-    out = np.full((rows, comps), np.nan)
-    assert same_bits(stepper._slot_sum(x, out=out), x.sum(axis=1))
-    assert same_bits(out, x.sum(axis=1))
-    assert same_bits(stepper._slot_bound(np.minimum, x), x.min(axis=1))
-    assert same_bits(stepper._slot_bound(np.maximum, x), x.max(axis=1))
-    # the density bar states and phi, (rows, slots) blocks of positive values
-    pos = data.draw(hnp.arrays(np.float64, (rows, slots), elements=st.floats(1e-300, 1e300)))
-    out = np.full(rows, np.nan)
-    assert same_bits(stepper._slot_bound(np.minimum, pos, out=out), pos.min(axis=1))
-    assert same_bits(out, pos.min(axis=1))
-    assert same_bits(stepper._slot_bound(np.maximum, pos), pos.max(axis=1))
 
 
 def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
