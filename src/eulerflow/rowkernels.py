@@ -112,14 +112,14 @@ def _rows(lo: int, hi: int, *arrays):
 def flux_contraction(lo, hi, cols, card, f, c, P):
     """P[i, s] = (f[cols[i, s]] - f[i]) . c[i, s] for the valid slots of the
     rows [lo, hi) (numpy's physics-style component sums, left to right)."""
-    _rows(lo, hi, card, P)
+    _rows(lo, hi, cols, card, P)
     _flux_contraction(lo, hi, cols.shape[1], f.shape[1], f.shape[2], cols, card, f, c, P)
 
 
 def mirror(lo, hi, cols, trans_slot, lower, diag_slot, d):
     """d of the lower slots from the mirror slots, d_ii = -(row sum) as
     d.sum(axis=1) forms it, for the rows [lo, hi)."""
-    _rows(lo, hi, diag_slot, d)
+    _rows(lo, hi, cols, trans_slot, lower, diag_slot, d)
     _mirror(lo, hi, cols.shape[1], cols, trans_slot, lower, diag_slot, d)
 
 
@@ -127,14 +127,14 @@ def low_order(lo, hi, cols, card, tau, inv_m, U, d, alpha, phi, viscous, P,
               U_next, R, rho_min, rho_max, phi_min):
     """The low-order update of the rows [lo, hi) and its bounds; with
     viscous, P takes the viscous part of the correction fluxes."""
-    _rows(lo, hi, card, P, rho_min)
+    _rows(lo, hi, cols, card, P, rho_min)
     _low_order(lo, hi, cols.shape[1], U.shape[1], cols, card, tau, inv_m, U, d, alpha, phi,
                int(viscous), P, U_next, R, rho_min, rho_max, phi_min)
 
 
 def correction(lo, hi, cols, card, tau, inv_m, b, bT, R, P):
     """The correction fluxes of the rows [lo, hi) from step 3's P and R."""
-    _rows(lo, hi, card, P)
+    _rows(lo, hi, cols, card, P)
     _correction(lo, hi, cols.shape[1], R.shape[1], cols, card, tau, inv_m, b, bT, R, P)
 
 
@@ -145,7 +145,7 @@ def limited_update(lo, hi, cols, trans_slot, card, lam, l, P, U_next, last=True)
     minimum below 1 are returned in row-major order as (rows, flat indices
     row * width + slot, their P); otherwise None.
     """
-    _rows(lo, hi, card, P, lam)
+    _rows(lo, hi, cols, trans_slot, card, P, lam)
     n, (width, nvar) = hi - lo, P.shape[1:]
     size = 0 if last else n * width
     live_row, live_flat = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)

@@ -62,13 +62,14 @@ class _Stop(Exception):
     """Ends a step after the checked kernel call."""
 
 
-def checked(solver, name, sizes, perturb=None, stop=False, lanes=None):
+def checked(solver, name, calls=None, perturb=None, stop=False, lanes=None):
     """solver.name, checked bitwise on every call against its numpy form run
     on a copy of the rank's data: every array of the rank must agree, so the
     kernel also writes nothing the numpy form leaves alone.  perturb(rk, lo,
     hi, **kwargs) edits the inputs first; with stop, the first call raises
-    _Stop.  Given the list to which solver._limit appends its batch sizes,
-    both must batch the same lanes."""
+    _Stop.  Every call's (rk, lo, hi) is appended to calls.  Given the list
+    to which solver._limit appends its batch sizes, both forms must batch
+    the same lanes."""
     original = getattr(solver, name)
 
     def run(rk, lo, hi, **kwargs):
@@ -82,7 +83,8 @@ def checked(solver, name, sizes, perturb=None, stop=False, lanes=None):
         assert_same_rank_data(rk, want)
         if lanes is not None:
             assert lanes[first:mid] == lanes[mid:]
-        sizes.append((rk, lo, hi))
+        if calls is not None:
+            calls.append((rk, lo, hi))
         if stop:
             raise _Stop
 
@@ -132,9 +134,8 @@ def test_nan_neighbour_density_propagates_into_the_bounds(monkeypatch):
         rk.phi[j] = np.nan
         seen.append((rk, lo))
 
-    sizes = []
     monkeypatch.setattr(s, "_k_low_order",
-                        checked(s, "_k_low_order", sizes, perturb=nan_neighbour, stop=True))
+                        checked(s, "_k_low_order", perturb=nan_neighbour, stop=True))
     with pytest.raises(_Stop):
         s.euler_step()
     (rk, lo), = seen
@@ -149,7 +150,6 @@ def test_row_kernels_keep_signed_zero_corrections(monkeypatch, name, last_pass):
     # every third valid slot of the chunk's P enters as -0.0; the scaling by
     # 1 - min(l_ij, l_ji) = 0 in the limited update makes more of them
     s = stepped_solver(2, 1, 3, 2048)
-    s.limiter_passes = 3
     zeroed = []
 
     def signed_zeros(rk, lo, hi, last=None, **_):
@@ -158,7 +158,7 @@ def test_row_kernels_keep_signed_zero_corrections(monkeypatch, name, last_pass):
             rk.P[lo:hi][mask] = -0.0
             zeroed.append(np.count_nonzero(mask))
 
-    monkeypatch.setattr(s, name, checked(s, name, [], perturb=signed_zeros))
+    monkeypatch.setattr(s, name, checked(s, name, perturb=signed_zeros))
     s.euler_step()
     assert zeroed and min(zeroed) > 0
     negative_zeros = sum(np.count_nonzero((rk.P == 0.0) & np.signbit(rk.P)) for rk in s.ranks)
@@ -226,6 +226,15 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
         assert same_bits_or_nan(bounds[0], oracles.slot_bound(np.minimum, rho_bar))
         assert same_bits_or_nan(bounds[1], oracles.slot_bound(np.maximum, rho_bar))
     assert same_bits(bounds[2], phi[cols].min(axis=1))
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 3), (-1, 1), (2, 1)])
+def test_rows_outside_the_arrays_are_rejected(lo, hi):
+    d = np.zeros((2, 3))
+    cols = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="outside"):
+        rowkernels.mirror(lo, hi, cols, cols, np.zeros((2, 3), dtype=bool),
+                          np.zeros(2, dtype=np.int64), d)
 
 
 def test_second_import_does_not_recompile(monkeypatch):
