@@ -6,9 +6,11 @@ layer of locally relevant indices.  A sync is a start and a finish, as in a
 message-passing backend without network transport: `Communicator.stage`
 snapshots what a rank sends, and `Communicator.deliver` copies every staged
 send into ghost storage and counts the volume for the performance report.
-`overlapped_loop` is the solver's one row loop: it runs the rows other
-ranks need, starts the sync, then runs the interior rows on the caller's
-worker pool while the sync is in flight; without a sync it runs every row.
+`overlapped_loop` is the solver's one row loop, one call per phase over
+every rank: it runs the rows other ranks need on all ranks as one batch,
+starts the sync of all ranks, then runs the interior rows of all ranks as a
+second batch on the caller's worker pool while the sync is in flight;
+without a sync the first batch is empty.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,52 +134,30 @@ def allreduce_min(values) -> float:
 
 
 def overlapped_loop(
-    n_e: int,
-    n: int,
-    body: Callable[[int, int], None],
+    jobs: List[Tuple[Callable[[int, int], None], int, int]],
     start_sync: Optional[Callable[[], None]],
-    pool: Optional[Executor] = None,
-    chunk_size: int = 2048,
-) -> int:
-    """Row loop with communication hiding.
+    pool: Optional[Executor],
+    chunk_size: int,
+):
+    """One phase's row loop over every rank, with communication hiding.
 
-    Processes rows [0, n_e) first; the call completing the last chunk of
-    that range triggers start_sync exactly once, and rows [n_e, n) follow.
-    Chunks run on pool when one is given, one after another otherwise.
-    Returns the number of times start_sync fired (always 0 or 1), so callers
-    can assert the contract.
+    jobs holds one (body, n_e, n) per rank.  The chunks of rows [0, n_e) of
+    every job run as one batch, then start_sync is called once (unless it
+    is None), then the chunks of rows [n_e, n) of every job run as a second
+    batch.  A batch is one pool.map when a pool is given, and runs in order
+    otherwise.
     """
 
-    def chunks(lo, hi):
-        return [(s, min(s + chunk_size, hi)) for s in range(lo, hi, chunk_size)]
+    def run(chunk):
+        body, lo, hi = chunk
+        body(lo, hi)
 
-    pre = chunks(0, n_e)
-    post = chunks(n_e, n)
+    def batch(ranges):
+        chunks = [(body, s, min(s + chunk_size, hi))
+                  for body, lo, hi in ranges for s in range(lo, hi, chunk_size)]
+        list((map if pool is None else pool.map)(run, chunks))
 
-    fired = [0]
-    remaining = [len(pre)]
-    lock = threading.Lock()
-
-    def run_pre(rng):
-        body(*rng)
-        with lock:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                fired[0] += 1
-                if start_sync is not None:
-                    start_sync()
-
-    if not pre:
-        fired[0] += 1
-        if start_sync is not None:
-            start_sync()
-
-    if pool is None:
-        for rng in pre:
-            run_pre(rng)
-        for rng in post:
-            body(*rng)
-    else:
-        list(pool.map(run_pre, pre))
-        list(pool.map(lambda rng: body(*rng), post))
-    return fired[0]
+    batch([(body, 0, n_e) for body, n_e, _ in jobs])
+    if start_sync is not None:
+        start_sync()
+    batch([(body, n_e, n) for body, n_e, n in jobs])

@@ -77,22 +77,22 @@ void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
     }
 }
 
-/* Phase step2: the lower slots of d take the mirror d_ji, and the diagonal
- * takes minus the row sum, summed as numpy sums the innermost axis of the
- * (rows, L) block, pads included.  Reads only upper slots of other rows. */
-void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const uint8_t *lower,
-            const idx *diag, double *d)
+/* Phase step2: the lower slots of d, on an owned row those before the
+ * diagonal (its slots ascend in global id), take the mirror d_ji, and the
+ * diagonal takes minus the row sum, summed as numpy sums the innermost axis
+ * of the (rows, L) block, pads included.  Reads only upper slots of other rows. */
+void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const idx *diag,
+            double *d)
 {
     double dd[L];
     for (idx i = lo; i < hi; ++i) {
         for (idx s = 0; s < L; ++s) {
             idx is = i * L + s;
-            dd[s] = lower[is] ? d[cols[is] * L + trans[is]] : d[is];
+            dd[s] = s < diag[i] ? d[cols[is] * L + trans[is]] : d[is];
         }
         double rowsum = 0.0 + pairwise_sum(dd, L);
-        for (idx s = 0; s < L; ++s)
-            if (lower[i * L + s])
-                d[i * L + s] = dd[s];
+        for (idx s = 0; s < diag[i]; ++s)
+            d[i * L + s] = dd[s];
         d[i * L + diag[i]] = -rowsum;
     }
 }

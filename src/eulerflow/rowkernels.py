@@ -82,7 +82,7 @@ def _array(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
 
-_I, _F, _B = _array(np.int64), _array(np.float64), _array(np.bool_)
+_I, _F = _array(np.int64), _array(np.float64)
 
 
 def _declare(name, restype, *argtypes):
@@ -94,7 +94,7 @@ def _declare(name, restype, *argtypes):
 
 _flux_contraction = _declare("flux_contraction", None, _i64, _i64, _i64, _i64, _i64, _I, _I,
                              _F, _F, _F)
-_mirror = _declare("mirror", None, _i64, _i64, _i64, _I, _I, _B, _I, _F)
+_mirror = _declare("mirror", None, _i64, _i64, _i64, _I, _I, _I, _F)
 _low_order = _declare("low_order", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
                       _F, _F, _int, _F, _F, _F, _F, _F, _F)
 _correction = _declare("correction", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
@@ -116,11 +116,12 @@ def flux_contraction(lo, hi, cols, card, f, c, P):
     _flux_contraction(lo, hi, cols.shape[1], f.shape[1], f.shape[2], cols, card, f, c, P)
 
 
-def mirror(lo, hi, cols, trans_slot, lower, diag_slot, d):
-    """d of the lower slots from the mirror slots, d_ii = -(row sum) as
-    d.sum(axis=1) forms it, for the rows [lo, hi)."""
-    _rows(lo, hi, cols, trans_slot, lower, diag_slot, d)
-    _mirror(lo, hi, cols.shape[1], cols, trans_slot, lower, diag_slot, d)
+def mirror(lo, hi, cols, trans_slot, diag_slot, d):
+    """d of the lower slots (those before the diagonal) from the mirror
+    slots, d_ii = -(row sum) as d.sum(axis=1) forms it, for the rows
+    [lo, hi)."""
+    _rows(lo, hi, cols, trans_slot, diag_slot, d)
+    _mirror(lo, hi, cols.shape[1], cols, trans_slot, diag_slot, d)
 
 
 def low_order(lo, hi, cols, card, tau, inv_m, U, d, alpha, phi, viscous, P,

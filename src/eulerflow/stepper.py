@@ -41,13 +41,13 @@ of its owned and ghost nodes; in a ghost row, the slots to nodes outside the
 rank are pads where they stand.  An edge thus has the same slot index in its
 owner's row and in every ghost copy, so the row send table comes from the
 partition's export lists and the slot send table is the valid slots of those
-ghost rows.  A sync writes into the array it reads from.  Every phase runs
-through one driver, exchange.overlapped_loop: a rank's rows keep the
-Cuthill-McKee order with the rows other ranks need moved to the front, and
-the loop stages the phase's synced array once they are done and runs the
-interior rows while it is in flight; a phase without a synced array runs
-all its rows after an empty front.  All row loops share one worker pool,
-built with the solver.
+ghost rows.  A sync writes into the array it reads from.  Every phase is
+one call of exchange.overlapped_loop over all ranks: a rank's rows keep the
+Cuthill-McKee order with the rows other ranks need moved to the front; the
+front rows of every rank run as one batch on the solver's one worker pool,
+every rank stages the phase's synced array, and the interior rows of every
+rank run as a second batch while the sync is in flight; one delivery ends
+the phase.  A phase without a synced array has an empty first batch.
 The slot order by global node id makes results bitwise independent of the
 rank count, the worker count, the row order and the communication-hiding
 loop split.
@@ -153,9 +153,9 @@ class _RankData:
     # populated by Solver._build_rank; listed here for readability
     __slots__ = [
         "numbering", "cols", "valid",
-        "up_row", "up_slot", "up_ptr", "lower", "trans_slot",
+        "up_row", "up_slot", "up_ptr", "trans_slot",
         "diag_slot", "card",
-        "lam", "c_slot", "cT_slot", "b_slot", "bT_slot", "m_i", "inv_m",
+        "lam", "c_slot", "c_up", "cT_up", "b_slot", "bT_slot", "m_i", "inv_m",
         "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "d",
         "alpha", "R", "P", "l", "l_next", "rho_min", "rho_max", "phi_min",
         "inflow_idx", "slip_idx", "slip_n",
@@ -245,9 +245,7 @@ class Solver:
         rk.trans_slot = padded.trans_slot
         rk.cm_of_new = cm_of_new
         rk.orig_of_new = part.cm_inv[cm_of_new]
-        gcols = cm_of_new[padded.cols]
-        upper = padded.valid & (gcols > cm_of_new[:, None])
-        rk.lower = padded.valid & (gcols < cm_of_new[:, None])
+        upper = padded.valid & (cm_of_new[padded.cols] > cm_of_new[:, None])
         # (row, slot) pairs of the upper edges in row-major order; the pairs
         # of rows [a, b) are up_ptr[a]:up_ptr[b]
         rk.up_row, rk.up_slot = np.nonzero(upper)
@@ -259,7 +257,9 @@ class Solver:
         N, L, d = len(cm_of_new), padded.width, self.dim
         m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
         rk.c_slot = np.where(padded.valid[..., None], mat.c[padded.src], 0.0)
-        rk.cT_slot = rk.c_slot[padded.cols, padded.trans_slot]
+        # c_ij and c_ji of the upper edges, in up_row/up_slot order
+        rk.c_up = rk.c_slot[upper]
+        rk.cT_up = rk.c_slot[padded.cols[upper], padded.trans_slot[upper]]
         rk.m_i = mat.m_lumped[rk.orig_of_new]
         rk.inv_m = mat.inv_m[rk.orig_of_new]
 
@@ -335,13 +335,15 @@ class Solver:
         arr = getattr(self.ranks[rank], name)
         return arr.reshape(-1) if name in _SLOT_ARRAYS else arr
 
-    def _stage(self, rank: int, name: str):
-        """Stage the values of array name that other ranks hold as ghosts."""
+    def _stage(self, name: str):
+        """Stage, on every rank, the values of array name that other ranks
+        hold as ghosts."""
         sends = self.slot_sends if name in _SLOT_ARRAYS else self.row_sends
-        src = self._synced(rank, name)
-        self.comm.stage(rank, [
-            (dst, name, dst_idx, src[src_idx]) for dst, src_idx, dst_idx in sends[rank]
-        ])
+        for rank in range(len(self.ranks)):
+            src = self._synced(rank, name)
+            self.comm.stage(rank, [
+                (dst, name, dst_idx, src[src_idx]) for dst, src_idx, dst_idx in sends[rank]
+            ])
 
     def _deliver(self):
         """Write every staged item into the receiver's array of the same name."""
@@ -357,25 +359,21 @@ class Solver:
         """Run kernel(rk, lo, hi) over the owned rows of every rank, and over
         its ghost rows too when ghosts is set; the time goes to timers[step].
 
-        With synced, a rank stages that array once its exported rows are done
-        (all of its owned rows without overlap) and runs the rest while the
-        sync is in flight; one delivery to all ranks ends the phase.  Without
-        one, the overlapped loop has no rows to run before the sync.
+        One overlapped loop covers every rank.  With synced, the exported
+        rows of every rank (all owned rows without overlap) run first, every
+        rank stages that array, and the rest run while the sync is in flight;
+        one delivery to all ranks ends the phase.  Without one, no rows run
+        before the sync.
         """
         t0 = time.perf_counter()
-        for r, rk in enumerate(self.ranks):
-            nb = rk.numbering
-            hi = nb.n_lr if ghosts else nb.n_lo
-            n_e, start_sync = 0, None
-            if synced is not None:
-                n_e = nb.n_e if self.overlap else nb.n_lo
-                start_sync = functools.partial(self._stage, r, synced)
-            fired = exchange.overlapped_loop(
-                n_e, hi, functools.partial(kernel, rk), start_sync,
-                pool=self.pool, chunk_size=self.chunk_size,
-            )
-            if fired != 1:
-                raise RuntimeError("communication start fired more than once")
+
+        def rows(nb):
+            n_e = 0 if synced is None else nb.n_e if self.overlap else nb.n_lo
+            return n_e, nb.n_lr if ghosts else nb.n_lo
+
+        jobs = [(functools.partial(kernel, rk), *rows(rk.numbering)) for rk in self.ranks]
+        start_sync = None if synced is None else functools.partial(self._stage, synced)
+        exchange.overlapped_loop(jobs, start_sync, self.pool, self.chunk_size)
         if synced is not None:
             self._deliver()
         self.timers[step] += time.perf_counter() - t0
@@ -397,8 +395,7 @@ class Solver:
         rows, slots = rk.up_row[up], rk.up_slot[up]
         rk.d[lo:hi] = 0.0
         rk.d[rows, slots] = riemann.d_ij_low(
-            rk.U[rows], rk.U[rk.cols[rows, slots]],
-            rk.c_slot[rows, slots], rk.cT_slot[rows, slots], self.gas,
+            rk.U[rows], rk.U[rk.cols[rows, slots]], rk.c_up[up], rk.cT_up[up], self.gas,
         )
         # ghost rows receive alpha from their owner
         sl = slice(lo, min(hi, rk.numbering.n_lo))
@@ -413,7 +410,7 @@ class Solver:
             rk.alpha[sl] = acc.result()
 
     def _k_mirror(self, rk, lo, hi):
-        rowkernels.mirror(lo, hi, rk.cols, rk.trans_slot, rk.lower, rk.diag_slot, rk.d)
+        rowkernels.mirror(lo, hi, rk.cols, rk.trans_slot, rk.diag_slot, rk.d)
 
     def _k_low_order(self, rk, lo, hi, tau):
         # the viscous part of the correction fluxes replaces step 1's flux

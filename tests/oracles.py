@@ -332,9 +332,10 @@ def viscosity_kernel(solver, rk, lo, hi):
     up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
     rows, slots = rk.up_row[up], rk.up_slot[up]
     rk.d[lo:hi] = 0.0
+    cols = rk.cols[rows, slots]
     rk.d[rows, slots] = riemann.d_ij_low(
-        rk.U[rows], rk.U[rk.cols[rows, slots]],
-        rk.c_slot[rows, slots], rk.cT_slot[rows, slots], solver.gas,
+        rk.U[rows], rk.U[cols], rk.c_slot[rows, slots],
+        rk.c_slot[cols, rk.trans_slot[rows, slots]], solver.gas,
     )
     sl = slice(lo, min(hi, rk.numbering.n_lo))
     if sl.start < sl.stop:
@@ -350,7 +351,8 @@ def mirror_kernel(solver, rk, lo, hi):
     """Phase step2: the lower slots of d from their mirrors, d_ii = -(row sum)."""
     sl = slice(lo, hi)
     dT = rk.d[rk.cols[sl], rk.trans_slot[sl]]
-    dd = np.where(rk.lower[sl], dT, rk.d[sl])
+    lower = rk.valid[sl] & (rk.cm_of_new[rk.cols[sl]] < rk.cm_of_new[sl, None])
+    dd = np.where(lower, dT, rk.d[sl])
     rowsum = dd.sum(axis=1)
     dd[np.arange(hi - lo), rk.diag_slot[sl]] = -rowsum
     rk.d[sl] = dd

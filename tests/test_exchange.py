@@ -1,6 +1,6 @@
 """Simulated-rank partitioning, staging communicator and overlap loop."""
 
-import threading
+import functools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -84,75 +84,89 @@ def test_allreduce_min():
         exchange.allreduce_min([])
 
 
+# (n_e, n) of each job: one rank, and three ranks of which one exports no
+# row and one has no interior row
+JOBS = ([(6, 21)], [(6, 21), (0, 5), (9, 9)])
+
+
+def run_loop(sizes, workers, sync=True):
+    """overlapped_loop over one job per (n_e, n) of sizes at chunk size 4, on
+    no pool (workers None) or a pool of that many workers.  Returns the event
+    log: ("start", job, lo, hi) and ("end", job, lo, hi) around each chunk,
+    ("sync",) for start_sync."""
+    log = []
+
+    def body(k, lo, hi):
+        log.append(("start", k, lo, hi))
+        log.append(("end", k, lo, hi))
+
+    jobs = [(functools.partial(body, k), n_e, n) for k, (n_e, n) in enumerate(sizes)]
+    start_sync = functools.partial(log.append, ("sync",)) if sync else None
+    if workers is None:
+        exchange.overlapped_loop(jobs, start_sync, None, 4)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            exchange.overlapped_loop(jobs, start_sync, pool, 4)
+    return log
+
+
+def rows_run(log, sizes):
+    """How often each row of each job ran, from the log's chunk ends."""
+    hits = [np.zeros(n, dtype=int) for _, n in sizes]
+    for event in log:
+        if event[0] == "end":
+            _, k, lo, hi = event
+            hits[k][lo:hi] += 1
+    return hits
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_overlapped_loop_covers_rows_once_and_fires_once(workers):
-    if workers == 1:
-        _check_overlapped_loop(None)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        _check_overlapped_loop(pool)
+    # workers 1 runs without a pool
+    for sizes in JOBS:
+        log = run_loop(sizes, None if workers == 1 else workers)
+        assert all((hits == 1).all() for hits in rows_run(log, sizes))
+        assert log.count(("sync",)) == 1
+        at = log.index(("sync",))
+        # before the sync every exported row of every job is done and no
+        # interior row has started
+        done = rows_run(log[:at], sizes)
+        assert all((hits[:n_e] == 1).all() for hits, (n_e, _) in zip(done, sizes))
+        assert all(lo < sizes[k][0] for _, k, lo, _ in log[:at])
 
 
-def _check_overlapped_loop(pool):
-    n_e, n_lo = 6, 21
-    hits = np.zeros(n_lo, dtype=int)
-    fired_at = []
-
-    def body(lo, hi):
-        hits[lo:hi] += 1
-
-    def sync():
-        fired_at.append(hits.copy())
-
-    fired = exchange.overlapped_loop(n_e, n_lo, body, sync,
-                                     pool=pool, chunk_size=4)
-    assert fired == 1
-    assert (hits == 1).all()
-    assert len(fired_at) == 1
-    snap = fired_at[0]
-    # all exported rows were complete when the sync started
-    assert (snap[:n_e] == 1).all()
+def chunk_events(ranges):
+    """The log of running the chunks of (job, lo, hi) of ranges in order."""
+    return [event for k, lo, hi in ranges for s in range(lo, hi, 4)
+            for event in (("start", k, s, min(s + 4, hi)), ("end", k, s, min(s + 4, hi)))]
 
 
 def test_overlapped_loop_sequential_order():
-    calls = []
-    exchange.overlapped_loop(
-        3, 8, lambda lo, hi: calls.append(("body", lo, hi)),
-        lambda: calls.append(("sync",)), pool=None, chunk_size=2,
-    )
-    names = [c[0] for c in calls]
-    sync_pos = names.index("sync")
-    covered_before = set()
-    for c in calls[:sync_pos]:
-        covered_before.update(range(c[1], c[2]))
-    assert covered_before == set(range(0, 3))
-    covered_after = set()
-    for c in calls[sync_pos + 1:]:
-        covered_after.update(range(c[1], c[2]))
-    assert covered_after == set(range(3, 8))
+    # without a pool the chunks run in job order, each job's rows ascending;
+    # on a pool each batch holds the same chunks
+    for sizes in JOBS:
+        exported = chunk_events([(k, 0, n_e) for k, (n_e, _) in enumerate(sizes)])
+        interior = chunk_events([(k, n_e, n) for k, (n_e, n) in enumerate(sizes)])
+        assert run_loop(sizes, None) == exported + [("sync",)] + interior
+        log = run_loop(sizes, 4)
+        at = log.index(("sync",))
+        assert sorted(log[:at]) == sorted(exported)
+        assert sorted(log[at + 1:]) == sorted(interior)
 
 
 def test_overlapped_loop_empty_pre_region_still_fires():
-    calls = []
-    fired = exchange.overlapped_loop(0, 5, lambda lo, hi: calls.append((lo, hi)),
-                                     lambda: calls.append("sync"), pool=None)
-    assert fired == 1
-    assert calls == ["sync", (0, 5)]
-    assert exchange.overlapped_loop(0, 0, lambda lo, hi: None, None) == 1
+    for workers in (None, 4):
+        for sizes in ([(0, 5)], [(0, 5), (0, 0), (0, 9)]):
+            log = run_loop(sizes, workers)
+            assert log[0] == ("sync",) and log.count(("sync",)) == 1
+            assert all((hits == 1).all() for hits in rows_run(log, sizes))
+        assert run_loop([], workers) == [("sync",)]
 
 
 def test_overlapped_loop_without_sync_covers_rows_once_on_a_pool():
-    # the solver's phases without a synced array run through this path; the
-    # lock makes a chunk run twice count twice
-    n = 37
-    hits = np.zeros(n, dtype=int)
-    lock = threading.Lock()
-
-    def body(lo, hi):
-        with lock:
-            hits[lo:hi] += 1
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        fired = exchange.overlapped_loop(0, n, body, None, pool=pool, chunk_size=4)
-    assert fired == 1
-    assert (hits == 1).all()
+    # the solver's phases without a synced array run through this path
+    for workers in (None, 4):
+        for sizes in ([(0, 37)], [(0, 37), (0, 5), (0, 14)]):
+            log = run_loop(sizes, workers, sync=False)
+            assert ("sync",) not in log
+            assert all((hits == 1).all() for hits in rows_run(log, sizes))

@@ -172,18 +172,17 @@ def test_mirror_row_sum_is_numpys_sum_over_the_innermost_axis(rows, width, data)
     # 8 slots on; widths 1-40 cover the short rows, the 33-wide 3D rows and
     # their remainder slot.  As in the solver, where they are upper slots,
     # the mirrors come from rows the kernel does not write: row i's from row
-    # rows + i.
+    # rows + i.  The lower slots are those before the diagonal.
     d = data.draw(hnp.arrays(np.float64, (2 * rows, width), elements=_entry))
-    lower = data.draw(hnp.arrays(np.bool_, (2 * rows, width)))
     diag = data.draw(hnp.arrays(np.int64, 2 * rows, elements=st.integers(0, width - 1)))
-    lower[np.arange(2 * rows), diag] = False
+    lower = np.arange(width) < diag[:, None]
     cols = np.repeat((np.arange(2 * rows)[:, None] + rows) % (2 * rows), width, axis=1)
     trans_slot = np.tile(np.arange(width), (2 * rows, 1))
     dd = np.where(lower[:rows], d[rows:], d[:rows])
     want = d.copy()
     want[:rows] = dd
     want[np.arange(rows), diag[:rows]] = -dd.sum(axis=1)
-    rowkernels.mirror(0, rows, cols, trans_slot, lower, diag, d)
+    rowkernels.mirror(0, rows, cols, trans_slot, diag, d)
     assert same_bits(d, want)
 
 
@@ -233,8 +232,7 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
     d = np.zeros((2, 3))
     cols = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="outside"):
-        rowkernels.mirror(lo, hi, cols, cols, np.zeros((2, 3), dtype=bool),
-                          np.zeros(2, dtype=np.int64), d)
+        rowkernels.mirror(lo, hi, cols, cols, np.zeros(2, dtype=np.int64), d)
 
 
 def test_second_import_does_not_recompile(monkeypatch):

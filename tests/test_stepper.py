@@ -100,9 +100,14 @@ def test_ghost_rows_are_owner_rows_with_outside_slots_masked(case):
             row_of[r, rk.cm_of_new] = np.arange(len(rk.cm_of_new))
         for rk in s.ranks:
             n_lo = rk.numbering.n_lo
-            # owned rows hold their whole stencil, pads only after it
+            # owned rows hold their whole stencil in ascending global id,
+            # pads only after it: the row kernels take the slots before the
+            # diagonal as the lower ones and stop at card
             card = mat.card[rk.orig_of_new[:n_lo]]
             assert np.array_equal(rk.valid[:n_lo], np.arange(s.pad_width) < card[:, None])
+            # slot s and s - 1 are both valid where slot s is
+            gcols = rk.cm_of_new[rk.cols[:n_lo]]
+            assert np.all(np.diff(gcols, axis=1)[rk.valid[:n_lo, 1:]] > 0)
             ghosts = rk.cm_of_new[n_lo:]
             owners = s.part.owner_of(ghosts)
             for o in np.unique(owners):
@@ -137,6 +142,30 @@ def test_one_worker_pool_per_solver(small_periodic, monkeypatch):
     s.set_state(U)
     s.ssp_rk3_step()
     assert built == [2]
+
+
+def test_a_synced_phase_maps_two_batches_over_all_ranks(small_periodic, monkeypatch):
+    # one pool.map for the exported rows of every rank, one for the rest
+    mat, U = small_periodic
+    s = Solver(mat, ranks=4, workers=2, chunk_size=3)
+    batches = []
+
+    class RecordingPool:
+        def map(self, fn, items):
+            items = list(items)
+            batches.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(s, "pool", RecordingPool())
+    s.set_state(U)
+    s._phase("step0", s._k_entropies, ghosts=True)
+    batches.clear()
+    s._phase("step1", s._k_viscosity, "alpha", ghosts=True)
+    assert len(batches) == 2
+    nbs = [rk.numbering for rk in s.ranks]
+    assert batches == [sum(-(-nb.n_e // 3) for nb in nbs),
+                       sum(-(-(nb.n_lr - nb.n_e) // 3) for nb in nbs)]
+    assert s.comm.sync_count == 1
 
 
 def test_tau_is_the_cfl_bound_of_the_assembled_viscosity(small_periodic):
