@@ -116,13 +116,16 @@ class Communicator:
             self._staged[rank] = items
 
     def deliver(self, apply_fn: Callable[[int, list], int]):
-        """Apply all staged sends; apply_fn returns the copied element count."""
+        """Apply all staged sends; apply_fn returns the copied element count.
+        The delivery counts as a sync when some rank staged a send."""
+        sent = False
         for rank in range(self.n_ranks):
             items = self._staged.pop(rank, None)
-            if items is None:
+            if not items:
                 continue
+            sent = True
             self.sync_volume += apply_fn(rank, items)
-        self.sync_count += 1
+        self.sync_count += sent
 
 
 def allreduce_min(values) -> float:

@@ -31,8 +31,6 @@ __all__ = [
     "component_sum",
     "internal_energy",
     "pressure",
-    "speed_of_sound",
-    "specific_entropy",
     "specific_entropy_phi",
     "harten_entropy_derivative",
     "flux",
@@ -127,26 +125,6 @@ def internal_energy(U: np.ndarray) -> np.ndarray:
 def pressure(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
     """p = (gamma - 1) * epsilon."""
     return gas.gm1 * internal_energy(U)
-
-
-def speed_of_sound(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
-    """c = sqrt(gamma p / rho); requires rho > 0 and p >= 0."""
-    rho = U[..., 0]
-    p = pressure(U, gas)
-    if np.any(rho <= 0.0) or np.any(p < 0.0):
-        raise AdmissibilityError("speed_of_sound requires rho > 0 and p >= 0")
-    return np.sqrt(gas.gamma * p / rho)
-
-
-def specific_entropy(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
-    """s = log(e^{1/(gamma-1)} / rho), with the additive offset fixed to 0."""
-    rho, _, _ = _split(U)
-    if np.any(rho <= 0.0):
-        raise AdmissibilityError("specific_entropy requires rho > 0")
-    e = internal_energy(U) / rho
-    if np.any(e <= 0.0):
-        raise AdmissibilityError("specific_entropy requires e > 0")
-    return np.log(e) / gas.gm1 - np.log(rho)
 
 
 def specific_entropy_phi(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:

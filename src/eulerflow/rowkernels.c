@@ -4,16 +4,17 @@
  * (sparsity.PaddedView): row i has L slots, slot s of row i is entry
  * i * L + s of cols, trans and every per-slot array, and a per-slot state
  * vector is entry (i * L + s) * nvar.  On an owned row the card[i] valid
- * slots come first and the pads follow; a pad points at its own row, has
- * zero matrix entries and a zero viscosity, so every term it would add to a
- * row sum is +0.0, which leaves a sum that starts from +0.0 unchanged.  The
- * owned-row loops therefore stop at card[i] and never write a pad.
+ * slots come first and the pads follow.  Every kernel follows one rule: it
+ * loops over the card[i] valid slots of its rows only, so it neither reads
+ * nor writes a pad, every sum starts from +0.0 and adds one slot after the
+ * other, and what is one expression of the stored matrix entries (b_ij,
+ * b_ji, lambda_i) is formed in place instead of read from a stored copy.
  *
  * Each kernel does the operations of the numpy expressions it stands for in
- * the same order (tests/oracles.py keeps them): sums start from +0.0 and add
- * one slot after the other, products keep numpy's grouping, and the bounds
- * follow np.minimum / np.maximum.  Built with -ffp-contract=off, so no
- * multiply-add is fused, the results are bitwise those of numpy.
+ * the same order (tests/oracles.py keeps them): products keep numpy's
+ * grouping and the bounds follow np.minimum / np.maximum.  Built with
+ * -ffp-contract=off, so no multiply-add is fused, the results are bitwise
+ * those of numpy.
  */
 
 #include <stdint.h>
@@ -25,36 +26,6 @@ typedef int64_t idx;
  * is returned.  C's fmin and fmax would drop a NaN. */
 static inline double np_min(double a, double b) { return a != a ? a : (a < b ? a : b); }
 static inline double np_max(double a, double b) { return a != a ? a : (a > b ? a : b); }
-
-/* numpy's pairwise sum of n contiguous doubles (the inner loop of a reduce
- * over the innermost axis): below 8 values left to right, up to 128 values
- * in 8 interleaved accumulators combined as a tree plus the remaining
- * values, beyond that split in halves that are multiples of 8. */
-static double pairwise_sum(const double *a, idx n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (idx i = 0; i < n; ++i)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        idx i;
-        for (int k = 0; k < 8; ++k)
-            r[k] = a[k];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int k = 0; k < 8; ++k)
-                r[k] += a[i + k];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; ++i)
-            res += a[i];
-        return res;
-    }
-    idx n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
 
 /* Phase step1: the flux contraction P[i, s, k] = (f_j - f_i)[k] . c_ij of
  * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim). */
@@ -79,20 +50,20 @@ void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
 
 /* Phase step2: the lower slots of d, on an owned row those before the
  * diagonal (its slots ascend in global id), take the mirror d_ji, and the
- * diagonal takes minus the row sum, summed as numpy sums the innermost axis
- * of the (rows, L) block, pads included.  Reads only upper slots of other rows. */
-void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const idx *diag,
-            double *d)
+ * diagonal takes minus the sum of the off-diagonal valid slots.  Reads only
+ * upper slots of other rows. */
+void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const idx *card,
+            const idx *diag, double *d)
 {
-    double dd[L];
     for (idx i = lo; i < hi; ++i) {
-        for (idx s = 0; s < L; ++s) {
+        double rowsum = 0.0;
+        for (idx s = 0; s < card[i]; ++s) {
             idx is = i * L + s;
-            dd[s] = s < diag[i] ? d[cols[is] * L + trans[is]] : d[is];
+            if (s < diag[i])
+                d[is] = d[cols[is] * L + trans[is]];
+            if (s != diag[i])
+                rowsum += d[is];
         }
-        double rowsum = 0.0 + pairwise_sum(dd, L);
-        for (idx s = 0; s < diag[i]; ++s)
-            d[i * L + s] = dd[s];
         d[i * L + diag[i]] = -rowsum;
     }
 }
@@ -148,53 +119,54 @@ void low_order(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card
 }
 
 /* Phase step4: the correction fluxes P += b_ij R_j - b_ji R_i, scaled by
- * tau / m_i (card_i - 1). */
+ * tau / m_i (card_i - 1), with b_ij = delta_ij - m_ij / m_j and
+ * b_ji = delta_ij - m_ij / m_i formed from the one mass entry m_ij. */
 void correction(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card, double tau,
-                const double *inv_m, const double *b, const double *bT, const double *R,
-                double *P)
+                const double *inv_m, const double *m, const double *R, double *P)
 {
     for (idx i = lo; i < hi; ++i) {
         double scale = tau * inv_m[i] * (double)(card[i] - 1);
         const double *Ri = R + i * nvar;
         for (idx s = 0; s < card[i]; ++s) {
-            idx is = i * L + s;
-            const double *Rj = R + cols[is] * nvar;
+            idx is = i * L + s, j = cols[is];
+            double delta = j == i ? 1.0 : 0.0;
+            double b = delta - m[is] * inv_m[j], bT = delta - m[is] * inv_m[i];
+            const double *Rj = R + j * nvar;
             double *p = P + is * nvar;
             for (idx k = 0; k < nvar; ++k) {
-                p[k] = p[k] + (b[is] * Rj[k] - bT[is] * Ri[k]);
+                p[k] = p[k] + (b * Rj[k] - bT * Ri[k]);
                 p[k] = p[k] * scale;
             }
         }
     }
 }
 
-/* Phases step5 and step6: U_next += lam_i sum_s min(l_ij, l_ji) P_ij.
- * Unless last, P is then scaled by 1 - min(l_ij, l_ji), and every slot,
- * pads included, with min(l_ij, l_ji) < 1 is gathered in row-major order:
- * its row into live_row, its flat index i * L + s into live_flat and its
- * scaled P into live_P.  Returns the number of slots gathered. */
+/* Phases step5 and step6: U_next += lambda_i sum_s min(l_ij, l_ji) P_ij,
+ * lambda_i = 1 / max(card_i - 1, 1).  Unless last, P is then scaled by
+ * 1 - min(l_ij, l_ji), and every valid slot with min(l_ij, l_ji) < 1 is
+ * gathered in row-major order: its row into live_row, its flat index
+ * i * L + s into live_flat and its scaled P into live_P.  Returns the number
+ * of slots gathered. */
 idx limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *trans,
-                   const idx *card, const double *lam, const double *l, int last, double *P,
-                   double *U_next, idx *live_row, idx *live_flat, double *live_P)
+                   const idx *card, const double *l, int last, double *P, double *U_next,
+                   idx *live_row, idx *live_flat, double *live_P)
 {
     double acc[nvar];
     idx n_live = 0;
     for (idx i = lo; i < hi; ++i) {
         for (idx k = 0; k < nvar; ++k)
             acc[k] = 0.0;
-        idx n_slots = last ? card[i] : L;
-        for (idx s = 0; s < n_slots; ++s) {
+        for (idx s = 0; s < card[i]; ++s) {
             idx is = i * L + s;
             double minl = np_min(l[is], l[cols[is] * L + trans[is]]);
             double *p = P + is * nvar;
-            if (s < card[i]) {
-                for (idx k = 0; k < nvar; ++k)
-                    acc[k] += minl * p[k];
-                if (!last)
-                    for (idx k = 0; k < nvar; ++k)
-                        p[k] = p[k] * (1.0 - minl);
-            }
-            if (!last && minl < 1.0) {
+            for (idx k = 0; k < nvar; ++k)
+                acc[k] += minl * p[k];
+            if (last)
+                continue;
+            for (idx k = 0; k < nvar; ++k)
+                p[k] = p[k] * (1.0 - minl);
+            if (minl < 1.0) {
                 live_row[n_live] = i;
                 live_flat[n_live] = is;
                 for (idx k = 0; k < nvar; ++k)
@@ -202,8 +174,9 @@ idx limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *
                 ++n_live;
             }
         }
+        double lam = 1.0 / (double)(card[i] > 1 ? card[i] - 1 : 1);
         for (idx k = 0; k < nvar; ++k)
-            U_next[i * nvar + k] = U_next[i * nvar + k] + lam[i] * acc[k];
+            U_next[i * nvar + k] = U_next[i * nvar + k] + lam * acc[k];
     }
     return n_live;
 }

@@ -10,8 +10,10 @@ for the duration of each call, so the kernels of different row chunks run
 in parallel on the solver's worker pool.
 
 Each wrapper below checks dtype and C order of its arrays (through the
-ctypes argument types) and that [lo, hi) lies within the rows, then runs one
+ctypes argument types), the row shape of every array (a per-slot array has
+the width of cols) and that [lo, hi) lies within every array, then runs one
 kernel over the rows [lo, hi); see rowkernels.c for what each computes.
+Every kernel reads and writes the valid slots of its rows only.
 """
 
 from __future__ import annotations
@@ -94,65 +96,79 @@ def _declare(name, restype, *argtypes):
 
 _flux_contraction = _declare("flux_contraction", None, _i64, _i64, _i64, _i64, _i64, _I, _I,
                              _F, _F, _F)
-_mirror = _declare("mirror", None, _i64, _i64, _i64, _I, _I, _I, _F)
+_mirror = _declare("mirror", None, _i64, _i64, _i64, _I, _I, _I, _I, _F)
 _low_order = _declare("low_order", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
                       _F, _F, _int, _F, _F, _F, _F, _F, _F)
 _correction = _declare("correction", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
-                       _F, _F)
-_limited_update = _declare("limited_update", _i64, _i64, _i64, _i64, _i64, _I, _I, _I, _F, _F,
+                       _F)
+_limited_update = _declare("limited_update", _i64, _i64, _i64, _i64, _i64, _I, _I, _I, _F,
                            _int, _F, _F, _I, _I, _F)
 
 
-def _rows(lo: int, hi: int, *arrays):
-    """Raise ValueError unless 0 <= lo <= hi <= len(a) for every array a."""
-    if not 0 <= lo <= hi <= min(len(a) for a in arrays):
+def _check(lo, hi, *arrays):
+    """Raise ValueError unless every (array, row shape) pair has rows of
+    that shape and 0 <= lo <= hi <= len(array)."""
+    for a, row in arrays:
+        if a.shape[1:] != row:
+            raise ValueError(f"an array of shape {a.shape} where rows of shape {row} are needed")
+    if not 0 <= lo <= hi <= min(len(a) for a, _ in arrays):
         raise ValueError(f"rows [{lo}, {hi}) outside the arrays")
 
 
 def flux_contraction(lo, hi, cols, card, f, c, P):
     """P[i, s] = (f[cols[i, s]] - f[i]) . c[i, s] for the valid slots of the
     rows [lo, hi) (numpy's physics-style component sums, left to right)."""
-    _rows(lo, hi, cols, card, P)
-    _flux_contraction(lo, hi, cols.shape[1], f.shape[1], f.shape[2], cols, card, f, c, P)
+    (L,), (nvar, dim) = cols.shape[1:], f.shape[1:]
+    _check(lo, hi, (cols, (L,)), (card, ()), (f, (nvar, dim)), (c, (L, dim)), (P, (L, nvar)))
+    _flux_contraction(lo, hi, L, nvar, dim, cols, card, f, c, P)
 
 
-def mirror(lo, hi, cols, trans_slot, diag_slot, d):
+def mirror(lo, hi, cols, trans_slot, card, diag_slot, d):
     """d of the lower slots (those before the diagonal) from the mirror
-    slots, d_ii = -(row sum) as d.sum(axis=1) forms it, for the rows
-    [lo, hi)."""
-    _rows(lo, hi, cols, trans_slot, diag_slot, d)
-    _mirror(lo, hi, cols.shape[1], cols, trans_slot, diag_slot, d)
+    slots, d_ii = -(sum of the off-diagonal valid slots, left to right), for
+    the rows [lo, hi)."""
+    (L,) = cols.shape[1:]
+    _check(lo, hi, (cols, (L,)), (trans_slot, (L,)), (card, ()), (diag_slot, ()), (d, (L,)))
+    _mirror(lo, hi, L, cols, trans_slot, card, diag_slot, d)
 
 
 def low_order(lo, hi, cols, card, tau, inv_m, U, d, alpha, phi, viscous, P,
               U_next, R, rho_min, rho_max, phi_min):
     """The low-order update of the rows [lo, hi) and its bounds; with
     viscous, P takes the viscous part of the correction fluxes."""
-    _rows(lo, hi, cols, card, P, rho_min)
-    _low_order(lo, hi, cols.shape[1], U.shape[1], cols, card, tau, inv_m, U, d, alpha, phi,
-               int(viscous), P, U_next, R, rho_min, rho_max, phi_min)
+    (L,), (nvar,) = cols.shape[1:], U.shape[1:]
+    _check(lo, hi, (cols, (L,)), (card, ()), (inv_m, ()), (U, (nvar,)), (d, (L,)),
+           (alpha, ()), (phi, ()), (P, (L, nvar)), (U_next, (nvar,)), (R, (nvar,)),
+           (rho_min, ()), (rho_max, ()), (phi_min, ()))
+    _low_order(lo, hi, L, nvar, cols, card, tau, inv_m, U, d, alpha, phi, int(viscous), P,
+               U_next, R, rho_min, rho_max, phi_min)
 
 
-def correction(lo, hi, cols, card, tau, inv_m, b, bT, R, P):
-    """The correction fluxes of the rows [lo, hi) from step 3's P and R."""
-    _rows(lo, hi, cols, card, P)
-    _correction(lo, hi, cols.shape[1], R.shape[1], cols, card, tau, inv_m, b, bT, R, P)
+def correction(lo, hi, cols, card, tau, inv_m, m_slot, R, P):
+    """The correction fluxes of the rows [lo, hi) from step 3's P and R, with
+    b_ij and b_ji formed from the mass entries m_slot."""
+    (L,), (nvar,) = cols.shape[1:], R.shape[1:]
+    _check(lo, hi, (cols, (L,)), (card, ()), (inv_m, ()), (m_slot, (L,)), (R, (nvar,)),
+           (P, (L, nvar)))
+    _correction(lo, hi, L, nvar, cols, card, tau, inv_m, m_slot, R, P)
 
 
-def limited_update(lo, hi, cols, trans_slot, card, lam, l, P, U_next, last=True):
-    """U_next += lam sum_s min(l_ij, l_ji) P_ij over the rows [lo, hi).
+def limited_update(lo, hi, cols, trans_slot, card, l, P, U_next, last=True):
+    """U_next += lambda_i sum_s min(l_ij, l_ji) P_ij over the rows [lo, hi),
+    lambda_i = 1 / max(card_i - 1, 1).
 
-    Unless last, P is scaled by 1 - min(l_ij, l_ji) and the slots with a
-    minimum below 1 are returned in row-major order as (rows, flat indices
+    Unless last, P is scaled by 1 - min(l_ij, l_ji) and the valid slots with
+    a minimum below 1 are returned in row-major order as (rows, flat indices
     row * width + slot, their P); otherwise None.
     """
-    _rows(lo, hi, cols, trans_slot, card, P, lam)
-    n, (width, nvar) = hi - lo, P.shape[1:]
-    size = 0 if last else n * width
+    (L,), (nvar,) = cols.shape[1:], U_next.shape[1:]
+    _check(lo, hi, (cols, (L,)), (trans_slot, (L,)), (card, ()), (l, (L,)), (P, (L, nvar)),
+           (U_next, (nvar,)))
+    size = 0 if last else (hi - lo) * L
     live_row, live_flat = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     live_P = np.empty((size, nvar))
-    n_live = _limited_update(lo, hi, width, nvar, cols, trans_slot, card, lam, l, int(last), P,
-                             U_next, live_row, live_flat, live_P)
+    n_live = _limited_update(lo, hi, L, nvar, cols, trans_slot, card, l, int(last), P, U_next,
+                             live_row, live_flat, live_P)
     if last:
         return None
     return live_row[:n_live], live_flat[:n_live], live_P[:n_live]

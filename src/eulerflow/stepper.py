@@ -23,8 +23,10 @@ The phases that need no pow() run as compiled row kernels (rowkernels), one
 call per chunk of rows: step 1's flux contraction, step 2's mirroring,
 step 3 in full, step 4's assembly of the correction fluxes and the limited
 update, rescale and live-entry gather of steps 5 and 6.  They walk each
-row's valid slots once with the row's sums in registers and give the bits
-of the numpy expressions they replaced (kept in tests/oracles.py).  The
+row's valid slots once and never a pad, add them left to right from +0.0
+with the row's sums in registers, and form b_ij, b_ji and lambda_i from
+m_slot, inv_m and the row length; tests/oracles.py keeps numpy forms of
+them that give the same bits.  The
 entropies and fluxes, the wavespeeds, the indicator and the limiter stay in
 numpy; the indicator also sums over the slots one slot after the other.
 Three such steps with a shared time step form the strong-stability-preserving
@@ -155,7 +157,7 @@ class _RankData:
         "numbering", "cols", "valid",
         "up_row", "up_slot", "up_ptr", "trans_slot",
         "diag_slot", "card",
-        "lam", "c_slot", "c_up", "cT_up", "b_slot", "bT_slot", "m_i", "inv_m",
+        "m_slot", "c_slot", "c_up", "cT_up", "m_i", "inv_m",
         "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "d",
         "alpha", "R", "P", "l", "l_next", "rho_min", "rho_max", "phi_min",
         "inflow_idx", "slip_idx", "slip_n",
@@ -251,21 +253,16 @@ class Solver:
         rk.up_row, rk.up_slot = np.nonzero(upper)
         rk.up_ptr = np.concatenate([[0], np.cumsum(upper.sum(axis=1))])
         rk.card = padded.valid.sum(axis=1)
-        rk.lam = 1.0 / np.maximum(rk.card[: numbering.n_lo] - 1, 1)
 
         # pads take zero values
         N, L, d = len(cm_of_new), padded.width, self.dim
-        m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
+        rk.m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
         rk.c_slot = np.where(padded.valid[..., None], mat.c[padded.src], 0.0)
         # c_ij and c_ji of the upper edges, in up_row/up_slot order
         rk.c_up = rk.c_slot[upper]
         rk.cT_up = rk.c_slot[padded.cols[upper], padded.trans_slot[upper]]
         rk.m_i = mat.m_lumped[rk.orig_of_new]
         rk.inv_m = mat.inv_m[rk.orig_of_new]
-
-        delta = (padded.cols == np.arange(N)[:, None]).astype(np.float64)
-        rk.b_slot = delta - m_slot * rk.inv_m[padded.cols]
-        rk.bT_slot = delta - m_slot * rk.inv_m[:, None]
 
         nvar = self.nvar
         n_lo = numbering.n_lo
@@ -393,7 +390,6 @@ class Solver:
         # above that of i) only; _k_mirror fills the lower triangle
         up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
         rows, slots = rk.up_row[up], rk.up_slot[up]
-        rk.d[lo:hi] = 0.0
         rk.d[rows, slots] = riemann.d_ij_low(
             rk.U[rows], rk.U[rk.cols[rows, slots]], rk.c_up[up], rk.cT_up[up], self.gas,
         )
@@ -410,7 +406,7 @@ class Solver:
             rk.alpha[sl] = acc.result()
 
     def _k_mirror(self, rk, lo, hi):
-        rowkernels.mirror(lo, hi, rk.cols, rk.trans_slot, rk.diag_slot, rk.d)
+        rowkernels.mirror(lo, hi, rk.cols, rk.trans_slot, rk.card, rk.diag_slot, rk.d)
 
     def _k_low_order(self, rk, lo, hi, tau):
         # the viscous part of the correction fluxes replaces step 1's flux
@@ -430,13 +426,12 @@ class Solver:
         )
 
     def _k_correction(self, rk, lo, hi, tau):
-        rowkernels.correction(lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.b_slot, rk.bT_slot,
-                              rk.R, rk.P)
+        rowkernels.correction(lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.m_slot, rk.R, rk.P)
         rk.l[lo:hi] = self._limit(rk, np.arange(lo, hi)[:, None], rk.P[lo:hi])
 
     def _k_limited_update(self, rk, lo, hi, last):
         live = rowkernels.limited_update(
-            lo, hi, rk.cols, rk.trans_slot, rk.card, rk.lam, rk.l, rk.P, rk.U_next, last,
+            lo, hi, rk.cols, rk.trans_slot, rk.card, rk.l, rk.P, rk.U_next, last,
         )
         if last:
             self._k_boundary(rk, lo, hi)

@@ -148,6 +148,26 @@ def harten_entropy(U, gas=AIR):
     return physics.power(rho_eps, gas.gp1_inv)
 
 
+def speed_of_sound(U, gas=AIR):
+    """c = sqrt(gamma p / rho); requires rho > 0 and p >= 0."""
+    rho = U[..., 0]
+    p = physics.pressure(U, gas)
+    if np.any(rho <= 0.0) or np.any(p < 0.0):
+        raise AdmissibilityError("speed_of_sound requires rho > 0 and p >= 0")
+    return np.sqrt(gas.gamma * p / rho)
+
+
+def specific_entropy(U, gas=AIR):
+    """s = log(e^{1/(gamma-1)} / rho), with the additive offset fixed to 0."""
+    rho = U[..., 0]
+    if np.any(rho <= 0.0):
+        raise AdmissibilityError("specific_entropy requires rho > 0")
+    e = physics.internal_energy(U) / rho
+    if np.any(e <= 0.0):
+        raise AdmissibilityError("specific_entropy requires e > 0")
+    return np.log(e) / gas.gm1 - np.log(rho)
+
+
 def flux_contraction(f_j, f_i, c_ij, out=None):
     """(f_j - f_i) . c_ij: each state component's flux difference contracted
     with c_ij over the space axis, shape (..., d+2); written into out when
@@ -292,20 +312,25 @@ def low_order_reference(solver, rk, lo, hi, tau):
 
 def limited_update_reference(rk, lo, hi):
     """U_next of the owned rows [lo, hi) of a solver rank after the limited
-    update of phases step5 and step6, before any boundary data: the slot sum
-    of min(l_ij, l_ji) P_ij by numpy's reduce over the slot axis, as the
-    stepper formed it before it added the slots one after the other.  Needs
-    the pass's U_next, P and limiter values in rk."""
+    update of phases step5 and step6, before any boundary data: the sum of
+    min(l_ij, l_ji) P_ij over the valid slots by numpy's reduce over the slot
+    axis, as the stepper formed it before it added the slots one after the
+    other, scaled by lambda_i = 1 / max(card_i - 1, 1).  Needs the pass's
+    U_next, P and limiter values in rk."""
     sl = slice(lo, hi)
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
-    return rk.U_next[sl] + rk.lam[sl][:, None] * (minl[..., None] * rk.P[sl]).sum(axis=1)
+    terms = np.where(rk.valid[sl][..., None], minl[..., None] * rk.P[sl], 0.0)
+    lam = 1.0 / np.maximum(rk.card[sl] - 1, 1)
+    return rk.U_next[sl] + lam[:, None] * terms.sum(axis=1)
 
 
 # ----- numpy forms of the compiled row kernels ----------------------------------
 # The phase kernels of stepper.Solver as they were written in numpy before
 # rowkernels.c replaced their pow-free parts, with the same signature as the
 # Solver methods; the solver is passed explicitly.  Every per-row sum, minimum
-# and maximum over the slots runs slot after slot, padded slots included.
+# and maximum over the slots runs slot after slot.  The forms of steps 2, 4, 5
+# and 6 read and write the valid slots only, as every row kernel does; those of
+# steps 1 and 3 also take the pads, whose zero values change no sum or bound.
 
 def slot_sum(x, out=None):
     """x[:, 0] + x[:, 1] + ... over the slots of an (n, L, ...) block, added
@@ -331,7 +356,6 @@ def viscosity_kernel(solver, rk, lo, hi):
     the indicator."""
     up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
     rows, slots = rk.up_row[up], rk.up_slot[up]
-    rk.d[lo:hi] = 0.0
     cols = rk.cols[rows, slots]
     rk.d[rows, slots] = riemann.d_ij_low(
         rk.U[rows], rk.U[cols], rk.c_slot[rows, slots],
@@ -348,14 +372,16 @@ def viscosity_kernel(solver, rk, lo, hi):
 
 
 def mirror_kernel(solver, rk, lo, hi):
-    """Phase step2: the lower slots of d from their mirrors, d_ii = -(row sum)."""
+    """Phase step2: the lower slots of d from their mirrors, d_ii = -(sum of
+    the off-diagonal valid slots)."""
     sl = slice(lo, hi)
-    dT = rk.d[rk.cols[sl], rk.trans_slot[sl]]
+    d = rk.d[sl]
     lower = rk.valid[sl] & (rk.cm_of_new[rk.cols[sl]] < rk.cm_of_new[sl, None])
-    dd = np.where(lower, dT, rk.d[sl])
-    rowsum = dd.sum(axis=1)
-    dd[np.arange(hi - lo), rk.diag_slot[sl]] = -rowsum
-    rk.d[sl] = dd
+    d[lower] = rk.d[rk.cols[sl], rk.trans_slot[sl]][lower]
+    diag = (np.arange(hi - lo), rk.diag_slot[sl])
+    off_diagonal = rk.valid[sl].copy()
+    off_diagonal[diag] = False
+    d[diag] = -slot_sum(np.where(off_diagonal, d, 0.0))
 
 
 def low_order_kernel(solver, rk, lo, hi, tau):
@@ -382,28 +408,36 @@ def low_order_kernel(solver, rk, lo, hi, tau):
 
 
 def correction_kernel(solver, rk, lo, hi, tau):
-    """Phase step4: the correction fluxes and the first limiter pass."""
+    """Phase step4: the correction fluxes of the valid slots, with
+    b_ij = delta_ij - m_ij / m_j and b_ji = delta_ij - m_ij / m_i formed from
+    the one mass entry m_ij, and the first limiter pass."""
     sl = slice(lo, hi)
+    cols, valid, m = rk.cols[sl], rk.valid[sl], rk.m_slot[sl]
+    delta = (cols == np.arange(lo, hi)[:, None]).astype(np.float64)
+    b = delta - m * rk.inv_m[cols]
+    bT = delta - m * rk.inv_m[sl][:, None]
     P = rk.P[sl]
-    P += (rk.b_slot[sl][..., None] * rk.R[rk.cols[sl]]
-          - rk.bT_slot[sl][..., None] * rk.R[sl][:, None])
-    P *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
+    flux = P + (b[..., None] * rk.R[cols] - bT[..., None] * rk.R[sl][:, None])
+    flux *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
+    P[valid] = flux[valid]
     rk.l[sl] = solver._limit(rk, np.arange(lo, hi)[:, None], P)
 
 
 def limited_update_kernel(solver, rk, lo, hi, last):
     """Phases step5 and step6: the limited update and, unless last, the
     rescaled P and the next pass's limiter values from one batch of every
-    row (with a zero P) and the entries with min(l_ij, l_ji) < 1."""
+    row (with a zero P) and the valid entries with min(l_ij, l_ji) < 1."""
     sl = slice(lo, hi)
+    valid = rk.valid[sl]
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
-    rk.U_next[sl] += rk.lam[sl][:, None] * slot_sum(minl[..., None] * rk.P[sl])
+    lam = 1.0 / np.maximum(rk.card[sl] - 1, 1)
+    P = rk.P[sl]
+    rk.U_next[sl] += lam[:, None] * slot_sum(np.where(valid[..., None], minl[..., None] * P, 0.0))
     if last:
         solver._k_boundary(rk, lo, hi)
         return
-    P = rk.P[sl]
-    P *= (1.0 - minl)[..., None]
-    live_rows, live_slots = np.nonzero(minl < 1.0)
+    P[valid] *= (1.0 - minl[valid])[:, None]
+    live_rows, live_slots = np.nonzero(valid & (minl < 1.0))
     rows = np.arange(lo, hi)
     l = solver._limit(
         rk, np.concatenate([rows, rows[live_rows]]),

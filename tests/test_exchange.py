@@ -78,6 +78,25 @@ def test_communicator_stage_deliver_counts_volume():
     assert set(seen) == {(0, "x"), (1, "y")}
 
 
+def test_a_delivery_without_sends_is_not_a_sync():
+    comm = exchange.Communicator(2)
+    applied = []
+
+    def apply(rank, items):
+        applied.append(rank)
+        return sum(vals.size for _, vals in items)
+
+    comm.deliver(apply)
+    comm.stage(0, [])
+    comm.stage(1, [])
+    comm.deliver(apply)
+    assert (comm.sync_count, comm.sync_volume, applied) == (0, 0, [])
+    comm.stage(0, [])
+    comm.stage(1, [("y", np.arange(3.0))])
+    comm.deliver(apply)
+    assert (comm.sync_count, comm.sync_volume, applied) == (1, 3, [1])
+
+
 def test_allreduce_min():
     assert exchange.allreduce_min([3.0, 1.0, 2.0]) == 1.0
     with pytest.raises(ValueError):

@@ -233,11 +233,15 @@ def test_total_mass_is_domain_volume():
 
 
 def test_derived_quantities():
-    # b_ij = delta_ij - m_ij / m_j; its transpose bT has vanishing row sums
+    # the correction kernel forms b_ij = delta_ij - m_ij / m_j and
+    # b_ji = delta_ij - m_ij / m_i from the one slot m_ij, which needs
+    # m_ij = m_ji in the mirror slot; b_ji has vanishing row sums
     # sum_j (delta_ij - m_ij / m_i) = 1 - m_i / m_i on complete (owned) rows
     s = Solver(assemble(rectangle_mesh(6, 6, periodic=(True, True))), ranks=2)
     for rk in s.ranks:
         n_lo = rk.numbering.n_lo
-        rowsum = np.where(rk.valid, rk.bT_slot, 0.0)[:n_lo].sum(axis=1)
+        assert np.array_equal(rk.m_slot, rk.m_slot[rk.cols, rk.trans_slot])
+        delta = (rk.cols == np.arange(len(rk.cols))[:, None]).astype(np.float64)
+        b_ji = delta - rk.m_slot * rk.inv_m[:, None]
+        rowsum = np.where(rk.valid, b_ji, 0.0)[:n_lo].sum(axis=1)
         assert np.abs(rowsum).max() < 1e-13
-        assert np.array_equal(rk.b_slot, rk.bT_slot[rk.cols, rk.trans_slot])

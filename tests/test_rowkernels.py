@@ -167,22 +167,29 @@ def test_row_kernels_keep_signed_zero_corrections(monkeypatch, name, last_pass):
 
 @given(rows=st.integers(1, 4), width=st.integers(1, 40), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_mirror_row_sum_is_numpys_sum_over_the_innermost_axis(rows, width, data):
-    # numpy sums a contiguous innermost axis pairwise, in 8 accumulators from
-    # 8 slots on; widths 1-40 cover the short rows, the 33-wide 3D rows and
-    # their remainder slot.  As in the solver, where they are upper slots,
-    # the mirrors come from rows the kernel does not write: row i's from row
-    # rows + i.  The lower slots are those before the diagonal.
+def test_mirror_row_sum_adds_the_valid_off_diagonal_slots_left_to_right(rows, width, data):
+    # widths 1-40 cover the short rows and the 33-wide 3D rows.  As in the
+    # solver, where they are upper slots, the mirrors come from rows the
+    # kernel does not write: row i's from row rows + i.  The lower slots are
+    # those before the diagonal; every pad of the kernel's rows holds NaN,
+    # which the kernel must neither read nor overwrite
     d = data.draw(hnp.arrays(np.float64, (2 * rows, width), elements=_entry))
-    diag = data.draw(hnp.arrays(np.int64, 2 * rows, elements=st.integers(0, width - 1)))
-    lower = np.arange(width) < diag[:, None]
+    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    diag = np.array([data.draw(st.integers(0, c - 1)) for c in card] + [0] * rows)
+    d[:rows][np.arange(width) >= card[:, None]] = np.nan
+    card = np.concatenate([card, np.full(rows, width)])
     cols = np.repeat((np.arange(2 * rows)[:, None] + rows) % (2 * rows), width, axis=1)
     trans_slot = np.tile(np.arange(width), (2 * rows, 1))
-    dd = np.where(lower[:rows], d[rows:], d[:rows])
     want = d.copy()
-    want[:rows] = dd
-    want[np.arange(rows), diag[:rows]] = -dd.sum(axis=1)
-    rowkernels.mirror(0, rows, cols, trans_slot, diag, d)
+    for i in range(rows):
+        total = 0.0
+        for s in range(card[i]):
+            if s < diag[i]:
+                want[i, s] = d[rows + i, s]
+            if s != diag[i]:
+                total += float(want[i, s])
+        want[i, diag[i]] = -total
+    rowkernels.mirror(0, rows, cols, trans_slot, card, diag, d)
     assert same_bits(d, want)
 
 
@@ -231,8 +238,62 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
 def test_rows_outside_the_arrays_are_rejected(lo, hi):
     d = np.zeros((2, 3))
     cols = np.zeros((2, 3), dtype=np.int64)
+    index = np.zeros(2, dtype=np.int64)
     with pytest.raises(ValueError, match="outside"):
-        rowkernels.mirror(lo, hi, cols, cols, np.zeros(2, dtype=np.int64), d)
+        rowkernels.mirror(lo, hi, cols, cols, index, index, d)
+
+
+def kernel_arguments(rk):
+    """Keyword arguments of every row kernel on copies of a rank's arrays."""
+    a = {name: getattr(rk, name).copy() for name in (
+        "cols", "trans_slot", "card", "diag_slot", "f", "c_slot", "P", "d", "inv_m", "U",
+        "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l")}
+    return {
+        rowkernels.flux_contraction: dict(cols=a["cols"], card=a["card"], f=a["f"],
+                                          c=a["c_slot"], P=a["P"]),
+        rowkernels.mirror: dict(cols=a["cols"], trans_slot=a["trans_slot"], card=a["card"],
+                                diag_slot=a["diag_slot"], d=a["d"]),
+        rowkernels.low_order: dict(
+            cols=a["cols"], card=a["card"], tau=1e-3, inv_m=a["inv_m"], U=a["U"], d=a["d"],
+            alpha=a["alpha"], phi=a["phi"], viscous=True, P=a["P"], U_next=a["U_next"],
+            R=a["R"], rho_min=a["rho_min"], rho_max=a["rho_max"], phi_min=a["phi_min"]),
+        rowkernels.correction: dict(cols=a["cols"], card=a["card"], tau=1e-3,
+                                    inv_m=a["inv_m"], m_slot=a["m_slot"], R=a["R"], P=a["P"]),
+        rowkernels.limited_update: dict(cols=a["cols"], trans_slot=a["trans_slot"],
+                                        card=a["card"], l=a["l"], P=a["P"],
+                                        U_next=a["U_next"], last=False),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["flux_contraction", "mirror", "low_order", "correction",
+                                    "limited_update"])
+def test_short_and_narrow_arrays_are_rejected(kernel):
+    # every array a kernel indexes by row must hold the rows [lo, hi), and
+    # every per-slot array must have the width of cols; otherwise C would
+    # read or write past the end of the array
+    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
+    n_lo = rk.numbering.n_lo
+    fn = getattr(rowkernels, kernel)
+    kwargs = kernel_arguments(rk)[fn]
+    fn(0, n_lo, **kwargs)
+    arrays = [name for name, value in kwargs.items() if isinstance(value, np.ndarray)]
+    for name in arrays:
+        short = dict(kwargs, **{name: kwargs[name][:n_lo - 1].copy()})
+        with pytest.raises(ValueError, match="outside"):
+            fn(0, n_lo, **short)
+        if kwargs[name].ndim > 1 and kwargs[name].shape[1] == rk.cols.shape[1] and name != "cols":
+            narrow = dict(kwargs, **{name: np.ascontiguousarray(kwargs[name][:, :-1])})
+            with pytest.raises(ValueError, match="shape"):
+                fn(0, n_lo, **narrow)
+
+
+def test_row_kernels_compile_without_warnings():
+    # -Wextra makes a kernel argument that no kernel reads fail the build
+    done = subprocess.run(
+        [rowkernels.COMPILER, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(rowkernels.SOURCE)], capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_second_import_does_not_recompile(monkeypatch):

@@ -435,6 +435,18 @@ def test_timers_and_counters_advance(small_periodic):
     assert s.timers["step3"] > 0.0
 
 
+@pytest.mark.parametrize("ranks,per_substep", [(1, 0), (2, 5)])
+def test_a_sync_is_counted_only_when_a_rank_sends(small_periodic, ranks, per_substep):
+    # with two limiter passes alpha, R, l, l_next and U_next travel between
+    # ranks in every substep; a single rank sends nothing
+    mat, U = small_periodic
+    s = Solver(mat, ranks=ranks)
+    s.set_state(U)
+    s.ssp_rk3_step()
+    assert s.comm.sync_count == 3 * per_substep
+    assert (s.comm.sync_volume > 0) == (ranks > 1)
+
+
 def _inject_negative_density(monkeypatch, solver, at_stage):
     """Make the boundary kernel write rho < 0 in the solver's next
     forward-Euler step number at_stage (1 = the next one)."""
@@ -515,9 +527,12 @@ def test_correction_reuses_the_low_order_products():
         d = rk.d[sl]
         dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
         dU = U[cols] - U[sl][:, None]
+        delta = (cols == np.arange(rk.numbering.n_lo)[:, None]).astype(np.float64)
+        b_ij = delta - rk.m_slot[sl] * rk.inv_m[cols]
+        b_ji = delta - rk.m_slot[sl] * rk.inv_m[sl][:, None]
         K = (
-            rk.b_slot[sl][..., None] * rk.R[cols]
-            - rk.bT_slot[sl][..., None] * rk.R[sl][:, None]
+            b_ij[..., None] * rk.R[cols]
+            - b_ji[..., None] * rk.R[sl][:, None]
             + (dH - d)[..., None] * dU
         )
         factor = tau * rk.inv_m[sl] * (rk.card[sl] - 1)
@@ -611,6 +626,43 @@ def test_limited_update_matches_the_slot_reduce_bitwise(monkeypatch):
             assert 1 in sizes[False] and 1 in sizes[True]
         finals.append(s.get_state())
     assert same_bits(finals[0], finals[1])
+
+
+@pytest.mark.parametrize("dim,refine,ranks", [(2, 1, 3), (3, 0, 2)])
+def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
+    # NaN in every pad of m_slot, of d before step 2 and of l before steps 5
+    # and 6 must leave the states and time steps of two RK3 steps bitwise
+    # unchanged: the kernels read the valid slots of their rows only
+    setup = problems.mach3_channel(dim, refine=refine)
+    mat = assemble(setup.mesh)
+    runs = []
+    for poison in (False, True):
+        s = Solver(mat, ranks=ranks, boundary=setup.boundary)
+        s.set_state(setup.U0)
+        if poison:
+            assert all(np.count_nonzero(~rk.valid) > 0 for rk in s.ranks)
+            for rk in s.ranks:
+                rk.m_slot[~rk.valid] = np.nan
+            mirror, update, poisoned = s._k_mirror, s._k_limited_update, []
+
+            def nan_d(rk, lo, hi):
+                rk.d[~rk.valid] = np.nan
+                poisoned.append("d")
+                mirror(rk, lo, hi)
+
+            def nan_l(rk, lo, hi, last):
+                rk.l[~rk.valid] = np.nan
+                poisoned.append(last)
+                update(rk, lo, hi, last)
+
+            monkeypatch.setattr(s, "_k_mirror", nan_d)
+            monkeypatch.setattr(s, "_k_limited_update", nan_l)
+        taus = [s.ssp_rk3_step() for _ in range(2)]
+        runs.append((taus, s.get_state()))
+    assert set(poisoned) == {"d", False, True}
+    assert runs[1][0] == runs[0][0]
+    assert same_bits(runs[1][1], runs[0][1])
+    assert not np.array_equal(runs[0][1], setup.U0)
 
 
 def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
