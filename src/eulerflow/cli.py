@@ -6,10 +6,11 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import assembly, output, perf, problems
-from .config import PROBLEMS, RunConfig, parse_config_file
-from .stepper import Solver
+from .config import RunConfig, parse_config_file
+from .stepper import SETTINGS, Solver
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -21,52 +22,38 @@ def build_parser() -> argparse.ArgumentParser:
         "compressible Euler equations",
     )
     parser.add_argument("--config", help="key=value config file, overridden by flags")
-    parser.add_argument("--problem", choices=PROBLEMS)
+    # every dest is a RunConfig field, None when the flag is not given
+    parser.add_argument("--problem", choices=problems.PROBLEMS)
     parser.add_argument("--refine", type=int, help="uniform refinement levels")
-    parser.add_argument("--t-final", type=float, dest="t_final")
+    parser.add_argument("--t-final", type=float)
     parser.add_argument("--cfl", type=float, dest="c_cfl", help="CFL number in (0, 1]")
-    parser.add_argument("--limiter-passes", type=int, dest="limiter_passes")
-    parser.add_argument("--newton-steps", type=int, dest="newton_steps")
+    parser.add_argument("--limiter-passes", type=int)
+    parser.add_argument("--newton-steps", type=int)
     parser.add_argument("--workers", type=int, help="threads per simulated rank")
     parser.add_argument("--ranks", type=int, help="simulated rank count")
-    parser.add_argument("--no-overlap", action="store_true",
+    parser.add_argument("--no-overlap", action="store_false", dest="overlap", default=None,
                         help="disable communication hiding")
-    parser.add_argument("--output-every", type=int, dest="output_every",
+    parser.add_argument("--output-every", type=int,
                         help="write VTK every N steps (0 = only final)")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--perf", action="store_true",
+    parser.add_argument("--output-dir")
+    parser.add_argument("--perf", action="store_true", default=None,
                         help="write the memory traffic model and timings")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
-    for key in ("problem", "refine", "t_final", "c_cfl", "limiter_passes",
-                "newton_steps", "workers", "ranks", "output_every",
-                "output_dir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.no_overlap:
-        cfg.overlap = False
-    if args.perf:
-        cfg.perf = True
+    for f in fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg.validate()
 
 
 def run(cfg: RunConfig, log=print) -> Solver:
     setup = problems.make_problem(cfg.problem, cfg.refine)
     matrices = assembly.assemble(setup.mesh)
-    solver = Solver(
-        matrices,
-        c_cfl=cfg.c_cfl,
-        limiter_passes=cfg.limiter_passes,
-        newton_steps=cfg.newton_steps,
-        workers=cfg.workers,
-        ranks=cfg.ranks,
-        overlap=cfg.overlap,
-        boundary=setup.boundary,
-    )
+    solver = Solver(matrices, boundary=setup.boundary,
+                    **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in SETTINGS})
     solver.set_state(setup.U0)
     log(f"{cfg.problem}: {matrices.n} nodes, {matrices.nnz} stencil nonzeros, "
         f"ranks={cfg.ranks} workers={cfg.workers}")

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .stepper import _is_bool, _is_finite, _is_int
+from .problems import PROBLEMS
+from .stepper import COUNT, FLAG, POSITIVE_TIME, SETTINGS, check_settings
 
 __all__ = ["RunConfig", "parse_config_file"]
-
-PROBLEMS = ("cylinder2d", "cylinder3d", "periodic-smooth", "sod1d")
 
 
 @dataclass
@@ -28,24 +27,16 @@ class RunConfig:
     perf: bool = False
 
     def validate(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}, choose from {PROBLEMS}")
-        if not (_is_finite(self.c_cfl) and 0.0 < self.c_cfl <= 1.0):
-            raise ValueError("c_cfl must be a number in (0, 1]")
-        for name in ("refine", "limiter_passes", "newton_steps", "output_every"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0")
-        for name in ("workers", "ranks"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not (_is_finite(self.t_final) and self.t_final > 0.0):
-            raise ValueError("t_final must be a finite number > 0")
-        for name in ("overlap", "perf"):
-            if not _is_bool(getattr(self, name)):
-                raise ValueError(f"{name} must be a bool")
+        if self.problem not in tuple(PROBLEMS):
+            raise ValueError(f"unknown problem {self.problem!r}, choose from {tuple(PROBLEMS)}")
+        check_settings({f.name: getattr(self, f.name) for f in fields(self) if f.name in _RULES},
+                       _RULES)
         return self
+
+
+# the fields that are Solver settings follow the Solver's rules
+_RULES = {**SETTINGS, "refine": COUNT, "t_final": POSITIVE_TIME, "output_every": COUNT,
+          "perf": FLAG}
 
 
 def _coerce(value: str, target_type):
@@ -62,8 +53,9 @@ def _coerce(value: str, target_type):
 def parse_config_file(path: str, base: Optional[RunConfig] = None) -> RunConfig:
     """Read key=value lines ('#' comments allowed) into a RunConfig."""
     cfg = RunConfig() if base is None else base
-    types = {f.name: f.type for f in fields(RunConfig)}
+    # the annotations are strings (postponed evaluation)
     pytypes = {"str": str, "int": int, "float": float, "bool": bool}
+    types = {f.name: pytypes[f.type] for f in fields(RunConfig)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -75,6 +67,8 @@ def parse_config_file(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             key = key.replace("-", "_")
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            target = pytypes[types[key]] if isinstance(types[key], str) else types[key]
-            setattr(cfg, key, _coerce(value, target))
+            try:
+                setattr(cfg, key, _coerce(value, types[key]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return cfg.validate()

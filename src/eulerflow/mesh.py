@@ -65,10 +65,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return int(self.reduced_index.max()) + 1
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
 
 def rectangle_mesh(
     nx: int,

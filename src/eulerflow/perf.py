@@ -89,25 +89,30 @@ def predict_traffic(dim: int, card: Optional[int] = None) -> Dict[str, StepTraff
     }
 
 
+def _phase_rows(dim: int, card: Optional[int], solver):
+    """(phase, traffic, measured seconds per substep) of every phase; the
+    seconds are None unless the solver has taken a step."""
+    measured = solver is not None and solver.n_euler_steps > 0
+    for name, t in predict_traffic(dim, card).items():
+        yield name, t, solver.timers[name] / solver.n_euler_steps if measured else None
+
+
 def format_table(dim: int, card: Optional[int] = None, solver=None) -> str:
     """Human-readable prediction table, optionally with measured seconds."""
-    pred = predict_traffic(dim, card)
-    measured = _measured_seconds(solver)
+    rows = list(_phase_rows(dim, card, solver))
+    measured = rows[0][2] is not None
     lines = [
         f"memory traffic model, dim={dim}, stencil cardinality="
         f"{DEFAULT_CARD[dim] if card is None else card} (doubles per nonzero)",
         f"{'phase':8} {'reads':>8} {'writes':>8} {'rfo':>8} {'total':>8}"
         + ("  seconds/step" if measured else ""),
     ]
-    for name, t in pred.items():
-        row = (
+    for name, t, seconds in rows:
+        lines.append(
             f"{name:8} {t.reads:8.2f} {t.writes:8.2f} {t.rfo:8.2f} {t.total:8.2f}"
+            + ("" if seconds is None else f"  {seconds:12.3e}")
+            + ("  (approximate)" if t.approximate else "")
         )
-        if measured:
-            row += f"  {measured.get(name, 0.0):12.3e}"
-        if t.approximate:
-            row += "  (approximate)"
-        lines.append(row)
     if solver is not None:
         lines.append(
             f"syncs={solver.comm.sync_count} volume={solver.comm.sync_volume} doubles "
@@ -116,27 +121,19 @@ def format_table(dim: int, card: Optional[int] = None, solver=None) -> str:
     return "\n".join(lines)
 
 
-def _measured_seconds(solver) -> Dict[str, float]:
-    if solver is None or solver.n_euler_steps == 0:
-        return {}
-    return {k: v / solver.n_euler_steps for k, v in solver.timers.items()}
-
-
 def write_csv(path: str, dim: int, card: Optional[int] = None, solver=None):
     """Write the prediction (and measurements when available) as CSV."""
-    pred = predict_traffic(dim, card)
-    measured = _measured_seconds(solver)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["phase", "reads_per_nnz", "writes_per_nnz", "rfo_per_nnz",
              "total_per_nnz", "approximate", "measured_seconds_per_substep"]
         )
-        for name, t in pred.items():
+        for name, t, seconds in _phase_rows(dim, card, solver):
             writer.writerow(
                 [name, f"{t.reads:.6f}", f"{t.writes:.6f}", f"{t.rfo:.6f}",
                  f"{t.total:.6f}", int(t.approximate),
-                 f"{measured.get(name, 0.0):.6e}" if measured else ""]
+                 "" if seconds is None else f"{seconds:.6e}"]
             )
         if solver is not None:
             writer.writerow(

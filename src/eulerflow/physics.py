@@ -31,7 +31,6 @@ __all__ = [
     "component_sum",
     "internal_energy",
     "pressure",
-    "specific_entropy_phi",
     "harten_entropy_derivative",
     "flux",
     "is_admissible",
@@ -125,14 +124,6 @@ def internal_energy(U: np.ndarray) -> np.ndarray:
 def pressure(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
     """p = (gamma - 1) * epsilon."""
     return gas.gm1 * internal_energy(U)
-
-
-def specific_entropy_phi(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
-    """Scaled specific entropy phi = epsilon * rho^{-gamma}."""
-    rho = U[..., 0]
-    if np.any(rho <= 0.0):
-        raise AdmissibilityError("specific_entropy_phi requires rho > 0")
-    return internal_energy(U) * power(rho, -gas.gamma)
 
 
 def harten_entropy_derivative(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:

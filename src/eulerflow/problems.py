@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -12,7 +13,7 @@ from .mesh import Mesh
 from .physics import AIR, GasConstants
 from .stepper import BoundaryConditions
 
-__all__ = ["ProblemSetup", "make_problem", "mach3_channel", "periodic_smooth", "sod1d"]
+__all__ = ["PROBLEMS", "ProblemSetup", "make_problem", "mach3_channel", "periodic_smooth", "sod1d"]
 
 _GEOM_TOL = 1e-9
 
@@ -131,13 +132,16 @@ def sod1d(n: int = 100, refine: int = 0, gas: GasConstants = AIR) -> ProblemSetu
     return ProblemSetup(name="sod1d", mesh=m, U0=U0, boundary=None)
 
 
+# the named problems, each a factory that takes refine= and gas=
+PROBLEMS = {
+    "cylinder2d": functools.partial(mach3_channel, 2),
+    "cylinder3d": functools.partial(mach3_channel, 3),
+    "periodic-smooth": periodic_smooth,
+    "sod1d": sod1d,
+}
+
+
 def make_problem(name: str, refine: int = 0, gas: GasConstants = AIR) -> ProblemSetup:
-    if name == "cylinder2d":
-        return mach3_channel(2, refine, gas)
-    if name == "cylinder3d":
-        return mach3_channel(3, refine, gas)
-    if name == "periodic-smooth":
-        return periodic_smooth(refine=refine, gas=gas)
-    if name == "sod1d":
-        return sod1d(refine=refine, gas=gas)
-    raise ValueError(f"unknown problem {name!r}")
+    if name not in tuple(PROBLEMS):
+        raise ValueError(f"unknown problem {name!r}, choose from {tuple(PROBLEMS)}")
+    return PROBLEMS[name](refine=refine, gas=gas)

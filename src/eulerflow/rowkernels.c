@@ -70,11 +70,11 @@ void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const idx 
 
 /* Phase step3: the low-order update U_next, the high-order residual R, the
  * density bar-state bounds and the minimum of phi over the stencil, from
- * the flux contraction in P.  With viscous set, P then takes the viscous
- * part (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes. */
+ * the flux contraction in P, which then takes the viscous part
+ * (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes. */
 void low_order(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card, double tau,
                const double *inv_m, const double *U, const double *d, const double *alpha,
-               const double *phi, int viscous, double *P, double *U_next, double *R,
+               const double *phi, double *P, double *U_next, double *R,
                double *rho_min, double *rho_max, double *phi_min)
 {
     double low[nvar], high[nvar];
@@ -103,8 +103,7 @@ void low_order(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card
                 double dU = Uj[k] - Ui[k];
                 low[k] += dij * dU - p[k];
                 high[k] += dH * dU - p[k];
-                if (viscous)
-                    p[k] = (dH - dij) * dU;
+                p[k] = (dH - dij) * dU;
             }
         }
         double scale = tau * inv_m[i];

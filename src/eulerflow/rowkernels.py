@@ -98,7 +98,7 @@ _flux_contraction = _declare("flux_contraction", None, _i64, _i64, _i64, _i64, _
                              _F, _F, _F)
 _mirror = _declare("mirror", None, _i64, _i64, _i64, _I, _I, _I, _I, _F)
 _low_order = _declare("low_order", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
-                      _F, _F, _int, _F, _F, _F, _F, _F, _F)
+                      _F, _F, _F, _F, _F, _F, _F, _F)
 _correction = _declare("correction", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
                        _F)
 _limited_update = _declare("limited_update", _i64, _i64, _i64, _i64, _i64, _I, _I, _I, _F,
@@ -132,16 +132,17 @@ def mirror(lo, hi, cols, trans_slot, card, diag_slot, d):
     _mirror(lo, hi, L, cols, trans_slot, card, diag_slot, d)
 
 
-def low_order(lo, hi, cols, card, tau, inv_m, U, d, alpha, phi, viscous, P,
-              U_next, R, rho_min, rho_max, phi_min):
-    """The low-order update of the rows [lo, hi) and its bounds; with
-    viscous, P takes the viscous part of the correction fluxes."""
+def low_order(lo, hi, cols, card, tau, inv_m, U, d, alpha, phi, P, U_next, R,
+              rho_min, rho_max, phi_min):
+    """The low-order update of the rows [lo, hi) and its bounds from the flux
+    contraction in P, which then takes the viscous part of the correction
+    fluxes."""
     (L,), (nvar,) = cols.shape[1:], U.shape[1:]
     _check(lo, hi, (cols, (L,)), (card, ()), (inv_m, ()), (U, (nvar,)), (d, (L,)),
            (alpha, ()), (phi, ()), (P, (L, nvar)), (U_next, (nvar,)), (R, (nvar,)),
            (rho_min, ()), (rho_max, ()), (phi_min, ()))
-    _low_order(lo, hi, L, nvar, cols, card, tau, inv_m, U, d, alpha, phi, int(viscous), P,
-               U_next, R, rho_min, rho_max, phi_min)
+    _low_order(lo, hi, L, nvar, cols, card, tau, inv_m, U, d, alpha, phi, P, U_next, R,
+               rho_min, rho_max, phi_min)
 
 
 def correction(lo, hi, cols, card, tau, inv_m, m_slot, R, P):

@@ -10,9 +10,12 @@ and finally one or more symmetrized limiter passes.  The per-slot buffer P
 carries work from phase to phase: step 1 writes the flux contraction
 (f_j - f_i) . c_ij of every slot into it, which the indicator sums and the
 low-order update reads, and step 3 then replaces it with the viscous part
-(d^H_ij - d_ij)(U_j - U_i) of the correction fluxes when limiter passes
-follow; step 4 completes the correction fluxes in place, and the limiter
-passes scale them.  The first pass limits every padded slot.
+(d^H_ij - d_ij)(U_j - U_i) of the correction fluxes (without limiter passes
+nothing reads it before step 1 overwrites it); step 4 completes the
+correction fluxes in place, and the limiter passes scale them.  The first
+pass limits every padded slot: its batch is P's chunk block with each row's
+bounds broadcast over the slots, and a batch of the valid slots alone,
+which would have to gather U_next[rows], measured slower.
 Each later pass scales P by 1 - min(l_ij, l_ji), which leaves P = 0 wherever
 the previous factor was 1; the limiter value of such an entry depends on its
 row alone, so one limiter batch per chunk holds each row once, with a zero
@@ -71,7 +74,8 @@ from .assembly import PrecomputedMatrices
 from .indicator import IndicatorAccumulator
 from .physics import AIR, AdmissibilityError, GasConstants
 
-__all__ = ["BoundaryConditions", "Solver"]
+__all__ = ["BoundaryConditions", "Solver", "SETTINGS", "check_settings",
+           "COUNT", "POSITIVE_COUNT", "FLAG", "POSITIVE_TIME"]
 
 STEP_NAMES = ["step0", "step1", "step2", "step3", "step4", "step5", "step6"]
 
@@ -98,16 +102,40 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_bool(x) -> bool:
-    return isinstance(x, (bool, np.bool_))
-
-
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _is_finite(x) -> bool:
     return _is_real(x) and bool(np.isfinite(x))
+
+
+# the values a setting may take: (test, what the error message says it must be)
+COUNT = (lambda x: _is_int(x) and x >= 0, "an integer >= 0")
+POSITIVE_COUNT = (lambda x: _is_int(x) and x >= 1, "an integer >= 1")
+FLAG = (lambda x: isinstance(x, (bool, np.bool_)), "a bool")
+POSITIVE_TIME = (lambda x: _is_finite(x) and x > 0.0, "a finite number > 0")
+
+# the Solver settings, in the order they are checked
+SETTINGS = {
+    "c_cfl": (lambda x: _is_finite(x) and 0.0 < x <= 1.0, "a number in (0, 1]"),
+    "limiter_passes": COUNT,
+    "newton_steps": COUNT,
+    "workers": POSITIVE_COUNT,
+    "ranks": POSITIVE_COUNT,
+    "chunk_size": POSITIVE_COUNT,
+    "overlap": FLAG,
+    "gas": (lambda x: isinstance(x, GasConstants), "a GasConstants"),
+}
+
+
+def check_settings(values: dict, rules: dict = SETTINGS):
+    """Raise ValueError for the first setting in values (name -> value) that
+    its rule rejects."""
+    for name, value in values.items():
+        test, what = rules[name]
+        if not test(value):
+            raise ValueError(f"{name} must be {what}")
 
 
 def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
@@ -180,18 +208,9 @@ class Solver:
         boundary: Optional[BoundaryConditions] = None,
         gas: GasConstants = AIR,
     ):
-        if not (_is_finite(c_cfl) and 0.0 < c_cfl <= 1.0):
-            raise ValueError("c_cfl must be a number in (0, 1]")
-        for name, value in (("limiter_passes", limiter_passes), ("newton_steps", newton_steps)):
-            if not _is_int(value) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0")
-        for name, value in (("workers", workers), ("ranks", ranks), ("chunk_size", chunk_size)):
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not _is_bool(overlap):
-            raise ValueError("overlap must be a bool")
-        if not isinstance(gas, GasConstants):
-            raise ValueError("gas must be a GasConstants")
+        check_settings(dict(c_cfl=c_cfl, limiter_passes=limiter_passes,
+                            newton_steps=newton_steps, workers=workers, ranks=ranks,
+                            chunk_size=chunk_size, overlap=overlap, gas=gas))
         self.matrices = matrices
         self.gas = gas
         self.c_cfl = c_cfl
@@ -410,11 +429,10 @@ class Solver:
 
     def _k_low_order(self, rk, lo, hi, tau):
         # the viscous part of the correction fluxes replaces step 1's flux
-        # contraction in P when limiter passes follow; _k_correction adds the
-        # rest
+        # contraction in P; _k_correction adds the rest
         rowkernels.low_order(
-            lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.U, rk.d, rk.alpha, rk.phi,
-            self.limiter_passes > 0, rk.P, rk.U_next, rk.R, rk.rho_min, rk.rho_max, rk.phi_min,
+            lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.U, rk.d, rk.alpha, rk.phi, rk.P,
+            rk.U_next, rk.R, rk.rho_min, rk.rho_max, rk.phi_min,
         )
 
     def _limit(self, rk, rows, P):

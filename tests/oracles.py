@@ -168,6 +168,14 @@ def specific_entropy(U, gas=AIR):
     return np.log(e) / gas.gm1 - np.log(rho)
 
 
+def specific_entropy_phi(U, gas=AIR):
+    """Scaled specific entropy phi = epsilon * rho^{-gamma}."""
+    rho = U[..., 0]
+    if np.any(rho <= 0.0):
+        raise AdmissibilityError("specific_entropy_phi requires rho > 0")
+    return physics.internal_energy(U) * physics.power(rho, -gas.gamma)
+
+
 def flux_contraction(f_j, f_i, c_ij, out=None):
     """(f_j - f_i) . c_ij: each state component's flux difference contracted
     with c_ij over the space axis, shape (..., d+2); written into out when
@@ -385,8 +393,8 @@ def mirror_kernel(solver, rk, lo, hi):
 
 
 def low_order_kernel(solver, rk, lo, hi, tau):
-    """Phase step3: the low-order update, R, the bounds and, with limiter
-    passes, the viscous part of the correction fluxes in P."""
+    """Phase step3: the low-order update, R, the bounds and the viscous part
+    of the correction fluxes in P."""
     sl = slice(lo, hi)
     cols = rk.cols[sl]
     U_i = rk.U[sl]
@@ -403,8 +411,7 @@ def low_order_kernel(solver, rk, lo, hi, tau):
     slot_bound(np.minimum, rho_bar, out=rk.rho_min[sl])
     slot_bound(np.maximum, rho_bar, out=rk.rho_max[sl])
     slot_bound(np.minimum, rk.phi[cols], out=rk.phi_min[sl])
-    if solver.limiter_passes:
-        np.multiply((dH - d)[..., None], dU, out=fdc)
+    np.multiply((dH - d)[..., None], dU, out=fdc)
 
 
 def correction_kernel(solver, rk, lo, hi, tau):

@@ -46,7 +46,7 @@ def _limiter_case(rng, dim=2):
         rng.normal(0.0, 0.4, dim + 2),
         states[:, 0].min(),
         states[:, 0].max(),
-        physics.specific_entropy_phi(states).min(),
+        oracles.specific_entropy_phi(states).min(),
     )
 
 

@@ -1,13 +1,16 @@
 """VTK writer, performance model, configuration and the CLI driver."""
 
+import inspect
 import os
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from eulerflow import output, perf, physics, problems
+from eulerflow import cli, output, perf, physics, problems
 from eulerflow.assembly import assemble
-from eulerflow.cli import build_parser, main
+from eulerflow.cli import _config_from_args, build_parser, main
 from eulerflow.config import RunConfig, parse_config_file
 from eulerflow.mesh import rectangle_mesh
 from eulerflow.stepper import Solver
@@ -33,7 +36,7 @@ def test_vtk_structure_and_determinism(tmp_path, small_setup):
     assert "DATASET UNSTRUCTURED_GRID" in lines
     npts = len(setup.mesh.points)
     assert f"POINTS {npts} double" in text
-    assert f"CELLS {setup.mesh.n_cells} {setup.mesh.n_cells * 5}" in text
+    assert f"CELLS {len(setup.mesh.cells)} {len(setup.mesh.cells) * 5}" in text
     assert "SCALARS density double" in text
     assert "VECTORS momentum double" in text
     assert "SCALARS pressure double" in text
@@ -124,6 +127,13 @@ def test_config_rejects_bad_input(tmp_path):
     bad.write_text("no_such_key = 1\n")
     with pytest.raises(ValueError):
         parse_config_file(str(bad))
+    # a value that does not parse names its file, line and key
+    for line, message in [("refine = 1.5", "invalid literal for int() with base 10: '1.5'"),
+                          ("c_cfl = abc", "could not convert string to float: 'abc'")]:
+        bad.write_text(f"# comment\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:2: {key}: {message}")):
+            parse_config_file(str(bad))
     with pytest.raises(ValueError):
         RunConfig(problem="nope").validate()
     with pytest.raises(ValueError):
@@ -142,6 +152,58 @@ def test_config_rejects_bad_input(tmp_path):
     RunConfig(refine=np.int64(1), workers=2, output_every=0, t_final=1, c_cfl=1).validate()
     RunConfig(overlap=np.bool_(False), perf=np.bool_(True)).validate()
     assert main(["--problem", "sod1d", "--t-final", "inf"]) == 1
+
+
+def other_value(field):
+    """A valid value of a RunConfig field other than its default."""
+    if field.type == "bool":
+        return not field.default
+    if field.type == "int":
+        return field.default + 1
+    if field.type == "float":
+        return field.default / 2
+    return {"problem": "sod1d"}.get(field.name, "elsewhere")
+
+
+def test_every_run_setting_has_a_flag_and_a_config_key(tmp_path):
+    parser = build_parser()
+    actions = {action.dest: action for action in parser._actions}
+    for field in fields(RunConfig):
+        value = other_value(field)
+        want = replace(RunConfig(), **{field.name: value})
+        action = actions[field.name]
+        flag = action.option_strings[0]
+        args = parser.parse_args([flag] if action.nargs == 0 else [flag, str(value)])
+        assert _config_from_args(args) == want, flag
+        path = tmp_path / f"{field.name}.cfg"
+        path.write_text(f"{field.name} = {value}\n")
+        assert parse_config_file(str(path)) == want, field.name
+    # a flag that is not given leaves the config file's value
+    path = tmp_path / "flags.cfg"
+    path.write_text("overlap = off\nperf = on\n")
+    args = parser.parse_args(["--config", str(path)])
+    assert _config_from_args(args) == RunConfig(overlap=False, perf=True)
+
+
+class _Stop(Exception):
+    """Ends cli.run at the Solver call."""
+
+
+def test_run_hands_every_solver_setting_to_the_solver(monkeypatch):
+    held = [f for f in fields(RunConfig) if f.name in inspect.signature(Solver).parameters]
+    assert [f.name for f in held] == ["c_cfl", "limiter_passes", "newton_steps", "workers",
+                                      "ranks", "overlap"]
+    cfg = RunConfig(problem="sod1d", **{f.name: other_value(f) for f in held})
+    seen = {}
+
+    def recording_solver(matrices, **kwargs):
+        seen.update(kwargs)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "Solver", recording_solver)
+    with pytest.raises(_Stop):
+        cli.run(cfg, log=lambda *args: None)
+    assert {f.name: seen[f.name] for f in held} == {f.name: getattr(cfg, f.name) for f in held}
 
 
 def test_parser_exposes_documented_flags():

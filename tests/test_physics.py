@@ -55,7 +55,7 @@ def test_hand_values():
     assert physics.internal_energy(U) == pytest.approx(4.0)
     assert physics.pressure(U) == pytest.approx(1.6)
     assert oracles.speed_of_sound(U) == pytest.approx(np.sqrt(1.4 * 1.6 / 2.0))
-    assert physics.specific_entropy_phi(U) == pytest.approx(4.0 * 2.0 ** (-1.4))
+    assert oracles.specific_entropy_phi(U) == pytest.approx(4.0 * 2.0 ** (-1.4))
     assert oracles.harten_entropy(U) == pytest.approx(8.0 ** (1.0 / 2.4))
 
 
@@ -98,6 +98,8 @@ def test_admissibility_checks_raise():
     assert not physics.is_admissible(bad_p)
     with pytest.raises(AdmissibilityError):
         oracles.specific_entropy(bad_rho)
+    with pytest.raises(AdmissibilityError, match="rho > 0"):
+        oracles.specific_entropy_phi(bad_rho)
     with pytest.raises(AdmissibilityError):
         physics.harten_entropy_derivative(bad_p)
 

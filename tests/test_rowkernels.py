@@ -215,8 +215,8 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
     U_next, R = np.full((rows, nvar), np.nan), np.full((rows, nvar), np.nan)
     bounds = [np.full(rows, np.nan) for _ in range(3)]
     viscous = P.copy()
-    rowkernels.low_order(0, rows, cols, card, tau, inv_m, U, d, alpha, phi, True, viscous,
-                         U_next, R, *bounds)
+    rowkernels.low_order(0, rows, cols, card, tau, inv_m, U, d, alpha, phi, viscous, U_next, R,
+                         *bounds)
 
     with np.errstate(all="ignore"):
         U_i = U[:rows]
@@ -255,7 +255,7 @@ def kernel_arguments(rk):
                                 diag_slot=a["diag_slot"], d=a["d"]),
         rowkernels.low_order: dict(
             cols=a["cols"], card=a["card"], tau=1e-3, inv_m=a["inv_m"], U=a["U"], d=a["d"],
-            alpha=a["alpha"], phi=a["phi"], viscous=True, P=a["P"], U_next=a["U_next"],
+            alpha=a["alpha"], phi=a["phi"], P=a["P"], U_next=a["U_next"],
             R=a["R"], rho_min=a["rho_min"], rho_max=a["rho_max"], phi_min=a["phi_min"]),
         rowkernels.correction: dict(cols=a["cols"], card=a["card"], tau=1e-3,
                                     inv_m=a["inv_m"], m_slot=a["m_slot"], R=a["R"], P=a["P"]),
