@@ -11,8 +11,6 @@ Run:  python3 demos/01_shock_cylinder.py [refine] [t_final]
 import sys
 import time
 
-import numpy as np
-
 from eulerflow import output, physics, problems
 from eulerflow.assembly import assemble
 from eulerflow.stepper import Solver

@@ -27,16 +27,14 @@ class RunConfig:
     perf: bool = False
 
     def validate(self):
-        if self.problem not in tuple(PROBLEMS):
-            raise ValueError(f"unknown problem {self.problem!r}, choose from {tuple(PROBLEMS)}")
         check_settings({f.name: getattr(self, f.name) for f in fields(self) if f.name in _RULES},
                        _RULES)
         return self
 
 
-# the fields that are Solver settings follow the Solver's rules
-_RULES = {**SETTINGS, "refine": COUNT, "t_final": POSITIVE_TIME, "output_every": COUNT,
-          "perf": FLAG}
+# the rules of the checked fields; those that are Solver settings take the Solver's
+_RULES = {"problem": (lambda x: x in tuple(PROBLEMS), f"one of {tuple(PROBLEMS)}"), **SETTINGS,
+          "refine": COUNT, "t_final": POSITIVE_TIME, "output_every": COUNT, "perf": FLAG}
 
 
 def _coerce(value: str, target_type):
@@ -68,7 +66,12 @@ def parse_config_file(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                setattr(cfg, key, _coerce(value, types[key]))
+                value = _coerce(value, types[key])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            try:
+                check_settings({key: value} if key in _RULES else {}, _RULES)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            setattr(cfg, key, value)
     return cfg.validate()

@@ -5,11 +5,9 @@ worst-case bound and returns a per-node factor alpha in [0, 1].  Constant or
 smooth data yields alpha close to zero; strong shocks yield alpha close to
 one.
 
-The accumulator takes whole stencil blocks as the stepper holds them: the
-neighbour axis is the second to last, before the state components, and the
-per-neighbour terms are added into the running sums one slot after the other
-(a loop over the stencil), so a block of rows gives the bits of a loop over
-its nodes.
+The commutator's slot sums a and b of each node are formed by step 1's
+compiled kernel (rowkernels.flux_contraction) in its one walk over the row's
+stencil; the accumulator takes them per row and forms alpha from them.
 """
 
 from __future__ import annotations
@@ -27,15 +25,7 @@ DENOMINATOR_FLOOR = 1e-300
 
 
 class IndicatorAccumulator:
-    """Accumulates the commutator sums for one node (or a batch of nodes).
-
-    All arrays broadcast over leading axes, so a batch of rows can be
-    processed with one accumulator.  Pass the whole stencil: the j-arrays
-    have one more axis than the i-arrays, the neighbour axis, which is the
-    last one before the state (or space) components: (k, nvar) neighbour
-    states for one node, (n, L, nvar) for a batch of n rows of L slots.  A
-    neighbour j = i contributes zero.
-    """
+    """Accumulates the commutator sums for one node (or a batch of nodes)."""
 
     def __init__(self, gas: GasConstants = AIR):
         self.gas = gas
@@ -49,24 +39,15 @@ class IndicatorAccumulator:
         self.b = np.zeros(U_i.shape, dtype=U_i.dtype)
         self._ready = True
 
-    def accumulate(
-        self, U_j: np.ndarray, c_ij: np.ndarray, eta_over_rho_j: np.ndarray, fdc: np.ndarray,
-    ):
-        """Add the contributions of the stencil neighbors j along axis -2
-        (axis -1 of eta_over_rho_j), one neighbour after the other.
-
-        fdc is the flux contraction (f_j - f_i) . c_ij of every neighbor, of
-        the shape of U_j, with the components of each product added left to
-        right (physics.component_sum); the stepper passes the contraction
-        that rowkernels.flux_contraction writes for the low-order update.
-        """
+    def accumulate(self, a: np.ndarray, b: np.ndarray):
+        """Add the stencil sums of the nodes, a of the shape of eta_over_rho_i
+        and b of U_i: a = sum_j (eta_j / rho_j - eta_i / rho_i) (m_j . c_ij)
+        and b = sum_j (f_j - f_i) . c_ij, as rowkernels.flux_contraction
+        returns them."""
         if not self._ready:
             raise RuntimeError("accumulate called before reset")
-        eor_i = np.asarray(self.eor_i)[..., None]
-        a_term = (eta_over_rho_j - eor_i) * component_sum(U_j[..., 1:-1] * c_ij)
-        for k in range(U_j.shape[-2]):
-            self.a += a_term[..., k]
-            self.b += fdc[..., k, :]
+        self.a += a
+        self.b += b
 
     def result(self) -> np.ndarray:
         """Normalized ratio alpha = N / D clamped to [0, 1]; 0 when D vanishes."""

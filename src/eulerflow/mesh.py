@@ -20,7 +20,7 @@ solver's results, so the numbering must not change with the implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

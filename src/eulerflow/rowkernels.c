@@ -9,6 +9,7 @@
  * nor writes a pad, every sum starts from +0.0 and adds one slot after the
  * other, and what is one expression of the stored matrix entries (b_ij,
  * b_ji, lambda_i) is formed in place instead of read from a stored copy.
+ * Step 1's one walk over a row also forms the indicator's slot sums.
  *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
@@ -28,21 +29,31 @@ static inline double np_min(double a, double b) { return a != a ? a : (a < b ? a
 static inline double np_max(double a, double b) { return a != a ? a : (a > b ? a : b); }
 
 /* Phase step1: the flux contraction P[i, s, k] = (f_j - f_i)[k] . c_ij of
- * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim). */
+ * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim), and
+ * the indicator's slot sums of row i, added into entry i - lo of a and b:
+ * a = sum_s (eor_j - eor_i) (m_j . c_ij), m_j the momentum of U_j, and
+ * b[k] = sum_s P[i, s, k]. */
 void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
-                      const idx *card, const double *f, const double *c, double *P)
+                      const idx *card, const double *U, const double *eor, const double *f,
+                      const double *c, double *P, double *a, double *b)
 {
     for (idx i = lo; i < hi; ++i) {
         const double *fi = f + i * nvar * dim;
+        double *bi = b + (i - lo) * nvar;
         for (idx s = 0; s < card[i]; ++s) {
-            idx is = i * L + s;
-            const double *fj = f + cols[is] * nvar * dim;
+            idx is = i * L + s, j = cols[is];
+            const double *fj = f + j * nvar * dim;
             const double *cs = c + is * dim;
+            double mc = 0.0;
+            for (idx x = 0; x < dim; ++x)
+                mc += U[j * nvar + 1 + x] * cs[x];
+            a[i - lo] += (eor[j] - eor[i]) * mc;
             for (idx k = 0; k < nvar; ++k) {
                 double acc = 0.0;
                 for (idx x = 0; x < dim; ++x)
                     acc += (fj[k * dim + x] - fi[k * dim + x]) * cs[x];
                 P[is * nvar + k] = acc;
+                bi[k] += acc;
             }
         }
     }

@@ -95,7 +95,7 @@ def _declare(name, restype, *argtypes):
 
 
 _flux_contraction = _declare("flux_contraction", None, _i64, _i64, _i64, _i64, _i64, _I, _I,
-                             _F, _F, _F)
+                             _F, _F, _F, _F, _F, _F, _F)
 _mirror = _declare("mirror", None, _i64, _i64, _i64, _I, _I, _I, _I, _F)
 _low_order = _declare("low_order", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
                       _F, _F, _F, _F, _F, _F, _F, _F)
@@ -115,12 +115,16 @@ def _check(lo, hi, *arrays):
         raise ValueError(f"rows [{lo}, {hi}) outside the arrays")
 
 
-def flux_contraction(lo, hi, cols, card, f, c, P):
+def flux_contraction(lo, hi, cols, card, U, eor, f, c, P):
     """P[i, s] = (f[cols[i, s]] - f[i]) . c[i, s] for the valid slots of the
-    rows [lo, hi) (numpy's physics-style component sums, left to right)."""
+    rows [lo, hi) (numpy's physics-style component sums, left to right), and
+    the indicator's slot sums (a, b) of those rows, summed from +0.0."""
     (L,), (nvar, dim) = cols.shape[1:], f.shape[1:]
-    _check(lo, hi, (cols, (L,)), (card, ()), (f, (nvar, dim)), (c, (L, dim)), (P, (L, nvar)))
-    _flux_contraction(lo, hi, L, nvar, dim, cols, card, f, c, P)
+    _check(lo, hi, (cols, (L,)), (card, ()), (U, (nvar,)), (eor, ()), (f, (nvar, dim)),
+           (c, (L, dim)), (P, (L, nvar)))
+    a, b = np.zeros(hi - lo), np.zeros((hi - lo, nvar))
+    _flux_contraction(lo, hi, L, nvar, dim, cols, card, U, eor, f, c, P, a, b)
+    return a, b
 
 
 def mirror(lo, hi, cols, trans_slot, card, diag_slot, d):

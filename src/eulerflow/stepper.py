@@ -3,13 +3,13 @@
 One forward-Euler step proceeds in phases over the stencil graph: nodal
 entropies and fluxes, the low-order graph viscosity from the two-rarefaction
 wavespeed bound (once per edge, on the upper triangle) together with the
-entropy-commutator indicator (one pass over each chunk's stencil block), the
-viscosity mirroring and time-step bound, the low-order update with its
-density bar-state bounds, the antisymmetric high-order correction fluxes,
-and finally one or more symmetrized limiter passes.  The per-slot buffer P
-carries work from phase to phase: step 1 writes the flux contraction
-(f_j - f_i) . c_ij of every slot into it, which the indicator sums and the
-low-order update reads, and step 3 then replaces it with the viscous part
+entropy-commutator indicator, the viscosity mirroring and time-step bound,
+the low-order update with its density bar-state bounds, the antisymmetric
+high-order correction fluxes, and finally one or more symmetrized limiter
+passes.  The per-slot buffer P carries work from phase to phase: step 1's
+kernel writes the flux contraction (f_j - f_i) . c_ij of every slot into it,
+which the low-order update reads, and forms the indicator's slot sums in
+the same walk over the row; step 3 then replaces it with the viscous part
 (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes (without limiter passes
 nothing reads it before step 1 overwrites it); step 4 completes the
 correction fluxes in place, and the limiter passes scale them.  The first
@@ -23,15 +23,14 @@ P, and the entries with min(l_ij, l_ji) < 1.  With newton_steps = 0 an entry
 still takes its density-clamped full step where that step meets the entropy
 bound (see limiter.limiter_compute).
 The phases that need no pow() run as compiled row kernels (rowkernels), one
-call per chunk of rows: step 1's flux contraction, step 2's mirroring,
-step 3 in full, step 4's assembly of the correction fluxes and the limited
-update, rescale and live-entry gather of steps 5 and 6.  They walk each
-row's valid slots once and never a pad, add them left to right from +0.0
-with the row's sums in registers, and form b_ij, b_ji and lambda_i from
-m_slot, inv_m and the row length; tests/oracles.py keeps numpy forms of
-them that give the same bits.  The
-entropies and fluxes, the wavespeeds, the indicator and the limiter stay in
-numpy; the indicator also sums over the slots one slot after the other.
+call per chunk of rows: step 1's flux contraction with the indicator's slot
+sums, step 2's mirroring, step 3 in full, step 4's assembly of the
+correction fluxes and the limited update, rescale and live-entry gather of
+steps 5 and 6.  They walk each row's valid slots once and never a pad, add
+them left to right from +0.0, and form b_ij, b_ji and lambda_i from m_slot,
+inv_m and the row length; tests/oracles.py keeps numpy forms of them that
+give the same bits.  The entropies and fluxes, the wavespeeds, alpha from
+the indicator's sums and the limiter stay in numpy.
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -415,13 +414,13 @@ class Solver:
         # ghost rows receive alpha from their owner
         sl = slice(lo, min(hi, rk.numbering.n_lo))
         if sl.start < sl.stop:
-            # the flux contraction of every slot, formed once per substep: the
-            # indicator sums it here and the low-order update reads it from P
-            rowkernels.flux_contraction(sl.start, sl.stop, rk.cols, rk.card, rk.f, rk.c_slot, rk.P)
-            cols = rk.cols[sl]
+            # one walk over the slots writes the flux contraction into P, which
+            # the low-order update reads, and forms the indicator's slot sums
+            a, b = rowkernels.flux_contraction(sl.start, sl.stop, rk.cols, rk.card, rk.U, rk.eor,
+                                               rk.f, rk.c_slot, rk.P)
             acc = IndicatorAccumulator(self.gas)
             acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
-            acc.accumulate(rk.U[cols], rk.c_slot[sl], eta_over_rho_j=rk.eor[cols], fdc=rk.P[sl])
+            acc.accumulate(a, b)
             rk.alpha[sl] = acc.result()
 
     def _k_mirror(self, rk, lo, hi):
@@ -490,8 +489,8 @@ class Solver:
         runs, for a given tau that is not finite and > 0 and for a tau_max
         that is not a number > 0 (inf allowed, bools rejected).
         """
-        if tau is not None and not (_is_finite(tau) and tau > 0.0):
-            raise ValueError("tau must be a finite number > 0")
+        if tau is not None:
+            check_settings({"tau": tau}, {"tau": POSITIVE_TIME})
         if not (_is_real(tau_max) and tau_max > 0.0):
             raise ValueError("tau_max must be a number > 0")
         self._phase("step0", self._k_entropies, ghosts=True)

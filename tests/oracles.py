@@ -213,6 +213,18 @@ def indicator_reference(U_i, neighbors, c_rows, gamma=GAMMA):
     return float(np.clip(numer / denom, 0.0, 1.0))
 
 
+def indicator_sums(U_j, c_ij, eor_i, eor_j, fdc):
+    """The indicator's sums a = sum_j (eor_j - eor_i)(m_j . c_ij) and
+    b = sum_j fdc of the nodes i from their stencil blocks, whose neighbour
+    axis is the last one before the state (or space) components, added one
+    neighbour after the other from +0.0: the a-term block and slot loop of
+    IndicatorAccumulator.accumulate before step 1's kernel formed the sums."""
+    a_term = (eor_j - np.asarray(eor_i)[..., None]) * component_sum(U_j[..., 1:-1] * c_ij)
+    a = sum_left_to_right(a_term[..., k] for k in range(a_term.shape[-1]))
+    b = sum_left_to_right(fdc[..., k, :] for k in range(fdc.shape[-2]))
+    return a, b
+
+
 def indicator_loop_reference(solver, rk, lo, hi):
     """alpha of the owned rows [lo, hi) of a solver rank, summed one stencil
     slot at a time: the per-neighbour loop and accumulate body the stepper
@@ -375,7 +387,7 @@ def viscosity_kernel(solver, rk, lo, hi):
         fdc = flux_contraction(rk.f[cols], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl])
         acc = IndicatorAccumulator(solver.gas)
         acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
-        acc.accumulate(rk.U[cols], rk.c_slot[sl], eta_over_rho_j=rk.eor[cols], fdc=fdc)
+        acc.accumulate(*indicator_sums(rk.U[cols], rk.c_slot[sl], rk.eor[sl], rk.eor[cols], fdc))
         rk.alpha[sl] = acc.result()
 
 

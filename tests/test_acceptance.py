@@ -5,7 +5,6 @@ captured output on failure) and asserts the same condition.
 """
 
 import numpy as np
-import pytest
 
 from eulerflow import perf, physics, problems, riemann
 from eulerflow.assembly import assemble

@@ -25,14 +25,15 @@ def eta_over_rho(U):
 
 
 def accumulated(U_i, U_j, c):
-    """An accumulator over the stencil U_j, c of the nodes U_i, given eta / rho
-    and the flux contraction formed as the stepper forms them."""
+    """An accumulator over the stencil U_j, c of the nodes U_i, given the sums
+    of the stencil blocks (oracles.indicator_sums) of eta / rho and the flux
+    contraction."""
     fdc = oracles.flux_contraction(
         physics.flux(U_j), physics.flux(U_i)[..., None, :, :], c,
     )
     acc = IndicatorAccumulator()
     acc.reset(U_i, eta_over_rho(U_i))
-    acc.accumulate(U_j, c, eta_over_rho(U_j), fdc)
+    acc.accumulate(*oracles.indicator_sums(U_j, c, eta_over_rho(U_i), eta_over_rho(U_j), fdc))
     return acc
 
 
@@ -68,7 +69,7 @@ def test_batched_rows_match_scalar():
     rng = np.random.default_rng(40)
     nrows, card = 7, 5
     U_i = random_states(rng, nrows)
-    # slot-last blocks, (rows, slots, components), as the stepper holds them
+    # (rows, slots, components) stencil blocks
     U_j = np.stack([random_states(rng, nrows) for _ in range(card)], axis=1)
     cs = rng.normal(0.0, 1.0, (card, nrows, 2)).swapaxes(0, 1)
     batch = accumulated(U_i, U_j, cs).result()
@@ -78,16 +79,15 @@ def test_batched_rows_match_scalar():
 
 def test_accumulate_before_reset_raises():
     acc = IndicatorAccumulator()
-    U_j = np.array([[1.0, 0.0, 0.0, 2.5]])
     with pytest.raises(RuntimeError):
-        acc.accumulate(U_j, np.zeros((1, 2)), eta_over_rho(U_j), np.zeros_like(U_j))
+        acc.accumulate(np.zeros(1), np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("dim,width,tail", [(2, 11, 61), (3, 33, 29)])
 def test_stepper_blocks_match_the_slot_loop_bitwise(dim, width, tail):
-    # padded slot blocks of the stepper, rough data so that most alpha are
+    # the stepper's padded slot rows, rough data so that most alpha are
     # neither 0 nor 1; chunk_size 1, and a chunk size that leaves one owned
-    # row in the chunk across the end of the owned rows, give one-row blocks
+    # row in the chunk across the end of the owned rows, give one-row chunks
     setup = problems.mach3_channel(dim, refine=1)
     mat = assemble(setup.mesh)
     U = random_states(np.random.default_rng(dim), mat.n, dim)

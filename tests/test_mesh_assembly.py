@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import assembly, mesh, problems
+from eulerflow import mesh, problems
 from eulerflow.assembly import assemble
 from eulerflow.mesh import (
     DISC_CENTER,

@@ -12,7 +12,6 @@ from eulerflow import cli, output, perf, physics, problems
 from eulerflow.assembly import assemble
 from eulerflow.cli import _config_from_args, build_parser, main
 from eulerflow.config import RunConfig, parse_config_file
-from eulerflow.mesh import rectangle_mesh
 from eulerflow.stepper import Solver
 
 
@@ -133,6 +132,12 @@ def test_config_rejects_bad_input(tmp_path):
         bad.write_text(f"# comment\n{line}\n")
         key = line.split()[0]
         with pytest.raises(ValueError, match=re.escape(f"{bad}:2: {key}: {message}")):
+            parse_config_file(str(bad))
+    # so does a value its rule rejects, checked as its line is read
+    for line, message in [("refine = -1", "refine must be an integer >= 0"),
+                          ("problem = bogus", "problem must be one of ('cylinder2d', ")]:
+        bad.write_text(f"# comment\n{line}\nrefine = 1.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:2: {message}")):
             parse_config_file(str(bad))
     with pytest.raises(ValueError):
         RunConfig(problem="nope").validate()

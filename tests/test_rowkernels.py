@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eulerflow import problems, rowkernels
+from eulerflow import physics, problems, rowkernels
 from eulerflow.assembly import assemble
 from eulerflow.stepper import Solver
 
@@ -234,6 +234,46 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
     assert same_bits(bounds[2], phi[cols].min(axis=1))
 
 
+@given(rows=st.integers(1, 4), width=st.integers(1, 33), dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, width, dim, data):
+    # P and the indicator's sums a and b of the rows [lo, rows) are the numpy
+    # contraction of each valid slot and its slot-after-slot sums from +0.0,
+    # signed zeros included.  Each valid slot has a node of its own after the
+    # rows; the pads point at a node whose state, eta / rho and flux are NaN
+    # and have NaN c, and P's pads hold a NaN of its own payload, which the
+    # kernel must neither read nor overwrite
+    nvar = dim + 2
+    n = rows * (width + 1) + 1
+    lo = data.draw(st.integers(0, rows - 1))
+    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    valid = np.arange(width) < card[:, None]
+    cols = np.where(valid, rows + np.arange(rows * width).reshape(rows, width), n - 1)
+    U = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
+    eor = data.draw(hnp.arrays(np.float64, n, elements=_entry))
+    f = data.draw(hnp.arrays(np.float64, (n, nvar, dim), elements=_entry))
+    c = data.draw(hnp.arrays(np.float64, (rows, width, dim), elements=_entry))
+    U[-1], eor[-1], f[-1], c[~valid] = np.nan, np.nan, np.nan, np.nan
+    pad_nan = np.array(0x7FF8000000000001, dtype=np.int64).view(np.float64)
+    P = np.full((rows, width, nvar), pad_nan)
+    P[valid] = 0.0
+    want_P = P.copy()
+    a, b = rowkernels.flux_contraction(lo, rows, cols, card, U, eor, f, c, P)
+
+    assert a.shape == (rows - lo,) and b.shape == (rows - lo, nvar)
+    with np.errstate(all="ignore"):
+        fdc = oracles.flux_contraction(f[cols], f[:rows][:, None], c)
+        a_term = (eor[cols] - eor[:rows, None]) * physics.component_sum(U[cols][..., 1:-1] * c)
+    want_P[lo:][valid[lo:]] = fdc[lo:][valid[lo:]]
+    assert same_bits_or_nan(P, want_P)
+    assert same_bits(P[~valid], want_P[~valid])
+    for i in range(lo, rows):
+        with np.errstate(all="ignore"):
+            want_a, want_b = (oracles.slot_sum(x[i:i + 1, :card[i]])[0] for x in (a_term, fdc))
+        assert same_bits_or_nan(a[i - lo], want_a)
+        assert same_bits_or_nan(b[i - lo], want_b)
+
+
 @pytest.mark.parametrize("lo,hi", [(0, 3), (-1, 1), (2, 1)])
 def test_rows_outside_the_arrays_are_rejected(lo, hi):
     d = np.zeros((2, 3))
@@ -247,10 +287,10 @@ def kernel_arguments(rk):
     """Keyword arguments of every row kernel on copies of a rank's arrays."""
     a = {name: getattr(rk, name).copy() for name in (
         "cols", "trans_slot", "card", "diag_slot", "f", "c_slot", "P", "d", "inv_m", "U",
-        "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l")}
+        "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l", "eor")}
     return {
-        rowkernels.flux_contraction: dict(cols=a["cols"], card=a["card"], f=a["f"],
-                                          c=a["c_slot"], P=a["P"]),
+        rowkernels.flux_contraction: dict(cols=a["cols"], card=a["card"], U=a["U"],
+                                          eor=a["eor"], f=a["f"], c=a["c_slot"], P=a["P"]),
         rowkernels.mirror: dict(cols=a["cols"], trans_slot=a["trans_slot"], card=a["card"],
                                 diag_slot=a["diag_slot"], d=a["d"]),
         rowkernels.low_order: dict(
