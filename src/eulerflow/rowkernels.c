@@ -1,6 +1,6 @@
-/* Row kernels of the forward-Euler phases that need no pow().
+/* Row kernels of the forward-Euler phases, and the stages of the wavespeed.
  *
- * Every kernel walks the rows [lo, hi) of one rank's padded slot view
+ * Every row kernel walks the rows [lo, hi) of one rank's padded slot view
  * (sparsity.PaddedView): row i has L slots, slot s of row i is entry
  * i * L + s of cols, trans and every per-slot array, and a per-slot state
  * vector is entry (i * L + s) * nvar.  On an owned row the card[i] valid
@@ -11,6 +11,11 @@
  * b_ji, lambda_i) is formed in place instead of read from a stored copy.
  * Step 1's one walk over a row also forms the indicator's slot sums.
  *
+ * The wavespeed stages walk a chunk's upper edges instead.  No kernel calls
+ * pow(): numpy's pow and libm's differ in the last bit, so each pow() level
+ * of the wavespeed ends a stage, and numpy (physics.power) evaluates the
+ * arguments that stage packed before the next stage goes on.
+ *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
  * grouping and the bounds follow np.minimum / np.maximum.  Built with
@@ -18,6 +23,7 @@
  * those of numpy.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 typedef int64_t idx;
@@ -189,4 +195,114 @@ idx limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *
             U_next[i * nvar + k] = U_next[i * nvar + k] + lam * acc[k];
     }
     return n_live;
+}
+
+/* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the
+ * upper edges e0 <= e < e1, in three stages.  Edge e is slot up_slot[e] of
+ * row i = up_row[e], its neighbour j = cols[i * L + up_slot[e]].  lambda_ij
+ * bounds the maximal wavespeed of the 1D Riemann problem of U_i (left) and
+ * U_j (right) projected on the unit normal n_ij, lambda_ji that of U_j and
+ * U_i projected on n_ji (Guermond & Popov, JCP 2016: the two-rarefaction
+ * star pressure, no Newton step).  Entry e - e0 of the scratch array st holds
+ * the four projected states of the edge as (rho, u, p, c), in the order
+ * left and right on n_ij, left and right on n_ji, and entry e - e0 of q one
+ * value per direction. */
+
+/* U projected on the unit direction n: the density, the normal velocity,
+ * the pressure of E - |m - (n.m) n|^2 / (2 rho) and the sound speed, into S.
+ * Returns 1 when rho <= 0 or p <= 0, else 0. */
+static int project(const double *U, const double *n, idx dim, double gamma, double gm1,
+                   double *S)
+{
+    double rho = U[0], E = U[dim + 1], mt = 0.0, tt = 0.0;
+    for (idx k = 0; k < dim; ++k)
+        mt += U[1 + k] * n[k];
+    for (idx k = 0; k < dim; ++k) {
+        double t = U[1 + k] - mt * n[k];
+        tt += t * t;
+    }
+    double Et = E - 0.5 * tt / rho;
+    double p = gm1 * (Et - 0.5 * mt * mt / rho);
+    S[0] = rho;
+    S[1] = mt / rho;
+    S[2] = p;
+    S[3] = sqrt(gamma * p / rho);
+    return rho <= 0.0 || p <= 0.0;
+}
+
+/* Stage 1: the projected states, and in q the pressure ratio p_L / p_R of
+ * each direction, the argument of the first pow() level.  Returns the
+ * number of projected states with rho <= 0 or p <= 0. */
+idx wavespeed_project(idx e0, idx e1, idx L, idx nvar, const idx *up_row, const idx *up_slot,
+                      const idx *cols, const double *U, const double *n_ij, const double *n_ji,
+                      double gamma, double gm1, double *st, double *q)
+{
+    idx dim = nvar - 2, bad = 0;
+    for (idx e = e0; e < e1; ++e) {
+        idx i = up_row[e], j = cols[i * L + up_slot[e]];
+        double *S = st + (e - e0) * 16, *qe = q + (e - e0) * 2;
+        bad += project(U + i * nvar, n_ij + e * dim, dim, gamma, gm1, S);
+        bad += project(U + j * nvar, n_ij + e * dim, dim, gamma, gm1, S + 4);
+        bad += project(U + j * nvar, n_ji + e * dim, dim, gamma, gm1, S + 8);
+        bad += project(U + i * nvar, n_ji + e * dim, dim, gamma, gm1, S + 12);
+        qe[0] = S[2] / S[6];
+        qe[1] = S[10] / S[14];
+    }
+    return bad;
+}
+
+/* Stage 2: q holds (p_L / p_R)^(-(gamma - 1) / (2 gamma)) and takes the
+ * clamped base of the two-rarefaction star pressure, the argument of the
+ * second pow() level. */
+void wavespeed_base(idx ne, double gm1, const double *st, double *q)
+{
+    for (idx e = 0; e < 2 * ne; ++e) {
+        const double *Ls = st + e * 8, *Rs = Ls + 4;
+        double num = Ls[3] + Rs[3] - 0.5 * gm1 * (Rs[1] - Ls[1]);
+        q[e] = np_max(num / (Ls[3] * q[e] + Rs[3]), 0.0);
+    }
+}
+
+/* The shock branch of the wave function f(p) of state S.  psi needs only
+ * this branch: it is evaluated at p_max = max(p_L, p_R) >= p_S, and where
+ * p_max is NaN the rarefaction branch is NaN as well. */
+static double shock_wave(const double *S, double p, double gamma, double gm1)
+{
+    return sqrt(2.0) * (p - S[2]) / sqrt(S[0] * ((gamma + 1.0) * p + gm1 * S[2]));
+}
+
+static inline double pos(double x) { return 0.5 * (fabs(x) + x); }
+static inline double neg_magnitude(double x) { return 0.5 * (fabs(x) - x); }
+
+/* The wavespeed bound of one direction, Ls and Rs its projected states and
+ * power its second pow() level, base^(2 gamma / (gamma - 1)). */
+static double lambda_max(const double *Ls, const double *Rs, double power, double gamma,
+                         double gm1)
+{
+    double p_tr = Rs[2] * power;
+    double p_max = np_max(Ls[2], Rs[2]);
+    double psi = shock_wave(Ls, p_max, gamma, gm1) + shock_wave(Rs, p_max, gamma, gm1)
+                 + (Rs[1] - Ls[1]);
+    double p_star = psi < 0.0 ? p_tr : np_min(p_max, p_tr);
+    double gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
+    double lam1 = Ls[1] - Ls[3] * sqrt(1.0 + gp1_over_2g * pos((p_star - Ls[2]) / Ls[2]));
+    double lam3 = Rs[1] + Rs[3] * sqrt(1.0 + gp1_over_2g * pos((p_star - Rs[2]) / Rs[2]));
+    return np_max(neg_magnitude(lam1), pos(lam3));
+}
+
+/* Stage 3: q holds the second pow() level of each direction; d_ij goes into
+ * the edge's slot of d and into entry e - e0 of out.  A zero-length c
+ * contributes zero. */
+void wavespeed_bound(idx e0, idx e1, idx L, const idx *up_row, const idx *up_slot,
+                     const double *norm_ij, const double *norm_ji, double gamma, double gm1,
+                     const double *st, const double *q, double *d, double *out)
+{
+    for (idx e = e0; e < e1; ++e) {
+        const double *S = st + (e - e0) * 16, *qe = q + (e - e0) * 2;
+        double lam_ij = lambda_max(S, S + 4, qe[0], gamma, gm1);
+        double lam_ji = lambda_max(S + 8, S + 12, qe[1], gamma, gm1);
+        double a = norm_ij[e] > 0.0 ? lam_ij * norm_ij[e] : 0.0;
+        double b = norm_ji[e] > 0.0 ? lam_ji * norm_ji[e] : 0.0;
+        out[e - e0] = d[up_row[e] * L + up_slot[e]] = np_max(a, b);
+    }
 }

@@ -13,7 +13,12 @@ Each wrapper below checks dtype and C order of its arrays (through the
 ctypes argument types), the row shape of every array (a per-slot array has
 the width of cols) and that [lo, hi) lies within every array, then runs one
 kernel over the rows [lo, hi); see rowkernels.c for what each computes.
-Every kernel reads and writes the valid slots of its rows only.
+Every kernel reads and writes the valid slots of its rows only.  The
+wavespeed stages run over the upper edges e0:e1 instead: they check that
+range in every per-edge array, that the stencil arrays hold the rows of
+cols and the scratch arrays passed from stage to stage the same edges;
+riemann.d_ij_low chains them.  Like the neighbour ids in cols, the rows and
+slots an edge list names are taken as they are.
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["SOURCE", "FLAGS", "library_path", "build",
-           "flux_contraction", "mirror", "low_order", "correction", "limited_update"]
+           "flux_contraction", "mirror", "low_order", "correction", "limited_update",
+           "wavespeed_project", "wavespeed_base", "wavespeed_bound"]
 
 SOURCE = Path(__file__).with_name("rowkernels.c")
-# no multiply-add contraction: the kernels must give numpy's bits
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# no multiply-add contraction: the kernels must give numpy's bits; sqrt()
+# compiles to the instruction, with no libm call to set errno
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 COMPILER = "gcc"
 
 
@@ -103,6 +110,11 @@ _correction = _declare("correction", None, _i64, _i64, _i64, _i64, _I, _I, _f64,
                        _F)
 _limited_update = _declare("limited_update", _i64, _i64, _i64, _i64, _i64, _I, _I, _I, _F,
                            _int, _F, _F, _I, _I, _F)
+_wavespeed_project = _declare("wavespeed_project", _i64, _i64, _i64, _i64, _i64, _I, _I, _I,
+                              _F, _F, _F, _f64, _f64, _F, _F)
+_wavespeed_base = _declare("wavespeed_base", None, _i64, _f64, _F, _F)
+_wavespeed_bound = _declare("wavespeed_bound", None, _i64, _i64, _i64, _I, _I, _F, _F, _f64,
+                            _f64, _F, _F, _F, _F)
 
 
 def _check(lo, hi, *arrays):
@@ -177,3 +189,38 @@ def limited_update(lo, hi, cols, trans_slot, card, l, P, U_next, last=True):
     if last:
         return None
     return live_row[:n_live], live_flat[:n_live], live_P[:n_live]
+
+
+def wavespeed_project(e0, e1, up_row, up_slot, cols, U, n_ij, n_ji, gas):
+    """Stage 1 of the wavespeed of the upper edges e0:e1: the four projected
+    states of each edge, as an (e1 - e0, 4, 4) array of (rho, u, p, c), the
+    pressure ratios p_L / p_R of its two directions, (e1 - e0, 2), and the
+    number of projected states with rho <= 0 or p <= 0."""
+    (L,), (nvar,) = cols.shape[1:], U.shape[1:]
+    _check(e0, e1, (up_row, ()), (up_slot, ()), (n_ij, (nvar - 2,)), (n_ji, (nvar - 2,)))
+    _check(0, max(len(cols), len(U)), (cols, (L,)), (U, (nvar,)))
+    states, q = np.empty((e1 - e0, 4, 4)), np.empty((e1 - e0, 2))
+    bad = _wavespeed_project(e0, e1, L, nvar, up_row, up_slot, cols, U, n_ij, n_ji, gas.gamma,
+                             gas.gm1, states, q)
+    return states, q, bad
+
+
+def wavespeed_base(states, q, gas):
+    """Stage 2: q, the pressure ratios to the power -(gamma - 1) / (2 gamma),
+    takes the clamped two-rarefaction base of each direction in place."""
+    _check(0, max(len(states), len(q)), (states, (4, 4)), (q, (2,)))
+    _wavespeed_base(len(states), gas.gm1, states, q)
+
+
+def wavespeed_bound(e0, e1, up_row, up_slot, cols, norm_ij, norm_ji, states, q, d, gas):
+    """Stage 3: d_ij of the upper edges e0:e1 from their projected states and
+    q, the bases to the power 2 gamma / (gamma - 1), written into each edge's
+    slot of d and returned as an (e1 - e0,) array."""
+    (L,) = cols.shape[1:]
+    _check(e0, e1, (up_row, ()), (up_slot, ()), (norm_ij, ()), (norm_ji, ()))
+    _check(0, e1 - e0, (states, (4, 4)), (q, (2,)))
+    _check(0, max(len(cols), len(d)), (cols, (L,)), (d, (L,)))
+    out = np.empty(e1 - e0)
+    _wavespeed_bound(e0, e1, L, up_row, up_slot, norm_ij, norm_ji, gas.gamma, gas.gm1, states, q,
+                     d, out)
+    return out

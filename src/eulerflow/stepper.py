@@ -29,8 +29,10 @@ correction fluxes and the limited update, rescale and live-entry gather of
 steps 5 and 6.  They walk each row's valid slots once and never a pad, add
 them left to right from +0.0, and form b_ij, b_ji and lambda_i from m_slot,
 inv_m and the row length; tests/oracles.py keeps numpy forms of them that
-give the same bits.  The entropies and fluxes, the wavespeeds, alpha from
-the indicator's sums and the limiter stay in numpy.
+give the same bits.  Step 1's wavespeeds run as three compiled stages over
+the chunk's upper edges, with their two pow() levels in numpy between them
+(riemann.d_ij_low), from unit normals formed once at setup.  The entropies
+and fluxes, alpha from the indicator's sums and the limiter stay in numpy.
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -176,6 +178,19 @@ def _checked_boundary(bc, n: int, nvar: int, dim: int) -> BoundaryConditions:
     return BoundaryConditions(inflow, farfield, slip, normals)
 
 
+def _unit_normals(c: np.ndarray):
+    """The rows of c divided by their norms, e_1 where a norm is 0, and the
+    norms: (unit normals as an (E, d) array, norms as an (E,) array)."""
+    comps = [c[:, k] for k in range(c.shape[1])]
+    norm = np.sqrt(physics.sum_left_to_right(c_k * c_k for c_k in comps))
+    safe = np.where(norm, norm, 1.0)
+    nonzero = norm > 0.0
+    n = np.empty(c.shape)
+    for k, c_k in enumerate(comps):
+        n[:, k] = np.where(nonzero, c_k / safe, 1.0 if k == 0 else 0.0)
+    return n, norm
+
+
 class _RankData:
     """Per-rank renumbered stencil data and work arrays."""
 
@@ -184,7 +199,7 @@ class _RankData:
         "numbering", "cols", "valid",
         "up_row", "up_slot", "up_ptr", "trans_slot",
         "diag_slot", "card",
-        "m_slot", "c_slot", "c_up", "cT_up", "m_i", "inv_m",
+        "m_slot", "c_slot", "n_up", "norm_up", "nT_up", "normT_up", "m_i", "inv_m",
         "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "d",
         "alpha", "R", "P", "l", "l_next", "rho_min", "rho_max", "phi_min",
         "inflow_idx", "slip_idx", "slip_n",
@@ -268,7 +283,7 @@ class Solver:
         upper = padded.valid & (cm_of_new[padded.cols] > cm_of_new[:, None])
         # (row, slot) pairs of the upper edges in row-major order; the pairs
         # of rows [a, b) are up_ptr[a]:up_ptr[b]
-        rk.up_row, rk.up_slot = np.nonzero(upper)
+        rk.up_row, rk.up_slot = (np.ascontiguousarray(x) for x in np.nonzero(upper))
         rk.up_ptr = np.concatenate([[0], np.cumsum(upper.sum(axis=1))])
         rk.card = padded.valid.sum(axis=1)
 
@@ -276,9 +291,11 @@ class Solver:
         N, L, d = len(cm_of_new), padded.width, self.dim
         rk.m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
         rk.c_slot = np.where(padded.valid[..., None], mat.c[padded.src], 0.0)
-        # c_ij and c_ji of the upper edges, in up_row/up_slot order
-        rk.c_up = rk.c_slot[upper]
-        rk.cT_up = rk.c_slot[padded.cols[upper], padded.trans_slot[upper]]
+        # unit normals and norms of c_ij and c_ji of the upper edges, in
+        # up_row/up_slot order
+        rk.n_up, rk.norm_up = _unit_normals(rk.c_slot[upper])
+        rk.nT_up, rk.normT_up = _unit_normals(
+            rk.c_slot[padded.cols[upper], padded.trans_slot[upper]])
         rk.m_i = mat.m_lumped[rk.orig_of_new]
         rk.inv_m = mat.inv_m[rk.orig_of_new]
 
@@ -406,11 +423,8 @@ class Solver:
     def _k_viscosity(self, rk, lo, hi):
         # d_ij is evaluated once per edge, on the upper slots (global id of j
         # above that of i) only; _k_mirror fills the lower triangle
-        up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
-        rows, slots = rk.up_row[up], rk.up_slot[up]
-        rk.d[rows, slots] = riemann.d_ij_low(
-            rk.U[rows], rk.U[rk.cols[rows, slots]], rk.c_up[up], rk.cT_up[up], self.gas,
-        )
+        riemann.d_ij_low(int(rk.up_ptr[lo]), int(rk.up_ptr[hi]), rk.up_row, rk.up_slot, rk.cols,
+                         rk.U, rk.n_up, rk.norm_up, rk.nT_up, rk.normT_up, rk.d, self.gas)
         # ghost rows receive alpha from their owner
         sl = slice(lo, min(hi, rk.numbering.n_lo))
         if sl.start < sl.stop:

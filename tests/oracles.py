@@ -4,23 +4,24 @@ The exact Riemann solver, the scalar indicator, the limiter bisection and
 the dense step are written from first principles with plain loops and
 scipy root finding, deliberately avoiding the package's own vectorized
 kernels, so agreement between the two is meaningful.  Other references
-keep the loop or formula a kernel had before it was rewritten (the slot
-loop of the indicator, the whole-block wavespeed formulas, the full
-bar-state update, the loop-based mesh refinement, ...), so that tests can
-check the rewrite against it bitwise; these share the package's helpers
-where the arithmetic is unchanged.
+keep the loop or formula a kernel had before it was rewritten (the numpy
+wavespeed bound, the slot loop of the indicator, the whole-block wavespeed
+formulas, the full bar-state update, the loop-based mesh refinement, ...),
+so that tests can check the rewrite against it bitwise; these share the
+package's helpers where the arithmetic is unchanged.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import brentq
 
-from eulerflow import physics, riemann
+from eulerflow import physics, riemann, stepper
 from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
-from eulerflow.physics import AIR, AdmissibilityError, component_sum, sum_left_to_right
-from eulerflow.riemann import Projected1DState, _lambda_max_projected
+from eulerflow.physics import AIR, AdmissibilityError, component_sum, power, sum_left_to_right
 
 GAMMA = 1.4
 
@@ -71,10 +72,167 @@ def exact_lambda_max(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma=GAMMA):
     return max(max(-lam1, 0.0), max(lam3, 0.0))
 
 
+# ----- the wavespeed bound in numpy --------------------------------------------
+# riemann.d_ij_low as it was before its compiled stages replaced it: the
+# two-rarefaction bound of Guermond & Popov (JCP 2016), vectorized and
+# branch-free (selects instead of branches), with the directions, momenta
+# and c vectors handled one component at a time and added left to right.
+
+def _pos(x):
+    """Positive part (|x| + x) / 2, evaluated branch-free."""
+    return 0.5 * (np.abs(x) + x)
+
+
+def _neg_magnitude(x):
+    """Magnitude of the negative part, (|x| - x) / 2, branch-free."""
+    return 0.5 * (np.abs(x) - x)
+
+
+@dataclass
+class Projected1DState:
+    """1D state obtained by projecting momentum onto a unit direction.
+
+    The tangential kinetic energy is removed from the total energy, so the
+    projected internal energy (and pressure) equals that of the source state.
+    """
+
+    rho: np.ndarray
+    m: np.ndarray
+    E: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    c: np.ndarray
+
+
+def _components(x):
+    return [x[..., k] for k in range(np.shape(x)[-1])]
+
+
+def project(U, n, gas=AIR):
+    """Project a (d+2)-state onto direction n: rho, n.m, E - |m - (n.m)n|^2/(2 rho)."""
+    return _project(U, _components(n), gas)
+
+
+def _project(U, n, gas):
+    """project with the direction given as the list of its components."""
+    rho = U[..., 0]
+    mom = [U[..., 1 + k] for k in range(len(n))]
+    E = U[..., -1]
+    m_t = sum_left_to_right(m * n_k for m, n_k in zip(mom, n))
+    tang = (m - m_t * n_k for m, n_k in zip(mom, n))
+    E_t = E - 0.5 * sum_left_to_right(t * t for t in tang) / rho
+    u = m_t / rho
+    p = gas.gm1 * (E_t - 0.5 * m_t * m_t / rho)
+    if np.any(rho <= 0.0) or np.any(p <= 0.0):
+        raise AdmissibilityError("projected state requires rho > 0 and p > 0")
+    c = np.sqrt(gas.gamma * p / rho)
+    return Projected1DState(rho=rho, m=m_t, E=E_t, u=u, p=p, c=c)
+
+
+def two_rarefaction_pstar(Li, Rj, gas=AIR):
+    """Closed-form star pressure assuming two rarefaction waves.
+
+    The base of the power is clamped at zero so strongly receding flow
+    (near-vacuum) yields p* = 0 instead of a negative base.
+    """
+    num = Li.c + Rj.c - 0.5 * gas.gm1 * (Rj.u - Li.u)
+    den = Li.c * power(Li.p / Rj.p, -gas.gm1_over_2g) + Rj.c
+    base = np.maximum(num / den, 0.0)
+    return Rj.p * power(base, gas.two_g_over_gm1)
+
+
+def _f_wave(S, p, gas):
+    # shock branch for p >= p_tilde, rarefaction branch otherwise
+    shock = np.sqrt(2.0) * (p - S.p) / np.sqrt(S.rho * ((gas.gamma + 1.0) * p + gas.gm1 * S.p))
+    rare = (power(p / S.p, gas.gm1_over_2g) - 1.0) * (2.0 * S.c / gas.gm1)
+    return np.where(p >= S.p, shock, rare)
+
+
+def psi(p, Li, Rj, gas=AIR):
+    """Monotone increasing depressurization function psi(p) = f_i + f_j + u_j - u_i."""
+    return _f_wave(Li, p, gas) + _f_wave(Rj, p, gas) + (Rj.u - Li.u)
+
+
+def _lambda_max_projected(Li, Rj, gas):
+    p_max = np.maximum(Li.p, Rj.p)
+    p_tr = two_rarefaction_pstar(Li, Rj, gas)
+    p_star = np.where(psi(p_max, Li, Rj, gas) < 0.0, p_tr, np.minimum(p_max, p_tr))
+    gp1_over_2g = (gas.gamma + 1.0) / (2.0 * gas.gamma)
+    lam1 = Li.u - Li.c * np.sqrt(1.0 + gp1_over_2g * _pos((p_star - Li.p) / Li.p))
+    lam3 = Rj.u + Rj.c * np.sqrt(1.0 + gp1_over_2g * _pos((p_star - Rj.p) / Rj.p))
+    return np.maximum(_neg_magnitude(lam1), _pos(lam3))
+
+
+def lambda_max(Ui, Uj, n, gas=AIR):
+    """Upper bound on the maximal wavespeed of the Riemann problem along n."""
+    n = _components(n)
+    return _lambda_max_projected(_project(Ui, n, gas), _project(Uj, n, gas), gas)
+
+
+def _unit(c):
+    """Components of c / |c|, e_1 where c = 0, and |c|."""
+    c = _components(c)
+    norm = np.sqrt(sum_left_to_right(c_k * c_k for c_k in c))
+    safe = np.where(norm, norm, 1.0)
+    nonzero = norm > 0.0
+    n = [np.where(nonzero, c_k / safe, 1.0 if k == 0 else 0.0) for k, c_k in enumerate(c)]
+    return n, norm
+
+
+def d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR):
+    """Graph viscosity d_ij = max(lambda(n_ij)|c_ij|, lambda(n_ji)|c_ji|).
+
+    Zero-length c vectors contribute zero; the select keeps the control flow
+    lane-uniform.
+    """
+    n_ij, norm_ij = _unit(c_ij)
+    n_ji, norm_ji = _unit(c_ji)
+    lam_ij = _lambda_max_projected(_project(Ui, n_ij, gas), _project(Uj, n_ij, gas), gas)
+    lam_ji = _lambda_max_projected(_project(Uj, n_ji, gas), _project(Ui, n_ji, gas), gas)
+    return np.maximum(
+        np.where(norm_ij > 0.0, lam_ij * norm_ij, 0.0),
+        np.where(norm_ji > 0.0, lam_ji * norm_ji, 0.0),
+    )
+
+
+# ----- the compiled wavespeed on a list of state pairs -----------------------------
+
+def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
+    """riemann.d_ij_low on the pairs of a batch, each pair one upper edge.
+
+    The batch is laid out as a stencil: row k holds U_i of pair k, row
+    E + k its U_j, and the edge is slot 1 of row k, whose slot 0 is a
+    neighbour that no edge names.  The unit normals come from the solver's
+    setup.  Returns d_ij of the pairs e0: in the batch's shape, and the
+    slot array d, which held NaN before the call.
+    """
+    shape = np.shape(Ui)[:-1]
+    Ui, Uj = (np.reshape(U, (-1, np.shape(U)[-1])) for U in (Ui, Uj))
+    c_ij, c_ji = (np.reshape(c, (-1, np.shape(c)[-1])) for c in (c_ij, c_ji))
+    E = len(Ui)
+    U = np.concatenate([Ui, Uj])
+    cols = np.stack([np.arange(2 * E), np.arange(E, 3 * E) % (2 * E)], axis=1)
+    d = np.full((2 * E, 2), np.nan)
+    up_row, up_slot = np.arange(E), np.ones(E, dtype=np.int64)
+    n_ij, norm_ij = stepper._unit_normals(c_ij)
+    n_ji, norm_ji = stepper._unit_normals(c_ji)
+    out = riemann.d_ij_low(e0, E, up_row, up_slot, cols, U, n_ij, norm_ij, n_ji, norm_ji, d,
+                           gas)
+    return out.reshape(shape if e0 == 0 else -1), d
+
+
+def compiled_lambda_max(Ui, Uj, n, gas=AIR):
+    """The compiled bound of the pairs along unit directions n: d_ij with
+    c_ij = n and c_ji = 0, which is lambda(n) |n| (lambda itself for a
+    coordinate axis n, whose norm is 1)."""
+    n = np.broadcast_to(n, np.shape(Ui)[:-1] + np.shape(n)[-1:])
+    return compiled_d_ij_low(Ui, Uj, n, np.zeros_like(n), gas)[0]
+
+
 # ----- whole-block wavespeed formulas ------------------------------------------
 
 def project_block_reference(U, n, gas=AIR):
-    """riemann.project as it was before it worked one component at a time:
+    """project as it was before it worked one component at a time:
     products and sums on whole (..., d) blocks of momenta and directions."""
     rho = U[..., 0]
     mom = U[..., 1:-1]
@@ -89,7 +247,7 @@ def project_block_reference(U, n, gas=AIR):
 
 
 def d_ij_low_block_reference(Ui, Uj, c_ij, c_ji, gas=AIR):
-    """riemann.d_ij_low as it was before it worked one component at a time:
+    """d_ij_low as it was before it worked one component at a time:
     the unit directions are built as (..., d) blocks with an e_1 block for
     zero-length c vectors."""
     def lam(Ua, Ub, n):
@@ -377,7 +535,7 @@ def viscosity_kernel(solver, rk, lo, hi):
     up = slice(rk.up_ptr[lo], rk.up_ptr[hi])
     rows, slots = rk.up_row[up], rk.up_slot[up]
     cols = rk.cols[rows, slots]
-    rk.d[rows, slots] = riemann.d_ij_low(
+    rk.d[rows, slots] = d_ij_low(
         rk.U[rows], rk.U[cols], rk.c_slot[rows, slots],
         rk.c_slot[cols, rk.trans_slot[rows, slots]], solver.gas,
     )
@@ -479,12 +637,11 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
                      gamma=GAMMA):
     """Reference update using plain loops over the CSR stencil graph.
 
-    Reuses the package's per-pair wavespeed and per-lane limiter (both
-    validated against their own oracles) but reimplements all graph
+    Uses the numpy wavespeed bound above and the package's per-lane limiter
+    (both validated against their own oracles) but reimplements all graph
     plumbing, mirroring, bounds and limiter passes independently.
     """
     from eulerflow import limiter as pk_limiter
-    from eulerflow import riemann as pk_riemann
 
     n = matrices.n
     d = matrices.dim
@@ -514,7 +671,7 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
         for j in row(i):
             if j <= i:
                 continue
-            dij = float(pk_riemann.d_ij_low(U[i], U[j], cval(i, j), cval(j, i)))
+            dij = float(d_ij_low(U[i], U[j], cval(i, j), cval(j, i)))
             dmat[(i, j)] = dij
             dmat[(j, i)] = dij
     d_ii = np.zeros(n)

@@ -6,7 +6,7 @@ captured output on failure) and asserts the same condition.
 
 import numpy as np
 
-from eulerflow import perf, physics, problems, riemann
+from eulerflow import perf, physics, problems
 from eulerflow.assembly import assemble
 from eulerflow.limiter import limiter_compute, psi_entropy, quadratic_newton_step
 from eulerflow.mesh import rectangle_mesh
@@ -134,7 +134,8 @@ def test_criterion_05_riemann_bound():
     UR, velR, pR = _random_states(rng, n_pairs)
     n = rng.normal(size=(n_pairs, 2))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    lam_bound = riemann.lambda_max(UL, UR, n)
+    # the compiled bound: d_ij with c_ij = n and c_ji = 0 is lambda(n) |n|
+    lam_bound = oracles.compiled_lambda_max(UL, UR, n)
     worst = np.inf
     for i in range(n_pairs):
         ul, ur = float(velL[i] @ n[i]), float(velR[i] @ n[i])
@@ -149,7 +150,7 @@ def test_criterion_05_riemann_bound():
             cr = np.sqrt(AIR.gamma * pR[i] / UR[i, 0])
             lam_exact = max(max(-(ul - cl), 0.0), max(ur + cr, 0.0))
         worst = min(worst, lam_bound[i] - lam_exact)
-    lam_same = riemann.lambda_max(UL, UL, n)
+    lam_same = oracles.compiled_lambda_max(UL, UL, n)
     expect = np.abs((velL * n).sum(axis=1)) + np.sqrt(AIR.gamma * pL / UL[:, 0])
     gap_same = np.abs(lam_same - expect).max()
     ok = worst >= -1e-12 and gap_same <= 1e-10

@@ -284,47 +284,71 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
 
 
 def kernel_arguments(rk):
-    """Keyword arguments of every row kernel on copies of a rank's arrays."""
+    """Per compiled kernel, its range arguments, (lo, hi) = (0, n_lo) of the
+    owned rows, (e0, e1) = (0, E) of the upper edges or none, and its keyword
+    arguments on copies of a rank's arrays."""
     a = {name: getattr(rk, name).copy() for name in (
         "cols", "trans_slot", "card", "diag_slot", "f", "c_slot", "P", "d", "inv_m", "U",
-        "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l", "eor")}
+        "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l", "eor",
+        "up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up")}
+    rows, edges = (0, rk.numbering.n_lo), (0, len(a["up_row"]))
+    edge = dict(up_row=a["up_row"], up_slot=a["up_slot"], cols=a["cols"], gas=physics.AIR)
+    states, q, _ = rowkernels.wavespeed_project(*edges, U=a["U"], n_ij=a["n_up"],
+                                                n_ji=a["nT_up"], **edge)
     return {
-        rowkernels.flux_contraction: dict(cols=a["cols"], card=a["card"], U=a["U"],
-                                          eor=a["eor"], f=a["f"], c=a["c_slot"], P=a["P"]),
-        rowkernels.mirror: dict(cols=a["cols"], trans_slot=a["trans_slot"], card=a["card"],
-                                diag_slot=a["diag_slot"], d=a["d"]),
-        rowkernels.low_order: dict(
+        rowkernels.flux_contraction: (rows, dict(
+            cols=a["cols"], card=a["card"], U=a["U"], eor=a["eor"], f=a["f"], c=a["c_slot"],
+            P=a["P"])),
+        rowkernels.mirror: (rows, dict(cols=a["cols"], trans_slot=a["trans_slot"],
+                                       card=a["card"], diag_slot=a["diag_slot"], d=a["d"])),
+        rowkernels.low_order: (rows, dict(
             cols=a["cols"], card=a["card"], tau=1e-3, inv_m=a["inv_m"], U=a["U"], d=a["d"],
             alpha=a["alpha"], phi=a["phi"], P=a["P"], U_next=a["U_next"],
-            R=a["R"], rho_min=a["rho_min"], rho_max=a["rho_max"], phi_min=a["phi_min"]),
-        rowkernels.correction: dict(cols=a["cols"], card=a["card"], tau=1e-3,
-                                    inv_m=a["inv_m"], m_slot=a["m_slot"], R=a["R"], P=a["P"]),
-        rowkernels.limited_update: dict(cols=a["cols"], trans_slot=a["trans_slot"],
-                                        card=a["card"], l=a["l"], P=a["P"],
-                                        U_next=a["U_next"], last=False),
+            R=a["R"], rho_min=a["rho_min"], rho_max=a["rho_max"], phi_min=a["phi_min"])),
+        rowkernels.correction: (rows, dict(cols=a["cols"], card=a["card"], tau=1e-3,
+                                           inv_m=a["inv_m"], m_slot=a["m_slot"], R=a["R"],
+                                           P=a["P"])),
+        rowkernels.limited_update: (rows, dict(cols=a["cols"], trans_slot=a["trans_slot"],
+                                               card=a["card"], l=a["l"], P=a["P"],
+                                               U_next=a["U_next"], last=False)),
+        rowkernels.wavespeed_project: (edges, dict(U=a["U"], n_ij=a["n_up"], n_ji=a["nT_up"],
+                                                   **edge)),
+        rowkernels.wavespeed_base: ((), dict(states=states.copy(), q=q.copy(),
+                                             gas=physics.AIR)),
+        rowkernels.wavespeed_bound: (edges, dict(norm_ij=a["norm_up"], norm_ji=a["normT_up"],
+                                                 states=states, q=q, d=a["d"], **edge)),
     }
 
 
 @pytest.mark.parametrize("kernel", ["flux_contraction", "mirror", "low_order", "correction",
-                                    "limited_update"])
+                                    "limited_update", "wavespeed_project", "wavespeed_base",
+                                    "wavespeed_bound"])
 def test_short_and_narrow_arrays_are_rejected(kernel):
-    # every array a kernel indexes by row must hold the rows [lo, hi), and
-    # every per-slot array must have the width of cols; otherwise C would
-    # read or write past the end of the array
+    # every array a kernel indexes by row must hold the rows [lo, hi), every
+    # per-edge array the edges e0:e1, the stencil arrays of the wavespeed
+    # stages the same rows as cols, and the scratch arrays between them the
+    # same edges; every per-slot array must have the width of cols, the
+    # normals the width dim and the scratch arrays theirs.  Otherwise C would
+    # read or write past the end of an array
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    n_lo = rk.numbering.n_lo
     fn = getattr(rowkernels, kernel)
-    kwargs = kernel_arguments(rk)[fn]
-    fn(0, n_lo, **kwargs)
+    bounds, kwargs = kernel_arguments(rk)[fn]
+    fn(*bounds, **kwargs)
     arrays = [name for name, value in kwargs.items() if isinstance(value, np.ndarray)]
-    for name in arrays:
-        short = dict(kwargs, **{name: kwargs[name][:n_lo - 1].copy()})
+    if bounds and bounds[1] != rk.numbering.n_lo:
+        # the stencil arrays hold fewer rows than the rank has upper edges
+        assert len(rk.cols) < bounds[1]
         with pytest.raises(ValueError, match="outside"):
-            fn(0, n_lo, **short)
-        if kwargs[name].ndim > 1 and kwargs[name].shape[1] == rk.cols.shape[1] and name != "cols":
+            fn(bounds[0], bounds[1] + 1, **kwargs)
+    for name in arrays:
+        rows = min(len(kwargs[name]), bounds[1] if bounds else np.inf) - 1
+        short = dict(kwargs, **{name: kwargs[name][:rows].copy()})
+        with pytest.raises(ValueError, match="outside"):
+            fn(*bounds, **short)
+        if kwargs[name].ndim > 1 and name != "cols":
             narrow = dict(kwargs, **{name: np.ascontiguousarray(kwargs[name][:, :-1])})
             with pytest.raises(ValueError, match="shape"):
-                fn(0, n_lo, **narrow)
+                fn(*bounds, **narrow)
 
 
 def test_row_kernels_compile_without_warnings():

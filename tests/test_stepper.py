@@ -501,14 +501,49 @@ def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
     evaluated = []
     original = riemann.d_ij_low
 
-    def counting(Ui, Uj, c_ij, c_ji, gas=physics.AIR):
-        out = original(Ui, Uj, c_ij, c_ji, gas)
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
         evaluated.append(out.size)
         return out
 
     monkeypatch.setattr(riemann, "d_ij_low", counting)
     s.euler_step()
     assert sum(evaluated) == (mat.nnz - mat.n) // 2
+
+
+def test_wavespeed_evaluates_four_pow_values_per_edge(small_periodic, monkeypatch):
+    # psi(p_max) takes its shock branch, which needs no pow, so the bound has
+    # two pow levels per direction, each one physics.power call per chunk
+    mat, U = small_periodic
+    s = Solver(mat, chunk_size=5)
+    s.set_state(U)
+    chunks = []  # per d_ij_low call: (edges, pow calls, pow values)
+    inside = []
+    original = riemann.d_ij_low
+
+    def counting(*args, **kwargs):
+        inside.append([0, 0])
+        out = original(*args, **kwargs)
+        chunks.append((out.size, *inside.pop()))
+        return out
+
+    def counting_power(x, y):
+        out = np.power(x, y)
+        if inside:
+            inside[-1][0] += 1
+            inside[-1][1] += out.size
+        return out
+
+    monkeypatch.setattr(riemann, "d_ij_low", counting)
+    physics.set_power_function(counting_power)
+    try:
+        s.euler_step()
+    finally:
+        physics.set_power_function(None)
+    assert len(chunks) > 1
+    assert sum(edges for edges, _, _ in chunks) == (mat.nnz - mat.n) // 2
+    for edges, calls, values in chunks:
+        assert calls == 2 and values == 4 * edges
 
 
 def test_correction_reuses_the_low_order_products():
