@@ -197,28 +197,29 @@ def d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR):
 
 # ----- the compiled wavespeed on a list of state pairs -----------------------------
 
-def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
-    """riemann.d_ij_low on the pairs of a batch, each pair one upper edge.
-
-    The batch is laid out as a stencil: row k holds U_i of pair k, row
-    E + k its U_j, and the edge is slot 1 of row k, whose slot 0 is a
-    neighbour that no edge names.  The unit normals come from the solver's
-    setup.  Returns d_ij of the pairs e0: in the batch's shape, and the
-    slot array d, which held NaN before the call.
-    """
-    shape = np.shape(Ui)[:-1]
+def edge_layout(Ui, Uj, c_ij, c_ji):
+    """The pairs of a batch laid out as the upper edges of a stencil, as
+    riemann.d_ij_low takes them: (up_row, up_slot, cols, U, n_ij, norm_ij,
+    n_ji, norm_ji).  Row k holds U_i of pair k, row E + k its U_j, and the
+    edge is slot 1 of row k, whose slot 0 is a neighbour that no edge names.
+    The unit normals come from the solver's setup."""
     Ui, Uj = (np.reshape(U, (-1, np.shape(U)[-1])) for U in (Ui, Uj))
     c_ij, c_ji = (np.reshape(c, (-1, np.shape(c)[-1])) for c in (c_ij, c_ji))
     E = len(Ui)
-    U = np.concatenate([Ui, Uj])
     cols = np.stack([np.arange(2 * E), np.arange(E, 3 * E) % (2 * E)], axis=1)
+    return (np.arange(E), np.ones(E, dtype=np.int64), cols, np.concatenate([Ui, Uj]),
+            *stepper._unit_normals(c_ij), *stepper._unit_normals(c_ji))
+
+
+def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
+    """riemann.d_ij_low on the pairs of a batch, each pair one upper edge of
+    edge_layout.  Returns d_ij of the pairs e0: in the batch's shape, and
+    the slot array d, which held NaN before the call."""
+    layout = edge_layout(Ui, Uj, c_ij, c_ji)
+    E = len(layout[0])
     d = np.full((2 * E, 2), np.nan)
-    up_row, up_slot = np.arange(E), np.ones(E, dtype=np.int64)
-    n_ij, norm_ij = stepper._unit_normals(c_ij)
-    n_ji, norm_ji = stepper._unit_normals(c_ji)
-    out = riemann.d_ij_low(e0, E, up_row, up_slot, cols, U, n_ij, norm_ij, n_ji, norm_ji, d,
-                           gas)
-    return out.reshape(shape if e0 == 0 else -1), d
+    out = riemann.d_ij_low(e0, E, *layout, d, gas)
+    return out.reshape(np.shape(Ui)[:-1] if e0 == 0 else -1), d
 
 
 def compiled_lambda_max(Ui, Uj, n, gas=AIR):

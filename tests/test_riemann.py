@@ -259,25 +259,15 @@ def test_compiled_wavespeed_equals_the_numpy_bound_bitwise(dim, edges, seed, dat
     assert np.isnan(d[~written]).all()
 
 
-def _edge_operands(rng, edges=12, dim=2):
-    """States, c vectors and the stencil layout of oracles.compiled_d_ij_low
-    for a batch of admissible pairs."""
-    Ui, Uj, c_ij, c_ji = batched_operands(rng, dim, (edges,))
-    U = np.concatenate([Ui, Uj])
-    cols = np.stack([np.arange(2 * edges), np.arange(edges, 3 * edges) % (2 * edges)], axis=1)
-    normals = (*stepper._unit_normals(c_ij), *stepper._unit_normals(c_ji))
-    return U, cols, np.arange(edges), np.ones(edges, dtype=np.int64), normals
-
-
 def test_inadmissible_projected_state_raises_before_d_is_written():
     rng = np.random.default_rng(8)
-    U, cols, up_row, up_slot, normals = _edge_operands(rng)
+    up_row, up_slot, cols, U, *normals = oracles.edge_layout(*batched_operands(rng, 2, (12,)))
     # one neighbour with negative internal energy: its projection has p < 0
-    U[len(up_row) + 5, -1] = -1.0
+    U[12 + 5, -1] = -1.0
     d = rng.normal(size=cols.shape)
     before = d.copy()
     with pytest.raises(AdmissibilityError, match="projected state requires rho > 0 and p > 0"):
-        riemann.d_ij_low(0, len(up_row), up_row, up_slot, cols, U, *normals, d)
+        riemann.d_ij_low(0, 12, up_row, up_slot, cols, U, *normals, d)
     assert same_bits(d, before)
     # the edges before it are admissible
     riemann.d_ij_low(0, 5, up_row, up_slot, cols, U, *normals, d)
