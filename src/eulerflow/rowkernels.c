@@ -1,4 +1,5 @@
-/* Row kernels of the forward-Euler phases, and the stages of the wavespeed.
+/* Row kernels of the forward-Euler phases, and the stages of the wavespeed
+ * and of the limiter.
  *
  * Every row kernel walks the rows [lo, hi) of one rank's padded slot view
  * (sparsity.PaddedView): row i has L slots, slot s of row i is entry
@@ -11,10 +12,11 @@
  * b_ji, lambda_i) is formed in place instead of read from a stored copy.
  * Step 1's one walk over a row also forms the indicator's slot sums.
  *
- * The wavespeed stages walk a chunk's upper edges instead.  No kernel calls
- * pow(): numpy's pow and libm's differ in the last bit, so each pow() level
- * of the wavespeed ends a stage, and numpy (physics.power) evaluates the
- * arguments that stage packed before the next stage goes on.
+ * The wavespeed stages walk a chunk's upper edges instead, and the limiter
+ * stages a chunk's rows one limiter entry at a time.  No kernel calls pow():
+ * numpy's pow and libm's differ in the last bit, so each pow() level of the
+ * wavespeed and of the limiter ends a stage, and numpy (physics.power)
+ * evaluates the arguments that stage packed before the next stage goes on.
  *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
@@ -23,6 +25,7 @@
  * those of numpy.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -159,16 +162,11 @@ void correction(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *car
 
 /* Phases step5 and step6: U_next += lambda_i sum_s min(l_ij, l_ji) P_ij,
  * lambda_i = 1 / max(card_i - 1, 1).  Unless last, P is then scaled by
- * 1 - min(l_ij, l_ji), and every valid slot with min(l_ij, l_ji) < 1 is
- * gathered in row-major order: its row into live_row, its flat index
- * i * L + s into live_flat and its scaled P into live_P.  Returns the number
- * of slots gathered. */
-idx limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *trans,
-                   const idx *card, const double *l, int last, double *P, double *U_next,
-                   idx *live_row, idx *live_flat, double *live_P)
+ * 1 - min(l_ij, l_ji) for the next limiter pass. */
+void limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *trans,
+                    const idx *card, const double *l, int last, double *P, double *U_next)
 {
     double acc[nvar];
-    idx n_live = 0;
     for (idx i = lo; i < hi; ++i) {
         for (idx k = 0; k < nvar; ++k)
             acc[k] = 0.0;
@@ -178,23 +176,14 @@ idx limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *
             double *p = P + is * nvar;
             for (idx k = 0; k < nvar; ++k)
                 acc[k] += minl * p[k];
-            if (last)
-                continue;
-            for (idx k = 0; k < nvar; ++k)
-                p[k] = p[k] * (1.0 - minl);
-            if (minl < 1.0) {
-                live_row[n_live] = i;
-                live_flat[n_live] = is;
+            if (!last)
                 for (idx k = 0; k < nvar; ++k)
-                    live_P[n_live * nvar + k] = p[k];
-                ++n_live;
-            }
+                    p[k] = p[k] * (1.0 - minl);
         }
         double lam = 1.0 / (double)(card[i] > 1 ? card[i] - 1 : 1);
         for (idx k = 0; k < nvar; ++k)
             U_next[i * nvar + k] = U_next[i * nvar + k] + lam * acc[k];
     }
-    return n_live;
 }
 
 /* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the
@@ -304,5 +293,204 @@ void wavespeed_bound(idx e0, idx e1, idx L, const idx *up_row, const idx *up_slo
         double a = norm_ij[e] > 0.0 ? lam_ij * norm_ij[e] : 0.0;
         double b = norm_ji[e] > 0.0 ? lam_ji * norm_ji[e] : 0.0;
         out[e - e0] = d[up_row[e] * L + up_slot[e]] = np_max(a, b);
+    }
+}
+
+/* The convex limiter of the rows [lo, hi): for each entry, the largest
+ * t in [0, 1] for which U_i + t P_ij stays in [rho_min_i, rho_max_i] and
+ * satisfies Psi(U_i + t P_ij) = rho eps - phi_min_i rho^(gamma + 1) >= 0,
+ * up to the bracketing quadratic Newton steps of Guermond, Nazarov, Popov &
+ * Tomas (SISC 2018).  A chunk's entries are, row after row, one entry with
+ * P = 0, whose factor depends on the row alone, and then every valid slot
+ * whose P is not all +-0; every other valid slot takes its row's factor, and
+ * no pad is read or written.  Each pow() level ends a stage: the stage packs
+ * the densities, and numpy (physics.power) raises them before the next stage
+ * goes on.  Entry e's data are row[e], flat[e] (i * L + s, or -1 for the
+ * row's entry) and open[k] in ix, an int64 (3, cap) array, and t_L[e]
+ * (the factor so far), t_R[e], tol[e] and Psi(t_R)[e] in x, a (4, cap)
+ * array.  The stages run on the open entries open[0:n]; each compacts them
+ * in place and returns how many stay open. */
+
+/* The direction of an entry: slot flat of P, or zero for a row's entry. */
+static inline const double *direction(const double *P, idx flat, idx nvar, const double *zero)
+{
+    return flat < 0 ? zero : P + flat * nvar;
+}
+
+/* rho eps of V = U + t p: the terms of Psi before its pow() term. */
+static double rho_eps_on_ray(const double *U, const double *p, double t, idx nvar)
+{
+    double mm = 0.0;
+    for (idx k = 1; k < nvar - 1; ++k) {
+        double m = U[k] + t * p[k];
+        mm += m * m;
+    }
+    return (U[0] + t * p[0]) * (U[nvar - 1] + t * p[nvar - 1]) - 0.5 * mm;
+}
+
+/* d/dt Psi(U + t p), rho_g the density of U + t p to the power gamma. */
+static double dpsi_on_ray(const double *U, const double *p, double t, idx nvar, double phi_min,
+                          double gp1, double rho_g)
+{
+    double mp = 0.0;
+    for (idx k = 1; k < nvar - 1; ++k)
+        mp += (U[k] + t * p[k]) * p[k];
+    double rho = U[0] + t * p[0], E = U[nvar - 1] + t * p[nvar - 1];
+    return p[0] * E + rho * p[nvar - 1] - mp - phi_min * gp1 * rho_g * p[0];
+}
+
+/* np.clip(x, a, b) of arrays a and b, and np.clip(x, 0.0, 1.0), which keeps
+ * an x that equals a bound, so that -0.0 stays -0.0. */
+static inline double clip(double x, double a, double b) { return np_min(np_max(x, a), b); }
+static inline double clip01(double x) { return x < 0.0 ? 0.0 : x > 1.0 ? 1.0 : x; }
+
+/* One bracketing quadratic Newton step on [t_L, t_R] from divided
+ * differences.  The discriminants are clamped at zero, an endpoint whose
+ * denominator vanishes or whose update is not finite stays, the updates are
+ * clamped into the old bracket and put in order. */
+static void newton_step(double *t_L, double *t_R, double psi_L, double psi_R, double dpsi_L,
+                        double dpsi_R, double sign)
+{
+    double tL = *t_L, tR = *t_R;
+    double eps = DBL_MIN * (1.0 + tR);
+    double scaling = 1.0 / (tR - tL + eps);
+    double d12 = (psi_R - psi_L) * scaling;
+    double d112 = (d12 - dpsi_L) * scaling;
+    double d122 = (dpsi_R - d12) * scaling;
+    double lam_L = np_max(dpsi_L * dpsi_L - 4.0 * psi_L * d112, 0.0);
+    double lam_R = np_max(dpsi_R * dpsi_R - 4.0 * psi_R * d122, 0.0);
+    double den_L = dpsi_L + sign * sqrt(lam_L);
+    double den_R = dpsi_R + sign * sqrt(lam_R);
+    double new_L = fabs(den_L) > eps ? tL - 2.0 * psi_L / den_L : tL;
+    double new_R = fabs(den_R) > eps ? tR - 2.0 * psi_R / den_R : tR;
+    new_L = clip(isfinite(new_L) ? new_L : tL, tL, tR);
+    new_R = clip(isfinite(new_R) ? new_R : tR, tL, tR);
+    *t_L = np_min(new_L, new_R);
+    *t_R = np_max(new_L, new_R);
+}
+
+/* Stage start: the entries of the rows [lo, hi), each with t_L = 0, t_R
+ * from the density clamp and tol = tol_scale |rho eps(U_i)|, all open, and
+ * the density at t_R into q.  Returns the number of entries. */
+idx limiter_start(idx lo, idx hi, idx L, idx nvar, const idx *card, const double *U,
+                  const double *P, const double *rho_min, const double *rho_max,
+                  double tol_scale, idx cap, idx *ix, double *x, double *q)
+{
+    idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
+    double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap;
+    double zero[nvar];
+    for (idx k = 0; k < nvar; ++k)
+        zero[k] = 0.0;
+    idx n = 0;
+    for (idx i = lo; i < hi; ++i) {
+        const double *Ui = U + i * nvar;
+        double mm = 0.0;
+        for (idx k = 1; k < nvar - 1; ++k)
+            mm += Ui[k] * Ui[k];
+        double tol_i = tol_scale * fabs(Ui[0] * Ui[nvar - 1] - 0.5 * mm);
+        for (idx s = -1; s < card[i]; ++s) {
+            idx f = s < 0 ? -1 : i * L + s;
+            const double *p = direction(P, f, nvar, zero);
+            if (s >= 0) {
+                int moves = 0;
+                for (idx k = 0; k < nvar; ++k)
+                    moves |= p[k] != 0.0;
+                if (!moves)
+                    continue;
+            }
+            double abs_rho_p = np_max(fabs(p[0]), DBL_MIN), tR = 1.0;
+            if (Ui[0] + tR * p[0] > rho_max[i])
+                tR = fabs(rho_max[i] - Ui[0]) / abs_rho_p;
+            if (Ui[0] + tR * p[0] < rho_min[i])
+                tR = fabs(rho_min[i] - Ui[0]) / abs_rho_p;
+            tR = clip01(tR);
+            row[n] = i;
+            flat[n] = f;
+            open[n] = n;
+            t_L[n] = 0.0;
+            t_R[n] = tR;
+            tol[n] = tol_i;
+            q[n] = Ui[0] + tR * p[0];
+            ++n;
+        }
+    }
+    return n;
+}
+
+/* Stage test: w holds the packed densities of the open entries to the
+ * power gamma + 1.  Psi(t_R) >= 0 closes an entry at t_R.  Without newton
+ * every entry closes; otherwise the open ones keep Psi(t_R), and their
+ * densities at t_L and then at t_R go into q. */
+idx limiter_test(idx n, idx nvar, const double *U, const double *P, const double *phi_min,
+                 int newton, idx cap, idx *ix, double *x, const double *w, double *q)
+{
+    idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
+    double *t_L = x, *t_R = x + cap, *psi_R = x + 3 * cap;
+    double zero[nvar];
+    for (idx k = 0; k < nvar; ++k)
+        zero[k] = 0.0;
+    idx m = 0;
+    for (idx k = 0; k < n; ++k) {
+        idx e = open[k], i = row[e];
+        const double *Ui = U + i * nvar, *p = direction(P, flat[e], nvar, zero);
+        double psi = rho_eps_on_ray(Ui, p, t_R[e], nvar) - phi_min[i] * w[k];
+        if (psi >= 0.0) {
+            t_L[e] = t_R[e];
+        } else if (newton) {
+            psi_R[e] = psi;
+            open[m] = e;
+            q[m++] = Ui[0] + t_L[e] * p[0];
+        }
+    }
+    for (idx k = 0; k < m; ++k) {
+        idx e = open[k];
+        q[m + k] = U[row[e] * nvar] + t_R[e] * direction(P, flat[e], nvar, zero)[0];
+    }
+    return m;
+}
+
+/* Stage newton: w_L holds the packed densities at t_L to the power
+ * gamma + 1, g those at t_L and then at t_R to the power gamma.
+ * Psi(t_L) <= tol closes an entry at t_L; the others take one Newton step
+ * and stay open, with their density at the new t_R in q. */
+idx limiter_newton(idx n, idx nvar, const double *U, const double *P, const double *phi_min,
+                   double gp1, double sign, idx cap, idx *ix, double *x, const double *w_L,
+                   const double *g, double *q)
+{
+    idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
+    double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap, *psi_R = x + 3 * cap;
+    double zero[nvar];
+    for (idx k = 0; k < nvar; ++k)
+        zero[k] = 0.0;
+    idx m = 0;
+    for (idx k = 0; k < n; ++k) {
+        idx e = open[k], i = row[e];
+        const double *Ui = U + i * nvar, *p = direction(P, flat[e], nvar, zero);
+        double psi_L = rho_eps_on_ray(Ui, p, t_L[e], nvar) - phi_min[i] * w_L[k];
+        if (!(psi_L > tol[e]))
+            continue;
+        double dpsi_L = dpsi_on_ray(Ui, p, t_L[e], nvar, phi_min[i], gp1, g[k]);
+        double dpsi_R = dpsi_on_ray(Ui, p, t_R[e], nvar, phi_min[i], gp1, g[n + k]);
+        newton_step(t_L + e, t_R + e, psi_L, psi_R[e], dpsi_L, dpsi_R, sign);
+        open[m] = e;
+        q[m++] = Ui[0] + t_R[e] * p[0];
+    }
+    return m;
+}
+
+/* Stage scatter: the factor of every valid slot of the rows [lo, hi) into
+ * l, that of its entry or else that of its row's entry. */
+void limiter_scatter(idx lo, idx hi, idx L, const idx *card, idx n, idx cap, const idx *ix,
+                     const double *x, double *l)
+{
+    const idx *flat = ix + cap;
+    const double *t_L = x;
+    idx e = 0;
+    for (idx i = lo; i < hi; ++i) {
+        double row_l = t_L[e++];
+        for (idx s = 0; s < card[i]; ++s) {
+            idx is = i * L + s;
+            l[is] = e < n && flat[e] == is ? t_L[e++] : row_l;
+        }
     }
 }

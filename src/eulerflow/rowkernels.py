@@ -18,7 +18,10 @@ wavespeed stages run over the upper edges e0:e1 instead: they check that
 range in every per-edge array, that the stencil arrays hold the rows of
 cols and the scratch arrays passed from stage to stage the same edges;
 riemann.d_ij_low chains them.  Like the neighbour ids in cols, the rows and
-slots an edge list names are taken as they are.
+slots an edge list names are taken as they are.  The limiter stages run
+over the rows of a chunk, several C calls with numpy's pow() between them:
+LimiterChunk checks the arrays, dtype and C order included, and takes their
+addresses once per chunk, and limiter.limiter_compute chains its stages.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 __all__ = ["SOURCE", "FLAGS", "library_path", "build",
            "flux_contraction", "mirror", "low_order", "correction", "limited_update",
-           "wavespeed_project", "wavespeed_base", "wavespeed_bound"]
+           "wavespeed_project", "wavespeed_base", "wavespeed_bound", "LimiterChunk"]
 
 SOURCE = Path(__file__).with_name("rowkernels.c")
 # no multiply-add contraction: the kernels must give numpy's bits; sqrt()
@@ -108,13 +111,23 @@ _low_order = _declare("low_order", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _
                       _F, _F, _F, _F, _F, _F, _F, _F)
 _correction = _declare("correction", None, _i64, _i64, _i64, _i64, _I, _I, _f64, _F, _F, _F,
                        _F)
-_limited_update = _declare("limited_update", _i64, _i64, _i64, _i64, _i64, _I, _I, _I, _F,
-                           _int, _F, _F, _I, _I, _F)
+_limited_update = _declare("limited_update", None, _i64, _i64, _i64, _i64, _I, _I, _I, _F,
+                           _int, _F, _F)
 _wavespeed_project = _declare("wavespeed_project", _i64, _i64, _i64, _i64, _i64, _I, _I, _I,
                               _F, _F, _F, _f64, _f64, _F, _F)
 _wavespeed_base = _declare("wavespeed_base", None, _i64, _f64, _F, _F)
 _wavespeed_bound = _declare("wavespeed_bound", None, _i64, _i64, _i64, _I, _I, _F, _F, _f64,
                             _f64, _F, _F, _F, _F)
+# the limiter stages take addresses, which LimiterChunk checks once per chunk
+_ptr = ctypes.c_void_p
+_limiter_start = _declare("limiter_start", _i64, _i64, _i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr,
+                          _ptr, _f64, _i64, _ptr, _ptr, _ptr)
+_limiter_test = _declare("limiter_test", _i64, _i64, _i64, _ptr, _ptr, _ptr, _int, _i64, _ptr,
+                         _ptr, _ptr, _ptr)
+_limiter_newton = _declare("limiter_newton", _i64, _i64, _i64, _ptr, _ptr, _ptr, _f64, _f64,
+                           _i64, _ptr, _ptr, _ptr, _ptr, _ptr)
+_limiter_scatter = _declare("limiter_scatter", None, _i64, _i64, _i64, _ptr, _i64, _i64, _ptr,
+                            _ptr, _ptr)
 
 
 def _check(lo, hi, *arrays):
@@ -172,23 +185,12 @@ def correction(lo, hi, cols, card, tau, inv_m, m_slot, R, P):
 
 def limited_update(lo, hi, cols, trans_slot, card, l, P, U_next, last=True):
     """U_next += lambda_i sum_s min(l_ij, l_ji) P_ij over the rows [lo, hi),
-    lambda_i = 1 / max(card_i - 1, 1).
-
-    Unless last, P is scaled by 1 - min(l_ij, l_ji) and the valid slots with
-    a minimum below 1 are returned in row-major order as (rows, flat indices
-    row * width + slot, their P); otherwise None.
-    """
+    lambda_i = 1 / max(card_i - 1, 1); unless last, P is then scaled by
+    1 - min(l_ij, l_ji) in place."""
     (L,), (nvar,) = cols.shape[1:], U_next.shape[1:]
     _check(lo, hi, (cols, (L,)), (trans_slot, (L,)), (card, ()), (l, (L,)), (P, (L, nvar)),
            (U_next, (nvar,)))
-    size = 0 if last else (hi - lo) * L
-    live_row, live_flat = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    live_P = np.empty((size, nvar))
-    n_live = _limited_update(lo, hi, L, nvar, cols, trans_slot, card, l, int(last), P, U_next,
-                             live_row, live_flat, live_P)
-    if last:
-        return None
-    return live_row[:n_live], live_flat[:n_live], live_P[:n_live]
+    _limited_update(lo, hi, L, nvar, cols, trans_slot, card, l, int(last), P, U_next)
 
 
 def wavespeed_project(e0, e1, up_row, up_slot, cols, U, n_ij, n_ji, gas):
@@ -224,3 +226,78 @@ def wavespeed_bound(e0, e1, up_row, up_slot, cols, norm_ij, norm_ji, states, q, 
     _wavespeed_bound(e0, e1, L, up_row, up_slot, norm_ij, norm_ji, gas.gamma, gas.gm1, states, q,
                      d, out)
     return out
+
+
+def _address(a, dtype, size=0):
+    """The address of a's data; raises ValueError unless a is a C-contiguous
+    array of dtype with at least size entries."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
+        raise ValueError(f"a C-contiguous {np.dtype(dtype)} array is needed")
+    if a.size < size:
+        raise ValueError(f"{size} entries are outside an array of {a.size}")
+    return a.ctypes.data
+
+
+class LimiterChunk:
+    """The limiter stages over the rows [lo, hi) of one chunk.
+
+    The arrays are checked and their addresses taken once, and the chunk's
+    scratch arrays allocated, when the chunk is made; each stage is then one
+    C call.  Its entries are one per row, with P = 0, and one per valid slot
+    whose P is not all +-0, row after row; n is the number of open entries.
+    A stage that hands densities to numpy returns them as views of the
+    scratch array q, valid until the next stage runs.
+    """
+
+    def __init__(self, lo, hi, card, U, P, rho_min, rho_max, phi_min, l):
+        (L, nvar) = P.shape[1:]
+        _check(lo, hi, (card, ()), (U, (nvar,)), (P, (L, nvar)), (rho_min, ()), (rho_max, ()),
+               (phi_min, ()), (l, (L,)))
+        self.rows, self.L, self.nvar = (lo, hi), L, nvar
+        self.card, self.l = _address(card, np.int64), _address(l, np.float64)
+        self.U, self.P, self.rho_min, self.rho_max, self.phi_min = (
+            _address(a, np.float64) for a in (U, P, rho_min, rho_max, phi_min))
+        self.cap = cap = (hi - lo) * (L + 1)
+        # row, flat and open; t_L, t_R, tol and Psi(t_R); packed densities
+        self.ix = np.empty((3, cap), dtype=np.int64)
+        self.x, self.q = np.empty((4, cap)), np.empty(2 * cap)
+        self._ix, self._x, self._q = (a.ctypes.data for a in (self.ix, self.x, self.q))
+        self.n = self.entries = 0
+
+    def start(self, tol_scale):
+        """Stage start: every entry opens with t_L = 0, the density-clamped
+        t_R and tol = tol_scale |rho eps(U_i)|; returns their densities at
+        t_R."""
+        self.n = self.entries = _limiter_start(*self.rows, self.L, self.nvar, self.card, self.U,
+                                               self.P, self.rho_min, self.rho_max, tol_scale,
+                                               self.cap, self._ix, self._x, self._q)
+        return self.q[:self.n]
+
+    def test(self, w, newton):
+        """Stage test, w the densities of start or newton to the power
+        gamma + 1: Psi(t_R) >= 0 closes an entry at t_R, and so does every
+        entry without newton.  Returns the densities of the open entries at
+        t_L, and at t_L and then t_R."""
+        self.n = _limiter_test(self.n, self.nvar, self.U, self.P, self.phi_min, int(newton),
+                               self.cap, self._ix, self._x, _address(w, np.float64, self.n),
+                               self._q)
+        return self.q[:self.n], self.q[:2 * self.n]
+
+    def newton(self, w_L, g, gp1, sign):
+        """Stage newton, w_L the densities at t_L to the power gamma + 1 and g
+        those at t_L and t_R to the power gamma = gp1 - 1: Psi(t_L) <= tol
+        closes an entry at t_L, the others take one Newton step, whose
+        quadratic models bend by sign.  Returns the densities of the open
+        entries at their new t_R."""
+        self.n = _limiter_newton(self.n, self.nvar, self.U, self.P, self.phi_min,
+                                 gp1, sign, self.cap, self._ix, self._x,
+                                 _address(w_L, np.float64, self.n),
+                                 _address(g, np.float64, 2 * self.n), self._q)
+        return self.q[:self.n]
+
+    def scatter(self):
+        """Stage scatter: writes the factor of every valid slot into l and
+        returns the factors of the entries."""
+        _limiter_scatter(*self.rows, self.L, self.card, self.entries, self.cap, self._ix,
+                         self._x, self.l)
+        return self.x[0, :self.entries]

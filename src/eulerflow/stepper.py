@@ -12,27 +12,28 @@ which the low-order update reads, and forms the indicator's slot sums in
 the same walk over the row; step 3 then replaces it with the viscous part
 (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes (without limiter passes
 nothing reads it before step 1 overwrites it); step 4 completes the
-correction fluxes in place, and the limiter passes scale them.  The first
-pass limits every padded slot: its batch is P's chunk block with each row's
-bounds broadcast over the slots, and a batch of the valid slots alone,
-which would have to gather U_next[rows], measured slower.
-Each later pass scales P by 1 - min(l_ij, l_ji), which leaves P = 0 wherever
-the previous factor was 1; the limiter value of such an entry depends on its
-row alone, so one limiter batch per chunk holds each row once, with a zero
-P, and the entries with min(l_ij, l_ji) < 1.  With newton_steps = 0 an entry
-still takes its density-clamped full step where that step meets the entropy
-bound (see limiter.limiter_compute).
+correction fluxes in place, and the limiter passes scale them.  The
+limiter value of an entry with P = 0 depends on its row alone, so a pass
+evaluates each row once, with a zero P, and the valid slots whose P is not
+all +-0, which read the row's state and bounds by index; every other valid
+slot takes its row's value.  Each later pass scales P by 1 - min(l_ij, l_ji)
+in place, which leaves P = 0 wherever the previous factor was 1, so it
+evaluates only the slots the previous pass limited.  With newton_steps = 0
+an entry still takes its density-clamped full step where that step meets
+the entropy bound (see limiter.limiter_compute).
 The phases that need no pow() run as compiled row kernels (rowkernels), one
 call per chunk of rows: step 1's flux contraction with the indicator's slot
 sums, step 2's mirroring, step 3 in full, step 4's assembly of the
-correction fluxes and the limited update, rescale and live-entry gather of
-steps 5 and 6.  They walk each row's valid slots once and never a pad, add
-them left to right from +0.0, and form b_ij, b_ji and lambda_i from m_slot,
-inv_m and the row length; tests/oracles.py keeps numpy forms of them that
-give the same bits.  Step 1's wavespeeds run as three compiled stages over
+correction fluxes and the limited update and rescale of steps 5 and 6.
+They walk each row's valid slots once and never a pad, add them left to
+right from +0.0, and form b_ij, b_ji and lambda_i from m_slot, inv_m and
+the row length; tests/oracles.py keeps numpy forms of them that give the
+same bits.  Step 1's wavespeeds run as three compiled stages over
 the chunk's upper edges, with their two pow() levels in numpy between them
-(riemann.d_ij_low), from unit normals formed once at setup.  The entropies
-and fluxes, alpha from the indicator's sums and the limiter stay in numpy.
+(riemann.d_ij_low), from unit normals formed once at setup, and the
+limiter of steps 4 and 5 as compiled stages over the chunk's rows, with its
+pow() levels in numpy between them (limiter.limiter_compute).  The
+entropies and fluxes and alpha from the indicator's sums stay in numpy.
 Three such steps with a shared time step form the strong-stability-preserving
 RK3 update.
 
@@ -448,35 +449,24 @@ class Solver:
             rk.U_next, rk.R, rk.rho_min, rk.rho_max, rk.phi_min,
         )
 
-    def _limit(self, rk, rows, P):
-        """Limiter values of the correction fluxes P; rows holds the row of
-        each entry of P (broadcast against P's leading axes)."""
-        return limiter.limiter_compute(
-            rk.U_next[rows], P, rk.rho_min[rows], rk.rho_max[rows], rk.phi_min[rows],
-            max_newton=self.newton_steps, gas=self.gas,
-        )
+    def _limit(self, rk, lo, hi, l):
+        """Limiter values of the correction fluxes in P of the rows [lo, hi)
+        against U_next and the bounds, into the valid slots of l."""
+        limiter.limiter_compute(lo, hi, rk.card, rk.U_next, rk.P, rk.rho_min, rk.rho_max,
+                                rk.phi_min, l, max_newton=self.newton_steps, gas=self.gas)
 
     def _k_correction(self, rk, lo, hi, tau):
         rowkernels.correction(lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.m_slot, rk.R, rk.P)
-        rk.l[lo:hi] = self._limit(rk, np.arange(lo, hi)[:, None], rk.P[lo:hi])
+        self._limit(rk, lo, hi, rk.l)
 
     def _k_limited_update(self, rk, lo, hi, last):
-        live = rowkernels.limited_update(
+        rowkernels.limited_update(
             lo, hi, rk.cols, rk.trans_slot, rk.card, rk.l, rk.P, rk.U_next, last,
         )
         if last:
             self._k_boundary(rk, lo, hi)
-            return
-        # P is +-0 wherever min(l_ij, l_ji) == 1, and the limiter value of such
-        # an entry depends on its row alone: one batch holds every row with a
-        # zero P and the live entries, those with min(l_ij, l_ji) < 1
-        live_rows, live_flat, live_P = live
-        l = self._limit(
-            rk, np.concatenate([np.arange(lo, hi), live_rows]),
-            np.concatenate([np.zeros((hi - lo, self.nvar)), live_P]),
-        )
-        rk.l_next[lo:hi] = l[: hi - lo, None]
-        rk.l_next.reshape(-1)[live_flat] = l[hi - lo:]
+        else:
+            self._limit(rk, lo, hi, rk.l_next)
 
     def _k_boundary(self, rk, lo, hi):
         if len(rk.slip_idx):

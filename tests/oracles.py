@@ -5,10 +5,11 @@ the dense step are written from first principles with plain loops and
 scipy root finding, deliberately avoiding the package's own vectorized
 kernels, so agreement between the two is meaningful.  Other references
 keep the loop or formula a kernel had before it was rewritten (the numpy
-wavespeed bound, the slot loop of the indicator, the whole-block wavespeed
-formulas, the full bar-state update, the loop-based mesh refinement, ...),
-so that tests can check the rewrite against it bitwise; these share the
-package's helpers where the arithmetic is unchanged.
+wavespeed bound and limiter, the slot loop of the indicator, the
+whole-block wavespeed formulas, the full bar-state update, the loop-based
+mesh refinement, ...), so that tests can check the rewrite against it
+bitwise; these share the package's helpers where the arithmetic is
+unchanged.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from eulerflow import physics, riemann, stepper
+from eulerflow import limiter, physics, riemann, stepper
 from eulerflow.indicator import IndicatorAccumulator
+from eulerflow.limiter import PSI_SIGN, TOL_SCALE
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
 from eulerflow.physics import AIR, AdmissibilityError, component_sum, power, sum_left_to_right
 
@@ -447,14 +449,211 @@ def limiter_bisection(U, P, rho_min, rho_max, phi_min, gamma=GAMMA,
     return lo
 
 
+# ----- the convex limiter in numpy ---------------------------------------------
+# The batch limiter as it ran before rowkernels.c took it over: every entry
+# of a batch is evaluated together at t_R, and the Newton iterations run on
+# the gathered operands of the entries still open.  Every operation is
+# elementwise per entry, so an entry's factor does not depend on its batch.
+
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _rho_eps(U):
+    rho = U[..., 0]
+    mom = U[..., 1:-1]
+    E = U[..., -1]
+    return rho * E - 0.5 * component_sum(mom * mom)
+
+
+def psi_entropy(U, phi_min, gas=AIR):
+    """Psi = rho*eps - phi_min * rho^(gamma+1); nonnegative iff phi(U) >= phi_min."""
+    rho = U[..., 0]
+    return _rho_eps(U) - phi_min * power(rho, gas.gamma + 1.0)
+
+
+def _psi_on_ray(U, P, t, phi_min, gas):
+    """psi_entropy(U + t[..., None] * P, phi_min), one component at a time."""
+    def at(k):
+        return U[..., k] + t * P[..., k]
+
+    rho = at(0)
+    mom = (at(k) for k in range(1, U.shape[-1] - 1))
+    rho_eps = rho * at(-1) - 0.5 * sum_left_to_right(m * m for m in mom)
+    return rho_eps - phi_min * power(rho, gas.gamma + 1.0)
+
+
+def dpsi_dt(U, P, t, phi_min, gas=AIR):
+    """Closed-form derivative of t -> Psi(U + t P)."""
+    V = U + t[..., None] * P
+    rho, mom, E = V[..., 0], V[..., 1:-1], V[..., -1]
+    rho_p, mom_p, E_p = P[..., 0], P[..., 1:-1], P[..., -1]
+    return (
+        rho_p * E
+        + rho * E_p
+        - component_sum(mom * mom_p)
+        - phi_min * (gas.gamma + 1.0) * power(rho, gas.gamma) * rho_p
+    )
+
+
+def quadratic_newton_step(t_L, t_R, Psi_L, Psi_R, dPsi_L, dPsi_R, sign=PSI_SIGN):
+    """One bracketing quadratic Newton update via divided differences.
+
+    Roundoff safeguards: the discriminant is clamped at zero, endpoints with
+    a vanishing denominator are left unchanged, and the new bracket is
+    clamped into the old one.
+    """
+    eps = _TINY * (1.0 + t_R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaling = 1.0 / (t_R - t_L + eps)
+        d11 = dPsi_L
+        d12 = (Psi_R - Psi_L) * scaling
+        d22 = dPsi_R
+        d112 = (d12 - d11) * scaling
+        d122 = (d22 - d12) * scaling
+        lam_L = np.maximum(dPsi_L * dPsi_L - 4.0 * Psi_L * d112, 0.0)
+        lam_R = np.maximum(dPsi_R * dPsi_R - 4.0 * Psi_R * d122, 0.0)
+        den_L = dPsi_L + sign * np.sqrt(lam_L)
+        den_R = dPsi_R + sign * np.sqrt(lam_R)
+        new_L = np.where(
+            np.abs(den_L) > eps, t_L - 2.0 * Psi_L / np.where(den_L, den_L, 1.0), t_L
+        )
+        new_R = np.where(
+            np.abs(den_R) > eps, t_R - 2.0 * Psi_R / np.where(den_R, den_R, 1.0), t_R
+        )
+    # collapsed brackets can overflow the divided differences; keep such
+    # entries at their old endpoints
+    new_L = np.where(np.isfinite(new_L), new_L, t_L)
+    new_R = np.where(np.isfinite(new_R), new_R, t_R)
+    new_L = np.clip(new_L, t_L, t_R)
+    new_R = np.clip(new_R, t_L, t_R)
+    # the local quadratic models can cross when Psi is not exactly
+    # quadratic; reordering keeps the bracket property
+    return np.minimum(new_L, new_R), np.maximum(new_L, new_R)
+
+
+def limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
+    """Largest admissible step factor l in [0, 1] for the update U + l P,
+    with every argument broadcast against the others.
+
+    First clamps the right bracket endpoint by the density interval, then
+    performs up to max_newton bracketing quadratic Newton iterations on the
+    entropy constraint.  An entry leaves the iteration when Psi(t_R) >= 0
+    (l = t_R) or Psi(t_L) <= tol (l = t_L).  With max_newton = 0 the test at
+    the density-clamped t_R still runs.
+    """
+    shape = np.broadcast_shapes(
+        U.shape[:-1], P.shape[:-1],
+        np.shape(rho_min), np.shape(rho_max), np.shape(phi_min),
+    )
+    batch_shape = shape or (1,)
+    tol = TOL_SCALE * np.abs(_rho_eps(U))
+    U, P = (np.broadcast_to(a, batch_shape + a.shape[-1:]) for a in (U, P))
+    rho_min, rho_max, phi_min, tol = (
+        np.broadcast_to(a, batch_shape) for a in (rho_min, rho_max, phi_min, tol)
+    )
+
+    rho_u = U[..., 0]
+    rho_p = P[..., 0]
+    abs_rho_p = np.maximum(np.abs(rho_p), _TINY)
+    t_R = np.ones(batch_shape, dtype=U.dtype)
+    # the unselected quotients of entries with a vanishing rho_p may overflow
+    with np.errstate(over="ignore"):
+        over = rho_u + t_R * rho_p > rho_max
+        t_R = np.where(over, np.abs(rho_max - rho_u) / abs_rho_p, t_R)
+        under = rho_u + t_R * rho_p < rho_min
+        t_R = np.where(under, np.abs(rho_min - rho_u) / abs_rho_p, t_R)
+    t_R = np.clip(t_R, 0.0, 1.0)
+    t_L = np.zeros_like(t_R)
+
+    # index of the open entries into t_L: all of them (Ellipsis) until the
+    # first narrowing, then a tuple of index arrays
+    open_ix = ...
+    U_o, P_o, phi_o, tol_o, tL, tR = U, P, phi_min, tol, t_L, t_R
+    # the test at t_R runs once even without Newton iterations
+    for _ in range(max(max_newton, 1)):
+        Psi_R = _psi_on_ray(U_o, P_o, tR, phi_o, gas)
+        closed = Psi_R >= 0.0
+        t_L[open_ix] = np.where(closed, tR, tL)
+        if not max_newton:
+            break
+        open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R) = _narrow(
+            open_ix, ~closed, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R
+        )
+        Psi_L = _psi_on_ray(U_o, P_o, tL, phi_o, gas)
+        open_ix, (U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L) = _narrow(
+            open_ix, Psi_L > tol_o, U_o, P_o, phi_o, tol_o, tL, tR, Psi_R, Psi_L
+        )
+        if tL.size == 0:
+            break
+        dPsi_L = dpsi_dt(U_o, P_o, tL, phi_o, gas)
+        dPsi_R = dpsi_dt(U_o, P_o, tR, phi_o, gas)
+        tL, tR = quadratic_newton_step(tL, tR, Psi_L, Psi_R, dPsi_L, dPsi_R)
+        t_L[open_ix] = tL
+    return t_L.reshape(shape)
+
+
+def _narrow(open_ix, keep, *operands):
+    """Index and gathered operands of the open entries where keep holds."""
+    open_ix = np.nonzero(keep) if open_ix is Ellipsis else tuple(ix[keep] for ix in open_ix)
+    return open_ix, [a[keep] for a in operands]
+
+
+# ----- the compiled limiter on a list of entries ---------------------------------
+
+def compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
+    """limiter.limiter_compute's factors of the entries U + l P, with every
+    argument broadcast against the others as in limiter_compute above: each
+    entry runs as a row with one valid slot."""
+    U, P = np.asarray(U, dtype=np.float64), np.asarray(P, dtype=np.float64)
+    nvar = U.shape[-1]
+    shape = np.broadcast_shapes(
+        U.shape[:-1], P.shape[:-1],
+        np.shape(rho_min), np.shape(rho_max), np.shape(phi_min),
+    )
+    n = int(np.prod(shape))
+
+    def rows(a, tail=()):
+        return np.ascontiguousarray(np.broadcast_to(a, shape + tail).reshape((n,) + tail),
+                                    dtype=np.float64)
+
+    l = np.full((n, 1), np.nan)
+    limiter.limiter_compute(0, n, np.ones(n, dtype=np.int64), rows(U, (nvar,)),
+                            rows(P, (nvar,)).reshape(n, 1, nvar), rows(rho_min), rows(rho_max),
+                            rows(phi_min), l, max_newton=max_newton, gas=gas)
+    return l.reshape(shape)
+
+
+def limiter_rows_reference(lo, hi, card, U, P, rho_min, rho_max, phi_min, l, max_newton=2,
+                           gas=AIR):
+    """limiter.limiter_compute by the numpy limiter above: one batch of the
+    rows' P = 0 entries and the valid slots whose P is not all +-0, in
+    row-major order with each row's entry first; every other valid slot takes
+    its row's factor.  Writes the valid slots of l and returns the factors of
+    the entries."""
+    nvar = U.shape[-1]
+    rows = np.arange(lo, hi)
+    valid = np.arange(P.shape[1]) < card[lo:hi, None]
+    moves = valid & (P[lo:hi] != 0.0).any(axis=-1)
+    # each row's entry sorts before its slots
+    ent_row = np.concatenate([rows, rows[np.nonzero(moves)[0]]])
+    ent_slot = np.concatenate([np.full(hi - lo, -1), np.nonzero(moves)[1]])
+    order = np.lexsort((ent_slot, ent_row))
+    ent_row, ent_slot = ent_row[order], ent_slot[order]
+    ent_P = np.where((ent_slot < 0)[:, None], 0.0, P[ent_row, ent_slot])
+    factors = limiter_compute(U[ent_row], ent_P, rho_min[ent_row], rho_max[ent_row],
+                              phi_min[ent_row], max_newton=max_newton, gas=gas)
+    row_entry = ent_slot < 0
+    by_slot = np.broadcast_to(factors[row_entry][:, None], valid.shape).copy()
+    by_slot[ent_row[~row_entry] - lo, ent_slot[~row_entry]] = factors[~row_entry]
+    l[lo:hi][valid] = by_slot[valid]
+    return factors
+
+
 def limiter_entries_reference(solver, rk, lo, hi):
     """Limiter values of the owned rows [lo, hi) of a solver rank with one
-    limiter_compute entry per (row, slot), padding included: the dense batch
-    that every limiter pass of the stepper ran before the second and later
-    passes settled the entries with a zero correction once per row.  Needs
-    the pass's U_next, P and bounds in rk."""
-    from eulerflow.limiter import limiter_compute
-
+    numpy limiter entry per (row, slot), padding included: the dense batch
+    that every limiter pass of the stepper once ran.  Needs the pass's
+    U_next, P and bounds in rk."""
     sl = slice(lo, hi)
     return limiter_compute(
         rk.U_next[sl][:, None, :], rk.P[sl],
@@ -588,7 +787,8 @@ def low_order_kernel(solver, rk, lo, hi, tau):
 def correction_kernel(solver, rk, lo, hi, tau):
     """Phase step4: the correction fluxes of the valid slots, with
     b_ij = delta_ij - m_ij / m_j and b_ji = delta_ij - m_ij / m_i formed from
-    the one mass entry m_ij, and the first limiter pass."""
+    the one mass entry m_ij, and the first limiter pass; returns the
+    limiter's entry factors."""
     sl = slice(lo, hi)
     cols, valid, m = rk.cols[sl], rk.valid[sl], rk.m_slot[sl]
     delta = (cols == np.arange(lo, hi)[:, None]).astype(np.float64)
@@ -598,13 +798,14 @@ def correction_kernel(solver, rk, lo, hi, tau):
     flux = P + (b[..., None] * rk.R[cols] - bT[..., None] * rk.R[sl][:, None])
     flux *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
     P[valid] = flux[valid]
-    rk.l[sl] = solver._limit(rk, np.arange(lo, hi)[:, None], P)
+    return limiter_rows_reference(lo, hi, rk.card, rk.U_next, rk.P, rk.rho_min, rk.rho_max,
+                                  rk.phi_min, rk.l, solver.newton_steps, solver.gas)
 
 
 def limited_update_kernel(solver, rk, lo, hi, last):
     """Phases step5 and step6: the limited update and, unless last, the
-    rescaled P and the next pass's limiter values from one batch of every
-    row (with a zero P) and the valid entries with min(l_ij, l_ji) < 1."""
+    rescaled P and the next pass's limiter values, whose entry factors it
+    returns."""
     sl = slice(lo, hi)
     valid = rk.valid[sl]
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
@@ -615,15 +816,8 @@ def limited_update_kernel(solver, rk, lo, hi, last):
         solver._k_boundary(rk, lo, hi)
         return
     P[valid] *= (1.0 - minl[valid])[:, None]
-    live_rows, live_slots = np.nonzero(valid & (minl < 1.0))
-    rows = np.arange(lo, hi)
-    l = solver._limit(
-        rk, np.concatenate([rows, rows[live_rows]]),
-        np.concatenate([np.zeros((hi - lo, solver.nvar)), P[live_rows, live_slots]]),
-    )
-    l_next = rk.l_next[sl]
-    l_next[:] = l[: hi - lo, None]
-    l_next[live_rows, live_slots] = l[hi - lo:]
+    return limiter_rows_reference(lo, hi, rk.card, rk.U_next, rk.P, rk.rho_min, rk.rho_max,
+                                  rk.phi_min, rk.l_next, solver.newton_steps, solver.gas)
 
 
 # ----- time step and dense single-rank forward-Euler step ---------------------
@@ -638,12 +832,11 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
                      gamma=GAMMA):
     """Reference update using plain loops over the CSR stencil graph.
 
-    Uses the numpy wavespeed bound above and the package's per-lane limiter
-    (both validated against their own oracles) but reimplements all graph
-    plumbing, mirroring, bounds and limiter passes independently.
+    Uses the numpy wavespeed bound and the numpy limiter above (both
+    validated against their own oracles), one limiter entry per pair, but
+    reimplements all graph plumbing, mirroring, bounds and limiter passes
+    independently.
     """
-    from eulerflow import limiter as pk_limiter
-
     n = matrices.n
     d = matrices.dim
     nvar = d + 2
@@ -733,7 +926,7 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
         out = {}
         for i in range(n):
             for j in row(i):
-                out[(i, j)] = float(pk_limiter.limiter_compute(
+                out[(i, j)] = float(limiter_compute(
                     U_cur[i], P[(i, j)], bounds[i, 0], bounds[i, 1],
                     bounds[i, 2], max_newton=newton,
                 ))

@@ -1,20 +1,24 @@
-"""Convex limiter: bracket safety, quadratic exactness, feasibility."""
+"""Convex limiter: the compiled stages against the numpy oracle, bracket
+safety, quadratic exactness, feasibility.
+
+The properties of the limiter's factors are asserted on compiled values
+(oracles.compiled_limiter runs each entry as a row with one valid slot);
+those of the Newton update formula and of Psi alone run on the numpy
+oracle, which the compiled stages equal bit for bit.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eulerflow import limiter, physics
-from eulerflow.limiter import (
-    TOL_SCALE,
-    limiter_compute,
-    psi_entropy,
-    quadratic_newton_step,
-)
+from eulerflow.limiter import TOL_SCALE
 from eulerflow.physics import AIR
 
 import oracles
+from oracles import compiled_limiter, psi_entropy, quadratic_newton_step
 
 
 def make_case(rng, dim=2):
@@ -106,7 +110,7 @@ def test_result_respects_density_and_entropy_constraints():
     rng = np.random.default_rng(51)
     for _ in range(200):
         U, P, rho_min, rho_max, phi_min = make_case(rng)
-        t = float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2))
+        t = float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2))
         assert 0.0 <= t <= 1.0
         V = U + t * P
         tol = TOL_SCALE * abs(U[0] * U[-1] - 0.5 * float(U[1:-1] @ U[1:-1]))
@@ -120,7 +124,7 @@ def test_converges_to_bisection_oracle():
     for _ in range(300):
         U, P, rho_min, rho_max, phi_min = make_case(rng)
         t_ref = oracles.limiter_bisection(U, P, rho_min, rho_max, phi_min)
-        t4 = float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=4))
+        t4 = float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=4))
         # never overshoot the maximal feasible factor
         assert t4 <= t_ref + 1e-9
         tol = TOL_SCALE * abs(U[0] * U[-1] - 0.5 * float(U[1:-1] @ U[1:-1]))
@@ -138,22 +142,22 @@ def test_more_newton_steps_never_decrease_quality():
     rng = np.random.default_rng(123)
     for _ in range(100):
         U, P, rho_min, rho_max, phi_min = make_case(rng)
-        t2 = float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2))
-        t6 = float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=6))
+        t2 = float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2))
+        t6 = float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=6))
         assert t6 >= t2 - 1e-12
 
 
 def test_zero_correction_returns_full_step():
     U = np.array([1.0, 0.2, 0.0, 2.6])
     phi_min = float(oracles.specific_entropy_phi(U)) - 1e-3
-    t = float(limiter_compute(U, np.zeros(4), 0.5, 2.0, phi_min))
+    t = float(compiled_limiter(U, np.zeros(4), 0.5, 2.0, phi_min))
     assert t == 1.0
 
 
 def test_density_clamp_handles_overshoot():
     U = np.array([1.0, 0.0, 0.0, 2.5])
     P = np.array([5.0, 0.0, 0.0, 12.5])  # pushes density far above rho_max
-    t = float(limiter_compute(U, P, 0.9, 1.5, 0.0))
+    t = float(compiled_limiter(U, P, 0.9, 1.5, 0.0))
     V = U + t * P
     assert V[0] == pytest.approx(1.5, abs=1e-12)
 
@@ -206,6 +210,20 @@ def entry_kinds(U, P, rho_min, rho_max, phi_min):
     return kinds
 
 
+def chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, lo=0):
+    """The compiled limiter of the stepper-shaped case's rows [lo, n) as one
+    chunk: (the factors of its slots, NaN before row lo, and those of its
+    entries)."""
+    n, L, _ = P.shape
+    l = np.full((n, L), np.nan)
+    factors = limiter.limiter_compute(
+        lo, n, np.full(n, L), np.ascontiguousarray(U[:, 0]), np.ascontiguousarray(P),
+        rho_min[:, 0].copy(), rho_max[:, 0].copy(), phi_min[:, 0].copy(), l,
+        max_newton=max_newton,
+    )
+    return l, factors
+
+
 def test_batched_matches_scalar():
     rng = np.random.default_rng(7)
     cases = [make_case(rng) for _ in range(32)]
@@ -214,27 +232,26 @@ def test_batched_matches_scalar():
     rmin = np.array([c[2] for c in cases])
     rmax = np.array([c[3] for c in cases])
     pmin = np.array([c[4] for c in cases])
-    batch = limiter_compute(U, P, rmin, rmax, pmin)
+    batch = compiled_limiter(U, P, rmin, rmax, pmin)
     for k, c in enumerate(cases):
-        assert batch[k] == float(limiter_compute(*c))
+        assert batch[k] == float(compiled_limiter(*c))
 
-    # the stepper's call shape: one base state per row against a row of
-    # directions, bounds per row
+    # the stepper's call shape: one chunk of rows, each with one base state,
+    # its bounds and a row of directions; from row 0 and from row 5 on
     U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
     n, L, _ = P.shape
     assert entry_kinds(U, P, rho_min, rho_max, phi_min) == {
         "density clamp", "closes at t_R", "stops on Psi_L <= tol", "needs Newton",
     }
     for max_newton in (0, 1, 2, 4):
-        batch = limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=max_newton)
-        assert batch.shape == (n, L)
-        for i in range(n):
-            for s in range(L):
-                one = limiter_compute(
-                    U[i, 0], P[i, s], rho_min[i, 0], rho_max[i, 0], phi_min[i, 0],
-                    max_newton=max_newton,
-                )
-                assert batch[i, s] == one
+        one = compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=max_newton)
+        assert one.shape == (n, L)
+        for lo in (0, 5):
+            l, factors = chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton, lo)
+            # one entry per row and one per slot, none of whose P is zero
+            assert factors.shape == (n - lo + (n - lo) * L,)
+            assert np.isnan(l[:lo]).all()
+            assert np.array_equal(l[lo:], one[lo:])
 
 
 def test_no_newton_steps_keep_the_admissible_clamped_step():
@@ -242,8 +259,8 @@ def test_no_newton_steps_keep_the_admissible_clamped_step():
     # where Psi(t_R) >= 0, and 0 elsewhere
     rng = np.random.default_rng(11)
     U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
-    l0 = limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=0)
-    l2 = limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2)
+    l0, _ = chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton=0)
+    l2, _ = chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2)
     assert (l0 <= l2).all()
     n, L, _ = P.shape
     taken = 0
@@ -266,8 +283,8 @@ def test_no_newton_steps_keep_the_admissible_clamped_step():
 
     U, P, rho_min, rho_max, phi_min = make_case(rng)
     P = 1e-3 * P
-    assert float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=1)) == 1.0
-    assert float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=0)) == 1.0
+    assert float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=1)) == 1.0
+    assert float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=0)) == 1.0
 
 
 def primitive_state(rho, velocity, p):
@@ -306,7 +323,7 @@ def test_extreme_ratios_stay_feasible(
     rho_min, rho_max = rho * (1.0 - lo), rho * (1.0 + hi)
     phi_min = float(oracles.specific_entropy_phi(U)) * (1.0 - slack)
 
-    l = float(limiter_compute(U, P, rho_min, rho_max, phi_min, max_newton=2))
+    l = float(compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2))
     assert 0.0 <= l <= 1.0
     V = U + l * P
     assert rho_min * (1.0 - 1e-12) <= V[0] <= rho_max * (1.0 + 1e-12)
@@ -321,10 +338,10 @@ def test_dpsi_matches_finite_differences():
         t = float(rng.random() * 0.5)
         h = 1e-7
         fd = (
-            float(limiter.psi_entropy(U + (t + h) * P, phi_min))
-            - float(limiter.psi_entropy(U + (t - h) * P, phi_min))
+            float(psi_entropy(U + (t + h) * P, phi_min))
+            - float(psi_entropy(U + (t - h) * P, phi_min))
         ) / (2 * h)
-        an = float(limiter.dpsi_dt(U, P, np.array(t), phi_min))
+        an = float(oracles.dpsi_dt(U, P, np.array(t), phi_min))
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
@@ -358,7 +375,110 @@ def test_psi_along_the_ray_matches_the_state_block_formula_bitwise(dim, rows, sl
     phi_min = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=rows, max_size=rows)))[:, None]
 
     with np.errstate(all="ignore"):
-        got = limiter._psi_on_ray(U, P, t, phi_min, AIR)
+        got = oracles._psi_on_ray(U, P, t, phi_min, AIR)
         want = psi_entropy(U + t[..., None] * P, phi_min)
     assert got.shape == want.shape == (rows, slots)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def conserved(rho, velocity, p):
+    """States of densities rho (n,), velocities (n, dim) and pressures (n,)."""
+    U = np.empty((len(rho), velocity.shape[1] + 2))
+    U[:, 0] = rho
+    U[:, 1:-1] = rho[:, None] * velocity
+    U[:, -1] = p / AIR.gm1 + 0.5 * rho * physics.component_sum(velocity * velocity)
+    return U
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+# velocities in units of the sound speed, signed zeros included
+_mach = st.one_of(st.floats(-3.0, 3.0), _signed_zero)
+
+
+@given(dim=st.integers(1, 3), rows=st.integers(1, 5), width=st.integers(1, 6),
+       max_newton=st.integers(0, 4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_newton, data):
+    # base states with rho and p from 1e-10 to 1e10; directions towards
+    # states of up to 1e12 (or 1e-12) times the pressure and 1e3 times the
+    # density, or all +-0, or +-0 in some components; bounds that admit the
+    # base state, down to a near-vacuum rho_min, and entropy bounds with
+    # slack, on the base state's phi or above it.  The pads of P hold NaN,
+    # which must not be read, and l's pads and rows before lo a NaN of their
+    # own, which must not be written
+    nvar = dim + 2
+    lo = data.draw(st.integers(0, rows - 1))
+    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    valid = np.arange(width) < card[:, None]
+
+    def draw(shape, elements):
+        return data.draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    def states(shape, log_rho, log_p):
+        rho, p = 10.0 ** log_rho, 10.0 ** log_p
+        mach = draw(shape + (dim,), _mach).reshape(-1, dim)
+        c = np.sqrt(AIR.gamma * p / rho)
+        return conserved(rho.reshape(-1), c.reshape(-1, 1) * mach, p.reshape(-1))
+
+    log_rho = draw(rows, st.floats(-10.0, 10.0))
+    log_p = draw(rows, st.floats(-10.0, 10.0))
+    U = states((rows,), log_rho, log_p)
+    target = states(
+        (rows, width),
+        log_rho[:, None] + draw((rows, width), st.floats(-12.0, 3.0)),
+        log_p[:, None] + draw((rows, width), st.floats(-12.0, 12.0)),
+    ).reshape(rows, width, nvar)
+    scale = draw((rows, width, 1), st.floats(1e-3, 1.0))
+    P = scale * (target - U[:, None])
+    kind = draw((rows, width, nvar), st.sampled_from([0, 0, 0, 1, 2]))
+    P = np.where(kind == 1, 0.0, np.where(kind == 2, -0.0, P))
+    still = data.draw(hnp.arrays(np.bool_, (rows, width)))
+    P = np.where(still[..., None], draw((rows, width, nvar), _signed_zero), P)
+    P[~valid] = np.nan
+
+    rho = U[:, 0]
+    below = draw(rows, st.one_of(st.floats(0.0, 0.5), st.floats(0.999999, 1.0)))
+    rho_min, rho_max = rho * (1.0 - below), rho * (1.0 + draw(rows, st.floats(0.0, 1.0)))
+    slack = draw(rows, st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(-0.5, 0.0)))
+    phi_min = oracles.specific_entropy_phi(U) * (1.0 - slack)
+
+    untouched = np.array(0x7FF8000000000ABC, dtype=np.int64).view(np.float64)
+    got_l, want_l = np.full((rows, width), untouched), np.full((rows, width), untouched)
+    with np.errstate(all="ignore"):
+        got = limiter.limiter_compute(lo, rows, card, U, P, rho_min, rho_max, phi_min, got_l,
+                                      max_newton=max_newton)
+        want = oracles.limiter_rows_reference(lo, rows, card, U, P, rho_min, rho_max, phi_min,
+                                              want_l, max_newton=max_newton)
+    moving = valid[lo:] & (P[lo:] != 0.0).any(axis=-1)
+    assert got.shape == (rows - lo + np.count_nonzero(moving),)
+    assert got.tobytes() == want.tobytes()
+    assert got_l.tobytes() == want_l.tobytes()
+    assert np.array_equal(np.isnan(got_l), ~valid | (np.arange(rows) < lo)[:, None])
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+
+
+def test_every_pow_value_goes_through_physics_power():
+    # with pow values one ulp above numpy's, the compiled limiter must still
+    # equal the numpy oracle, which takes every pow value from
+    # physics.power: no stage evaluates a pow of its own
+    def ulp_up(x, y):
+        return np.nextafter(np.power(x, y), np.inf)
+
+    U, P, rho_min, rho_max, phi_min = stepper_shaped_case(np.random.default_rng(5))
+    n, L, _ = P.shape
+    card = np.full(n, L)
+    for max_newton in (0, 1, 2, 4):
+        results = []
+        for fn in (None, ulp_up):
+            physics.set_power_function(fn)
+            try:
+                got, _ = chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton, lo=1)
+                want = np.full((n, L), np.nan)
+                oracles.limiter_rows_reference(1, n, card, U[:, 0], P, rho_min[:, 0],
+                                               rho_max[:, 0], phi_min[:, 0], want, max_newton)
+            finally:
+                physics.set_power_function(None)
+            assert got.tobytes() == want.tobytes()
+            results.append(got)
+        if max_newton:
+            assert not np.array_equal(results[0], results[1])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eulerflow import physics, problems, rowkernels
+from eulerflow import limiter, physics, problems, rowkernels
 from eulerflow.assembly import assemble
 from eulerflow.stepper import Solver
 
@@ -62,27 +62,28 @@ class _Stop(Exception):
     """Ends a step after the checked kernel call."""
 
 
-def checked(solver, name, calls=None, perturb=None, stop=False, lanes=None):
+def checked(solver, name, calls=None, perturb=None, stop=False, factors=None):
     """solver.name, checked bitwise on every call against its numpy form run
     on a copy of the rank's data: every array of the rank must agree, so the
     kernel also writes nothing the numpy form leaves alone.  perturb(rk, lo,
     hi, **kwargs) edits the inputs first; with stop, the first call raises
     _Stop.  Every call's (rk, lo, hi) is appended to calls.  Given the list
-    to which solver._limit appends its batch sizes, both forms must batch
-    the same lanes."""
+    to which limiter.limiter_compute appends the entry factors it returns,
+    both forms must return the same factors of the same entries."""
     original = getattr(solver, name)
 
     def run(rk, lo, hi, **kwargs):
         if perturb is not None:
             perturb(rk, lo, hi, **kwargs)
         want = clone(rk)
-        first = len(lanes) if lanes is not None else 0
-        PHASES[name](solver, want, lo, hi, **kwargs)
-        mid = len(lanes) if lanes is not None else 0
+        want_factors = PHASES[name](solver, want, lo, hi, **kwargs)
+        first = len(factors) if factors is not None else 0
         original(rk, lo, hi, **kwargs)
         assert_same_rank_data(rk, want)
-        if lanes is not None:
-            assert lanes[first:mid] == lanes[mid:]
+        if factors is not None:
+            got = factors[first:]
+            assert len(got) == (want_factors is not None)
+            assert not got or same_bits(got[0], want_factors)
         if calls is not None:
             calls.append((rk, lo, hi))
         if stop:
@@ -106,17 +107,17 @@ def test_row_kernels_match_their_numpy_forms_bitwise(monkeypatch, dim, refine, c
     # 3 ranks: every rank runs the rows other ranks need as their own chunk
     # first; chunk 1 runs every row alone
     s = stepped_solver(dim, refine, 3, chunk)
-    lanes = []
-    limit = s._limit
+    factors = []
+    compute = limiter.limiter_compute
 
-    def counting_limit(rk, rows, P):
-        lanes.append(P.shape)
-        return limit(rk, rows, P)
+    def recording(*args, **kwargs):
+        factors.append(compute(*args, **kwargs).copy())
+        return factors[-1]
 
-    monkeypatch.setattr(s, "_limit", counting_limit)
+    monkeypatch.setattr(limiter, "limiter_compute", recording)
     sizes = {name: [] for name in PHASES}
     for name in PHASES:
-        monkeypatch.setattr(s, name, checked(s, name, sizes[name], lanes=lanes))
+        monkeypatch.setattr(s, name, checked(s, name, sizes[name], factors=factors))
     s.ssp_rk3_step()
     for name, calls in sizes.items():
         assert calls, name
@@ -286,7 +287,8 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
 def kernel_arguments(rk):
     """Per compiled kernel, its range arguments, (lo, hi) = (0, n_lo) of the
     owned rows, (e0, e1) = (0, E) of the upper edges or none, and its keyword
-    arguments on copies of a rank's arrays."""
+    arguments on copies of a rank's arrays.  The limiter's stages run under
+    limiter.limiter_compute."""
     a = {name: getattr(rk, name).copy() for name in (
         "cols", "trans_slot", "card", "diag_slot", "f", "c_slot", "P", "d", "inv_m", "U",
         "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l", "eor",
@@ -311,6 +313,9 @@ def kernel_arguments(rk):
         rowkernels.limited_update: (rows, dict(cols=a["cols"], trans_slot=a["trans_slot"],
                                                card=a["card"], l=a["l"], P=a["P"],
                                                U_next=a["U_next"], last=False)),
+        limiter.limiter_compute: (rows, dict(card=a["card"], U=a["U_next"], P=a["P"],
+                                             rho_min=a["rho_min"], rho_max=a["rho_max"],
+                                             phi_min=a["phi_min"], l=a["l"])),
         rowkernels.wavespeed_project: (edges, dict(U=a["U"], n_ij=a["n_up"], n_ji=a["nT_up"],
                                                    **edge)),
         rowkernels.wavespeed_base: ((), dict(states=states.copy(), q=q.copy(),
@@ -320,10 +325,12 @@ def kernel_arguments(rk):
     }
 
 
-@pytest.mark.parametrize("kernel", ["flux_contraction", "mirror", "low_order", "correction",
-                                    "limited_update", "wavespeed_project", "wavespeed_base",
-                                    "wavespeed_bound"])
-def test_short_and_narrow_arrays_are_rejected(kernel):
+@pytest.mark.parametrize("fn", [
+    rowkernels.flux_contraction, rowkernels.mirror, rowkernels.low_order, rowkernels.correction,
+    rowkernels.limited_update, limiter.limiter_compute, rowkernels.wavespeed_project,
+    rowkernels.wavespeed_base, rowkernels.wavespeed_bound,
+], ids=lambda fn: fn.__name__)
+def test_short_and_narrow_arrays_are_rejected(fn):
     # every array a kernel indexes by row must hold the rows [lo, hi), every
     # per-edge array the edges e0:e1, the stencil arrays of the wavespeed
     # stages the same rows as cols, and the scratch arrays between them the
@@ -331,7 +338,6 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
     # normals the width dim and the scratch arrays theirs.  Otherwise C would
     # read or write past the end of an array
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    fn = getattr(rowkernels, kernel)
     bounds, kwargs = kernel_arguments(rk)[fn]
     fn(*bounds, **kwargs)
     arrays = [name for name, value in kwargs.items() if isinstance(value, np.ndarray)]
@@ -349,6 +355,20 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
             narrow = dict(kwargs, **{name: np.ascontiguousarray(kwargs[name][:, :-1])})
             with pytest.raises(ValueError, match="shape"):
                 fn(*bounds, **narrow)
+
+
+def test_limiter_rejects_strided_and_mistyped_arrays():
+    # the limiter's stages take the addresses of its arrays: one that is not
+    # C-contiguous or not of its dtype must be rejected before C runs
+    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
+    bounds, kwargs = kernel_arguments(rk)[limiter.limiter_compute]
+    for name, value in kwargs.items():
+        strided = np.repeat(value, 2, axis=0)[::2]
+        retyped = value.astype(np.int32 if value.dtype == np.int64 else np.float32)
+        assert not strided.flags.c_contiguous
+        for bad in (strided, retyped):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                limiter.limiter_compute(*bounds, **dict(kwargs, **{name: bad}))
 
 
 def test_row_kernels_compile_without_warnings():

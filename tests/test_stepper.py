@@ -546,6 +546,53 @@ def test_wavespeed_evaluates_four_pow_values_per_edge(small_periodic, monkeypatc
         assert calls == 2 and values == 4 * edges
 
 
+def test_limiter_evaluates_one_pow_value_per_entry_at_its_first_level(monkeypatch):
+    # the first pow level of a chunk is rho(t_R)^(gamma + 1) of every entry;
+    # each Newton iteration then raises the open entries' densities at t_L to
+    # gamma + 1 and at t_L and t_R to gamma, and, unless it is the last, their
+    # densities at the new t_R to gamma + 1 again, one physics.power call each
+    setup = problems.mach3_channel(2, refine=1)
+    s = Solver(assemble(setup.mesh), chunk_size=64, boundary=setup.boundary)
+    s.set_state(setup.U0)
+    s.ssp_rk3_step()
+    gas = s.gas
+    chunks = []  # per limiter_compute call: (entries, [(pow values, exponent)])
+    inside = []
+    original = limiter.limiter_compute
+
+    def counting(*args, **kwargs):
+        inside.append([])
+        out = original(*args, **kwargs)
+        chunks.append((out.size, inside.pop()))
+        return out
+
+    def counting_power(x, y):
+        out = np.power(x, y)
+        if inside:
+            inside[-1].append((out.size, y))
+        return out
+
+    monkeypatch.setattr(limiter, "limiter_compute", counting)
+    physics.set_power_function(counting_power)
+    try:
+        s.euler_step()
+    finally:
+        physics.set_power_function(None)
+    assert len(chunks) > 2
+    iterations = 0
+    for entries, pows in chunks:
+        assert pows[0] == (entries, gas.gamma + 1.0)
+        for k in range(1, len(pows), 3):
+            (open_L, y_L), (open_LR, y_LR) = pows[k:k + 2]
+            assert (y_L, y_LR) == (gas.gamma + 1.0, gas.gamma)
+            assert 0 < open_L <= pows[k - 1][0] and open_LR == 2 * open_L
+            if k + 2 < len(pows):
+                assert pows[k + 2][1] == gas.gamma + 1.0 and 0 < pows[k + 2][0] <= open_L
+            iterations += 1
+        assert len(pows) <= 1 + 3 * s.newton_steps - 1
+    assert iterations > 0
+
+
 def test_correction_reuses_the_low_order_products():
     # step 3 leaves (dH - d) dU in P; step 4's P equals the formula that
     # gathers U and alpha again
@@ -665,11 +712,14 @@ def test_limited_update_matches_the_slot_reduce_bitwise(monkeypatch):
 
 @pytest.mark.parametrize("dim,refine,ranks", [(2, 1, 3), (3, 0, 2)])
 def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
-    # NaN in every pad of m_slot, of d before step 2 and of l before steps 5
-    # and 6 must leave the states and time steps of two RK3 steps bitwise
-    # unchanged: the kernels read the valid slots of their rows only
+    # NaN in every pad of m_slot, P, l and l_next, and of d before step 2,
+    # must leave the states and time steps of two RK3 steps bitwise
+    # unchanged: the kernels and the limiter read the valid slots of their
+    # rows only.  The pads of P, l and l_next must still hold their NaN
+    # afterwards: nothing writes a pad
     setup = problems.mach3_channel(dim, refine=refine)
     mat = assemble(setup.mesh)
+    pad_nan = np.array(0x7FF8000000000ABC, dtype=np.int64).view(np.float64)
     runs = []
     for poison in (False, True):
         s = Solver(mat, ranks=ranks, boundary=setup.boundary)
@@ -677,33 +727,35 @@ def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
         if poison:
             assert all(np.count_nonzero(~rk.valid) > 0 for rk in s.ranks)
             for rk in s.ranks:
-                rk.m_slot[~rk.valid] = np.nan
-            mirror, update, poisoned = s._k_mirror, s._k_limited_update, []
+                for name in ("m_slot", "l", "l_next"):
+                    getattr(rk, name)[~rk.valid] = pad_nan
+                rk.P[~rk.valid[:rk.numbering.n_lo]] = pad_nan
+            mirror, poisoned = s._k_mirror, []
 
             def nan_d(rk, lo, hi):
                 rk.d[~rk.valid] = np.nan
                 poisoned.append("d")
                 mirror(rk, lo, hi)
 
-            def nan_l(rk, lo, hi, last):
-                rk.l[~rk.valid] = np.nan
-                poisoned.append(last)
-                update(rk, lo, hi, last)
-
             monkeypatch.setattr(s, "_k_mirror", nan_d)
-            monkeypatch.setattr(s, "_k_limited_update", nan_l)
         taus = [s.ssp_rk3_step() for _ in range(2)]
         runs.append((taus, s.get_state()))
-    assert set(poisoned) == {"d", False, True}
+    assert poisoned
     assert runs[1][0] == runs[0][0]
     assert same_bits(runs[1][1], runs[0][1])
     assert not np.array_equal(runs[0][1], setup.U0)
+    for rk in s.ranks:
+        pads = [getattr(rk, name)[~rk.valid] for name in ("l", "l_next")]
+        pads.append(rk.P[~rk.valid[:rk.numbering.n_lo]])
+        for values in pads:
+            assert values.size and (values.view(np.int64) == pad_nan.view(np.int64)).all()
 
 
 def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
-    # the second pass settles entries with minl == 1 once per row; every
-    # value must equal the per-entry limiter on the whole padded stencil,
-    # also in a row whose base state violates its raised entropy bound
+    # the second pass settles the entries whose rescaled P is zero (those
+    # with minl == 1 among them) once per row; every valid slot's value must
+    # equal the numpy limiter's on the whole padded stencil, also in a row
+    # whose base state violates its raised entropy bound
     setup = problems.mach3_channel(2, refine=1)
     mat = assemble(setup.mesh)
     s = Solver(mat, ranks=2, chunk_size=64, boundary=setup.boundary)
@@ -722,10 +774,11 @@ def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
         lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
         live = np.minimum(rk.l[sl], lT) < 1.0
         original(rk, lo, hi, last)
-        assert limiter.psi_entropy(rk.U_next[lo], rk.phi_min[lo]) < 0.0
+        assert oracles.psi_entropy(rk.U_next[lo], rk.phi_min[lo]) < 0.0
         want = oracles.limiter_entries_reference(s, rk, lo, hi)
-        assert np.array_equal(rk.l_next[sl], want)
-        assert (rk.l_next[lo] == 0.0).all()
+        valid = rk.valid[sl]
+        assert same_bits(rk.l_next[sl][valid], want[valid])
+        assert (rk.l_next[lo][valid[0]] == 0.0).all()
         seen["chunks"] += 1
         seen["live"] += np.count_nonzero(live)
         seen["dead"] += np.count_nonzero(~live)
