@@ -154,6 +154,19 @@ def test_zero_correction_returns_full_step():
     assert t == 1.0
 
 
+def test_entry_on_the_tolerance_stops_at_t_L():
+    # Psi(U) equals tol exactly: Psi(t_L) <= tol stops the entry at t_L = 0,
+    # although a Newton step would move it to the root of Psi near 1.7e-10.
+    # tol = 2^-33 is a multiple of the spacing of the doubles near E, so
+    # E - phi_min is exactly tol
+    tol = 2.0**-33
+    E = tol / TOL_SCALE
+    U, P, phi_min = np.array([1.0, 0.0, 0.0, E]), np.array([0.0, 0.0, 0.0, -E]), E - tol
+    assert TOL_SCALE * E == tol and float(psi_entropy(U, phi_min)) == tol
+    for max_newton in (1, 2, 4):
+        assert float(compiled_limiter(U, P, 0.5, 2.0, phi_min, max_newton=max_newton)) == 0.0
+
+
 def test_density_clamp_handles_overshoot():
     U = np.array([1.0, 0.0, 0.0, 2.5])
     P = np.array([5.0, 0.0, 0.0, 12.5])  # pushes density far above rho_max
