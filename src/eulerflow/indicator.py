@@ -5,17 +5,18 @@ worst-case bound and returns a per-node factor alpha in [0, 1].  Constant or
 smooth data yields alpha close to zero; strong shocks yield alpha close to
 one.
 
-The commutator's slot sums a and b of each node are formed by step 1's
-compiled kernel (rowkernels.flux_contraction) in its one walk over the row's
-stencil; the accumulator takes them per row and forms alpha from them.
+Every part of it is compiled.  Step 0's stage forms the rows' eta' scale
+(rho eps)^(-gamma / (gamma + 1)) / (gamma + 1), with its pow() in numpy;
+step 1's kernel (rowkernels.Binding.flux_contraction) forms the
+commutator's slot sums a and b of each row in its one walk over the row's
+stencil; the accumulator adds them per row, and its result is one more
+compiled walk over the rows (rowkernels.Binding.indicator).
+tests/oracles.py keeps the numpy form of alpha, which gives the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import physics
-from .physics import AIR, GasConstants, component_sum
 
 __all__ = ["IndicatorAccumulator", "DENOMINATOR_FLOOR"]
 
@@ -25,38 +26,31 @@ DENOMINATOR_FLOOR = 1e-300
 
 
 class IndicatorAccumulator:
-    """Accumulates the commutator sums for one node (or a batch of nodes)."""
+    """Accumulates the commutator sums of the rows [lo, hi) of a bound rank."""
 
-    def __init__(self, gas: GasConstants = AIR):
-        self.gas = gas
+    def __init__(self):
         self._ready = False
 
-    def reset(self, U_i: np.ndarray, eta_over_rho_i: np.ndarray):
-        """Start the sums of the nodes U_i, whose eta / rho is eta_over_rho_i."""
-        self.eor_i = eta_over_rho_i
-        self.etaprime_i = physics.harten_entropy_derivative(U_i, self.gas)
-        self.a = np.zeros(U_i.shape[:-1], dtype=U_i.dtype)
-        self.b = np.zeros(U_i.shape, dtype=U_i.dtype)
+    def reset(self, bound, lo, hi):
+        """Start the sums of the rows [lo, hi) of bound (rowkernels.Binding),
+        whose U, eta / rho (eor) and eta' scale (eta_scale) it holds."""
+        self.bound, self.rows = bound, (lo, hi)
+        self.a = np.zeros(hi - lo)
+        self.b = np.zeros((hi - lo, bound.nvar))
         self._ready = True
 
     def accumulate(self, a: np.ndarray, b: np.ndarray):
-        """Add the stencil sums of the nodes, a of the shape of eta_over_rho_i
-        and b of U_i: a = sum_j (eta_j / rho_j - eta_i / rho_i) (m_j . c_ij)
-        and b = sum_j (f_j - f_i) . c_ij, as rowkernels.flux_contraction
-        returns them."""
+        """Add the stencil sums of the rows, a of shape (rows,) and b of
+        (rows, nvar): a = sum_j (eta_j / rho_j - eta_i / rho_i) (m_j . c_ij)
+        and b = sum_j (f_j - f_i) . c_ij, as flux_contraction returns them."""
         if not self._ready:
             raise RuntimeError("accumulate called before reset")
         self.a += a
         self.b += b
 
     def result(self) -> np.ndarray:
-        """Normalized ratio alpha = N / D clamped to [0, 1]; 0 when D vanishes."""
-        numer = np.abs(
-            self.a - component_sum(self.etaprime_i * self.b) + self.eor_i * self.b[..., 0]
-        )
-        weights = np.abs(self.etaprime_i.copy())
-        weights[..., 0] = np.abs(self.etaprime_i[..., 0] - self.eor_i)
-        denom = np.abs(self.a) + component_sum(weights * np.abs(self.b))
-        safe = np.where(denom > DENOMINATOR_FLOOR, denom, 1.0)
-        alpha = np.clip(numer / safe, 0.0, 1.0)
-        return np.where(denom > DENOMINATOR_FLOOR, alpha, 0.0)
+        """Normalized ratio alpha = N / D clamped to [0, 1], 0 when D vanishes,
+        written into the rows' alpha; returns a view of those entries."""
+        lo, hi = self.rows
+        self.bound.indicator(lo, hi, self.a, self.b, DENOMINATOR_FLOOR)
+        return self.bound.arrays["alpha"][lo:hi]

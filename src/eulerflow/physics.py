@@ -31,7 +31,6 @@ __all__ = [
     "component_sum",
     "internal_energy",
     "pressure",
-    "harten_entropy_derivative",
     "flux",
     "is_admissible",
 ]
@@ -124,24 +123,6 @@ def internal_energy(U: np.ndarray) -> np.ndarray:
 def pressure(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
     """p = (gamma - 1) * epsilon."""
     return gas.gm1 * internal_energy(U)
-
-
-def harten_entropy_derivative(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:
-    """Gradient of the Harten entropy w.r.t. (rho, m, E).
-
-    Returns (rho eps)^{-gamma/(gamma+1)}/(gamma+1) * (E, -m, rho), ordered to
-    match the state layout.
-    """
-    rho, m, E = _split(U)
-    rho_eps = rho * internal_energy(U)
-    if np.any(rho_eps <= 0.0):
-        raise AdmissibilityError("harten_entropy_derivative requires rho*epsilon > 0")
-    scale = power(rho_eps, -gas.gamma * gas.gp1_inv) * gas.gp1_inv
-    out = np.empty_like(U)
-    out[..., 0] = scale * E
-    out[..., 1:-1] = -scale[..., None] * m
-    out[..., -1] = scale * rho
-    return out
 
 
 def flux(U: np.ndarray, gas: GasConstants = AIR) -> np.ndarray:

@@ -23,22 +23,20 @@ from .physics import AIR, AdmissibilityError, power
 __all__ = ["d_ij_low"]
 
 
-def d_ij_low(e0, e1, up_row, up_slot, cols, U, n_ij, norm_ij, n_ji, norm_ji, d, gas=AIR):
-    """d_ij of the upper edges e0:e1, written into their slots of d and
-    returned as an (e1 - e0,) array.
+def d_ij_low(bound, e0, e1, gas=AIR):
+    """d_ij of the upper edges e0:e1 of a bound rank (rowkernels.Binding),
+    written into their slots of d and returned as an (e1 - e0,) array.
 
     Edge e is slot up_slot[e] of row up_row[e] of the padded slot arrays
-    cols and d; n_ij, norm_ij and n_ji, norm_ji are the unit normals and
+    cols and d; n_up, norm_up and nT_up, normT_up are the unit normals and
     norms of its c_ij and c_ji, with the unit normal e_1 where a norm is 0.
     Raises AdmissibilityError, before anything is written, when a projected
     state has rho <= 0 or p <= 0.
     """
-    states, q, bad = rowkernels.wavespeed_project(e0, e1, up_row, up_slot, cols, U, n_ij, n_ji,
-                                                  gas)
+    states, q, bad = bound.wavespeed_project(e0, e1, gas)
     if bad:
         raise AdmissibilityError("projected state requires rho > 0 and p > 0")
     q = power(q, -gas.gm1_over_2g)
     rowkernels.wavespeed_base(states, q, gas)
     q = power(q, gas.two_g_over_gm1)
-    return rowkernels.wavespeed_bound(e0, e1, up_row, up_slot, cols, norm_ij, norm_ji, states,
-                                      q, d, gas)
+    return bound.wavespeed_bound(e0, e1, states, q, gas)

@@ -1,22 +1,27 @@
-/* Row kernels of the forward-Euler phases, and the stages of the wavespeed
- * and of the limiter.
+/* Row kernels of the forward-Euler phases, and the stages of step 0, of the
+ * wavespeed and of the limiter.
  *
- * Every row kernel walks the rows [lo, hi) of one rank's padded slot view
- * (sparsity.PaddedView): row i has L slots, slot s of row i is entry
- * i * L + s of cols, trans and every per-slot array, and a per-slot state
- * vector is entry (i * L + s) * nvar.  On an owned row the card[i] valid
- * slots come first and the pads follow.  Every kernel follows one rule: it
- * loops over the card[i] valid slots of its rows only, so it neither reads
- * nor writes a pad, every sum starts from +0.0 and adds one slot after the
- * other, and what is one expression of the stored matrix entries (b_ij,
- * b_ji, lambda_i) is formed in place instead of read from a stored copy.
- * Step 1's one walk over a row also forms the indicator's slot sums.
+ * Every kernel takes one rank's arrays as a struct rank, whose addresses
+ * rowkernels.Binding checked and bound once, and runs over a range of its
+ * rows (or upper edges) plus scalars.  Every row kernel walks the rows
+ * [lo, hi) of the rank's padded slot view (sparsity.PaddedView): row i has
+ * L slots, slot s of row i is entry i * L + s of cols, trans_slot and every
+ * per-slot array, and a per-slot state vector is entry (i * L + s) * nvar.
+ * On an owned row the card[i] valid slots come first and the pads follow.
+ * Every kernel follows one rule: it loops over the card[i] valid slots of
+ * its rows only, so it neither reads nor writes a pad, every sum starts
+ * from +0.0 and adds one slot after the other, and what is one expression
+ * of the stored matrix entries (b_ij, b_ji, lambda_i) is formed in place
+ * instead of read from a stored copy.  Step 1's one walk over a row also
+ * forms the indicator's slot sums, and alpha follows from them and the
+ * eta' scale of step 0 in one more walk over the rows.
  *
  * The wavespeed stages walk a chunk's upper edges instead, and the limiter
  * stages a chunk's rows one limiter entry at a time.  No kernel calls pow():
- * numpy's pow and libm's differ in the last bit, so each pow() level of the
- * wavespeed and of the limiter ends a stage, and numpy (physics.power)
- * evaluates the arguments that stage packed before the next stage goes on.
+ * numpy's pow and libm's differ in the last bit, so each pow() level of
+ * step 0, of the wavespeed and of the limiter ends a stage, and numpy
+ * (physics.power) evaluates the arguments that stage packed before the next
+ * stage goes on.
  *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
@@ -31,28 +36,76 @@
 
 typedef int64_t idx;
 
+/* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS:
+ * the per-node arrays have the rows of cols, P, eta_scale and the bounds the
+ * owned rows, and the per-edge arrays one row per upper edge. */
+struct rank {
+    idx L, nvar;
+    const idx *cols, *trans_slot, *card, *diag_slot, *up_row, *up_slot;
+    const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_up, *normT_up;
+    double *U, *U_next, *R, *f, *eor, *phi, *alpha, *d, *l, *l_next;
+    double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
+};
+
 /* np.minimum(a, b) and np.maximum(a, b): a NaN operand propagates, the first
  * one when both are NaN, and of two equal values (+0.0 and -0.0) the second
  * is returned.  C's fmin and fmax would drop a NaN. */
 static inline double np_min(double a, double b) { return a != a ? a : (a < b ? a : b); }
 static inline double np_max(double a, double b) { return a != a ? a : (a > b ? a : b); }
 
+/* np.clip(x, a, b) of arrays a and b, and np.clip(x, 0.0, 1.0), which keeps
+ * an x that equals a bound, so that -0.0 stays -0.0. */
+static inline double clip(double x, double a, double b) { return np_min(np_max(x, a), b); }
+static inline double clip01(double x) { return x < 0.0 ? 0.0 : x > 1.0 ? 1.0 : x; }
+
+/* Phase step0: the flux f(U_i) = (m, v m^T + p I, v (E + p)) of the rows
+ * [lo, hi), v = m / rho and p = (gamma - 1) eps, and eps = E - |m|^2 / (2 rho)
+ * and rho eps into entries i - lo of eps and rho_eps, the arguments of
+ * step 0's pow() levels.  Returns the number of rows i < own with
+ * rho eps <= 0, where eta' is not defined. */
+idx entropies(const struct rank *r, idx lo, idx hi, idx own, double gm1, double *eps,
+              double *rho_eps)
+{
+    idx nvar = r->nvar, dim = nvar - 2, bad = 0;
+    for (idx i = lo; i < hi; ++i) {
+        const double *Ui = r->U + i * nvar;
+        double *fi = r->f + i * nvar * dim;
+        double rho = Ui[0], E = Ui[nvar - 1], mm = 0.0;
+        for (idx k = 1; k < nvar - 1; ++k)
+            mm += Ui[k] * Ui[k];
+        double e = E - 0.5 * mm / rho, p = gm1 * e;
+        for (idx x = 0; x < dim; ++x)
+            fi[x] = Ui[1 + x];
+        for (idx k = 0; k < dim; ++k) {
+            double v = Ui[1 + k] / rho;
+            for (idx x = 0; x < dim; ++x)
+                fi[(1 + k) * dim + x] = v * Ui[1 + x];
+            fi[(1 + k) * dim + k] += p;
+            fi[(nvar - 1) * dim + k] = v * (E + p);
+        }
+        eps[i - lo] = e;
+        rho_eps[i - lo] = rho * e;
+        bad += i < own && rho * e <= 0.0;
+    }
+    return bad;
+}
+
 /* Phase step1: the flux contraction P[i, s, k] = (f_j - f_i)[k] . c_ij of
  * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim), and
  * the indicator's slot sums of row i, added into entry i - lo of a and b:
  * a = sum_s (eor_j - eor_i) (m_j . c_ij), m_j the momentum of U_j, and
  * b[k] = sum_s P[i, s, k]. */
-void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
-                      const idx *card, const double *U, const double *eor, const double *f,
-                      const double *c, double *P, double *a, double *b)
+void flux_contraction(const struct rank *r, idx lo, idx hi, double *a, double *b)
 {
+    idx L = r->L, nvar = r->nvar, dim = nvar - 2;
+    const double *U = r->U, *eor = r->eor, *f = r->f;
     for (idx i = lo; i < hi; ++i) {
         const double *fi = f + i * nvar * dim;
         double *bi = b + (i - lo) * nvar;
-        for (idx s = 0; s < card[i]; ++s) {
-            idx is = i * L + s, j = cols[is];
+        for (idx s = 0; s < r->card[i]; ++s) {
+            idx is = i * L + s, j = r->cols[is];
             const double *fj = f + j * nvar * dim;
-            const double *cs = c + is * dim;
+            const double *cs = r->c_slot + is * dim;
             double mc = 0.0;
             for (idx x = 0; x < dim; ++x)
                 mc += U[j * nvar + 1 + x] * cs[x];
@@ -61,10 +114,34 @@ void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
                 double acc = 0.0;
                 for (idx x = 0; x < dim; ++x)
                     acc += (fj[k * dim + x] - fi[k * dim + x]) * cs[x];
-                P[is * nvar + k] = acc;
+                r->P[is * nvar + k] = acc;
                 bi[k] += acc;
             }
         }
+    }
+}
+
+/* Phase step1: alpha of the rows [lo, hi) from their slot sums a and b
+ * (entry i - lo, as flux_contraction forms them) and eta' = s (E, -m, rho),
+ * s the eta' scale (rho eps)^(-gamma / (gamma + 1)) / (gamma + 1) of step 0:
+ * alpha = N / D clipped to [0, 1], and 0 where D is not above dfloor, with
+ * N = |a - eta' . b + (eta / rho) b[0]|, D = |a| + sum_k w_k |b[k]| and
+ * w = |eta'| but w_0 = |eta'_0 - eta / rho|. */
+void indicator(const struct rank *r, idx lo, idx hi, const double *a, const double *b,
+               double dfloor)
+{
+    idx nvar = r->nvar;
+    for (idx i = lo; i < hi; ++i) {
+        const double *Ui = r->U + i * nvar, *bi = b + (i - lo) * nvar;
+        double s = r->eta_scale[i], eor = r->eor[i], dot = 0.0, wsum = 0.0;
+        for (idx k = 0; k < nvar; ++k) {
+            double ep = k == 0 ? s * Ui[nvar - 1] : k == nvar - 1 ? s * Ui[0] : -s * Ui[k];
+            dot += ep * bi[k];
+            wsum += (k == 0 ? fabs(ep - eor) : fabs(ep)) * fabs(bi[k]);
+        }
+        double numer = fabs(a[i - lo] - dot + eor * bi[0]);
+        double denom = fabs(a[i - lo]) + wsum;
+        r->alpha[i] = denom > dfloor ? clip01(numer / denom) : 0.0;
     }
 }
 
@@ -72,9 +149,11 @@ void flux_contraction(idx lo, idx hi, idx L, idx nvar, idx dim, const idx *cols,
  * diagonal (its slots ascend in global id), take the mirror d_ji, and the
  * diagonal takes minus the sum of the off-diagonal valid slots.  Reads only
  * upper slots of other rows. */
-void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const idx *card,
-            const idx *diag, double *d)
+void mirror(const struct rank *r, idx lo, idx hi)
 {
+    idx L = r->L;
+    const idx *cols = r->cols, *trans = r->trans_slot, *card = r->card, *diag = r->diag_slot;
+    double *d = r->d;
     for (idx i = lo; i < hi; ++i) {
         double rowsum = 0.0;
         for (idx s = 0; s < card[i]; ++s) {
@@ -92,11 +171,12 @@ void mirror(idx lo, idx hi, idx L, const idx *cols, const idx *trans, const idx 
  * density bar-state bounds and the minimum of phi over the stencil, from
  * the flux contraction in P, which then takes the viscous part
  * (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes. */
-void low_order(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card, double tau,
-               const double *inv_m, const double *U, const double *d, const double *alpha,
-               const double *phi, double *P, double *U_next, double *R,
-               double *rho_min, double *rho_max, double *phi_min)
+void low_order(const struct rank *r, idx lo, idx hi, double tau)
 {
+    idx L = r->L, nvar = r->nvar;
+    const idx *cols = r->cols, *card = r->card;
+    const double *U = r->U, *d = r->d, *alpha = r->alpha, *phi = r->phi;
+    double *P = r->P;
     double low[nvar], high[nvar];
     for (idx i = lo; i < hi; ++i) {
         const double *Ui = U + i * nvar;
@@ -126,23 +206,26 @@ void low_order(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card
                 p[k] = (dH - dij) * dU;
             }
         }
-        double scale = tau * inv_m[i];
+        double scale = tau * r->inv_m[i];
         for (idx k = 0; k < nvar; ++k) {
-            U_next[i * nvar + k] = Ui[k] + scale * low[k];
-            R[i * nvar + k] = high[k];
+            r->U_next[i * nvar + k] = Ui[k] + scale * low[k];
+            r->R[i * nvar + k] = high[k];
         }
-        rho_min[i] = rmin;
-        rho_max[i] = rmax;
-        phi_min[i] = pmin;
+        r->rho_min[i] = rmin;
+        r->rho_max[i] = rmax;
+        r->phi_min[i] = pmin;
     }
 }
 
 /* Phase step4: the correction fluxes P += b_ij R_j - b_ji R_i, scaled by
  * tau / m_i (card_i - 1), with b_ij = delta_ij - m_ij / m_j and
  * b_ji = delta_ij - m_ij / m_i formed from the one mass entry m_ij. */
-void correction(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *card, double tau,
-                const double *inv_m, const double *m, const double *R, double *P)
+void correction(const struct rank *r, idx lo, idx hi, double tau)
 {
+    idx L = r->L, nvar = r->nvar;
+    const idx *cols = r->cols, *card = r->card;
+    const double *inv_m = r->inv_m, *m = r->m_slot, *R = r->R;
+    double *P = r->P;
     for (idx i = lo; i < hi; ++i) {
         double scale = tau * inv_m[i] * (double)(card[i] - 1);
         const double *Ri = R + i * nvar;
@@ -163,9 +246,12 @@ void correction(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *car
 /* Phases step5 and step6: U_next += lambda_i sum_s min(l_ij, l_ji) P_ij,
  * lambda_i = 1 / max(card_i - 1, 1).  Unless last, P is then scaled by
  * 1 - min(l_ij, l_ji) for the next limiter pass. */
-void limited_update(idx lo, idx hi, idx L, idx nvar, const idx *cols, const idx *trans,
-                    const idx *card, const double *l, int last, double *P, double *U_next)
+void limited_update(const struct rank *r, idx lo, idx hi, int last)
 {
+    idx L = r->L, nvar = r->nvar;
+    const idx *cols = r->cols, *trans = r->trans_slot, *card = r->card;
+    const double *l = r->l;
+    double *P = r->P, *U_next = r->U_next;
     double acc[nvar];
     for (idx i = lo; i < hi; ++i) {
         for (idx k = 0; k < nvar; ++k)
@@ -222,13 +308,13 @@ static int project(const double *U, const double *n, idx dim, double gamma, doub
 /* Stage 1: the projected states, and in q the pressure ratio p_L / p_R of
  * each direction, the argument of the first pow() level.  Returns the
  * number of projected states with rho <= 0 or p <= 0. */
-idx wavespeed_project(idx e0, idx e1, idx L, idx nvar, const idx *up_row, const idx *up_slot,
-                      const idx *cols, const double *U, const double *n_ij, const double *n_ji,
-                      double gamma, double gm1, double *st, double *q)
+idx wavespeed_project(const struct rank *r, idx e0, idx e1, double gamma, double gm1,
+                      double *st, double *q)
 {
-    idx dim = nvar - 2, bad = 0;
+    idx nvar = r->nvar, dim = nvar - 2, bad = 0;
+    const double *U = r->U, *n_ij = r->n_up, *n_ji = r->nT_up;
     for (idx e = e0; e < e1; ++e) {
-        idx i = up_row[e], j = cols[i * L + up_slot[e]];
+        idx i = r->up_row[e], j = r->cols[i * r->L + r->up_slot[e]];
         double *S = st + (e - e0) * 16, *qe = q + (e - e0) * 2;
         bad += project(U + i * nvar, n_ij + e * dim, dim, gamma, gm1, S);
         bad += project(U + j * nvar, n_ij + e * dim, dim, gamma, gm1, S + 4);
@@ -282,22 +368,22 @@ static double lambda_max(const double *Ls, const double *Rs, double power, doubl
 /* Stage 3: q holds the second pow() level of each direction; d_ij goes into
  * the edge's slot of d and into entry e - e0 of out.  A zero-length c
  * contributes zero. */
-void wavespeed_bound(idx e0, idx e1, idx L, const idx *up_row, const idx *up_slot,
-                     const double *norm_ij, const double *norm_ji, double gamma, double gm1,
-                     const double *st, const double *q, double *d, double *out)
+void wavespeed_bound(const struct rank *r, idx e0, idx e1, double gamma, double gm1,
+                     const double *st, const double *q, double *out)
 {
+    const double *norm_ij = r->norm_up, *norm_ji = r->normT_up;
     for (idx e = e0; e < e1; ++e) {
         const double *S = st + (e - e0) * 16, *qe = q + (e - e0) * 2;
         double lam_ij = lambda_max(S, S + 4, qe[0], gamma, gm1);
         double lam_ji = lambda_max(S + 8, S + 12, qe[1], gamma, gm1);
         double a = norm_ij[e] > 0.0 ? lam_ij * norm_ij[e] : 0.0;
         double b = norm_ji[e] > 0.0 ? lam_ji * norm_ji[e] : 0.0;
-        out[e - e0] = d[up_row[e] * L + up_slot[e]] = np_max(a, b);
+        out[e - e0] = r->d[r->up_row[e] * r->L + r->up_slot[e]] = np_max(a, b);
     }
 }
 
-/* The convex limiter of the rows [lo, hi): for each entry, the largest
- * t in [0, 1] for which U_i + t P_ij stays in [rho_min_i, rho_max_i] and
+/* The convex limiter of the rows [lo, hi), U_i the row's state in U_next:
+ * for each entry, the largest t in [0, 1] for which U_i + t P_ij stays in [rho_min_i, rho_max_i] and
  * satisfies Psi(U_i + t P_ij) = rho eps - phi_min_i rho^(gamma + 1) >= 0,
  * up to the bracketing quadratic Newton steps of Guermond, Nazarov, Popov &
  * Tomas (SISC 2018).  A chunk's entries are, row after row, one entry with
@@ -339,11 +425,6 @@ static double dpsi_on_ray(const double *U, const double *p, double t, idx nvar, 
     return p[0] * E + rho * p[nvar - 1] - mp - phi_min * gp1 * rho_g * p[0];
 }
 
-/* np.clip(x, a, b) of arrays a and b, and np.clip(x, 0.0, 1.0), which keeps
- * an x that equals a bound, so that -0.0 stays -0.0. */
-static inline double clip(double x, double a, double b) { return np_min(np_max(x, a), b); }
-static inline double clip01(double x) { return x < 0.0 ? 0.0 : x > 1.0 ? 1.0 : x; }
-
 /* One bracketing quadratic Newton step on [t_L, t_R] from divided
  * differences.  The discriminants are clamped at zero, an endpoint whose
  * denominator vanishes or whose update is not finite stays, the updates are
@@ -372,10 +453,12 @@ static void newton_step(double *t_L, double *t_R, double psi_L, double psi_R, do
 /* Stage start: the entries of the rows [lo, hi), each with t_L = 0, t_R
  * from the density clamp and tol = tol_scale |rho eps(U_i)|, all open, and
  * the density at t_R into q.  Returns the number of entries. */
-idx limiter_start(idx lo, idx hi, idx L, idx nvar, const idx *card, const double *U,
-                  const double *P, const double *rho_min, const double *rho_max,
-                  double tol_scale, idx cap, idx *ix, double *x, double *q)
+idx limiter_start(const struct rank *r, idx lo, idx hi, double tol_scale, idx cap, idx *ix,
+                  double *x, double *q)
 {
+    idx L = r->L, nvar = r->nvar;
+    const idx *card = r->card;
+    const double *U = r->U_next, *P = r->P, *rho_min = r->rho_min, *rho_max = r->rho_max;
     idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
     double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap;
     double zero[nvar];
@@ -421,9 +504,11 @@ idx limiter_start(idx lo, idx hi, idx L, idx nvar, const idx *card, const double
  * power gamma + 1.  Psi(t_R) >= 0 closes an entry at t_R.  Without newton
  * every entry closes; otherwise the open ones keep Psi(t_R), and their
  * densities at t_L and then at t_R go into q. */
-idx limiter_test(idx n, idx nvar, const double *U, const double *P, const double *phi_min,
-                 int newton, idx cap, idx *ix, double *x, const double *w, double *q)
+idx limiter_test(const struct rank *r, idx n, int newton, idx cap, idx *ix, double *x,
+                 const double *w, double *q)
 {
+    idx nvar = r->nvar;
+    const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
     idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
     double *t_L = x, *t_R = x + cap, *psi_R = x + 3 * cap;
     double zero[nvar];
@@ -453,10 +538,11 @@ idx limiter_test(idx n, idx nvar, const double *U, const double *P, const double
  * gamma + 1, g those at t_L and then at t_R to the power gamma.
  * Psi(t_L) <= tol closes an entry at t_L; the others take one Newton step
  * and stay open, with their density at the new t_R in q. */
-idx limiter_newton(idx n, idx nvar, const double *U, const double *P, const double *phi_min,
-                   double gp1, double sign, idx cap, idx *ix, double *x, const double *w_L,
-                   const double *g, double *q)
+idx limiter_newton(const struct rank *r, idx n, double gp1, double sign, idx cap, idx *ix,
+                   double *x, const double *w_L, const double *g, double *q)
 {
+    idx nvar = r->nvar;
+    const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
     idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
     double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap, *psi_R = x + 3 * cap;
     double zero[nvar];
@@ -479,10 +565,13 @@ idx limiter_newton(idx n, idx nvar, const double *U, const double *P, const doub
 }
 
 /* Stage scatter: the factor of every valid slot of the rows [lo, hi) into
- * l, that of its entry or else that of its row's entry. */
-void limiter_scatter(idx lo, idx hi, idx L, const idx *card, idx n, idx cap, const idx *ix,
-                     const double *x, double *l)
+ * l (the rank's l or l_next), that of its entry or else that of its row's
+ * entry. */
+void limiter_scatter(const struct rank *r, idx lo, idx hi, double *l, idx n, idx cap,
+                     const idx *ix, const double *x)
 {
+    idx L = r->L;
+    const idx *card = r->card;
     const idx *flat = ix + cap;
     const double *t_L = x;
     idx e = 0;

@@ -21,21 +21,25 @@ in place, which leaves P = 0 wherever the previous factor was 1, so it
 evaluates only the slots the previous pass limited.  With newton_steps = 0
 an entry still takes its density-clamped full step where that step meets
 the entropy bound (see limiter.limiter_compute).
-The phases that need no pow() run as compiled row kernels (rowkernels), one
-call per chunk of rows: step 1's flux contraction with the indicator's slot
-sums, step 2's mirroring, step 3 in full, step 4's assembly of the
-correction fluxes and the limited update and rescale of steps 5 and 6.
-They walk each row's valid slots once and never a pad, add them left to
-right from +0.0, and form b_ij, b_ji and lambda_i from m_slot, inv_m and
-the row length; tests/oracles.py keeps numpy forms of them that give the
-same bits.  Step 1's wavespeeds run as three compiled stages over
-the chunk's upper edges, with their two pow() levels in numpy between them
-(riemann.d_ij_low), from unit normals formed once at setup, and the
-limiter of steps 4 and 5 as compiled stages over the chunk's rows, with its
-pow() levels in numpy between them (limiter.limiter_compute).  The
-entropies and fluxes and alpha from the indicator's sums stay in numpy.
-Three such steps with a shared time step form the strong-stability-preserving
-RK3 update.
+Every phase runs compiled kernels (rowkernels) on one binding per rank,
+which checks the rank's arrays and takes their addresses once, at setup,
+and follows the swaps of U and U_next and of l and l_next; a chunk of rows
+is then one C call per kernel.  Step 0's stage writes the fluxes and the
+arguments of its pow() levels, eta / rho and phi of every row and the eta'
+scale of the owned rows, which numpy raises, and an owned row with
+rho eps <= 0 fails the step before any pow().  The row kernels are step 1's
+flux contraction with the indicator's slot sums and its alpha, step 2's
+mirroring, step 3 in full, step 4's assembly of the correction fluxes and
+the limited update and rescale of steps 5 and 6.  They walk each row's
+valid slots once and never a pad, add them left to right from +0.0, and
+form b_ij, b_ji and lambda_i from m_slot, inv_m and the row length;
+tests/oracles.py keeps numpy forms of them that give the same bits.  Step
+1's wavespeeds run as three compiled stages over the chunk's upper edges,
+with their two pow() levels in numpy between them (riemann.d_ij_low), from
+unit normals formed once at setup, and the limiter of steps 4 and 5 as
+compiled stages over the chunk's rows, with its pow() levels in numpy
+between them (limiter.limiter_compute).  Three such steps with a shared
+time step form the strong-stability-preserving RK3 update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
 nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
@@ -201,9 +205,9 @@ class _RankData:
         "up_row", "up_slot", "up_ptr", "trans_slot",
         "diag_slot", "card",
         "m_slot", "c_slot", "n_up", "norm_up", "nT_up", "normT_up", "m_i", "inv_m",
-        "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "d",
+        "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "eta_scale", "d",
         "alpha", "R", "P", "l", "l_next", "rho_min", "rho_max", "phi_min",
-        "inflow_idx", "slip_idx", "slip_n",
+        "inflow_idx", "slip_idx", "slip_n", "bound",
     ]
 
 
@@ -305,9 +309,12 @@ class Solver:
         rk.U, rk.U_next, rk.R = (np.zeros((N, nvar)) for _ in range(3))
         rk.eor, rk.phi, rk.alpha = (np.zeros(N) for _ in range(3))
         rk.d, rk.l, rk.l_next = (np.zeros((N, L)) for _ in range(3))
-        rk.rho_min, rk.rho_max, rk.phi_min = (np.zeros(n_lo) for _ in range(3))
+        rk.rho_min, rk.rho_max, rk.phi_min, rk.eta_scale = (np.zeros(n_lo) for _ in range(4))
         rk.f = np.zeros((N, nvar, d))
         rk.P = np.zeros((n_lo, L, nvar))
+        # every kernel runs on these arrays: check and bind them once
+        rk.bound = rowkernels.Binding({name: getattr(rk, name) for name in rowkernels.ARRAYS},
+                                      L, nvar)
 
         def to_owned(orig_ids):
             cm = part.cm_perm[orig_ids]
@@ -414,59 +421,59 @@ class Solver:
     # ----- phase kernels ---------------------------------------------------
 
     def _k_entropies(self, rk, lo, hi):
-        U = rk.U[lo:hi]
-        rho = U[..., 0]
-        eps = physics.internal_energy(U)
-        rk.eor[lo:hi] = physics.power(rho * eps, self.gas.gp1_inv) / rho
-        rk.phi[lo:hi] = eps * physics.power(rho, -self.gas.gamma)
-        rk.f[lo:hi] = physics.flux(U, self.gas)
+        # the compiled stage writes f and returns the arguments of the pow()
+        # levels; eta' is formed on the owned rows only, which need alpha
+        gas, own = self.gas, min(hi, rk.numbering.n_lo)
+        eps, rho_eps, bad = rk.bound.entropies(lo, hi, own, gas)
+        if bad:
+            raise AdmissibilityError("eta' requires rho*epsilon > 0 on every owned node")
+        rho = rk.U[lo:hi, 0]
+        rk.eor[lo:hi] = physics.power(rho_eps, gas.gp1_inv) / rho
+        rk.phi[lo:hi] = eps * physics.power(rho, -gas.gamma)
+        if lo < own:
+            rk.eta_scale[lo:own] = physics.power(
+                rho_eps[:own - lo], -gas.gamma * gas.gp1_inv) * gas.gp1_inv
 
     def _k_viscosity(self, rk, lo, hi):
         # d_ij is evaluated once per edge, on the upper slots (global id of j
         # above that of i) only; _k_mirror fills the lower triangle
-        riemann.d_ij_low(int(rk.up_ptr[lo]), int(rk.up_ptr[hi]), rk.up_row, rk.up_slot, rk.cols,
-                         rk.U, rk.n_up, rk.norm_up, rk.nT_up, rk.normT_up, rk.d, self.gas)
+        riemann.d_ij_low(rk.bound, int(rk.up_ptr[lo]), int(rk.up_ptr[hi]), self.gas)
         # ghost rows receive alpha from their owner
-        sl = slice(lo, min(hi, rk.numbering.n_lo))
-        if sl.start < sl.stop:
+        own = min(hi, rk.numbering.n_lo)
+        if lo < own:
             # one walk over the slots writes the flux contraction into P, which
             # the low-order update reads, and forms the indicator's slot sums
-            a, b = rowkernels.flux_contraction(sl.start, sl.stop, rk.cols, rk.card, rk.U, rk.eor,
-                                               rk.f, rk.c_slot, rk.P)
-            acc = IndicatorAccumulator(self.gas)
-            acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
+            a, b = rk.bound.flux_contraction(lo, own)
+            acc = IndicatorAccumulator()
+            acc.reset(rk.bound, lo, own)
             acc.accumulate(a, b)
-            rk.alpha[sl] = acc.result()
+            acc.result()
 
     def _k_mirror(self, rk, lo, hi):
-        rowkernels.mirror(lo, hi, rk.cols, rk.trans_slot, rk.card, rk.diag_slot, rk.d)
+        rk.bound.mirror(lo, hi)
 
     def _k_low_order(self, rk, lo, hi, tau):
         # the viscous part of the correction fluxes replaces step 1's flux
         # contraction in P; _k_correction adds the rest
-        rowkernels.low_order(
-            lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.U, rk.d, rk.alpha, rk.phi, rk.P,
-            rk.U_next, rk.R, rk.rho_min, rk.rho_max, rk.phi_min,
-        )
+        rk.bound.low_order(lo, hi, tau)
 
-    def _limit(self, rk, lo, hi, l):
+    def _limit(self, rk, lo, hi, out):
         """Limiter values of the correction fluxes in P of the rows [lo, hi)
-        against U_next and the bounds, into the valid slots of l."""
-        limiter.limiter_compute(lo, hi, rk.card, rk.U_next, rk.P, rk.rho_min, rk.rho_max,
-                                rk.phi_min, l, max_newton=self.newton_steps, gas=self.gas)
+        against U_next and the bounds, into the valid slots of the array
+        named out."""
+        limiter.limiter_compute(rk.bound, lo, hi, out, max_newton=self.newton_steps,
+                                gas=self.gas)
 
     def _k_correction(self, rk, lo, hi, tau):
-        rowkernels.correction(lo, hi, rk.cols, rk.card, tau, rk.inv_m, rk.m_slot, rk.R, rk.P)
-        self._limit(rk, lo, hi, rk.l)
+        rk.bound.correction(lo, hi, tau)
+        self._limit(rk, lo, hi, "l")
 
     def _k_limited_update(self, rk, lo, hi, last):
-        rowkernels.limited_update(
-            lo, hi, rk.cols, rk.trans_slot, rk.card, rk.l, rk.P, rk.U_next, last,
-        )
+        rk.bound.limited_update(lo, hi, last)
         if last:
             self._k_boundary(rk, lo, hi)
         else:
-            self._limit(rk, lo, hi, rk.l_next)
+            self._limit(rk, lo, hi, "l_next")
 
     def _k_boundary(self, rk, lo, hi):
         if len(rk.slip_idx):
@@ -524,8 +531,7 @@ class Solver:
         for _ in range(passes - 1):
             self._phase("step5", functools.partial(self._k_limited_update, last=False), "l_next")
             # the limiter values just computed and synced drive the next pass
-            for rk in self.ranks:
-                rk.l, rk.l_next = rk.l_next, rk.l
+            self._swap("l", "l_next")
         last = functools.partial(self._k_limited_update, last=True) if passes else self._k_boundary
         self._phase("step6", last, "U_next")
         self._finish_step()
@@ -540,9 +546,16 @@ class Solver:
                 bad = int(np.argmin(ok))
                 gid = int(rk.orig_of_new[bad])
                 raise AdmissibilityError(f"inadmissible state at node {gid}")
-        for rk in self.ranks:
-            rk.U, rk.U_next = rk.U_next, rk.U
+        self._swap("U", "U_next")
         self.n_euler_steps += 1
+
+    def _swap(self, a, b):
+        """Swap arrays a and b of every rank, in the rank and its binding."""
+        for rk in self.ranks:
+            x, y = getattr(rk, a), getattr(rk, b)
+            setattr(rk, a, y)
+            setattr(rk, b, x)
+            rk.bound.swap(a, b)
 
     def ssp_rk3_step(self, tau: Optional[float] = None, tau_max: float = np.inf) -> float:
         """One SSP-RK3 step; the first stage's time step is reused by all stages.

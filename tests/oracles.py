@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from eulerflow import limiter, physics, riemann, stepper
-from eulerflow.indicator import IndicatorAccumulator
+from eulerflow import limiter, physics, riemann, rowkernels, stepper
+from eulerflow.indicator import DENOMINATOR_FLOOR
 from eulerflow.limiter import PSI_SIGN, TOL_SCALE
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
 from eulerflow.physics import AIR, AdmissibilityError, component_sum, power, sum_left_to_right
@@ -213,6 +213,14 @@ def edge_layout(Ui, Uj, c_ij, c_ji):
             *stepper._unit_normals(c_ij), *stepper._unit_normals(c_ji))
 
 
+def bind_edges(up_row, up_slot, cols, U, n_ij, norm_ij, n_ji, norm_ji, d):
+    """A rowkernels.Binding of an edge layout and the slot array d, as
+    riemann.d_ij_low takes it."""
+    return rowkernels.Binding(dict(up_row=up_row, up_slot=up_slot, cols=cols, U=U, n_up=n_ij,
+                                   norm_up=norm_ij, nT_up=n_ji, normT_up=norm_ji, d=d),
+                              cols.shape[1], U.shape[1])
+
+
 def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     """riemann.d_ij_low on the pairs of a batch, each pair one upper edge of
     edge_layout.  Returns d_ij of the pairs e0: in the batch's shape, and
@@ -220,7 +228,7 @@ def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     layout = edge_layout(Ui, Uj, c_ij, c_ji)
     E = len(layout[0])
     d = np.full((2 * E, 2), np.nan)
-    out = riemann.d_ij_low(e0, E, *layout, d, gas)
+    out = riemann.d_ij_low(bind_edges(*layout, d), e0, E, gas)
     return out.reshape(np.shape(Ui)[:-1] if e0 == 0 else -1), d
 
 
@@ -309,6 +317,29 @@ def harten_entropy(U, gas=AIR):
     return physics.power(rho_eps, gas.gp1_inv)
 
 
+def eta_scale(U, gas=AIR):
+    """(rho eps)^{-gamma/(gamma+1)}/(gamma+1), the scale of eta', as the
+    Harten entropy derivative formed it."""
+    rho_eps = U[..., 0] * physics.internal_energy(U)
+    if np.any(rho_eps <= 0.0):
+        raise AdmissibilityError("harten_entropy_derivative requires rho*epsilon > 0")
+    return power(rho_eps, -gas.gamma * gas.gp1_inv) * gas.gp1_inv
+
+
+def harten_entropy_derivative(U, gas=AIR):
+    """Gradient of the Harten entropy w.r.t. (rho, m, E).
+
+    Returns (rho eps)^{-gamma/(gamma+1)}/(gamma+1) * (E, -m, rho), ordered to
+    match the state layout.
+    """
+    scale = eta_scale(U, gas)
+    out = np.empty_like(U)
+    out[..., 0] = scale * U[..., -1]
+    out[..., 1:-1] = -scale[..., None] * U[..., 1:-1]
+    out[..., -1] = scale * U[..., 0]
+    return out
+
+
 def speed_of_sound(U, gas=AIR):
     """c = sqrt(gamma p / rho); requires rho > 0 and p >= 0."""
     rho = U[..., 0]
@@ -374,12 +405,25 @@ def indicator_reference(U_i, neighbors, c_rows, gamma=GAMMA):
     return float(np.clip(numer / denom, 0.0, 1.0))
 
 
+def indicator_result(a, b, eor_i, etaprime_i):
+    """alpha = N / D clamped to [0, 1], 0 when D vanishes, from the slot sums
+    a and b, eta / rho and eta' of the nodes: IndicatorAccumulator.result in
+    numpy, before it became a compiled walk over the rows."""
+    numer = np.abs(a - component_sum(etaprime_i * b) + eor_i * b[..., 0])
+    weights = np.abs(etaprime_i.copy())
+    weights[..., 0] = np.abs(etaprime_i[..., 0] - eor_i)
+    denom = np.abs(a) + component_sum(weights * np.abs(b))
+    safe = np.where(denom > DENOMINATOR_FLOOR, denom, 1.0)
+    alpha = np.clip(numer / safe, 0.0, 1.0)
+    return np.where(denom > DENOMINATOR_FLOOR, alpha, 0.0)
+
+
 def indicator_sums(U_j, c_ij, eor_i, eor_j, fdc):
     """The indicator's sums a = sum_j (eor_j - eor_i)(m_j . c_ij) and
     b = sum_j fdc of the nodes i from their stencil blocks, whose neighbour
     axis is the last one before the state (or space) components, added one
     neighbour after the other from +0.0: the a-term block and slot loop of
-    IndicatorAccumulator.accumulate before step 1's kernel formed the sums."""
+    the accumulator's accumulate before step 1's kernel formed the sums."""
     a_term = (eor_j - np.asarray(eor_i)[..., None]) * component_sum(U_j[..., 1:-1] * c_ij)
     a = sum_left_to_right(a_term[..., k] for k in range(a_term.shape[-1]))
     b = sum_left_to_right(fdc[..., k, :] for k in range(fdc.shape[-2]))
@@ -397,15 +441,15 @@ def indicator_loop_reference(solver, rk, lo, hi):
     U_j = rk.U[cols]
     c = rk.c_slot[sl]
     f_i = rk.f[sl]
-    acc = IndicatorAccumulator(solver.gas)
-    acc.reset(U_i, eta_over_rho_i=rk.eor[sl])
+    eor_i = rk.eor[sl]
+    a, b = np.zeros(hi - lo), np.zeros(U_i.shape)
     for s in range(solver.pad_width):
         js = cols[:, s]
         U_js, c_ij, eta_over_rho_j, f_j = U_j[:, s], c[:, s], rk.eor[js], rk.f[js]
         mom_j = U_js[..., 1:-1]
-        acc.a += (eta_over_rho_j - acc.eor_i) * (mom_j * c_ij).sum(axis=-1)
-        acc.b += ((f_j - f_i) * c_ij[..., None, :]).sum(axis=-1)
-    return acc.result()
+        a += (eta_over_rho_j - eor_i) * (mom_j * c_ij).sum(axis=-1)
+        b += ((f_j - f_i) * c_ij[..., None, :]).sum(axis=-1)
+    return indicator_result(a, b, eor_i, harten_entropy_derivative(U_i, solver.gas))
 
 
 # ----- limiter feasibility bisection -----------------------------------------
@@ -617,10 +661,18 @@ def compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
                                     dtype=np.float64)
 
     l = np.full((n, 1), np.nan)
-    limiter.limiter_compute(0, n, np.ones(n, dtype=np.int64), rows(U, (nvar,)),
-                            rows(P, (nvar,)).reshape(n, 1, nvar), rows(rho_min), rows(rho_max),
-                            rows(phi_min), l, max_newton=max_newton, gas=gas)
+    limiter.limiter_compute(bind_limiter(np.ones(n, dtype=np.int64), rows(U, (nvar,)),
+                                         rows(P, (nvar,)).reshape(n, 1, nvar), rows(rho_min),
+                                         rows(rho_max), rows(phi_min), l),
+                            0, n, max_newton=max_newton, gas=gas)
     return l.reshape(shape)
+
+
+def bind_limiter(card, U, P, rho_min, rho_max, phi_min, l):
+    """A rowkernels.Binding of the limiter's arrays, U as the states U_next
+    it limits around and l as the array it writes."""
+    return rowkernels.Binding(dict(card=card, U_next=U, P=P, rho_min=rho_min, rho_max=rho_max,
+                                   phi_min=phi_min, l=l), P.shape[1], P.shape[2])
 
 
 def limiter_rows_reference(lo, hi, card, U, P, rho_min, rho_max, phi_min, l, max_newton=2,
@@ -743,10 +795,9 @@ def viscosity_kernel(solver, rk, lo, hi):
     if sl.start < sl.stop:
         cols = rk.cols[sl]
         fdc = flux_contraction(rk.f[cols], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl])
-        acc = IndicatorAccumulator(solver.gas)
-        acc.reset(rk.U[sl], eta_over_rho_i=rk.eor[sl])
-        acc.accumulate(*indicator_sums(rk.U[cols], rk.c_slot[sl], rk.eor[sl], rk.eor[cols], fdc))
-        rk.alpha[sl] = acc.result()
+        a, b = indicator_sums(rk.U[cols], rk.c_slot[sl], rk.eor[sl], rk.eor[cols], fdc)
+        rk.alpha[sl] = indicator_result(a, b, rk.eor[sl],
+                                        harten_entropy_derivative(rk.U[sl], solver.gas))
 
 
 def mirror_kernel(solver, rk, lo, hi):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import physics, problems
+from eulerflow import physics, problems, rowkernels
 from eulerflow.assembly import assemble
 from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.stepper import Solver
@@ -25,16 +25,22 @@ def eta_over_rho(U):
 
 
 def accumulated(U_i, U_j, c):
-    """An accumulator over the stencil U_j, c of the nodes U_i, given the sums
-    of the stencil blocks (oracles.indicator_sums) of eta / rho and the flux
-    contraction."""
+    """alpha of the nodes U_i over the stencil U_j, c, in the shape of the
+    nodes: the compiled result of an accumulator on a binding of the nodes,
+    their eta / rho and eta' scale, given the sums of the stencil blocks
+    (oracles.indicator_sums) of eta / rho and the flux contraction."""
     fdc = oracles.flux_contraction(
         physics.flux(U_j), physics.flux(U_i)[..., None, :, :], c,
     )
+    rows = np.reshape(U_i, (-1, np.shape(U_i)[-1]))
+    bound = rowkernels.Binding(dict(U=rows, eor=eta_over_rho(rows),
+                                    eta_scale=oracles.eta_scale(rows),
+                                    alpha=np.full(len(rows), np.nan)), 1, rows.shape[1])
+    a, b = oracles.indicator_sums(U_j, c, eta_over_rho(U_i), eta_over_rho(U_j), fdc)
     acc = IndicatorAccumulator()
-    acc.reset(U_i, eta_over_rho(U_i))
-    acc.accumulate(*oracles.indicator_sums(U_j, c, eta_over_rho(U_i), eta_over_rho(U_j), fdc))
-    return acc
+    acc.reset(bound, 0, len(rows))
+    acc.accumulate(np.reshape(a, -1), np.reshape(b, rows.shape))
+    return acc.result().reshape(np.shape(U_i)[:-1])
 
 
 def test_matches_reference():
@@ -44,24 +50,23 @@ def test_matches_reference():
         states = random_states(rng, card + 1)
         U_i, neighbors = states[0], states[1:]
         c_rows = rng.normal(0.0, 0.5, (card, 2))
-        acc = accumulated(U_i, neighbors, c_rows)
+        alpha = accumulated(U_i, neighbors, c_rows)
         expect = oracles.indicator_reference(U_i, neighbors, c_rows)
-        assert float(acc.result()) == pytest.approx(expect, rel=1e-12, abs=1e-13)
+        assert float(alpha) == pytest.approx(expect, rel=1e-12, abs=1e-13)
 
 
 def test_constant_state_is_exactly_zero():
     rng = np.random.default_rng(8)
     U = random_states(rng, 1)[0]
-    acc = accumulated(U, np.tile(U, (8, 1)), rng.normal(0.0, 1.0, (8, 2)))
-    assert float(acc.result()) == 0.0
+    alpha = accumulated(U, np.tile(U, (8, 1)), rng.normal(0.0, 1.0, (8, 2)))
+    assert float(alpha) == 0.0
 
 
 def test_result_clipped_to_unit_interval():
     rng = np.random.default_rng(17)
     for _ in range(50):
         states = random_states(rng, 6)
-        acc = accumulated(states[0], states[1:], rng.normal(0.0, 2.0, (5, 2)))
-        alpha = float(acc.result())
+        alpha = float(accumulated(states[0], states[1:], rng.normal(0.0, 2.0, (5, 2))))
         assert 0.0 <= alpha <= 1.0
 
 
@@ -72,9 +77,9 @@ def test_batched_rows_match_scalar():
     # (rows, slots, components) stencil blocks
     U_j = np.stack([random_states(rng, nrows) for _ in range(card)], axis=1)
     cs = rng.normal(0.0, 1.0, (card, nrows, 2)).swapaxes(0, 1)
-    batch = accumulated(U_i, U_j, cs).result()
+    batch = accumulated(U_i, U_j, cs)
     for r in range(nrows):
-        assert batch[r] == float(accumulated(U_i[r], U_j[r], cs[r]).result())
+        assert batch[r] == float(accumulated(U_i[r], U_j[r], cs[r]))
 
 
 def test_accumulate_before_reset_raises():

@@ -230,9 +230,10 @@ def chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, lo=0):
     n, L, _ = P.shape
     l = np.full((n, L), np.nan)
     factors = limiter.limiter_compute(
-        lo, n, np.full(n, L), np.ascontiguousarray(U[:, 0]), np.ascontiguousarray(P),
-        rho_min[:, 0].copy(), rho_max[:, 0].copy(), phi_min[:, 0].copy(), l,
-        max_newton=max_newton,
+        oracles.bind_limiter(np.full(n, L), np.ascontiguousarray(U[:, 0]),
+                             np.ascontiguousarray(P), rho_min[:, 0].copy(), rho_max[:, 0].copy(),
+                             phi_min[:, 0].copy(), l),
+        lo, n, max_newton=max_newton,
     )
     return l, factors
 
@@ -458,8 +459,9 @@ def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_
     untouched = np.array(0x7FF8000000000ABC, dtype=np.int64).view(np.float64)
     got_l, want_l = np.full((rows, width), untouched), np.full((rows, width), untouched)
     with np.errstate(all="ignore"):
-        got = limiter.limiter_compute(lo, rows, card, U, P, rho_min, rho_max, phi_min, got_l,
-                                      max_newton=max_newton)
+        got = limiter.limiter_compute(
+            oracles.bind_limiter(card, U, P, rho_min, rho_max, phi_min, got_l), lo, rows,
+            max_newton=max_newton)
         want = oracles.limiter_rows_reference(lo, rows, card, U, P, rho_min, rho_max, phi_min,
                                               want_l, max_newton=max_newton)
     moving = valid[lo:] & (P[lo:] != 0.0).any(axis=-1)

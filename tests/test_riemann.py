@@ -266,11 +266,12 @@ def test_inadmissible_projected_state_raises_before_d_is_written():
     U[12 + 5, -1] = -1.0
     d = rng.normal(size=cols.shape)
     before = d.copy()
+    bound = oracles.bind_edges(up_row, up_slot, cols, U, *normals, d)
     with pytest.raises(AdmissibilityError, match="projected state requires rho > 0 and p > 0"):
-        riemann.d_ij_low(0, 12, up_row, up_slot, cols, U, *normals, d)
+        riemann.d_ij_low(bound, 0, 12)
     assert same_bits(d, before)
     # the edges before it are admissible
-    riemann.d_ij_low(0, 5, up_row, up_slot, cols, U, *normals, d)
+    riemann.d_ij_low(bound, 0, 5)
     assert not same_bits(d, before)
 
 
@@ -283,10 +284,13 @@ def test_failed_wavespeed_leaves_the_solver_state_as_it_was():
     s.set_state(U)
     s.euler_step()
     rk = s.ranks[0]
-    # past set_state's check: a node with p < 0 in the state step 1 reads
+    # past set_state's check and step 0's rho eps > 0: a node with rho < 0
+    # and eps < 0 in the state step 1 reads, whose projections have rho < 0
+    rk.U[7, 0] = -rk.U[7, 0]
     rk.U[7, -1] = -1.0
+    assert rk.U[7, 0] * physics.internal_energy(rk.U[7]) > 0.0
     state, d = rk.U.copy(), rk.d.copy()
-    # step 0's entropies of that node are NaN; step 1 raises
+    # step 0's phi of that node is NaN; step 1 raises
     with np.errstate(invalid="ignore"), pytest.raises(AdmissibilityError, match="projected state"):
         s.euler_step()
     assert same_bits(rk.U, state) and same_bits(rk.d, d)

@@ -1,6 +1,7 @@
 """The compiled row kernels against their numpy forms, and their build."""
 
 import importlib
+import re
 import shutil
 import subprocess
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eulerflow import limiter, physics, problems, rowkernels
+from eulerflow import limiter, physics, problems, riemann, rowkernels
 from eulerflow.assembly import assemble
+from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.stepper import Solver
 
 import oracles
@@ -29,6 +31,14 @@ PHASES = {
     "_k_correction": oracles.correction_kernel,
     "_k_limited_update": oracles.limited_update_kernel,
 }
+
+
+def bind(**arrays):
+    """A rowkernels.Binding of the arrays, with the slot width of cols (or of
+    P) and the state width of U (or of P)."""
+    slots, states = arrays.get("cols", arrays.get("P")), arrays.get("U", arrays.get("P"))
+    return rowkernels.Binding(arrays, 1 if slots is None else slots.shape[1],
+                              3 if states is None else states.shape[-1])
 
 
 def same_bits(a, b):
@@ -190,7 +200,7 @@ def test_mirror_row_sum_adds_the_valid_off_diagonal_slots_left_to_right(rows, wi
             if s != diag[i]:
                 total += float(want[i, s])
         want[i, diag[i]] = -total
-    rowkernels.mirror(0, rows, cols, trans_slot, card, diag, d)
+    bind(cols=cols, trans_slot=trans_slot, card=card, diag_slot=diag, d=d).mirror(0, rows)
     assert same_bits(d, want)
 
 
@@ -201,23 +211,28 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
     # numpy's reduce over a slot axis with an axis after it, signed zeros
     # included; the bounds follow np.minimum / np.maximum slot after slot,
     # and on positive values they are the reduce's
+    # every slot is valid, its neighbour a node of its own after the rows,
+    # whose rows of the stencil arrays the kernel does not walk
     nvar = dim + 2
     n = rows * (slots + 1)
-    # every slot is valid, its neighbour a node of its own after the rows
-    cols = rows + np.arange(rows * slots).reshape(rows, slots)
-    card = np.full(rows, slots)
+    cols = np.zeros((n, slots), dtype=np.int64)
+    cols[:rows] = rows + np.arange(rows * slots).reshape(rows, slots)
+    card = np.full(n, slots)
     U = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
-    d = data.draw(hnp.arrays(np.float64, (rows, slots), elements=_entry))
+    d = np.full((n, slots), np.nan)
+    d[:rows] = data.draw(hnp.arrays(np.float64, (rows, slots), elements=_entry))
     P = data.draw(hnp.arrays(np.float64, (rows, slots, nvar), elements=_entry))
     alpha = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
     phi = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-300, 1e300)))
-    inv_m = data.draw(hnp.arrays(np.float64, rows, elements=st.floats(1e-3, 1e3)))
+    inv_m = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
     tau = data.draw(st.floats(1e-6, 1.0))
-    U_next, R = np.full((rows, nvar), np.nan), np.full((rows, nvar), np.nan)
+    U_next, R = np.full((n, nvar), np.nan), np.full((n, nvar), np.nan)
     bounds = [np.full(rows, np.nan) for _ in range(3)]
     viscous = P.copy()
-    rowkernels.low_order(0, rows, cols, card, tau, inv_m, U, d, alpha, phi, viscous, U_next, R,
-                         *bounds)
+    bind(cols=cols, card=card, inv_m=inv_m, U=U, U_next=U_next, R=R, phi=phi, alpha=alpha, d=d,
+         P=viscous, rho_min=bounds[0], rho_max=bounds[1], phi_min=bounds[2]).low_order(0, rows, tau)
+    assert np.isnan(U_next[rows:]).all() and np.isnan(R[rows:]).all()
+    U_next, R, cols, d, inv_m = U_next[:rows], R[:rows], cols[:rows], d[:rows], inv_m[:rows]
 
     with np.errstate(all="ignore"):
         U_i = U[:rows]
@@ -244,6 +259,7 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     # rows; the pads point at a node whose state, eta / rho and flux are NaN
     # and have NaN c, and P's pads hold a NaN of its own payload, which the
     # kernel must neither read nor overwrite
+    # the neighbours' rows of the stencil arrays are not walked
     nvar = dim + 2
     n = rows * (width + 1) + 1
     lo = data.draw(st.integers(0, rows - 1))
@@ -259,7 +275,10 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     P = np.full((rows, width, nvar), pad_nan)
     P[valid] = 0.0
     want_P = P.copy()
-    a, b = rowkernels.flux_contraction(lo, rows, cols, card, U, eor, f, c, P)
+    stencil = dict(cols=cols, card=card, c_slot=c)
+    stencil = {name: np.concatenate([x, np.zeros((n - rows,) + x.shape[1:], x.dtype)])
+               for name, x in stencil.items()}
+    a, b = bind(U=U, eor=eor, f=f, P=P, **stencil).flux_contraction(lo, rows)
 
     assert a.shape == (rows - lo,) and b.shape == (rows - lo, nvar)
     with np.errstate(all="ignore"):
@@ -275,100 +294,218 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
         assert same_bits_or_nan(b[i - lo], want_b)
 
 
+def gas_states(data, n, dim, p_signs=(1.0,)):
+    """n states with rho and |p| from 1e-10 to 1e10, p of the signs p_signs
+    (0.0 among them gives p = 0), velocities up to 1e3 sound speeds and
+    signed zero components."""
+    def draw(shape, elements):
+        return data.draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    rho = 10.0 ** draw(n, st.floats(-10.0, 10.0))
+    p = 10.0 ** draw(n, st.floats(-10.0, 10.0)) * draw(n, st.sampled_from(p_signs))
+    u = draw((n, dim), st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])))
+    U = np.empty((n, dim + 2))
+    U[:, 0] = rho
+    U[:, 1:-1] = rho[:, None] * (u * np.sqrt(np.abs(p) / rho)[:, None])
+    U[:, -1] = p / physics.AIR.gm1 + 0.5 * physics.component_sum(U[:, 1:-1] ** 2) / rho
+    return U
+
+
+@given(rows=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, data):
+    # f of the rows [lo, hi) is physics.flux and eps physics.internal_energy,
+    # bit for bit, and rho eps their product; no other row of f is written.
+    # Some rows have p <= 0, and the stage counts those below own whose
+    # rho eps <= 0.  On the others the eta' scale that step 0 forms from
+    # rho eps is the oracle's
+    lo = data.draw(st.integers(0, rows - 1))
+    hi = data.draw(st.integers(lo, rows))
+    own = data.draw(st.integers(lo, hi))
+    U = gas_states(data, rows, dim, p_signs=(1.0, 1.0, 1.0, -1.0, 0.0))
+    f = np.full((rows, dim + 2, dim), np.nan)
+    eps, rho_eps, bad = bind(U=U, f=f).entropies(lo, hi, own, physics.AIR)
+
+    with np.errstate(all="ignore"):
+        want_eps = physics.internal_energy(U[lo:hi])
+        assert same_bits(f[lo:hi], physics.flux(U[lo:hi]))
+    assert np.isnan(f[:lo]).all() and np.isnan(f[hi:]).all()
+    assert same_bits(eps, want_eps)
+    assert same_bits(rho_eps, U[lo:hi, 0] * want_eps)
+    assert bad == np.count_nonzero(rho_eps[:own - lo] <= 0.0)
+    ok = rho_eps > 0.0
+    gas = physics.AIR
+    scale = physics.power(rho_eps[ok], -gas.gamma * gas.gp1_inv) * gas.gp1_inv
+    assert same_bits(scale, oracles.eta_scale(U[lo:hi][ok]))
+    assert same_bits(scale * U[lo:hi][ok, 0],
+                     oracles.harten_entropy_derivative(U[lo:hi][ok])[:, -1])
+
+
+@given(rows=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_indicator_result_matches_the_numpy_result_bitwise(rows, dim, data):
+    # alpha of the rows [lo, rows) from the accumulated sums is the numpy
+    # result with eta' from the oracle, bit for bit; some rows have a of the
+    # order of the other terms of the numerator, where its rounding shows,
+    # and some vanishing sums.  No other row of alpha is written
+    nvar = dim + 2
+    lo = data.draw(st.integers(0, rows - 1))
+    U = gas_states(data, rows, dim)
+    eor = oracles.harten_entropy(U) / U[:, 0]
+    alpha = np.full(rows, np.nan)
+    b = data.draw(hnp.arrays(np.float64, (rows - lo, nvar), elements=_entry))
+    with np.errstate(all="ignore"):
+        terms = physics.component_sum(oracles.harten_entropy_derivative(U[lo:]) * b) - (
+            eor[lo:] * b[:, 0])
+    near = terms * data.draw(hnp.arrays(np.float64, rows - lo, elements=st.floats(-2.0, 2.0)))
+    a = np.where(data.draw(hnp.arrays(np.bool_, rows - lo)), near,
+                 data.draw(hnp.arrays(np.float64, rows - lo, elements=_entry)))
+    still = data.draw(hnp.arrays(np.bool_, rows - lo))
+    a[still], b[still] = 0.0, -0.0
+    acc = IndicatorAccumulator()
+    acc.reset(bind(U=U, eor=eor, eta_scale=oracles.eta_scale(U), alpha=alpha), lo, rows)
+    acc.accumulate(a, b)
+    got = acc.result()
+
+    with np.errstate(all="ignore"):
+        want = oracles.indicator_result(acc.a, acc.b, eor[lo:],
+                                        oracles.harten_entropy_derivative(U[lo:]))
+    assert same_bits_or_nan(got, want)
+    assert (got[still] == 0.0).all()
+    assert np.isnan(alpha[:lo]).all()
+
+
 @pytest.mark.parametrize("lo,hi", [(0, 3), (-1, 1), (2, 1)])
 def test_rows_outside_the_arrays_are_rejected(lo, hi):
     d = np.zeros((2, 3))
     cols = np.zeros((2, 3), dtype=np.int64)
     index = np.zeros(2, dtype=np.int64)
+    bound = bind(cols=cols, trans_slot=cols, card=index, diag_slot=index, d=d)
     with pytest.raises(ValueError, match="outside"):
-        rowkernels.mirror(lo, hi, cols, cols, index, index, d)
+        bound.mirror(lo, hi)
 
 
-def kernel_arguments(rk):
-    """Per compiled kernel, its range arguments, (lo, hi) = (0, n_lo) of the
-    owned rows, (e0, e1) = (0, E) of the upper edges or none, and its keyword
-    arguments on copies of a rank's arrays.  The limiter's stages run under
-    limiter.limiter_compute."""
-    a = {name: getattr(rk, name).copy() for name in (
-        "cols", "trans_slot", "card", "diag_slot", "f", "c_slot", "P", "d", "inv_m", "U",
-        "alpha", "phi", "U_next", "R", "rho_min", "rho_max", "phi_min", "m_slot", "l", "eor",
-        "up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up")}
-    rows, edges = (0, rk.numbering.n_lo), (0, len(a["up_row"]))
-    edge = dict(up_row=a["up_row"], up_slot=a["up_slot"], cols=a["cols"], gas=physics.AIR)
-    states, q, _ = rowkernels.wavespeed_project(*edges, U=a["U"], n_ij=a["n_up"],
-                                                n_ji=a["nT_up"], **edge)
-    return {
-        rowkernels.flux_contraction: (rows, dict(
-            cols=a["cols"], card=a["card"], U=a["U"], eor=a["eor"], f=a["f"], c=a["c_slot"],
-            P=a["P"])),
-        rowkernels.mirror: (rows, dict(cols=a["cols"], trans_slot=a["trans_slot"],
-                                       card=a["card"], diag_slot=a["diag_slot"], d=a["d"])),
-        rowkernels.low_order: (rows, dict(
-            cols=a["cols"], card=a["card"], tau=1e-3, inv_m=a["inv_m"], U=a["U"], d=a["d"],
-            alpha=a["alpha"], phi=a["phi"], P=a["P"], U_next=a["U_next"],
-            R=a["R"], rho_min=a["rho_min"], rho_max=a["rho_max"], phi_min=a["phi_min"])),
-        rowkernels.correction: (rows, dict(cols=a["cols"], card=a["card"], tau=1e-3,
-                                           inv_m=a["inv_m"], m_slot=a["m_slot"], R=a["R"],
-                                           P=a["P"])),
-        rowkernels.limited_update: (rows, dict(cols=a["cols"], trans_slot=a["trans_slot"],
-                                               card=a["card"], l=a["l"], P=a["P"],
-                                               U_next=a["U_next"], last=False)),
-        limiter.limiter_compute: (rows, dict(card=a["card"], U=a["U_next"], P=a["P"],
-                                             rho_min=a["rho_min"], rho_max=a["rho_max"],
-                                             phi_min=a["phi_min"], l=a["l"])),
-        rowkernels.wavespeed_project: (edges, dict(U=a["U"], n_ij=a["n_up"], n_ji=a["nT_up"],
-                                                   **edge)),
-        rowkernels.wavespeed_base: ((), dict(states=states.copy(), q=q.copy(),
-                                             gas=physics.AIR)),
-        rowkernels.wavespeed_bound: (edges, dict(norm_ij=a["norm_up"], norm_ji=a["normT_up"],
-                                                 states=states, q=q, d=a["d"], **edge)),
-    }
+def wavespeed_stages(bound, e0, e1):
+    """Stage 1 of the wavespeed on a binding, and the pow() levels that turn
+    its output into the inputs of stages 2 and 3."""
+    gas = physics.AIR
+    states, q, _ = bound.wavespeed_project(e0, e1, gas)
+    return states, physics.power(q, -gas.gm1_over_2g)
 
 
-@pytest.mark.parametrize("fn", [
-    rowkernels.flux_contraction, rowkernels.mirror, rowkernels.low_order, rowkernels.correction,
-    rowkernels.limited_update, limiter.limiter_compute, rowkernels.wavespeed_project,
-    rowkernels.wavespeed_base, rowkernels.wavespeed_bound,
-], ids=lambda fn: fn.__name__)
-def test_short_and_narrow_arrays_are_rejected(fn):
-    # every array a kernel indexes by row must hold the rows [lo, hi), every
-    # per-edge array the edges e0:e1, the stencil arrays of the wavespeed
-    # stages the same rows as cols, and the scratch arrays between them the
-    # same edges; every per-slot array must have the width of cols, the
-    # normals the width dim and the scratch arrays theirs.  Otherwise C would
-    # read or write past the end of an array
+# per compiled kernel (and stage chain): whether it runs on the owned rows
+# or on the upper edges, the rank arrays it reads, and a call of it on a
+# binding of them over the range (lo, hi)
+EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "d")
+KERNEL_CALLS = {
+    "entropies": ("rows", ("U", "f"), lambda b, lo, hi: b.entropies(lo, hi, hi, physics.AIR)),
+    "flux_contraction": ("rows", ("cols", "card", "c_slot", "U", "eor", "f", "P"),
+                         lambda b, lo, hi: b.flux_contraction(lo, hi)),
+    "indicator": ("rows", ("U", "eor", "alpha", "eta_scale"),
+                  lambda b, lo, hi: b.indicator(lo, hi, np.zeros(hi - lo),
+                                                np.zeros((hi - lo, b.nvar)), 1e-300)),
+    "mirror": ("rows", ("cols", "trans_slot", "card", "diag_slot", "d"),
+               lambda b, lo, hi: b.mirror(lo, hi)),
+    "low_order": ("rows", ("cols", "card", "inv_m", "U", "U_next", "R", "phi", "alpha", "d", "P",
+                           "rho_min", "rho_max", "phi_min"),
+                  lambda b, lo, hi: b.low_order(lo, hi, 1e-3)),
+    "correction": ("rows", ("cols", "card", "m_slot", "inv_m", "R", "P"),
+                   lambda b, lo, hi: b.correction(lo, hi, 1e-3)),
+    "limited_update": ("rows", ("cols", "trans_slot", "card", "U_next", "l", "P"),
+                       lambda b, lo, hi: b.limited_update(lo, hi, last=False)),
+    "limiter_compute": ("rows", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min", "l"),
+                        lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
+    "wavespeed_project": ("edges", EDGE_ARRAYS,
+                          lambda b, e0, e1: b.wavespeed_project(e0, e1, physics.AIR)),
+    "wavespeed_base": ("edges", EDGE_ARRAYS,
+                       lambda b, e0, e1: rowkernels.wavespeed_base(*wavespeed_stages(b, e0, e1),
+                                                                   physics.AIR)),
+    "wavespeed_bound": ("edges", EDGE_ARRAYS,
+                        lambda b, e0, e1: b.wavespeed_bound(e0, e1, *wavespeed_stages(b, e0, e1),
+                                                            physics.AIR)),
+    "d_ij_low": ("edges", EDGE_ARRAYS, lambda b, e0, e1: riemann.d_ij_low(b, e0, e1)),
+}
+
+
+def rank_binding(rk, names, **replaced):
+    """A binding of copies of the rank's arrays names, some replaced."""
+    arrays = {name: getattr(rk, name).copy() for name in names}
+    arrays.update(replaced)
+    return rowkernels.Binding(arrays, rk.cols.shape[1], rk.U.shape[1])
+
+
+@pytest.mark.parametrize("kernel", list(KERNEL_CALLS))
+def test_short_and_narrow_arrays_are_rejected(kernel):
+    # every array a kernel indexes by row must hold the rows [lo, hi) and
+    # every per-edge array the edges e0:e1, checked on each call; every
+    # per-node array must hold the rows of cols, every per-slot array the
+    # width of cols, the states nvar components and the normals dim, checked
+    # when the arrays are bound.  Otherwise C would read or write past the
+    # end of an array
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    bounds, kwargs = kernel_arguments(rk)[fn]
-    fn(*bounds, **kwargs)
-    arrays = [name for name, value in kwargs.items() if isinstance(value, np.ndarray)]
-    if bounds and bounds[1] != rk.numbering.n_lo:
+    kind, names, call = KERNEL_CALLS[kernel]
+    hi = min(len(getattr(rk, name)) for name in names) if kind == "rows" else len(rk.up_row)
+    call(rank_binding(rk, names), 0, hi)
+    with pytest.raises(ValueError, match="outside"):
+        call(rank_binding(rk, names), 0, hi + 1)
+    if kind == "edges":
         # the stencil arrays hold fewer rows than the rank has upper edges
-        assert len(rk.cols) < bounds[1]
-        with pytest.raises(ValueError, match="outside"):
-            fn(bounds[0], bounds[1] + 1, **kwargs)
-    for name in arrays:
-        rows = min(len(kwargs[name]), bounds[1] if bounds else np.inf) - 1
-        short = dict(kwargs, **{name: kwargs[name][:rows].copy()})
-        with pytest.raises(ValueError, match="outside"):
-            fn(*bounds, **short)
-        if kwargs[name].ndim > 1 and name != "cols":
-            narrow = dict(kwargs, **{name: np.ascontiguousarray(kwargs[name][:, :-1])})
+        assert len(rk.cols) < hi
+    for name in names:
+        a = getattr(rk, name)
+        with pytest.raises(ValueError, match="rows"):
+            call(rank_binding(rk, names, **{name: a[:min(len(a), hi) - 1].copy()}), 0, hi)
+        if a.ndim > 1:
+            narrow = np.ascontiguousarray(a[:, :-1])
             with pytest.raises(ValueError, match="shape"):
-                fn(*bounds, **narrow)
+                rank_binding(rk, names, **{name: narrow})
+    with pytest.raises(ValueError, match="not bound"):
+        call(rank_binding(rk, names[:-1]), 0, hi)
+
+
+def test_wavespeed_stages_reject_short_scratch_arrays():
+    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
+    bound = rank_binding(rk, EDGE_ARRAYS)
+    states, q = wavespeed_stages(bound, 0, len(rk.up_row))
+    rowkernels.wavespeed_base(states.copy(), q.copy(), physics.AIR)
+    for short in (dict(q=q[:-1].copy()), dict(q=np.ascontiguousarray(q[:, :-1])),
+                  dict(states=np.ascontiguousarray(states[:, :, :-1]))):
+        args = {**dict(states=states.copy(), q=q.copy()), **short}
+        with pytest.raises(ValueError, match="outside"):
+            rowkernels.wavespeed_base(args["states"], args["q"], physics.AIR)
+        with pytest.raises(ValueError, match="outside"):
+            bound.wavespeed_bound(0, len(rk.up_row), args["states"], args["q"], physics.AIR)
 
 
 def test_limiter_rejects_strided_and_mistyped_arrays():
-    # the limiter's stages take the addresses of its arrays: one that is not
-    # C-contiguous or not of its dtype must be rejected before C runs
+    # the kernels take the addresses of the arrays they are bound to: one that
+    # is not C-contiguous or not of its dtype must be rejected at the binding
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    bounds, kwargs = kernel_arguments(rk)[limiter.limiter_compute]
-    for name, value in kwargs.items():
+    for name in rowkernels.ARRAYS:
+        value = getattr(rk, name)
         strided = np.repeat(value, 2, axis=0)[::2]
         retyped = value.astype(np.int32 if value.dtype == np.int64 else np.float32)
         assert not strided.flags.c_contiguous
         for bad in (strided, retyped):
             with pytest.raises(ValueError, match="C-contiguous"):
-                limiter.limiter_compute(*bounds, **dict(kwargs, **{name: bad}))
+                rank_binding(rk, rowkernels.ARRAYS, **{name: bad})
+
+
+def test_binding_follows_the_struct_of_the_c_source():
+    # rowkernels.ARRAYS lays out struct rank of rowkernels.c field by field
+    body = re.search(r"struct rank \{(.*?)\};", rowkernels.SOURCE.read_text(), re.S).group(1)
+    fields = re.findall(r"\*?\s*(\w+)\s*[,;]", body)
+    assert fields == ["L", "nvar", *rowkernels.ARRAYS]
+
+
+def test_library_imports_no_libm_function():
+    # every pow() goes through physics.power, and under -fno-math-errno sqrt
+    # compiles to an instruction: the library imports nothing from libm
+    done = subprocess.run(["nm", "-D", "--undefined-only", str(rowkernels.library_path())],
+                          capture_output=True, text=True, check=True)
+    imported = {line.split()[-1].split("@")[0] for line in done.stdout.splitlines() if line}
+    assert imported and not imported & {
+        name + suffix for name in ("pow", "exp", "log", "sqrt", "cbrt") for suffix in ("", "f", "l")}
 
 
 def test_row_kernels_compile_without_warnings():

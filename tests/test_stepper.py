@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import assembly, limiter, physics, problems, riemann, stepper
+from eulerflow import assembly, limiter, physics, problems, riemann, rowkernels, stepper
 from eulerflow.assembly import assemble
 from eulerflow.mesh import Mesh, rectangle_mesh
 from eulerflow.physics import AdmissibilityError
@@ -492,6 +492,78 @@ def test_failed_euler_step_keeps_state(small_periodic, monkeypatch):
         s.euler_step()
     assert np.array_equal(s.get_state(), U)
     assert s.n_euler_steps == 0
+
+
+def test_owned_node_without_positive_rho_eps_fails_step_0_before_any_pow(small_periodic):
+    # eta' needs rho eps > 0 on every owned node: step 0's stage counts the
+    # nodes without, and the step fails before its chunk evaluates a pow
+    mat, U = small_periodic
+    s = Solver(mat)
+    s.set_state(U)
+    rk = s.ranks[0]
+    rk.U[5, -1] = -1.0
+    state = rk.U.copy()
+    pows = []
+
+    def counting_power(x, y):
+        pows.append(np.size(x))
+        return np.power(x, y)
+
+    physics.set_power_function(counting_power)
+    try:
+        with pytest.raises(AdmissibilityError, match=r"rho\*epsilon > 0"):
+            s.euler_step()
+    finally:
+        physics.set_power_function(None)
+    assert pows == []
+    assert same_bits(rk.U, state)
+    assert s.n_euler_steps == 0
+
+
+def test_ghost_node_without_positive_rho_eps_passes_step_0(small_periodic):
+    # a ghost row needs no eta': its eta / rho is NaN and its phi < 0, as
+    # before the stage counted the owned rows
+    mat, U = small_periodic
+    s = Solver(mat, ranks=2)
+    s.set_state(U)
+    rk = s.ranks[1]
+    ghost = rk.numbering.n_lo
+    rk.U[ghost, -1] = -1.0
+    with np.errstate(invalid="ignore"):
+        s._phase("step0", s._k_entropies, ghosts=True)
+    assert np.isnan(rk.eor[ghost]) and rk.phi[ghost] < 0.0
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_bound_addresses_follow_the_swapped_arrays(small_periodic, ranks, passes):
+    # every step swaps U and U_next, and every limiter pass after the first
+    # l and l_next: after every substep each rank's binding holds the
+    # address of the array each name stands for
+    mat, U = small_periodic
+    s = Solver(mat, ranks=ranks, limiter_passes=passes)
+    s.set_state(U)
+    euler_step = s.euler_step
+    seen = {"U": set(), "l": set()}
+
+    def checked_step(*args, **kwargs):
+        tau = euler_step(*args, **kwargs)
+        for rk in s.ranks:
+            for name in rowkernels.ARRAYS:
+                a = getattr(rk, name)
+                assert rk.bound.arrays[name] is a, name
+                assert getattr(rk.bound.rank, name) == a.ctypes.data, name
+            for name in seen:
+                seen[name].add(getattr(rk, name).ctypes.data)
+        return tau
+
+    s.euler_step = checked_step
+    for _ in range(2):
+        s.ssp_rk3_step()
+    # U takes both arrays, and so does l when a step swaps it an odd number
+    # of times
+    assert len(seen["U"]) == 2 * ranks
+    assert len(seen["l"]) == (2 if passes == 2 else 1) * ranks
 
 
 def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
