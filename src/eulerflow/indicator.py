@@ -5,9 +5,9 @@ worst-case bound and returns a per-node factor alpha in [0, 1].  Constant or
 smooth data yields alpha close to zero; strong shocks yield alpha close to
 one.
 
-Every part of it is compiled.  Step 0's stage forms the rows' eta' scale
-(rho eps)^(-gamma / (gamma + 1)) / (gamma + 1), with its pow() in numpy;
-step 1's kernel (rowkernels.Binding.flux_contraction) forms the
+Its row work is compiled, and its one pow() runs in numpy: step 0 forms
+the rows' eta' scale (rho eps)^(-gamma / (gamma + 1)) / (gamma + 1) from
+its compiled stage's rho eps; step 1's kernel (rowkernels.Binding.flux_contraction) forms the
 commutator's slot sums a and b of each row in its one walk over the row's
 stencil; the accumulator adds them per row, and its result is one more
 compiled walk over the rows (rowkernels.Binding.indicator).
