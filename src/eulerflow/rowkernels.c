@@ -36,9 +36,11 @@
 
 typedef int64_t idx;
 
-/* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS:
- * the per-node arrays have the rows of cols, P, eta_scale and the bounds the
- * owned rows, and the per-edge arrays one row per upper edge. */
+/* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS,
+ * which gives the row count of each (the rows of cols, the owned rows or the
+ * upper edges) and its row shape.  rowkernels.Binding requires every array
+ * and checks it once; an address never changes, as the solver commits a step
+ * by copying into U and l. */
 struct rank {
     idx L, nvar;
     const idx *cols, *trans_slot, *card, *diag_slot, *up_row, *up_slot;

@@ -5,24 +5,24 @@ the directory _build next to it, unless that directory already holds the
 library of the same source and flags: the library's name carries a hash of
 both.  A build writes to a temporary file and renames it into place, so
 processes that import the package at the same time never load a partly
-written library.  The library is loaded with ctypes, which releases the GIL
-for the duration of each call, so the kernels of different row chunks run
-in parallel on the solver's worker pool.
+written library; once it is in place, the libraries of other sources or
+flags in _build are deleted.  The library is loaded with ctypes, which
+releases the GIL for the duration of each call, so the kernels of different
+row chunks run in parallel on the solver's worker pool.
 
-A Binding takes one rank's arrays once: it checks dtype, C order and row
-shape of every array (a per-slot array has the width of cols) and that the
-per-node arrays hold the rows of cols, and keeps their addresses in the
-struct rank that every kernel takes.  Each kernel is then one C call on a
-range of rows [lo, hi) (or upper edges e0:e1) plus scalars, which checks
-only that the range lies within the arrays the kernel indexes by it; see
-rowkernels.c for what each computes.  Every kernel reads and writes the
-valid slots of its rows only; like the neighbour ids in cols, the rows and
-slots an edge list names are taken as they are.  The stages of step 0, of
-the wavespeed (chained by riemann.d_ij_low) and of the limiter (chained by
-limiter.limiter_compute through a LimiterChunk) allocate their scratch
-arrays per call, as chunks of one rank may run at the same time, and take
-the pow() values numpy computed between them after checking their dtype,
-C order and size.
+A Binding takes all of one rank's arrays once: it checks the dtype, C
+order and shape of every array against ARRAYS, and keeps their addresses,
+which never change, in the struct rank that every kernel takes.  Each kernel
+is then one C call on a range of rows [lo, hi) (or upper edges e0:e1) plus
+scalars, which checks only that the range lies within the row count the
+kernel indexes by: rows, owned or edges.  See rowkernels.c for what each
+computes.  Every kernel reads and writes the valid slots of its rows only;
+like the neighbour ids in cols, the rows and slots an edge list names are
+taken as they are.  The stages of step 0, of the wavespeed (chained by
+riemann.d_ij_low) and of the limiter (chained by limiter.limiter_compute
+through a LimiterChunk) allocate their scratch arrays per call, as chunks of
+one rank may run at the same time, and take the pow() values numpy computed
+between them after checking their dtype, C order and size.
 """
 
 from __future__ import annotations
@@ -80,9 +80,12 @@ def build(source: Path = SOURCE, flags=FLAGS) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # the libraries of earlier sources or flags; a process that loaded one
+    # keeps its mapping
+    for old in path.parent.glob(f"{source.stem}-*.so"):
+        if old != path:
+            old.unlink(missing_ok=True)
     return path
-
-
 
 
 _lib = ctypes.CDLL(str(build()))
@@ -94,39 +97,34 @@ _ptr = ctypes.c_void_p
 
 _F, _I = np.float64, np.int64
 # The arrays a Binding takes, in the order of struct rank in rowkernels.c:
-# name -> (dtype, row shape), the row shape in terms of the slot width L,
-# nvar and dim = nvar - 2.  The per-edge arrays have one row per upper edge,
-# P, eta_scale and the bounds one per owned row, the others one per row of
-# cols.
+# name -> (dtype, shape).  A shape is its row count, then its row shape: the
+# row count is rows (the rows of cols), owned (the rank's owned rows) or
+# edges (its upper edges); the row shape is in terms of the slot width L,
+# nvar and dim = nvar - 2.
 ARRAYS = {
-    "cols": (_I, ("L",)), "trans_slot": (_I, ("L",)), "card": (_I, ()), "diag_slot": (_I, ()),
-    "up_row": (_I, ()), "up_slot": (_I, ()),
-    "m_slot": (_F, ("L",)), "c_slot": (_F, ("L", "dim")), "inv_m": (_F, ()),
-    "n_up": (_F, ("dim",)), "norm_up": (_F, ()), "nT_up": (_F, ("dim",)), "normT_up": (_F, ()),
-    "U": (_F, ("nvar",)), "U_next": (_F, ("nvar",)), "R": (_F, ("nvar",)),
-    "f": (_F, ("nvar", "dim")), "eor": (_F, ()), "phi": (_F, ()), "alpha": (_F, ()),
-    "d": (_F, ("L",)), "l": (_F, ("L",)), "l_next": (_F, ("L",)),
-    "P": (_F, ("L", "nvar")), "eta_scale": (_F, ()), "rho_min": (_F, ()), "rho_max": (_F, ()),
-    "phi_min": (_F, ()),
+    "cols": (_I, ("rows", "L")), "trans_slot": (_I, ("rows", "L")), "card": (_I, ("rows",)),
+    "diag_slot": (_I, ("rows",)), "up_row": (_I, ("edges",)), "up_slot": (_I, ("edges",)),
+    "m_slot": (_F, ("rows", "L")), "c_slot": (_F, ("rows", "L", "dim")), "inv_m": (_F, ("rows",)),
+    "n_up": (_F, ("edges", "dim")), "norm_up": (_F, ("edges",)), "nT_up": (_F, ("edges", "dim")),
+    "normT_up": (_F, ("edges",)),
+    "U": (_F, ("rows", "nvar")), "U_next": (_F, ("rows", "nvar")), "R": (_F, ("rows", "nvar")),
+    "f": (_F, ("rows", "nvar", "dim")), "eor": (_F, ("rows",)), "phi": (_F, ("rows",)),
+    "alpha": (_F, ("rows",)), "d": (_F, ("rows", "L")), "l": (_F, ("rows", "L")),
+    "l_next": (_F, ("rows", "L")), "P": (_F, ("owned", "L", "nvar")),
+    "eta_scale": (_F, ("owned",)), "rho_min": (_F, ("owned",)), "rho_max": (_F, ("owned",)),
+    "phi_min": (_F, ("owned",)),
 }
-_EDGE = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up")
-# a kernel may read these at any row of cols, so they must hold its rows
-_NODE = tuple(name for name in ARRAYS if name not in _EDGE + (
-    "P", "eta_scale", "rho_min", "rho_max", "phi_min"))
-# per kernel, the arrays it reads; its range of rows must lie within each of
-# them, and the wavespeed's range of upper edges within each per-edge array
-_KERNELS = {
-    "entropies": ("U", "f"),
-    "flux_contraction": ("cols", "card", "c_slot", "U", "eor", "f", "P"),
-    "indicator": ("U", "eor", "alpha", "eta_scale"),
-    "mirror": ("cols", "trans_slot", "card", "diag_slot", "d"),
-    "low_order": ("cols", "card", "inv_m", "U", "U_next", "R", "phi", "alpha", "d", "P",
-                  "rho_min", "rho_max", "phi_min"),
-    "correction": ("cols", "card", "m_slot", "inv_m", "R", "P"),
-    "limited_update": ("cols", "trans_slot", "card", "U_next", "l", "P"),
-    "limiter": ("card", "U_next", "P", "rho_min", "rho_max", "phi_min"),
-    "wavespeed": _EDGE + ("cols", "U", "d"),
-}
+
+
+def _shape(name, sizes):
+    return tuple(sizes[k] for k in ARRAYS[name][1])
+
+
+def zeros(names, rows, owned, edges, L, nvar):
+    """Zero-filled arrays of the names of ARRAYS, as name -> array, for a
+    rank of these row counts, slot width L and nvar state components."""
+    sizes = dict(rows=rows, owned=owned, edges=edges, L=L, nvar=nvar, dim=nvar - 2)
+    return {name: np.zeros(_shape(name, sizes), ARRAYS[name][0]) for name in names}
 
 
 class _Rank(ctypes.Structure):
@@ -176,74 +174,47 @@ def _address(a, size=0):
 class Binding:
     """One rank's arrays, checked once and bound for the compiled kernels.
 
-    arrays maps names of ARRAYS to arrays (others are ignored, and an array
-    left out only disables the kernels that read it); L is the slot width
-    and nvar the number of state components.  Raises ValueError for an array
-    of another dtype, not in C order, of another row shape or, when cols is
-    given, a per-node array without the rows of cols.  The binding keeps the
-    arrays alive, and rank holds their addresses.
+    arrays maps every name of ARRAYS to an array (other names are ignored).
+    The slot width L is that of cols and nvar that of U; counts holds the
+    row counts rows = len(cols), owned = len(P) and edges = len(up_row).
+    Raises ValueError for a missing array, one of another dtype or not in C
+    order, one whose shape is not the one ARRAYS gives for these sizes, and
+    for owned > rows.  The binding keeps the arrays alive, and rank holds
+    their addresses, which never change: the solver commits a step by
+    copying into the bound arrays.
     """
 
-    def __init__(self, arrays, L, nvar):
-        sizes = {"L": L, "nvar": nvar, "dim": nvar - 2}
-        self.L, self.nvar = L, nvar
-        self.arrays = {}
-        self.rank = _Rank(L, nvar)
-        self.address = ctypes.addressof(self.rank)
-        for name, (dtype, row) in ARRAYS.items():
+    def __init__(self, arrays):
+        for name, (dtype, _) in ARRAYS.items():
             a = arrays.get(name)
-            if a is None:
-                continue
-            row = tuple(sizes[k] for k in row)
             if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
-                raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array")
-            if a.shape[1:] != row:
-                raise ValueError(f"{name} has shape {a.shape} where rows of shape {row} "
-                                 "are needed")
-            self.arrays[name] = a
-            setattr(self.rank, name, a.ctypes.data)
-        if "cols" in self.arrays:
-            n = len(self.arrays["cols"])
-            for name in _NODE:
-                if len(self.arrays.get(name, self.arrays["cols"])) != n:
-                    raise ValueError(f"{name} has {len(self.arrays[name])} rows outside "
-                                     f"the {n} rows of cols")
-        self._set_limits()
+                raise ValueError(f"{name} must be given as a C-contiguous {np.dtype(dtype)} array")
+        self.arrays = a = {name: arrays[name] for name in ARRAYS}
+        self.L, self.nvar = a["cols"].shape[-1], a["U"].shape[-1]
+        self.counts = dict(rows=len(a["cols"]), owned=len(a["P"]), edges=len(a["up_row"]))
+        if self.counts["owned"] > self.counts["rows"]:
+            raise ValueError(f"P has {len(a['P'])} rows, more than the {len(a['cols'])} of cols")
+        sizes = dict(self.counts, L=self.L, nvar=self.nvar, dim=self.nvar - 2)
+        self.rank = _Rank(self.L, self.nvar)
+        self.address = ctypes.addressof(self.rank)
+        for name, x in a.items():
+            shape = _shape(name, sizes)
+            if x.shape != shape:
+                raise ValueError(f"{name} has shape {x.shape} where {shape[0]} rows "
+                                 f"({ARRAYS[name][1][0]}) of shape {shape[1:]} are needed")
+            setattr(self.rank, name, x.ctypes.data)
 
-    def _set_limits(self):
-        # per kernel and per array, how far its range may reach; None where
-        # an array it reads is not bound
-        arrays = self.arrays
-        self._limit = {name: len(a) for name, a in arrays.items()}
-        for kernel, names in _KERNELS.items():
-            ranged = _EDGE if kernel == "wavespeed" else names
-            bound = all(name in arrays for name in names)
-            self._limit[kernel] = min(len(arrays[name]) for name in ranged) if bound else None
-
-    def check(self, kernel, lo, hi):
-        """Raise ValueError unless kernel (a kernel or an array name) has its
-        arrays bound and 0 <= lo <= hi <= the rows of each it indexes."""
-        limit = self._limit.get(kernel)
-        if limit is None:
-            raise ValueError(f"{kernel} needs arrays that are not bound")
-        if not 0 <= lo <= hi <= limit:
-            raise ValueError(f"rows [{lo}, {hi}) outside the arrays of {kernel}")
-
-    def swap(self, a, b):
-        """Bind the array of a as b and that of b as a, as the solver swaps
-        U and U_next, and l and l_next; nothing is checked again."""
-        if ARRAYS[a] != ARRAYS[b]:
-            raise ValueError(f"{a} and {b} have different row shapes")
-        arrays = self.arrays
-        arrays[a], arrays[b] = arrays[b], arrays[a]
-        for name in (a, b):
-            setattr(self.rank, name, arrays[name].ctypes.data)
-        self._set_limits()
+    def check(self, count, lo, hi):
+        """Raise ValueError unless 0 <= lo <= hi <= counts[count], count one
+        of rows, owned and edges."""
+        n = self.counts[count]
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"[{lo}, {hi}) is outside the range of {count}, [0, {n})")
 
     def entropies(self, lo, hi, own, gas):
         """Step 0's stage: writes f of the rows [lo, hi); returns their eps
         and rho eps, and the number of rows below own with rho eps <= 0."""
-        self.check("entropies", lo, hi)
+        self.check("rows", lo, hi)
         out = np.empty((2, hi - lo))
         p = out.ctypes.data
         bad = _entropies(self.address, lo, hi, own, gas.gm1, p, p + 8 * (hi - lo))
@@ -252,7 +223,7 @@ class Binding:
     def flux_contraction(self, lo, hi):
         """Writes the flux contraction of the rows [lo, hi) into P and
         returns their indicator slot sums (a, b)."""
-        self.check("flux_contraction", lo, hi)
+        self.check("owned", lo, hi)
         a, b = np.zeros(hi - lo), np.zeros((hi - lo, self.nvar))
         _flux_contraction(self.address, lo, hi, a.ctypes.data, b.ctypes.data)
         return a, b
@@ -260,37 +231,37 @@ class Binding:
     def indicator(self, lo, hi, a, b, floor):
         """Writes alpha of the rows [lo, hi) from their slot sums a and b and
         eta_scale, 0 where the denominator is not above floor."""
-        self.check("indicator", lo, hi)
+        self.check("owned", lo, hi)
         _indicator(self.address, lo, hi, _address(a, hi - lo), _address(b, (hi - lo) * self.nvar),
                    floor)
 
     def mirror(self, lo, hi):
         """d of the lower slots and the diagonal of the rows [lo, hi)."""
-        self.check("mirror", lo, hi)
+        self.check("rows", lo, hi)
         _mirror(self.address, lo, hi)
 
     def low_order(self, lo, hi, tau):
         """The low-order update, R and the bounds of the rows [lo, hi); P
         takes the viscous part of the correction fluxes."""
-        self.check("low_order", lo, hi)
+        self.check("owned", lo, hi)
         _low_order(self.address, lo, hi, tau)
 
     def correction(self, lo, hi, tau):
         """The correction fluxes of the rows [lo, hi) into P."""
-        self.check("correction", lo, hi)
+        self.check("owned", lo, hi)
         _correction(self.address, lo, hi, tau)
 
     def limited_update(self, lo, hi, last=True):
         """The limited update of U_next over the rows [lo, hi); unless last,
         P is then scaled by 1 - min(l_ij, l_ji) in place."""
-        self.check("limited_update", lo, hi)
+        self.check("owned", lo, hi)
         _limited_update(self.address, lo, hi, int(last))
 
     def wavespeed_project(self, e0, e1, gas):
         """Stage 1 of the wavespeed of the upper edges e0:e1: returns their
         projected states (e1 - e0, 4, 4), pressure ratios (e1 - e0, 2) and
         the number of projected states with rho <= 0 or p <= 0."""
-        self.check("wavespeed", e0, e1)
+        self.check("edges", e0, e1)
         states, q = np.empty((e1 - e0, 4, 4)), np.empty((e1 - e0, 2))
         bad = _wavespeed_project(self.address, e0, e1, gas.gamma, gas.gm1, states.ctypes.data,
                                  q.ctypes.data)
@@ -300,7 +271,7 @@ class Binding:
         """Stage 3: d_ij of the upper edges e0:e1 from their projected states
         and q, the bases to the power 2 gamma / (gamma - 1), written into
         their slots of d and returned."""
-        self.check("wavespeed", e0, e1)
+        self.check("edges", e0, e1)
         out = np.empty(e1 - e0)
         _wavespeed_bound(self.address, e0, e1, gas.gamma, gas.gm1,
                          _address(states, 16 * (e1 - e0)), _address(q, 2 * (e1 - e0)),
@@ -328,8 +299,9 @@ class LimiterChunk:
     """
 
     def __init__(self, bound, lo, hi, out="l"):
-        bound.check("limiter", lo, hi)
-        bound.check(out, lo, hi)
+        bound.check("owned", lo, hi)
+        if out not in ("l", "l_next"):
+            raise ValueError(f"the limiter writes l or l_next, not {out}")
         self.r, self.rows, self.l = bound.address, (lo, hi), getattr(bound.rank, out)
         self.cap = cap = (hi - lo) * (bound.L + 1)
         # row, flat and open; t_L, t_R, tol and Psi(t_R); packed densities

@@ -22,12 +22,13 @@ evaluates only the slots the previous pass limited.  With newton_steps = 0
 an entry still takes its density-clamped full step where that step meets
 the entropy bound (see limiter.limiter_compute).
 Every phase runs compiled kernels (rowkernels) on one binding per rank,
-which checks the rank's arrays and takes their addresses once, at setup,
-and follows the swaps of U and U_next and of l and l_next; a chunk of rows
-is then one C call per kernel.  Step 0's stage writes the fluxes and the
-arguments of its pow() levels, eta / rho and phi of every row and the eta'
-scale of the owned rows, which numpy raises, and an owned row with
-rho eps <= 0 fails the step before any pow().  The row kernels are step 1's
+which checks the rank's arrays and takes their addresses once, at setup;
+a step commits U_next, and a limiter pass l_next, by copying it into U or
+l, so no address ever changes.  A chunk of rows is then one C call per
+kernel.  Step 0's stage writes the fluxes and the arguments of its pow()
+levels, eta / rho and phi of every row and the eta' scale of the owned
+rows, which numpy raises, and an owned row with rho eps <= 0 fails the step
+before any pow().  The row kernels are step 1's
 flux contraction with the indicator's slot sums and its alpha, step 2's
 mirroring, step 3 in full, step 4's assembly of the correction fluxes and
 the limited update and rescale of steps 5 and 6.  They walk each row's
@@ -199,16 +200,10 @@ def _unit_normals(c: np.ndarray):
 class _RankData:
     """Per-rank renumbered stencil data and work arrays."""
 
-    # populated by Solver._build_rank; listed here for readability
-    __slots__ = [
-        "numbering", "cols", "valid",
-        "up_row", "up_slot", "up_ptr", "trans_slot",
-        "diag_slot", "card",
-        "m_slot", "c_slot", "n_up", "norm_up", "nT_up", "normT_up", "m_i", "inv_m",
-        "cm_of_new", "orig_of_new", "U", "U_next", "f", "eor", "phi", "eta_scale", "d",
-        "alpha", "R", "P", "l", "l_next", "rho_min", "rho_max", "phi_min",
-        "inflow_idx", "slip_idx", "slip_n", "bound",
-    ]
+    # populated by Solver._build_rank: its setup fields, then the arrays
+    # that bound holds
+    __slots__ = ["numbering", "valid", "up_ptr", "m_i", "cm_of_new", "orig_of_new",
+                 "inflow_idx", "slip_idx", "slip_n", "bound", *rowkernels.ARRAYS]
 
 
 class Solver:
@@ -293,7 +288,7 @@ class Solver:
         rk.card = padded.valid.sum(axis=1)
 
         # pads take zero values
-        N, L, d = len(cm_of_new), padded.width, self.dim
+        N, L = len(cm_of_new), padded.width
         rk.m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
         rk.c_slot = np.where(padded.valid[..., None], mat.c[padded.src], 0.0)
         # unit normals and norms of c_ij and c_ji of the upper edges, in
@@ -304,17 +299,13 @@ class Solver:
         rk.m_i = mat.m_lumped[rk.orig_of_new]
         rk.inv_m = mat.inv_m[rk.orig_of_new]
 
-        nvar = self.nvar
-        n_lo = numbering.n_lo
-        rk.U, rk.U_next, rk.R = (np.zeros((N, nvar)) for _ in range(3))
-        rk.eor, rk.phi, rk.alpha = (np.zeros(N) for _ in range(3))
-        rk.d, rk.l, rk.l_next = (np.zeros((N, L)) for _ in range(3))
-        rk.rho_min, rk.rho_max, rk.phi_min, rk.eta_scale = (np.zeros(n_lo) for _ in range(4))
-        rk.f = np.zeros((N, nvar, d))
-        rk.P = np.zeros((n_lo, L, nvar))
+        # the arrays the steps write, the others of the binding, start at zero
+        written = [name for name in rowkernels.ARRAYS if not hasattr(rk, name)]
+        for name, a in rowkernels.zeros(written, N, numbering.n_lo, len(rk.up_row), L,
+                                        self.nvar).items():
+            setattr(rk, name, a)
         # every kernel runs on these arrays: check and bind them once
-        rk.bound = rowkernels.Binding({name: getattr(rk, name) for name in rowkernels.ARRAYS},
-                                      L, nvar)
+        rk.bound = rowkernels.Binding({name: getattr(rk, name) for name in rowkernels.ARRAYS})
 
         def to_owned(orig_ids):
             cm = part.cm_perm[orig_ids]
@@ -531,7 +522,8 @@ class Solver:
         for _ in range(passes - 1):
             self._phase("step5", functools.partial(self._k_limited_update, last=False), "l_next")
             # the limiter values just computed and synced drive the next pass
-            self._swap("l", "l_next")
+            for rk in self.ranks:
+                rk.l[:] = rk.l_next
         last = functools.partial(self._k_limited_update, last=True) if passes else self._k_boundary
         self._phase("step6", last, "U_next")
         self._finish_step()
@@ -546,16 +538,9 @@ class Solver:
                 bad = int(np.argmin(ok))
                 gid = int(rk.orig_of_new[bad])
                 raise AdmissibilityError(f"inadmissible state at node {gid}")
-        self._swap("U", "U_next")
-        self.n_euler_steps += 1
-
-    def _swap(self, a, b):
-        """Swap arrays a and b of every rank, in the rank and its binding."""
         for rk in self.ranks:
-            x, y = getattr(rk, a), getattr(rk, b)
-            setattr(rk, a, y)
-            setattr(rk, b, x)
-            rk.bound.swap(a, b)
+            rk.U[:] = rk.U_next
+        self.n_euler_steps += 1
 
     def ssp_rk3_step(self, tau: Optional[float] = None, tau_max: float = np.inf) -> float:
         """One SSP-RK3 step; the first stage's time step is reused by all stages.

@@ -201,24 +201,35 @@ def d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR):
 
 def edge_layout(Ui, Uj, c_ij, c_ji):
     """The pairs of a batch laid out as the upper edges of a stencil, as
-    riemann.d_ij_low takes them: (up_row, up_slot, cols, U, n_ij, norm_ij,
-    n_ji, norm_ji).  Row k holds U_i of pair k, row E + k its U_j, and the
-    edge is slot 1 of row k, whose slot 0 is a neighbour that no edge names.
-    The unit normals come from the solver's setup."""
+    riemann.d_ij_low takes them: the arrays up_row, up_slot, cols, U, n_up,
+    norm_up, nT_up and normT_up of a binding, by name.  Row k holds U_i of
+    pair k, row E + k its U_j, and the edge is slot 1 of row k, whose slot 0
+    is a neighbour that no edge names.  The unit normals come from the
+    solver's setup."""
     Ui, Uj = (np.reshape(U, (-1, np.shape(U)[-1])) for U in (Ui, Uj))
     c_ij, c_ji = (np.reshape(c, (-1, np.shape(c)[-1])) for c in (c_ij, c_ji))
     E = len(Ui)
     cols = np.stack([np.arange(2 * E), np.arange(E, 3 * E) % (2 * E)], axis=1)
-    return (np.arange(E), np.ones(E, dtype=np.int64), cols, np.concatenate([Ui, Uj]),
-            *stepper._unit_normals(c_ij), *stepper._unit_normals(c_ji))
+    (n_up, norm_up), (nT_up, normT_up) = (stepper._unit_normals(c) for c in (c_ij, c_ji))
+    return dict(up_row=np.arange(E), up_slot=np.ones(E, dtype=np.int64), cols=cols,
+                U=np.concatenate([Ui, Uj]), n_up=n_up, norm_up=norm_up, nT_up=nT_up,
+                normT_up=normT_up)
 
 
-def bind_edges(up_row, up_slot, cols, U, n_ij, norm_ij, n_ji, norm_ji, d):
-    """A rowkernels.Binding of an edge layout and the slot array d, as
-    riemann.d_ij_low takes it."""
-    return rowkernels.Binding(dict(up_row=up_row, up_slot=up_slot, cols=cols, U=U, n_up=n_ij,
-                                   norm_up=norm_ij, nT_up=n_ji, normT_up=norm_ji, d=d),
-                              cols.shape[1], U.shape[1])
+def bind(**arrays):
+    """A rowkernels.Binding of the arrays, each array of ARRAYS not given
+    filled with zeros.  A size is that of the first given array that has it;
+    the rows of cols default to the owned rows, those to the rows of cols,
+    and the upper edges, the slot width and nvar to 0, 1 and 3."""
+    found = {}
+    for name, a in arrays.items():
+        for size, n in zip(rowkernels.ARRAYS[name][1], a.shape):
+            found.setdefault(size, n)
+    rows = found.get("rows", found.get("owned", 0))
+    missing = [name for name in rowkernels.ARRAYS if name not in arrays]
+    return rowkernels.Binding({**rowkernels.zeros(
+        missing, rows, found.get("owned", rows), found.get("edges", 0), found.get("L", 1),
+        found.get("nvar", found.get("dim", 1) + 2)), **arrays})
 
 
 def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
@@ -226,9 +237,9 @@ def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     edge_layout.  Returns d_ij of the pairs e0: in the batch's shape, and
     the slot array d, which held NaN before the call."""
     layout = edge_layout(Ui, Uj, c_ij, c_ji)
-    E = len(layout[0])
+    E = len(layout["up_row"])
     d = np.full((2 * E, 2), np.nan)
-    out = riemann.d_ij_low(bind_edges(*layout, d), e0, E, gas)
+    out = riemann.d_ij_low(bind(d=d, **layout), e0, E, gas)
     return out.reshape(np.shape(Ui)[:-1] if e0 == 0 else -1), d
 
 
@@ -661,18 +672,11 @@ def compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
                                     dtype=np.float64)
 
     l = np.full((n, 1), np.nan)
-    limiter.limiter_compute(bind_limiter(np.ones(n, dtype=np.int64), rows(U, (nvar,)),
-                                         rows(P, (nvar,)).reshape(n, 1, nvar), rows(rho_min),
-                                         rows(rho_max), rows(phi_min), l),
+    limiter.limiter_compute(bind(card=np.ones(n, dtype=np.int64), U_next=rows(U, (nvar,)),
+                                 P=rows(P, (nvar,)).reshape(n, 1, nvar), rho_min=rows(rho_min),
+                                 rho_max=rows(rho_max), phi_min=rows(phi_min), l=l),
                             0, n, max_newton=max_newton, gas=gas)
     return l.reshape(shape)
-
-
-def bind_limiter(card, U, P, rho_min, rho_max, phi_min, l):
-    """A rowkernels.Binding of the limiter's arrays, U as the states U_next
-    it limits around and l as the array it writes."""
-    return rowkernels.Binding(dict(card=card, U_next=U, P=P, rho_min=rho_min, rho_max=rho_max,
-                                   phi_min=phi_min, l=l), P.shape[1], P.shape[2])
 
 
 def limiter_rows_reference(lo, hi, card, U, P, rho_min, rho_max, phi_min, l, max_newton=2,

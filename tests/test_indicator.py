@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import physics, problems, rowkernels
+from eulerflow import physics, problems
 from eulerflow.assembly import assemble
 from eulerflow.indicator import IndicatorAccumulator
 from eulerflow.stepper import Solver
@@ -33,9 +33,8 @@ def accumulated(U_i, U_j, c):
         physics.flux(U_j), physics.flux(U_i)[..., None, :, :], c,
     )
     rows = np.reshape(U_i, (-1, np.shape(U_i)[-1]))
-    bound = rowkernels.Binding(dict(U=rows, eor=eta_over_rho(rows),
-                                    eta_scale=oracles.eta_scale(rows),
-                                    alpha=np.full(len(rows), np.nan)), 1, rows.shape[1])
+    bound = oracles.bind(U=rows, eor=eta_over_rho(rows), eta_scale=oracles.eta_scale(rows),
+                         alpha=np.full(len(rows), np.nan))
     a, b = oracles.indicator_sums(U_j, c, eta_over_rho(U_i), eta_over_rho(U_j), fdc)
     acc = IndicatorAccumulator()
     acc.reset(bound, 0, len(rows))

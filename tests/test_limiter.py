@@ -230,9 +230,9 @@ def chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, lo=0):
     n, L, _ = P.shape
     l = np.full((n, L), np.nan)
     factors = limiter.limiter_compute(
-        oracles.bind_limiter(np.full(n, L), np.ascontiguousarray(U[:, 0]),
-                             np.ascontiguousarray(P), rho_min[:, 0].copy(), rho_max[:, 0].copy(),
-                             phi_min[:, 0].copy(), l),
+        oracles.bind(card=np.full(n, L), U_next=np.ascontiguousarray(U[:, 0]),
+                     P=np.ascontiguousarray(P), rho_min=rho_min[:, 0].copy(),
+                     rho_max=rho_max[:, 0].copy(), phi_min=phi_min[:, 0].copy(), l=l),
         lo, n, max_newton=max_newton,
     )
     return l, factors
@@ -460,7 +460,8 @@ def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_
     got_l, want_l = np.full((rows, width), untouched), np.full((rows, width), untouched)
     with np.errstate(all="ignore"):
         got = limiter.limiter_compute(
-            oracles.bind_limiter(card, U, P, rho_min, rho_max, phi_min, got_l), lo, rows,
+            oracles.bind(card=card, U_next=U, P=P, rho_min=rho_min, rho_max=rho_max,
+                         phi_min=phi_min, l=got_l), lo, rows,
             max_newton=max_newton)
         want = oracles.limiter_rows_reference(lo, rows, card, U, P, rho_min, rho_max, phi_min,
                                               want_l, max_newton=max_newton)

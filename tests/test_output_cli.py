@@ -211,6 +211,15 @@ def test_run_hands_every_solver_setting_to_the_solver(monkeypatch):
     assert {f.name: seen[f.name] for f in held} == {f.name: getattr(cfg, f.name) for f in held}
 
 
+def test_run_config_defaults_are_the_solver_defaults():
+    # a run that sets none of the Solver settings steps as a Solver built
+    # with its own defaults
+    params = inspect.signature(Solver).parameters
+    held = [f for f in fields(RunConfig) if f.name in params]
+    assert len(held) == 6
+    assert {f.name: f.default for f in held} == {f.name: params[f.name].default for f in held}
+
+
 def test_parser_exposes_documented_flags():
     parser = build_parser()
     text = parser.format_help()

@@ -261,12 +261,12 @@ def test_compiled_wavespeed_equals_the_numpy_bound_bitwise(dim, edges, seed, dat
 
 def test_inadmissible_projected_state_raises_before_d_is_written():
     rng = np.random.default_rng(8)
-    up_row, up_slot, cols, U, *normals = oracles.edge_layout(*batched_operands(rng, 2, (12,)))
+    layout = oracles.edge_layout(*batched_operands(rng, 2, (12,)))
     # one neighbour with negative internal energy: its projection has p < 0
-    U[12 + 5, -1] = -1.0
-    d = rng.normal(size=cols.shape)
+    layout["U"][12 + 5, -1] = -1.0
+    d = rng.normal(size=layout["cols"].shape)
     before = d.copy()
-    bound = oracles.bind_edges(up_row, up_slot, cols, U, *normals, d)
+    bound = oracles.bind(d=d, **layout)
     with pytest.raises(AdmissibilityError, match="projected state requires rho > 0 and p > 0"):
         riemann.d_ij_low(bound, 0, 12)
     assert same_bits(d, before)

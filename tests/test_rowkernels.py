@@ -1,5 +1,6 @@
 """The compiled row kernels against their numpy forms, and their build."""
 
+import ctypes
 import importlib
 import re
 import shutil
@@ -31,14 +32,6 @@ PHASES = {
     "_k_correction": oracles.correction_kernel,
     "_k_limited_update": oracles.limited_update_kernel,
 }
-
-
-def bind(**arrays):
-    """A rowkernels.Binding of the arrays, with the slot width of cols (or of
-    P) and the state width of U (or of P)."""
-    slots, states = arrays.get("cols", arrays.get("P")), arrays.get("U", arrays.get("P"))
-    return rowkernels.Binding(arrays, 1 if slots is None else slots.shape[1],
-                              3 if states is None else states.shape[-1])
 
 
 def same_bits(a, b):
@@ -200,7 +193,8 @@ def test_mirror_row_sum_adds_the_valid_off_diagonal_slots_left_to_right(rows, wi
             if s != diag[i]:
                 total += float(want[i, s])
         want[i, diag[i]] = -total
-    bind(cols=cols, trans_slot=trans_slot, card=card, diag_slot=diag, d=d).mirror(0, rows)
+    bound = oracles.bind(cols=cols, trans_slot=trans_slot, card=card, diag_slot=diag, d=d)
+    bound.mirror(0, rows)
     assert same_bits(d, want)
 
 
@@ -229,8 +223,9 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
     U_next, R = np.full((n, nvar), np.nan), np.full((n, nvar), np.nan)
     bounds = [np.full(rows, np.nan) for _ in range(3)]
     viscous = P.copy()
-    bind(cols=cols, card=card, inv_m=inv_m, U=U, U_next=U_next, R=R, phi=phi, alpha=alpha, d=d,
-         P=viscous, rho_min=bounds[0], rho_max=bounds[1], phi_min=bounds[2]).low_order(0, rows, tau)
+    oracles.bind(cols=cols, card=card, inv_m=inv_m, U=U, U_next=U_next, R=R, phi=phi,
+                 alpha=alpha, d=d, P=viscous, rho_min=bounds[0], rho_max=bounds[1],
+                 phi_min=bounds[2]).low_order(0, rows, tau)
     assert np.isnan(U_next[rows:]).all() and np.isnan(R[rows:]).all()
     U_next, R, cols, d, inv_m = U_next[:rows], R[:rows], cols[:rows], d[:rows], inv_m[:rows]
 
@@ -278,7 +273,7 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     stencil = dict(cols=cols, card=card, c_slot=c)
     stencil = {name: np.concatenate([x, np.zeros((n - rows,) + x.shape[1:], x.dtype)])
                for name, x in stencil.items()}
-    a, b = bind(U=U, eor=eor, f=f, P=P, **stencil).flux_contraction(lo, rows)
+    a, b = oracles.bind(U=U, eor=eor, f=f, P=P, **stencil).flux_contraction(lo, rows)
 
     assert a.shape == (rows - lo,) and b.shape == (rows - lo, nvar)
     with np.errstate(all="ignore"):
@@ -324,7 +319,7 @@ def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, dat
     own = data.draw(st.integers(lo, hi))
     U = gas_states(data, rows, dim, p_signs=(1.0, 1.0, 1.0, -1.0, 0.0))
     f = np.full((rows, dim + 2, dim), np.nan)
-    eps, rho_eps, bad = bind(U=U, f=f).entropies(lo, hi, own, physics.AIR)
+    eps, rho_eps, bad = oracles.bind(U=U, f=f).entropies(lo, hi, own, physics.AIR)
 
     with np.errstate(all="ignore"):
         want_eps = physics.internal_energy(U[lo:hi])
@@ -363,7 +358,8 @@ def test_indicator_result_matches_the_numpy_result_bitwise(rows, dim, data):
     still = data.draw(hnp.arrays(np.bool_, rows - lo))
     a[still], b[still] = 0.0, -0.0
     acc = IndicatorAccumulator()
-    acc.reset(bind(U=U, eor=eor, eta_scale=oracles.eta_scale(U), alpha=alpha), lo, rows)
+    acc.reset(oracles.bind(U=U, eor=eor, eta_scale=oracles.eta_scale(U), alpha=alpha), lo,
+              rows)
     acc.accumulate(a, b)
     got = acc.result()
 
@@ -380,9 +376,12 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
     d = np.zeros((2, 3))
     cols = np.zeros((2, 3), dtype=np.int64)
     index = np.zeros(2, dtype=np.int64)
-    bound = bind(cols=cols, trans_slot=cols, card=index, diag_slot=index, d=d)
+    bound = oracles.bind(cols=cols, trans_slot=cols, card=index, diag_slot=index, d=d)
     with pytest.raises(ValueError, match="outside"):
         bound.mirror(lo, hi)
+    # the owned rows are among the rows of cols
+    with pytest.raises(ValueError, match="more than"):
+        oracles.bind(cols=cols, P=np.zeros((3, 3, 3)))
 
 
 def wavespeed_stages(bound, e0, e1):
@@ -393,28 +392,29 @@ def wavespeed_stages(bound, e0, e1):
     return states, physics.power(q, -gas.gm1_over_2g)
 
 
-# per compiled kernel (and stage chain): whether it runs on the owned rows
-# or on the upper edges, the rank arrays it reads, and a call of it on a
-# binding of them over the range (lo, hi)
+# per compiled kernel (and stage chain): the row count its range is checked
+# against (rows, owned or edges), the rank arrays it reads, and a call of it
+# on a binding over the range (lo, hi)
 EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "d")
 KERNEL_CALLS = {
     "entropies": ("rows", ("U", "f"), lambda b, lo, hi: b.entropies(lo, hi, hi, physics.AIR)),
-    "flux_contraction": ("rows", ("cols", "card", "c_slot", "U", "eor", "f", "P"),
+    "flux_contraction": ("owned", ("cols", "card", "c_slot", "U", "eor", "f", "P"),
                          lambda b, lo, hi: b.flux_contraction(lo, hi)),
-    "indicator": ("rows", ("U", "eor", "alpha", "eta_scale"),
+    "indicator": ("owned", ("U", "eor", "alpha", "eta_scale"),
                   lambda b, lo, hi: b.indicator(lo, hi, np.zeros(hi - lo),
                                                 np.zeros((hi - lo, b.nvar)), 1e-300)),
     "mirror": ("rows", ("cols", "trans_slot", "card", "diag_slot", "d"),
                lambda b, lo, hi: b.mirror(lo, hi)),
-    "low_order": ("rows", ("cols", "card", "inv_m", "U", "U_next", "R", "phi", "alpha", "d", "P",
-                           "rho_min", "rho_max", "phi_min"),
+    "low_order": ("owned", ("cols", "card", "inv_m", "U", "U_next", "R", "phi", "alpha", "d",
+                            "P", "rho_min", "rho_max", "phi_min"),
                   lambda b, lo, hi: b.low_order(lo, hi, 1e-3)),
-    "correction": ("rows", ("cols", "card", "m_slot", "inv_m", "R", "P"),
+    "correction": ("owned", ("cols", "card", "m_slot", "inv_m", "R", "P"),
                    lambda b, lo, hi: b.correction(lo, hi, 1e-3)),
-    "limited_update": ("rows", ("cols", "trans_slot", "card", "U_next", "l", "P"),
+    "limited_update": ("owned", ("cols", "trans_slot", "card", "U_next", "l", "P"),
                        lambda b, lo, hi: b.limited_update(lo, hi, last=False)),
-    "limiter_compute": ("rows", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min", "l"),
-                        lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
+    "limiter_compute": ("owned", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min",
+                                  "l_next"),
+                        lambda b, lo, hi: limiter.limiter_compute(b, lo, hi, "l_next")),
     "wavespeed_project": ("edges", EDGE_ARRAYS,
                           lambda b, e0, e1: b.wavespeed_project(e0, e1, physics.AIR)),
     "wavespeed_base": ("edges", EDGE_ARRAYS,
@@ -427,45 +427,42 @@ KERNEL_CALLS = {
 }
 
 
-def rank_binding(rk, names, **replaced):
-    """A binding of copies of the rank's arrays names, some replaced."""
-    arrays = {name: getattr(rk, name).copy() for name in names}
-    arrays.update(replaced)
-    return rowkernels.Binding(arrays, rk.cols.shape[1], rk.U.shape[1])
+def rank_binding(rk, **replaced):
+    """A binding of copies of the rank's arrays, some replaced."""
+    return rowkernels.Binding({**{name: getattr(rk, name).copy() for name in rowkernels.ARRAYS},
+                               **replaced})
 
 
 @pytest.mark.parametrize("kernel", list(KERNEL_CALLS))
 def test_short_and_narrow_arrays_are_rejected(kernel):
-    # every array a kernel indexes by row must hold the rows [lo, hi) and
-    # every per-edge array the edges e0:e1, checked on each call; every
-    # per-node array must hold the rows of cols, every per-slot array the
-    # width of cols, the states nvar components and the normals dim, checked
+    # a kernel's range must lie within its row count, checked on each call;
+    # every array must have the rows of its count, the width of cols, the
+    # nvar components of U and dim = nvar - 2, and be given at all, checked
     # when the arrays are bound.  Otherwise C would read or write past the
-    # end of an array
+    # end of an array.  Rank 0 of 3 has ghost rows, so its owned rows are
+    # fewer than its rows
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    kind, names, call = KERNEL_CALLS[kernel]
-    hi = min(len(getattr(rk, name)) for name in names) if kind == "rows" else len(rk.up_row)
-    call(rank_binding(rk, names), 0, hi)
+    count, names, call = KERNEL_CALLS[kernel]
+    hi = {"rows": len(rk.cols), "owned": rk.numbering.n_lo, "edges": len(rk.up_row)}[count]
+    assert rk.numbering.n_lo < len(rk.cols) < len(rk.up_row)
+    call(rank_binding(rk), 0, hi)
     with pytest.raises(ValueError, match="outside"):
-        call(rank_binding(rk, names), 0, hi + 1)
-    if kind == "edges":
-        # the stencil arrays hold fewer rows than the rank has upper edges
-        assert len(rk.cols) < hi
+        call(rank_binding(rk), 0, hi + 1)
     for name in names:
         a = getattr(rk, name)
-        with pytest.raises(ValueError, match="rows"):
-            call(rank_binding(rk, names, **{name: a[:min(len(a), hi) - 1].copy()}), 0, hi)
+        with pytest.raises(ValueError, match="shape"):
+            rank_binding(rk, **{name: a[:-1].copy()})
         if a.ndim > 1:
-            narrow = np.ascontiguousarray(a[:, :-1])
             with pytest.raises(ValueError, match="shape"):
-                rank_binding(rk, names, **{name: narrow})
-    with pytest.raises(ValueError, match="not bound"):
-        call(rank_binding(rk, names[:-1]), 0, hi)
+                rank_binding(rk, **{name: np.ascontiguousarray(a[..., :-1])})
+        with pytest.raises(ValueError, match=f"^{name} must be given"):
+            rowkernels.Binding({other: getattr(rk, other) for other in rowkernels.ARRAYS
+                                if other != name})
 
 
 def test_wavespeed_stages_reject_short_scratch_arrays():
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    bound = rank_binding(rk, EDGE_ARRAYS)
+    bound = rank_binding(rk)
     states, q = wavespeed_stages(bound, 0, len(rk.up_row))
     rowkernels.wavespeed_base(states.copy(), q.copy(), physics.AIR)
     for short in (dict(q=q[:-1].copy()), dict(q=np.ascontiguousarray(q[:, :-1])),
@@ -488,7 +485,7 @@ def test_limiter_rejects_strided_and_mistyped_arrays():
         assert not strided.flags.c_contiguous
         for bad in (strided, retyped):
             with pytest.raises(ValueError, match="C-contiguous"):
-                rank_binding(rk, rowkernels.ARRAYS, **{name: bad})
+                rank_binding(rk, **{name: bad})
 
 
 def test_binding_follows_the_struct_of_the_c_source():
@@ -496,6 +493,39 @@ def test_binding_follows_the_struct_of_the_c_source():
     body = re.search(r"struct rank \{(.*?)\};", rowkernels.SOURCE.read_text(), re.S).group(1)
     fields = re.findall(r"\*?\s*(\w+)\s*[,;]", body)
     assert fields == ["L", "nvar", *rowkernels.ARRAYS]
+
+
+def exported_functions():
+    """The non-static functions of rowkernels.c, whose declarations have one
+    word before the name: name -> (return type, the parameter declarations,
+    the body)."""
+    source = rowkernels.SOURCE.read_text()
+    found = re.findall(r"^(\w+) (\w+)\(([^)]*)\)\n\{\n(.*?)^\}", source, re.M | re.S)
+    return {name: (ret, [p.strip() for p in params.split(",")], body)
+            for ret, name, params, body in found}
+
+
+def test_declared_argument_types_follow_the_c_signatures():
+    # each kernel's restype and argtypes are those of its C declaration; a
+    # mismatch passes a value of the wrong width or kind without any error
+    c_types = {"idx": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}
+    functions = exported_functions()
+    assert len(functions) == 14
+    for name, (ret, params, _) in functions.items():
+        fn = getattr(rowkernels._lib, name)
+        assert fn.restype == (None if ret == "void" else c_types[ret]), name
+        want = [ctypes.c_void_p if "*" in p else c_types[p.split()[0]] for p in params]
+        assert fn.argtypes == tuple(want), name
+
+
+def test_kernels_read_only_the_arrays_their_calls_name():
+    # the rank fields each kernel's body reads are among the arrays that its
+    # entry of KERNEL_CALLS names, and so among those its rejection test
+    # shortens and narrows; the four limiter stages run as limiter_compute
+    for name, (_, _, body) in exported_functions().items():
+        fields = set(re.findall(r"\br->(\w+)", body)) - {"L", "nvar"}
+        call = "limiter_compute" if name.startswith("limiter_") else name
+        assert fields <= set(KERNEL_CALLS[call][1]), name
 
 
 def test_library_imports_no_libm_function():
@@ -548,6 +578,21 @@ def test_library_is_named_by_source_and_flags_and_built_once(tmp_path, monkeypat
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     source.write_text(source.read_text() + "\n")
     assert rowkernels.library_path(source) != path
+
+
+def test_a_build_deletes_the_libraries_of_earlier_sources(tmp_path):
+    # a build keeps only its own library; a cache hit deletes nothing
+    source = tmp_path / "kernels.c"
+    shutil.copy(rowkernels.SOURCE, source)
+    first = rowkernels.build(source)
+    source.write_text(source.read_text() + "\n")
+    path = rowkernels.build(source)
+    assert path != first
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    other = path.with_name("kernels-0000000000000000.so")
+    other.touch()
+    assert rowkernels.build(source) == path
+    assert sorted(p.name for p in path.parent.iterdir()) == [other.name, path.name]
 
 
 def test_missing_compiler_raises_import_error(tmp_path, monkeypatch):

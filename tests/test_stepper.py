@@ -537,14 +537,14 @@ def test_ghost_node_without_positive_rho_eps_passes_step_0(small_periodic):
 @pytest.mark.parametrize("ranks", [1, 3])
 @pytest.mark.parametrize("passes", [1, 2, 3])
 def test_bound_addresses_follow_the_swapped_arrays(small_periodic, ranks, passes):
-    # every step swaps U and U_next, and every limiter pass after the first
-    # l and l_next: after every substep each rank's binding holds the
-    # address of the array each name stands for
+    # a step commits U_next, and every limiter pass after the first l_next,
+    # by copying: after every substep each rank's binding holds the address
+    # of its array of each name, and that address never changes
     mat, U = small_periodic
     s = Solver(mat, ranks=ranks, limiter_passes=passes)
     s.set_state(U)
     euler_step = s.euler_step
-    seen = {"U": set(), "l": set()}
+    seen = {name: set() for name in rowkernels.ARRAYS}
 
     def checked_step(*args, **kwargs):
         tau = euler_step(*args, **kwargs)
@@ -553,17 +553,14 @@ def test_bound_addresses_follow_the_swapped_arrays(small_periodic, ranks, passes
                 a = getattr(rk, name)
                 assert rk.bound.arrays[name] is a, name
                 assert getattr(rk.bound.rank, name) == a.ctypes.data, name
-            for name in seen:
-                seen[name].add(getattr(rk, name).ctypes.data)
+                seen[name].add(a.ctypes.data)
         return tau
 
     s.euler_step = checked_step
     for _ in range(2):
         s.ssp_rk3_step()
-    # U takes both arrays, and so does l when a step swaps it an odd number
-    # of times
-    assert len(seen["U"]) == 2 * ranks
-    assert len(seen["l"]) == (2 if passes == 2 else 1) * ranks
+    assert s.n_euler_steps == 6
+    assert all(len(addresses) == ranks for addresses in seen.values())
 
 
 def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
@@ -672,10 +669,9 @@ def test_correction_reuses_the_low_order_products():
     mat = assemble(setup.mesh)
     s = Solver(mat, ranks=2, limiter_passes=1, boundary=setup.boundary)
     s.set_state(random_field(np.random.default_rng(5), mat.n))
+    stepped_from = [rk.U.copy() for rk in s.ranks]
     tau = s.euler_step()
-    for rk in s.ranks:
-        # the step swapped U and U_next, so U_next holds the state stepped from
-        U = rk.U_next
+    for rk, U in zip(s.ranks, stepped_from):
         sl = slice(0, rk.numbering.n_lo)
         cols = rk.cols[sl]
         d = rk.d[sl]
