@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SOURCE", "FLAGS", "library_path", "build", "ARRAYS", "Binding", "wavespeed_base",
-           "LimiterChunk"]
+__all__ = ["SOURCE", "FLAGS", "library_path", "build", "ARRAYS", "zeros", "Binding",
+           "wavespeed_base", "LimiterChunk"]
 
 SOURCE = Path(__file__).with_name("rowkernels.c")
 # no multiply-add contraction: the kernels must give numpy's bits; sqrt()
