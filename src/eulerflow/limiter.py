@@ -17,11 +17,11 @@ entry at a time: the density clamp gives t_R, Psi(t_R) >= 0 closes an entry
 at t_R, Psi(t_L) <= tol closes it at t_L, and every other entry takes a
 Newton step and stays open.  Each pow() level, rho^(gamma+1) in Psi and
 rho^gamma in dPsi/dt, runs between two stages as one physics.power call on
-the packed densities of the open entries.  An entry with P = 0 (of either
-sign) depends on its row alone and never reaches a Newton step, so a chunk
-evaluates one such entry per row and every valid slot whose P is not all
-+-0.  tests/oracles.py keeps the numpy form of the limiter, which gives the
-same bits.
+the packed densities of the open entries.  A chunk has one entry per valid
+slot whose P is not all +-0; every other valid slot takes 1, as its limited
+update min(l_ij, l_ji) P_ij and its rescaled P_ij stay +-0 whatever its
+factor.  tests/oracles.py keeps the numpy form of the limiter, which gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def limiter_compute(bound, lo, hi, out="l", max_newton=2, gas=AIR):
     phi_min[i].  An entry leaves the iteration when Psi(t_R) >= 0 (l = t_R)
     or Psi(t_L) <= tol (l = t_L).  With max_newton = 0 the test at the
     density-clamped t_R still runs: l = t_R where Psi(t_R) >= 0 and 0
-    elsewhere.  Pads of l are not written.
+    elsewhere.  A slot whose P is all +-0 takes 1; pads are not written.
     """
     gp1 = gas.gamma + 1.0
     chunk = rowkernels.LimiterChunk(bound, lo, hi, out)

@@ -385,25 +385,21 @@ void wavespeed_bound(const struct rank *r, idx e0, idx e1, double gamma, double 
 }
 
 /* The convex limiter of the rows [lo, hi), U_i the row's state in U_next:
- * for each entry, the largest t in [0, 1] for which U_i + t P_ij stays in [rho_min_i, rho_max_i] and
- * satisfies Psi(U_i + t P_ij) = rho eps - phi_min_i rho^(gamma + 1) >= 0,
- * up to the bracketing quadratic Newton steps of Guermond, Nazarov, Popov &
- * Tomas (SISC 2018).  A chunk's entries are, row after row, one entry with
- * P = 0, whose factor depends on the row alone, and then every valid slot
- * whose P is not all +-0; every other valid slot takes its row's factor, and
- * no pad is read or written.  Each pow() level ends a stage: the stage packs
- * the densities, and numpy (physics.power) raises them before the next stage
- * goes on.  Entry e's data are row[e], flat[e] (i * L + s, or -1 for the
- * row's entry) and open[k] in ix, an int64 (3, cap) array, and t_L[e]
- * (the factor so far), t_R[e], tol[e] and Psi(t_R)[e] in x, a (4, cap)
- * array.  The stages run on the open entries open[0:n]; each compacts them
- * in place and returns how many stay open. */
-
-/* The direction of an entry: slot flat of P, or zero for a row's entry. */
-static inline const double *direction(const double *P, idx flat, idx nvar, const double *zero)
-{
-    return flat < 0 ? zero : P + flat * nvar;
-}
+ * for each entry, the largest t in [0, 1] for which U_i + t P_ij stays in
+ * [rho_min_i, rho_max_i] and satisfies
+ * Psi(U_i + t P_ij) = rho eps - phi_min_i rho^(gamma + 1) >= 0, up to the
+ * bracketing quadratic Newton steps of Guermond, Nazarov, Popov & Tomas
+ * (SISC 2018).  A chunk's entries are, row after row, the valid slots whose
+ * P is not all +-0.  Every other valid slot takes 1: its update
+ * min(l_ij, l_ji) P_ij and its rescaled P_ij (1 - min) stay +-0 whatever
+ * its factor, and as P_ji is all +-0 exactly when P_ij is, the factor of a
+ * moving slot's mirror is that of an entry.  No pad is read or written.
+ * Each pow() level ends a stage: the stage packs the densities, and numpy
+ * (physics.power) raises them before the next stage goes on.  Entry e's
+ * data are row[e], flat[e] = i * L + s and open[k] in ix, an int64 (3, cap)
+ * array, and t_L[e] (the factor so far), t_R[e], tol[e] and Psi(t_R)[e] in
+ * x, a (4, cap) array.  The stages run on the open entries open[0:n]; each
+ * compacts them in place and returns how many stay open. */
 
 /* rho eps of V = U + t p: the terms of Psi before its pow() term. */
 static double rho_eps_on_ray(const double *U, const double *p, double t, idx nvar)
@@ -463,9 +459,6 @@ idx limiter_start(const struct rank *r, idx lo, idx hi, double tol_scale, idx ca
     const double *U = r->U_next, *P = r->P, *rho_min = r->rho_min, *rho_max = r->rho_max;
     idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
     double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap;
-    double zero[nvar];
-    for (idx k = 0; k < nvar; ++k)
-        zero[k] = 0.0;
     idx n = 0;
     for (idx i = lo; i < hi; ++i) {
         const double *Ui = U + i * nvar;
@@ -473,16 +466,13 @@ idx limiter_start(const struct rank *r, idx lo, idx hi, double tol_scale, idx ca
         for (idx k = 1; k < nvar - 1; ++k)
             mm += Ui[k] * Ui[k];
         double tol_i = tol_scale * fabs(Ui[0] * Ui[nvar - 1] - 0.5 * mm);
-        for (idx s = -1; s < card[i]; ++s) {
-            idx f = s < 0 ? -1 : i * L + s;
-            const double *p = direction(P, f, nvar, zero);
-            if (s >= 0) {
-                int moves = 0;
-                for (idx k = 0; k < nvar; ++k)
-                    moves |= p[k] != 0.0;
-                if (!moves)
-                    continue;
-            }
+        for (idx s = 0; s < card[i]; ++s) {
+            const double *p = P + (i * L + s) * nvar;
+            int moves = 0;
+            for (idx k = 0; k < nvar; ++k)
+                moves |= p[k] != 0.0;
+            if (!moves)
+                continue;
             double abs_rho_p = np_max(fabs(p[0]), DBL_MIN), tR = 1.0;
             if (Ui[0] + tR * p[0] > rho_max[i])
                 tR = fabs(rho_max[i] - Ui[0]) / abs_rho_p;
@@ -490,7 +480,7 @@ idx limiter_start(const struct rank *r, idx lo, idx hi, double tol_scale, idx ca
                 tR = fabs(rho_min[i] - Ui[0]) / abs_rho_p;
             tR = clip01(tR);
             row[n] = i;
-            flat[n] = f;
+            flat[n] = i * L + s;
             open[n] = n;
             t_L[n] = 0.0;
             t_R[n] = tR;
@@ -513,13 +503,10 @@ idx limiter_test(const struct rank *r, idx n, int newton, idx cap, idx *ix, doub
     const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
     idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
     double *t_L = x, *t_R = x + cap, *psi_R = x + 3 * cap;
-    double zero[nvar];
-    for (idx k = 0; k < nvar; ++k)
-        zero[k] = 0.0;
     idx m = 0;
     for (idx k = 0; k < n; ++k) {
         idx e = open[k], i = row[e];
-        const double *Ui = U + i * nvar, *p = direction(P, flat[e], nvar, zero);
+        const double *Ui = U + i * nvar, *p = P + flat[e] * nvar;
         double psi = rho_eps_on_ray(Ui, p, t_R[e], nvar) - phi_min[i] * w[k];
         if (psi >= 0.0) {
             t_L[e] = t_R[e];
@@ -531,7 +518,7 @@ idx limiter_test(const struct rank *r, idx n, int newton, idx cap, idx *ix, doub
     }
     for (idx k = 0; k < m; ++k) {
         idx e = open[k];
-        q[m + k] = U[row[e] * nvar] + t_R[e] * direction(P, flat[e], nvar, zero)[0];
+        q[m + k] = U[row[e] * nvar] + t_R[e] * P[flat[e] * nvar];
     }
     return m;
 }
@@ -547,13 +534,10 @@ idx limiter_newton(const struct rank *r, idx n, double gp1, double sign, idx cap
     const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
     idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
     double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap, *psi_R = x + 3 * cap;
-    double zero[nvar];
-    for (idx k = 0; k < nvar; ++k)
-        zero[k] = 0.0;
     idx m = 0;
     for (idx k = 0; k < n; ++k) {
         idx e = open[k], i = row[e];
-        const double *Ui = U + i * nvar, *p = direction(P, flat[e], nvar, zero);
+        const double *Ui = U + i * nvar, *p = P + flat[e] * nvar;
         double psi_L = rho_eps_on_ray(Ui, p, t_L[e], nvar) - phi_min[i] * w_L[k];
         if (!(psi_L > tol[e]))
             continue;
@@ -567,21 +551,17 @@ idx limiter_newton(const struct rank *r, idx n, double gp1, double sign, idx cap
 }
 
 /* Stage scatter: the factor of every valid slot of the rows [lo, hi) into
- * l (the rank's l or l_next), that of its entry or else that of its row's
- * entry. */
+ * l (the rank's l or l_next), that of its entry or else 1. */
 void limiter_scatter(const struct rank *r, idx lo, idx hi, double *l, idx n, idx cap,
                      const idx *ix, const double *x)
 {
     idx L = r->L;
-    const idx *card = r->card;
-    const idx *flat = ix + cap;
+    const idx *card = r->card, *flat = ix + cap;
     const double *t_L = x;
     idx e = 0;
-    for (idx i = lo; i < hi; ++i) {
-        double row_l = t_L[e++];
+    for (idx i = lo; i < hi; ++i)
         for (idx s = 0; s < card[i]; ++s) {
             idx is = i * L + s;
-            l[is] = e < n && flat[e] == is ? t_L[e++] : row_l;
+            l[is] = e < n && flat[e] == is ? t_L[e++] : 1.0;
         }
-    }
 }

@@ -291,9 +291,9 @@ class LimiterChunk:
     rank, around the states U_next, into its array named out (l or l_next).
 
     The chunk's range is checked and its scratch arrays allocated when the
-    chunk is made; each stage is then one C call.  Its entries are one per
-    row, with P = 0, and one per valid slot whose P is not all +-0, row after
-    row; n is the number of open entries.  A stage that hands densities to
+    chunk is made; each stage is then one C call.  Its entries are the valid
+    slots whose P is not all +-0, row after row, and every other valid slot
+    takes 1; n is the number of open entries.  A stage that hands densities to
     numpy returns them as views of the scratch array q, valid until the next
     stage runs.
     """
@@ -303,7 +303,7 @@ class LimiterChunk:
         if out not in ("l", "l_next"):
             raise ValueError(f"the limiter writes l or l_next, not {out}")
         self.r, self.rows, self.l = bound.address, (lo, hi), getattr(bound.rank, out)
-        self.cap = cap = (hi - lo) * (bound.L + 1)
+        self.cap = cap = (hi - lo) * bound.L
         # row, flat and open; t_L, t_R, tol and Psi(t_R); packed densities
         self.ix = np.empty((3, cap), dtype=np.int64)
         self.x, self.q = np.empty((4, cap)), np.empty(2 * cap)
@@ -338,7 +338,7 @@ class LimiterChunk:
         return self.q[:self.n]
 
     def scatter(self):
-        """Stage scatter: writes the factor of every valid slot into l and
-        returns the factors of the entries."""
+        """Stage scatter: writes the factor of every valid slot into l, 1 where
+        it has no entry, and returns the factors of the entries."""
         _limiter_scatter(self.r, *self.rows, self.l, self.entries, self.cap, self._ix, self._x)
         return self.x[0, :self.entries]

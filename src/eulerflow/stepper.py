@@ -12,15 +12,15 @@ which the low-order update reads, and forms the indicator's slot sums in
 the same walk over the row; step 3 then replaces it with the viscous part
 (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes (without limiter passes
 nothing reads it before step 1 overwrites it); step 4 completes the
-correction fluxes in place, and the limiter passes scale them.  The
-limiter value of an entry with P = 0 depends on its row alone, so a pass
-evaluates each row once, with a zero P, and the valid slots whose P is not
-all +-0, which read the row's state and bounds by index; every other valid
-slot takes its row's value.  Each later pass scales P by 1 - min(l_ij, l_ji)
-in place, which leaves P = 0 wherever the previous factor was 1, so it
-evaluates only the slots the previous pass limited.  With newton_steps = 0
-an entry still takes its density-clamped full step where that step meets
-the entropy bound (see limiter.limiter_compute).
+correction fluxes in place, and the limiter passes scale them.  A pass
+has one entry per valid slot whose P is not all +-0, which reads its row's
+state and bounds by index; every other valid slot takes 1, as its update
+min(l_ij, l_ji) P_ij and rescaled P stay +-0 whatever the factor (P_ji is
+all +-0 exactly when P_ij is).  Each later pass scales P by
+1 - min(l_ij, l_ji) in place, which leaves P = +-0 wherever the previous
+factor was 1, so it evaluates only the slots the previous pass limited.
+With newton_steps = 0 an entry still takes its density-clamped full step
+where that step meets the entropy bound (see limiter.limiter_compute).
 Every phase runs compiled kernels (rowkernels) on one binding per rank,
 which checks the rank's arrays and takes their addresses once, at setup;
 a step commits U_next, and a limiter pass l_next, by copying it into U or

@@ -682,25 +682,17 @@ def compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
 def limiter_rows_reference(lo, hi, card, U, P, rho_min, rho_max, phi_min, l, max_newton=2,
                            gas=AIR):
     """limiter.limiter_compute by the numpy limiter above: one batch of the
-    rows' P = 0 entries and the valid slots whose P is not all +-0, in
-    row-major order with each row's entry first; every other valid slot takes
-    its row's factor.  Writes the valid slots of l and returns the factors of
-    the entries."""
-    nvar = U.shape[-1]
-    rows = np.arange(lo, hi)
+    valid slots whose P is not all +-0, in row-major order; every other
+    valid slot takes 1.  Writes the valid slots of l and returns the factors
+    of the entries."""
     valid = np.arange(P.shape[1]) < card[lo:hi, None]
     moves = valid & (P[lo:hi] != 0.0).any(axis=-1)
-    # each row's entry sorts before its slots
-    ent_row = np.concatenate([rows, rows[np.nonzero(moves)[0]]])
-    ent_slot = np.concatenate([np.full(hi - lo, -1), np.nonzero(moves)[1]])
-    order = np.lexsort((ent_slot, ent_row))
-    ent_row, ent_slot = ent_row[order], ent_slot[order]
-    ent_P = np.where((ent_slot < 0)[:, None], 0.0, P[ent_row, ent_slot])
-    factors = limiter_compute(U[ent_row], ent_P, rho_min[ent_row], rho_max[ent_row],
-                              phi_min[ent_row], max_newton=max_newton, gas=gas)
-    row_entry = ent_slot < 0
-    by_slot = np.broadcast_to(factors[row_entry][:, None], valid.shape).copy()
-    by_slot[ent_row[~row_entry] - lo, ent_slot[~row_entry]] = factors[~row_entry]
+    ent_row, ent_slot = np.nonzero(moves)
+    ent_row += lo
+    factors = limiter_compute(U[ent_row], P[ent_row, ent_slot], rho_min[ent_row],
+                              rho_max[ent_row], phi_min[ent_row], max_newton=max_newton, gas=gas)
+    by_slot = np.ones(valid.shape)
+    by_slot[moves] = factors
     l[lo:hi][valid] = by_slot[valid]
     return factors
 

@@ -28,6 +28,7 @@ TRACED = [
     (riemann, "d_ij_low"),
     (indicator.IndicatorAccumulator, "accumulate"),
     (limiter, "limiter_compute"),
+    (limiter, "quadratic_newton_step"),
     (stepper, "ThreadPoolExecutor"),
     (concurrent.futures, "ThreadPoolExecutor"),
 ]
@@ -64,7 +65,8 @@ def test_traced_step_records_every_layer():
     for name in ("sparsity.renumber", "sparsity.build_pattern", "sparsity.padded"):
         assert calls.get(name, 0) > 0, name
     for name in ("exchange.overlapped_loop", "exchange.deliver", "riemann.d_ij_low",
-                 "indicator.accumulate", "limiter.limiter_compute"):
+                 "indicator.accumulate", "limiter.limiter_compute",
+                 "limiter.quadratic_newton_step"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counts["exchange.doubles"] > 0
     assert tracer.counts["stepper.pools"] == 1
@@ -74,10 +76,10 @@ def test_traced_step_records_every_layer():
 
 
 def test_second_limiter_pass_runs_on_fewer_lanes_than_the_stencil():
-    # a limiter pass evaluates one entry per row plus the valid slots whose
-    # correction is not zero: at most every owned valid slot in the first
-    # pass, and fewer in the second, where every slot whose factor was 1
-    # has a zero correction left
+    # a limiter pass evaluates the valid slots whose correction is not all
+    # +-0: at most the owned off-diagonal valid slots in the first pass, as
+    # the diagonal's correction is +0, and fewer in the second, where every
+    # slot whose factor was 1 has a zero correction left
     spans = load_spans()
     mat = assemble(rectangle_mesh(6, 6, periodic=(True, True)))
     rng = np.random.default_rng(3)
@@ -97,6 +99,6 @@ def test_second_limiter_pass_runs_on_fewer_lanes_than_the_stencil():
         lanes[passes] = tracer.counts["limiter.lanes"]
     rk = solver.ranks[0]
     n_lo = rk.numbering.n_lo
-    assert lanes[1] <= n_lo + rk.card[:n_lo].sum()
+    assert lanes[1] <= rk.card[:n_lo].sum() - n_lo
     second = lanes[2] - lanes[1]
-    assert n_lo < second < lanes[1]
+    assert 0 < second < lanes[1]

@@ -262,8 +262,8 @@ def test_batched_matches_scalar():
         assert one.shape == (n, L)
         for lo in (0, 5):
             l, factors = chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton, lo)
-            # one entry per row and one per slot, none of whose P is zero
-            assert factors.shape == (n - lo + (n - lo) * L,)
+            # one entry per slot whose P is not all +-0
+            assert factors.shape == (np.count_nonzero((P[lo:] != 0.0).any(axis=-1)),)
             assert np.isnan(l[:lo]).all()
             assert np.array_equal(l[lo:], one[lo:])
 
@@ -417,9 +417,10 @@ def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_
     # states of up to 1e12 (or 1e-12) times the pressure and 1e3 times the
     # density, or all +-0, or +-0 in some components; bounds that admit the
     # base state, down to a near-vacuum rho_min, and entropy bounds with
-    # slack, on the base state's phi or above it.  The pads of P hold NaN,
-    # which must not be read, and l's pads and rows before lo a NaN of their
-    # own, which must not be written
+    # slack, on the base state's phi or above it, where a zero direction
+    # would not be admissible.  A valid slot whose P is all +-0 takes 1.  The
+    # pads of P hold NaN, which must not be read, and l's pads and rows
+    # before lo a NaN of their own, which must not be written
     nvar = dim + 2
     lo = data.draw(st.integers(0, rows - 1))
     card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
@@ -466,9 +467,10 @@ def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_
         want = oracles.limiter_rows_reference(lo, rows, card, U, P, rho_min, rho_max, phi_min,
                                               want_l, max_newton=max_newton)
     moving = valid[lo:] & (P[lo:] != 0.0).any(axis=-1)
-    assert got.shape == (rows - lo + np.count_nonzero(moving),)
+    assert got.shape == (np.count_nonzero(moving),)
     assert got.tobytes() == want.tobytes()
     assert got_l.tobytes() == want_l.tobytes()
+    assert (got_l[lo:][valid[lo:] & ~moving] == 1.0).all()
     assert np.array_equal(np.isnan(got_l), ~valid | (np.arange(rows) < lo)[:, None])
     assert ((got >= 0.0) & (got <= 1.0)).all()
 

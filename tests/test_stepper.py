@@ -536,7 +536,7 @@ def test_ghost_node_without_positive_rho_eps_passes_step_0(small_periodic):
 
 @pytest.mark.parametrize("ranks", [1, 3])
 @pytest.mark.parametrize("passes", [1, 2, 3])
-def test_bound_addresses_follow_the_swapped_arrays(small_periodic, ranks, passes):
+def test_bound_addresses_never_change(small_periodic, ranks, passes):
     # a step commits U_next, and every limiter pass after the first l_next,
     # by copying: after every substep each rank's binding holds the address
     # of its array of each name, and that address never changes
@@ -820,10 +820,11 @@ def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
 
 
 def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
-    # the second pass settles the entries whose rescaled P is zero (those
-    # with minl == 1 among them) once per row; every valid slot's value must
-    # equal the numpy limiter's on the whole padded stencil, also in a row
-    # whose base state violates its raised entropy bound
+    # the second pass evaluates the slots whose rescaled P is not all +-0
+    # (those whose first factor was below 1); their values must equal the
+    # numpy limiter's on the whole padded stencil, also in a row whose base
+    # state violates its raised entropy bound, and every other valid slot
+    # takes 1
     setup = problems.mach3_channel(2, refine=1)
     mat = assemble(setup.mesh)
     s = Solver(mat, ranks=2, chunk_size=64, boundary=setup.boundary)
@@ -831,7 +832,7 @@ def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
     for _ in range(3):
         s.ssp_rk3_step()
     original = s._k_limited_update
-    seen = dict(chunks=0, live=0, dead=0, pads=0, diagonal=0, forced=0)
+    seen = dict(chunks=0, live=0, dead=0, pads=0, diagonal=0, forced=0, still=0)
 
     def checked(rk, lo, hi, last):
         if last:
@@ -845,20 +846,70 @@ def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
         assert oracles.psi_entropy(rk.U_next[lo], rk.phi_min[lo]) < 0.0
         want = oracles.limiter_entries_reference(s, rk, lo, hi)
         valid = rk.valid[sl]
-        assert same_bits(rk.l_next[sl][valid], want[valid])
-        assert (rk.l_next[lo][valid[0]] == 0.0).all()
+        moving = valid & (rk.P[sl] != 0.0).any(axis=-1)
+        assert same_bits(rk.l_next[sl][moving], want[moving])
+        assert (rk.l_next[sl][valid & ~moving] == 1.0).all()
+        assert (rk.l_next[lo][moving[0]] == 0.0).all()
         seen["chunks"] += 1
         seen["live"] += np.count_nonzero(live)
         seen["dead"] += np.count_nonzero(~live)
         seen["pads"] += np.count_nonzero(~rk.valid[sl])
         seen["diagonal"] += np.count_nonzero(~live[np.arange(hi - lo), rk.diag_slot[sl]])
-        seen["forced"] += np.count_nonzero(~live[0])
+        seen["forced"] += np.count_nonzero(moving[0])
+        seen["still"] += np.count_nonzero(valid[0] & ~moving[0])
         return None
 
     monkeypatch.setattr(s, "_k_limited_update", checked)
     s.euler_step()
     assert seen["chunks"] > 2
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_slots_without_a_correction_pair_up_and_take_one(monkeypatch, ranks, passes):
+    # the limiter evaluates only the slots whose P is not all +-0 and gives
+    # every other valid slot 1, which leaves the states as they were with a
+    # factor per row because, after step 4 and after each rescale, the
+    # diagonal's P is +0 and an owned slot's P is all +-0 exactly when its
+    # mirror's is, wherever the mirror is owned; a slot whose P is all +-0
+    # holds 1 after its pass.  From the uniform start every P is +-0, so
+    # the checks begin after one RK3 step
+    setup = problems.mach3_channel(2, refine=1)
+    s = Solver(assemble(setup.mesh), ranks=ranks, limiter_passes=passes,
+               boundary=setup.boundary)
+    s.set_state(setup.U0)
+    s.ssp_rk3_step()
+    phase = s._phase
+    seen = {"step4": [], "step5": []}
+
+    def checked(name, *args, **kwargs):
+        phase(name, *args, **kwargs)
+        if name not in seen:
+            return
+        still = {}  # (global i, global j) -> P_ij is all +-0
+        for rk in s.ranks:
+            n_lo = rk.numbering.n_lo
+            valid = rk.valid[:n_lo]
+            assert not rk.P[np.arange(n_lo), rk.diag_slot[:n_lo]].view(np.int64).any()
+            zero = valid & ~(rk.P != 0.0).any(axis=-1)
+            l = rk.l if name == "step4" else rk.l_next
+            assert (l[:n_lo][zero] == 1.0).all()
+            i, slot = np.nonzero(valid)
+            gid = rk.orig_of_new
+            still.update(zip(zip(gid[i].tolist(), gid[rk.cols[i, slot]].tolist()),
+                             zero[i, slot].tolist()))
+        assert all(z == still[j, i] for (i, j), z in still.items())
+        off_diagonal = [z for (i, j), z in still.items() if i != j]
+        seen[name].append((sum(off_diagonal), len(off_diagonal) - sum(off_diagonal)))
+
+    monkeypatch.setattr(s, "_phase", checked)
+    for _ in range(2):
+        s.ssp_rk3_step()
+    assert len(seen["step4"]) == 6 and len(seen["step5"]) == 6 * (passes - 1)
+    # every check saw slots without a correction off the diagonal and
+    # slots with one
+    assert all(still > 0 and moving > 0 for checks in seen.values() for still, moving in checks)
 
 
 def test_cylinder3d_steps_identically_over_ranks_workers_and_overlap():
