@@ -37,12 +37,11 @@ PSI_SIGN = -1.0
 TOL_SCALE = 1e-10
 
 
-def limiter_compute(bound, lo, hi, out="l", max_newton=2, gas=AIR):
+def limiter_compute(bound, lo, hi, max_newton=2, gas=AIR):
     """Largest admissible step factors l in [0, 1] of the updates
     U[i] + l[i, s] P[i, s] of the valid slots s < card[i] of the rows
     [lo, hi) of a bound rank (rowkernels.Binding), U its U_next, written into
-    its array named out (l or l_next); returns the factors of the chunk's
-    entries.
+    its l; returns the factors of the chunk's entries.
 
     First clamps the right bracket endpoint by the density interval
     [rho_min[i], rho_max[i]], then performs up to max_newton bracketing
@@ -53,7 +52,7 @@ def limiter_compute(bound, lo, hi, out="l", max_newton=2, gas=AIR):
     elsewhere.  A slot whose P is all +-0 takes 1; pads are not written.
     """
     gp1 = gas.gamma + 1.0
-    chunk = rowkernels.LimiterChunk(bound, lo, hi, out)
+    chunk = rowkernels.LimiterChunk(bound, lo, hi)
     rho_R = chunk.start(TOL_SCALE)
     # the test at t_R runs once even without Newton iterations
     for _ in range(max(max_newton, 1)):

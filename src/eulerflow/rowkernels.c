@@ -40,12 +40,12 @@ typedef int64_t idx;
  * which gives the row count of each (the rows of cols, the owned rows or the
  * upper edges) and its row shape.  rowkernels.Binding requires every array
  * and checks it once; an address never changes, as the solver commits a step
- * by copying into U and l. */
+ * by copying into U. */
 struct rank {
     idx L, nvar;
     const idx *cols, *trans_slot, *card, *diag_slot, *up_row, *up_slot;
     const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_up, *normT_up;
-    double *U, *U_next, *R, *f, *eor, *phi, *alpha, *d, *l, *l_next;
+    double *U, *U_next, *R, *f, *eor, *phi, *alpha, *d, *l;
     double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
 };
 
@@ -551,9 +551,9 @@ idx limiter_newton(const struct rank *r, idx n, double gp1, double sign, idx cap
 }
 
 /* Stage scatter: the factor of every valid slot of the rows [lo, hi) into
- * l (the rank's l or l_next), that of its entry or else 1. */
-void limiter_scatter(const struct rank *r, idx lo, idx hi, double *l, idx n, idx cap,
-                     const idx *ix, const double *x)
+ * l, that of its entry or else 1. */
+void limiter_scatter(const struct rank *r, idx lo, idx hi, idx n, idx cap, const idx *ix,
+                     const double *x)
 {
     idx L = r->L;
     const idx *card = r->card, *flat = ix + cap;
@@ -562,6 +562,6 @@ void limiter_scatter(const struct rank *r, idx lo, idx hi, double *l, idx n, idx
     for (idx i = lo; i < hi; ++i)
         for (idx s = 0; s < card[i]; ++s) {
             idx is = i * L + s;
-            l[is] = e < n && flat[e] == is ? t_L[e++] : 1.0;
+            r->l[is] = e < n && flat[e] == is ? t_L[e++] : 1.0;
         }
 }

@@ -110,9 +110,8 @@ ARRAYS = {
     "U": (_F, ("rows", "nvar")), "U_next": (_F, ("rows", "nvar")), "R": (_F, ("rows", "nvar")),
     "f": (_F, ("rows", "nvar", "dim")), "eor": (_F, ("rows",)), "phi": (_F, ("rows",)),
     "alpha": (_F, ("rows",)), "d": (_F, ("rows", "L")), "l": (_F, ("rows", "L")),
-    "l_next": (_F, ("rows", "L")), "P": (_F, ("owned", "L", "nvar")),
-    "eta_scale": (_F, ("owned",)), "rho_min": (_F, ("owned",)), "rho_max": (_F, ("owned",)),
-    "phi_min": (_F, ("owned",)),
+    "P": (_F, ("owned", "L", "nvar")), "eta_scale": (_F, ("owned",)),
+    "rho_min": (_F, ("owned",)), "rho_max": (_F, ("owned",)), "phi_min": (_F, ("owned",)),
 }
 
 
@@ -157,8 +156,7 @@ _limiter_start = _declare("limiter_start", _i64, _ptr, _i64, _i64, _f64, _i64, _
 _limiter_test = _declare("limiter_test", _i64, _ptr, _i64, _int, _i64, _ptr, _ptr, _ptr, _ptr)
 _limiter_newton = _declare("limiter_newton", _i64, _ptr, _i64, _f64, _f64, _i64, _ptr, _ptr,
                            _ptr, _ptr, _ptr)
-_limiter_scatter = _declare("limiter_scatter", None, _ptr, _i64, _i64, _ptr, _i64, _i64, _ptr,
-                            _ptr)
+_limiter_scatter = _declare("limiter_scatter", None, _ptr, _i64, _i64, _i64, _i64, _ptr, _ptr)
 
 
 def _address(a, size=0):
@@ -181,7 +179,7 @@ class Binding:
     order, one whose shape is not the one ARRAYS gives for these sizes, and
     for owned > rows.  The binding keeps the arrays alive, and rank holds
     their addresses, which never change: the solver commits a step by
-    copying into the bound arrays.
+    copying into U, and every limiter pass writes l in place.
     """
 
     def __init__(self, arrays):
@@ -288,7 +286,7 @@ def wavespeed_base(states, q, gas):
 
 class LimiterChunk:
     """The limiter stages over the rows [lo, hi) of one chunk of a bound
-    rank, around the states U_next, into its array named out (l or l_next).
+    rank, around the states U_next, into its l.
 
     The chunk's range is checked and its scratch arrays allocated when the
     chunk is made; each stage is then one C call.  Its entries are the valid
@@ -298,11 +296,9 @@ class LimiterChunk:
     stage runs.
     """
 
-    def __init__(self, bound, lo, hi, out="l"):
+    def __init__(self, bound, lo, hi):
         bound.check("owned", lo, hi)
-        if out not in ("l", "l_next"):
-            raise ValueError(f"the limiter writes l or l_next, not {out}")
-        self.r, self.rows, self.l = bound.address, (lo, hi), getattr(bound.rank, out)
+        self.r, self.rows = bound.address, (lo, hi)
         self.cap = cap = (hi - lo) * bound.L
         # row, flat and open; t_L, t_R, tol and Psi(t_R); packed densities
         self.ix = np.empty((3, cap), dtype=np.int64)
@@ -340,5 +336,5 @@ class LimiterChunk:
     def scatter(self):
         """Stage scatter: writes the factor of every valid slot into l, 1 where
         it has no entry, and returns the factors of the entries."""
-        _limiter_scatter(self.r, *self.rows, self.l, self.entries, self.cap, self._ix, self._x)
+        _limiter_scatter(self.r, *self.rows, self.entries, self.cap, self._ix, self._x)
         return self.x[0, :self.entries]

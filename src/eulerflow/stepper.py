@@ -16,41 +16,46 @@ correction fluxes in place, and the limiter passes scale them.  A pass
 has one entry per valid slot whose P is not all +-0, which reads its row's
 state and bounds by index; every other valid slot takes 1, as its update
 min(l_ij, l_ji) P_ij and rescaled P stay +-0 whatever the factor (P_ji is
-all +-0 exactly when P_ij is).  Each later pass scales P by
-1 - min(l_ij, l_ji) in place, which leaves P = +-0 wherever the previous
-factor was 1, so it evaluates only the slots the previous pass limited.
+all +-0 exactly when P_ij is).  The first pass runs in step 4's phase,
+right after the correction fluxes.  Each later pass is two step-5 phases:
+the limited update with the factors in l, which then scales P by
+1 - min(l_ij, l_ji) in place, and the limiter, which overwrites l and
+syncs it once every update of the pass has read the old factors.  The
+rescale leaves P = +-0 wherever the previous factor was 1, so a later
+pass evaluates only the slots the previous pass limited.
 With newton_steps = 0 an entry still takes its density-clamped full step
 where that step meets the entropy bound (see limiter.limiter_compute).
 Every phase runs compiled kernels (rowkernels) on one binding per rank,
 which checks the rank's arrays and takes their addresses once, at setup;
-a step commits U_next, and a limiter pass l_next, by copying it into U or
-l, so no address ever changes.  A chunk of rows is then one C call per
-kernel.  Step 0's stage writes the fluxes and the arguments of its pow()
-levels, eta / rho and phi of every row and the eta' scale of the owned
-rows, which numpy raises, and an owned row with rho eps <= 0 fails the step
-before any pow().  The row kernels are step 1's
-flux contraction with the indicator's slot sums and its alpha, step 2's
-mirroring, step 3 in full, step 4's assembly of the correction fluxes and
-the limited update and rescale of steps 5 and 6.  They walk each row's
-valid slots once and never a pad, add them left to right from +0.0, and
-form b_ij, b_ji and lambda_i from m_slot, inv_m and the row length;
-tests/oracles.py keeps numpy forms of them that give the same bits.  Step
-1's wavespeeds run as three compiled stages over the chunk's upper edges,
-with their two pow() levels in numpy between them (riemann.d_ij_low), from
-unit normals formed once at setup, and the limiter of steps 4 and 5 as
-compiled stages over the chunk's rows, with its pow() levels in numpy
-between them (limiter.limiter_compute).  Three such steps with a shared
-time step form the strong-stability-preserving RK3 update.
+a step commits U_next by copying it into U, so no address ever changes.
+A chunk of rows is then one C call per kernel.  Step 0's stage writes the
+fluxes and the arguments of its pow() levels, eta / rho and phi of every
+row and the eta' scale of the owned rows, which numpy raises, and an owned
+row with rho eps <= 0 fails the step before any pow().  The row kernels
+are step 1's flux contraction with the indicator's slot sums and its alpha,
+step 2's mirroring, step 3 in full, step 4's assembly of the correction
+fluxes and the limited update and rescale of steps 5 and 6.  They walk
+each row's valid slots once and never a pad, add them left to right from
++0.0, and form b_ij, b_ji and lambda_i from m_slot, inv_m and the row
+length; tests/oracles.py keeps numpy forms of them that give the same bits.
+Step 1's wavespeeds run as three compiled stages over the chunk's upper
+edges, with their two pow() levels in numpy between them
+(riemann.d_ij_low), from unit normals formed once at setup, and the limiter
+of steps 4 and 5 as compiled stages over the chunk's rows, with its pow()
+levels in numpy between them (limiter.limiter_compute).  Three such steps
+with a shared time step form the strong-stability-preserving RK3 update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
-nodes.  Every rank stores one ghost layer; the viscosity rows of ghost nodes
-are recomputed redundantly instead of being synchronized, so only per-node
-quantities (alpha, R, U) and limiter rows travel between ranks.  The solver
-builds one padded slot view of the whole stencil (sparsity.PaddedView),
-slots ordered by global node id, from one sort of the assembled CSR entries
-that also gives each slot's matrix offset, and each rank's view is the rows
-of its owned and ghost nodes; in a ghost row, the slots to nodes outside the
-rank are pads where they stand.  An edge thus has the same slot index in its
+nodes.  Every rank stores one ghost layer and evaluates the viscosity of
+every edge with an owned end itself, so an edge between two ranks is
+evaluated on both instead of being synchronized, and one between two ghost
+nodes, which nothing reads, on neither; only per-node quantities (alpha, R,
+U) and limiter rows travel between ranks.  The solver builds one padded
+slot view of the whole stencil (sparsity.PaddedView), slots ordered by
+global node id, from one sort of the assembled CSR entries that also gives
+each slot's matrix offset, and each rank's view is the rows of its owned
+and ghost nodes; in a ghost row, the slots to nodes outside the rank are
+pads where they stand.  An edge thus has the same slot index in its
 owner's row and in every ghost copy, so the row send table comes from the
 partition's export lists and the slot send table is the valid slots of those
 ghost rows.  A sync writes into the array it reads from.  Every phase is
@@ -85,9 +90,6 @@ __all__ = ["BoundaryConditions", "Solver", "SETTINGS", "check_settings",
            "COUNT", "POSITIVE_COUNT", "FLAG", "POSITIVE_TIME"]
 
 STEP_NAMES = ["step0", "step1", "step2", "step3", "step4", "step5", "step6"]
-
-# synced per-slot arrays; every other synced array holds one value per node
-_SLOT_ARRAYS = ("l", "l_next")
 
 
 @dataclass
@@ -280,7 +282,10 @@ class Solver:
         rk.trans_slot = padded.trans_slot
         rk.cm_of_new = cm_of_new
         rk.orig_of_new = part.cm_inv[cm_of_new]
-        upper = padded.valid & (cm_of_new[padded.cols] > cm_of_new[:, None])
+        # the upper edges with an owned end: nothing reads d between two ghosts
+        owned = np.arange(len(cm_of_new)) < n_owned
+        upper = (padded.valid & (cm_of_new[padded.cols] > cm_of_new[:, None])
+                 & (owned[:, None] | owned[padded.cols]))
         # (row, slot) pairs of the upper edges in row-major order; the pairs
         # of rows [a, b) are up_ptr[a]:up_ptr[b]
         rk.up_row, rk.up_slot = (np.ascontiguousarray(x) for x in np.nonzero(upper))
@@ -361,15 +366,15 @@ class Solver:
 
     def _synced(self, rank: int, name: str) -> np.ndarray:
         """Array name of a rank as the send tables index it: the limiter
-        arrays flat over row * pad_width + slot (a view, as they are
+        values l flat over row * pad_width + slot (a view, as l is
         C-contiguous), the per-node arrays by row."""
         arr = getattr(self.ranks[rank], name)
-        return arr.reshape(-1) if name in _SLOT_ARRAYS else arr
+        return arr.reshape(-1) if name == "l" else arr
 
     def _stage(self, name: str):
         """Stage, on every rank, the values of array name that other ranks
         hold as ghosts."""
-        sends = self.slot_sends if name in _SLOT_ARRAYS else self.row_sends
+        sends = self.slot_sends if name == "l" else self.row_sends
         for rank in range(len(self.ranks)):
             src = self._synced(rank, name)
             self.comm.stage(rank, [
@@ -448,23 +453,19 @@ class Solver:
         # contraction in P; _k_correction adds the rest
         rk.bound.low_order(lo, hi, tau)
 
-    def _limit(self, rk, lo, hi, out):
-        """Limiter values of the correction fluxes in P of the rows [lo, hi)
-        against U_next and the bounds, into the valid slots of the array
-        named out."""
-        limiter.limiter_compute(rk.bound, lo, hi, out, max_newton=self.newton_steps,
-                                gas=self.gas)
+    def _k_limit(self, rk, lo, hi):
+        # the limiter values of the correction fluxes in P against U_next and
+        # the bounds, into the valid slots of l
+        limiter.limiter_compute(rk.bound, lo, hi, max_newton=self.newton_steps, gas=self.gas)
 
     def _k_correction(self, rk, lo, hi, tau):
         rk.bound.correction(lo, hi, tau)
-        self._limit(rk, lo, hi, "l")
+        self._k_limit(rk, lo, hi)
 
     def _k_limited_update(self, rk, lo, hi, last):
         rk.bound.limited_update(lo, hi, last)
         if last:
             self._k_boundary(rk, lo, hi)
-        else:
-            self._limit(rk, lo, hi, "l_next")
 
     def _k_boundary(self, rk, lo, hi):
         if len(rk.slip_idx):
@@ -520,10 +521,10 @@ class Solver:
         if passes:
             self._phase("step4", functools.partial(self._k_correction, tau=tau), "l")
         for _ in range(passes - 1):
-            self._phase("step5", functools.partial(self._k_limited_update, last=False), "l_next")
-            # the limiter values just computed and synced drive the next pass
-            for rk in self.ranks:
-                rk.l[:] = rk.l_next
+            # every update reads the factors of l and their mirrors before the
+            # next pass's limiter overwrites them
+            self._phase("step5", functools.partial(self._k_limited_update, last=False))
+            self._phase("step5", self._k_limit, "l")
         last = functools.partial(self._k_limited_update, last=True) if passes else self._k_boundary
         self._phase("step6", last, "U_next")
         self._finish_step()

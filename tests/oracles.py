@@ -834,8 +834,8 @@ def low_order_kernel(solver, rk, lo, hi, tau):
 def correction_kernel(solver, rk, lo, hi, tau):
     """Phase step4: the correction fluxes of the valid slots, with
     b_ij = delta_ij - m_ij / m_j and b_ji = delta_ij - m_ij / m_i formed from
-    the one mass entry m_ij, and the first limiter pass; returns the
-    limiter's entry factors."""
+    the one mass entry m_ij, and the first limiter pass (limit_kernel);
+    returns the limiter's entry factors."""
     sl = slice(lo, hi)
     cols, valid, m = rk.cols[sl], rk.valid[sl], rk.m_slot[sl]
     delta = (cols == np.arange(lo, hi)[:, None]).astype(np.float64)
@@ -845,14 +845,21 @@ def correction_kernel(solver, rk, lo, hi, tau):
     flux = P + (b[..., None] * rk.R[cols] - bT[..., None] * rk.R[sl][:, None])
     flux *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
     P[valid] = flux[valid]
+    return limit_kernel(solver, rk, lo, hi)
+
+
+def limit_kernel(solver, rk, lo, hi):
+    """The limiter of step 4 and of step 5's second phase: the factors of
+    the correction fluxes in P against U_next and the bounds, into the valid
+    slots of l; returns the entry factors."""
     return limiter_rows_reference(lo, hi, rk.card, rk.U_next, rk.P, rk.rho_min, rk.rho_max,
                                   rk.phi_min, rk.l, solver.newton_steps, solver.gas)
 
 
 def limited_update_kernel(solver, rk, lo, hi, last):
-    """Phases step5 and step6: the limited update and, unless last, the
-    rescaled P and the next pass's limiter values, whose entry factors it
-    returns."""
+    """The limited update of step 5's first phase and of step 6: U_next and,
+    unless last, P scaled by 1 - min(l_ij, l_ji) for the next pass; the last
+    pass applies the boundary data."""
     sl = slice(lo, hi)
     valid = rk.valid[sl]
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
@@ -861,10 +868,8 @@ def limited_update_kernel(solver, rk, lo, hi, last):
     rk.U_next[sl] += lam[:, None] * slot_sum(np.where(valid[..., None], minl[..., None] * P, 0.0))
     if last:
         solver._k_boundary(rk, lo, hi)
-        return
-    P[valid] *= (1.0 - minl[valid])[:, None]
-    return limiter_rows_reference(lo, hi, rk.card, rk.U_next, rk.P, rk.rho_min, rk.rho_max,
-                                  rk.phi_min, rk.l_next, solver.newton_steps, solver.gas)
+    else:
+        P[valid] *= (1.0 - minl[valid])[:, None]
 
 
 # ----- time step and dense single-rank forward-Euler step ---------------------

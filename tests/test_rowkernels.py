@@ -31,6 +31,7 @@ PHASES = {
     "_k_low_order": oracles.low_order_kernel,
     "_k_correction": oracles.correction_kernel,
     "_k_limited_update": oracles.limited_update_kernel,
+    "_k_limit": oracles.limit_kernel,
 }
 
 
@@ -148,11 +149,12 @@ def test_nan_neighbour_density_propagates_into_the_bounds(monkeypatch):
 
 @pytest.mark.parametrize("name,last_pass", [
     ("_k_low_order", None), ("_k_correction", None),
-    ("_k_limited_update", False), ("_k_limited_update", True),
+    ("_k_limited_update", False), ("_k_limited_update", True), ("_k_limit", None),
 ])
 def test_row_kernels_keep_signed_zero_corrections(monkeypatch, name, last_pass):
     # every third valid slot of the chunk's P enters as -0.0; the scaling by
-    # 1 - min(l_ij, l_ji) = 0 in the limited update makes more of them
+    # 1 - min(l_ij, l_ji) = 0 in the limited update makes more of them, and
+    # the limiter gives a slot whose P is all +-0 the factor 1
     s = stepped_solver(2, 1, 3, 2048)
     zeroed = []
 
@@ -412,9 +414,8 @@ KERNEL_CALLS = {
                    lambda b, lo, hi: b.correction(lo, hi, 1e-3)),
     "limited_update": ("owned", ("cols", "trans_slot", "card", "U_next", "l", "P"),
                        lambda b, lo, hi: b.limited_update(lo, hi, last=False)),
-    "limiter_compute": ("owned", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min",
-                                  "l_next"),
-                        lambda b, lo, hi: limiter.limiter_compute(b, lo, hi, "l_next")),
+    "limiter_compute": ("owned", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min", "l"),
+                        lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
     "wavespeed_project": ("edges", EDGE_ARRAYS,
                           lambda b, e0, e1: b.wavespeed_project(e0, e1, physics.AIR)),
     "wavespeed_base": ("edges", EDGE_ARRAYS,

@@ -435,15 +435,16 @@ def test_timers_and_counters_advance(small_periodic):
     assert s.timers["step3"] > 0.0
 
 
-@pytest.mark.parametrize("ranks,per_substep", [(1, 0), (2, 5)])
-def test_a_sync_is_counted_only_when_a_rank_sends(small_periodic, ranks, per_substep):
-    # with two limiter passes alpha, R, l, l_next and U_next travel between
-    # ranks in every substep; a single rank sends nothing
+@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("ranks", [1, 2])
+def test_a_sync_is_counted_only_when_a_rank_sends(small_periodic, ranks, passes):
+    # alpha, R and U_next travel between ranks in every substep, and l once
+    # per limiter pass; a single rank sends nothing
     mat, U = small_periodic
-    s = Solver(mat, ranks=ranks)
+    s = Solver(mat, ranks=ranks, limiter_passes=passes)
     s.set_state(U)
     s.ssp_rk3_step()
-    assert s.comm.sync_count == 3 * per_substep
+    assert s.comm.sync_count == (3 * (3 + passes) if ranks > 1 else 0)
     assert (s.comm.sync_volume > 0) == (ranks > 1)
 
 
@@ -537,9 +538,9 @@ def test_ghost_node_without_positive_rho_eps_passes_step_0(small_periodic):
 @pytest.mark.parametrize("ranks", [1, 3])
 @pytest.mark.parametrize("passes", [1, 2, 3])
 def test_bound_addresses_never_change(small_periodic, ranks, passes):
-    # a step commits U_next, and every limiter pass after the first l_next,
-    # by copying: after every substep each rank's binding holds the address
-    # of its array of each name, and that address never changes
+    # a step commits U_next by copying, and every limiter pass writes l in
+    # place: after every substep each rank's binding holds the address of
+    # its array of each name, and that address never changes
     mat, U = small_periodic
     s = Solver(mat, ranks=ranks, limiter_passes=passes)
     s.set_state(U)
@@ -564,9 +565,11 @@ def test_bound_addresses_never_change(small_periodic, ranks, passes):
 
 
 def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
+    # one rank evaluates every upper edge once; over several ranks each rank
+    # evaluates the edges with an owned end, so an edge whose ends have
+    # different owners is evaluated on both and one between two ghosts on
+    # neither
     mat, U = small_periodic
-    s = Solver(mat, chunk_size=5)
-    s.set_state(U)
     evaluated = []
     original = riemann.d_ij_low
 
@@ -576,8 +579,17 @@ def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
         return out
 
     monkeypatch.setattr(riemann, "d_ij_low", counting)
-    s.euler_step()
-    assert sum(evaluated) == (mat.nnz - mat.n) // 2
+    rows = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
+    upper = mat.indices > rows
+    for ranks in (1, 2, 3, 4):
+        s = Solver(mat, ranks=ranks, chunk_size=5)
+        s.set_state(U)
+        owner = s.part.owner_of(s.part.cm_perm)
+        split = np.count_nonzero(upper & (owner[rows] != owner[mat.indices]))
+        evaluated.clear()
+        s.euler_step()
+        assert sum(evaluated) == (mat.nnz - mat.n) // 2 + split, ranks
+        assert (split > 0) == (ranks > 1)
 
 
 def test_wavespeed_evaluates_four_pow_values_per_edge(small_periodic, monkeypatch):
@@ -694,13 +706,15 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _one_row_chunk(mat):
-    """The first chunk size >= 8 that leaves a one-row block in a synced
-    phase on 2 ranks, which runs the exported rows [0, n_e) and then
-    [n_e, n_lo) in chunks."""
+def _one_row_chunk(mat, synced=True):
+    """The first chunk size >= 8 that leaves a one-row block on 2 ranks in
+    a synced phase, which runs the exported rows [0, n_e) and then
+    [n_e, n_lo) in chunks, or else in a phase without a sync, which runs
+    [0, n_lo) in chunks."""
     numberings = [rk.numbering for rk in Solver(mat, ranks=2).ranks]
+    blocks = (lambda nb: (nb.n_e, nb.n_lo - nb.n_e)) if synced else (lambda nb: (nb.n_lo,))
     return next(c for c in range(8, 400) if any(
-        nb.n_e % c == 1 or (nb.n_lo - nb.n_e) % c == 1 for nb in numberings))
+        n % c == 1 for nb in numberings for n in blocks(nb)))
 
 
 def test_low_order_update_matches_the_full_bar_state_formula_bitwise(monkeypatch):
@@ -741,13 +755,15 @@ def test_low_order_update_matches_the_full_bar_state_formula_bitwise(monkeypatch
 def test_limited_update_matches_the_slot_reduce_bitwise(monkeypatch):
     # steps 5 and 6 add min(l_ij, l_ji) P_ij into U_next one slot at a time;
     # U_next must equal the numpy reduce over the slot axis before any
-    # boundary data, at the default chunk size and at one that leaves a
-    # one-row block
+    # boundary data, at the default chunk size and at those that leave a
+    # one-row block in step 5's update phase, which has no sync, and in
+    # step 6, which syncs U_next
     setup = problems.mach3_channel(2, refine=1)
     mat = assemble(setup.mesh)
-    tail = _one_row_chunk(mat)
+    tails = {_one_row_chunk(mat, synced=False): False, _one_row_chunk(mat): True}
+    assert len(tails) == 2
     finals = []
-    for chunk in (2048, tail):
+    for chunk in (2048, *tails):
         s = Solver(mat, ranks=2, chunk_size=chunk, boundary=setup.boundary)
         s.set_state(setup.U0)
         s.ssp_rk3_step()
@@ -772,19 +788,19 @@ def test_limited_update_matches_the_slot_reduce_bitwise(monkeypatch):
         s.ssp_rk3_step()
         assert not want
         assert min(len(sizes[False]), len(sizes[True])) >= 3 * len(s.ranks)
-        if chunk == tail:
-            assert 1 in sizes[False] and 1 in sizes[True]
+        if chunk in tails:
+            assert 1 in sizes[tails[chunk]]
         finals.append(s.get_state())
-    assert same_bits(finals[0], finals[1])
+    assert all(same_bits(final, finals[0]) for final in finals[1:])
 
 
 @pytest.mark.parametrize("dim,refine,ranks", [(2, 1, 3), (3, 0, 2)])
 def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
-    # NaN in every pad of m_slot, P, l and l_next, and of d before step 2,
-    # must leave the states and time steps of two RK3 steps bitwise
-    # unchanged: the kernels and the limiter read the valid slots of their
-    # rows only.  The pads of P, l and l_next must still hold their NaN
-    # afterwards: nothing writes a pad
+    # NaN in every pad of m_slot, P and l, and of d before step 2, must
+    # leave the states and time steps of two RK3 steps bitwise unchanged:
+    # the kernels and the limiter read the valid slots of their rows only.
+    # The pads of P and l must still hold their NaN afterwards: nothing
+    # writes a pad
     setup = problems.mach3_channel(dim, refine=refine)
     mat = assemble(setup.mesh)
     pad_nan = np.array(0x7FF8000000000ABC, dtype=np.int64).view(np.float64)
@@ -795,7 +811,7 @@ def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
         if poison:
             assert all(np.count_nonzero(~rk.valid) > 0 for rk in s.ranks)
             for rk in s.ranks:
-                for name in ("m_slot", "l", "l_next"):
+                for name in ("m_slot", "l"):
                     getattr(rk, name)[~rk.valid] = pad_nan
                 rk.P[~rk.valid[:rk.numbering.n_lo]] = pad_nan
             mirror, poisoned = s._k_mirror, []
@@ -813,9 +829,7 @@ def test_no_row_kernel_reads_a_pad(monkeypatch, dim, refine, ranks):
     assert same_bits(runs[1][1], runs[0][1])
     assert not np.array_equal(runs[0][1], setup.U0)
     for rk in s.ranks:
-        pads = [getattr(rk, name)[~rk.valid] for name in ("l", "l_next")]
-        pads.append(rk.P[~rk.valid[:rk.numbering.n_lo]])
-        for values in pads:
+        for values in (rk.l[~rk.valid], rk.P[~rk.valid[:rk.numbering.n_lo]]):
             assert values.size and (values.view(np.int64) == pad_nan.view(np.int64)).all()
 
 
@@ -831,25 +845,37 @@ def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
     s.set_state(setup.U0)
     for _ in range(3):
         s.ssp_rk3_step()
-    original = s._k_limited_update
+    update, limit = s._k_limited_update, s._k_limit
     seen = dict(chunks=0, live=0, dead=0, pads=0, diagonal=0, forced=0, still=0)
+    # per rank, the slots whose first-pass min(l_ij, l_ji) is below 1, taken
+    # by the update phase before the limiter phase overwrites l
+    live_of = {}
 
-    def checked(rk, lo, hi, last):
-        if last:
-            return original(rk, lo, hi, last)
+    def checked_update(rk, lo, hi, last):
+        if not last:
+            sl = slice(lo, hi)
+            lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
+            live_of.setdefault(id(rk), np.zeros(rk.l.shape, dtype=bool))[sl] = (
+                np.minimum(rk.l[sl], lT) < 1.0)
+        update(rk, lo, hi, last)
+
+    # step 4 runs its limiter before any update, so only the second pass's
+    # limiter phase finds live_of filled
+    def checked(rk, lo, hi):
+        if id(rk) not in live_of:
+            return limit(rk, lo, hi)
         sl = slice(lo, hi)
         # raise the entropy bound of one row so that Psi(U_i) < 0 there
         rk.phi_min[lo] = 2.0 * oracles.specific_entropy_phi(rk.U_next[lo])
-        lT = rk.l[rk.cols[sl], rk.trans_slot[sl]]
-        live = np.minimum(rk.l[sl], lT) < 1.0
-        original(rk, lo, hi, last)
+        live = live_of[id(rk)][sl]
+        limit(rk, lo, hi)
         assert oracles.psi_entropy(rk.U_next[lo], rk.phi_min[lo]) < 0.0
         want = oracles.limiter_entries_reference(s, rk, lo, hi)
         valid = rk.valid[sl]
         moving = valid & (rk.P[sl] != 0.0).any(axis=-1)
-        assert same_bits(rk.l_next[sl][moving], want[moving])
-        assert (rk.l_next[sl][valid & ~moving] == 1.0).all()
-        assert (rk.l_next[lo][moving[0]] == 0.0).all()
+        assert same_bits(rk.l[sl][moving], want[moving])
+        assert (rk.l[sl][valid & ~moving] == 1.0).all()
+        assert (rk.l[lo][moving[0]] == 0.0).all()
         seen["chunks"] += 1
         seen["live"] += np.count_nonzero(live)
         seen["dead"] += np.count_nonzero(~live)
@@ -859,7 +885,8 @@ def test_second_limiter_pass_matches_the_dense_batch_bitwise(monkeypatch):
         seen["still"] += np.count_nonzero(valid[0] & ~moving[0])
         return None
 
-    monkeypatch.setattr(s, "_k_limited_update", checked)
+    monkeypatch.setattr(s, "_k_limited_update", checked_update)
+    monkeypatch.setattr(s, "_k_limit", checked)
     s.euler_step()
     assert seen["chunks"] > 2
     assert min(seen.values()) > 0, seen
@@ -873,8 +900,8 @@ def test_slots_without_a_correction_pair_up_and_take_one(monkeypatch, ranks, pas
     # factor per row because, after step 4 and after each rescale, the
     # diagonal's P is +0 and an owned slot's P is all +-0 exactly when its
     # mirror's is, wherever the mirror is owned; a slot whose P is all +-0
-    # holds 1 after its pass.  From the uniform start every P is +-0, so
-    # the checks begin after one RK3 step
+    # holds 1 after its pass's limiter, the phase synced on l.  From the
+    # uniform start every P is +-0, so the checks begin after one RK3 step
     setup = problems.mach3_channel(2, refine=1)
     s = Solver(assemble(setup.mesh), ranks=ranks, limiter_passes=passes,
                boundary=setup.boundary)
@@ -883,9 +910,9 @@ def test_slots_without_a_correction_pair_up_and_take_one(monkeypatch, ranks, pas
     phase = s._phase
     seen = {"step4": [], "step5": []}
 
-    def checked(name, *args, **kwargs):
-        phase(name, *args, **kwargs)
-        if name not in seen:
+    def checked(name, kernel, synced=None, **kwargs):
+        phase(name, kernel, synced, **kwargs)
+        if name not in seen or synced != "l":
             return
         still = {}  # (global i, global j) -> P_ij is all +-0
         for rk in s.ranks:
@@ -893,8 +920,7 @@ def test_slots_without_a_correction_pair_up_and_take_one(monkeypatch, ranks, pas
             valid = rk.valid[:n_lo]
             assert not rk.P[np.arange(n_lo), rk.diag_slot[:n_lo]].view(np.int64).any()
             zero = valid & ~(rk.P != 0.0).any(axis=-1)
-            l = rk.l if name == "step4" else rk.l_next
-            assert (l[:n_lo][zero] == 1.0).all()
+            assert (rk.l[:n_lo][zero] == 1.0).all()
             i, slot = np.nonzero(valid)
             gid = rk.orig_of_new
             still.update(zip(zip(gid[i].tolist(), gid[rk.cols[i, slot]].tolist()),
