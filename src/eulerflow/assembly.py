@@ -4,7 +4,11 @@ Assembles, once before the time loop, the consistent mass matrix m_ij, its
 lumped diagonal m_i (with precomputed inverse) and the vector-valued matrix
 c_ij = integral(phi_i grad phi_j), both on a shared sparsity pattern given
 by the node stencil graph.  Quadrature is tensor-product 2-point Gauss,
-exact for affine cells.
+exact for affine cells.  c_ij + c_ji is the boundary integral of
+phi_i phi_j n, exactly zero unless both nodes lie on the boundary; on every
+other pair c_ij is stored as (c_ij - c_ji) / 2 and c_ji as its negation, bit
+for bit, which the wavespeed (riemann.d_ij_low) relies on to evaluate one
+direction of such an edge.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import _REF_CORNERS, Mesh
+from .mesh import _REF_CORNERS, Mesh, boundary_faces
 
 __all__ = ["PrecomputedMatrices", "assemble"]
 
@@ -116,6 +120,16 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
             raise AssertionError("assembled matrices disagree on the sparsity pattern")
     c = np.stack([mat.data for mat in c_mats], axis=-1)
+    # the pattern is symmetric with sorted columns, so the entries in (col,
+    # row) order are the mirrors of the entries in (row, col) order
+    mirror = np.argsort(indices, kind="stable")
+    rows_of = np.repeat(np.arange(n), np.diff(indptr))
+    on_boundary = np.zeros(n, dtype=bool)
+    on_boundary[red[boundary_faces(mesh)[0]]] = True
+    skew = 0.5 * (c - c[mirror])
+    lower = indices < rows_of
+    skew[lower] = -skew[mirror[lower]]
+    c = np.where((on_boundary[rows_of] & on_boundary[indices])[:, None], c, skew)
     m_lumped = np.add.reduceat(m_mat.data, indptr[:-1])
     if np.any(m_lumped <= 0.0):
         raise ValueError("non-positive lumped mass entry")

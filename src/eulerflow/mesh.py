@@ -319,8 +319,12 @@ def boundary_faces(mesh: Mesh):
     loc = np.asarray(_LOCAL_FACES[mesh.dim])
     all_faces = mesh.cells[:, loc].reshape(-1, loc.shape[1])
     keys = _distinct_sorted(mesh.reduced_index[all_faces], mesh.n_nodes)
-    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
-    once = np.sort(first[counts == 1])
+    # a face is on the boundary when no other face has its node set: sort the
+    # sets and keep the runs of length one
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+    once = np.sort(order[starts[np.diff(starts, append=len(keys)) == 1]])
     faces = all_faces[once]
     pts = mesh.points[faces]
     if mesh.dim == 2:

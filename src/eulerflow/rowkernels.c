@@ -33,6 +33,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef int64_t idx;
 
@@ -45,7 +46,7 @@ struct rank {
     idx L, nvar;
     const idx *cols, *trans_slot, *card, *diag_slot, *up_row, *up_slot;
     const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_up, *normT_up;
-    double *U, *U_next, *R, *f, *eor, *phi, *alpha, *d, *l;
+    double *U, *U_next, *R, *f, *vpc, *eor, *phi, *alpha, *d, *l;
     double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
 };
 
@@ -61,17 +62,18 @@ static inline double clip(double x, double a, double b) { return np_min(np_max(x
 static inline double clip01(double x) { return x < 0.0 ? 0.0 : x > 1.0 ? 1.0 : x; }
 
 /* Phase step0: the flux f(U_i) = (m, v m^T + p I, v (E + p)) of the rows
- * [lo, hi), v = m / rho and p = (gamma - 1) eps, and eps = E - |m|^2 / (2 rho)
- * and rho eps into entries i - lo of eps and rho_eps, the arguments of
- * step 0's pow() levels.  Returns the number of rows i < own with
- * rho eps <= 0, where eta' is not defined. */
-idx entropies(const struct rank *r, idx lo, idx hi, idx own, double gm1, double *eps,
-              double *rho_eps)
+ * [lo, hi), v = m / rho and p = (gamma - 1) eps, the node state
+ * vpc_i = (v, p, c) with c = sqrt(gamma p / rho), which the wavespeed reads,
+ * and eps = E - |m|^2 / (2 rho) and rho eps into entries i - lo of eps and
+ * rho_eps, the arguments of step 0's pow() levels.  Returns the number of
+ * rows i < own with rho eps <= 0, where eta' is not defined. */
+idx entropies(const struct rank *r, idx lo, idx hi, idx own, double gamma, double gm1,
+              double *eps, double *rho_eps)
 {
     idx nvar = r->nvar, dim = nvar - 2, bad = 0;
     for (idx i = lo; i < hi; ++i) {
         const double *Ui = r->U + i * nvar;
-        double *fi = r->f + i * nvar * dim;
+        double *fi = r->f + i * nvar * dim, *Vi = r->vpc + i * nvar;
         double rho = Ui[0], E = Ui[nvar - 1], mm = 0.0;
         for (idx k = 1; k < nvar - 1; ++k)
             mm += Ui[k] * Ui[k];
@@ -84,7 +86,10 @@ idx entropies(const struct rank *r, idx lo, idx hi, idx own, double gm1, double 
                 fi[(1 + k) * dim + x] = v * Ui[1 + x];
             fi[(1 + k) * dim + k] += p;
             fi[(nvar - 1) * dim + k] = v * (E + p);
+            Vi[k] = v;
         }
+        Vi[dim] = p;
+        Vi[dim + 1] = sqrt(gamma * p / rho);
         eps[i - lo] = e;
         rho_eps[i - lo] = rho * e;
         bad += i < own && rho * e <= 0.0;
@@ -277,66 +282,101 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
 /* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the
  * upper edges e0 <= e < e1, in three stages.  Edge e is slot up_slot[e] of
  * row i = up_row[e], its neighbour j = cols[i * L + up_slot[e]].  lambda_ij
- * bounds the maximal wavespeed of the 1D Riemann problem of U_i (left) and
- * U_j (right) projected on the unit normal n_ij, lambda_ji that of U_j and
- * U_i projected on n_ji (Guermond & Popov, JCP 2016: the two-rarefaction
- * star pressure, no Newton step).  Entry e - e0 of the scratch array st holds
- * the four projected states of the edge as (rho, u, p, c), in the order
- * left and right on n_ij, left and right on n_ji, and entry e - e0 of q one
- * value per direction. */
+ * bounds the maximal wavespeed of the 1D Riemann problem on (rho, v.n, p)
+ * of U_i (left) and U_j (right) along the unit normal n = n_ij, lambda_ji
+ * that of U_j and U_i along n_ji (Guermond & Popov, JCP 2016: the
+ * two-rarefaction star pressure, no Newton step).  Only v.n depends on the
+ * edge: rho comes from U, and v, p and c from the node states vpc of step 0.
+ *
+ * Where the stored n_ji and |c_ji| are bitwise -n_ij and |c_ij|, as
+ * assembly.assemble makes them on every pair with an end off the boundary,
+ * the problem along n_ji is the mirror image of the one along n_ij, with the
+ * same bound in exact arithmetic: such an edge is one direction, d_ij =
+ * lambda |c_ij|.  Its left state is the end of lower pressure (U_i on a tie,
+ * where both orientations give the same bits), so that d_ij does not depend
+ * on which end is the row.  Every other edge is two directions.  Entry k of
+ * the scratch array st holds the left and right states (rho, v.n, p, c) of
+ * the k-th direction of the chunk's edges, and entry k of q one value. */
 
-/* U projected on the unit direction n: the density, the normal velocity,
- * the pressure of E - |m - (n.m) n|^2 / (2 rho) and the sound speed, into S.
- * Returns 1 when rho <= 0 or p <= 0, else 0. */
-static int project(const double *U, const double *n, idx dim, double gamma, double gm1,
-                   double *S)
+static inline uint64_t bits(double x)
 {
-    double rho = U[0], E = U[dim + 1], mt = 0.0, tt = 0.0;
-    for (idx k = 0; k < dim; ++k)
-        mt += U[1 + k] * n[k];
-    for (idx k = 0; k < dim; ++k) {
-        double t = U[1 + k] - mt * n[k];
-        tt += t * t;
-    }
-    double Et = E - 0.5 * tt / rho;
-    double p = gm1 * (Et - 0.5 * mt * mt / rho);
-    S[0] = rho;
-    S[1] = mt / rho;
-    S[2] = p;
-    S[3] = sqrt(gamma * p / rho);
-    return rho <= 0.0 || p <= 0.0;
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return b;
 }
 
-/* Stage 1: the projected states, and in q the pressure ratio p_L / p_R of
- * each direction, the argument of the first pow() level.  Returns the
- * number of projected states with rho <= 0 or p <= 0. */
-idx wavespeed_project(const struct rank *r, idx e0, idx e1, double gamma, double gm1,
-                      double *st, double *q)
+/* The number of directions of edge e: 1 where n_ji and |c_ji| are bitwise
+ * -n_ij and |c_ij|, else 2. */
+static inline idx directions(const struct rank *r, idx e, idx dim)
 {
-    idx nvar = r->nvar, dim = nvar - 2, bad = 0;
-    const double *U = r->U, *n_ij = r->n_up, *n_ji = r->nT_up;
+    const double *n = r->n_up + e * dim, *nT = r->nT_up + e * dim;
+    int mirrored = bits(r->normT_up[e]) == bits(r->norm_up[e]);
+    for (idx k = 0; k < dim; ++k)
+        mirrored &= bits(nT[k]) == bits(-n[k]);
+    return mirrored ? 1 : 2;
+}
+
+/* The 1D state (rho, v.n scaled by sign, p, c) of a node into S, V its node
+ * state (v, p, c) and rho its density. */
+static inline void state(double *S, double rho, const double *V, const double *n, double sign,
+                         idx dim)
+{
+    double u = 0.0;
+    for (idx k = 0; k < dim; ++k)
+        u += V[k] * n[k];
+    S[0] = rho;
+    S[1] = sign * u;
+    S[2] = V[dim];
+    S[3] = V[dim + 1];
+}
+
+/* Stage 1: the left and right states of every direction, and in q the
+ * pressure ratio p_L / p_R of each, the argument of the first pow() level.
+ * Returns the number of directions, and in bad that of the node states
+ * gathered with rho <= 0 or p <= 0. */
+idx wavespeed_project(const struct rank *r, idx e0, idx e1, idx *bad, double *st, double *q)
+{
+    idx nvar = r->nvar, dim = nvar - 2, k = 0, nbad = 0;
+    const double *U = r->U, *vpc = r->vpc;
     for (idx e = e0; e < e1; ++e) {
         idx i = r->up_row[e], j = r->cols[i * r->L + r->up_slot[e]];
-        double *S = st + (e - e0) * 16, *qe = q + (e - e0) * 2;
-        bad += project(U + i * nvar, n_ij + e * dim, dim, gamma, gm1, S);
-        bad += project(U + j * nvar, n_ij + e * dim, dim, gamma, gm1, S + 4);
-        bad += project(U + j * nvar, n_ji + e * dim, dim, gamma, gm1, S + 8);
-        bad += project(U + i * nvar, n_ji + e * dim, dim, gamma, gm1, S + 12);
-        qe[0] = S[2] / S[6];
-        qe[1] = S[10] / S[14];
+        const double *Vi = vpc + i * nvar, *Vj = vpc + j * nvar, *n = r->n_up + e * dim;
+        double *S = st + k * 8;
+        nbad += ((U[i * nvar] <= 0.0) | (Vi[dim] <= 0.0))
+                + ((U[j * nvar] <= 0.0) | (Vj[dim] <= 0.0));
+        if (directions(r, e, dim) == 1) {
+            /* the mirror image along -n swaps the ends and negates v.n; the
+             * selects are arithmetic, as the order of the pressures is not
+             * predictable */
+            idx flip = Vj[dim] < Vi[dim], a = i ^ ((i ^ j) & -flip), b = i ^ j ^ a;
+            double sign = 1.0 - 2.0 * (double)flip;
+            state(S, U[a * nvar], vpc + a * nvar, n, sign, dim);
+            state(S + 4, U[b * nvar], vpc + b * nvar, n, sign, dim);
+            q[k++] = S[2] / S[6];
+        } else {
+            const double *nT = r->nT_up + e * dim;
+            state(S, U[i * nvar], Vi, n, 1.0, dim);
+            state(S + 4, U[j * nvar], Vj, n, 1.0, dim);
+            state(S + 8, U[j * nvar], Vj, nT, 1.0, dim);
+            state(S + 12, U[i * nvar], Vi, nT, 1.0, dim);
+            q[k] = S[2] / S[6];
+            q[k + 1] = S[10] / S[14];
+            k += 2;
+        }
     }
-    return bad;
+    *bad = nbad;
+    return k;
 }
 
-/* Stage 2: q holds (p_L / p_R)^(-(gamma - 1) / (2 gamma)) and takes the
- * clamped base of the two-rarefaction star pressure, the argument of the
- * second pow() level. */
-void wavespeed_base(idx ne, double gm1, const double *st, double *q)
+/* Stage 2: q holds (p_L / p_R)^(-(gamma - 1) / (2 gamma)) of nd directions
+ * and takes the clamped base of the two-rarefaction star pressure, the
+ * argument of the second pow() level. */
+void wavespeed_base(idx nd, double gm1, const double *st, double *q)
 {
-    for (idx e = 0; e < 2 * ne; ++e) {
-        const double *Ls = st + e * 8, *Rs = Ls + 4;
+    for (idx k = 0; k < nd; ++k) {
+        const double *Ls = st + k * 8, *Rs = Ls + 4;
         double num = Ls[3] + Rs[3] - 0.5 * gm1 * (Rs[1] - Ls[1]);
-        q[e] = np_max(num / (Ls[3] * q[e] + Rs[3]), 0.0);
+        q[k] = np_max(num / (Ls[3] * q[k] + Rs[3]), 0.0);
     }
 }
 
@@ -351,15 +391,19 @@ static double shock_wave(const double *S, double p, double gamma, double gm1)
 static inline double pos(double x) { return 0.5 * (fabs(x) + x); }
 static inline double neg_magnitude(double x) { return 0.5 * (fabs(x) - x); }
 
-/* The wavespeed bound of one direction, Ls and Rs its projected states and
- * power its second pow() level, base^(2 gamma / (gamma - 1)). */
+/* The wavespeed bound of one direction, Ls and Rs its states and power its
+ * second pow() level, base^(2 gamma / (gamma - 1)).  psi(p_max) is the sum
+ * of both wave functions and u_R - u_L, but the wave function of a state
+ * whose pressure is p_max is +0 exactly, and adding +0 to the other, which is
+ * not -0, leaves it as it is: only the end of lower pressure is evaluated,
+ * the left one of a one-direction edge. */
 static double lambda_max(const double *Ls, const double *Rs, double power, double gamma,
                          double gm1)
 {
     double p_tr = Rs[2] * power;
     double p_max = np_max(Ls[2], Rs[2]);
-    double psi = shock_wave(Ls, p_max, gamma, gm1) + shock_wave(Rs, p_max, gamma, gm1)
-                 + (Rs[1] - Ls[1]);
+    const double *low = Ls[2] <= Rs[2] ? Ls : Rs;
+    double psi = shock_wave(low, p_max, gamma, gm1) + (Rs[1] - Ls[1]);
     double p_star = psi < 0.0 ? p_tr : np_min(p_max, p_tr);
     double gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
     double lam1 = Ls[1] - Ls[3] * sqrt(1.0 + gp1_over_2g * pos((p_star - Ls[2]) / Ls[2]));
@@ -367,21 +411,30 @@ static double lambda_max(const double *Ls, const double *Rs, double power, doubl
     return np_max(neg_magnitude(lam1), pos(lam3));
 }
 
-/* Stage 3: q holds the second pow() level of each direction; d_ij goes into
- * the edge's slot of d and into entry e - e0 of out.  A zero-length c
- * contributes zero. */
-void wavespeed_bound(const struct rank *r, idx e0, idx e1, double gamma, double gm1,
-                     const double *st, const double *q, double *out)
+/* Stage 3: q holds the second pow() level of the nd directions of stage 1;
+ * d_ij goes into the edge's slot of d and into entry e - e0 of out.  A
+ * zero-length c contributes zero.  Returns the number of directions read, or
+ * -1 before an edge whose directions are not all among the nd. */
+idx wavespeed_bound(const struct rank *r, idx e0, idx e1, double gamma, double gm1, idx nd,
+                    const double *st, const double *q, double *out)
 {
+    idx dim = r->nvar - 2, k = 0;
     const double *norm_ij = r->norm_up, *norm_ji = r->normT_up;
     for (idx e = e0; e < e1; ++e) {
-        const double *S = st + (e - e0) * 16, *qe = q + (e - e0) * 2;
-        double lam_ij = lambda_max(S, S + 4, qe[0], gamma, gm1);
-        double lam_ji = lambda_max(S + 8, S + 12, qe[1], gamma, gm1);
-        double a = norm_ij[e] > 0.0 ? lam_ij * norm_ij[e] : 0.0;
-        double b = norm_ji[e] > 0.0 ? lam_ji * norm_ji[e] : 0.0;
-        out[e - e0] = r->d[r->up_row[e] * r->L + r->up_slot[e]] = np_max(a, b);
+        idx m = directions(r, e, dim);
+        if (k + m > nd)
+            return -1;
+        const double *S = st + k * 8;
+        double lam_ij = lambda_max(S, S + 4, q[k], gamma, gm1);
+        double d = norm_ij[e] > 0.0 ? lam_ij * norm_ij[e] : 0.0;
+        if (m == 2) {
+            double lam_ji = lambda_max(S + 8, S + 12, q[k + 1], gamma, gm1);
+            d = np_max(d, norm_ji[e] > 0.0 ? lam_ji * norm_ji[e] : 0.0);
+        }
+        k += m;
+        out[e - e0] = r->d[r->up_row[e] * r->L + r->up_slot[e]] = d;
     }
+    return k;
 }
 
 /* The convex limiter of the rows [lo, hi), U_i the row's state in U_next:

@@ -108,7 +108,8 @@ ARRAYS = {
     "n_up": (_F, ("edges", "dim")), "norm_up": (_F, ("edges",)), "nT_up": (_F, ("edges", "dim")),
     "normT_up": (_F, ("edges",)),
     "U": (_F, ("rows", "nvar")), "U_next": (_F, ("rows", "nvar")), "R": (_F, ("rows", "nvar")),
-    "f": (_F, ("rows", "nvar", "dim")), "eor": (_F, ("rows",)), "phi": (_F, ("rows",)),
+    "f": (_F, ("rows", "nvar", "dim")), "vpc": (_F, ("rows", "nvar")), "eor": (_F, ("rows",)),
+    "phi": (_F, ("rows",)),
     "alpha": (_F, ("rows",)), "d": (_F, ("rows", "L")), "l": (_F, ("rows", "L")),
     "P": (_F, ("owned", "L", "nvar")), "eta_scale": (_F, ("owned",)),
     "rho_min": (_F, ("owned",)), "rho_max": (_F, ("owned",)), "phi_min": (_F, ("owned",)),
@@ -140,18 +141,17 @@ def _declare(name, restype, *argtypes):
 
 
 # every kernel takes the address of a struct rank first
-_entropies = _declare("entropies", _i64, _ptr, _i64, _i64, _i64, _f64, _ptr, _ptr)
+_entropies = _declare("entropies", _i64, _ptr, _i64, _i64, _i64, _f64, _f64, _ptr, _ptr)
 _flux_contraction = _declare("flux_contraction", None, _ptr, _i64, _i64, _ptr, _ptr)
 _indicator = _declare("indicator", None, _ptr, _i64, _i64, _ptr, _ptr, _f64)
 _mirror = _declare("mirror", None, _ptr, _i64, _i64)
 _low_order = _declare("low_order", None, _ptr, _i64, _i64, _f64)
 _correction = _declare("correction", None, _ptr, _i64, _i64, _f64)
 _limited_update = _declare("limited_update", None, _ptr, _i64, _i64, _int)
-_wavespeed_project = _declare("wavespeed_project", _i64, _ptr, _i64, _i64, _f64, _f64, _ptr,
-                              _ptr)
+_wavespeed_project = _declare("wavespeed_project", _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr)
 _wavespeed_base = _declare("wavespeed_base", None, _i64, _f64, _ptr, _ptr)
-_wavespeed_bound = _declare("wavespeed_bound", None, _ptr, _i64, _i64, _f64, _f64, _ptr, _ptr,
-                            _ptr)
+_wavespeed_bound = _declare("wavespeed_bound", _i64, _ptr, _i64, _i64, _f64, _f64, _i64, _ptr,
+                            _ptr, _ptr)
 _limiter_start = _declare("limiter_start", _i64, _ptr, _i64, _i64, _f64, _i64, _ptr, _ptr, _ptr)
 _limiter_test = _declare("limiter_test", _i64, _ptr, _i64, _int, _i64, _ptr, _ptr, _ptr, _ptr)
 _limiter_newton = _declare("limiter_newton", _i64, _ptr, _i64, _f64, _f64, _i64, _ptr, _ptr,
@@ -210,12 +210,13 @@ class Binding:
             raise ValueError(f"[{lo}, {hi}) is outside the range of {count}, [0, {n})")
 
     def entropies(self, lo, hi, own, gas):
-        """Step 0's stage: writes f of the rows [lo, hi); returns their eps
-        and rho eps, and the number of rows below own with rho eps <= 0."""
+        """Step 0's stage: writes f and the node states vpc of the rows
+        [lo, hi); returns their eps and rho eps, and the number of rows below
+        own with rho eps <= 0."""
         self.check("rows", lo, hi)
         out = np.empty((2, hi - lo))
         p = out.ctypes.data
-        bad = _entropies(self.address, lo, hi, own, gas.gm1, p, p + 8 * (hi - lo))
+        bad = _entropies(self.address, lo, hi, own, gas.gamma, gas.gm1, p, p + 8 * (hi - lo))
         return out[0], out[1], bad
 
     def flux_contraction(self, lo, hi):
@@ -255,33 +256,39 @@ class Binding:
         self.check("owned", lo, hi)
         _limited_update(self.address, lo, hi, int(last))
 
-    def wavespeed_project(self, e0, e1, gas):
-        """Stage 1 of the wavespeed of the upper edges e0:e1: returns their
-        projected states (e1 - e0, 4, 4), pressure ratios (e1 - e0, 2) and
-        the number of projected states with rho <= 0 or p <= 0."""
+    def wavespeed_project(self, e0, e1):
+        """Stage 1 of the wavespeed of the upper edges e0:e1, from the node
+        states of step 0: returns the left and right states of their
+        directions (nd, 2, 4), one for an edge whose c_ji is bitwise -c_ij
+        and two for any other, the pressure ratios (nd,) and the number of
+        node states gathered with rho <= 0 or p <= 0."""
         self.check("edges", e0, e1)
-        states, q = np.empty((e1 - e0, 4, 4)), np.empty((e1 - e0, 2))
-        bad = _wavespeed_project(self.address, e0, e1, gas.gamma, gas.gm1, states.ctypes.data,
-                                 q.ctypes.data)
-        return states, q, bad
+        states, q = np.empty((2 * (e1 - e0), 2, 4)), np.empty(2 * (e1 - e0))
+        bad = ctypes.c_int64()
+        nd = _wavespeed_project(self.address, e0, e1, ctypes.addressof(bad), states.ctypes.data,
+                                q.ctypes.data)
+        return states[:nd], q[:nd], bad.value
 
     def wavespeed_bound(self, e0, e1, states, q, gas):
-        """Stage 3: d_ij of the upper edges e0:e1 from their projected states
-        and q, the bases to the power 2 gamma / (gamma - 1), written into
-        their slots of d and returned."""
+        """Stage 3: d_ij of the upper edges e0:e1 from the states of their
+        directions and q, the bases to the power 2 gamma / (gamma - 1),
+        written into their slots of d and returned.  Raises ValueError when
+        the edges take other than the len(q) directions given."""
         self.check("edges", e0, e1)
-        out = np.empty(e1 - e0)
-        _wavespeed_bound(self.address, e0, e1, gas.gamma, gas.gm1,
-                         _address(states, 16 * (e1 - e0)), _address(q, 2 * (e1 - e0)),
-                         out.ctypes.data)
+        out, nd = np.empty(e1 - e0), len(q)
+        used = _wavespeed_bound(self.address, e0, e1, gas.gamma, gas.gm1, nd,
+                                _address(states, 8 * nd), _address(q, nd), out.ctypes.data)
+        if used != nd:
+            took = "more" if used < 0 else used
+            raise ValueError(f"edges {e0}:{e1} take {took} directions, not the {nd} given")
         return out
 
 
 def wavespeed_base(states, q, gas):
     """Stage 2: q, the pressure ratios to the power -(gamma - 1) / (2 gamma),
     takes the clamped two-rarefaction base of each direction in place."""
-    ne = len(states)
-    _wavespeed_base(ne, gas.gm1, _address(states, 16 * ne), _address(q, 2 * ne))
+    nd = len(q)
+    _wavespeed_base(nd, gas.gm1, _address(states, 8 * nd), _address(q, nd))
 
 
 class LimiterChunk:

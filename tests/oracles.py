@@ -75,10 +75,10 @@ def exact_lambda_max(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma=GAMMA):
 
 
 # ----- the wavespeed bound in numpy --------------------------------------------
-# riemann.d_ij_low as it was before its compiled stages replaced it: the
-# two-rarefaction bound of Guermond & Popov (JCP 2016), vectorized and
-# branch-free (selects instead of branches), with the directions, momenta
-# and c vectors handled one component at a time and added left to right.
+# riemann.d_ij_low in numpy: the two-rarefaction bound of Guermond & Popov
+# (JCP 2016) on the 1D Riemann problem on (rho, v.n, p), vectorized and
+# branch-free (selects instead of branches), with the directions and
+# velocities handled one component at a time and added left to right.
 
 def _pos(x):
     """Positive part (|x| + x) / 2, evaluated branch-free."""
@@ -92,15 +92,12 @@ def _neg_magnitude(x):
 
 @dataclass
 class Projected1DState:
-    """1D state obtained by projecting momentum onto a unit direction.
-
-    The tangential kinetic energy is removed from the total energy, so the
-    projected internal energy (and pressure) equals that of the source state.
-    """
+    """The 1D state of a node along a unit direction n: its density, normal
+    velocity v.n, pressure and sound speed.  Projecting the momentum on n
+    and removing the tangential kinetic energy from E keeps the internal
+    energy, so the pressure and sound speed are the node's own."""
 
     rho: np.ndarray
-    m: np.ndarray
-    E: np.ndarray
     u: np.ndarray
     p: np.ndarray
     c: np.ndarray
@@ -110,25 +107,30 @@ def _components(x):
     return [x[..., k] for k in range(np.shape(x)[-1])]
 
 
+def node_states(U, gas=AIR):
+    """The node states (v, p, c) of step 0's stage as the list of their
+    components: v = m / rho, p = (gamma - 1) eps and c = sqrt(gamma p / rho)."""
+    rho = U[..., 0]
+    p = physics.pressure(U, gas)
+    with np.errstate(invalid="ignore"):
+        c = np.sqrt(gas.gamma * p / rho)
+    return [U[..., 1 + k] / rho for k in range(U.shape[-1] - 2)] + [p, c]
+
+
 def project(U, n, gas=AIR):
-    """Project a (d+2)-state onto direction n: rho, n.m, E - |m - (n.m)n|^2/(2 rho)."""
+    """The 1D state of U along the unit direction n."""
     return _project(U, _components(n), gas)
 
 
 def _project(U, n, gas):
-    """project with the direction given as the list of its components."""
-    rho = U[..., 0]
-    mom = [U[..., 1 + k] for k in range(len(n))]
-    E = U[..., -1]
-    m_t = sum_left_to_right(m * n_k for m, n_k in zip(mom, n))
-    tang = (m - m_t * n_k for m, n_k in zip(mom, n))
-    E_t = E - 0.5 * sum_left_to_right(t * t for t in tang) / rho
-    u = m_t / rho
-    p = gas.gm1 * (E_t - 0.5 * m_t * m_t / rho)
+    """project with the direction given as the list of its components.
+    Raises AdmissibilityError where rho <= 0 or p <= 0."""
+    V = node_states(U, gas)
+    rho, p, c = U[..., 0], V[-2], V[-1]
     if np.any(rho <= 0.0) or np.any(p <= 0.0):
         raise AdmissibilityError("projected state requires rho > 0 and p > 0")
-    c = np.sqrt(gas.gamma * p / rho)
-    return Projected1DState(rho=rho, m=m_t, E=E_t, u=u, p=p, c=c)
+    u = sum_left_to_right(v * n_k for v, n_k in zip(V, n))
+    return Projected1DState(rho=rho, u=u, p=p, c=c)
 
 
 def two_rarefaction_pstar(Li, Rj, gas=AIR):
@@ -181,20 +183,42 @@ def _unit(c):
     return n, norm
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def mirrored(c_ij, c_ji):
+    """Where the unit normal and norm of c_ji are bitwise the negated unit
+    normal and the norm of c_ij: the pairs whose wavespeed is one direction."""
+    (n_ij, norm_ij), (n_ji, norm_ji) = _unit(c_ij), _unit(c_ji)
+    out = _bits(norm_ij) == _bits(norm_ji)
+    for a, b in zip(n_ij, n_ji):
+        out = out & (_bits(-a) == _bits(b))
+    return out
+
+
 def d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR):
     """Graph viscosity d_ij = max(lambda(n_ij)|c_ij|, lambda(n_ji)|c_ji|).
 
-    Zero-length c vectors contribute zero; the select keeps the control flow
-    lane-uniform.
+    Where c_ji is -c_ij (mirrored), lambda(n_ji) is the mirror image of
+    lambda(n_ij), and d_ij is one of them: the one whose left state has the
+    lower pressure, U_i on a tie.  Zero-length c vectors contribute zero;
+    the selects keep the control flow lane-uniform.
     """
     n_ij, norm_ij = _unit(c_ij)
     n_ji, norm_ji = _unit(c_ji)
-    lam_ij = _lambda_max_projected(_project(Ui, n_ij, gas), _project(Uj, n_ij, gas), gas)
+    Si, Sj = _project(Ui, n_ij, gas), _project(Uj, n_ij, gas)
     lam_ji = _lambda_max_projected(_project(Uj, n_ji, gas), _project(Ui, n_ji, gas), gas)
-    return np.maximum(
-        np.where(norm_ij > 0.0, lam_ij * norm_ij, 0.0),
-        np.where(norm_ji > 0.0, lam_ji * norm_ji, 0.0),
-    )
+    # the mirror image along -n_ij: the ends swap and v.n changes sign
+    flip = Sj.p < Si.p
+    sign = np.where(flip, -1.0, 1.0)
+    L, R = (Projected1DState(*(np.where(flip, getattr(b, f), getattr(a, f))
+                               for f in ("rho", "u", "p", "c"))) for a, b in ((Si, Sj), (Sj, Si)))
+    L.u, R.u = sign * L.u, sign * R.u
+    one = mirrored(c_ij, c_ji)
+    lam_ij = np.where(one, _lambda_max_projected(L, R, gas), _lambda_max_projected(Si, Sj, gas))
+    d_ij = np.where(norm_ij > 0.0, lam_ij * norm_ij, 0.0)
+    return np.where(one, d_ij, np.maximum(d_ij, np.where(norm_ji > 0.0, lam_ji * norm_ji, 0.0)))
 
 
 # ----- the compiled wavespeed on a list of state pairs -----------------------------
@@ -232,6 +256,15 @@ def bind(**arrays):
         found.get("nvar", found.get("dim", 1) + 2)), **arrays})
 
 
+def bind_edges(gas=AIR, **arrays):
+    """bind, after which step 0's stage writes the node states of every row
+    of U, as the wavespeed reads them."""
+    bound = bind(**arrays)
+    with np.errstate(all="ignore"):
+        bound.entropies(0, bound.counts["rows"], 0, gas)
+    return bound
+
+
 def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     """riemann.d_ij_low on the pairs of a batch, each pair one upper edge of
     edge_layout.  Returns d_ij of the pairs e0: in the batch's shape, and
@@ -239,54 +272,47 @@ def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     layout = edge_layout(Ui, Uj, c_ij, c_ji)
     E = len(layout["up_row"])
     d = np.full((2 * E, 2), np.nan)
-    out = riemann.d_ij_low(bind(d=d, **layout), e0, E, gas)
+    out = riemann.d_ij_low(bind_edges(gas, d=d, **layout), e0, E, gas)
     return out.reshape(np.shape(Ui)[:-1] if e0 == 0 else -1), d
 
 
-def compiled_lambda_max(Ui, Uj, n, gas=AIR):
+def compiled_lambda_max(Ui, Uj, n, gas=AIR, mirrored=False):
     """The compiled bound of the pairs along unit directions n: d_ij with
     c_ij = n and c_ji = 0, which is lambda(n) |n| (lambda itself for a
-    coordinate axis n, whose norm is 1)."""
+    coordinate axis n, whose norm is 1).  With mirrored, c_ji = -n, which
+    evaluates the one direction of the lower pressure."""
     n = np.broadcast_to(n, np.shape(Ui)[:-1] + np.shape(n)[-1:])
-    return compiled_d_ij_low(Ui, Uj, n, np.zeros_like(n), gas)[0]
+    return compiled_d_ij_low(Ui, Uj, n, -n if mirrored else np.zeros_like(n), gas)[0]
 
 
-# ----- whole-block wavespeed formulas ------------------------------------------
-
-def project_block_reference(U, n, gas=AIR):
-    """project as it was before it worked one component at a time:
-    products and sums on whole (..., d) blocks of momenta and directions."""
-    rho = U[..., 0]
-    mom = U[..., 1:-1]
-    E = U[..., -1]
-    m_t = component_sum(mom * n)
-    tang = mom - m_t[..., None] * n
-    E_t = E - 0.5 * component_sum(tang * tang) / rho
-    u = m_t / rho
-    p = gas.gm1 * (E_t - 0.5 * m_t * m_t / rho)
-    c = np.sqrt(gas.gamma * p / rho)
-    return Projected1DState(rho=rho, m=m_t, E=E_t, u=u, p=p, c=c)
-
+# ----- the wavespeed bound on whole blocks ---------------------------------------
 
 def d_ij_low_block_reference(Ui, Uj, c_ij, c_ji, gas=AIR):
-    """d_ij_low as it was before it worked one component at a time:
-    the unit directions are built as (..., d) blocks with an e_1 block for
-    zero-length c vectors."""
-    def lam(Ua, Ub, n):
-        return _lambda_max_projected(
-            project_block_reference(Ua, n, gas), project_block_reference(Ub, n, gas), gas
-        )
+    """d_ij_low with the unit directions, velocities and normal velocities
+    formed as whole (..., d) blocks, with an e_1 block for zero-length c
+    vectors, and the direction test on whole blocks of bits."""
+    def unit(c):
+        norm = np.sqrt(component_sum(c * c))
+        e1 = np.zeros_like(c)
+        e1[..., 0] = 1.0
+        return np.where(norm[..., None] > 0.0, c / np.where(norm, norm, 1.0)[..., None], e1), norm
 
-    norm_ij = np.sqrt(component_sum(c_ij * c_ij))
-    norm_ji = np.sqrt(component_sum(c_ji * c_ji))
-    e1 = np.zeros_like(c_ij)
-    e1[..., 0] = 1.0
-    n_ij = np.where(norm_ij[..., None] > 0.0, c_ij / np.where(norm_ij, norm_ij, 1.0)[..., None], e1)
-    n_ji = np.where(norm_ji[..., None] > 0.0, c_ji / np.where(norm_ji, norm_ji, 1.0)[..., None], e1)
-    return np.maximum(
-        np.where(norm_ij > 0.0, lam(Ui, Uj, n_ij) * norm_ij, 0.0),
-        np.where(norm_ji > 0.0, lam(Uj, Ui, n_ji) * norm_ji, 0.0),
-    )
+    def state(U, n, sign=1.0):
+        rho = U[..., 0]
+        v = U[..., 1:-1] / rho[..., None]
+        p = gas.gm1 * (U[..., -1] - 0.5 * component_sum(U[..., 1:-1] * U[..., 1:-1]) / rho)
+        return Projected1DState(rho, sign * component_sum(v * n), p, np.sqrt(gas.gamma * p / rho))
+
+    (n_ij, norm_ij), (n_ji, norm_ji) = unit(c_ij), unit(c_ji)
+    one = (_bits(-n_ij) == _bits(n_ji)).all(axis=-1) & (_bits(norm_ij) == _bits(norm_ji))
+    flip = state(Uj, n_ij).p < state(Ui, n_ij).p
+    sign = np.where(flip, -1.0, 1.0)
+    Ua, Ub = np.where(flip[..., None], Uj, Ui), np.where(flip[..., None], Ui, Uj)
+    lam_one = _lambda_max_projected(state(Ua, n_ij, sign), state(Ub, n_ij, sign), gas)
+    lam_ij = _lambda_max_projected(state(Ui, n_ij), state(Uj, n_ij), gas)
+    lam_ji = _lambda_max_projected(state(Uj, n_ji), state(Ui, n_ji), gas)
+    a = np.where(norm_ij > 0.0, np.where(one, lam_one, lam_ij) * norm_ij, 0.0)
+    return np.where(one, a, np.maximum(a, np.where(norm_ji > 0.0, lam_ji * norm_ji, 0.0)))
 
 
 # ----- scalar state helpers --------------------------------------------------

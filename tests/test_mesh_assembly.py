@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerflow import mesh, problems
+from eulerflow import assembly, mesh, problems
 from eulerflow.assembly import assemble
 from eulerflow.mesh import (
     DISC_CENTER,
@@ -16,6 +16,10 @@ from eulerflow.mesh import (
 from eulerflow.stepper import Solver
 
 import oracles
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ----- meshes ----------------------------------------------------------------
@@ -221,10 +225,43 @@ def test_matrix_invariants(make):
 
 
 def test_c_antisymmetric_on_periodic_mesh():
+    # a periodic mesh has no boundary: c_ji = -c_ij on every pair
     mat = assemble(rectangle_mesh(4, 4, periodic=(True, True)))
     for k in range(2):
         C = mat.csr(mat.c[:, k])
-        assert abs(C + C.T).max() < 1e-15
+        assert abs(C + C.T).max() == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rectangle_mesh(5, 4),
+    lambda: cylinder_channel_mesh(2),
+    lambda: cylinder_channel_mesh(3),
+    lambda: refine(cylinder_channel_mesh(3)),
+])
+def test_c_antisymmetric_off_the_boundary(make, monkeypatch):
+    # c_ij + c_ji is the boundary integral of phi_i phi_j n, zero unless both
+    # nodes lie on the boundary: there c_ij is (c_ij - c_ji) / 2 of the
+    # assembled values and c_ji its negation, bit for bit, and a pair of
+    # boundary nodes keeps its assembled values (those of an assembly that
+    # takes every node for a boundary node).  Every node of the one-layer 3D
+    # channel lies on the boundary
+    m = make()
+    mat = assemble(m)
+    monkeypatch.setattr(assembly, "boundary_faces", lambda mesh: (mesh.cells, None, None))
+    raw = assemble(m).c
+    on_boundary = np.zeros(mat.n, dtype=bool)
+    on_boundary[oracles.boundary_faces_reference(m)[0]] = True
+    rows = np.repeat(np.arange(mat.n), mat.card)
+    mirror = {(i, j): k for k, (i, j) in enumerate(zip(rows, mat.indices))}
+    T = np.array([mirror[j, i] for i, j in zip(rows, mat.indices)])
+    kept = on_boundary[rows] & on_boundary[mat.indices]
+    assert kept.any() and kept.all() == (m.dim == 3 and len(m.cells) == 80)
+    assert same_bits(mat.c[kept], raw[kept])
+    skewed = ~kept & (mat.indices > rows)
+    assert same_bits(mat.c[skewed], 0.5 * (raw[skewed] - raw[T[skewed]]))
+    assert same_bits(mat.c[T[skewed]], -mat.c[skewed])
+    assert (mat.c[~kept & (mat.indices == rows)] == 0.0).all()
+    assert np.abs(mat.c - raw).max() < 1e-15
 
 
 def test_total_mass_is_domain_volume():

@@ -48,13 +48,19 @@ def test_rest_state_gives_sound_speed():
 
 
 def test_projection_preserves_internal_energy():
+    # projecting the momentum on n and taking the tangential kinetic energy
+    # out of E keeps the internal energy: the 1D problem along n has the
+    # node's pressure and sound speed, and v.n as its velocity
     rng = np.random.default_rng(4)
     for _ in range(30):
         U, _, n = pair(rng, 3)
         S = oracles.project(U, n)
-        eps = float(physics.internal_energy(U))
-        eps_proj = S.E - 0.5 * S.m * S.m / S.rho
-        assert eps_proj == pytest.approx(eps, rel=1e-13)
+        m_n = float(U[1:-1] @ n)
+        tangential = U[1:-1] - m_n * n
+        E_n = U[-1] - 0.5 * float(tangential @ tangential) / U[0]
+        assert AIR.gm1 * (E_n - 0.5 * m_n * m_n / U[0]) == pytest.approx(float(S.p), rel=1e-13)
+        assert float(S.p) == float(physics.pressure(U))
+        assert float(S.u) == pytest.approx(m_n / U[0], rel=1e-13)
 
 
 def test_projection_rejects_inadmissible():
@@ -103,6 +109,13 @@ def test_d_ij_symmetry_and_zero_c():
     d1, _ = oracles.compiled_d_ij_low(Ui, Uj, c_ij, c_ji)
     d2, _ = oracles.compiled_d_ij_low(Uj, Ui, c_ji, c_ij)
     assert float(d1) == float(d2)
+    # with c_ji = -c_ij the one direction evaluated is the one whose left
+    # state has the lower pressure, whichever end is the row
+    assert oracles.pressure_of(Ui) < oracles.pressure_of(Uj)
+    d1, _ = oracles.compiled_d_ij_low(Ui, Uj, c_ij, -c_ij)
+    d2, _ = oracles.compiled_d_ij_low(Uj, Ui, -c_ij, c_ij)
+    n, norm = oracles._unit(c_ij)
+    assert float(d1) == float(d2) == float(oracles.lambda_max(Ui, Uj, np.array(n)) * norm)
     zero = np.zeros(2)
     assert float(oracles.compiled_d_ij_low(Ui, Uj, zero, zero)[0]) == 0.0
     # only one direction zero: the other still contributes
@@ -159,32 +172,24 @@ def same_bits(a, b):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(400,), (7, 60), ()])
 def test_per_component_formulas_match_the_block_formulas_bitwise(dim, shape):
+    # half of the pairs have c_ji = -c_ij, whose bound is one direction; the
+    # per-component oracle, the whole-block formulas and the compiled stages
+    # agree bit for bit, and so do both orders of a pair's ends
     rng = np.random.default_rng(10 * dim + len(shape))
     Ui, Uj, c_ij, c_ji = batched_operands(rng, dim, shape)
+    c_ji = np.where((rng.random(shape) < 0.5)[..., None], -c_ij, c_ji)
+    one = oracles.mirrored(c_ij, c_ji)
     if shape:
         assert (c_ij == 0.0).all(axis=-1).any() and np.signbit(c_ij).any()
+        assert one.any() and not one.all()
     d = oracles.d_ij_low(Ui, Uj, c_ij, c_ji)
     assert same_bits(d, oracles.d_ij_low_block_reference(Ui, Uj, c_ij, c_ji))
     assert same_bits(d, oracles.d_ij_low(Uj, Ui, c_ji, c_ij))
     assert same_bits(d, oracles.compiled_d_ij_low(Ui, Uj, c_ij, c_ji)[0])
     both_zero = (c_ij == 0.0).all(axis=-1) & (c_ji == 0.0).all(axis=-1)
     assert (d[both_zero] == 0.0).all() and (d[~both_zero] > 0.0).all()
-
-    # batched directions with signed zero components, and one direction for all
-    norm = np.linalg.norm(c_ij, axis=-1)
-    n = c_ij / np.where(norm > 0.0, norm, 1.0)[..., None]
-    n[norm == 0.0] = np.eye(dim)[0]
-    for direction in (n, n.reshape(-1, dim)[0]):
-        got = oracles.project(Ui, direction)
-        want = oracles.project_block_reference(Ui, direction)
-        for name in ("rho", "m", "E", "u", "p", "c"):
-            assert same_bits(getattr(got, name), getattr(want, name))
-        lam = oracles.lambda_max(Ui, Uj, direction)
-        want = oracles._lambda_max_projected(
-            oracles.project_block_reference(Ui, direction),
-            oracles.project_block_reference(Uj, direction), AIR,
-        )
-        assert same_bits(lam, want)
+    # a zero-length c has the unit normal e_1 in both directions: two directions
+    assert not one[both_zero].any()
 
 
 @given(
@@ -192,11 +197,15 @@ def test_per_component_formulas_match_the_block_formulas_bitwise(dim, shape):
     log_p=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
     mach=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     sign=st.sampled_from([1.0, -1.0]),
+    mirrored=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p, mach, sign):
+def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p, mach, sign,
+                                                                 mirrored):
     # densities 1e-10 to 1e10 and pressure ratios up to 1e12; velocities of
-    # up to twice the smaller sound speed never open a vacuum
+    # up to twice the smaller sound speed never open a vacuum.  With
+    # mirrored, c_ji = -n and the compiled bound evaluates one direction, the
+    # mirror image of this problem where p_j < p_i
     rho = [10.0**x for x in log_rho]
     p = [10.0**x for x in log_p]
     c_min = min(np.sqrt(AIR.gamma * pk / rk) for pk, rk in zip(p, rho))
@@ -206,7 +215,7 @@ def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p,
     Li, Rj = oracles.project(Ui, n), oracles.project(Uj, n)
     exact = oracles.exact_lambda_max(Li.rho, Li.u, Li.p, Rj.rho, Rj.u, Rj.p)
     # c_ij = n is a coordinate axis of norm 1, so d_ij is lambda itself
-    lam = float(oracles.compiled_lambda_max(Ui, Uj, n))
+    lam = float(oracles.compiled_lambda_max(Ui, Uj, n, mirrored=mirrored))
     # brentq places the exact p* within 1e-15 in absolute terms, which moves
     # a shock speed by up to about 0.5e-15 / p <= 1e-9 in relative terms
     assert lam >= exact * (1.0 - 1e-8)
@@ -239,11 +248,16 @@ def receding(rng, Ui, Uj, c_ij, c_ji, share=0.25):
 @settings(max_examples=200, deadline=None)
 def test_compiled_wavespeed_equals_the_numpy_bound_bitwise(dim, edges, seed, data):
     # rho and p from 1e-10 to 1e10, signed zeros, zero-length c of either
-    # sign, receding near-vacuum pairs, and chunks that start at e0 > 0; the
-    # compiled stages write the edges' slots of d and nothing else
+    # sign, receding near-vacuum pairs, pairs with c_ji = -c_ij (one
+    # direction) among general ones (two), and chunks that start at e0 > 0;
+    # the compiled stages write the edges' slots of d and nothing else, and
+    # give the same bits with the ends of every pair swapped
     rng = np.random.default_rng(seed)
     Ui, Uj, c_ij, c_ji = batched_operands(rng, dim, (edges,), log_range=10.0, sonic=True)
     clamped = receding(rng, Ui, Uj, c_ij, c_ji)
+    mirror = rng.random(edges) < data.draw(st.floats(0.0, 1.0))
+    c_ji[mirror] = -c_ij[mirror]
+    assert (oracles.mirrored(c_ij, c_ji) == ((clamped | mirror) & (c_ij != 0.0).any(axis=1))).all()
     e0 = data.draw(st.integers(0, edges - 1))
     with np.errstate(all="ignore"):
         want = oracles.d_ij_low(Ui[e0:], Uj[e0:], c_ij[e0:], c_ji[e0:])
@@ -253,6 +267,7 @@ def test_compiled_wavespeed_equals_the_numpy_bound_bitwise(dim, edges, seed, dat
     assert (num[clamped] < 0.0).all()
     got, d = oracles.compiled_d_ij_low(Ui, Uj, c_ij, c_ji, e0=e0)
     assert same_bits(got, want)
+    assert same_bits(oracles.compiled_d_ij_low(Uj, Ui, c_ji, c_ij, e0=e0)[0], want)
     assert same_bits(d[e0:edges, 1], want)
     written = np.zeros(d.shape, dtype=bool)
     written[e0:edges, 1] = True
@@ -262,11 +277,11 @@ def test_compiled_wavespeed_equals_the_numpy_bound_bitwise(dim, edges, seed, dat
 def test_inadmissible_projected_state_raises_before_d_is_written():
     rng = np.random.default_rng(8)
     layout = oracles.edge_layout(*batched_operands(rng, 2, (12,)))
-    # one neighbour with negative internal energy: its projection has p < 0
+    # one neighbour with negative internal energy: its node state has p < 0
     layout["U"][12 + 5, -1] = -1.0
     d = rng.normal(size=layout["cols"].shape)
     before = d.copy()
-    bound = oracles.bind(d=d, **layout)
+    bound = oracles.bind_edges(d=d, **layout)
     with pytest.raises(AdmissibilityError, match="projected state requires rho > 0 and p > 0"):
         riemann.d_ij_low(bound, 0, 12)
     assert same_bits(d, before)

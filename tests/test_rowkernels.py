@@ -311,8 +311,9 @@ def gas_states(data, n, dim, p_signs=(1.0,)):
 @given(rows=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, data):
-    # f of the rows [lo, hi) is physics.flux and eps physics.internal_energy,
-    # bit for bit, and rho eps their product; no other row of f is written.
+    # f of the rows [lo, hi) is physics.flux, vpc the oracle's node states
+    # and eps physics.internal_energy, bit for bit, and rho eps their
+    # product; no other row of f and vpc is written.
     # Some rows have p <= 0, and the stage counts those below own whose
     # rho eps <= 0.  On the others the eta' scale that step 0 forms from
     # rho eps is the oracle's
@@ -320,13 +321,15 @@ def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, dat
     hi = data.draw(st.integers(lo, rows))
     own = data.draw(st.integers(lo, hi))
     U = gas_states(data, rows, dim, p_signs=(1.0, 1.0, 1.0, -1.0, 0.0))
-    f = np.full((rows, dim + 2, dim), np.nan)
-    eps, rho_eps, bad = oracles.bind(U=U, f=f).entropies(lo, hi, own, physics.AIR)
+    f, vpc = np.full((rows, dim + 2, dim), np.nan), np.full((rows, dim + 2), np.nan)
+    eps, rho_eps, bad = oracles.bind(U=U, f=f, vpc=vpc).entropies(lo, hi, own, physics.AIR)
 
     with np.errstate(all="ignore"):
         want_eps = physics.internal_energy(U[lo:hi])
         assert same_bits(f[lo:hi], physics.flux(U[lo:hi]))
-    assert np.isnan(f[:lo]).all() and np.isnan(f[hi:]).all()
+        assert same_bits(vpc[lo:hi], np.stack(oracles.node_states(U[lo:hi]), axis=-1))
+    for a in (f, vpc):
+        assert np.isnan(a[:lo]).all() and np.isnan(a[hi:]).all()
     assert same_bits(eps, want_eps)
     assert same_bits(rho_eps, U[lo:hi, 0] * want_eps)
     assert bad == np.count_nonzero(rho_eps[:own - lo] <= 0.0)
@@ -389,17 +392,18 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
 def wavespeed_stages(bound, e0, e1):
     """Stage 1 of the wavespeed on a binding, and the pow() levels that turn
     its output into the inputs of stages 2 and 3."""
-    gas = physics.AIR
-    states, q, _ = bound.wavespeed_project(e0, e1, gas)
-    return states, physics.power(q, -gas.gm1_over_2g)
+    states, q, _ = bound.wavespeed_project(e0, e1)
+    return states, physics.power(q, -physics.AIR.gm1_over_2g)
 
 
 # per compiled kernel (and stage chain): the row count its range is checked
 # against (rows, owned or edges), the rank arrays it reads, and a call of it
 # on a binding over the range (lo, hi)
-EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "d")
+EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "vpc",
+               "d")
 KERNEL_CALLS = {
-    "entropies": ("rows", ("U", "f"), lambda b, lo, hi: b.entropies(lo, hi, hi, physics.AIR)),
+    "entropies": ("rows", ("U", "f", "vpc"),
+                  lambda b, lo, hi: b.entropies(lo, hi, hi, physics.AIR)),
     "flux_contraction": ("owned", ("cols", "card", "c_slot", "U", "eor", "f", "P"),
                          lambda b, lo, hi: b.flux_contraction(lo, hi)),
     "indicator": ("owned", ("U", "eor", "alpha", "eta_scale"),
@@ -416,8 +420,7 @@ KERNEL_CALLS = {
                        lambda b, lo, hi: b.limited_update(lo, hi, last=False)),
     "limiter_compute": ("owned", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min", "l"),
                         lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
-    "wavespeed_project": ("edges", EDGE_ARRAYS,
-                          lambda b, e0, e1: b.wavespeed_project(e0, e1, physics.AIR)),
+    "wavespeed_project": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed_project(e0, e1)),
     "wavespeed_base": ("edges", EDGE_ARRAYS,
                        lambda b, e0, e1: rowkernels.wavespeed_base(*wavespeed_stages(b, e0, e1),
                                                                    physics.AIR)),
@@ -462,17 +465,25 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
 
 
 def test_wavespeed_stages_reject_short_scratch_arrays():
+    # stage 2 runs on the directions of q and needs their states; stage 3
+    # needs exactly the directions of its edges: one for an edge whose c_ji
+    # is bitwise -c_ij, two for any other, and rank 0 of the channel has both
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
     bound = rank_binding(rk)
-    states, q = wavespeed_stages(bound, 0, len(rk.up_row))
+    E = len(rk.up_row)
+    states, q = wavespeed_stages(bound, 0, E)
+    assert E < len(q) < 2 * E
     rowkernels.wavespeed_base(states.copy(), q.copy(), physics.AIR)
-    for short in (dict(q=q[:-1].copy()), dict(q=np.ascontiguousarray(q[:, :-1])),
-                  dict(states=np.ascontiguousarray(states[:, :, :-1]))):
-        args = {**dict(states=states.copy(), q=q.copy()), **short}
+    bound.wavespeed_bound(0, E, states, q, physics.AIR)
+    for short in (states[:-1].copy(), np.ascontiguousarray(states[:, :, :-1])):
         with pytest.raises(ValueError, match="outside"):
-            rowkernels.wavespeed_base(args["states"], args["q"], physics.AIR)
+            rowkernels.wavespeed_base(short, q.copy(), physics.AIR)
         with pytest.raises(ValueError, match="outside"):
-            bound.wavespeed_bound(0, len(rk.up_row), args["states"], args["q"], physics.AIR)
+            bound.wavespeed_bound(0, E, short, q, physics.AIR)
+    for other in (q[:-1].copy(), np.append(q, 1.0)):
+        with pytest.raises(ValueError, match=f"not the {len(other)} given"):
+            bound.wavespeed_bound(0, E, np.concatenate([states, states[:1]]), other,
+                                  physics.AIR)
 
 
 def test_limiter_rejects_strided_and_mistyped_arrays():

@@ -592,20 +592,27 @@ def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
         assert (split > 0) == (ranks > 1)
 
 
-def test_wavespeed_evaluates_four_pow_values_per_edge(small_periodic, monkeypatch):
+def test_wavespeed_evaluates_two_pow_values_per_direction(monkeypatch):
     # psi(p_max) takes its shock branch, which needs no pow, so the bound has
-    # two pow levels per direction, each one physics.power call per chunk
-    mat, U = small_periodic
-    s = Solver(mat, chunk_size=5)
-    s.set_state(U)
-    chunks = []  # per d_ij_low call: (edges, pow calls, pow values)
+    # two pow levels per direction, each one physics.power call per chunk.
+    # An edge whose c_ji is bitwise -c_ij is one direction and any other two;
+    # the channel has both, as a pair of boundary nodes keeps its assembled c
+    setup = problems.mach3_channel(2, refine=1)
+    s = Solver(assemble(setup.mesh), chunk_size=64, boundary=setup.boundary)
+    s.set_state(setup.U0)
+    rk = s.ranks[0]
+    c_ij = rk.c_slot[rk.up_row, rk.up_slot]
+    c_ji = rk.c_slot[rk.cols[rk.up_row, rk.up_slot], rk.trans_slot[rk.up_row, rk.up_slot]]
+    directions = np.where(oracles.mirrored(c_ij, c_ji), 1, 2)
+    assert (directions == 1).any() and (directions == 2).any()
+    chunks = []  # per d_ij_low call: (edges e0:e1, pow calls, pow values)
     inside = []
     original = riemann.d_ij_low
 
-    def counting(*args, **kwargs):
+    def counting(bound, e0, e1, *args, **kwargs):
         inside.append([0, 0])
-        out = original(*args, **kwargs)
-        chunks.append((out.size, *inside.pop()))
+        out = original(bound, e0, e1, *args, **kwargs)
+        chunks.append((slice(e0, e1), *inside.pop()))
         return out
 
     def counting_power(x, y):
@@ -622,9 +629,24 @@ def test_wavespeed_evaluates_four_pow_values_per_edge(small_periodic, monkeypatc
     finally:
         physics.set_power_function(None)
     assert len(chunks) > 1
-    assert sum(edges for edges, _, _ in chunks) == (mat.nnz - mat.n) // 2
+    assert sum(edges.stop - edges.start for edges, _, _ in chunks) == len(directions)
     for edges, calls, values in chunks:
-        assert calls == 2 and values == 4 * edges
+        assert calls == 2 and values == 2 * directions[edges].sum()
+
+
+def test_step_0_writes_the_node_states_of_every_row(small_periodic):
+    # a rank evaluates the wavespeed of the edges with an owned end from the
+    # node states (v, p, c) of both ends, so step 0 writes them on its ghost
+    # rows as well, from the state the step starts from
+    mat, U = small_periodic
+    s = Solver(mat, ranks=3)
+    s.set_state(U)
+    s.ssp_rk3_step()
+    start = [rk.U.copy() for rk in s.ranks]
+    s.euler_step()
+    for rk, U0 in zip(s.ranks, start):
+        assert len(rk.vpc) > rk.numbering.n_lo
+        assert same_bits(rk.vpc, np.stack(oracles.node_states(U0), axis=-1))
 
 
 def test_limiter_evaluates_one_pow_value_per_entry_at_its_first_level(monkeypatch):
