@@ -109,8 +109,7 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         sp.coo_matrix((c_loc[..., k].ravel(), (rows, cols)), shape=shape).tocsr()
         for k in range(d)
     ]
-    # enforce exact symmetry of m
-    m_mat = (0.5 * (m_mat + m_mat.T)).tocsr()
+    del m_loc, c_loc, rows, cols
     for mat in [m_mat] + c_mats:
         mat.sort_indices()
 
@@ -119,18 +118,21 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
     for mat in c_mats:
         if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
             raise AssertionError("assembled matrices disagree on the sparsity pattern")
-    c = np.stack([mat.data for mat in c_mats], axis=-1)
     # the pattern is symmetric with sorted columns, so the entries in (col,
     # row) order are the mirrors of the entries in (row, col) order
     mirror = np.argsort(indices, kind="stable")
+    # enforce exact symmetry of m
+    m = 0.5 * (m_mat.data + m_mat.data[mirror])
+    c = np.stack([mat.data for mat in c_mats], axis=-1)
     rows_of = np.repeat(np.arange(n), np.diff(indptr))
     on_boundary = np.zeros(n, dtype=bool)
     on_boundary[red[boundary_faces(mesh)[0]]] = True
     skew = 0.5 * (c - c[mirror])
     lower = indices < rows_of
     skew[lower] = -skew[mirror[lower]]
-    c = np.where((on_boundary[rows_of] & on_boundary[indices])[:, None], c, skew)
-    m_lumped = np.add.reduceat(m_mat.data, indptr[:-1])
+    kept = on_boundary[rows_of] & on_boundary[indices]
+    skew[kept] = c[kept]
+    m_lumped = np.add.reduceat(m, indptr[:-1])
     if np.any(m_lumped <= 0.0):
         raise ValueError("non-positive lumped mass entry")
     return PrecomputedMatrices(
@@ -138,8 +140,8 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         dim=d,
         indptr=indptr,
         indices=indices,
-        m=m_mat.data.copy(),
-        c=c,
+        m=m,
+        c=skew,
         m_lumped=m_lumped,
         inv_m=1.0 / m_lumped,
     )

@@ -29,21 +29,24 @@ Every phase runs compiled kernels (rowkernels) on one binding per rank,
 which checks the rank's arrays and takes their addresses once, at setup;
 a step commits U_next by copying it into U, so no address ever changes.
 A chunk of rows is then one C call per kernel.  Step 0's stage writes the
-fluxes and the arguments of its pow() levels, eta / rho and phi of every
-row and the eta' scale of the owned rows, which numpy raises, and an owned
-row with rho eps <= 0 fails the step before any pow().  The row kernels
-are step 1's flux contraction with the indicator's slot sums and its alpha,
-step 2's mirroring, step 3 in full, step 4's assembly of the correction
-fluxes and the limited update and rescale of steps 5 and 6.  They walk
-each row's valid slots once and never a pad, add them left to right from
-+0.0, and form b_ij, b_ji and lambda_i from m_slot, inv_m and the row
-length; tests/oracles.py keeps numpy forms of them that give the same bits.
-Step 1's wavespeeds run as three compiled stages over the chunk's upper
-edges, with their two pow() levels in numpy between them
-(riemann.d_ij_low), from unit normals formed once at setup, and the limiter
-of steps 4 and 5 as compiled stages over the chunk's rows, with its pow()
-levels in numpy between them (limiter.limiter_compute).  Three such steps
-with a shared time step form the strong-stability-preserving RK3 update.
+fluxes, the node states (v, p, c) and the arguments of its pow() levels,
+eta / rho and phi of every row and the eta' scale of the owned rows, which
+numpy raises, and an owned row with rho eps <= 0 fails the step before any
+pow().  The row kernels are step 1's flux contraction with the indicator's
+slot sums and its alpha, step 2's mirroring, step 3 in full, step 4's
+assembly of the correction fluxes and the limited update and rescale of
+steps 5 and 6.  They walk each row's valid slots once and never a pad, add
+them left to right from +0.0, and form b_ij, b_ji and lambda_i from m_slot,
+inv_m and the row length; tests/oracles.py keeps numpy forms of them that
+give the same bits.  Step 1's wavespeeds run as three compiled stages over
+the chunk's upper edges, with their two pow() levels in numpy between them
+(riemann.d_ij_low), from unit normals formed once at setup and the node
+states of both ends; an edge with an end off the boundary, whose c_ji the
+assembly stored as -c_ij, evaluates one direction, and a pair of boundary
+nodes both.  The limiter of steps 4 and 5 runs as compiled stages over the
+chunk's rows, with its pow() levels in numpy between them
+(limiter.limiter_compute).  Three such steps with a shared time step form
+the strong-stability-preserving RK3 update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
 nodes.  Every rank stores one ghost layer and evaluates the viscosity of
