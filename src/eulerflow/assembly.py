@@ -118,9 +118,9 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
     for mat in c_mats:
         if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
             raise AssertionError("assembled matrices disagree on the sparsity pattern")
-    # the pattern is symmetric with sorted columns, so the entries in (col,
-    # row) order are the mirrors of the entries in (row, col) order
-    mirror = np.argsort(indices, kind="stable")
+    # the pattern is symmetric, so its transpose, with the entries numbered,
+    # has the same sorted pattern and holds the number of each entry's mirror
+    mirror = sp.csr_matrix((np.arange(len(indices)), indices, indptr), shape=shape).T.tocsr().data
     # enforce exact symmetry of m
     m = 0.5 * (m_mat.data + m_mat.data[mirror])
     c = np.stack([mat.data for mat in c_mats], axis=-1)

@@ -247,8 +247,10 @@ def _distinct_sorted(ids: np.ndarray, sentinel: int) -> np.ndarray:
     Two rows come out equal exactly when they hold the same set of ids.
     """
     keys = np.sort(ids, axis=1)
-    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = sentinel
-    keys.sort(axis=1)
+    repeated = keys[:, 1:] == keys[:, :-1]
+    if repeated.any():
+        keys[:, 1:][repeated] = sentinel
+        keys.sort(axis=1)
     return keys
 
 
