@@ -276,13 +276,14 @@ def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     return out.reshape(np.shape(Ui)[:-1] if e0 == 0 else -1), d
 
 
-def compiled_lambda_max(Ui, Uj, n, gas=AIR, mirrored=False):
+def compiled_lambda_max(Ui, Uj, n, gas=AIR, one_direction=False):
     """The compiled bound of the pairs along unit directions n: d_ij with
     c_ij = n and c_ji = 0, which is lambda(n) |n| (lambda itself for a
-    coordinate axis n, whose norm is 1).  With mirrored, c_ji = -n, which
-    evaluates the one direction of the lower pressure."""
+    coordinate axis n, whose norm is 1).  With one_direction, c_ji = -n,
+    which evaluates the one direction whose left state has the lower
+    pressure."""
     n = np.broadcast_to(n, np.shape(Ui)[:-1] + np.shape(n)[-1:])
-    return compiled_d_ij_low(Ui, Uj, n, -n if mirrored else np.zeros_like(n), gas)[0]
+    return compiled_d_ij_low(Ui, Uj, n, -n if one_direction else np.zeros_like(n), gas)[0]
 
 
 # ----- the wavespeed bound on whole blocks ---------------------------------------

@@ -197,15 +197,15 @@ def test_per_component_formulas_match_the_block_formulas_bitwise(dim, shape):
     log_p=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
     mach=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     sign=st.sampled_from([1.0, -1.0]),
-    mirrored=st.booleans(),
+    one_direction=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p, mach, sign,
-                                                                 mirrored):
+                                                                 one_direction):
     # densities 1e-10 to 1e10 and pressure ratios up to 1e12; velocities of
     # up to twice the smaller sound speed never open a vacuum.  With
-    # mirrored, c_ji = -n and the compiled bound evaluates one direction, the
-    # mirror image of this problem where p_j < p_i
+    # one_direction, c_ji = -n and the compiled bound evaluates one
+    # direction, the mirror image of this problem where p_j < p_i
     rho = [10.0**x for x in log_rho]
     p = [10.0**x for x in log_p]
     c_min = min(np.sqrt(AIR.gamma * pk / rk) for pk, rk in zip(p, rho))
@@ -215,7 +215,7 @@ def test_lambda_max_bounds_the_exact_wavespeed_at_extreme_ratios(log_rho, log_p,
     Li, Rj = oracles.project(Ui, n), oracles.project(Uj, n)
     exact = oracles.exact_lambda_max(Li.rho, Li.u, Li.p, Rj.rho, Rj.u, Rj.p)
     # c_ij = n is a coordinate axis of norm 1, so d_ij is lambda itself
-    lam = float(oracles.compiled_lambda_max(Ui, Uj, n, mirrored=mirrored))
+    lam = float(oracles.compiled_lambda_max(Ui, Uj, n, one_direction=one_direction))
     # brentq places the exact p* within 1e-15 in absolute terms, which moves
     # a shock speed by up to about 0.5e-15 / p <= 1e-9 in relative terms
     assert lam >= exact * (1.0 - 1e-8)
