@@ -11,16 +11,17 @@ bottom-face-then-top-face ordering for hexahedra.
 
 Refinement and boundary extraction are table driven: each gathers the node
 sets of all child corners (or all cell faces) at once and finds the distinct
-sets with one sort.  Refinement numbers the new nodes in order of first
-appearance over (cell, child, corner), and boundary faces come in order of
-first appearance over (cell, local face).  This is the order a cell-by-cell
-walk produces; the node ids fix the Cuthill-McKee order and with it the
-solver's results, so the numbering must not change with the implementation.
+sets as the runs of equal rows of one lexicographic sort.  Refinement
+numbers the new nodes in order of first appearance over (cell, child,
+corner), and boundary faces come in order of first appearance over (cell,
+local face).  This is the order a cell-by-cell walk produces; the node ids
+fix the Cuthill-McKee order and with it the solver's results, so the
+numbering must not change with the implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +48,8 @@ class Mesh:
     points/cells refer to the full (non-identified) node set; periodic
     meshes carry reduced_index, which maps every full node to its
     representative id in [0, n_nodes).  disc holds the (center, radius)
-    manifold used for boundary snapping during refinement.
+    manifold used for boundary snapping during refinement.  boundary keeps
+    what boundary_faces found.
     """
 
     points: np.ndarray
@@ -56,6 +58,7 @@ class Mesh:
     reduced_index: Optional[np.ndarray] = None
     disc: Optional[tuple] = None
     domain: Optional[tuple] = None
+    boundary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.reduced_index is None:
@@ -254,6 +257,14 @@ def _distinct_sorted(ids: np.ndarray, sentinel: int) -> np.ndarray:
     return keys
 
 
+def _runs(keys: np.ndarray):
+    """The rows of keys in lexicographic order, as the stable sort's order
+    and a mask of where each run of equal rows starts in it."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    return order, np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))
+
+
 def refine(mesh: Mesh) -> Mesh:
     """Split every cell into 2^d children; snap new disc-boundary nodes.
 
@@ -269,14 +280,16 @@ def refine(mesh: Mesh) -> Mesh:
     cells = np.column_stack([mesh.cells, np.full(len(mesh.cells), n)])
     keys = _distinct_sorted(cells[:, _PARENTS[mesh.dim]].reshape(-1, n_children), n)
     ids = keys[:, 0].copy()
-    new = keys[:, 1] < n
-    parents, first, inverse = np.unique(
-        keys[new], axis=0, return_index=True, return_inverse=True
-    )
-    # number the distinct parent sets by first appearance, as a cell walk does
-    order = np.argsort(first)
-    ids[new] = n + np.argsort(order)[inverse.ravel()]
-    parents = parents[order]
+    new = np.flatnonzero(keys[:, 1] < n)
+    sets = keys[new]
+    # the distinct parent sets, numbered by first appearance as a cell walk
+    # numbers them: a run of equal sets starts with its first appearance
+    order, starts = _runs(sets)
+    first = order[starts]
+    number = np.empty(len(first), dtype=np.int64)
+    number[np.argsort(first)] = np.arange(len(first))
+    ids[new[order]] = n + number[np.cumsum(starts) - 1]
+    parents = sets[np.sort(first)]
 
     # the sentinel id n stands for a zero point that lies on the disc
     ext = np.vstack([mesh.points, np.zeros(mesh.points.shape[1])])
@@ -317,15 +330,18 @@ def boundary_faces(mesh: Mesh):
     Returns (faces, normals, measures): faces is an (n_bf, 2 or 4) array of
     full node ids, normals are unit outward vectors, measures are edge
     lengths or face areas (bilinear faces approximated by two triangles).
+    The mesh is searched once: the read-only arrays are kept in
+    mesh.boundary, which later calls return.
     """
+    if mesh.boundary is not None:
+        return mesh.boundary
     loc = np.asarray(_LOCAL_FACES[mesh.dim])
     all_faces = mesh.cells[:, loc].reshape(-1, loc.shape[1])
     keys = _distinct_sorted(mesh.reduced_index[all_faces], mesh.n_nodes)
-    # a face is on the boundary when no other face has its node set: sort the
-    # sets and keep the runs of length one
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+    # a face is on the boundary when no other face has its node set: the
+    # runs of length one
+    order, starts = _runs(keys)
+    starts = np.flatnonzero(starts)
     once = np.sort(order[starts[np.diff(starts, append=len(keys)) == 1]])
     faces = all_faces[once]
     pts = mesh.points[faces]
@@ -338,4 +354,7 @@ def boundary_faces(mesh: Mesh):
     normals /= np.where(measures > 0.0, measures, 1.0)[:, None]
     outward = pts.mean(axis=1) - mesh.points[mesh.cells[once // len(loc)]].mean(axis=1)
     normals[np.einsum("ij,ij->i", normals, outward) < 0.0] *= -1.0
-    return faces, normals, measures
+    mesh.boundary = (faces, normals, measures)
+    for a in mesh.boundary:
+        a.flags.writeable = False
+    return mesh.boundary

@@ -63,8 +63,8 @@ class AdmissibilityError(ValueError):
     """Raised when a state violates rho > 0 or internal energy > 0."""
 
 
-# The entropy family leans on pow() heavily; keep it swappable in one place
-# so an optimized vector implementation can be dropped in.
+# The numpy forms of the kernels (tests/oracles.py) raise to powers in this
+# one swappable place; the compiled kernels call np.power's loop instead.
 _pow = np.power
 
 
@@ -74,7 +74,7 @@ def power(x, y):
 
 
 def set_power_function(fn=None):
-    """Replace the power implementation used by the entropy operations.
+    """Replace the power implementation of power().
 
     Passing None restores numpy's default.
     """

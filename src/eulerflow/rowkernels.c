@@ -1,5 +1,5 @@
-/* Row kernels of the forward-Euler phases, and the stages of step 0, of the
- * wavespeed and of the limiter.
+/* Row kernels of the forward-Euler phases, step 0, the wavespeed and the
+ * limiter.
  *
  * Every kernel takes one rank's arrays as a struct rank, whose addresses
  * rowkernels.Binding checked and bound once, and runs over a range of its
@@ -16,18 +16,26 @@
  * forms the indicator's slot sums, and alpha follows from them and the
  * eta' scale of step 0 in one more walk over the rows.
  *
- * The wavespeed stages walk a chunk's upper edges instead, and the limiter
- * stages a chunk's rows one limiter entry at a time.  No kernel calls pow():
- * numpy's pow and libm's differ in the last bit, so each pow() level of
- * step 0, of the wavespeed and of the limiter ends a stage, and numpy
- * (physics.power) evaluates the arguments that stage packed before the next
- * stage goes on.
+ * The wavespeed walks a chunk's upper edges instead, and the limiter a
+ * chunk's rows one limiter entry at a time.  Step 0, the wavespeed and the
+ * limiter raise values to non-integer powers.  No kernel calls libm's
+ * pow(), which differs from numpy's in the last bit: each takes a struct
+ * power, the inner loop that np.power itself runs on float64 operands,
+ * which rowkernels.power_loop finds in the ufunc's table of loops and
+ * checks against np.power at import.  A kernel works in blocks of at most
+ * BLOCK values held in stack arrays, one per quantity: it forms the
+ * arguments of a pow() level for the whole block, raises them with one
+ * call of the loop, and goes on with the results.  So each of these
+ * kernels is one C call per chunk (per Newton round for the limiter), and
+ * its pure arithmetic runs in loops over a block that the compiler
+ * vectorizes (#pragma omp simd, -fopenmp-simd).
  *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
  * grouping and the bounds follow np.minimum / np.maximum.  Built with
- * -ffp-contract=off, so no multiply-add is fused, the results are bitwise
- * those of numpy.
+ * -ffp-contract=off, so no multiply-add is fused, and with no option that
+ * reorders floating-point operations, the results are bitwise those of
+ * numpy.
  */
 
 #include <float.h>
@@ -36,6 +44,9 @@
 #include <string.h>
 
 typedef int64_t idx;
+
+/* The most values a kernel raises with one call of the pow() loop. */
+#define BLOCK 256
 
 /* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS,
  * which gives the row count of each (the rows of cols, the owned rows or the
@@ -50,6 +61,33 @@ struct rank {
     double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
 };
 
+/* numpy's inner loop of a ufunc (PyUFuncGenericFunction), and np.power's
+ * loop over float64 operands with its data pointer. */
+typedef void (*ufunc_loop)(char **args, const intptr_t *dimensions, const intptr_t *steps,
+                           void *data);
+struct power {
+    ufunc_loop loop;
+    void *data;
+};
+
+/* out[k] = x[k]^y for k < n, x and out contiguous and apart: the loop runs
+ * as np.power(x, y) runs it, with the exponent broadcast (stride 0). */
+static void power_of(const struct power *pw, idx n, const double *x, double y, double *out)
+{
+    char *args[3] = {(char *)x, (char *)&y, (char *)out};
+    intptr_t dims[1] = {(intptr_t)n}, steps[3] = {sizeof(double), 0, sizeof(double)};
+    if (n > 0)
+        pw->loop(args, dims, steps, pw->data);
+}
+
+/* power_of in blocks of BLOCK values, as the kernels call it; rowkernels
+ * compares it with np.power at import. */
+void powers(const struct power *pw, idx n, const double *x, double y, double *out)
+{
+    for (idx k = 0; k < n; k += BLOCK)
+        power_of(pw, n - k < BLOCK ? n - k : BLOCK, x + k, y, out + k);
+}
+
 /* np.minimum(a, b) and np.maximum(a, b): a NaN operand propagates, the first
  * one when both are NaN, and of two equal values (+0.0 and -0.0) the second
  * is returned.  C's fmin and fmax would drop a NaN. */
@@ -61,38 +99,65 @@ static inline double np_max(double a, double b) { return a != a ? a : (a > b ? a
 static inline double clip(double x, double a, double b) { return np_min(np_max(x, a), b); }
 static inline double clip01(double x) { return x < 0.0 ? 0.0 : x > 1.0 ? 1.0 : x; }
 
-/* Phase step0: the flux f(U_i) = (m, v m^T + p I, v (E + p)) of the rows
- * [lo, hi), v = m / rho and p = (gamma - 1) eps, the node state
- * vpc_i = (v, p, c) with c = sqrt(gamma p / rho), which the wavespeed reads,
- * and eps = E - |m|^2 / (2 rho) and rho eps into entries i - lo of eps and
- * rho_eps, the arguments of step 0's pow() levels.  Returns the number of
- * rows i < own with rho eps <= 0, where eta' is not defined. */
-idx entropies(const struct rank *r, idx lo, idx hi, idx own, double gamma, double gm1,
-              double *eps, double *rho_eps)
+static inline idx min_idx(idx a, idx b) { return a < b ? a : b; }
+
+/* Phase step0 on the rows [lo, hi): the flux f(U_i) = (m, v m^T + p I,
+ * v (E + p)), v = m / rho and p = (gamma - 1) eps with
+ * eps = E - |m|^2 / (2 rho); the node state vpc_i = (v, p, c) with
+ * c = sqrt(gamma p / rho), which the wavespeed reads; eta / rho =
+ * (rho eps)^(1 / (gamma + 1)) / rho and phi = eps rho^(-gamma); and on the
+ * rows below own the eta' scale (rho eps)^(-gamma / (gamma + 1)) /
+ * (gamma + 1).  Returns the number of rows below own with rho eps <= 0,
+ * where eta' is not defined; from the block that holds the first of them
+ * on, no pow() level runs and eor, phi and eta_scale are not written. */
+idx entropies(const struct rank *r, const struct power *pw, idx lo, idx hi, idx own,
+              double gamma)
 {
     idx nvar = r->nvar, dim = nvar - 2, bad = 0;
-    for (idx i = lo; i < hi; ++i) {
-        const double *Ui = r->U + i * nvar;
-        double *fi = r->f + i * nvar * dim, *Vi = r->vpc + i * nvar;
-        double rho = Ui[0], E = Ui[nvar - 1], mm = 0.0;
-        for (idx k = 1; k < nvar - 1; ++k)
-            mm += Ui[k] * Ui[k];
-        double e = E - 0.5 * mm / rho, p = gm1 * e;
-        for (idx x = 0; x < dim; ++x)
-            fi[x] = Ui[1 + x];
-        for (idx k = 0; k < dim; ++k) {
-            double v = Ui[1 + k] / rho;
+    double gm1 = gamma - 1.0, gp1_inv = 1.0 / (gamma + 1.0);
+    double rho[BLOCK], eps[BLOCK], rho_eps[BLOCK], w[BLOCK];
+    for (idx b0 = lo; b0 < hi; b0 += BLOCK) {
+        idx nb = min_idx(hi - b0, BLOCK);
+        for (idx k = 0; k < nb; ++k) {
+            idx i = b0 + k;
+            const double *Ui = r->U + i * nvar;
+            double *fi = r->f + i * nvar * dim, *Vi = r->vpc + i * nvar;
+            double E = Ui[nvar - 1], mm = 0.0;
+            rho[k] = Ui[0];
+            for (idx c = 1; c < nvar - 1; ++c)
+                mm += Ui[c] * Ui[c];
+            double e = E - 0.5 * mm / rho[k], p = gm1 * e;
             for (idx x = 0; x < dim; ++x)
-                fi[(1 + k) * dim + x] = v * Ui[1 + x];
-            fi[(1 + k) * dim + k] += p;
-            fi[(nvar - 1) * dim + k] = v * (E + p);
-            Vi[k] = v;
+                fi[x] = Ui[1 + x];
+            for (idx c = 0; c < dim; ++c) {
+                double v = Ui[1 + c] / rho[k];
+                for (idx x = 0; x < dim; ++x)
+                    fi[(1 + c) * dim + x] = v * Ui[1 + x];
+                fi[(1 + c) * dim + c] += p;
+                fi[(nvar - 1) * dim + c] = v * (E + p);
+                Vi[c] = v;
+            }
+            Vi[dim] = p;
+            Vi[dim + 1] = sqrt(gamma * p / rho[k]);
+            eps[k] = e;
+            rho_eps[k] = rho[k] * e;
+            bad += i < own && rho_eps[k] <= 0.0;
         }
-        Vi[dim] = p;
-        Vi[dim + 1] = sqrt(gamma * p / rho);
-        eps[i - lo] = e;
-        rho_eps[i - lo] = rho * e;
-        bad += i < own && rho * e <= 0.0;
+        if (bad)
+            continue;
+        power_of(pw, nb, rho_eps, gp1_inv, w);
+#pragma omp simd
+        for (idx k = 0; k < nb; ++k)
+            r->eor[b0 + k] = w[k] / rho[k];
+        power_of(pw, nb, rho, -gamma, w);
+#pragma omp simd
+        for (idx k = 0; k < nb; ++k)
+            r->phi[b0 + k] = eps[k] * w[k];
+        idx n_own = own <= b0 ? 0 : min_idx(own - b0, nb);
+        power_of(pw, n_own, rho_eps, -gamma * gp1_inv, w);
+#pragma omp simd
+        for (idx k = 0; k < n_own; ++k)
+            r->eta_scale[b0 + k] = w[k] * gp1_inv;
     }
     return bad;
 }
@@ -280,13 +345,13 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
 }
 
 /* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the
- * upper edges e0 <= e < e1, in three stages.  Edge e is slot up_slot[e] of
- * row i = up_row[e], its neighbour j = cols[i * L + up_slot[e]].  lambda_ij
- * bounds the maximal wavespeed of the 1D Riemann problem on (rho, v.n, p)
- * of U_i (left) and U_j (right) along the unit normal n = n_ij, lambda_ji
- * that of U_j and U_i along n_ji (Guermond & Popov, JCP 2016: the
- * two-rarefaction star pressure, no Newton step).  Only v.n depends on the
- * edge: rho comes from U, and v, p and c from the node states vpc of step 0.
+ * upper edges e0 <= e < e1.  Edge e is slot up_slot[e] of row i = up_row[e],
+ * its neighbour j = cols[i * L + up_slot[e]].  lambda_ij bounds the maximal
+ * wavespeed of the 1D Riemann problem on (rho, v.n, p) of U_i (left) and
+ * U_j (right) along the unit normal n = n_ij, lambda_ji that of U_j and U_i
+ * along n_ji (Guermond & Popov, JCP 2016: the two-rarefaction star pressure,
+ * no Newton step).  Only v.n depends on the edge: rho comes from U, and v, p
+ * and c from the node states vpc of step 0.
  *
  * Where the stored n_ji and |c_ji| are bitwise -n_ij and |c_ij|, as
  * assembly.assemble makes them on every pair with an end off the boundary,
@@ -294,9 +359,7 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
  * same bound in exact arithmetic: such an edge is one direction, d_ij =
  * lambda |c_ij|.  Its left state is the end of lower pressure (U_i on a tie,
  * where both orientations give the same bits), so that d_ij does not depend
- * on which end is the row.  Every other edge is two directions.  Entry k of
- * the scratch array st holds the left and right states (rho, v.n, p, c) of
- * the k-th direction of the chunk's edges, and entry k of q one value. */
+ * on which end is the row.  Every other edge is two directions. */
 
 static inline uint64_t bits(double x)
 {
@@ -316,125 +379,137 @@ static inline idx directions(const struct rank *r, idx e, idx dim)
     return mirrored ? 1 : 2;
 }
 
-/* The 1D state (rho, v.n scaled by sign, p, c) of a node into S, V its node
- * state (v, p, c) and rho its density. */
-static inline void state(double *S, double rho, const double *V, const double *n, double sign,
-                         idx dim)
+/* The directions of a block of edges, one array per quantity: entry k holds
+ * the left (l) and right (r) states (rho, v.n, p, c) of the k-th direction,
+ * the norm of its c and, in turn, the pow() levels of its bound and the
+ * bound times the norm. */
+struct directions {
+    double rho_l[BLOCK], u_l[BLOCK], p_l[BLOCK], c_l[BLOCK];
+    double rho_r[BLOCK], u_r[BLOCK], p_r[BLOCK], c_r[BLOCK];
+    double norm[BLOCK], x[BLOCK], y[BLOCK];
+};
+
+/* The 1D state (rho, v.n scaled by sign, p, c) of node a along n into the
+ * left (right = 0) or right side of direction k. */
+static inline void side(struct directions *D, idx k, int right, const struct rank *r, idx a,
+                        const double *n, double sign, idx dim)
 {
+    const double *V = r->vpc + a * (dim + 2);
     double u = 0.0;
-    for (idx k = 0; k < dim; ++k)
-        u += V[k] * n[k];
-    S[0] = rho;
-    S[1] = sign * u;
-    S[2] = V[dim];
-    S[3] = V[dim + 1];
+    for (idx x = 0; x < dim; ++x)
+        u += V[x] * n[x];
+    (right ? D->rho_r : D->rho_l)[k] = r->U[a * (dim + 2)];
+    (right ? D->u_r : D->u_l)[k] = sign * u;
+    (right ? D->p_r : D->p_l)[k] = V[dim];
+    (right ? D->c_r : D->c_l)[k] = V[dim + 1];
 }
 
-/* Stage 1: the left and right states of every direction, and in q the
- * pressure ratio p_L / p_R of each, the argument of the first pow() level.
- * Returns the number of directions, and in bad that of the node states
- * gathered with rho <= 0 or p <= 0. */
-idx wavespeed_project(const struct rank *r, idx e0, idx e1, idx *bad, double *st, double *q)
+/* The directions of the nb upper edges from b0 into D, and into two[e - b0]
+ * whether edge e is two directions; returns the number of directions and
+ * adds the number of node states gathered with rho <= 0 or p <= 0 to bad.
+ * It is inlined for each dim, so that its loops over dim unroll. */
+static inline __attribute__((always_inline)) idx
+project(const struct rank *r, idx b0, idx nb, idx dim, struct directions *D, int *two, idx *bad)
 {
-    idx nvar = r->nvar, dim = nvar - 2, k = 0, nbad = 0;
+    idx nvar = dim + 2, k = 0;
     const double *U = r->U, *vpc = r->vpc;
-    for (idx e = e0; e < e1; ++e) {
+    for (idx e = b0; e < b0 + nb; ++e) {
         idx i = r->up_row[e], j = r->cols[i * r->L + r->up_slot[e]];
-        const double *Vi = vpc + i * nvar, *Vj = vpc + j * nvar, *n = r->n_up + e * dim;
-        double *S = st + k * 8;
-        nbad += ((U[i * nvar] <= 0.0) | (Vi[dim] <= 0.0))
-                + ((U[j * nvar] <= 0.0) | (Vj[dim] <= 0.0));
-        if (directions(r, e, dim) == 1) {
+        const double *n = r->n_up + e * dim;
+        double p_i = vpc[i * nvar + dim], p_j = vpc[j * nvar + dim];
+        *bad += ((U[i * nvar] <= 0.0) | (p_i <= 0.0)) + ((U[j * nvar] <= 0.0) | (p_j <= 0.0));
+        two[e - b0] = directions(r, e, dim) == 2;
+        if (!two[e - b0]) {
             /* the mirror image along -n swaps the ends and negates v.n; the
              * selects are arithmetic, as the order of the pressures is not
              * predictable */
-            idx flip = Vj[dim] < Vi[dim], a = i ^ ((i ^ j) & -flip), b = i ^ j ^ a;
+            idx flip = p_j < p_i, a = i ^ ((i ^ j) & -flip), b = i ^ j ^ a;
             double sign = 1.0 - 2.0 * (double)flip;
-            state(S, U[a * nvar], vpc + a * nvar, n, sign, dim);
-            state(S + 4, U[b * nvar], vpc + b * nvar, n, sign, dim);
-            q[k++] = S[2] / S[6];
+            side(D, k, 0, r, a, n, sign, dim);
+            side(D, k, 1, r, b, n, sign, dim);
+            D->norm[k++] = r->norm_up[e];
         } else {
             const double *nT = r->nT_up + e * dim;
-            state(S, U[i * nvar], Vi, n, 1.0, dim);
-            state(S + 4, U[j * nvar], Vj, n, 1.0, dim);
-            state(S + 8, U[j * nvar], Vj, nT, 1.0, dim);
-            state(S + 12, U[i * nvar], Vi, nT, 1.0, dim);
-            q[k] = S[2] / S[6];
-            q[k + 1] = S[10] / S[14];
-            k += 2;
+            side(D, k, 0, r, i, n, 1.0, dim);
+            side(D, k, 1, r, j, n, 1.0, dim);
+            D->norm[k++] = r->norm_up[e];
+            side(D, k, 0, r, j, nT, 1.0, dim);
+            side(D, k, 1, r, i, nT, 1.0, dim);
+            D->norm[k++] = r->normT_up[e];
         }
     }
-    *bad = nbad;
     return k;
-}
-
-/* Stage 2: q holds (p_L / p_R)^(-(gamma - 1) / (2 gamma)) of nd directions
- * and takes the clamped base of the two-rarefaction star pressure, the
- * argument of the second pow() level. */
-void wavespeed_base(idx nd, double gm1, const double *st, double *q)
-{
-    for (idx k = 0; k < nd; ++k) {
-        const double *Ls = st + k * 8, *Rs = Ls + 4;
-        double num = Ls[3] + Rs[3] - 0.5 * gm1 * (Rs[1] - Ls[1]);
-        q[k] = np_max(num / (Ls[3] * q[k] + Rs[3]), 0.0);
-    }
-}
-
-/* The shock branch of the wave function f(p) of state S.  psi needs only
- * this branch: it is evaluated at p_max = max(p_L, p_R) >= p_S, and where
- * p_max is NaN the rarefaction branch is NaN as well. */
-static double shock_wave(const double *S, double p, double gamma, double gm1)
-{
-    return sqrt(2.0) * (p - S[2]) / sqrt(S[0] * ((gamma + 1.0) * p + gm1 * S[2]));
 }
 
 static inline double pos(double x) { return 0.5 * (fabs(x) + x); }
 static inline double neg_magnitude(double x) { return 0.5 * (fabs(x) - x); }
 
-/* The wavespeed bound of one direction, Ls and Rs its states and power its
- * second pow() level, base^(2 gamma / (gamma - 1)).  psi(p_max) is the sum
- * of both wave functions and u_R - u_L, but the wave function of a state
- * whose pressure is p_max is +0 exactly, and adding +0 to the other, which is
- * not -0, leaves it as it is: only the end of lower pressure is evaluated,
- * the left one of a one-direction edge. */
-static double lambda_max(const double *Ls, const double *Rs, double power, double gamma,
-                         double gm1)
+/* d_ij of the upper edges e0:e1 into their slots of d and into entry e - e0
+ * of out, in blocks of BLOCK / 2 edges.  Per block: the states of every
+ * direction; the pressure ratio p_L / p_R to the power
+ * -(gamma - 1) / (2 gamma); the clamped base of the two-rarefaction star
+ * pressure to the power 2 gamma / (gamma - 1); the bound of each direction.
+ * A zero-length c contributes zero.  Returns the number of directions, or
+ * -1 when a node state gathered has rho <= 0 or p <= 0, and then writes no
+ * slot of d. */
+idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, double gamma,
+              double *out)
 {
-    double p_tr = Rs[2] * power;
-    double p_max = np_max(Ls[2], Rs[2]);
-    const double *low = Ls[2] <= Rs[2] ? Ls : Rs;
-    double psi = shock_wave(low, p_max, gamma, gm1) + (Rs[1] - Ls[1]);
-    double p_star = psi < 0.0 ? p_tr : np_min(p_max, p_tr);
-    double gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
-    double lam1 = Ls[1] - Ls[3] * sqrt(1.0 + gp1_over_2g * pos((p_star - Ls[2]) / Ls[2]));
-    double lam3 = Rs[1] + Rs[3] * sqrt(1.0 + gp1_over_2g * pos((p_star - Rs[2]) / Rs[2]));
-    return np_max(neg_magnitude(lam1), pos(lam3));
-}
-
-/* Stage 3: q holds the second pow() level of the nd directions of stage 1;
- * d_ij goes into the edge's slot of d and into entry e - e0 of out.  A
- * zero-length c contributes zero.  Returns the number of directions read, or
- * -1 before an edge whose directions are not all among the nd. */
-idx wavespeed_bound(const struct rank *r, idx e0, idx e1, double gamma, double gm1, idx nd,
-                    const double *st, const double *q, double *out)
-{
-    idx dim = r->nvar - 2, k = 0;
-    const double *norm_ij = r->norm_up, *norm_ji = r->normT_up;
-    for (idx e = e0; e < e1; ++e) {
-        idx m = directions(r, e, dim);
-        if (k + m > nd)
-            return -1;
-        const double *S = st + k * 8;
-        double lam_ij = lambda_max(S, S + 4, q[k], gamma, gm1);
-        double d = norm_ij[e] > 0.0 ? lam_ij * norm_ij[e] : 0.0;
-        if (m == 2) {
-            double lam_ji = lambda_max(S + 8, S + 12, q[k + 1], gamma, gm1);
-            d = np_max(d, norm_ji[e] > 0.0 ? lam_ji * norm_ji[e] : 0.0);
+    idx dim = r->nvar - 2, nd = 0, bad = 0;
+    double gm1 = gamma - 1.0, gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
+    double y1 = -((gamma - 1.0) / (2.0 * gamma)), y2 = 2.0 * gamma / (gamma - 1.0);
+    struct directions D;
+    int two[BLOCK / 2];
+    for (idx b0 = e0; b0 < e1; b0 += BLOCK / 2) {
+        idx nb = min_idx(e1 - b0, BLOCK / 2);
+        idx k = dim == 2   ? project(r, b0, nb, 2, &D, two, &bad)
+                : dim == 3 ? project(r, b0, nb, 3, &D, two, &bad)
+                           : project(r, b0, nb, dim, &D, two, &bad);
+        nd += k;
+#pragma omp simd
+        for (idx m = 0; m < k; ++m)
+            D.x[m] = D.p_l[m] / D.p_r[m];
+        power_of(pw, k, D.x, y1, D.y);
+#pragma omp simd
+        for (idx m = 0; m < k; ++m) {
+            double num = D.c_l[m] + D.c_r[m] - 0.5 * gm1 * (D.u_r[m] - D.u_l[m]);
+            D.x[m] = np_max(num / (D.c_l[m] * D.y[m] + D.c_r[m]), 0.0);
         }
-        k += m;
-        out[e - e0] = r->d[r->up_row[e] * r->L + r->up_slot[e]] = d;
+        power_of(pw, k, D.x, y2, D.y);
+        /* psi(p_max) is the sum of both wave functions and u_R - u_L, but
+         * the wave function of the state whose pressure is p_max is +0
+         * exactly, and adding +0 to the other, which is not -0, leaves it as
+         * it is: only the shock branch of the end of lower pressure is
+         * evaluated, which holds as p_max >= p_S, and where p_max is NaN the
+         * rarefaction branch is NaN as well */
+#pragma omp simd
+        for (idx m = 0; m < k; ++m) {
+            double p_l = D.p_l[m], p_r = D.p_r[m];
+            double p_tr = p_r * D.y[m];
+            double p_max = np_max(p_l, p_r);
+            int left = p_l <= p_r;
+            double rho_low = left ? D.rho_l[m] : D.rho_r[m], p_low = left ? p_l : p_r;
+            double shock = sqrt(2.0) * (p_max - p_low)
+                           / sqrt(rho_low * ((gamma + 1.0) * p_max + gm1 * p_low));
+            double psi = shock + (D.u_r[m] - D.u_l[m]);
+            double p_star = psi < 0.0 ? p_tr : np_min(p_max, p_tr);
+            double lam1 = D.u_l[m] - D.c_l[m] * sqrt(1.0 + gp1_over_2g * pos((p_star - p_l) / p_l));
+            double lam3 = D.u_r[m] + D.c_r[m] * sqrt(1.0 + gp1_over_2g * pos((p_star - p_r) / p_r));
+            double lam = np_max(neg_magnitude(lam1), pos(lam3));
+            D.x[m] = D.norm[m] > 0.0 ? lam * D.norm[m] : 0.0;
+        }
+        for (idx e = b0, m = 0; e < b0 + nb; ++e) {
+            double d = D.x[m++];
+            if (two[e - b0])
+                d = np_max(d, D.x[m++]);
+            out[e - e0] = d;
+        }
     }
-    return k;
+    if (bad)
+        return -1;
+    for (idx e = e0; e < e1; ++e)
+        r->d[r->up_row[e] * r->L + r->up_slot[e]] = out[e - e0];
+    return nd;
 }
 
 /* The convex limiter of the rows [lo, hi), U_i the row's state in U_next:
@@ -447,12 +522,15 @@ idx wavespeed_bound(const struct rank *r, idx e0, idx e1, double gamma, double g
  * min(l_ij, l_ji) P_ij and its rescaled P_ij (1 - min) stay +-0 whatever
  * its factor, and as P_ji is all +-0 exactly when P_ij is, the factor of a
  * moving slot's mirror is that of an entry.  No pad is read or written.
- * Each pow() level ends a stage: the stage packs the densities, and numpy
- * (physics.power) raises them before the next stage goes on.  Entry e's
- * data are row[e], flat[e] = i * L + s and open[k] in ix, an int64 (3, cap)
- * array, and t_L[e] (the factor so far), t_R[e], tol[e] and Psi(t_R)[e] in
- * x, a (4, cap) array.  The stages run on the open entries open[0:n]; each
- * compacts them in place and returns how many stay open. */
+ *
+ * An entry holds its bracket [t_L, t_R] with t_L = 0 and t_R from the
+ * density clamp at first.  Psi(t_R) >= 0 closes it at t_R, and
+ * Psi(t_L) <= tol at t_L; any other entry takes a Newton step.  l holds
+ * each entry's t_L so far, and so does entry k of out, k its number in the
+ * chunk.  The entries still open after limiter_start or a round are kept in
+ * the chunk's scratch arrays: row, flat = i * L + s and k in ix, an int64
+ * (3, cap) array, and t_L, t_R, tol and Psi(t_R) in x, a (4, cap) array.
+ * Both kernels work in blocks of BLOCK entries. */
 
 /* rho eps of V = U + t p: the terms of Psi before its pow() term. */
 static double rho_eps_on_ray(const double *U, const double *p, double t, idx nvar)
@@ -501,120 +579,194 @@ static void newton_step(double *t_L, double *t_R, double psi_L, double psi_R, do
     *t_R = np_max(new_L, new_R);
 }
 
-/* Stage start: the entries of the rows [lo, hi), each with t_L = 0, t_R
- * from the density clamp and tol = tol_scale |rho eps(U_i)|, all open, and
- * the density at t_R into q.  Returns the number of entries. */
-idx limiter_start(const struct rank *r, idx lo, idx hi, double tol_scale, idx cap, idx *ix,
-                  double *x, double *q)
+/* A block of limiter entries, one array per quantity: rho holds densities
+ * on the ray and w their powers, rho_eps and phi_min the other terms of
+ * Psi(t_R). */
+struct entries {
+    idx row[BLOCK], flat[BLOCK], k[BLOCK];
+    double t_L[BLOCK], t_R[BLOCK], tol[BLOCK], psi_R[BLOCK], psi_L[BLOCK];
+    double rho_eps[BLOCK], phi_min[BLOCK], rho[2 * BLOCK], w[2 * BLOCK];
+};
+
+/* The scratch arrays of a chunk's open entries (see above). */
+struct scratch {
+    idx *row, *flat, *k;
+    double *t_L, *t_R, *tol, *psi_R;
+};
+
+static struct scratch scratch_of(idx cap, idx *ix, double *x)
 {
-    idx L = r->L, nvar = r->nvar;
-    const idx *card = r->card;
-    const double *U = r->U_next, *P = r->P, *rho_min = r->rho_min, *rho_max = r->rho_max;
-    idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
-    double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap;
-    idx n = 0;
+    struct scratch s = {ix, ix + cap, ix + 2 * cap, x, x + cap, x + 2 * cap, x + 3 * cap};
+    return s;
+}
+
+/* Entry b of the block, open with Psi(t_R) = psi_R, into entry m of s. */
+static void keep_open(struct scratch *s, idx m, const struct entries *B, idx b, double psi_R)
+{
+    s->row[m] = B->row[b];
+    s->flat[m] = B->flat[b];
+    s->k[m] = B->k[b];
+    s->t_L[m] = B->t_L[b];
+    s->t_R[m] = B->t_R[b];
+    s->tol[m] = B->tol[b];
+    s->psi_R[m] = psi_R;
+}
+
+/* The test at t_R of the nb entries of a block, with their densities at
+ * t_R and the other terms of Psi(t_R): Psi(t_R) >= 0 closes an entry at
+ * t_R; with newton every other entry stays open, appended to s from entry m
+ * on, and without it closes at t_L.  Writes each entry's t_L into l and
+ * out; returns the new number of open entries in s. */
+static idx test_t_R(const struct rank *r, const struct power *pw, double gp1, int newton,
+                    struct entries *B, idx nb, struct scratch *s, idx m, double *out)
+{
+    power_of(pw, nb, B->rho, gp1, B->w);
+#pragma omp simd
+    for (idx b = 0; b < nb; ++b)
+        B->psi_R[b] = B->rho_eps[b] - B->phi_min[b] * B->w[b];
+    for (idx b = 0; b < nb; ++b) {
+        if (B->psi_R[b] >= 0.0)
+            B->t_L[b] = B->t_R[b];
+        else if (newton)
+            keep_open(s, m++, B, b, B->psi_R[b]);
+        r->l[B->flat[b]] = out[B->k[b]] = B->t_L[b];
+    }
+    return m;
+}
+
+/* limiter_start for states of nvar components, inlined for each nvar so
+ * that its loops over them unroll. */
+static inline __attribute__((always_inline)) idx
+start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma, double tol_scale,
+      int newton, struct scratch s, double *out, idx *entries, idx nvar)
+{
+    idx L = r->L, n = 0, m = 0, nb = 0;
+    const double *U = r->U_next, *rho_min = r->rho_min, *rho_max = r->rho_max;
+    struct entries B;
     for (idx i = lo; i < hi; ++i) {
         const double *Ui = U + i * nvar;
         double mm = 0.0;
         for (idx k = 1; k < nvar - 1; ++k)
             mm += Ui[k] * Ui[k];
         double tol_i = tol_scale * fabs(Ui[0] * Ui[nvar - 1] - 0.5 * mm);
-        for (idx s = 0; s < card[i]; ++s) {
-            const double *p = P + (i * L + s) * nvar;
+        for (idx sl = 0; sl < r->card[i]; ++sl) {
+            idx is = i * L + sl;
+            const double *p = r->P + is * nvar;
             int moves = 0;
             for (idx k = 0; k < nvar; ++k)
                 moves |= p[k] != 0.0;
-            if (!moves)
+            if (!moves) {
+                r->l[is] = 1.0;
                 continue;
+            }
             double abs_rho_p = np_max(fabs(p[0]), DBL_MIN), tR = 1.0;
             if (Ui[0] + tR * p[0] > rho_max[i])
                 tR = fabs(rho_max[i] - Ui[0]) / abs_rho_p;
             if (Ui[0] + tR * p[0] < rho_min[i])
                 tR = fabs(rho_min[i] - Ui[0]) / abs_rho_p;
             tR = clip01(tR);
-            row[n] = i;
-            flat[n] = i * L + s;
-            open[n] = n;
-            t_L[n] = 0.0;
-            t_R[n] = tR;
-            tol[n] = tol_i;
-            q[n] = Ui[0] + tR * p[0];
-            ++n;
+            B.row[nb] = i;
+            B.flat[nb] = is;
+            B.k[nb] = n++;
+            B.t_L[nb] = 0.0;
+            B.t_R[nb] = tR;
+            B.tol[nb] = tol_i;
+            B.rho_eps[nb] = rho_eps_on_ray(Ui, p, tR, nvar);
+            B.phi_min[nb] = r->phi_min[i];
+            B.rho[nb++] = Ui[0] + tR * p[0];
+            if (nb == BLOCK) {
+                m = test_t_R(r, pw, gamma + 1.0, newton, &B, nb, &s, m, out);
+                nb = 0;
+            }
         }
     }
-    return n;
-}
-
-/* Stage test: w holds the packed densities of the open entries to the
- * power gamma + 1.  Psi(t_R) >= 0 closes an entry at t_R.  Without newton
- * every entry closes; otherwise the open ones keep Psi(t_R), and their
- * densities at t_L and then at t_R go into q. */
-idx limiter_test(const struct rank *r, idx n, int newton, idx cap, idx *ix, double *x,
-                 const double *w, double *q)
-{
-    idx nvar = r->nvar;
-    const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
-    idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
-    double *t_L = x, *t_R = x + cap, *psi_R = x + 3 * cap;
-    idx m = 0;
-    for (idx k = 0; k < n; ++k) {
-        idx e = open[k], i = row[e];
-        const double *Ui = U + i * nvar, *p = P + flat[e] * nvar;
-        double psi = rho_eps_on_ray(Ui, p, t_R[e], nvar) - phi_min[i] * w[k];
-        if (psi >= 0.0) {
-            t_L[e] = t_R[e];
-        } else if (newton) {
-            psi_R[e] = psi;
-            open[m] = e;
-            q[m++] = Ui[0] + t_L[e] * p[0];
-        }
-    }
-    for (idx k = 0; k < m; ++k) {
-        idx e = open[k];
-        q[m + k] = U[row[e] * nvar] + t_R[e] * P[flat[e] * nvar];
-    }
+    m = test_t_R(r, pw, gamma + 1.0, newton, &B, nb, &s, m, out);
+    *entries = n;
     return m;
 }
 
-/* Stage newton: w_L holds the packed densities at t_L to the power
- * gamma + 1, g those at t_L and then at t_R to the power gamma.
- * Psi(t_L) <= tol closes an entry at t_L; the others take one Newton step
- * and stay open, with their density at the new t_R in q. */
-idx limiter_newton(const struct rank *r, idx n, double gp1, double sign, idx cap, idx *ix,
-                   double *x, const double *w_L, const double *g, double *q)
+/* The entries of the rows [lo, hi), each with t_L = 0, t_R from the
+ * density clamp and tol = tol_scale |rho eps(U_i)|, and their test at t_R;
+ * every other valid slot takes 1.  Returns the number of open entries, and
+ * in entries the number of entries. */
+idx limiter_start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma,
+                  double tol_scale, int newton, idx cap, idx *ix, double *x, double *out,
+                  idx *entries)
 {
+    struct scratch s = scratch_of(cap, ix, x);
     idx nvar = r->nvar;
-    const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
-    idx *row = ix, *flat = ix + cap, *open = ix + 2 * cap;
-    double *t_L = x, *t_R = x + cap, *tol = x + 2 * cap, *psi_R = x + 3 * cap;
-    idx m = 0;
-    for (idx k = 0; k < n; ++k) {
-        idx e = open[k], i = row[e];
-        const double *Ui = U + i * nvar, *p = P + flat[e] * nvar;
-        double psi_L = rho_eps_on_ray(Ui, p, t_L[e], nvar) - phi_min[i] * w_L[k];
-        if (!(psi_L > tol[e]))
-            continue;
-        double dpsi_L = dpsi_on_ray(Ui, p, t_L[e], nvar, phi_min[i], gp1, g[k]);
-        double dpsi_R = dpsi_on_ray(Ui, p, t_R[e], nvar, phi_min[i], gp1, g[n + k]);
-        newton_step(t_L + e, t_R + e, psi_L, psi_R[e], dpsi_L, dpsi_R, sign);
-        open[m] = e;
-        q[m++] = Ui[0] + t_R[e] * p[0];
-    }
-    return m;
+    return nvar == 4   ? start(r, pw, lo, hi, gamma, tol_scale, newton, s, out, entries, 4)
+           : nvar == 5 ? start(r, pw, lo, hi, gamma, tol_scale, newton, s, out, entries, 5)
+                       : start(r, pw, lo, hi, gamma, tol_scale, newton, s, out, entries, nvar);
 }
 
-/* Stage scatter: the factor of every valid slot of the rows [lo, hi) into
- * l, that of its entry or else 1. */
-void limiter_scatter(const struct rank *r, idx lo, idx hi, idx n, idx cap, const idx *ix,
-                     const double *x)
+/* One Newton round of the n open entries: Psi(t_L) <= tol closes an entry
+ * at t_L, and every other one takes one Newton step, whose quadratic models
+ * bend by sign, and then, with test, the test at its new t_R.  Returns the
+ * number of entries still open. */
+idx limiter_round(const struct rank *r, const struct power *pw, idx n, double gamma, double sign,
+                  int test, idx cap, idx *ix, double *x, double *out)
 {
-    idx L = r->L;
-    const idx *card = r->card, *flat = ix + cap;
-    const double *t_L = x;
-    idx e = 0;
-    for (idx i = lo; i < hi; ++i)
-        for (idx s = 0; s < card[i]; ++s) {
-            idx is = i * L + s;
-            r->l[is] = e < n && flat[e] == is ? t_L[e++] : 1.0;
+    idx nvar = r->nvar, m = 0;
+    double gp1 = gamma + 1.0;
+    const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
+    struct scratch s = scratch_of(cap, ix, x);
+    struct entries B;
+    for (idx e0 = 0; e0 < n; e0 += BLOCK) {
+        idx nb = min_idx(n - e0, BLOCK), c = 0;
+        for (idx b = 0; b < nb; ++b) {
+            idx e = e0 + b;
+            B.row[b] = s.row[e];
+            B.flat[b] = s.flat[e];
+            B.k[b] = s.k[e];
+            B.t_L[b] = s.t_L[e];
+            B.t_R[b] = s.t_R[e];
+            B.tol[b] = s.tol[e];
+            B.psi_R[b] = s.psi_R[e];
+            B.rho[b] = U[B.row[b] * nvar] + B.t_L[b] * P[B.flat[b] * nvar];
         }
+        power_of(pw, nb, B.rho, gp1, B.w);
+        /* the entries that go on are moved to the front of the block */
+        for (idx b = 0; b < nb; ++b) {
+            idx i = B.row[b];
+            const double *p = P + B.flat[b] * nvar;
+            double psi_L = rho_eps_on_ray(U + i * nvar, p, B.t_L[b], nvar) - phi_min[i] * B.w[b];
+            if (!(psi_L > B.tol[b])) {
+                r->l[B.flat[b]] = out[B.k[b]] = B.t_L[b];
+                continue;
+            }
+            B.row[c] = i;
+            B.flat[c] = B.flat[b];
+            B.k[c] = B.k[b];
+            B.t_L[c] = B.t_L[b];
+            B.t_R[c] = B.t_R[b];
+            B.tol[c] = B.tol[b];
+            B.psi_R[c] = B.psi_R[b];
+            B.psi_L[c++] = psi_L;
+        }
+        /* the densities at t_L and then at t_R to the power gamma */
+        for (idx b = 0; b < c; ++b) {
+            const double *p = P + B.flat[b] * nvar;
+            double rho = U[B.row[b] * nvar];
+            B.rho[b] = rho + B.t_L[b] * p[0];
+            B.rho[c + b] = rho + B.t_R[b] * p[0];
+        }
+        power_of(pw, 2 * c, B.rho, gamma, B.w);
+        for (idx b = 0; b < c; ++b) {
+            idx i = B.row[b];
+            const double *Ui = U + i * nvar, *p = P + B.flat[b] * nvar;
+            double dpsi_L = dpsi_on_ray(Ui, p, B.t_L[b], nvar, phi_min[i], gp1, B.w[b]);
+            double dpsi_R = dpsi_on_ray(Ui, p, B.t_R[b], nvar, phi_min[i], gp1, B.w[c + b]);
+            newton_step(B.t_L + b, B.t_R + b, B.psi_L[b], B.psi_R[b], dpsi_L, dpsi_R, sign);
+            r->l[B.flat[b]] = out[B.k[b]] = B.t_L[b];
+            B.rho_eps[b] = rho_eps_on_ray(Ui, p, B.t_R[b], nvar);
+            B.phi_min[b] = phi_min[i];
+            B.rho[b] = Ui[0] + B.t_R[b] * p[0];
+        }
+        if (test)
+            m = test_t_R(r, pw, gp1, 1, &B, c, &s, m, out);
+        else
+            m += c;
+    }
+    return m;
 }

@@ -2,27 +2,22 @@
 
 Importing this module compiles rowkernels.c with one C compiler call into
 the directory _build next to it, unless that directory already holds the
-library of the same source and flags: the library's name carries a hash of
-both.  A build writes to a temporary file and renames it into place, so
-processes that import the package at the same time never load a partly
-written library; once it is in place, the libraries of other sources or
-flags in _build are deleted.  The library is loaded with ctypes, which
-releases the GIL for the duration of each call, so the kernels of different
+library of the same source and flags, built for a CPU with the same feature
+flags (-march=native).  A build writes to a temporary file and renames it
+into place, so processes that import the package at the same time never
+load a partly written library, and then deletes the other libraries in
+_build.  ctypes releases the GIL for each call, so the kernels of different
 row chunks run in parallel on the solver's worker pool.
 
-A Binding takes all of one rank's arrays once: it checks the dtype, C
-order and shape of every array against ARRAYS, and keeps their addresses,
-which never change, in the struct rank that every kernel takes.  Each kernel
-is then one C call on a range of rows [lo, hi) (or upper edges e0:e1) plus
-scalars, which checks only that the range lies within the row count the
-kernel indexes by: rows, owned or edges.  See rowkernels.c for what each
-computes.  Every kernel reads and writes the valid slots of its rows only;
-like the neighbour ids in cols, the rows and slots an edge list names are
-taken as they are.  The stages of step 0, of the wavespeed (chained by
-riemann.d_ij_low) and of the limiter (chained by limiter.limiter_compute
-through a LimiterChunk) allocate their scratch arrays per call, as chunks of
-one rank may run at the same time, and take the pow() values numpy computed
-between them after checking their dtype, C order and size.
+The kernels raise to powers with np.power's own inner loop on float64
+operands, which power_loop takes from the ufunc's table of loops, not with
+libm's pow(), whose bits differ; at import, check_power_loop compares it
+with np.power.  A Binding checks one rank's arrays against ARRAYS once and
+keeps their addresses, which never change, in the struct rank that every
+kernel takes.  Each kernel is then one C call on a range of rows [lo, hi)
+(or upper edges e0:e1) plus scalars, which checks that the range lies
+within the row count the kernel indexes by: rows, owned or edges.  See
+rowkernels.c for what each computes.
 """
 
 from __future__ import annotations
@@ -37,19 +32,35 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SOURCE", "FLAGS", "library_path", "build", "ARRAYS", "zeros", "Binding",
-           "wavespeed_base", "LimiterChunk"]
+from .physics import AIR, GasConstants
+
+__all__ = ["SOURCE", "FLAGS", "host_cpu", "library_path", "build", "power_loop",
+           "check_power_loop", "POWER", "ARRAYS", "zeros", "Binding", "LimiterChunk"]
 
 SOURCE = Path(__file__).with_name("rowkernels.c")
-# no multiply-add contraction: the kernels must give numpy's bits; sqrt()
+# code for this CPU, with the loops marked #pragma omp simd vectorized; no
+# multiply-add contraction: the kernels must give numpy's bits; sqrt()
 # compiles to the instruction, with no libm call to set errno
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+FLAGS = ("-O2", "-march=native", "-fopenmp-simd", "-shared", "-fPIC", "-ffp-contract=off",
+         "-fno-math-errno")
 COMPILER = "gcc"
 
 
+def host_cpu() -> str:
+    """The features of this host's CPU: the first flags line of /proc/cpuinfo,
+    or the empty string where there is none."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return ""
+    return next((line for line in lines if line.startswith("flags")), "")
+
+
 def library_path(source: Path = SOURCE, flags=FLAGS) -> Path:
-    """Where the library of this source and these flags is built."""
-    tag = hashlib.sha256(source.read_bytes() + "\0".join(flags).encode()).hexdigest()[:16]
+    """Where the library of this source and these flags is built; with
+    -march=native among the flags, the name also depends on host_cpu()."""
+    host = host_cpu() if "-march=native" in flags else ""
+    tag = hashlib.sha256(source.read_bytes() + "\0".join((*flags, host)).encode()).hexdigest()[:16]
     return source.with_name("_build") / f"{source.stem}-{tag}.so"
 
 
@@ -140,23 +151,78 @@ def _declare(name, restype, *argtypes):
     return fn
 
 
-# every kernel takes the address of a struct rank first
-_entropies = _declare("entropies", _i64, _ptr, _i64, _i64, _i64, _f64, _f64, _ptr, _ptr)
+# every kernel takes the address of a struct rank first, and those that
+# raise to a power the address of a struct power next
+_powers = _declare("powers", None, _ptr, _i64, _ptr, _f64, _ptr)
+_entropies = _declare("entropies", _i64, _ptr, _ptr, _i64, _i64, _i64, _f64)
 _flux_contraction = _declare("flux_contraction", None, _ptr, _i64, _i64, _ptr, _ptr)
 _indicator = _declare("indicator", None, _ptr, _i64, _i64, _ptr, _ptr, _f64)
 _mirror = _declare("mirror", None, _ptr, _i64, _i64)
 _low_order = _declare("low_order", None, _ptr, _i64, _i64, _f64)
 _correction = _declare("correction", None, _ptr, _i64, _i64, _f64)
 _limited_update = _declare("limited_update", None, _ptr, _i64, _i64, _int)
-_wavespeed_project = _declare("wavespeed_project", _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr)
-_wavespeed_base = _declare("wavespeed_base", None, _i64, _f64, _ptr, _ptr)
-_wavespeed_bound = _declare("wavespeed_bound", _i64, _ptr, _i64, _i64, _f64, _f64, _i64, _ptr,
-                            _ptr, _ptr)
-_limiter_start = _declare("limiter_start", _i64, _ptr, _i64, _i64, _f64, _i64, _ptr, _ptr, _ptr)
-_limiter_test = _declare("limiter_test", _i64, _ptr, _i64, _int, _i64, _ptr, _ptr, _ptr, _ptr)
-_limiter_newton = _declare("limiter_newton", _i64, _ptr, _i64, _f64, _f64, _i64, _ptr, _ptr,
-                           _ptr, _ptr, _ptr)
-_limiter_scatter = _declare("limiter_scatter", None, _ptr, _i64, _i64, _i64, _i64, _ptr, _ptr)
+_wavespeed = _declare("wavespeed", _i64, _ptr, _ptr, _i64, _i64, _f64, _ptr)
+_limiter_start = _declare("limiter_start", _i64, _ptr, _ptr, _i64, _i64, _f64, _f64, _int, _i64,
+                          _ptr, _ptr, _ptr, _ptr)
+_limiter_round = _declare("limiter_round", _i64, _ptr, _ptr, _i64, _f64, _f64, _int, _i64, _ptr,
+                          _ptr, _ptr)
+
+
+class _UFuncHead(ctypes.Structure):
+    """PyUFuncObject of numpy/ufuncobject.h up to types, after the object
+    header of a CPython build without free threading."""
+
+    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", _ptr), ("nin", _int),
+                ("nout", _int), ("nargs", _int), ("identity", _int),
+                ("functions", ctypes.POINTER(_ptr)), ("data", ctypes.POINTER(_ptr)),
+                ("ntypes", _int), ("reserved1", _int), ("name", ctypes.c_char_p),
+                ("types", ctypes.POINTER(ctypes.c_char))]
+
+
+class _Power(ctypes.Structure):
+    _fields_ = [("loop", _ptr), ("data", _ptr)]  # struct power of rowkernels.c
+
+
+def power_loop(ufunc=np.power):
+    """The 'dd->d' inner loop of a binary numpy ufunc, as the kernels take it.
+    Raises ImportError when there is none, or the ufunc's C object does not
+    hold what numpy/ufuncobject.h lays out."""
+    if not (isinstance(ufunc, np.ufunc) and "dd->d" in ufunc.types):
+        raise ImportError(f"{ufunc!r} is not a numpy ufunc with a float64 loop ('dd->d')")
+    head, k = _UFuncHead.from_address(id(ufunc)), ufunc.types.index("dd->d")
+    if (head.name, head.ntypes, head.nargs, head.types[3 * k:3 * k + 3]) != (
+            ufunc.__name__.encode(), ufunc.ntypes, 3, bytes([np.dtype("d").num] * 3)):
+        raise ImportError(f"the C object of np.{ufunc.__name__} is not laid out as "
+                          "numpy/ufuncobject.h describes")
+    return _Power(head.functions[k], head.data[k])
+
+
+def _exponents(gas):
+    """The exponents of step 0, the wavespeed and the limiter."""
+    return (gas.gp1_inv, -gas.gamma, -gas.gamma * gas.gp1_inv, -gas.gm1_over_2g,
+            gas.two_g_over_gm1, gas.gamma + 1.0, gas.gamma)
+
+
+# zeros, a subnormal, one, infinities, NaN, a negative value, 1e-3 to 1e3
+PROBE = np.append([0.0, -0.0, 5e-324, 1.0, np.inf, -np.inf, np.nan, -2.0],
+                  np.geomspace(1e-3, 1e3, 64))
+
+
+def check_power_loop(loop, gases=(AIR, GasConstants(5.0 / 3.0))):
+    """Raise ImportError unless the loop, called as the kernels call it,
+    gives np.power's bits on PROBE at every exponent of the gases."""
+    got = np.empty_like(PROBE)
+    for y in (y for gas in gases for y in _exponents(gas)):
+        _powers(ctypes.addressof(loop), len(PROBE), PROBE.ctypes.data, y, got.ctypes.data)
+        with np.errstate(all="ignore"):
+            if got.tobytes() != np.power(PROBE, y).tobytes():
+                raise ImportError(f"the pow() loop of the row kernels differs from np.power at "
+                                  f"the exponent {y!r}, so they would not give numpy's bits")
+
+
+# the loop of np.power, which every binding made from now on takes
+POWER = power_loop(np.power)
+check_power_loop(POWER)
 
 
 def _address(a, size=0):
@@ -177,9 +243,9 @@ class Binding:
     row counts rows = len(cols), owned = len(P) and edges = len(up_row).
     Raises ValueError for a missing array, one of another dtype or not in C
     order, one whose shape is not the one ARRAYS gives for these sizes, and
-    for owned > rows.  The binding keeps the arrays alive, and rank holds
-    their addresses, which never change: the solver commits a step by
-    copying into U, and every limiter pass writes l in place.
+    for owned > rows.  The binding keeps the arrays alive, and rank their
+    addresses, and the kernels raise to powers with the loop POWER of when
+    it was made.
     """
 
     def __init__(self, arrays):
@@ -195,6 +261,7 @@ class Binding:
         sizes = dict(self.counts, L=self.L, nvar=self.nvar, dim=self.nvar - 2)
         self.rank = _Rank(self.L, self.nvar)
         self.address = ctypes.addressof(self.rank)
+        self.power, self.pw = POWER, ctypes.addressof(POWER)
         for name, x in a.items():
             shape = _shape(name, sizes)
             if x.shape != shape:
@@ -210,14 +277,13 @@ class Binding:
             raise ValueError(f"[{lo}, {hi}) is outside the range of {count}, [0, {n})")
 
     def entropies(self, lo, hi, own, gas):
-        """Step 0's stage: writes f and the node states vpc of the rows
-        [lo, hi); returns their eps and rho eps, and the number of rows below
-        own with rho eps <= 0."""
+        """Step 0 on the rows [lo, hi): writes f, the node states vpc, eor
+        and phi, and eta_scale of the rows below own, an owned row count.
+        Returns the number of rows below own with rho eps <= 0; where it is
+        not 0, eor, phi and eta_scale are written only in part."""
         self.check("rows", lo, hi)
-        out = np.empty((2, hi - lo))
-        p = out.ctypes.data
-        bad = _entropies(self.address, lo, hi, own, gas.gamma, gas.gm1, p, p + 8 * (hi - lo))
-        return out[0], out[1], bad
+        self.check("owned", 0, own)
+        return _entropies(self.address, self.pw, lo, hi, own, gas.gamma)
 
     def flux_contraction(self, lo, hi):
         """Writes the flux contraction of the rows [lo, hi) into P and
@@ -256,92 +322,49 @@ class Binding:
         self.check("owned", lo, hi)
         _limited_update(self.address, lo, hi, int(last))
 
-    def wavespeed_project(self, e0, e1):
-        """Stage 1 of the wavespeed of the upper edges e0:e1, from the node
-        states of step 0: returns the left and right states of their
-        directions (nd, 2, 4), one for an edge whose c_ji is bitwise -c_ij
-        and two for any other, the pressure ratios (nd,) and the number of
-        node states gathered with rho <= 0 or p <= 0."""
+    def wavespeed(self, e0, e1, gas):
+        """d_ij of the upper edges e0:e1 from the node states of step 0,
+        written into their slots of d.  Returns d_ij as an (e1 - e0,) array
+        and the number of directions evaluated, one for an edge whose c_ji is
+        bitwise -c_ij and two for any other; that number is -1, and d is not
+        written, when a node state has rho <= 0 or p <= 0."""
         self.check("edges", e0, e1)
-        states, q = np.empty((2 * (e1 - e0), 2, 4)), np.empty(2 * (e1 - e0))
-        bad = ctypes.c_int64()
-        nd = _wavespeed_project(self.address, e0, e1, ctypes.addressof(bad), states.ctypes.data,
-                                q.ctypes.data)
-        return states[:nd], q[:nd], bad.value
-
-    def wavespeed_bound(self, e0, e1, states, q, gas):
-        """Stage 3: d_ij of the upper edges e0:e1 from the states of their
-        directions and q, the bases to the power 2 gamma / (gamma - 1),
-        written into their slots of d and returned.  Raises ValueError when
-        the edges take other than the len(q) directions given."""
-        self.check("edges", e0, e1)
-        out, nd = np.empty(e1 - e0), len(q)
-        used = _wavespeed_bound(self.address, e0, e1, gas.gamma, gas.gm1, nd,
-                                _address(states, 8 * nd), _address(q, nd), out.ctypes.data)
-        if used != nd:
-            took = "more" if used < 0 else used
-            raise ValueError(f"edges {e0}:{e1} take {took} directions, not the {nd} given")
-        return out
-
-
-def wavespeed_base(states, q, gas):
-    """Stage 2: q, the pressure ratios to the power -(gamma - 1) / (2 gamma),
-    takes the clamped two-rarefaction base of each direction in place."""
-    nd = len(q)
-    _wavespeed_base(nd, gas.gm1, _address(states, 8 * nd), _address(q, nd))
+        out = np.empty(e1 - e0)
+        return out, _wavespeed(self.address, self.pw, e0, e1, gas.gamma, out.ctypes.data)
 
 
 class LimiterChunk:
-    """The limiter stages over the rows [lo, hi) of one chunk of a bound
-    rank, around the states U_next, into its l.
+    """The limiter of the rows [lo, hi) of a bound rank (see rowkernels.c).
 
-    The chunk's range is checked and its scratch arrays allocated when the
-    chunk is made; each stage is then one C call.  Its entries are the valid
-    slots whose P is not all +-0, row after row, and every other valid slot
-    takes 1; n is the number of open entries.  A stage that hands densities to
-    numpy returns them as views of the scratch array q, valid until the next
-    stage runs.
+    start makes the chunk's entries, the valid slots whose P is not all
+    +-0, gives every other valid slot 1 and tests every entry at t_R; each
+    round is one Newton round of the entries still open.  Both return the
+    number of entries left open, which the scratch arrays keep in between.
+    l, and factors in entry order, hold each entry's factor so far.
     """
 
     def __init__(self, bound, lo, hi):
         bound.check("owned", lo, hi)
-        self.r, self.rows = bound.address, (lo, hi)
-        self.cap = cap = (hi - lo) * bound.L
-        # row, flat and open; t_L, t_R, tol and Psi(t_R); packed densities
-        self.ix = np.empty((3, cap), dtype=np.int64)
-        self.x, self.q = np.empty((4, cap)), np.empty(2 * cap)
-        self._ix, self._x, self._q = (a.ctypes.data for a in (self.ix, self.x, self.q))
-        self.n = self.entries = 0
+        cap = (hi - lo) * bound.L
+        # row, flat and number of the open entries; their t_L, t_R, tol and
+        # Psi(t_R), then the factors of all entries
+        self.ix, self.x = np.empty(3 * cap, dtype=np.int64), np.empty(5 * cap)
+        self.factors = self.x[4 * cap:]
+        self.kernel, self.rows = (bound.address, bound.pw), (lo, hi)
+        self.scratch = (cap, self.ix.ctypes.data, self.x.ctypes.data, self.factors.ctypes.data)
 
-    def start(self, tol_scale):
-        """Stage start: every entry opens with t_L = 0, the density-clamped
-        t_R and tol = tol_scale |rho eps(U_i)|; returns their densities at
-        t_R."""
-        self.n = self.entries = _limiter_start(self.r, *self.rows, tol_scale, self.cap, self._ix,
-                                               self._x, self._q)
-        return self.q[:self.n]
+    def start(self, tol_scale, newton, gas):
+        """The entries, with tol = tol_scale |rho eps(U_i)|; without newton
+        every entry closes."""
+        entries = ctypes.c_int64()
+        self.open = _limiter_start(*self.kernel, *self.rows, gas.gamma, tol_scale, int(newton),
+                                   *self.scratch, ctypes.byref(entries))
+        self.factors = self.factors[:entries.value]
+        return self.open
 
-    def test(self, w, newton):
-        """Stage test, w the densities of start or newton to the power
-        gamma + 1: Psi(t_R) >= 0 closes an entry at t_R, and so does every
-        entry without newton.  Returns the densities of the open entries at
-        t_L, and at t_L and then t_R."""
-        self.n = _limiter_test(self.r, self.n, int(newton), self.cap, self._ix, self._x,
-                               _address(w, self.n), self._q)
-        return self.q[:self.n], self.q[:2 * self.n]
-
-    def newton(self, w_L, g, gp1, sign):
-        """Stage newton, w_L the densities at t_L to the power gamma + 1 and g
-        those at t_L and t_R to the power gamma = gp1 - 1: Psi(t_L) <= tol
-        closes an entry at t_L, the others take one Newton step, whose
-        quadratic models bend by sign.  Returns the densities of the open
-        entries at their new t_R."""
-        self.n = _limiter_newton(self.r, self.n, gp1, sign, self.cap, self._ix, self._x,
-                                 _address(w_L, self.n), _address(g, 2 * self.n), self._q)
-        return self.q[:self.n]
-
-    def scatter(self):
-        """Stage scatter: writes the factor of every valid slot into l, 1 where
-        it has no entry, and returns the factors of the entries."""
-        _limiter_scatter(self.r, *self.rows, self.entries, self.cap, self._ix, self._x)
-        return self.x[0, :self.entries]
+    def round(self, sign, test, gas):
+        """A Newton round, whose quadratic models bend by sign; with test,
+        it ends with the test at the new t_R."""
+        self.open = _limiter_round(*self.kernel, self.open, gas.gamma, sign, int(test),
+                                   *self.scratch)
+        return self.open

@@ -28,24 +28,10 @@ where that step meets the entropy bound (see limiter.limiter_compute).
 Every phase runs compiled kernels (rowkernels) on one binding per rank,
 which checks the rank's arrays and takes their addresses once, at setup;
 a step commits U_next by copying it into U, so no address ever changes.
-A chunk of rows is then one C call per kernel.  Step 0's stage writes the
-fluxes, the node states (v, p, c) and the arguments of its pow() levels,
-eta / rho and phi of every row and the eta' scale of the owned rows, which
-numpy raises, and an owned row with rho eps <= 0 fails the step before any
-pow().  The row kernels are step 1's flux contraction with the indicator's
-slot sums and its alpha, step 2's mirroring, step 3 in full, step 4's
-assembly of the correction fluxes and the limited update and rescale of
-steps 5 and 6.  They walk each row's valid slots once and never a pad, add
-them left to right from +0.0, and form b_ij, b_ji and lambda_i from m_slot,
-inv_m and the row length; tests/oracles.py keeps numpy forms of them that
-give the same bits.  Step 1's wavespeeds run as three compiled stages over
-the chunk's upper edges, with their two pow() levels in numpy between them
-(riemann.d_ij_low), from unit normals formed once at setup and the node
-states of both ends; an edge with an end off the boundary, whose c_ji the
-assembly stored as -c_ij, evaluates one direction, and a pair of boundary
-nodes both.  The limiter of steps 4 and 5 runs as compiled stages over the
-chunk's rows, with its pow() levels in numpy between them
-(limiter.limiter_compute).  Three such steps with a shared time step form
+A chunk of rows, or of upper edges for the wavespeed, is then one C call
+per kernel, and one more per Newton round of the limiter; rowkernels.c
+says what each computes, and tests/oracles.py keeps numpy forms of them
+that give the same bits.  Three such steps with a shared time step form
 the strong-stability-preserving RK3 update.
 
 Ranks are simulated in-process over a contiguous Cuthill-McKee split of the
@@ -420,18 +406,9 @@ class Solver:
     # ----- phase kernels ---------------------------------------------------
 
     def _k_entropies(self, rk, lo, hi):
-        # the compiled stage writes f and returns the arguments of the pow()
-        # levels; eta' is formed on the owned rows only, which need alpha
-        gas, own = self.gas, min(hi, rk.numbering.n_lo)
-        eps, rho_eps, bad = rk.bound.entropies(lo, hi, own, gas)
-        if bad:
+        # eta' is formed on the owned rows only, which need alpha
+        if rk.bound.entropies(lo, hi, min(hi, rk.numbering.n_lo), self.gas):
             raise AdmissibilityError("eta' requires rho*epsilon > 0 on every owned node")
-        rho = rk.U[lo:hi, 0]
-        rk.eor[lo:hi] = physics.power(rho_eps, gas.gp1_inv) / rho
-        rk.phi[lo:hi] = eps * physics.power(rho, -gas.gamma)
-        if lo < own:
-            rk.eta_scale[lo:own] = physics.power(
-                rho_eps[:own - lo], -gas.gamma * gas.gp1_inv) * gas.gp1_inv
 
     def _k_viscosity(self, rk, lo, hi):
         # d_ij is evaluated once per edge, on the upper slots (global id of j

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eulerflow import limiter, physics
+from eulerflow import limiter, physics, rowkernels
 from eulerflow.limiter import TOL_SCALE
 from eulerflow.physics import AIR
 
@@ -475,28 +475,51 @@ def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_
     assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
-def test_every_pow_value_goes_through_physics_power():
-    # with pow values one ulp above numpy's, the compiled limiter must still
-    # equal the numpy oracle, which takes every pow value from
-    # physics.power: no stage evaluates a pow of its own
-    def ulp_up(x, y):
-        return np.nextafter(np.power(x, y), np.inf)
-
-    U, P, rho_min, rho_max, phi_min = stepper_shaped_case(np.random.default_rng(5))
+def test_every_pow_value_comes_from_the_bound_power_loop(monkeypatch):
+    # the kernels raise to powers with the loop bound when their binding is
+    # made.  With np.float_power's loop bound, which is libm's pow and
+    # differs from np.power in the last bit, and the oracles taking
+    # np.float_power through physics.power, the compiled limiter, wavespeed
+    # and step 0 still equal the oracles, and differ from the np.power run:
+    # no kernel evaluates a pow of its own
+    rng = np.random.default_rng(5)
+    U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
     n, L, _ = P.shape
     card = np.full(n, L)
-    for max_newton in (0, 1, 2, 4):
-        results = []
-        for fn in (None, ulp_up):
-            physics.set_power_function(fn)
-            try:
+    # wavespeed pairs, every other one with c_ji = -c_ij (one direction); the
+    # star pressure moves the bound only where it lies between the pressures
+    # of the ends, so a few of them show the pow() values
+    E = 1024
+    Ui, Uj = (conserved(10.0 ** rng.uniform(-2, 2, E), rng.normal(0.0, 1.0, (E, 2)),
+                        10.0 ** rng.uniform(-2, 2, E)) for _ in range(2))
+    c_ij, c_ji = rng.normal(0.0, 1.0, (2, E, 2))
+    c_ji[::2] = -c_ij[::2]
+    runs = []
+    for ufunc in (np.power, np.float_power):
+        monkeypatch.setattr(rowkernels, "POWER", rowkernels.power_loop(ufunc))
+        physics.set_power_function(ufunc)
+        try:
+            run = []
+            for max_newton in (0, 1, 2, 4):
                 got, _ = chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton, lo=1)
                 want = np.full((n, L), np.nan)
                 oracles.limiter_rows_reference(1, n, card, U[:, 0], P, rho_min[:, 0],
                                                rho_max[:, 0], phi_min[:, 0], want, max_newton)
-            finally:
-                physics.set_power_function(None)
-            assert got.tobytes() == want.tobytes()
-            results.append(got)
-        if max_newton:
-            assert not np.array_equal(results[0], results[1])
+                assert got.tobytes() == want.tobytes()
+                run.append(got)
+            got = oracles.compiled_d_ij_low(Ui, Uj, c_ij, c_ji)[0]
+            assert got.tobytes() == oracles.d_ij_low(Ui, Uj, c_ij, c_ji).tobytes()
+            run.append(got)
+            eor, phi, eta_scale = np.empty(E), np.empty(E), np.empty(E)
+            assert oracles.bind(U=Ui, eor=eor, phi=phi, eta_scale=eta_scale).entropies(
+                0, E, E, AIR) == 0
+            assert eor.tobytes() == (oracles.harten_entropy(Ui) / Ui[:, 0]).tobytes()
+            assert phi.tobytes() == oracles.specific_entropy_phi(Ui).tobytes()
+            assert eta_scale.tobytes() == oracles.eta_scale(Ui).tobytes()
+            runs.append(run + [eor, phi, eta_scale])
+        finally:
+            physics.set_power_function(None)
+    # the limiter without Newton steps evaluates Psi(t_R) only, whose pow
+    # rarely moves a factor
+    for with_power, with_float_power in list(zip(*runs))[1:]:
+        assert not np.array_equal(with_power, with_float_power)

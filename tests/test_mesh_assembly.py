@@ -123,6 +123,28 @@ def test_refine_and_faces_match_loop_reference(dim, levels):
         m = r
 
 
+def test_boundary_faces_are_searched_once_per_mesh(monkeypatch):
+    # the channel problem finds its boundary faces, and the assembly of its
+    # mesh reads them from the mesh instead of searching again; the kept
+    # arrays cannot be written through
+    setup = problems.mach3_channel(2, refine=1)
+    found = boundary_faces(setup.mesh)
+    assert setup.mesh.boundary is found
+    assert not any(a.flags.writeable for a in found)
+    refined = refine(setup.mesh)
+
+    def no_search(keys):
+        raise AssertionError("the boundary faces were searched again")
+
+    monkeypatch.setattr(mesh, "_runs", no_search)
+    assert boundary_faces(setup.mesh) is found
+    assemble(setup.mesh)
+    # a refined mesh is a new mesh, whose faces are searched anew
+    assert refined.boundary is None
+    with pytest.raises(AssertionError, match="searched again"):
+        boundary_faces(refined)
+
+
 @pytest.mark.parametrize("nx, ny, x_range, y_range, periodic", [
     (5, 4, (0.0, 1.0), (0.0, 1.0), (False, False)),
     (4, 3, (0.0, 2.0), (-1.0, 1.0), (True, False)),

@@ -308,37 +308,48 @@ def gas_states(data, n, dim, p_signs=(1.0,)):
     return U
 
 
-@given(rows=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
+@given(rows=st.integers(1, 6), dim=st.integers(1, 3), gamma=st.sampled_from([1.4, 5.0 / 3.0]),
+       data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, data):
-    # f of the rows [lo, hi) is physics.flux, vpc the oracle's node states
-    # and eps physics.internal_energy, bit for bit, and rho eps their
-    # product; no other row of f and vpc is written.
-    # Some rows have p <= 0, and the stage counts those below own whose
-    # rho eps <= 0.  On the others the eta' scale that step 0 forms from
-    # rho eps is the oracle's
+def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, gamma, data):
+    # f of the rows [lo, hi) is physics.flux and vpc the oracle's node
+    # states, bit for bit; no other row of f and vpc is written.  Some rows
+    # have p <= 0, and the stage counts those below own whose rho eps <= 0.
+    # Where there are none, eta / rho and phi of the rows [lo, hi) and the
+    # eta' scale of those below own are numpy's forms of the internal energy
+    # eps: (rho eps)^(1 / (gamma + 1)) / rho, eps rho^(-gamma) and the
+    # oracle's eta' scale; no other row of them is written.  Otherwise no
+    # pow() level runs from the block of the first such row on, which holds
+    # every row here
+    gas = physics.GasConstants(gamma)
     lo = data.draw(st.integers(0, rows - 1))
     hi = data.draw(st.integers(lo, rows))
     own = data.draw(st.integers(lo, hi))
     U = gas_states(data, rows, dim, p_signs=(1.0, 1.0, 1.0, -1.0, 0.0))
     f, vpc = np.full((rows, dim + 2, dim), np.nan), np.full((rows, dim + 2), np.nan)
-    eps, rho_eps, bad = oracles.bind(U=U, f=f, vpc=vpc).entropies(lo, hi, own, physics.AIR)
+    eor, phi, eta_scale = np.full(rows, np.nan), np.full(rows, np.nan), np.full(rows, np.nan)
+    bad = oracles.bind(U=U, f=f, vpc=vpc, eor=eor, phi=phi,
+                       eta_scale=eta_scale).entropies(lo, hi, own, gas)
 
+    sl = slice(lo, hi)
     with np.errstate(all="ignore"):
-        want_eps = physics.internal_energy(U[lo:hi])
-        assert same_bits(f[lo:hi], physics.flux(U[lo:hi]))
-        assert same_bits(vpc[lo:hi], np.stack(oracles.node_states(U[lo:hi]), axis=-1))
-    for a in (f, vpc):
-        assert np.isnan(a[:lo]).all() and np.isnan(a[hi:]).all()
-    assert same_bits(eps, want_eps)
-    assert same_bits(rho_eps, U[lo:hi, 0] * want_eps)
+        eps = physics.internal_energy(U[sl])
+        rho_eps = U[sl, 0] * eps
+        assert same_bits(f[sl], physics.flux(U[sl], gas))
+        assert same_bits(vpc[sl], np.stack(oracles.node_states(U[sl], gas), axis=-1))
+        want_eor = physics.power(rho_eps, gas.gp1_inv) / U[sl, 0]
     assert bad == np.count_nonzero(rho_eps[:own - lo] <= 0.0)
+    for a in (eor, phi, f, vpc):
+        assert np.isnan(a[:lo]).all() and np.isnan(a[hi:]).all()
+    if bad:
+        assert np.isnan(eor[sl]).all() and np.isnan(eta_scale).all()
+        return
+    assert same_bits_or_nan(eor[sl], want_eor)
+    assert same_bits(phi[sl], oracles.specific_entropy_phi(U[sl], gas))
+    assert same_bits(eta_scale[lo:own], oracles.eta_scale(U[lo:own], gas))
+    assert np.isnan(eta_scale[:lo]).all() and np.isnan(eta_scale[own:]).all()
     ok = rho_eps > 0.0
-    gas = physics.AIR
-    scale = physics.power(rho_eps[ok], -gas.gamma * gas.gp1_inv) * gas.gp1_inv
-    assert same_bits(scale, oracles.eta_scale(U[lo:hi][ok]))
-    assert same_bits(scale * U[lo:hi][ok, 0],
-                     oracles.harten_entropy_derivative(U[lo:hi][ok])[:, -1])
+    assert same_bits(eor[sl][ok], oracles.harten_entropy(U[sl][ok], gas) / U[sl][ok, 0])
 
 
 @given(rows=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
@@ -389,21 +400,15 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
         oracles.bind(cols=cols, P=np.zeros((3, 3, 3)))
 
 
-def wavespeed_stages(bound, e0, e1):
-    """Stage 1 of the wavespeed on a binding, and the pow() levels that turn
-    its output into the inputs of stages 2 and 3."""
-    states, q, _ = bound.wavespeed_project(e0, e1)
-    return states, physics.power(q, -physics.AIR.gm1_over_2g)
-
-
-# per compiled kernel (and stage chain): the row count its range is checked
+# per compiled kernel: the row count its range is checked
 # against (rows, owned or edges), the rank arrays it reads, and a call of it
 # on a binding over the range (lo, hi)
 EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "vpc",
                "d")
 KERNEL_CALLS = {
-    "entropies": ("rows", ("U", "f", "vpc"),
-                  lambda b, lo, hi: b.entropies(lo, hi, hi, physics.AIR)),
+    "entropies": ("rows", ("U", "f", "vpc", "eor", "phi", "eta_scale"),
+                  lambda b, lo, hi: b.entropies(lo, hi, min(hi, b.counts["owned"]),
+                                                physics.AIR)),
     "flux_contraction": ("owned", ("cols", "card", "c_slot", "U", "eor", "f", "P"),
                          lambda b, lo, hi: b.flux_contraction(lo, hi)),
     "indicator": ("owned", ("U", "eor", "alpha", "eta_scale"),
@@ -420,13 +425,7 @@ KERNEL_CALLS = {
                        lambda b, lo, hi: b.limited_update(lo, hi, last=False)),
     "limiter_compute": ("owned", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min", "l"),
                         lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
-    "wavespeed_project": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed_project(e0, e1)),
-    "wavespeed_base": ("edges", EDGE_ARRAYS,
-                       lambda b, e0, e1: rowkernels.wavespeed_base(*wavespeed_stages(b, e0, e1),
-                                                                   physics.AIR)),
-    "wavespeed_bound": ("edges", EDGE_ARRAYS,
-                        lambda b, e0, e1: b.wavespeed_bound(e0, e1, *wavespeed_stages(b, e0, e1),
-                                                            physics.AIR)),
+    "wavespeed": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed(e0, e1, physics.AIR)),
     "d_ij_low": ("edges", EDGE_ARRAYS, lambda b, e0, e1: riemann.d_ij_low(b, e0, e1)),
 }
 
@@ -462,28 +461,6 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
         with pytest.raises(ValueError, match=f"^{name} must be given"):
             rowkernels.Binding({other: getattr(rk, other) for other in rowkernels.ARRAYS
                                 if other != name})
-
-
-def test_wavespeed_stages_reject_short_scratch_arrays():
-    # stage 2 runs on the directions of q and needs their states; stage 3
-    # needs exactly the directions of its edges: one for an edge whose c_ji
-    # is bitwise -c_ij, two for any other, and rank 0 of the channel has both
-    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
-    bound = rank_binding(rk)
-    E = len(rk.up_row)
-    states, q = wavespeed_stages(bound, 0, E)
-    assert E < len(q) < 2 * E
-    rowkernels.wavespeed_base(states.copy(), q.copy(), physics.AIR)
-    bound.wavespeed_bound(0, E, states, q, physics.AIR)
-    for short in (states[:-1].copy(), np.ascontiguousarray(states[:, :, :-1])):
-        with pytest.raises(ValueError, match="outside"):
-            rowkernels.wavespeed_base(short, q.copy(), physics.AIR)
-        with pytest.raises(ValueError, match="outside"):
-            bound.wavespeed_bound(0, E, short, q, physics.AIR)
-    for other in (q[:-1].copy(), np.append(q, 1.0)):
-        with pytest.raises(ValueError, match=f"not the {len(other)} given"):
-            bound.wavespeed_bound(0, E, np.concatenate([states, states[:1]]), other,
-                                  physics.AIR)
 
 
 def test_limiter_rejects_strided_and_mistyped_arrays():
@@ -522,7 +499,7 @@ def test_declared_argument_types_follow_the_c_signatures():
     # mismatch passes a value of the wrong width or kind without any error
     c_types = {"idx": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}
     functions = exported_functions()
-    assert len(functions) == 14
+    assert len(functions) == 11
     for name, (ret, params, _) in functions.items():
         fn = getattr(rowkernels._lib, name)
         assert fn.restype == (None if ret == "void" else c_types[ret]), name
@@ -533,16 +510,19 @@ def test_declared_argument_types_follow_the_c_signatures():
 def test_kernels_read_only_the_arrays_their_calls_name():
     # the rank fields each kernel's body reads are among the arrays that its
     # entry of KERNEL_CALLS names, and so among those its rejection test
-    # shortens and narrows; the four limiter stages run as limiter_compute
-    for name, (_, _, body) in exported_functions().items():
+    # shortens and narrows; the two limiter kernels run as limiter_compute,
+    # and the pow() helper takes no rank
+    for name, (_, params, body) in exported_functions().items():
+        if params[0] != "const struct rank *r":
+            continue
         fields = set(re.findall(r"\br->(\w+)", body)) - {"L", "nvar"}
         call = "limiter_compute" if name.startswith("limiter_") else name
         assert fields <= set(KERNEL_CALLS[call][1]), name
 
 
 def test_library_imports_no_libm_function():
-    # every pow() goes through physics.power, and under -fno-math-errno sqrt
-    # compiles to an instruction: the library imports nothing from libm
+    # every pow() goes through np.power's own loop, and under -fno-math-errno
+    # sqrt compiles to an instruction: the library imports nothing from libm
     done = subprocess.run(["nm", "-D", "--undefined-only", str(rowkernels.library_path())],
                           capture_output=True, text=True, check=True)
     imported = {line.split()[-1].split("@")[0] for line in done.stdout.splitlines() if line}
@@ -570,6 +550,45 @@ def test_second_import_does_not_recompile(monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", no_compiling)
     importlib.reload(rowkernels)
+
+
+def test_library_is_named_by_the_host_cpu_of_a_native_build(monkeypatch):
+    # a library built with -march=native runs only on a CPU with the same
+    # features, so a _build directory copied to another CPU builds anew; the
+    # name of a portable build does not depend on the CPU
+    assert "-march=native" in rowkernels.FLAGS and rowkernels.host_cpu()
+    portable = tuple(flag for flag in rowkernels.FLAGS if flag != "-march=native")
+    paths = []
+    for cpu in ("flags\t: fpu sse2", "flags\t: fpu sse2 avx512f"):
+        monkeypatch.setattr(rowkernels, "host_cpu", lambda cpu=cpu: cpu)
+        paths.append((rowkernels.library_path(), rowkernels.library_path(flags=portable)))
+    (native_a, portable_a), (native_b, portable_b) = paths
+    assert native_a != native_b and portable_a == portable_b
+
+
+def test_bound_pow_loop_is_checked_against_np_power():
+    # the kernels call np.power's own float64 loop; the check at import
+    # compares it with np.power on the probe, called as the kernels call it.
+    # np.float_power's loop is libm's pow, which differs in the last bit
+    rowkernels.check_power_loop(rowkernels.power_loop(np.power))
+    assert np.isnan(rowkernels.PROBE).any() and (rowkernels.PROBE == 0.0).any()
+    assert (rowkernels.PROBE == 5e-324).any() and np.isinf(rowkernels.PROBE).sum() == 2
+    exponents = [y for gas in (physics.AIR, physics.GasConstants(5.0 / 3.0))
+                 for y in rowkernels._exponents(gas)]
+    with np.errstate(all="ignore"):
+        agree = all(np.array_equal(np.power(rowkernels.PROBE, y),
+                                   np.float_power(rowkernels.PROBE, y), equal_nan=True)
+                    for y in exponents)
+    if agree:
+        pytest.skip("np.float_power and np.power agree on the probe on this host")
+    with pytest.raises(ImportError, match="differs from np.power"):
+        rowkernels.check_power_loop(rowkernels.power_loop(np.float_power))
+
+
+@pytest.mark.parametrize("ufunc", [np.sqrt, np.bitwise_and, len])
+def test_a_ufunc_without_a_float64_binary_loop_is_rejected(ufunc):
+    with pytest.raises(ImportError):
+        rowkernels.power_loop(ufunc)
 
 
 def test_library_is_named_by_source_and_flags_and_built_once(tmp_path, monkeypatch):

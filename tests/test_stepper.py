@@ -495,28 +495,31 @@ def test_failed_euler_step_keeps_state(small_periodic, monkeypatch):
     assert s.n_euler_steps == 0
 
 
-def test_owned_node_without_positive_rho_eps_fails_step_0_before_any_pow(small_periodic):
-    # eta' needs rho eps > 0 on every owned node: step 0's stage counts the
-    # nodes without, and the step fails before its chunk evaluates a pow
+def test_owned_node_without_positive_rho_eps_fails_step_0_before_any_pow(small_periodic,
+                                                                        monkeypatch):
+    # eta' needs rho eps > 0 on every owned node: step 0's kernel counts the
+    # nodes without, which fails the step, and evaluates no pow() level from
+    # the block of the first of them on; the 16 rows here are one block
     mat, U = small_periodic
     s = Solver(mat)
     s.set_state(U)
     rk = s.ranks[0]
     rk.U[5, -1] = -1.0
     state = rk.U.copy()
-    pows = []
+    for name in ("eor", "phi", "eta_scale"):
+        getattr(rk, name)[:] = np.nan
+    counts = []
+    entropies = rk.bound.entropies
 
-    def counting_power(x, y):
-        pows.append(np.size(x))
-        return np.power(x, y)
+    def counting(*args):
+        counts.append(entropies(*args))
+        return counts[-1]
 
-    physics.set_power_function(counting_power)
-    try:
-        with pytest.raises(AdmissibilityError, match=r"rho\*epsilon > 0"):
-            s.euler_step()
-    finally:
-        physics.set_power_function(None)
-    assert pows == []
+    monkeypatch.setattr(rk.bound, "entropies", counting)
+    with pytest.raises(AdmissibilityError, match=r"rho\*epsilon > 0"):
+        s.euler_step()
+    assert counts == [1]
+    assert all(np.isnan(getattr(rk, name)).all() for name in ("eor", "phi", "eta_scale"))
     assert same_bits(rk.U, state)
     assert s.n_euler_steps == 0
 
@@ -594,8 +597,9 @@ def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
 
 def test_wavespeed_evaluates_two_pow_values_per_direction(monkeypatch):
     # psi(p_max) takes its shock branch, which needs no pow, so the bound has
-    # two pow levels per direction, each one physics.power call per chunk.
-    # An edge whose c_ji is bitwise -c_ij is one direction and any other two;
+    # two pow levels per direction, which the compiled call of a chunk raises
+    # in blocks, and it returns the number of directions it evaluated.  An
+    # edge whose c_ji is bitwise -c_ij is one direction and any other two;
     # the channel has both, as a pair of boundary nodes keeps its assembled c
     setup = problems.mach3_channel(2, refine=1)
     s = Solver(assemble(setup.mesh), chunk_size=64, boundary=setup.boundary)
@@ -605,33 +609,20 @@ def test_wavespeed_evaluates_two_pow_values_per_direction(monkeypatch):
     c_ji = rk.c_slot[rk.cols[rk.up_row, rk.up_slot], rk.trans_slot[rk.up_row, rk.up_slot]]
     directions = np.where(oracles.mirrored(c_ij, c_ji), 1, 2)
     assert (directions == 1).any() and (directions == 2).any()
-    chunks = []  # per d_ij_low call: (edges e0:e1, pow calls, pow values)
-    inside = []
-    original = riemann.d_ij_low
+    chunks = []  # per call: (edges e0:e1, directions evaluated)
+    wavespeed = rowkernels.Binding.wavespeed
 
-    def counting(bound, e0, e1, *args, **kwargs):
-        inside.append([0, 0])
-        out = original(bound, e0, e1, *args, **kwargs)
-        chunks.append((slice(e0, e1), *inside.pop()))
-        return out
+    def counting(bound, e0, e1, gas):
+        out, evaluated = wavespeed(bound, e0, e1, gas)
+        chunks.append((slice(e0, e1), evaluated))
+        return out, evaluated
 
-    def counting_power(x, y):
-        out = np.power(x, y)
-        if inside:
-            inside[-1][0] += 1
-            inside[-1][1] += out.size
-        return out
-
-    monkeypatch.setattr(riemann, "d_ij_low", counting)
-    physics.set_power_function(counting_power)
-    try:
-        s.euler_step()
-    finally:
-        physics.set_power_function(None)
+    monkeypatch.setattr(rowkernels.Binding, "wavespeed", counting)
+    s.euler_step()
     assert len(chunks) > 1
-    assert sum(edges.stop - edges.start for edges, _, _ in chunks) == len(directions)
-    for edges, calls, values in chunks:
-        assert calls == 2 and values == 2 * directions[edges].sum()
+    assert sum(edges.stop - edges.start for edges, _ in chunks) == len(directions)
+    for edges, evaluated in chunks:
+        assert evaluated == directions[edges].sum()
 
 
 def test_step_0_writes_the_node_states_of_every_row(small_periodic):
@@ -650,50 +641,47 @@ def test_step_0_writes_the_node_states_of_every_row(small_periodic):
 
 
 def test_limiter_evaluates_one_pow_value_per_entry_at_its_first_level(monkeypatch):
-    # the first pow level of a chunk is rho(t_R)^(gamma + 1) of every entry;
-    # each Newton iteration then raises the open entries' densities at t_L to
-    # gamma + 1 and at t_L and t_R to gamma, and, unless it is the last, their
-    # densities at the new t_R to gamma + 1 again, one physics.power call each
+    # the first pow level of a chunk is rho(t_R)^(gamma + 1) of every entry,
+    # in the compiled call that makes the entries; each Newton round is one
+    # call, and one quadratic_newton_step, on the entries still open, which
+    # raises their densities at t_L to gamma + 1, those of the entries that
+    # take a step at t_L and t_R to gamma and, unless it is the last round,
+    # their densities at the new t_R to gamma + 1 again.  Every call returns
+    # the number of entries left open, which never grows
     setup = problems.mach3_channel(2, refine=1)
     s = Solver(assemble(setup.mesh), chunk_size=64, boundary=setup.boundary)
     s.set_state(setup.U0)
     s.ssp_rk3_step()
-    gas = s.gas
-    chunks = []  # per limiter_compute call: (entries, [(pow values, exponent)])
-    inside = []
-    original = limiter.limiter_compute
+    chunks = []  # per limiter_compute call: (entries, open after each call)
+    steps = []
+    start, round_ = rowkernels.LimiterChunk.start, rowkernels.LimiterChunk.round
+    original = limiter.quadratic_newton_step
 
-    def counting(*args, **kwargs):
-        inside.append([])
-        out = original(*args, **kwargs)
-        chunks.append((out.size, inside.pop()))
-        return out
+    def counting_start(chunk, *args):
+        chunks.append((chunk, [start(chunk, *args)]))
+        return chunks[-1][1][0]
 
-    def counting_power(x, y):
-        out = np.power(x, y)
-        if inside:
-            inside[-1].append((out.size, y))
-        return out
+    def counting_round(chunk, *args):
+        chunks[-1][1].append(round_(chunk, *args))
+        return chunks[-1][1][-1]
 
-    monkeypatch.setattr(limiter, "limiter_compute", counting)
-    physics.set_power_function(counting_power)
-    try:
-        s.euler_step()
-    finally:
-        physics.set_power_function(None)
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rowkernels.LimiterChunk, "start", counting_start)
+    monkeypatch.setattr(rowkernels.LimiterChunk, "round", counting_round)
+    monkeypatch.setattr(limiter, "quadratic_newton_step", counting_step)
+    s.euler_step()
     assert len(chunks) > 2
-    iterations = 0
-    for entries, pows in chunks:
-        assert pows[0] == (entries, gas.gamma + 1.0)
-        for k in range(1, len(pows), 3):
-            (open_L, y_L), (open_LR, y_LR) = pows[k:k + 2]
-            assert (y_L, y_LR) == (gas.gamma + 1.0, gas.gamma)
-            assert 0 < open_L <= pows[k - 1][0] and open_LR == 2 * open_L
-            if k + 2 < len(pows):
-                assert pows[k + 2][1] == gas.gamma + 1.0 and 0 < pows[k + 2][0] <= open_L
-            iterations += 1
-        assert len(pows) <= 1 + 3 * s.newton_steps - 1
-    assert iterations > 0
+    rounds = 0
+    for chunk, left in chunks:
+        assert chunk.factors.size >= left[0]
+        assert all(0 < before for before in left[:-1])
+        assert all(after <= before for before, after in zip(left, left[1:]))
+        assert len(left) - 1 <= s.newton_steps
+        rounds += len(left) - 1
+    assert rounds == len(steps) > 0
 
 
 def test_correction_reuses_the_low_order_products():
