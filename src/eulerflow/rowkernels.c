@@ -600,8 +600,8 @@ static struct scratch scratch_of(idx cap, idx *ix, double *x)
     return s;
 }
 
-/* Entry b of the block, open with Psi(t_R) = psi_R, into entry m of s. */
-static void keep_open(struct scratch *s, idx m, const struct entries *B, idx b, double psi_R)
+/* Entry b of the block, which stays open, into entry m of s. */
+static void keep_open(struct scratch *s, idx m, const struct entries *B, idx b)
 {
     s->row[m] = B->row[b];
     s->flat[m] = B->flat[b];
@@ -609,7 +609,7 @@ static void keep_open(struct scratch *s, idx m, const struct entries *B, idx b, 
     s->t_L[m] = B->t_L[b];
     s->t_R[m] = B->t_R[b];
     s->tol[m] = B->tol[b];
-    s->psi_R[m] = psi_R;
+    s->psi_R[m] = B->psi_R[b];
 }
 
 /* The test at t_R of the nb entries of a block, with their densities at
@@ -628,7 +628,7 @@ static idx test_t_R(const struct rank *r, const struct power *pw, double gp1, in
         if (B->psi_R[b] >= 0.0)
             B->t_L[b] = B->t_R[b];
         else if (newton)
-            keep_open(s, m++, B, b, B->psi_R[b]);
+            keep_open(s, m++, B, b);
         r->l[B->flat[b]] = out[B->k[b]] = B->t_L[b];
     }
     return m;

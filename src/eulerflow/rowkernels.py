@@ -14,10 +14,10 @@ operands, which power_loop takes from the ufunc's table of loops, not with
 libm's pow(), whose bits differ; at import, check_power_loop compares it
 with np.power.  A Binding checks one rank's arrays against ARRAYS once and
 keeps their addresses, which never change, in the struct rank that every
-kernel takes.  Each kernel is then one C call on a range of rows [lo, hi)
-(or upper edges e0:e1) plus scalars, which checks that the range lies
-within the row count the kernel indexes by: rows, owned or edges.  See
-rowkernels.c for what each computes.
+kernel takes.  Each kernel (see rowkernels.c) is then one C call on a
+range of rows [lo, hi) or upper edges e0:e1 within the row count it indexes
+by (rows, owned or edges), plus scalars; the limiter's, one to start and
+one per Newton round, keep their scratch arrays in a LimiterChunk.
 """
 
 from __future__ import annotations
@@ -169,10 +169,10 @@ _limiter_round = _declare("limiter_round", _i64, _ptr, _ptr, _i64, _f64, _f64, _
 
 
 class _UFuncHead(ctypes.Structure):
-    """PyUFuncObject of numpy/ufuncobject.h up to types, after the object
-    header of a CPython build without free threading."""
+    """PyUFuncObject of numpy/ufuncobject.h up to types; its object header,
+    PyObject_HEAD, is as large as that of object on every CPython build."""
 
-    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", _ptr), ("nin", _int),
+    _fields_ = [("ob_base", ctypes.c_char * object.__basicsize__), ("nin", _int),
                 ("nout", _int), ("nargs", _int), ("identity", _int),
                 ("functions", ctypes.POINTER(_ptr)), ("data", ctypes.POINTER(_ptr)),
                 ("ntypes", _int), ("reserved1", _int), ("name", ctypes.c_char_p),
@@ -277,10 +277,9 @@ class Binding:
             raise ValueError(f"[{lo}, {hi}) is outside the range of {count}, [0, {n})")
 
     def entropies(self, lo, hi, own, gas):
-        """Step 0 on the rows [lo, hi): writes f, the node states vpc, eor
-        and phi, and eta_scale of the rows below own, an owned row count.
-        Returns the number of rows below own with rho eps <= 0; where it is
-        not 0, eor, phi and eta_scale are written only in part."""
+        """Step 0 on the rows [lo, hi): f, vpc, eor, phi and eta_scale below
+        own, an owned row count.  Returns the number of rows below own with
+        rho eps <= 0; where it is not 0, the last three are written in part."""
         self.check("rows", lo, hi)
         self.check("owned", 0, own)
         return _entropies(self.address, self.pw, lo, hi, own, gas.gamma)

@@ -400,9 +400,9 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
         oracles.bind(cols=cols, P=np.zeros((3, 3, 3)))
 
 
-# per compiled kernel: the row count its range is checked
-# against (rows, owned or edges), the rank arrays it reads, and a call of it
-# on a binding over the range (lo, hi)
+# per compiled kernel: the row count its range is checked against (rows,
+# owned or edges), the rank arrays it reads, and a call of it on a binding
+# over the range (lo, hi)
 EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "vpc",
                "d")
 KERNEL_CALLS = {
