@@ -30,6 +30,14 @@
  * its pure arithmetic runs in loops over a block that the compiler
  * vectorizes (#pragma omp simd, -fopenmp-simd).
  *
+ * Each kernel is compiled once per state width: nvar = dim + 2 is 3, 4 or 5
+ * in 1, 2 or 3 dimensions.  An exported kernel only dispatches, through
+ * PER_WIDTH, to its body, an always-inlined function whose last parameter
+ * is nvar, with nvar a compile-time constant; so its loops over the
+ * components and directions unroll and its per-row sums are fixed-size
+ * arrays that stay in registers.  No other width is compiled, and
+ * rowkernels.Binding rejects a rank of any other.
+ *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
  * grouping and the bounds follow np.minimum / np.maximum.  Built with
@@ -47,6 +55,19 @@ typedef int64_t idx;
 
 /* The most values a kernel raises with one call of the pow() loop. */
 #define BLOCK 256
+
+/* The widest state, nvar in 3D: a body's per-row sums have this length, of
+ * which it uses the first nvar. */
+#define NVAR_MAX 5
+
+/* A kernel body or a helper of one, inlined where it is called, so that it
+ * is compiled anew for each constant nvar it is passed. */
+#define BODY static inline __attribute__((always_inline))
+
+/* body(..., nvar) for the width nvar of a bound rank, with nvar a constant
+ * in each of the three calls; any nvar other than 3 and 4 runs as 5. */
+#define PER_WIDTH(nvar, body, ...)                                                                 \
+    ((nvar) == 3 ? body(__VA_ARGS__, 3) : (nvar) == 4 ? body(__VA_ARGS__, 4) : body(__VA_ARGS__, 5))
 
 /* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS,
  * which gives the row count of each (the rows of cols, the owned rows or the
@@ -110,10 +131,10 @@ static inline idx min_idx(idx a, idx b) { return a < b ? a : b; }
  * (gamma + 1).  Returns the number of rows below own with rho eps <= 0,
  * where eta' is not defined; from the block that holds the first of them
  * on, no pow() level runs and eor, phi and eta_scale are not written. */
-idx entropies(const struct rank *r, const struct power *pw, idx lo, idx hi, idx own,
-              double gamma)
+BODY idx entropies_rows(const struct rank *r, const struct power *pw, idx lo, idx hi, idx own,
+                        double gamma, idx nvar)
 {
-    idx nvar = r->nvar, dim = nvar - 2, bad = 0;
+    idx dim = nvar - 2, bad = 0;
     double gm1 = gamma - 1.0, gp1_inv = 1.0 / (gamma + 1.0);
     double rho[BLOCK], eps[BLOCK], rho_eps[BLOCK], w[BLOCK];
     for (idx b0 = lo; b0 < hi; b0 += BLOCK) {
@@ -162,14 +183,20 @@ idx entropies(const struct rank *r, const struct power *pw, idx lo, idx hi, idx 
     return bad;
 }
 
+idx entropies(const struct rank *r, const struct power *pw, idx lo, idx hi, idx own,
+              double gamma)
+{
+    return PER_WIDTH(r->nvar, entropies_rows, r, pw, lo, hi, own, gamma);
+}
+
 /* Phase step1: the flux contraction P[i, s, k] = (f_j - f_i)[k] . c_ij of
  * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim), and
  * the indicator's slot sums of row i, added into entry i - lo of a and b:
  * a = sum_s (eor_j - eor_i) (m_j . c_ij), m_j the momentum of U_j, and
  * b[k] = sum_s P[i, s, k]. */
-void flux_contraction(const struct rank *r, idx lo, idx hi, double *a, double *b)
+BODY void contraction_rows(const struct rank *r, idx lo, idx hi, double *a, double *b, idx nvar)
 {
-    idx L = r->L, nvar = r->nvar, dim = nvar - 2;
+    idx L = r->L, dim = nvar - 2;
     const double *U = r->U, *eor = r->eor, *f = r->f;
     for (idx i = lo; i < hi; ++i) {
         const double *fi = f + i * nvar * dim;
@@ -193,16 +220,20 @@ void flux_contraction(const struct rank *r, idx lo, idx hi, double *a, double *b
     }
 }
 
+void flux_contraction(const struct rank *r, idx lo, idx hi, double *a, double *b)
+{
+    PER_WIDTH(r->nvar, contraction_rows, r, lo, hi, a, b);
+}
+
 /* Phase step1: alpha of the rows [lo, hi) from their slot sums a and b
  * (entry i - lo, as flux_contraction forms them) and eta' = s (E, -m, rho),
  * s the eta' scale (rho eps)^(-gamma / (gamma + 1)) / (gamma + 1) of step 0:
  * alpha = N / D clipped to [0, 1], and 0 where D is not above dfloor, with
  * N = |a - eta' . b + (eta / rho) b[0]|, D = |a| + sum_k w_k |b[k]| and
  * w = |eta'| but w_0 = |eta'_0 - eta / rho|. */
-void indicator(const struct rank *r, idx lo, idx hi, const double *a, const double *b,
-               double dfloor)
+BODY void indicator_rows(const struct rank *r, idx lo, idx hi, const double *a, const double *b,
+                         double dfloor, idx nvar)
 {
-    idx nvar = r->nvar;
     for (idx i = lo; i < hi; ++i) {
         const double *Ui = r->U + i * nvar, *bi = b + (i - lo) * nvar;
         double s = r->eta_scale[i], eor = r->eor[i], dot = 0.0, wsum = 0.0;
@@ -215,6 +246,12 @@ void indicator(const struct rank *r, idx lo, idx hi, const double *a, const doub
         double denom = fabs(a[i - lo]) + wsum;
         r->alpha[i] = denom > dfloor ? clip01(numer / denom) : 0.0;
     }
+}
+
+void indicator(const struct rank *r, idx lo, idx hi, const double *a, const double *b,
+               double dfloor)
+{
+    PER_WIDTH(r->nvar, indicator_rows, r, lo, hi, a, b, dfloor);
 }
 
 /* Phase step2: the lower slots of d, on an owned row those before the
@@ -243,13 +280,13 @@ void mirror(const struct rank *r, idx lo, idx hi)
  * density bar-state bounds and the minimum of phi over the stencil, from
  * the flux contraction in P, which then takes the viscous part
  * (d^H_ij - d_ij)(U_j - U_i) of the correction fluxes. */
-void low_order(const struct rank *r, idx lo, idx hi, double tau)
+BODY void low_order_rows(const struct rank *r, idx lo, idx hi, double tau, idx nvar)
 {
-    idx L = r->L, nvar = r->nvar;
+    idx L = r->L;
     const idx *cols = r->cols, *card = r->card;
     const double *U = r->U, *d = r->d, *alpha = r->alpha, *phi = r->phi;
     double *P = r->P;
-    double low[nvar], high[nvar];
+    double low[NVAR_MAX], high[NVAR_MAX];
     for (idx i = lo; i < hi; ++i) {
         const double *Ui = U + i * nvar;
         double rmin = 0.0, rmax = 0.0, pmin = 0.0;
@@ -289,12 +326,17 @@ void low_order(const struct rank *r, idx lo, idx hi, double tau)
     }
 }
 
+void low_order(const struct rank *r, idx lo, idx hi, double tau)
+{
+    PER_WIDTH(r->nvar, low_order_rows, r, lo, hi, tau);
+}
+
 /* Phase step4: the correction fluxes P += b_ij R_j - b_ji R_i, scaled by
  * tau / m_i (card_i - 1), with b_ij = delta_ij - m_ij / m_j and
  * b_ji = delta_ij - m_ij / m_i formed from the one mass entry m_ij. */
-void correction(const struct rank *r, idx lo, idx hi, double tau)
+BODY void correction_rows(const struct rank *r, idx lo, idx hi, double tau, idx nvar)
 {
-    idx L = r->L, nvar = r->nvar;
+    idx L = r->L;
     const idx *cols = r->cols, *card = r->card;
     const double *inv_m = r->inv_m, *m = r->m_slot, *R = r->R;
     double *P = r->P;
@@ -315,16 +357,22 @@ void correction(const struct rank *r, idx lo, idx hi, double tau)
     }
 }
 
+void correction(const struct rank *r, idx lo, idx hi, double tau)
+{
+    PER_WIDTH(r->nvar, correction_rows, r, lo, hi, tau);
+}
+
 /* Phases step5 and step6: U_next += lambda_i sum_s min(l_ij, l_ji) P_ij,
  * lambda_i = 1 / max(card_i - 1, 1).  Unless last, P is then scaled by
- * 1 - min(l_ij, l_ji) for the next limiter pass. */
-void limited_update(const struct rank *r, idx lo, idx hi, int last)
+ * 1 - min(l_ij, l_ji) for the next limiter pass; last is a constant in
+ * each of the bodies that limited_update runs. */
+BODY void update_rows(const struct rank *r, idx lo, idx hi, int last, idx nvar)
 {
-    idx L = r->L, nvar = r->nvar;
+    idx L = r->L;
     const idx *cols = r->cols, *trans = r->trans_slot, *card = r->card;
     const double *l = r->l;
     double *P = r->P, *U_next = r->U_next;
-    double acc[nvar];
+    double acc[NVAR_MAX];
     for (idx i = lo; i < hi; ++i) {
         for (idx k = 0; k < nvar; ++k)
             acc[k] = 0.0;
@@ -342,6 +390,14 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
         for (idx k = 0; k < nvar; ++k)
             U_next[i * nvar + k] = U_next[i * nvar + k] + lam * acc[k];
     }
+}
+
+void limited_update(const struct rank *r, idx lo, idx hi, int last)
+{
+    if (last)
+        PER_WIDTH(r->nvar, update_rows, r, lo, hi, 1);
+    else
+        PER_WIDTH(r->nvar, update_rows, r, lo, hi, 0);
 }
 
 /* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the
@@ -391,8 +447,8 @@ struct directions {
 
 /* The 1D state (rho, v.n scaled by sign, p, c) of node a along n into the
  * left (right = 0) or right side of direction k. */
-static inline void side(struct directions *D, idx k, int right, const struct rank *r, idx a,
-                        const double *n, double sign, idx dim)
+BODY void side(struct directions *D, idx k, int right, const struct rank *r, idx a, const double *n,
+               double sign, idx dim)
 {
     const double *V = r->vpc + a * (dim + 2);
     double u = 0.0;
@@ -406,10 +462,9 @@ static inline void side(struct directions *D, idx k, int right, const struct ran
 
 /* The directions of the nb upper edges from b0 into D, and into two[e - b0]
  * whether edge e is two directions; returns the number of directions and
- * adds the number of node states gathered with rho <= 0 or p <= 0 to bad.
- * It is inlined for each dim, so that its loops over dim unroll. */
-static inline __attribute__((always_inline)) idx
-project(const struct rank *r, idx b0, idx nb, idx dim, struct directions *D, int *two, idx *bad)
+ * adds the number of node states gathered with rho <= 0 or p <= 0 to bad. */
+BODY idx project(const struct rank *r, idx b0, idx nb, idx dim, struct directions *D, int *two,
+                 idx *bad)
 {
     idx nvar = dim + 2, k = 0;
     const double *U = r->U, *vpc = r->vpc;
@@ -452,19 +507,17 @@ static inline double neg_magnitude(double x) { return 0.5 * (fabs(x) - x); }
  * A zero-length c contributes zero.  Returns the number of directions, or
  * -1 when a node state gathered has rho <= 0 or p <= 0, and then writes no
  * slot of d. */
-idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, double gamma,
-              double *out)
+BODY idx wavespeed_edges(const struct rank *r, const struct power *pw, idx e0, idx e1,
+                         double gamma, double *out, idx nvar)
 {
-    idx dim = r->nvar - 2, nd = 0, bad = 0;
+    idx dim = nvar - 2, nd = 0, bad = 0;
     double gm1 = gamma - 1.0, gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
     double y1 = -((gamma - 1.0) / (2.0 * gamma)), y2 = 2.0 * gamma / (gamma - 1.0);
     struct directions D;
     int two[BLOCK / 2];
     for (idx b0 = e0; b0 < e1; b0 += BLOCK / 2) {
         idx nb = min_idx(e1 - b0, BLOCK / 2);
-        idx k = dim == 2   ? project(r, b0, nb, 2, &D, two, &bad)
-                : dim == 3 ? project(r, b0, nb, 3, &D, two, &bad)
-                           : project(r, b0, nb, dim, &D, two, &bad);
+        idx k = project(r, b0, nb, dim, &D, two, &bad);
         nd += k;
 #pragma omp simd
         for (idx m = 0; m < k; ++m)
@@ -512,6 +565,12 @@ idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, doub
     return nd;
 }
 
+idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, double gamma,
+              double *out)
+{
+    return PER_WIDTH(r->nvar, wavespeed_edges, r, pw, e0, e1, gamma, out);
+}
+
 /* The convex limiter of the rows [lo, hi), U_i the row's state in U_next:
  * for each entry, the largest t in [0, 1] for which U_i + t P_ij stays in
  * [rho_min_i, rho_max_i] and satisfies
@@ -533,7 +592,7 @@ idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, doub
  * Both kernels work in blocks of BLOCK entries. */
 
 /* rho eps of V = U + t p: the terms of Psi before its pow() term. */
-static double rho_eps_on_ray(const double *U, const double *p, double t, idx nvar)
+BODY double rho_eps_on_ray(const double *U, const double *p, double t, idx nvar)
 {
     double mm = 0.0;
     for (idx k = 1; k < nvar - 1; ++k) {
@@ -544,8 +603,8 @@ static double rho_eps_on_ray(const double *U, const double *p, double t, idx nva
 }
 
 /* d/dt Psi(U + t p), rho_g the density of U + t p to the power gamma. */
-static double dpsi_on_ray(const double *U, const double *p, double t, idx nvar, double phi_min,
-                          double gp1, double rho_g)
+BODY double dpsi_on_ray(const double *U, const double *p, double t, idx nvar, double phi_min,
+                        double gp1, double rho_g)
 {
     double mp = 0.0;
     for (idx k = 1; k < nvar - 1; ++k)
@@ -634,11 +693,12 @@ static idx test_t_R(const struct rank *r, const struct power *pw, double gp1, in
     return m;
 }
 
-/* limiter_start for states of nvar components, inlined for each nvar so
- * that its loops over them unroll. */
-static inline __attribute__((always_inline)) idx
-start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma, double tol_scale,
-      int newton, struct scratch s, double *out, idx *entries, idx nvar)
+/* The entries of the rows [lo, hi), each with t_L = 0, t_R from the
+ * density clamp and tol = tol_scale |rho eps(U_i)|, and their test at t_R;
+ * every other valid slot takes 1.  Returns the number of open entries, and
+ * in entries the number of entries. */
+BODY idx start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma,
+               double tol_scale, int newton, struct scratch s, double *out, idx *entries, idx nvar)
 {
     idx L = r->L, n = 0, m = 0, nb = 0;
     const double *U = r->U_next, *rho_min = r->rho_min, *rho_max = r->rho_max;
@@ -685,32 +745,24 @@ start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma
     return m;
 }
 
-/* The entries of the rows [lo, hi), each with t_L = 0, t_R from the
- * density clamp and tol = tol_scale |rho eps(U_i)|, and their test at t_R;
- * every other valid slot takes 1.  Returns the number of open entries, and
- * in entries the number of entries. */
 idx limiter_start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma,
                   double tol_scale, int newton, idx cap, idx *ix, double *x, double *out,
                   idx *entries)
 {
-    struct scratch s = scratch_of(cap, ix, x);
-    idx nvar = r->nvar;
-    return nvar == 4   ? start(r, pw, lo, hi, gamma, tol_scale, newton, s, out, entries, 4)
-           : nvar == 5 ? start(r, pw, lo, hi, gamma, tol_scale, newton, s, out, entries, 5)
-                       : start(r, pw, lo, hi, gamma, tol_scale, newton, s, out, entries, nvar);
+    return PER_WIDTH(r->nvar, start, r, pw, lo, hi, gamma, tol_scale, newton,
+                     scratch_of(cap, ix, x), out, entries);
 }
 
 /* One Newton round of the n open entries: Psi(t_L) <= tol closes an entry
  * at t_L, and every other one takes one Newton step, whose quadratic models
  * bend by sign, and then, with test, the test at its new t_R.  Returns the
  * number of entries still open. */
-idx limiter_round(const struct rank *r, const struct power *pw, idx n, double gamma, double sign,
-                  int test, idx cap, idx *ix, double *x, double *out)
+BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, double gamma,
+                       double sign, int test, struct scratch s, double *out, idx nvar)
 {
-    idx nvar = r->nvar, m = 0;
+    idx m = 0;
     double gp1 = gamma + 1.0;
     const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
-    struct scratch s = scratch_of(cap, ix, x);
     struct entries B;
     for (idx e0 = 0; e0 < n; e0 += BLOCK) {
         idx nb = min_idx(n - e0, BLOCK), c = 0;
@@ -769,4 +821,11 @@ idx limiter_round(const struct rank *r, const struct power *pw, idx n, double ga
             m += c;
     }
     return m;
+}
+
+idx limiter_round(const struct rank *r, const struct power *pw, idx n, double gamma, double sign,
+                  int test, idx cap, idx *ix, double *x, double *out)
+{
+    return PER_WIDTH(r->nvar, round_entries, r, pw, n, gamma, sign, test, scratch_of(cap, ix, x),
+                     out);
 }

@@ -17,7 +17,10 @@ keeps their addresses, which never change, in the struct rank that every
 kernel takes.  Each kernel (see rowkernels.c) is then one C call on a
 range of rows [lo, hi) or upper edges e0:e1 within the row count it indexes
 by (rows, owned or edges), plus scalars; the limiter's, one to start and
-one per Newton round, keep their scratch arrays in a LimiterChunk.
+one per Newton round, keep their scratch arrays in a LimiterChunk.  Every
+kernel is compiled once for each state width of WIDTHS, nvar = 3, 4 and 5
+in 1, 2 and 3 dimensions, and one dispatch in the C source picks the body
+of a rank's width on each call; a Binding rejects any other nvar.
 """
 
 from __future__ import annotations
@@ -34,16 +37,20 @@ import numpy as np
 
 from .physics import AIR, GasConstants
 
-__all__ = ["SOURCE", "FLAGS", "host_cpu", "library_path", "build", "power_loop",
+__all__ = ["SOURCE", "FLAGS", "WIDTHS", "host_cpu", "library_path", "build", "power_loop",
            "check_power_loop", "POWER", "ARRAYS", "zeros", "Binding", "LimiterChunk"]
 
 SOURCE = Path(__file__).with_name("rowkernels.c")
-# code for this CPU, with the loops marked #pragma omp simd vectorized; no
-# multiply-add contraction: the kernels must give numpy's bits; sqrt()
-# compiles to the instruction, with no libm call to set errno
-FLAGS = ("-O2", "-march=native", "-fopenmp-simd", "-shared", "-fPIC", "-ffp-contract=off",
-         "-fno-math-errno")
+# code for this CPU, with the loops marked #pragma omp simd vectorized; the
+# loops over a body's constant nvar and dim unrolled completely, which -O2
+# alone does only where that does not grow the code; no multiply-add
+# contraction: the kernels must give numpy's bits; sqrt() compiles to the
+# instruction, with no libm call to set errno
+FLAGS = ("-O2", "-fpeel-loops", "-march=native", "-fopenmp-simd", "-shared", "-fPIC",
+         "-ffp-contract=off", "-fno-math-errno")
 COMPILER = "gcc"
+# the state widths nvar = dim + 2 that rowkernels.c compiles each kernel for
+WIDTHS = (3, 4, 5)
 
 
 def host_cpu() -> str:
@@ -242,10 +249,10 @@ class Binding:
     The slot width L is that of cols and nvar that of U; counts holds the
     row counts rows = len(cols), owned = len(P) and edges = len(up_row).
     Raises ValueError for a missing array, one of another dtype or not in C
-    order, one whose shape is not the one ARRAYS gives for these sizes, and
-    for owned > rows.  The binding keeps the arrays alive, and rank their
-    addresses, and the kernels raise to powers with the loop POWER of when
-    it was made.
+    order, one whose shape is not the one ARRAYS gives for these sizes, for
+    owned > rows, and for an nvar not in WIDTHS.  The binding keeps the
+    arrays alive, and rank their addresses, and the kernels raise to powers
+    with the loop POWER of when it was made.
     """
 
     def __init__(self, arrays):
@@ -258,6 +265,9 @@ class Binding:
         self.counts = dict(rows=len(a["cols"]), owned=len(a["P"]), edges=len(a["up_row"]))
         if self.counts["owned"] > self.counts["rows"]:
             raise ValueError(f"P has {len(a['P'])} rows, more than the {len(a['cols'])} of cols")
+        if self.nvar not in WIDTHS:
+            raise ValueError(f"U has {self.nvar} components, and the kernels are compiled for "
+                             f"{WIDTHS} only")
         sizes = dict(self.counts, L=self.L, nvar=self.nvar, dim=self.nvar - 2)
         self.rank = _Rank(self.L, self.nvar)
         self.address = ctypes.addressof(self.rank)

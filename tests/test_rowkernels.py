@@ -96,21 +96,37 @@ def checked(solver, name, calls=None, perturb=None, stop=False, factors=None):
     return run
 
 
-def stepped_solver(dim, refine, ranks, chunk):
-    setup = problems.mach3_channel(dim, refine=refine)
-    mat = assemble(setup.mesh)
-    s = Solver(mat, ranks=ranks, chunk_size=chunk, boundary=setup.boundary)
+def stepped(setup, ranks, chunk):
+    """A solver of the problem setup after two RK3 steps."""
+    s = Solver(assemble(setup.mesh), ranks=ranks, chunk_size=chunk, boundary=setup.boundary)
     s.set_state(setup.U0)
     for _ in range(2):
         s.ssp_rk3_step()
     return s
 
 
+def stepped_solver(dim, refine, ranks, chunk):
+    return stepped(problems.mach3_channel(dim, refine=refine), ranks, chunk)
+
+
 @pytest.mark.parametrize("dim,refine,chunk", [(2, 1, 2048), (2, 0, 1), (3, 0, 2048), (3, 0, 1)])
 def test_row_kernels_match_their_numpy_forms_bitwise(monkeypatch, dim, refine, chunk):
     # 3 ranks: every rank runs the rows other ranks need as their own chunk
     # first; chunk 1 runs every row alone
-    s = stepped_solver(dim, refine, 3, chunk)
+    check_every_kernel_call(monkeypatch, stepped_solver(dim, refine, 3, chunk), chunk)
+
+
+@pytest.mark.parametrize("ranks,chunk", [(1, 2048), (3, 1)])
+def test_row_kernels_match_their_numpy_forms_bitwise_on_the_shock_tube(monkeypatch, ranks, chunk):
+    # sod1d's strip: periodic across, with no boundary data, and a shock,
+    # a contact and a rarefaction for the limiter
+    check_every_kernel_call(monkeypatch, stepped(problems.sod1d(), ranks, chunk), chunk)
+
+
+def check_every_kernel_call(monkeypatch, s, chunk):
+    """One RK3 step of the solver s with every call of each phase kernel of
+    PHASES checked against its numpy form; each runs at least once, and
+    with chunk 1 on one row at a time."""
     factors = []
     compute = limiter.limiter_compute
 
@@ -245,6 +261,61 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
         assert same_bits_or_nan(bounds[0], oracles.slot_bound(np.minimum, rho_bar))
         assert same_bits_or_nan(bounds[1], oracles.slot_bound(np.maximum, rho_bar))
     assert same_bits(bounds[2], phi[cols].min(axis=1))
+
+
+@given(rows=st.integers(1, 4), width=st.integers(1, 33), dim=st.integers(1, 3), last=st.booleans(),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_correction_and_limited_update_match_their_numpy_forms_at_every_width(rows, width, dim,
+                                                                             last, data):
+    # the solver's meshes are 2D and 3D, so only here do these two run at
+    # nvar 3.  Slot 0 of each row is its diagonal and every other valid slot
+    # has a node of its own after the rows, whose mirror slot is any of its
+    # row; P's pads hold NaN, which neither kernel may read or overwrite
+    nvar = dim + 2
+    n = rows * width
+    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    valid = np.arange(width) < card[:, None]
+    cols = np.zeros((n, width), dtype=np.int64)
+    cols[:rows, 0] = np.arange(rows)
+    cols[:rows, 1:] = rows + np.arange(rows * (width - 1)).reshape(rows, width - 1)
+    trans_slot = np.zeros((n, width), dtype=np.int64)
+    trans_slot[:rows] = data.draw(hnp.arrays(np.int64, (rows, width),
+                                             elements=st.integers(0, width - 1)))
+    card = np.concatenate([card, np.full(n - rows, width)])
+    m = data.draw(hnp.arrays(np.float64, (n, width), elements=st.floats(1e-3, 1e3)))
+    inv_m = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+    R = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
+    l = data.draw(hnp.arrays(np.float64, (n, width), elements=st.floats(0.0, 1.0)))
+    U_next = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
+    P = np.full((rows, width, nvar), np.nan)
+    P[valid] = data.draw(hnp.arrays(np.float64, (int(valid.sum()), nvar), elements=_entry))
+    tau = data.draw(st.floats(1e-6, 1.0))
+    corrected, U_want = P.copy(), U_next.copy()
+    bound = oracles.bind(cols=cols, trans_slot=trans_slot, card=card, m_slot=m, inv_m=inv_m, R=R,
+                         l=l, U_next=U_next, P=P)
+    bound.correction(0, rows, tau)
+
+    cols, card, m = cols[:rows], card[:rows], m[:rows]
+    with np.errstate(all="ignore"):
+        delta = (cols == np.arange(rows)[:, None]).astype(np.float64)
+        b, bT = delta - m * inv_m[cols], delta - m * inv_m[:rows][:, None]
+        flux = corrected + (b[..., None] * R[cols] - bT[..., None] * R[:rows][:, None])
+        flux *= (tau * inv_m[:rows] * (card - 1))[:, None, None]
+    corrected[valid] = flux[valid]
+    assert same_bits_or_nan(P, corrected)
+    assert np.isnan(P[~valid]).all()
+
+    bound.limited_update(0, rows, last=last)
+    minl = np.minimum(l[:rows], l[cols, trans_slot[:rows]])
+    with np.errstate(all="ignore"):
+        terms = np.where(valid[..., None], minl[..., None] * corrected, 0.0)
+        U_want[:rows] += (1.0 / np.maximum(card - 1, 1))[:, None] * oracles.slot_sum(terms)
+        if not last:
+            corrected[valid] *= (1.0 - minl[valid])[:, None]
+    assert same_bits_or_nan(U_next, U_want)
+    assert same_bits_or_nan(P, corrected)
+    assert np.isnan(P[~valid]).all()
 
 
 @given(rows=st.integers(1, 4), width=st.integers(1, 33), dim=st.integers(1, 3), data=st.data())
@@ -463,6 +534,18 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
                                 if other != name})
 
 
+@pytest.mark.parametrize("nvar", [2, 3, 4, 5, 6])
+def test_a_state_width_without_compiled_kernels_is_rejected(nvar):
+    # every kernel is compiled for nvar 3, 4 and 5 only; a rank of another
+    # width, its arrays shaped for it, would run the body of another width
+    arrays = rowkernels.zeros(rowkernels.ARRAYS, rows=4, owned=3, edges=5, L=2, nvar=nvar)
+    if nvar in rowkernels.WIDTHS:
+        assert rowkernels.Binding(arrays).nvar == nvar
+    else:
+        with pytest.raises(ValueError, match="compiled for"):
+            rowkernels.Binding(arrays)
+
+
 def test_limiter_rejects_strided_and_mistyped_arrays():
     # the kernels take the addresses of the arrays they are bound to: one that
     # is not C-contiguous or not of its dtype must be rejected at the binding
@@ -507,17 +590,55 @@ def test_declared_argument_types_follow_the_c_signatures():
         assert fn.argtypes == tuple(want), name
 
 
+def function_bodies():
+    """Every function of rowkernels.c whose body opens on a line of its own,
+    static or not, with its comments removed: name -> body."""
+    source = re.sub(r"/\*.*?\*/", "", rowkernels.SOURCE.read_text(), flags=re.S)
+    return dict(re.findall(r"(\w+)\([^)]*\)\n\{\n(.*?)^\}", source, re.M | re.S))
+
+
+def reached_bodies(name, bodies):
+    """The bodies of the function name and of every function of bodies that
+    it calls or hands to PER_WIDTH, directly or through those: an exported
+    kernel's own body only hands its inlined body to the dispatch macro."""
+    seen, todo = set(), [name]
+    while todo:
+        f = todo.pop()
+        if f not in seen:
+            seen.add(f)
+            named = re.findall(r"\b(\w+)\(", bodies[f]) + re.findall(r"PER_WIDTH\([^,]*, (\w+)",
+                                                                     bodies[f])
+            todo.extend(g for g in named if g in bodies)
+    return [bodies[f] for f in seen]
+
+
 def test_kernels_read_only_the_arrays_their_calls_name():
-    # the rank fields each kernel's body reads are among the arrays that its
-    # entry of KERNEL_CALLS names, and so among those its rejection test
-    # shortens and narrows; the two limiter kernels run as limiter_compute,
-    # and the pow() helper takes no rank
-    for name, (_, params, body) in exported_functions().items():
+    # the rank fields read by each kernel, its dispatch and every body it
+    # reaches, are among the arrays that its entry of KERNEL_CALLS names, and
+    # so among those its rejection test shortens and narrows; the two limiter
+    # kernels run as limiter_compute, and the pow() helper takes no rank
+    bodies = function_bodies()
+    for name, (_, params, _) in exported_functions().items():
         if params[0] != "const struct rank *r":
             continue
-        fields = set(re.findall(r"\br->(\w+)", body)) - {"L", "nvar"}
+        fields = {field for body in reached_bodies(name, bodies)
+                  for field in re.findall(r"\br->(\w+)", body)} - {"L", "nvar"}
         call = "limiter_compute" if name.startswith("limiter_") else name
-        assert fields <= set(KERNEL_CALLS[call][1]), name
+        assert fields and fields <= set(KERNEL_CALLS[call][1]), (name, fields)
+
+
+def test_every_kernel_is_compiled_for_each_state_width_through_one_dispatch():
+    # each exported kernel that takes a rank, but mirror, which has no
+    # per-component loop, only hands r->nvar to PER_WIDTH, whose calls pass
+    # the widths of WIDTHS as constants
+    source = rowkernels.SOURCE.read_text()
+    macro = re.search(r"#define PER_WIDTH\(nvar, body, \.\.\.\)(.*?)\n\n", source, re.S).group(1)
+    assert tuple(int(w) for w in re.findall(r"body\(__VA_ARGS__, (\d+)\)", macro)) == \
+        rowkernels.WIDTHS
+    for name, (_, params, body) in exported_functions().items():
+        if params[0] == "const struct rank *r" and name != "mirror":
+            assert "PER_WIDTH(r->nvar, " in body, name
+            assert set(re.findall(r"\br->(\w+)", body)) == {"nvar"}, name
 
 
 def test_library_imports_no_libm_function():
@@ -533,10 +654,12 @@ def test_library_imports_no_libm_function():
 def test_row_kernels_compile_without_warnings(tmp_path):
     # the library's own build with every warning an error: a helper, a
     # variable or a kernel argument that nothing uses fails it, and so do the
-    # warnings that only the optimiser's analysis finds
+    # warnings that only the optimiser's analysis finds; -Wvla fails a stack
+    # array whose length is known only at run time, such as one of nvar
+    # entries where nvar is not a constant
     done = subprocess.run(
-        [rowkernels.COMPILER, *rowkernels.FLAGS, "-std=c99", "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "rowkernels.so"), str(rowkernels.SOURCE)],
+        [rowkernels.COMPILER, *rowkernels.FLAGS, "-std=c99", "-Wall", "-Wextra", "-Wvla",
+         "-Werror", "-o", str(tmp_path / "rowkernels.so"), str(rowkernels.SOURCE)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
