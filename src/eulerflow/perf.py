@@ -3,7 +3,8 @@
 Predicts, per phase of one forward-Euler step, the number of doubles read
 and written per nonzero of the stencil graph.  Counting conventions:
 
-- column indices are 4-byte integers, hence 0.5 doubles per nonzero;
+- column indices are 4-byte integers, hence 0.5 doubles per nonzero, as
+  the solver stores them (int32 cols; its slot numbers are one byte);
 - streamed per-nonzero matrices are read once in full;
 - per-node arrays touched during a phase count their size divided by the
   average stencil cardinality (column accesses are assumed cached);

@@ -10,7 +10,8 @@ step, so it is one-sided: never below the exact maximal wavespeed.
 Where c_ji is bitwise -c_ij, as the assembly stores every pair with an end
 off the boundary, the problem along n_ji is the mirror image of the one
 along n_ij, so such an edge evaluates one direction, oriented by pressure,
-and every other edge both.  A chunk's upper edges are one compiled call
+and every other edge both; the solver's setup lists the edges of two
+directions and stores the geometry of their c_ji alone.  A chunk's upper edges are one compiled call
 (rowkernels.Binding.wavespeed, from the node states of step 0), which
 raises the two pow() levels of each direction with np.power's own loop.
 tests/oracles.py keeps the numpy form of the bound, which gives the same
@@ -29,9 +30,10 @@ def d_ij_low(bound, e0, e1, gas=AIR):
     written into their slots of d and returned as an (e1 - e0,) array.
 
     Edge e is slot up_slot[e] of row up_row[e] of cols and d, with the
-    unit normals and norms of its c_ij and c_ji in n_up, norm_up, nT_up and
-    normT_up (e_1 where a norm is 0).  Raises AdmissibilityError, before
-    anything is written, when a node state of step 0 has rho <= 0 or p <= 0.
+    unit normal and norm of its c_ij in n_up and norm_up (e_1 where a norm
+    is 0); an edge listed in two_edge has those of its c_ji in nT_two and
+    normT_two.  Raises AdmissibilityError, before anything is written, when
+    a node state of step 0 has rho <= 0 or p <= 0.
     """
     out, directions = bound.wavespeed(e0, e1, gas)
     if directions < 0:

@@ -8,6 +8,13 @@
  * L slots, slot s of row i is entry i * L + s of cols, trans_slot and every
  * per-slot array, and a per-slot state vector is entry (i * L + s) * nvar.
  * On an owned row the card[i] valid slots come first and the pads follow.
+ * The index arrays are narrow: row ids (cols, up_row) and edge numbers
+ * (two_edge) are idx32, slot numbers and row lengths (trans_slot, card,
+ * diag_slot, up_slot) idx8, as L <= 255.  A kernel loads them and forms
+ * every flat index such as i * L + s in idx, 64 bits wide.  idx8 is a
+ * character type, which a store of any type may alias, so a row's length
+ * and diagonal slot are loaded into locals before its slot loop: read in
+ * the loop's test, they would be loaded again after every store.
  * Every kernel follows one rule: it loops over the card[i] valid slots of
  * its rows only, so it neither reads nor writes a pad, every sum starts
  * from +0.0 and adds one slot after the other, and what is one expression
@@ -49,9 +56,12 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
 
 typedef int64_t idx;
+/* A row id, an edge number or a flat slot i * L + s, which fit 32 bits as
+ * sparsity.check_width bounds rows * L; a slot number or a row length. */
+typedef int32_t idx32;
+typedef uint8_t idx8;
 
 /* The most values a kernel raises with one call of the pow() loop. */
 #define BLOCK 256
@@ -70,14 +80,21 @@ typedef int64_t idx;
     ((nvar) == 3 ? body(__VA_ARGS__, 3) : (nvar) == 4 ? body(__VA_ARGS__, 4) : body(__VA_ARGS__, 5))
 
 /* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS,
- * which gives the row count of each (the rows of cols, the owned rows or the
- * upper edges) and its row shape.  rowkernels.Binding requires every array
- * and checks it once; an address never changes, as the solver commits a step
- * by copying into U. */
+ * which gives the row count of each (the rows of cols, the owned rows, the
+ * upper edges or the twos listed edges) and its row shape.  Every upper edge
+ * e has the unit normal and norm of its c_ij in n_up and norm_up; only the
+ * edges that keep two directions, whose ascending numbers two_edge lists,
+ * have those of c_ji, in nT_two and normT_two at their place in the list.
+ * rowkernels.Binding requires every array and checks it once; an address
+ * never changes, as the solver commits a step by copying into U. */
 struct rank {
-    idx L, nvar;
-    const idx *cols, *trans_slot, *card, *diag_slot, *up_row, *up_slot;
-    const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_up, *normT_up;
+    idx L, nvar, twos;
+    const idx32 *cols;
+    const idx8 *trans_slot, *card, *diag_slot;
+    const idx32 *up_row;
+    const idx8 *up_slot;
+    const idx32 *two_edge;
+    const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_two, *normT_two;
     double *U, *U_next, *R, *f, *vpc, *eor, *phi, *alpha, *d, *l;
     double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
 };
@@ -201,7 +218,7 @@ BODY void contraction_rows(const struct rank *r, idx lo, idx hi, double *a, doub
     for (idx i = lo; i < hi; ++i) {
         const double *fi = f + i * nvar * dim;
         double *bi = b + (i - lo) * nvar;
-        for (idx s = 0; s < r->card[i]; ++s) {
+        for (idx s = 0, ns = r->card[i]; s < ns; ++s) {
             idx is = i * L + s, j = r->cols[is];
             const double *fj = f + j * nvar * dim;
             const double *cs = r->c_slot + is * dim;
@@ -261,18 +278,20 @@ void indicator(const struct rank *r, idx lo, idx hi, const double *a, const doub
 void mirror(const struct rank *r, idx lo, idx hi)
 {
     idx L = r->L;
-    const idx *cols = r->cols, *trans = r->trans_slot, *card = r->card, *diag = r->diag_slot;
+    const idx32 *cols = r->cols;
+    const idx8 *trans = r->trans_slot, *card = r->card, *diag = r->diag_slot;
     double *d = r->d;
     for (idx i = lo; i < hi; ++i) {
         double rowsum = 0.0;
-        for (idx s = 0; s < card[i]; ++s) {
+        idx di = diag[i];
+        for (idx s = 0, ns = card[i]; s < ns; ++s) {
             idx is = i * L + s;
-            if (s < diag[i])
+            if (s < di)
                 d[is] = d[cols[is] * L + trans[is]];
-            if (s != diag[i])
+            if (s != di)
                 rowsum += d[is];
         }
-        d[i * L + diag[i]] = -rowsum;
+        d[i * L + di] = -rowsum;
     }
 }
 
@@ -283,7 +302,8 @@ void mirror(const struct rank *r, idx lo, idx hi)
 BODY void low_order_rows(const struct rank *r, idx lo, idx hi, double tau, idx nvar)
 {
     idx L = r->L;
-    const idx *cols = r->cols, *card = r->card;
+    const idx32 *cols = r->cols;
+    const idx8 *card = r->card;
     const double *U = r->U, *d = r->d, *alpha = r->alpha, *phi = r->phi;
     double *P = r->P;
     double low[NVAR_MAX], high[NVAR_MAX];
@@ -292,7 +312,7 @@ BODY void low_order_rows(const struct rank *r, idx lo, idx hi, double tau, idx n
         double rmin = 0.0, rmax = 0.0, pmin = 0.0;
         for (idx k = 0; k < nvar; ++k)
             low[k] = high[k] = 0.0;
-        for (idx s = 0; s < card[i]; ++s) {
+        for (idx s = 0, ns = card[i]; s < ns; ++s) {
             idx is = i * L + s, j = cols[is];
             const double *Uj = U + j * nvar;
             double *p = P + is * nvar;
@@ -337,13 +357,14 @@ void low_order(const struct rank *r, idx lo, idx hi, double tau)
 BODY void correction_rows(const struct rank *r, idx lo, idx hi, double tau, idx nvar)
 {
     idx L = r->L;
-    const idx *cols = r->cols, *card = r->card;
+    const idx32 *cols = r->cols;
+    const idx8 *card = r->card;
     const double *inv_m = r->inv_m, *m = r->m_slot, *R = r->R;
     double *P = r->P;
     for (idx i = lo; i < hi; ++i) {
         double scale = tau * inv_m[i] * (double)(card[i] - 1);
         const double *Ri = R + i * nvar;
-        for (idx s = 0; s < card[i]; ++s) {
+        for (idx s = 0, ns = card[i]; s < ns; ++s) {
             idx is = i * L + s, j = cols[is];
             double delta = j == i ? 1.0 : 0.0;
             double b = delta - m[is] * inv_m[j], bT = delta - m[is] * inv_m[i];
@@ -369,14 +390,15 @@ void correction(const struct rank *r, idx lo, idx hi, double tau)
 BODY void update_rows(const struct rank *r, idx lo, idx hi, int last, idx nvar)
 {
     idx L = r->L;
-    const idx *cols = r->cols, *trans = r->trans_slot, *card = r->card;
+    const idx32 *cols = r->cols;
+    const idx8 *trans = r->trans_slot, *card = r->card;
     const double *l = r->l;
     double *P = r->P, *U_next = r->U_next;
     double acc[NVAR_MAX];
     for (idx i = lo; i < hi; ++i) {
         for (idx k = 0; k < nvar; ++k)
             acc[k] = 0.0;
-        for (idx s = 0; s < card[i]; ++s) {
+        for (idx s = 0, ns = card[i]; s < ns; ++s) {
             idx is = i * L + s;
             double minl = np_min(l[is], l[cols[is] * L + trans[is]]);
             double *p = P + is * nvar;
@@ -409,30 +431,27 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
  * no Newton step).  Only v.n depends on the edge: rho comes from U, and v, p
  * and c from the node states vpc of step 0.
  *
- * Where the stored n_ji and |c_ji| are bitwise -n_ij and |c_ij|, as
- * assembly.assemble makes them on every pair with an end off the boundary,
- * the problem along n_ji is the mirror image of the one along n_ij, with the
- * same bound in exact arithmetic: such an edge is one direction, d_ij =
- * lambda |c_ij|.  Its left state is the end of lower pressure (U_i on a tie,
- * where both orientations give the same bits), so that d_ij does not depend
- * on which end is the row.  Every other edge is two directions. */
+ * Where n_ji and |c_ji| are bitwise -n_ij and |c_ij|, as assembly.assemble
+ * makes them on every pair with an end off the boundary, the problem along
+ * n_ji is the mirror image of the one along n_ij, with the same bound in
+ * exact arithmetic: such an edge is one direction, d_ij = lambda |c_ij|.
+ * Its left state is the end of lower pressure (U_i on a tie, where both
+ * orientations give the same bits), so that d_ij does not depend on which
+ * end is the row.  Every other edge is two directions; the solver's setup
+ * lists these in two_edge, with their n_ji and |c_ji|. */
 
-static inline uint64_t bits(double x)
+/* The place in two_edge of the first listed edge at or after edge e. */
+static idx first_two(const struct rank *r, idx e)
 {
-    uint64_t b;
-    memcpy(&b, &x, sizeof b);
-    return b;
-}
-
-/* The number of directions of edge e: 1 where n_ji and |c_ji| are bitwise
- * -n_ij and |c_ij|, else 2. */
-static inline idx directions(const struct rank *r, idx e, idx dim)
-{
-    const double *n = r->n_up + e * dim, *nT = r->nT_up + e * dim;
-    int mirrored = bits(r->normT_up[e]) == bits(r->norm_up[e]);
-    for (idx k = 0; k < dim; ++k)
-        mirrored &= bits(nT[k]) == bits(-n[k]);
-    return mirrored ? 1 : 2;
+    idx lo = 0, hi = r->twos;
+    while (lo < hi) {
+        idx mid = lo + (hi - lo) / 2;
+        if (r->two_edge[mid] < e)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
 }
 
 /* The directions of a block of edges, one array per quantity: entry k holds
@@ -461,10 +480,12 @@ BODY void side(struct directions *D, idx k, int right, const struct rank *r, idx
 }
 
 /* The directions of the nb upper edges from b0 into D, and into two[e - b0]
- * whether edge e is two directions; returns the number of directions and
- * adds the number of node states gathered with rho <= 0 or p <= 0 to bad. */
+ * whether edge e is two directions, which holds where it is the listed edge
+ * at place *t of two_edge, and then *t moves on to the next; returns the
+ * number of directions and adds the number of node states gathered with
+ * rho <= 0 or p <= 0 to bad. */
 BODY idx project(const struct rank *r, idx b0, idx nb, idx dim, struct directions *D, int *two,
-                 idx *bad)
+                 idx *t, idx *bad)
 {
     idx nvar = dim + 2, k = 0;
     const double *U = r->U, *vpc = r->vpc;
@@ -473,7 +494,7 @@ BODY idx project(const struct rank *r, idx b0, idx nb, idx dim, struct direction
         const double *n = r->n_up + e * dim;
         double p_i = vpc[i * nvar + dim], p_j = vpc[j * nvar + dim];
         *bad += ((U[i * nvar] <= 0.0) | (p_i <= 0.0)) + ((U[j * nvar] <= 0.0) | (p_j <= 0.0));
-        two[e - b0] = directions(r, e, dim) == 2;
+        two[e - b0] = *t < r->twos && r->two_edge[*t] == e;
         if (!two[e - b0]) {
             /* the mirror image along -n swaps the ends and negates v.n; the
              * selects are arithmetic, as the order of the pressures is not
@@ -484,13 +505,13 @@ BODY idx project(const struct rank *r, idx b0, idx nb, idx dim, struct direction
             side(D, k, 1, r, b, n, sign, dim);
             D->norm[k++] = r->norm_up[e];
         } else {
-            const double *nT = r->nT_up + e * dim;
+            const double *nT = r->nT_two + *t * dim;
             side(D, k, 0, r, i, n, 1.0, dim);
             side(D, k, 1, r, j, n, 1.0, dim);
             D->norm[k++] = r->norm_up[e];
             side(D, k, 0, r, j, nT, 1.0, dim);
             side(D, k, 1, r, i, nT, 1.0, dim);
-            D->norm[k++] = r->normT_up[e];
+            D->norm[k++] = r->normT_two[(*t)++];
         }
     }
     return k;
@@ -510,14 +531,14 @@ static inline double neg_magnitude(double x) { return 0.5 * (fabs(x) - x); }
 BODY idx wavespeed_edges(const struct rank *r, const struct power *pw, idx e0, idx e1,
                          double gamma, double *out, idx nvar)
 {
-    idx dim = nvar - 2, nd = 0, bad = 0;
+    idx dim = nvar - 2, nd = 0, bad = 0, t = first_two(r, e0);
     double gm1 = gamma - 1.0, gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
     double y1 = -((gamma - 1.0) / (2.0 * gamma)), y2 = 2.0 * gamma / (gamma - 1.0);
     struct directions D;
     int two[BLOCK / 2];
     for (idx b0 = e0; b0 < e1; b0 += BLOCK / 2) {
         idx nb = min_idx(e1 - b0, BLOCK / 2);
-        idx k = project(r, b0, nb, dim, &D, two, &bad);
+        idx k = project(r, b0, nb, dim, &D, two, &t, &bad);
         nd += k;
 #pragma omp simd
         for (idx m = 0; m < k; ++m)
@@ -587,7 +608,7 @@ idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, doub
  * Psi(t_L) <= tol at t_L; any other entry takes a Newton step.  l holds
  * each entry's t_L so far, and so does entry k of out, k its number in the
  * chunk.  The entries still open after limiter_start or a round are kept in
- * the chunk's scratch arrays: row, flat = i * L + s and k in ix, an int64
+ * the chunk's scratch arrays: row, flat = i * L + s and k in ix, an idx32
  * (3, cap) array, and t_L, t_R, tol and Psi(t_R) in x, a (4, cap) array.
  * Both kernels work in blocks of BLOCK entries. */
 
@@ -642,18 +663,18 @@ static void newton_step(double *t_L, double *t_R, double psi_L, double psi_R, do
  * on the ray and w their powers, rho_eps and phi_min the other terms of
  * Psi(t_R). */
 struct entries {
-    idx row[BLOCK], flat[BLOCK], k[BLOCK];
+    idx32 row[BLOCK], flat[BLOCK], k[BLOCK];
     double t_L[BLOCK], t_R[BLOCK], tol[BLOCK], psi_R[BLOCK], psi_L[BLOCK];
     double rho_eps[BLOCK], phi_min[BLOCK], rho[2 * BLOCK], w[2 * BLOCK];
 };
 
 /* The scratch arrays of a chunk's open entries (see above). */
 struct scratch {
-    idx *row, *flat, *k;
+    idx32 *row, *flat, *k;
     double *t_L, *t_R, *tol, *psi_R;
 };
 
-static struct scratch scratch_of(idx cap, idx *ix, double *x)
+static struct scratch scratch_of(idx cap, idx32 *ix, double *x)
 {
     struct scratch s = {ix, ix + cap, ix + 2 * cap, x, x + cap, x + 2 * cap, x + 3 * cap};
     return s;
@@ -709,7 +730,7 @@ BODY idx start(const struct rank *r, const struct power *pw, idx lo, idx hi, dou
         for (idx k = 1; k < nvar - 1; ++k)
             mm += Ui[k] * Ui[k];
         double tol_i = tol_scale * fabs(Ui[0] * Ui[nvar - 1] - 0.5 * mm);
-        for (idx sl = 0; sl < r->card[i]; ++sl) {
+        for (idx sl = 0, ns = r->card[i]; sl < ns; ++sl) {
             idx is = i * L + sl;
             const double *p = r->P + is * nvar;
             int moves = 0;
@@ -725,9 +746,9 @@ BODY idx start(const struct rank *r, const struct power *pw, idx lo, idx hi, dou
             if (Ui[0] + tR * p[0] < rho_min[i])
                 tR = fabs(rho_min[i] - Ui[0]) / abs_rho_p;
             tR = clip01(tR);
-            B.row[nb] = i;
-            B.flat[nb] = is;
-            B.k[nb] = n++;
+            B.row[nb] = (idx32)i;
+            B.flat[nb] = (idx32)is;
+            B.k[nb] = (idx32)n++;
             B.t_L[nb] = 0.0;
             B.t_R[nb] = tR;
             B.tol[nb] = tol_i;
@@ -746,7 +767,7 @@ BODY idx start(const struct rank *r, const struct power *pw, idx lo, idx hi, dou
 }
 
 idx limiter_start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma,
-                  double tol_scale, int newton, idx cap, idx *ix, double *x, double *out,
+                  double tol_scale, int newton, idx cap, idx32 *ix, double *x, double *out,
                   idx *entries)
 {
     return PER_WIDTH(r->nvar, start, r, pw, lo, hi, gamma, tol_scale, newton,
@@ -787,7 +808,7 @@ BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, doub
                 r->l[B.flat[b]] = out[B.k[b]] = B.t_L[b];
                 continue;
             }
-            B.row[c] = i;
+            B.row[c] = B.row[b];
             B.flat[c] = B.flat[b];
             B.k[c] = B.k[b];
             B.t_L[c] = B.t_L[b];
@@ -824,7 +845,7 @@ BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, doub
 }
 
 idx limiter_round(const struct rank *r, const struct power *pw, idx n, double gamma, double sign,
-                  int test, idx cap, idx *ix, double *x, double *out)
+                  int test, idx cap, idx32 *ix, double *x, double *out)
 {
     return PER_WIDTH(r->nvar, round_entries, r, pw, n, gamma, sign, test, scratch_of(cap, ix, x),
                      out);

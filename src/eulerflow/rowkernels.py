@@ -14,10 +14,13 @@ operands, which power_loop takes from the ufunc's table of loops, not with
 libm's pow(), whose bits differ; at import, check_power_loop compares it
 with np.power.  A Binding checks one rank's arrays against ARRAYS once and
 keeps their addresses, which never change, in the struct rank that every
-kernel takes.  Each kernel (see rowkernels.c) is then one C call on a
-range of rows [lo, hi) or upper edges e0:e1 within the row count it indexes
-by (rows, owned or edges), plus scalars; the limiter's, one to start and
-one per Newton round, keep their scratch arrays in a LimiterChunk.  Every
+kernel takes.  The index arrays are narrow: row ids and edge numbers are
+int32, slot numbers and row lengths uint8, and a rank's flat slots
+row * L + slot fit int32 (sparsity.check_width).  Each kernel (see
+rowkernels.c) is then one C call on a range of rows [lo, hi) or upper edges
+e0:e1 within the row count it indexes by (rows, owned or edges), plus
+scalars; the limiter's, one to start and one per Newton round, keep their
+int32 scratch indices in a LimiterChunk.  Every
 kernel is compiled once for each state width of WIDTHS, nvar = 3, 4 and 5
 in 1, 2 and 3 dimensions, and one dispatch in the C source picks the body
 of a rank's width on each call; a Binding rejects any other nvar.
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .physics import AIR, GasConstants
+from .sparsity import ROW, SLOT, check_width
 
 __all__ = ["SOURCE", "FLAGS", "WIDTHS", "host_cpu", "library_path", "build", "power_loop",
            "check_power_loop", "POWER", "ARRAYS", "zeros", "Binding", "LimiterChunk"]
@@ -113,18 +117,20 @@ _f64 = ctypes.c_double
 _int = ctypes.c_int
 _ptr = ctypes.c_void_p
 
-_F, _I = np.float64, np.int64
+_F = np.float64
 # The arrays a Binding takes, in the order of struct rank in rowkernels.c:
 # name -> (dtype, shape).  A shape is its row count, then its row shape: the
-# row count is rows (the rows of cols), owned (the rank's owned rows) or
-# edges (its upper edges); the row shape is in terms of the slot width L,
-# nvar and dim = nvar - 2.
+# row count is rows (the rows of cols), owned (the rank's owned rows), edges
+# (its upper edges) or twos (the upper edges that keep two directions, whose
+# ascending edge numbers two_edge lists); the row shape is in terms of the
+# slot width L, nvar and dim = nvar - 2.
 ARRAYS = {
-    "cols": (_I, ("rows", "L")), "trans_slot": (_I, ("rows", "L")), "card": (_I, ("rows",)),
-    "diag_slot": (_I, ("rows",)), "up_row": (_I, ("edges",)), "up_slot": (_I, ("edges",)),
+    "cols": (ROW, ("rows", "L")), "trans_slot": (SLOT, ("rows", "L")), "card": (SLOT, ("rows",)),
+    "diag_slot": (SLOT, ("rows",)), "up_row": (ROW, ("edges",)), "up_slot": (SLOT, ("edges",)),
+    "two_edge": (ROW, ("twos",)),
     "m_slot": (_F, ("rows", "L")), "c_slot": (_F, ("rows", "L", "dim")), "inv_m": (_F, ("rows",)),
-    "n_up": (_F, ("edges", "dim")), "norm_up": (_F, ("edges",)), "nT_up": (_F, ("edges", "dim")),
-    "normT_up": (_F, ("edges",)),
+    "n_up": (_F, ("edges", "dim")), "norm_up": (_F, ("edges",)), "nT_two": (_F, ("twos", "dim")),
+    "normT_two": (_F, ("twos",)),
     "U": (_F, ("rows", "nvar")), "U_next": (_F, ("rows", "nvar")), "R": (_F, ("rows", "nvar")),
     "f": (_F, ("rows", "nvar", "dim")), "vpc": (_F, ("rows", "nvar")), "eor": (_F, ("rows",)),
     "phi": (_F, ("rows",)),
@@ -138,17 +144,17 @@ def _shape(name, sizes):
     return tuple(sizes[k] for k in ARRAYS[name][1])
 
 
-def zeros(names, rows, owned, edges, L, nvar):
+def zeros(names, rows, owned, edges, L, nvar, twos=0):
     """Zero-filled arrays of the names of ARRAYS, as name -> array, for a
     rank of these row counts, slot width L and nvar state components."""
-    sizes = dict(rows=rows, owned=owned, edges=edges, L=L, nvar=nvar, dim=nvar - 2)
+    sizes = dict(rows=rows, owned=owned, edges=edges, twos=twos, L=L, nvar=nvar, dim=nvar - 2)
     return {name: np.zeros(_shape(name, sizes), ARRAYS[name][0]) for name in names}
 
 
 class _Rank(ctypes.Structure):
     """struct rank of rowkernels.c."""
 
-    _fields_ = [("L", _i64), ("nvar", _i64)] + [(name, _ptr) for name in ARRAYS]
+    _fields_ = [("L", _i64), ("nvar", _i64), ("twos", _i64)] + [(name, _ptr) for name in ARRAYS]
 
 
 def _declare(name, restype, *argtypes):
@@ -247,10 +253,11 @@ class Binding:
 
     arrays maps every name of ARRAYS to an array (other names are ignored).
     The slot width L is that of cols and nvar that of U; counts holds the
-    row counts rows = len(cols), owned = len(P) and edges = len(up_row).
-    Raises ValueError for a missing array, one of another dtype or not in C
-    order, one whose shape is not the one ARRAYS gives for these sizes, for
-    owned > rows, and for an nvar not in WIDTHS.  The binding keeps the
+    row counts rows = len(cols), owned = len(P), edges = len(up_row) and
+    twos = len(two_edge).  Raises ValueError for a missing array, one of
+    another dtype or not in C order, one whose shape is not the one ARRAYS
+    gives for these sizes, for owned > rows, for an nvar not in WIDTHS and
+    for rows and L that sparsity.check_width rejects.  The binding keeps the
     arrays alive, and rank their addresses, and the kernels raise to powers
     with the loop POWER of when it was made.
     """
@@ -262,14 +269,16 @@ class Binding:
                 raise ValueError(f"{name} must be given as a C-contiguous {np.dtype(dtype)} array")
         self.arrays = a = {name: arrays[name] for name in ARRAYS}
         self.L, self.nvar = a["cols"].shape[-1], a["U"].shape[-1]
-        self.counts = dict(rows=len(a["cols"]), owned=len(a["P"]), edges=len(a["up_row"]))
+        self.counts = dict(rows=len(a["cols"]), owned=len(a["P"]), edges=len(a["up_row"]),
+                           twos=len(a["two_edge"]))
         if self.counts["owned"] > self.counts["rows"]:
             raise ValueError(f"P has {len(a['P'])} rows, more than the {len(a['cols'])} of cols")
         if self.nvar not in WIDTHS:
             raise ValueError(f"U has {self.nvar} components, and the kernels are compiled for "
                              f"{WIDTHS} only")
+        check_width(self.counts["rows"], self.L)
         sizes = dict(self.counts, L=self.L, nvar=self.nvar, dim=self.nvar - 2)
-        self.rank = _Rank(self.L, self.nvar)
+        self.rank = _Rank(self.L, self.nvar, self.counts["twos"])
         self.address = ctypes.addressof(self.rank)
         self.power, self.pw = POWER, ctypes.addressof(POWER)
         for name, x in a.items():
@@ -334,9 +343,9 @@ class Binding:
     def wavespeed(self, e0, e1, gas):
         """d_ij of the upper edges e0:e1 from the node states of step 0,
         written into their slots of d.  Returns d_ij as an (e1 - e0,) array
-        and the number of directions evaluated, one for an edge whose c_ji is
-        bitwise -c_ij and two for any other; that number is -1, and d is not
-        written, when a node state has rho <= 0 or p <= 0."""
+        and the number of directions evaluated, two for an edge of two_edge
+        and one for any other; that number is -1, and d is not written, when
+        a node state has rho <= 0 or p <= 0."""
         self.check("edges", e0, e1)
         out = np.empty(e1 - e0)
         return out, _wavespeed(self.address, self.pw, e0, e1, gas.gamma, out.ctypes.data)
@@ -355,9 +364,10 @@ class LimiterChunk:
     def __init__(self, bound, lo, hi):
         bound.check("owned", lo, hi)
         cap = (hi - lo) * bound.L
-        # row, flat and number of the open entries; their t_L, t_R, tol and
-        # Psi(t_R), then the factors of all entries
-        self.ix, self.x = np.empty(3 * cap, dtype=np.int64), np.empty(5 * cap)
+        # row, flat and number of the open entries, which the binding's
+        # check_width keeps within ROW; their t_L, t_R, tol and Psi(t_R), then
+        # the factors of all entries
+        self.ix, self.x = np.empty(3 * cap, dtype=ROW), np.empty(5 * cap)
         self.factors = self.x[4 * cap:]
         self.kernel, self.rows = (bound.address, bound.pw), (lo, hi)
         self.scratch = (cap, self.ix.ctypes.data, self.x.ctypes.data, self.factors.ctypes.data)

@@ -7,6 +7,9 @@ lays the rows out as a dense (rows, width) slot view for the vectorized
 kernels, with the slot of every entry's mirror (j, i) and its CSR offset.
 The solver builds one such view of the whole stencil, in global
 Cuthill-McKee ids, and `PaddedView.select` cuts each rank's view out of it.
+A view holds its indices in the compiled kernels' types: row ids in ROW
+(int32) and slot numbers in SLOT (uint8), cast by `narrow`, which raises
+instead of wrapping, and `check_width` rejects a view too large for them.
 
 A rank's local rows are its owned rows in the global Cuthill-McKee order,
 then its ghost rows in ascending global id.  `renumber` keeps that order and
@@ -26,9 +29,39 @@ __all__ = [
     "LocalNumbering",
     "SparsityPattern",
     "PaddedView",
+    "ROW",
+    "SLOT",
+    "narrow",
+    "check_width",
     "renumber",
     "build_pattern",
 ]
+
+# the index types of a padded view: a row id, and a flat slot
+# row * width + slot, fit ROW; a slot number and a row length fit SLOT
+ROW, SLOT = np.int32, np.uint8
+
+
+def narrow(values, dtype) -> np.ndarray:
+    """values as an array of the integer dtype; raises ValueError where a
+    value lies outside its range, where a cast would wrap."""
+    values = np.asarray(values)
+    info = np.iinfo(dtype)
+    if values.size and (values.min() < info.min or values.max() > info.max):
+        raise ValueError(f"index values in [{values.min()}, {values.max()}] do not fit "
+                         f"{np.dtype(dtype)}")
+    return values.astype(dtype)
+
+
+def check_width(rows: int, width: int):
+    """Raise ValueError unless a view of rows rows of width slots fits the
+    index types: a row of up to width slots, and every flat slot."""
+    if width > np.iinfo(SLOT).max:
+        raise ValueError(f"a stencil of {width} slots is wider than the "
+                         f"{np.iinfo(SLOT).max} that a slot number of {np.dtype(SLOT)} holds")
+    if rows * width > np.iinfo(ROW).max:
+        raise ValueError(f"{rows} rows of {width} slots have more flat slots than "
+                         f"{np.dtype(ROW)} holds")
 
 
 @dataclass
@@ -74,11 +107,13 @@ class SparsityPattern:
     def padded(self) -> "PaddedView":
         """The (n_rows, width) slot view, width the widest row.
 
-        Raises ValueError when a row lacks its diagonal or when a stored
-        (i, j) has no stored mirror (j, i).
+        Raises ValueError when a row lacks its diagonal, when a stored
+        (i, j) has no stored mirror (j, i) and when check_width rejects the
+        view.
         """
         n, nnz, card = len(self.indptr) - 1, len(self.cols), np.diff(self.indptr)
         width = int(card.max(initial=0))
+        check_width(n, width)
         row = np.repeat(np.arange(n, dtype=np.int64), card)
         slot = np.arange(nnz, dtype=np.int64) - self.indptr[row]
 
@@ -105,8 +140,8 @@ class SparsityPattern:
         trans_slot = np.repeat(np.arange(width, dtype=np.int64)[None, :], n, axis=0)
         trans_slot[row, slot] = slot[hit]
         return PaddedView(
-            width=width, cols=cols, valid=valid, diag_slot=diag_slot, trans_slot=trans_slot,
-            src=src,
+            width=width, cols=narrow(cols, ROW), valid=valid, diag_slot=narrow(diag_slot, SLOT),
+            trans_slot=narrow(trans_slot, SLOT), src=src,
         )
 
 
@@ -138,10 +173,10 @@ class PaddedView:
     """
 
     width: int
-    cols: np.ndarray        # (n, width) column ids, pad -> row id
+    cols: np.ndarray        # (n, width) ROW column ids, pad -> row id
     valid: np.ndarray       # (n, width) bool
-    diag_slot: np.ndarray   # (n,)
-    trans_slot: np.ndarray  # (n, width)
+    diag_slot: np.ndarray   # (n,) SLOT
+    trans_slot: np.ndarray  # (n, width) SLOT
     src: np.ndarray         # (n, width) CSR offset of the entry, pad -> diagonal's
 
     def select(self, rows: np.ndarray) -> "PaddedView":
@@ -161,11 +196,11 @@ class PaddedView:
         cut_rows, cut_slots = np.nonzero(cut)
         cols[cut] = cut_rows
         trans_slot = self.trans_slot[rows]
-        trans_slot[cut] = cut_slots
+        trans_slot[cut] = narrow(cut_slots, SLOT)
         diag_slot = self.diag_slot[rows]
         src = self.src[rows]
         src[cut] = src[cut_rows, diag_slot[cut_rows]]
         return PaddedView(
-            width=self.width, cols=cols, valid=self.valid[rows] & ~cut,
+            width=self.width, cols=narrow(cols, ROW), valid=self.valid[rows] & ~cut,
             diag_slot=diag_slot, trans_slot=trans_slot, src=src,
         )

@@ -188,6 +188,23 @@ def _unit_normals(c: np.ndarray):
     return n, norm
 
 
+def _edge_geometry(c_ij: np.ndarray, c_ji: np.ndarray) -> dict:
+    """The edge geometry of rowkernels.ARRAYS for the upper edges whose c_ij
+    and c_ji are the rows of two (E, d) arrays: n_up and norm_up, the unit
+    normal and norm of every c_ij; two_edge, the ascending numbers of the
+    edges that keep two directions, where the unit normal and norm of c_ji
+    are not bitwise -n_up and norm_up; nT_two and normT_two, those of c_ji
+    on these edges alone."""
+    def bits(x):
+        return x.view(np.int64)
+
+    n_up, norm_up = _unit_normals(c_ij)
+    nT, normT = _unit_normals(c_ji)
+    two = (bits(normT) != bits(norm_up)) | (bits(nT) != bits(-n_up)).any(axis=1)
+    return dict(n_up=n_up, norm_up=norm_up, nT_two=nT[two], normT_two=normT[two],
+                two_edge=sparsity.narrow(np.flatnonzero(two), sparsity.ROW))
+
+
 class _RankData:
     """Per-rank renumbered stencil data and work arrays."""
 
@@ -277,19 +294,21 @@ class Solver:
                  & (owned[:, None] | owned[padded.cols]))
         # (row, slot) pairs of the upper edges in row-major order; the pairs
         # of rows [a, b) are up_ptr[a]:up_ptr[b]
-        rk.up_row, rk.up_slot = (np.ascontiguousarray(x) for x in np.nonzero(upper))
+        up_row, up_slot = np.nonzero(upper)
+        rk.up_row, rk.up_slot = (sparsity.narrow(up_row, sparsity.ROW),
+                                 sparsity.narrow(up_slot, sparsity.SLOT))
         rk.up_ptr = np.concatenate([[0], np.cumsum(upper.sum(axis=1))])
-        rk.card = padded.valid.sum(axis=1)
+        rk.card = sparsity.narrow(padded.valid.sum(axis=1), sparsity.SLOT)
 
         # pads take zero values
         N, L = len(cm_of_new), padded.width
         rk.m_slot = np.where(padded.valid, mat.m[padded.src], 0.0)
         rk.c_slot = np.where(padded.valid[..., None], mat.c[padded.src], 0.0)
-        # unit normals and norms of c_ij and c_ji of the upper edges, in
-        # up_row/up_slot order
-        rk.n_up, rk.norm_up = _unit_normals(rk.c_slot[upper])
-        rk.nT_up, rk.normT_up = _unit_normals(
-            rk.c_slot[padded.cols[upper], padded.trans_slot[upper]])
+        # unit normals and norms of c_ij of the upper edges, in up_row/up_slot
+        # order, and of c_ji of those that keep two directions
+        for name, a in _edge_geometry(
+                rk.c_slot[upper], rk.c_slot[padded.cols[upper], padded.trans_slot[upper]]).items():
+            setattr(rk, name, a)
         rk.m_i = mat.m_lumped[rk.orig_of_new]
         rk.inv_m = mat.inv_m[rk.orig_of_new]
 

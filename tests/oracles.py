@@ -225,26 +225,26 @@ def d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR):
 
 def edge_layout(Ui, Uj, c_ij, c_ji):
     """The pairs of a batch laid out as the upper edges of a stencil, as
-    riemann.d_ij_low takes them: the arrays up_row, up_slot, cols, U, n_up,
-    norm_up, nT_up and normT_up of a binding, by name.  Row k holds U_i of
-    pair k, row E + k its U_j, and the edge is slot 1 of row k, whose slot 0
-    is a neighbour that no edge names.  The unit normals come from the
-    solver's setup."""
+    riemann.d_ij_low takes them: the arrays up_row, up_slot, cols, U and the
+    edge geometry n_up, norm_up, two_edge, nT_two and normT_two of a binding,
+    by name.  Row k holds U_i of pair k, row E + k its U_j, and the edge is
+    slot 1 of row k, whose slot 0 is a neighbour that no edge names.  The
+    geometry comes from the solver's setup."""
     Ui, Uj = (np.reshape(U, (-1, np.shape(U)[-1])) for U in (Ui, Uj))
     c_ij, c_ji = (np.reshape(c, (-1, np.shape(c)[-1])) for c in (c_ij, c_ji))
     E = len(Ui)
     cols = np.stack([np.arange(2 * E), np.arange(E, 3 * E) % (2 * E)], axis=1)
-    (n_up, norm_up), (nT_up, normT_up) = (stepper._unit_normals(c) for c in (c_ij, c_ji))
-    return dict(up_row=np.arange(E), up_slot=np.ones(E, dtype=np.int64), cols=cols,
-                U=np.concatenate([Ui, Uj]), n_up=n_up, norm_up=norm_up, nT_up=nT_up,
-                normT_up=normT_up)
+    return dict(up_row=np.arange(E, dtype=np.int32), up_slot=np.ones(E, dtype=np.uint8),
+                cols=cols.astype(np.int32), U=np.concatenate([Ui, Uj]),
+                **stepper._edge_geometry(c_ij, c_ji))
 
 
 def bind(**arrays):
     """A rowkernels.Binding of the arrays, each array of ARRAYS not given
     filled with zeros.  A size is that of the first given array that has it;
     the rows of cols default to the owned rows, those to the rows of cols,
-    and the upper edges, the slot width and nvar to 0, 1 and 3."""
+    and the upper edges, the listed edges, the slot width and nvar to 0, 0, 1
+    and 3."""
     found = {}
     for name, a in arrays.items():
         for size, n in zip(rowkernels.ARRAYS[name][1], a.shape):
@@ -253,7 +253,7 @@ def bind(**arrays):
     missing = [name for name in rowkernels.ARRAYS if name not in arrays]
     return rowkernels.Binding({**rowkernels.zeros(
         missing, rows, found.get("owned", rows), found.get("edges", 0), found.get("L", 1),
-        found.get("nvar", found.get("dim", 1) + 2)), **arrays})
+        found.get("nvar", found.get("dim", 1) + 2), found.get("twos", 0)), **arrays})
 
 
 def bind_edges(gas=AIR, **arrays):
@@ -699,7 +699,7 @@ def compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
                                     dtype=np.float64)
 
     l = np.full((n, 1), np.nan)
-    limiter.limiter_compute(bind(card=np.ones(n, dtype=np.int64), U_next=rows(U, (nvar,)),
+    limiter.limiter_compute(bind(card=np.ones(n, dtype=np.uint8), U_next=rows(U, (nvar,)),
                                  P=rows(P, (nvar,)).reshape(n, 1, nvar), rho_min=rows(rho_min),
                                  rho_max=rows(rho_max), phi_min=rows(phi_min), l=l),
                             0, n, max_newton=max_newton, gas=gas)
@@ -773,7 +773,7 @@ def limited_update_reference(rk, lo, hi):
     sl = slice(lo, hi)
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
     terms = np.where(rk.valid[sl][..., None], minl[..., None] * rk.P[sl], 0.0)
-    lam = 1.0 / np.maximum(rk.card[sl] - 1, 1)
+    lam = 1.0 / np.maximum(rk.card[sl].astype(np.int64) - 1, 1)
     return rk.U_next[sl] + lam[:, None] * terms.sum(axis=1)
 
 
@@ -870,7 +870,7 @@ def correction_kernel(solver, rk, lo, hi, tau):
     bT = delta - m * rk.inv_m[sl][:, None]
     P = rk.P[sl]
     flux = P + (b[..., None] * rk.R[cols] - bT[..., None] * rk.R[sl][:, None])
-    flux *= (tau * rk.inv_m[sl] * (rk.card[sl] - 1))[:, None, None]
+    flux *= (tau * rk.inv_m[sl] * (rk.card[sl].astype(np.int64) - 1))[:, None, None]
     P[valid] = flux[valid]
     return limit_kernel(solver, rk, lo, hi)
 
@@ -890,7 +890,7 @@ def limited_update_kernel(solver, rk, lo, hi, last):
     sl = slice(lo, hi)
     valid = rk.valid[sl]
     minl = np.minimum(rk.l[sl], rk.l[rk.cols[sl], rk.trans_slot[sl]])
-    lam = 1.0 / np.maximum(rk.card[sl] - 1, 1)
+    lam = 1.0 / np.maximum(rk.card[sl].astype(np.int64) - 1, 1)
     P = rk.P[sl]
     rk.U_next[sl] += lam[:, None] * slot_sum(np.where(valid[..., None], minl[..., None] * P, 0.0))
     if last:

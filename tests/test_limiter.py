@@ -230,7 +230,7 @@ def chunk_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, lo=0):
     n, L, _ = P.shape
     l = np.full((n, L), np.nan)
     factors = limiter.limiter_compute(
-        oracles.bind(card=np.full(n, L), U_next=np.ascontiguousarray(U[:, 0]),
+        oracles.bind(card=np.full(n, L, dtype=np.uint8), U_next=np.ascontiguousarray(U[:, 0]),
                      P=np.ascontiguousarray(P), rho_min=rho_min[:, 0].copy(),
                      rho_max=rho_max[:, 0].copy(), phi_min=phi_min[:, 0].copy(), l=l),
         lo, n, max_newton=max_newton,
@@ -423,7 +423,7 @@ def test_compiled_limiter_equals_the_numpy_oracle_bitwise(dim, rows, width, max_
     # before lo a NaN of their own, which must not be written
     nvar = dim + 2
     lo = data.draw(st.integers(0, rows - 1))
-    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    card = data.draw(hnp.arrays(np.uint8, rows, elements=st.integers(1, width)))
     valid = np.arange(width) < card[:, None]
 
     def draw(shape, elements):
@@ -485,7 +485,7 @@ def test_every_pow_value_comes_from_the_bound_power_loop(monkeypatch):
     rng = np.random.default_rng(5)
     U, P, rho_min, rho_max, phi_min = stepper_shaped_case(rng)
     n, L, _ = P.shape
-    card = np.full(n, L)
+    card = np.full(n, L, dtype=np.uint8)
     # wavespeed pairs, every other one with c_ji = -c_ij (one direction); the
     # star pressure moves the bound only where it lies between the pressures
     # of the ends, so a few of them show the pow() values

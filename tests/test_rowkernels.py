@@ -196,12 +196,14 @@ def test_mirror_row_sum_adds_the_valid_off_diagonal_slots_left_to_right(rows, wi
     # those before the diagonal; every pad of the kernel's rows holds NaN,
     # which the kernel must neither read nor overwrite
     d = data.draw(hnp.arrays(np.float64, (2 * rows, width), elements=_entry))
-    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
-    diag = np.array([data.draw(st.integers(0, c - 1)) for c in card] + [0] * rows)
+    card = data.draw(hnp.arrays(np.uint8, rows, elements=st.integers(1, width)))
+    diag = np.array([data.draw(st.integers(0, int(c) - 1)) for c in card] + [0] * rows,
+                    dtype=np.uint8)
     d[:rows][np.arange(width) >= card[:, None]] = np.nan
-    card = np.concatenate([card, np.full(rows, width)])
-    cols = np.repeat((np.arange(2 * rows)[:, None] + rows) % (2 * rows), width, axis=1)
-    trans_slot = np.tile(np.arange(width), (2 * rows, 1))
+    card = np.concatenate([card, np.full(rows, width, dtype=np.uint8)])
+    cols = np.repeat((np.arange(2 * rows, dtype=np.int32)[:, None] + rows) % (2 * rows), width,
+                     axis=1)
+    trans_slot = np.tile(np.arange(width, dtype=np.uint8), (2 * rows, 1))
     want = d.copy()
     for i in range(rows):
         total = 0.0
@@ -227,9 +229,9 @@ def test_low_order_sums_and_bounds_match_the_numpy_reduce_bitwise(rows, slots, d
     # whose rows of the stencil arrays the kernel does not walk
     nvar = dim + 2
     n = rows * (slots + 1)
-    cols = np.zeros((n, slots), dtype=np.int64)
+    cols = np.zeros((n, slots), dtype=np.int32)
     cols[:rows] = rows + np.arange(rows * slots).reshape(rows, slots)
-    card = np.full(n, slots)
+    card = np.full(n, slots, dtype=np.uint8)
     U = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
     d = np.full((n, slots), np.nan)
     d[:rows] = data.draw(hnp.arrays(np.float64, (rows, slots), elements=_entry))
@@ -274,15 +276,15 @@ def test_correction_and_limited_update_match_their_numpy_forms_at_every_width(ro
     # row; P's pads hold NaN, which neither kernel may read or overwrite
     nvar = dim + 2
     n = rows * width
-    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    card = data.draw(hnp.arrays(np.uint8, rows, elements=st.integers(1, width)))
     valid = np.arange(width) < card[:, None]
-    cols = np.zeros((n, width), dtype=np.int64)
+    cols = np.zeros((n, width), dtype=np.int32)
     cols[:rows, 0] = np.arange(rows)
     cols[:rows, 1:] = rows + np.arange(rows * (width - 1)).reshape(rows, width - 1)
-    trans_slot = np.zeros((n, width), dtype=np.int64)
-    trans_slot[:rows] = data.draw(hnp.arrays(np.int64, (rows, width),
+    trans_slot = np.zeros((n, width), dtype=np.uint8)
+    trans_slot[:rows] = data.draw(hnp.arrays(np.uint8, (rows, width),
                                              elements=st.integers(0, width - 1)))
-    card = np.concatenate([card, np.full(n - rows, width)])
+    card = np.concatenate([card, np.full(n - rows, width, dtype=np.uint8)])
     m = data.draw(hnp.arrays(np.float64, (n, width), elements=st.floats(1e-3, 1e3)))
     inv_m = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
     R = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
@@ -296,7 +298,8 @@ def test_correction_and_limited_update_match_their_numpy_forms_at_every_width(ro
                          l=l, U_next=U_next, P=P)
     bound.correction(0, rows, tau)
 
-    cols, card, m = cols[:rows], card[:rows], m[:rows]
+    # widened: under NEP 50 card - 1 stays uint8
+    cols, card, m = cols[:rows], card[:rows].astype(np.int64), m[:rows]
     with np.errstate(all="ignore"):
         delta = (cols == np.arange(rows)[:, None]).astype(np.float64)
         b, bT = delta - m * inv_m[cols], delta - m * inv_m[:rows][:, None]
@@ -331,9 +334,10 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     nvar = dim + 2
     n = rows * (width + 1) + 1
     lo = data.draw(st.integers(0, rows - 1))
-    card = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, width)))
+    card = data.draw(hnp.arrays(np.uint8, rows, elements=st.integers(1, width)))
     valid = np.arange(width) < card[:, None]
-    cols = np.where(valid, rows + np.arange(rows * width).reshape(rows, width), n - 1)
+    cols = np.where(valid, rows + np.arange(rows * width).reshape(rows, width),
+                    n - 1).astype(np.int32)
     U = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
     eor = data.draw(hnp.arrays(np.float64, n, elements=_entry))
     f = data.draw(hnp.arrays(np.float64, (n, nvar, dim), elements=_entry))
@@ -461,9 +465,9 @@ def test_indicator_result_matches_the_numpy_result_bitwise(rows, dim, data):
 @pytest.mark.parametrize("lo,hi", [(0, 3), (-1, 1), (2, 1)])
 def test_rows_outside_the_arrays_are_rejected(lo, hi):
     d = np.zeros((2, 3))
-    cols = np.zeros((2, 3), dtype=np.int64)
-    index = np.zeros(2, dtype=np.int64)
-    bound = oracles.bind(cols=cols, trans_slot=cols, card=index, diag_slot=index, d=d)
+    cols, trans_slot = np.zeros((2, 3), dtype=np.int32), np.zeros((2, 3), dtype=np.uint8)
+    index = np.zeros(2, dtype=np.uint8)
+    bound = oracles.bind(cols=cols, trans_slot=trans_slot, card=index, diag_slot=index, d=d)
     with pytest.raises(ValueError, match="outside"):
         bound.mirror(lo, hi)
     # the owned rows are among the rows of cols
@@ -474,8 +478,8 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
 # per compiled kernel: the row count its range is checked against (rows,
 # owned or edges), the rank arrays it reads, and a call of it on a binding
 # over the range (lo, hi)
-EDGE_ARRAYS = ("up_row", "up_slot", "n_up", "norm_up", "nT_up", "normT_up", "cols", "U", "vpc",
-               "d")
+EDGE_ARRAYS = ("up_row", "up_slot", "two_edge", "n_up", "norm_up", "nT_two", "normT_two", "cols",
+               "U", "vpc", "d")
 KERNEL_CALLS = {
     "entropies": ("rows", ("U", "f", "vpc", "eor", "phi", "eta_scale"),
                   lambda b, lo, hi: b.entropies(lo, hi, min(hi, b.counts["owned"]),
@@ -511,14 +515,15 @@ def rank_binding(rk, **replaced):
 def test_short_and_narrow_arrays_are_rejected(kernel):
     # a kernel's range must lie within its row count, checked on each call;
     # every array must have the rows of its count, the width of cols, the
-    # nvar components of U and dim = nvar - 2, and be given at all, checked
-    # when the arrays are bound.  Otherwise C would read or write past the
-    # end of an array.  Rank 0 of 3 has ghost rows, so its owned rows are
-    # fewer than its rows
+    # nvar components of U and dim = nvar - 2, be of its dtype, and be given
+    # at all, checked when the arrays are bound.  Otherwise C would read or
+    # write past the end of an array, or read a wider index than is stored.
+    # Rank 0 of 3 has ghost rows, so its owned rows are fewer than its rows,
+    # and it lists some of its upper edges as two directions
     rk = stepped_solver(2, 0, 3, 2048).ranks[0]
     count, names, call = KERNEL_CALLS[kernel]
     hi = {"rows": len(rk.cols), "owned": rk.numbering.n_lo, "edges": len(rk.up_row)}[count]
-    assert rk.numbering.n_lo < len(rk.cols) < len(rk.up_row)
+    assert 1 < len(rk.two_edge) < rk.numbering.n_lo < len(rk.cols) < len(rk.up_row)
     call(rank_binding(rk), 0, hi)
     with pytest.raises(ValueError, match="outside"):
         call(rank_binding(rk), 0, hi + 1)
@@ -529,6 +534,11 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
         if a.ndim > 1:
             with pytest.raises(ValueError, match="shape"):
                 rank_binding(rk, **{name: np.ascontiguousarray(a[..., :-1])})
+        if a.dtype.kind in "iu":
+            assert a.dtype in (np.int32, np.uint8), name
+            wide = a.astype(np.int64)
+            with pytest.raises(ValueError, match=f"^{name} must be given as .* {a.dtype} array"):
+                rank_binding(rk, **{name: wide})
         with pytest.raises(ValueError, match=f"^{name} must be given"):
             rowkernels.Binding({other: getattr(rk, other) for other in rowkernels.ARRAYS
                                 if other != name})
@@ -546,6 +556,17 @@ def test_a_state_width_without_compiled_kernels_is_rejected(nvar):
             rowkernels.Binding(arrays)
 
 
+@pytest.mark.parametrize("L", [255, 256])
+def test_a_slot_width_beyond_the_index_types_is_rejected(L):
+    # slot numbers and row lengths are uint8, so a row has at most 255 slots
+    arrays = rowkernels.zeros(rowkernels.ARRAYS, rows=2, owned=2, edges=1, L=L, nvar=4)
+    if L < 256:
+        assert rowkernels.Binding(arrays).L == L
+    else:
+        with pytest.raises(ValueError, match="wider than the 255"):
+            rowkernels.Binding(arrays)
+
+
 def test_limiter_rejects_strided_and_mistyped_arrays():
     # the kernels take the addresses of the arrays they are bound to: one that
     # is not C-contiguous or not of its dtype must be rejected at the binding
@@ -553,7 +574,7 @@ def test_limiter_rejects_strided_and_mistyped_arrays():
     for name in rowkernels.ARRAYS:
         value = getattr(rk, name)
         strided = np.repeat(value, 2, axis=0)[::2]
-        retyped = value.astype(np.int32 if value.dtype == np.int64 else np.float32)
+        retyped = value.astype(np.int64 if value.dtype.kind in "iu" else np.float32)
         assert not strided.flags.c_contiguous
         for bad in (strided, retyped):
             with pytest.raises(ValueError, match="C-contiguous"):
@@ -561,10 +582,20 @@ def test_limiter_rejects_strided_and_mistyped_arrays():
 
 
 def test_binding_follows_the_struct_of_the_c_source():
-    # rowkernels.ARRAYS lays out struct rank of rowkernels.c field by field
-    body = re.search(r"struct rank \{(.*?)\};", rowkernels.SOURCE.read_text(), re.S).group(1)
+    # rowkernels.ARRAYS lays out struct rank of rowkernels.c field by field,
+    # after the sizes, and gives each array the integer type of its C field
+    source = rowkernels.SOURCE.read_text()
+    body = re.search(r"struct rank \{(.*?)\};", source, re.S).group(1)
     fields = re.findall(r"\*?\s*(\w+)\s*[,;]", body)
-    assert fields == ["L", "nvar", *rowkernels.ARRAYS]
+    assert fields == ["L", "nvar", "twos", *rowkernels.ARRAYS]
+    assert [f for f, _ in rowkernels._Rank._fields_] == fields
+    assert "typedef int32_t idx32;" in source and "typedef uint8_t idx8;" in source
+    c_int = {"idx32": np.int32, "idx8": np.uint8}
+    declared = {name: c_int[ctype]
+                for ctype, names in re.findall(r"const (idx32|idx8) (\*[^;]*);", body)
+                for name in re.findall(r"\*(\w+)", names)}
+    assert declared == {name: dtype for name, (dtype, _) in rowkernels.ARRAYS.items()
+                        if np.dtype(dtype).kind in "iu"}
 
 
 def exported_functions():
@@ -617,11 +648,13 @@ def test_kernels_read_only_the_arrays_their_calls_name():
     # reaches, are among the arrays that its entry of KERNEL_CALLS names, and
     # so among those its rejection test shortens and narrows; the two limiter
     # kernels run as limiter_compute, and the pow() helper takes no rank
+    # the size twos is that of two_edge
     bodies = function_bodies()
     for name, (_, params, _) in exported_functions().items():
         if params[0] != "const struct rank *r":
             continue
-        fields = {field for body in reached_bodies(name, bodies)
+        fields = {"two_edge" if field == "twos" else field
+                  for body in reached_bodies(name, bodies)
                   for field in re.findall(r"\br->(\w+)", body)} - {"L", "nvar"}
         call = "limiter_compute" if name.startswith("limiter_") else name
         assert fields and fields <= set(KERNEL_CALLS[call][1]), (name, fields)
@@ -656,10 +689,13 @@ def test_row_kernels_compile_without_warnings(tmp_path):
     # variable or a kernel argument that nothing uses fails it, and so do the
     # warnings that only the optimiser's analysis finds; -Wvla fails a stack
     # array whose length is known only at run time, such as one of nvar
-    # entries where nvar is not a constant
+    # entries where nvar is not a constant; -Wconversion and -Wsign-conversion
+    # fail an implicit narrowing or change of sign, such as a 64-bit index
+    # stored into a 32-bit scratch entry without a cast
     done = subprocess.run(
         [rowkernels.COMPILER, *rowkernels.FLAGS, "-std=c99", "-Wall", "-Wextra", "-Wvla",
-         "-Werror", "-o", str(tmp_path / "rowkernels.so"), str(rowkernels.SOURCE)],
+         "-Wconversion", "-Wsign-conversion", "-Werror", "-o", str(tmp_path / "rowkernels.so"),
+         str(rowkernels.SOURCE)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from eulerflow import sparsity
 from eulerflow.sparsity import build_pattern, renumber
 
 import oracles
@@ -179,3 +180,32 @@ def test_missing_diagonal_rejected():
     dense[2, 2] = False
     with pytest.raises(ValueError):
         slot_view(dense)
+
+
+def test_the_view_holds_narrow_indices_cast_without_wrapping():
+    # row ids in int32 and slot numbers in uint8, from one checked cast that
+    # raises where a value would wrap
+    dense = random_stencil_graph(np.random.default_rng(3), 30)
+    pv = whole_view(dense)
+    sel = pv.select(np.arange(0, 30, 2))
+    for view in (pv, sel):
+        assert view.cols.dtype == sparsity.ROW == np.int32
+        assert view.trans_slot.dtype == view.diag_slot.dtype == sparsity.SLOT == np.uint8
+    assert sparsity.narrow(np.array([0, 255]), np.uint8).dtype == np.uint8
+    for values, dtype in (([256], np.uint8), ([-1], np.uint8), ([2**31], np.int32),
+                          ([-2**31 - 1], np.int32)):
+        with pytest.raises(ValueError, match="do not fit"):
+            sparsity.narrow(np.array(values), dtype)
+    assert sparsity.narrow(np.zeros(0, dtype=np.int64), np.uint8).dtype == np.uint8
+
+
+def test_views_too_wide_or_too_large_for_the_index_types_are_rejected():
+    # a row length up to the width must fit uint8, and every flat slot
+    # row * width + slot int32, where the limiter keeps its scratch indices
+    sparsity.check_width(2**31 // 255, 255)
+    with pytest.raises(ValueError, match="wider than the 255"):
+        sparsity.check_width(1, 256)
+    with pytest.raises(ValueError, match="flat slots"):
+        sparsity.check_width(2**31 // 255 + 1, 255)
+    with pytest.raises(ValueError, match="flat slots"):
+        sparsity.check_width(2**28, 8)

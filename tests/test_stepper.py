@@ -595,19 +595,53 @@ def test_viscosity_evaluated_once_per_edge(small_periodic, monkeypatch):
         assert (split > 0) == (ranks > 1)
 
 
+def rank_edge_pairs(rk):
+    """c_ij and c_ji of a rank's upper edges, in up_row/up_slot order."""
+    rows, slots = rk.up_row, rk.up_slot
+    return rk.c_slot[rows, slots], rk.c_slot[rk.cols[rows, slots], rk.trans_slot[rows, slots]]
+
+
+@pytest.mark.parametrize("name,refine,ranks,listed,edges", [
+    ("cylinder2d", 2, 1, None, None), ("cylinder2d", 2, 3, None, None),
+    ("cylinder3d", 1, 1, 3890, 10032), ("periodic-smooth", 1, 1, 0, None),
+])
+def test_listed_two_direction_edges_are_the_edges_whose_c_ji_is_not_mirrored(name, refine, ranks,
+                                                                             listed, edges):
+    # a rank lists, in ascending order, exactly the upper edges whose c_ji's
+    # unit normal and norm are not bitwise those of -c_ij, and stores c_ji's
+    # unit normal and norm for those alone: a pair of boundary nodes keeps
+    # its assembled c, and a periodic box has no boundary
+    setup = problems.make_problem(name, refine=refine)
+    s = Solver(assemble(setup.mesh), ranks=ranks, boundary=setup.boundary)
+    for rk in s.ranks:
+        c_ij, c_ji = rank_edge_pairs(rk)
+        two = np.flatnonzero(~oracles.mirrored(c_ij, c_ji))
+        assert rk.two_edge.dtype == np.int32 and np.array_equal(rk.two_edge, two)
+        (n_ji, norm_ji), (n_up, norm_up) = oracles._unit(c_ji[two]), oracles._unit(c_ij)
+        assert np.array_equal(rk.nT_two.view(np.int64), np.stack(n_ji, axis=-1).view(np.int64))
+        assert np.array_equal(rk.normT_two.view(np.int64), norm_ji.view(np.int64))
+        assert np.array_equal(rk.n_up.view(np.int64), np.stack(n_up, axis=-1).view(np.int64))
+        assert np.array_equal(rk.norm_up.view(np.int64), norm_up.view(np.int64))
+        if listed is not None:
+            assert len(two) == listed
+        if edges is not None:
+            assert len(rk.up_row) == edges
+        if name == "cylinder2d":
+            assert 0 < len(two) < len(rk.up_row)
+
+
 def test_wavespeed_evaluates_two_pow_values_per_direction(monkeypatch):
     # psi(p_max) takes its shock branch, which needs no pow, so the bound has
     # two pow levels per direction, which the compiled call of a chunk raises
-    # in blocks, and it returns the number of directions it evaluated.  An
-    # edge whose c_ji is bitwise -c_ij is one direction and any other two;
-    # the channel has both, as a pair of boundary nodes keeps its assembled c
+    # in blocks, and it returns the number of directions it evaluated: one per
+    # edge and one more per listed edge of its range.  An edge whose c_ji is
+    # bitwise -c_ij is one direction and any other two; the channel has both,
+    # as a pair of boundary nodes keeps its assembled c
     setup = problems.mach3_channel(2, refine=1)
     s = Solver(assemble(setup.mesh), chunk_size=64, boundary=setup.boundary)
     s.set_state(setup.U0)
     rk = s.ranks[0]
-    c_ij = rk.c_slot[rk.up_row, rk.up_slot]
-    c_ji = rk.c_slot[rk.cols[rk.up_row, rk.up_slot], rk.trans_slot[rk.up_row, rk.up_slot]]
-    directions = np.where(oracles.mirrored(c_ij, c_ji), 1, 2)
+    directions = np.where(oracles.mirrored(*rank_edge_pairs(rk)), 1, 2)
     assert (directions == 1).any() and (directions == 2).any()
     chunks = []  # per call: (edges e0:e1, directions evaluated)
     wavespeed = rowkernels.Binding.wavespeed
@@ -621,8 +655,10 @@ def test_wavespeed_evaluates_two_pow_values_per_direction(monkeypatch):
     s.euler_step()
     assert len(chunks) > 1
     assert sum(edges.stop - edges.start for edges, _ in chunks) == len(directions)
+    assert any(evaluated > edges.stop - edges.start for edges, evaluated in chunks)
     for edges, evaluated in chunks:
-        assert evaluated == directions[edges].sum()
+        listed = np.count_nonzero((rk.two_edge >= edges.start) & (rk.two_edge < edges.stop))
+        assert evaluated == edges.stop - edges.start + listed == directions[edges].sum()
 
 
 def test_step_0_writes_the_node_states_of_every_row(small_periodic):
@@ -647,18 +683,22 @@ def test_limiter_evaluates_one_pow_value_per_entry_at_its_first_level(monkeypatc
     # raises their densities at t_L to gamma + 1, those of the entries that
     # take a step at t_L and t_R to gamma and, unless it is the last round,
     # their densities at the new t_R to gamma + 1 again.  Every call returns
-    # the number of entries left open, which never grows
+    # the number of entries left open, which never grows.  The open entries'
+    # row, flat slot row * L + slot and number are int32 scratch indices
     setup = problems.mach3_channel(2, refine=1)
     s = Solver(assemble(setup.mesh), chunk_size=64, boundary=setup.boundary)
     s.set_state(setup.U0)
     s.ssp_rk3_step()
     chunks = []  # per limiter_compute call: (entries, open after each call)
+    opened = []  # per call: row, flat and number of the entries open after start
     steps = []
     start, round_ = rowkernels.LimiterChunk.start, rowkernels.LimiterChunk.round
     original = limiter.quadratic_newton_step
 
     def counting_start(chunk, *args):
         chunks.append((chunk, [start(chunk, *args)]))
+        cap, n_open = len(chunk.ix) // 3, chunks[-1][1][0]
+        opened.append([chunk.ix[j * cap:j * cap + n_open].copy() for j in range(3)])
         return chunks[-1][1][0]
 
     def counting_round(chunk, *args):
@@ -675,7 +715,11 @@ def test_limiter_evaluates_one_pow_value_per_entry_at_its_first_level(monkeypatc
     s.euler_step()
     assert len(chunks) > 2
     rounds = 0
-    for chunk, left in chunks:
+    for (chunk, left), (row, flat, k) in zip(chunks, opened):
+        lo, hi = chunk.rows
+        assert chunk.ix.dtype == np.int32
+        assert ((lo <= row) & (row < hi)).all() and (flat // s.pad_width == row).all()
+        assert (np.diff(k) > 0).all() and (k < chunk.factors.size).all()
         assert chunk.factors.size >= left[0]
         assert all(0 < before for before in left[:-1])
         assert all(after <= before for before, after in zip(left, left[1:]))
@@ -1014,3 +1058,28 @@ def test_periodic_3d_box_conserves_exactly_over_ranks():
     drift = np.abs(mat.m_lumped @ finals[0] - before) / np.abs(before)
     assert drift.max() <= 1e-13, drift
     assert same_bits(finals[1], finals[0])
+
+
+def star_matrices(leaves):
+    """The matrices of a 2D stencil graph of one hub joined to every one of
+    its leaves, whose stencils hold only themselves and the hub: the hub's
+    stencil is leaves + 1 slots wide."""
+    n = leaves + 1
+    rows = [np.arange(n)] + [np.array([0, i]) for i in range(1, n)]
+    indices = np.concatenate(rows)
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    rng = np.random.default_rng(leaves)
+    m_lumped = np.diff(indptr).astype(np.float64)
+    return assembly.PrecomputedMatrices(
+        n=n, dim=2, indptr=indptr, indices=indices, m=np.ones(len(indices)),
+        c=rng.normal(size=(len(indices), 2)), m_lumped=m_lumped, inv_m=1.0 / m_lumped)
+
+
+@pytest.mark.parametrize("ranks", [1, 2])
+def test_a_stencil_wider_than_a_slot_number_holds_is_rejected_at_setup(ranks):
+    # slot numbers and row lengths are uint8: a 255-slot stencil is bound, a
+    # 256-slot one raises instead of wrapping its row length to 0
+    s = Solver(star_matrices(254), ranks=ranks)
+    assert s.pad_width == 255 and max(int(rk.card.max()) for rk in s.ranks) == 255
+    with pytest.raises(ValueError, match="256 slots is wider than the 255"):
+        Solver(star_matrices(255), ranks=ranks)
