@@ -11,11 +11,11 @@ Where c_ji is bitwise -c_ij, as the assembly stores every pair with an end
 off the boundary, the problem along n_ji is the mirror image of the one
 along n_ij, so such an edge evaluates one direction, oriented by pressure,
 and every other edge both; the solver's setup lists the edges of two
-directions and stores the geometry of their c_ji alone.  A chunk's upper edges are one compiled call
-(rowkernels.Binding.wavespeed, from the node states of step 0), which
-raises the two pow() levels of each direction with np.power's own loop.
-tests/oracles.py keeps the numpy form of the bound, which gives the same
-bits.
+directions and stores the geometry of their c_ji alone.  A chunk's upper
+edges are one compiled call (rowkernels.Binding.wavespeed, from the node
+states of step 0), which raises the two pow() levels of each direction with
+np.power's own loop.  tests/oracles.py keeps the numpy form of the bound,
+which gives the same bits.
 """
 
 from __future__ import annotations
