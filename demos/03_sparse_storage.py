@@ -3,10 +3,13 @@
 The kernels read every stencil matrix as a dense (rows, width) slot view:
 row i lists its columns ordered by node id, and rows shorter than the widest
 stencil are padded with slots that point at row i itself and carry zero
-values.  One sort of the assembled CSR entries by the key row * n + column
-builds the view (the solver sorts by Cuthill-McKee id; this demo keeps the
-mesh numbering) and records each slot's offset in the assembled CSR, from
-which the matrix values are gathered.  A precomputed mirror slot gives O(1)
+values.  One numpy sort of the assembled CSR entries by the key
+row * n + column builds the view (the solver sorts by Cuthill-McKee id; this
+demo keeps the mesh numbering) and records each slot's offset in the
+assembled CSR, from which the matrix values are gathered.  The view is
+built from the assembled matrices themselves, which hold the CSR arrays
+indptr and indices; only the dense round-trip check below uses scipy, to
+expand the mass matrix.  A precomputed mirror slot gives O(1)
 access to the entry (j, i) of every stored (i, j), which the solver needs
 for the skew-symmetric transport terms and the symmetrized limiter.
 
@@ -26,7 +29,7 @@ for name, mesh in [
     ("channel with a disc", problems.mach3_channel(2, refine=1).mesh),
 ]:
     matrices = assemble(mesh)
-    view = build_pattern(matrices.connectivity(), np.arange(matrices.n)).padded()
+    view = build_pattern(matrices, np.arange(matrices.n)).padded()
     card = view.valid.sum(axis=1)
     print(f"{name}: {matrices.n} rows, {matrices.nnz} entries, "
           f"stencil sizes {card.min()}..{card.max()}, width {view.width}, "
@@ -34,7 +37,7 @@ for name, mesh in [
 
 # values are gathered into the view through the CSR offsets, pads hold zeros
 matrices = assemble(rectangle_mesh(12, 12))
-view = build_pattern(matrices.connectivity(), np.arange(matrices.n)).padded()
+view = build_pattern(matrices, np.arange(matrices.n)).padded()
 m_slot = np.where(view.valid, matrices.m[view.src], 0.0)
 dense = matrices.csr(matrices.m).toarray()
 back = np.zeros_like(dense)

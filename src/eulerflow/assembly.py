@@ -9,6 +9,15 @@ phi_i phi_j n, exactly zero unless both nodes lie on the boundary; on every
 other pair c_ij is stored as (c_ij - c_ji) / 2 and c_ji as its negation, bit
 for bit, which the wavespeed (riemann.d_ij_low) relies on to evaluate one
 direction of such an edge.
+
+The assembly uses numpy alone.  The pairs of nodes of every cell are the
+element entries, in element order (cell, row node, column node); one sort
+of their keys row * n + column gives the CSR pattern, with sorted columns,
+and the entry of each element entry.  An entry's element values are added
+left to right in element order, starting from the first, as scipy's COO to
+CSR conversion adds them where its sort keeps that order, which it does on
+every 2D mesh tried; so the bits do not depend on a library's sort.  Each
+value array is summed on its own, and freed, one after the other.
 """
 
 from __future__ import annotations
@@ -16,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import _REF_CORNERS, Mesh, boundary_faces
+from .physics import sum_left_to_right
 
-__all__ = ["PrecomputedMatrices", "assemble"]
+__all__ = ["PrecomputedMatrices", "element_matrices", "element_entries", "summed", "assemble"]
 
 
 @dataclass
@@ -44,12 +53,11 @@ class PrecomputedMatrices:
     def card(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def connectivity(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (np.ones(self.nnz, dtype=np.int8), self.indices, self.indptr), shape=(self.n, self.n)
-        )
+    def csr(self, values: np.ndarray):
+        """values on the pattern as a scipy.sparse CSR matrix, for inspection;
+        the solver does not need scipy."""
+        import scipy.sparse as sp
 
-    def csr(self, values: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((values, self.indices, self.indptr), shape=(self.n, self.n))
 
 
@@ -76,54 +84,78 @@ def _shape_values(dim: int, xi: np.ndarray):
     return N, dN
 
 
-def assemble(mesh: Mesh) -> PrecomputedMatrices:
-    """Assemble m_ij, c_ij and the lumped mass over the stencil graph."""
+def element_matrices(mesh: Mesh):
+    """m and c of every cell: (m_loc, c_loc), m_loc[m, a, b] the entry of
+    the nodes a and b of cell m and c_loc a list of one such array per
+    direction.  Raises ValueError for a cell whose Jacobian determinant is
+    not positive at a quadrature point."""
     d = mesh.dim
-    cells = mesh.cells
-    red = mesh.reduced_index
-    n = mesh.n_nodes
-    nv = cells.shape[1]
-    pts_cells = mesh.points[cells]  # (M, nv, d)
-
-    qpts, qw = _quadrature(d)
-    rows = np.repeat(red[cells], nv, axis=1).ravel()
-    cols = np.tile(red[cells], (1, nv)).ravel()
-
-    m_loc = np.zeros((len(cells), nv, nv))
-    c_loc = np.zeros((len(cells), nv, nv, d))
-    for xi, w in zip(qpts, qw):
+    nv = mesh.cells.shape[1]
+    pts_cells = mesh.points[mesh.cells]  # (M, nv, d)
+    m_loc = np.zeros((len(mesh.cells), nv, nv))
+    c_loc = [np.zeros_like(m_loc) for _ in range(d)]
+    for xi, w in zip(*_quadrature(d)):
         N, dN = _shape_values(d, xi)
         J = np.einsum("mak,al->mkl", pts_cells, dN)
         detJ = np.linalg.det(J)
         if np.any(detJ <= 0.0):
             raise ValueError("degenerate cell: non-positive Jacobian determinant")
         Jinv = np.linalg.inv(J)
-        grad = np.einsum("al,mlk->mak", dN, Jinv)  # physical gradients
+        # physical gradients sum_l dN[a, l] Jinv[m, l, k], added left to right
+        # from +0.0 as np.einsum("al,mlk->mak", dN, Jinv) adds them, at a third
+        # of its cost
+        grad = sum_left_to_right(dN[None, :, l, None] * Jinv[:, None, l, :] for l in range(d))
         scale = (w * detJ)[:, None, None]
         m_loc += scale * (N[:, None] * N[None, :])
-        c_loc += scale[..., None] * N[None, :, None, None] * grad[:, None, :, :]
+        scale_N = scale * N[None, :, None]
+        for k, c_k in enumerate(c_loc):
+            c_k += scale_N * grad[:, None, :, k]
+    return m_loc, c_loc
 
-    shape = (n, n)
-    m_mat = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
-    c_mats = [
-        sp.coo_matrix((c_loc[..., k].ravel(), (rows, cols)), shape=shape).tocsr()
-        for k in range(d)
-    ]
-    del m_loc, c_loc, rows, cols
-    for mat in [m_mat] + c_mats:
-        mat.sort_indices()
 
-    indptr = m_mat.indptr.copy()
-    indices = m_mat.indices.copy()
-    for mat in c_mats:
-        if not (np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)):
-            raise AssertionError("assembled matrices disagree on the sparsity pattern")
-    # the pattern is symmetric, so its transpose, with the entries numbered,
-    # has the same sorted pattern and holds the number of each entry's mirror
-    mirror = sp.csr_matrix((np.arange(len(indices)), indices, indptr), shape=shape).T.tocsr().data
+def element_entries(cells: np.ndarray, n: int):
+    """The CSR pattern of the pairs of nodes of every cell, cells holding
+    node ids in [0, n): (indptr, indices, where, mirror), indices sorted
+    within each row; where[m, a, b] is the entry of the pair of nodes a and
+    b of cell m, and mirror[k] the entry (j, i) of entry k = (i, j)."""
+    cells = cells.astype(np.int64)
+    keys = (cells[:, :, None] * n + cells[:, None, :]).ravel()
+    keys, where = np.unique(keys, return_inverse=True)
+    rows = keys // n
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    indices = (keys - rows * n).astype(np.int32)
+    where = where.reshape(len(cells), cells.shape[1], -1)
+    # the pair (b, a) of a cell is the mirror of its pair (a, b)
+    mirror = np.empty(len(keys), dtype=np.int64)
+    mirror[where] = where.transpose(0, 2, 1)
+    return indptr, indices, where, mirror
+
+
+def summed(where: np.ndarray, values: np.ndarray, nnz: int) -> np.ndarray:
+    """The sum of the values of each entry, where and values of the same
+    shape: each entry's values added left to right in their order, from the
+    first one on (a start of -0.0 leaves every first value as it is)."""
+    out = np.full(nnz, -0.0)
+    np.add.at(out, where.ravel(), values.ravel())
+    return out
+
+
+def assemble(mesh: Mesh) -> PrecomputedMatrices:
+    """Assemble m_ij, c_ij and the lumped mass over the stencil graph."""
+    d = mesh.dim
+    red = mesh.reduced_index
+    n = mesh.n_nodes
+    m_loc, c_loc = element_matrices(mesh)
+    indptr, indices, where, mirror = element_entries(red[mesh.cells], n)
+    nnz = len(indices)
+    m = summed(where, m_loc, nnz)
+    del m_loc
+    c = np.empty((nnz, d))
+    for k in range(d):
+        c[:, k] = summed(where, c_loc.pop(0), nnz)
+    del where
     # enforce exact symmetry of m
-    m = 0.5 * (m_mat.data + m_mat.data[mirror])
-    c = np.stack([mat.data for mat in c_mats], axis=-1)
+    m = 0.5 * (m + m[mirror])
     rows_of = np.repeat(np.arange(n), np.diff(indptr))
     on_boundary = np.zeros(n, dtype=bool)
     on_boundary[red[boundary_faces(mesh)[0]]] = True
@@ -145,4 +177,3 @@ def assemble(mesh: Mesh) -> PrecomputedMatrices:
         m_lumped=m_lumped,
         inv_m=1.0 / m_lumped,
     )
-

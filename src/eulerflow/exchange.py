@@ -2,7 +2,12 @@
 
 Ranks are simulated in-process: the index range (in Cuthill-McKee order) is
 split into contiguous owned ranges, each rank additionally holding one ghost
-layer of locally relevant indices.  A sync is a start and a finish, as in a
+layer of locally relevant indices.  `partition` takes any object with the
+CSR arrays indptr and indices, such as assembly.PrecomputedMatrices, and
+uses numpy alone: it symmetrizes the pattern with one sort, orders the nodes
+with the compiled reverse Cuthill-McKee search of rowkernels, and finds
+every rank's ghosts with one more sort of the entries that cross a rank's
+range.  A sync is a start and a finish, as in a
 message-passing backend without network transport: `Communicator.stage`
 snapshots what a rank sends, and `Communicator.deliver` copies every staged
 send into ghost storage and counts the volume for the performance report.
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from .rowkernels import reverse_cuthill_mckee
 
 __all__ = [
     "Partition",
@@ -54,31 +59,51 @@ class Partition:
         return np.searchsorted(starts, cm_ids, side="right") - 1
 
 
-def partition(connectivity: sp.spmatrix, n_ranks: int) -> Partition:
-    """Balanced contiguous split of the CM order with one ghost layer."""
+def _symmetrized(rows: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """The entries of a pattern and of its transpose, (rows, indices) of
+    every entry, as distinct ascending keys row * n + column."""
+    keys = rows * n + indices
+    mirrored = np.sort(indices * n + rows)
+    # a pattern with sorted columns that equals its transpose is its own union
+    if np.array_equal(keys, mirrored) and np.all(keys[1:] > keys[:-1]):
+        return keys
+    return np.union1d(keys, mirrored)
+
+
+def partition(pattern, n_ranks: int) -> Partition:
+    """Balanced contiguous split of the CM order with one ghost layer.
+
+    pattern is any object with the CSR arrays indptr and indices of an n x n
+    connectivity; the order is the reverse Cuthill-McKee order of its
+    symmetrized graph, reversed, and a rank's ghosts are the columns of its
+    rows outside its range.
+    """
     if n_ranks < 1:
         raise ValueError("rank count must be >= 1")
-    conn = sp.csr_matrix(connectivity)
-    n = conn.shape[0]
-    sym = (conn + conn.T).tocsr()
-    rcm = reverse_cuthill_mckee(sym, symmetric_mode=True)
-    cm_inv = np.asarray(rcm[::-1], dtype=np.int64)
+    indptr = np.asarray(pattern.indptr, dtype=np.int64)
+    indices = np.asarray(pattern.indices, dtype=np.int64)
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    sym = _symmetrized(rows, indices, n)
+    sym_rows = sym // n
+    cm_inv = reverse_cuthill_mckee(np.searchsorted(sym_rows, np.arange(n + 1)),
+                                   sym - sym_rows * n)[::-1]
     cm_perm = np.empty(n, dtype=np.int64)
     cm_perm[cm_inv] = np.arange(n)
 
     base, extra = divmod(n, n_ranks)
-    ranges = []
-    start = 0
-    for r in range(n_ranks):
-        size = base + (1 if r < extra else 0)
-        ranges.append((start, start + size))
-        start += size
+    sizes = [base + (1 if r < extra else 0) for r in range(n_ranks)]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    ranges = [(int(s), int(e)) for s, e in zip(starts[:-1], starts[1:])]
 
-    # ghosts: columns of the owned rows that lie outside the owned range
-    ghosts = []
-    for s, e in ranges:
-        cols = np.unique(cm_perm[conn[cm_inv[s:e]].indices])
-        ghosts.append(cols[(cols < s) | (cols >= e)])
+    # ghosts: columns of the owned rows that lie outside the owned range, as
+    # distinct keys rank * n + column
+    rank_of = np.repeat(np.arange(n_ranks), sizes)
+    row_rank, col_cm = rank_of[cm_perm[rows]], cm_perm[indices]
+    crossing = rank_of[col_cm] != row_rank
+    keys = np.unique(row_rank[crossing] * n + col_cm[crossing])
+    bounds = np.searchsorted(keys, np.arange(n_ranks + 1) * n)
+    ghosts = [keys[bounds[r]:bounds[r + 1]] - r * n for r in range(n_ranks)]
 
     part = Partition(
         n=n,

@@ -45,6 +45,10 @@
  * arrays that stay in registers.  No other width is compiled, and
  * rowkernels.Binding rejects a rank of any other.
  *
+ * Two functions run outside the time step's phases: admissible, the check of
+ * U_next before a step commits, and cuthill_mckee, the breadth-first search
+ * of the setup's node order, which takes CSR arrays instead of a rank.
+ *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
  * grouping and the bounds follow np.minimum / np.maximum.  Built with
@@ -422,6 +426,28 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
         PER_WIDTH(r->nvar, update_rows, r, lo, hi, 0);
 }
 
+/* The first row of [lo, hi) whose state in U_next is not admissible, or -1:
+ * not rho > 0 and eps > 0, eps = E - 0.5 |m|^2 / rho, as
+ * physics.is_admissible forms it, with |m|^2 summed from +0.0 left to right;
+ * a NaN density or energy is not admissible. */
+BODY idx admissible_rows(const struct rank *r, idx lo, idx hi, idx nvar)
+{
+    for (idx i = lo; i < hi; ++i) {
+        const double *Ui = r->U_next + i * nvar;
+        double mm = 0.0;
+        for (idx k = 1; k < nvar - 1; ++k)
+            mm += Ui[k] * Ui[k];
+        if (!(Ui[0] > 0.0 && Ui[nvar - 1] - 0.5 * mm / Ui[0] > 0.0))
+            return i;
+    }
+    return -1;
+}
+
+idx admissible(const struct rank *r, idx lo, idx hi)
+{
+    return PER_WIDTH(r->nvar, admissible_rows, r, lo, hi);
+}
+
 /* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the
  * upper edges e0 <= e < e1.  Edge e is slot up_slot[e] of row i = up_row[e],
  * its neighbour j = cols[i * L + up_slot[e]].  lambda_ij bounds the maximal
@@ -464,26 +490,21 @@ struct directions {
     double norm[BLOCK], x[BLOCK], y[BLOCK];
 };
 
-/* The 1D state (rho, v.n scaled by sign, p, c) of node a along n into the
- * left (right = 0) or right side of direction k. */
-BODY void side(struct directions *D, idx k, int right, const struct rank *r, idx a, const double *n,
-               double sign, idx dim)
+/* v.n of the node state V (v, p, c), v of dim components. */
+BODY double normal_velocity(const double *V, const double *n, idx dim)
 {
-    const double *V = r->vpc + a * (dim + 2);
     double u = 0.0;
     for (idx x = 0; x < dim; ++x)
         u += V[x] * n[x];
-    (right ? D->rho_r : D->rho_l)[k] = r->U[a * (dim + 2)];
-    (right ? D->u_r : D->u_l)[k] = sign * u;
-    (right ? D->p_r : D->p_l)[k] = V[dim];
-    (right ? D->c_r : D->c_l)[k] = V[dim + 1];
+    return u;
 }
 
 /* The directions of the nb upper edges from b0 into D, and into two[e - b0]
  * whether edge e is two directions, which holds where it is the listed edge
  * at place *t of two_edge, and then *t moves on to the next; returns the
- * number of directions and adds the number of node states gathered with
- * rho <= 0 or p <= 0 to bad. */
+ * number of directions and adds the number of node states read with
+ * rho <= 0 or p <= 0 to bad.  Each edge reads rho, v.n, p and c of both
+ * ends once. */
 BODY idx project(const struct rank *r, idx b0, idx nb, idx dim, struct directions *D, int *two,
                  idx *t, idx *bad)
 {
@@ -491,26 +512,47 @@ BODY idx project(const struct rank *r, idx b0, idx nb, idx dim, struct direction
     const double *U = r->U, *vpc = r->vpc;
     for (idx e = b0; e < b0 + nb; ++e) {
         idx i = r->up_row[e], j = r->cols[i * r->L + r->up_slot[e]];
-        const double *n = r->n_up + e * dim;
-        double p_i = vpc[i * nvar + dim], p_j = vpc[j * nvar + dim];
-        *bad += ((U[i * nvar] <= 0.0) | (p_i <= 0.0)) + ((U[j * nvar] <= 0.0) | (p_j <= 0.0));
+        const double *n = r->n_up + e * dim, *Vi = vpc + i * nvar, *Vj = vpc + j * nvar;
+        double rho_i = U[i * nvar], u_i = normal_velocity(Vi, n, dim), p_i = Vi[dim];
+        double c_i = Vi[dim + 1];
+        double rho_j = U[j * nvar], u_j = normal_velocity(Vj, n, dim), p_j = Vj[dim];
+        double c_j = Vj[dim + 1];
+        *bad += ((rho_i <= 0.0) | (p_i <= 0.0)) + ((rho_j <= 0.0) | (p_j <= 0.0));
         two[e - b0] = *t < r->twos && r->two_edge[*t] == e;
         if (!two[e - b0]) {
             /* the mirror image along -n swaps the ends and negates v.n; the
-             * selects are arithmetic, as the order of the pressures is not
+             * selects are of values, as the order of the pressures is not
              * predictable */
-            idx flip = p_j < p_i, a = i ^ ((i ^ j) & -flip), b = i ^ j ^ a;
-            double sign = 1.0 - 2.0 * (double)flip;
-            side(D, k, 0, r, a, n, sign, dim);
-            side(D, k, 1, r, b, n, sign, dim);
+            int flip = p_j < p_i;
+            double sign = flip ? -1.0 : 1.0;
+            D->rho_l[k] = flip ? rho_j : rho_i;
+            D->u_l[k] = sign * (flip ? u_j : u_i);
+            D->p_l[k] = flip ? p_j : p_i;
+            D->c_l[k] = flip ? c_j : c_i;
+            D->rho_r[k] = flip ? rho_i : rho_j;
+            D->u_r[k] = sign * (flip ? u_i : u_j);
+            D->p_r[k] = flip ? p_i : p_j;
+            D->c_r[k] = flip ? c_i : c_j;
             D->norm[k++] = r->norm_up[e];
         } else {
             const double *nT = r->nT_two + *t * dim;
-            side(D, k, 0, r, i, n, 1.0, dim);
-            side(D, k, 1, r, j, n, 1.0, dim);
+            D->rho_l[k] = rho_i;
+            D->u_l[k] = u_i;
+            D->p_l[k] = p_i;
+            D->c_l[k] = c_i;
+            D->rho_r[k] = rho_j;
+            D->u_r[k] = u_j;
+            D->p_r[k] = p_j;
+            D->c_r[k] = c_j;
             D->norm[k++] = r->norm_up[e];
-            side(D, k, 0, r, j, nT, 1.0, dim);
-            side(D, k, 1, r, i, nT, 1.0, dim);
+            D->rho_l[k] = rho_j;
+            D->u_l[k] = normal_velocity(Vj, nT, dim);
+            D->p_l[k] = p_j;
+            D->c_l[k] = c_j;
+            D->rho_r[k] = rho_i;
+            D->u_r[k] = normal_velocity(Vi, nT, dim);
+            D->p_r[k] = p_i;
+            D->c_r[k] = c_i;
             D->norm[k++] = r->normT_two[(*t)++];
         }
     }
@@ -849,4 +891,37 @@ idx limiter_round(const struct rank *r, const struct power *pw, idx n, double ga
 {
     return PER_WIDTH(r->nvar, round_entries, r, pw, n, gamma, sign, test, scratch_of(cap, ix, x),
                      out);
+}
+
+/* The Cuthill-McKee order of the n nodes of a symmetric CSR pattern (indptr,
+ * indices) into order, as scipy.sparse.csgraph.reverse_cuthill_mckee finds
+ * it before it reverses it.  Each component is a breadth-first search from
+ * the first node of seeds, the nodes in ascending degree, not yet visited:
+ * every node it reaches appends its unvisited neighbours in the order of its
+ * row, and each group so appended is insertion-sorted by degree, which keeps
+ * nodes of equal degree in the order they came.  visited holds n zeros. */
+void cuthill_mckee(idx n, const idx *indptr, const idx *indices, const idx32 *degree,
+                   const idx *seeds, idx8 *visited, idx *order)
+{
+    idx end = 0;
+    for (idx z = 0; z < n && end < n; ++z) {
+        if (visited[seeds[z]])
+            continue;
+        visited[seeds[z]] = 1;
+        order[end++] = seeds[z];
+        for (idx q = end - 1; q < end; ++q) {
+            idx i = order[q], first = end;
+            for (idx jj = indptr[i]; jj < indptr[i + 1]; ++jj)
+                if (!visited[indices[jj]]) {
+                    visited[indices[jj]] = 1;
+                    order[end++] = indices[jj];
+                }
+            for (idx k = first + 1; k < end; ++k) {
+                idx node = order[k], at = k;
+                for (; at > first && degree[node] < degree[order[at - 1]]; --at)
+                    order[at] = order[at - 1];
+                order[at] = node;
+            }
+        }
+    }
 }

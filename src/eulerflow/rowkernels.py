@@ -23,7 +23,10 @@ scalars; the limiter's, one to start and one per Newton round, keep their
 int32 scratch indices in a LimiterChunk.  Every
 kernel is compiled once for each state width of WIDTHS, nvar = 3, 4 and 5
 in 1, 2 and 3 dimensions, and one dispatch in the C source picks the body
-of a rank's width on each call; a Binding rejects any other nvar.
+of a rank's width on each call; a Binding rejects any other nvar.  The
+library also holds the setup's one search, reverse_cuthill_mckee, which
+orders the nodes of a CSR pattern as scipy's csgraph does, so that the
+solver runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .physics import AIR, GasConstants
 from .sparsity import ROW, SLOT, check_width
 
 __all__ = ["SOURCE", "FLAGS", "WIDTHS", "host_cpu", "library_path", "build", "power_loop",
-           "check_power_loop", "POWER", "ARRAYS", "zeros", "Binding", "LimiterChunk"]
+           "check_power_loop", "POWER", "ARRAYS", "zeros", "reverse_cuthill_mckee", "Binding",
+           "LimiterChunk"]
 
 SOURCE = Path(__file__).with_name("rowkernels.c")
 # code for this CPU, with the loops marked #pragma omp simd vectorized; the
@@ -179,6 +183,33 @@ _limiter_start = _declare("limiter_start", _i64, _ptr, _ptr, _i64, _i64, _f64, _
                           _ptr, _ptr, _ptr, _ptr)
 _limiter_round = _declare("limiter_round", _i64, _ptr, _ptr, _i64, _f64, _f64, _int, _i64, _ptr,
                           _ptr, _ptr)
+_admissible = _declare("admissible", _i64, _ptr, _i64, _i64)
+_cuthill_mckee = _declare("cuthill_mckee", None, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr)
+
+
+def reverse_cuthill_mckee(indptr, indices) -> np.ndarray:
+    """The reverse Cuthill-McKee order of the n nodes of a symmetric CSR
+    pattern (indptr, indices), as an int64 array of node ids: that of
+    scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True),
+    node for node.  A node's degree is its row length, plus 1 where its row
+    holds its diagonal; the searches start from the nodes in the order of
+    np.argsort of the int32 degrees, with numpy's default kind, as scipy
+    sorts them, and visit a row's columns in the order given.  Raises
+    ValueError for arrays that are not a CSR pattern of n nodes."""
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    n = len(indptr) - 1
+    card = np.diff(indptr)
+    if (n < 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(card < 0)
+            or np.any(indices < 0) or np.any(indices >= n)):
+        raise ValueError(f"indptr and indices are not a CSR pattern of {max(n, 0)} nodes")
+    rows = np.repeat(np.arange(n), card)
+    degree = card.astype(np.int32)
+    degree[rows[indices == rows]] += 1
+    seeds, visited, order = np.argsort(degree), np.zeros(n, dtype=np.uint8), np.empty(n, np.int64)
+    _cuthill_mckee(n, indptr.ctypes.data, indices.ctypes.data, degree.ctypes.data,
+                   seeds.ctypes.data, visited.ctypes.data, order.ctypes.data)
+    return order[::-1]
 
 
 class _UFuncHead(ctypes.Structure):
@@ -256,10 +287,13 @@ class Binding:
     row counts rows = len(cols), owned = len(P), edges = len(up_row) and
     twos = len(two_edge).  Raises ValueError for a missing array, one of
     another dtype or not in C order, one whose shape is not the one ARRAYS
-    gives for these sizes, for owned > rows, for an nvar not in WIDTHS and
-    for rows and L that sparsity.check_width rejects.  The binding keeps the
-    arrays alive, and rank their addresses, and the kernels raise to powers
-    with the loop POWER of when it was made.
+    gives for these sizes, for owned > rows, for an nvar not in WIDTHS, for
+    rows and L that sparsity.check_width rejects, and for index values that
+    a kernel would follow out of its arrays: cols and up_row outside the
+    rows, trans_slot, diag_slot and up_slot outside the L slots of a row,
+    card above L, and two_edge outside the edges or not strictly ascending.
+    The binding keeps the arrays alive, and rank their addresses, and the
+    kernels raise to powers with the loop POWER of when it was made.
     """
 
     def __init__(self, arrays):
@@ -287,6 +321,16 @@ class Binding:
                 raise ValueError(f"{name} has shape {x.shape} where {shape[0]} rows "
                                  f"({ARRAYS[name][1][0]}) of shape {shape[1:]} are needed")
             setattr(self.rank, name, x.ctypes.data)
+        # the kernels index by these values unchecked
+        for name, (top, what) in dict(
+                cols=(sizes["rows"], "the row count"), up_row=(sizes["rows"], "the row count"),
+                trans_slot=(self.L, "L"), diag_slot=(self.L, "L"), up_slot=(self.L, "L"),
+                card=(self.L + 1, "L + 1"), two_edge=(sizes["edges"], "the edge count")).items():
+            x = a[name]
+            if x.size and (x.min() < 0 or x.max() >= top):
+                raise ValueError(f"{name} holds values outside [0, {what})")
+        if np.any(a["two_edge"][1:] <= a["two_edge"][:-1]):
+            raise ValueError("two_edge is not strictly ascending")
 
     def check(self, count, lo, hi):
         """Raise ValueError unless 0 <= lo <= hi <= counts[count], count one
@@ -339,6 +383,12 @@ class Binding:
         P is then scaled by 1 - min(l_ij, l_ji) in place."""
         self.check("owned", lo, hi)
         _limited_update(self.address, lo, hi, int(last))
+
+    def admissible(self, lo, hi):
+        """The first of the owned rows [lo, hi) whose state in U_next is not
+        admissible (physics.is_admissible), or -1."""
+        self.check("owned", lo, hi)
+        return _admissible(self.address, lo, hi)
 
     def wavespeed(self, e0, e1, gas):
         """d_ij of the upper edges e0:e1 from the node states of step 0,

@@ -1,8 +1,9 @@
 """Local row numbering and the padded slot view of the stencil graph.
 
-`build_pattern` renumbers an assembled CSR pattern with one sort by the key
-new row * n + new column, which orders each row's columns by new id and
-records every entry's offset in the assembled CSR.  `SparsityPattern.padded`
+`build_pattern` renumbers an assembled CSR pattern, given as any object
+with the CSR arrays indptr and indices, with one numpy sort by the key new
+row * n + new column, which orders each row's columns by new id and records
+every entry's offset in the assembled CSR.  `SparsityPattern.padded`
 lays the rows out as a dense (rows, width) slot view for the vectorized
 kernels, with the slot of every entry's mirror (j, i) and its CSR offset.
 The solver builds one such view of the whole stencil, in global
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "LocalNumbering",
@@ -145,17 +145,18 @@ class SparsityPattern:
         )
 
 
-def build_pattern(connectivity: sp.spmatrix, perm: np.ndarray) -> SparsityPattern:
-    """Pattern of the connectivity in the ids that perm (old id -> new id) gives.
+def build_pattern(pattern, perm: np.ndarray) -> SparsityPattern:
+    """The CSR pattern (any object with indptr and indices) in the ids that
+    perm (old id -> new id) gives.
 
     One sort by the key perm[row] * n + perm[col] orders the rows and each
     row's columns by new id; the sort order is the offset of every entry in
-    the connectivity taken as CSR.
+    the pattern.
     """
-    csr = sp.csr_matrix(connectivity)
-    n = csr.shape[0]
+    indptr = np.asarray(pattern.indptr)
+    n = len(indptr) - 1
     perm = np.asarray(perm, dtype=np.int64)
-    keys = np.repeat(perm * n, np.diff(csr.indptr)) + perm[csr.indices]
+    keys = np.repeat(perm * n, np.diff(indptr)) + perm[pattern.indices]
     src = np.argsort(keys)
     keys = keys[src]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)

@@ -246,14 +246,13 @@ class Solver:
         self.nvar = physics.n_variables(matrices.dim)
         self.bc = _checked_boundary(boundary, self.n, self.nvar, self.dim)
 
-        conn = matrices.connectivity()
-        self.part = part = exchange.partition(conn, ranks)
+        self.part = part = exchange.partition(matrices, ranks)
         self.comm = exchange.Communicator(ranks)
 
         # one padded slot view of the whole stencil, rows and slot order in
         # CM ids, with the assembled CSR offset of every slot; each rank's
         # view is a selection of its rows
-        view = sparsity.build_pattern(conn, part.cm_perm).padded()
+        view = sparsity.build_pattern(matrices, part.cm_perm).padded()
         self.pad_width = view.width
         self.standard_card = int(np.argmax(np.bincount(matrices.card)))
 
@@ -532,12 +531,9 @@ class Solver:
     def _finish_step(self):
         # check before committing, so a failed step leaves U untouched
         for rk in self.ranks:
-            n_lo = rk.numbering.n_lo
-            ok = physics.is_admissible(rk.U_next[:n_lo])
-            if not ok.all():
-                bad = int(np.argmin(ok))
-                gid = int(rk.orig_of_new[bad])
-                raise AdmissibilityError(f"inadmissible state at node {gid}")
+            bad = rk.bound.admissible(0, rk.numbering.n_lo)
+            if bad >= 0:
+                raise AdmissibilityError(f"inadmissible state at node {rk.orig_of_new[bad]}")
         for rk in self.ranks:
             rk.U[:] = rk.U_next
         self.n_euler_steps += 1

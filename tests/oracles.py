@@ -1232,3 +1232,36 @@ def row_sends_reference(solver):
             dst_new = solver.ranks[r].numbering.perm[pre_dst]
             sends_rows[o].append((r, src_new, dst_new))
     return sends_rows
+
+
+# ----- the sums of the assembly's element entries ------------------------------
+
+def summed_in_element_order(keys, values) -> dict:
+    """key -> the sum of the values of that key: a loop over the element
+    entries in their order that starts each key's sum at its first value and
+    adds every later value to it, as scipy's csr_sum_duplicates adds a run of
+    equal columns (where the sort before it kept their order)."""
+    sums = {}
+    for key, value in zip(np.ravel(keys).tolist(), np.ravel(values).tolist()):
+        sums[key] = sums[key] + value if key in sums else value
+    return sums
+
+
+def element_matrices_einsum(mesh):
+    """assembly.element_matrices with the physical gradients formed by
+    np.einsum, and c_loc as one (M, nv, nv, d) array."""
+    from eulerflow.assembly import _quadrature, _shape_values
+
+    d, cells = mesh.dim, mesh.cells
+    nv = cells.shape[1]
+    pts_cells = mesh.points[cells]
+    m_loc = np.zeros((len(cells), nv, nv))
+    c_loc = np.zeros((len(cells), nv, nv, d))
+    for xi, w in zip(*_quadrature(d)):
+        N, dN = _shape_values(d, xi)
+        J = np.einsum("mak,al->mkl", pts_cells, dN)
+        grad = np.einsum("al,mlk->mak", dN, np.linalg.inv(J))
+        scale = (w * np.linalg.det(J))[:, None, None]
+        m_loc += scale * (N[:, None] * N[None, :])
+        c_loc += scale[..., None] * N[None, :, None, None] * grad[:, None, :, :]
+    return m_loc, c_loc

@@ -6,17 +6,73 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from eulerflow import exchange
+from eulerflow import exchange, problems, rowkernels
 from eulerflow.assembly import assemble
 from eulerflow.mesh import rectangle_mesh
 
 
 def test_partition_covers_and_ghosts_match_stencils():
     for m in [rectangle_mesh(8, 8, periodic=(True, True)), rectangle_mesh(8, 7)]:
-        conn = assemble(m).connectivity()
+        mat = assemble(m)
+        conn = mat.csr(np.ones(mat.nnz, dtype=np.int8))
         for n_ranks in range(1, 6):
-            _check_partition(conn, exchange.partition(conn, n_ranks))
+            part = exchange.partition(mat, n_ranks)
+            _check_partition(conn, part)
+            # a scipy matrix of the pattern partitions the same way
+            again = exchange.partition(conn, n_ranks)
+            assert np.array_equal(again.cm_perm, part.cm_perm)
+            assert all(np.array_equal(a, b) for a, b in zip(again.ghosts, part.ghosts))
+
+
+def scipy_order(conn):
+    """scipy's reverse Cuthill-McKee order of the symmetrized pattern: the
+    oracle of the compiled search."""
+    return reverse_cuthill_mckee((conn + conn.T).tocsr(), symmetric_mode=True)
+
+
+@pytest.mark.parametrize("name", list(problems.PROBLEMS))
+@pytest.mark.parametrize("refine", [0, 1])
+def test_compiled_cuthill_mckee_order_is_scipys(name, refine):
+    mat = assemble(problems.make_problem(name, refine=refine).mesh)
+    conn = mat.csr(np.ones(mat.nnz, dtype=np.int8))
+    sym = (conn + conn.T).tocsr()
+    assert np.array_equal(rowkernels.reverse_cuthill_mckee(sym.indptr, sym.indices),
+                          scipy_order(conn))
+    part = exchange.partition(mat, 2)
+    assert np.array_equal(part.cm_inv, scipy_order(conn)[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_compiled_cuthill_mckee_order_is_scipys_on_random_graphs(n, data):
+    # symmetric patterns with or without each diagonal entry, isolated nodes
+    # and several components; ties of degree are common
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3 * n))
+    diagonal = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    dense = np.diag(diagonal)
+    for i, j in edges:
+        dense[i, j] = dense[j, i] = True
+    sym = sp.csr_matrix(dense.astype(np.int8))
+    got = rowkernels.reverse_cuthill_mckee(sym.indptr, sym.indices)
+    assert np.array_equal(got, reverse_cuthill_mckee(sym, symmetric_mode=True))
+    # an unsymmetric pattern is symmetrized first: a partition of its upper
+    # triangle takes the order of the whole graph
+    upper = sp.csr_matrix(np.triu(dense).astype(np.int8))
+    assert np.array_equal(exchange.partition(upper, 1).cm_inv, got[::-1])
+
+
+@pytest.mark.parametrize("indptr,indices", [
+    ([0, 1], [1]), ([0, 1], [-1]), ([0, 2, 1], [0, 1]), ([1, 1], []), ([0, 1], [0, 0]), ([], []),
+])
+def test_cuthill_mckee_rejects_what_is_not_a_csr_pattern(indptr, indices):
+    with pytest.raises(ValueError, match="not a CSR pattern"):
+        rowkernels.reverse_cuthill_mckee(np.array(indptr, dtype=np.int64),
+                                         np.array(indices, dtype=np.int64))
 
 
 def _check_partition(conn, part):
@@ -36,7 +92,7 @@ def _check_partition(conn, part):
 
 def test_exports_mirror_ghosts():
     mat = assemble(rectangle_mesh(6, 6))
-    part = exchange.partition(mat.connectivity(), 3)
+    part = exchange.partition(mat, 3)
     for r in range(3):
         for g in part.ghosts[r]:
             owner = int(part.owner_of(np.array([g]))[0])
@@ -46,7 +102,7 @@ def test_exports_mirror_ghosts():
 
 def test_owner_of_ranges():
     mat = assemble(rectangle_mesh(5, 5))
-    part = exchange.partition(mat.connectivity(), 4)
+    part = exchange.partition(mat, 4)
     for r, (s, e) in enumerate(part.ranges):
         ids = np.arange(s, e)
         assert (part.owner_of(ids) == r).all()
@@ -54,7 +110,7 @@ def test_owner_of_ranges():
 
 def test_single_rank_has_no_ghosts():
     mat = assemble(rectangle_mesh(4, 4))
-    part = exchange.partition(mat.connectivity(), 1)
+    part = exchange.partition(mat, 1)
     assert len(part.ghosts[0]) == 0
     assert part.ranges == [(0, part.n)]
 

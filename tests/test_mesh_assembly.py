@@ -286,6 +286,95 @@ def test_c_antisymmetric_off_the_boundary(make, monkeypatch):
     assert np.abs(mat.c - raw).max() < 1e-15
 
 
+# every 2D mesh of the tests' problems and two plain rectangles, and 3D meshes
+MESHES_2D = {
+    **{f"cylinder2d-{r}": lambda r=r: problems.make_problem("cylinder2d", refine=r).mesh
+       for r in range(3)},
+    **{f"periodic-smooth-{r}": lambda r=r: problems.make_problem("periodic-smooth", refine=r).mesh
+       for r in range(2)},
+    "sod1d": lambda: problems.make_problem("sod1d").mesh,
+    "rectangle": lambda: rectangle_mesh(5, 4),
+    "periodic-rectangle": lambda: rectangle_mesh(4, 4, periodic=(True, True)),
+}
+MESHES_3D = {f"cylinder3d-{r}": lambda r=r: problems.make_problem("cylinder3d", refine=r).mesh
+             for r in range(2)}
+
+
+def element_layout(m):
+    """The node ids of the cells, the keys row * n + column of their element
+    entries, the pattern and entries of assembly.element_entries, and each
+    element value array."""
+    cells = m.reduced_index[m.cells]
+    keys = cells[:, :, None] * m.n_nodes + cells[:, None, :]
+    m_loc, c_loc = assembly.element_matrices(m)
+    return keys, assembly.element_entries(cells, m.n_nodes), [m_loc, *c_loc]
+
+
+@pytest.mark.parametrize("make", [*MESHES_2D.values(), *MESHES_3D.values()],
+                         ids=[*MESHES_2D, *MESHES_3D])
+def test_entries_sum_their_element_values_left_to_right_in_element_order(make):
+    m = make()
+    n = m.n_nodes
+    keys, (indptr, indices, where, mirror), values = element_layout(m)
+    # the pattern is the distinct pairs, ascending by row, then column; where
+    # names each element entry's pair, and mirror the pair (j, i) of (i, j)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    pattern = rows * n + indices
+    assert np.array_equal(pattern, np.unique(keys))
+    assert np.array_equal(pattern[where], keys)
+    assert np.array_equal(pattern[mirror], indices.astype(np.int64) * n + rows)
+    for v in values:
+        want = oracles.summed_in_element_order(keys, v)
+        assert same_bits(assembly.summed(where, v, len(indices)),
+                         np.array([want[k] for k in pattern.tolist()]))
+
+
+@pytest.mark.parametrize("make", MESHES_2D.values(), ids=MESHES_2D)
+def test_assembly_equals_that_of_scipys_csr_on_2d_meshes(make, monkeypatch):
+    # the matrices equal bit for bit those assembled from scipy's COO to CSR
+    # conversion of the same element values.  scipy's sort of a row of more
+    # than 16 element entries (a node of 5 cells) may reorder duplicates: on
+    # cylinder2d refine 0 one diagonal c entry sums to other bits, which
+    # c_ii = 0 of the skew-symmetric part then drops
+    import scipy.sparse as sp
+
+    m = make()
+    n = m.n_nodes
+    keys, (indptr, indices, _, _), _ = element_layout(m)
+    got = assemble(m)
+
+    def scipy_summed(where, values, nnz):
+        csr = sp.coo_matrix((values.ravel(), (keys.ravel() // n, keys.ravel() % n)),
+                            shape=(n, n)).tocsr()
+        csr.sort_indices()
+        assert np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)
+        return csr.data
+
+    monkeypatch.setattr(assembly, "summed", scipy_summed)
+    want = assemble(m)
+    for name in ("indptr", "indices", "m", "c", "m_lumped", "inv_m"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("make", [MESHES_2D["cylinder2d-1"], MESHES_2D["sod1d"],
+                                  *MESHES_3D.values()], ids=["cylinder2d-1", "sod1d", *MESHES_3D])
+def test_element_matrices_equal_their_einsum_form_bitwise(make):
+    # the gradients' sums over 2 or 3 terms, added left to right from +0.0,
+    # are those np.einsum forms
+    m = make()
+    m_loc, c_loc = assembly.element_matrices(m)
+    want_m, want_c = oracles.element_matrices_einsum(m)
+    assert same_bits(m_loc, want_m)
+    assert same_bits(np.stack(c_loc, axis=-1), want_c)
+
+
+def test_a_value_of_minus_zero_alone_sums_to_minus_zero():
+    # each sum starts from the entry's first value, not from +0.0
+    where = np.array([0, 1, 1, 2, 2])
+    got = assembly.summed(where, np.array([-0.0, -0.0, -0.0, -0.0, 0.0]), 3)
+    assert same_bits(got, np.array([-0.0, -0.0, 0.0]))
+
+
 def test_total_mass_is_domain_volume():
     mat = assemble(rectangle_mesh(5, 3, x_range=(0.0, 2.0), y_range=(0.0, 1.5)))
     assert mat.m_lumped.sum() == pytest.approx(3.0, rel=1e-13)

@@ -502,6 +502,7 @@ KERNEL_CALLS = {
                         lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
     "wavespeed": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed(e0, e1, physics.AIR)),
     "d_ij_low": ("edges", EDGE_ARRAYS, lambda b, e0, e1: riemann.d_ij_low(b, e0, e1)),
+    "admissible": ("owned", ("U_next",), lambda b, lo, hi: b.admissible(lo, hi)),
 }
 
 
@@ -542,6 +543,100 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
         with pytest.raises(ValueError, match=f"^{name} must be given"):
             rowkernels.Binding({other: getattr(rk, other) for other in rowkernels.ARRAYS
                                 if other != name})
+
+
+def _past_the_end(rk, name):
+    """A copy of the rank's index array name whose last entry is the first
+    value past its range: the row count for a row id, L for a slot number,
+    L + 1 for a row length and the edge count for an edge number."""
+    top = {"cols": len(rk.cols), "up_row": len(rk.cols), "card": rk.cols.shape[1] + 1,
+           "two_edge": len(rk.up_row)}.get(name, rk.cols.shape[1])
+    a = getattr(rk, name).copy()
+    a.reshape(-1)[-1] = top
+    return a
+
+
+@pytest.mark.parametrize("name", ["cols", "trans_slot", "diag_slot", "card", "up_row", "up_slot",
+                                  "two_edge"])
+def test_an_index_value_past_its_range_is_rejected(name):
+    # the kernels follow these values without a check: a row id at or past
+    # the row count, a slot number at or past L, a row length above L or an
+    # edge number at or past the edge count would read or write out of the
+    # arrays.  The value just inside the range binds
+    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
+    bad = _past_the_end(rk, name)
+    with pytest.raises(ValueError, match=f"^{name} holds values outside"):
+        rank_binding(rk, **{name: bad})
+    bad.reshape(-1)[-1] -= 1
+    if name != "two_edge":
+        rank_binding(rk, **{name: bad})
+
+
+def test_a_negative_row_id_is_rejected():
+    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
+    for name in ("cols", "up_row", "two_edge"):
+        bad = getattr(rk, name).copy()
+        bad[0] = -1
+        with pytest.raises(ValueError, match=f"^{name} holds values outside"):
+            rank_binding(rk, **{name: bad})
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_listed_edges_out_of_order_are_rejected(step):
+    # the wavespeed bisects two_edge and walks it beside its edges, which
+    # needs strictly ascending edge numbers: a repeated or a descending entry
+    rk = stepped_solver(2, 0, 3, 2048).ranks[0]
+    bad = rk.two_edge.copy()
+    bad[1] = bad[0] + step
+    with pytest.raises(ValueError, match="two_edge is not strictly ascending"):
+        rank_binding(rk, two_edge=bad)
+
+
+# densities and energies: signed zeros, NaN, subnormals, and ordinary values
+_admissibility_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 2.2e-308, 1.0]),
+    st.floats(-10.0, 10.0), st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12), dim=st.integers(1, 3), data=st.data())
+def test_admissible_finds_the_first_row_that_physics_rejects(rows, dim, data):
+    # the compiled check is physics.is_admissible's formula, row by row: the
+    # first row in [lo, hi) with rho <= 0 or eps <= 0 (NaN included), or -1
+    U = data.draw(hnp.arrays(np.float64, (rows, dim + 2), elements=_admissibility_entry))
+    # an energy that leaves eps exactly 0 on some rows: E = 0.5 |m|^2 / rho
+    exact = data.draw(hnp.arrays(np.bool_, rows))
+    with np.errstate(all="ignore"):
+        U[exact, -1] = 0.5 * physics.component_sum(U[exact, 1:-1] ** 2) / U[exact, 0]
+    lo = data.draw(st.integers(0, rows))
+    hi = data.draw(st.integers(lo, rows))
+    with np.errstate(all="ignore"):
+        ok = physics.is_admissible(U[lo:hi])
+    want = -1 if ok.all() else lo + int(np.argmin(ok))
+    assert oracles.bind(U_next=U).admissible(lo, hi) == want
+
+
+@pytest.mark.parametrize("state,admissible", [
+    ((1.0, 0.3, -0.2, 2.0), True),
+    ((0.0, 0.0, 0.0, 1.0), False), ((-0.0, 0.0, 0.0, 1.0), False),
+    ((np.nan, 0.0, 0.0, 1.0), False), ((1.0, np.nan, 0.0, 1.0), False),
+    ((1.0, 0.0, 0.0, np.nan), False),
+    # eps = E - 0.5 |m|^2 / rho is exactly 0, and just above it
+    ((1.0, 1.0, 0.0, 0.5), False), ((2.0, 1.0, 1.0, 0.5), False),
+    ((1.0, 1.0, 0.0, np.nextafter(0.5, 1.0)), True),
+    # subnormal density or energy
+    ((5e-324, 0.0, 0.0, 1.0), True), ((1.0, 0.0, 0.0, 5e-324), True),
+    ((1.0, 1e-160, 0.0, 5e-324), False), ((-5e-324, 0.0, 0.0, 1.0), False),
+])
+def test_admissible_agrees_with_physics_on_edge_states(state, admissible):
+    # the state sits between two admissible rows; the check finds it as
+    # physics.is_admissible does, with the same rounding
+    U = np.array([(1.0, 0.0, 0.0, 1.0), state, (1.0, 0.0, 0.0, 1.0)])
+    with np.errstate(all="ignore"):
+        assert bool(physics.is_admissible(U[1])) == admissible
+    bound = oracles.bind(U_next=U)
+    assert bound.admissible(0, 3) == (-1 if admissible else 1)
+    assert bound.admissible(0, 1) == bound.admissible(2, 3) == bound.admissible(1, 1) == -1
 
 
 @pytest.mark.parametrize("nvar", [2, 3, 4, 5, 6])
@@ -613,7 +708,7 @@ def test_declared_argument_types_follow_the_c_signatures():
     # mismatch passes a value of the wrong width or kind without any error
     c_types = {"idx": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}
     functions = exported_functions()
-    assert len(functions) == 11
+    assert len(functions) == 13
     for name, (ret, params, _) in functions.items():
         fn = getattr(rowkernels._lib, name)
         assert fn.restype == (None if ret == "void" else c_types[ret]), name

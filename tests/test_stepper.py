@@ -1,5 +1,10 @@
 """Time integrator against a dense reference and its structural invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -493,6 +498,29 @@ def test_failed_euler_step_keeps_state(small_periodic, monkeypatch):
         s.euler_step()
     assert np.array_equal(s.get_state(), U)
     assert s.n_euler_steps == 0
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+def test_a_failed_step_names_its_inadmissible_node(small_periodic, monkeypatch, ranks):
+    # the check before commit covers every owned row of every rank, the last
+    # one included, and names the node by its id in the matrices
+    mat, U = small_periodic
+    s = Solver(mat, ranks=ranks)
+    s.set_state(U)
+    original = Solver._k_boundary
+    for bad_rank in s.ranks:
+        row = bad_rank.numbering.n_lo - 1
+
+        def faulty(self, rk, lo, hi, bad_rank=bad_rank, row=row):
+            original(self, rk, lo, hi)
+            if rk is bad_rank and lo <= row < hi:
+                rk.U_next[row, 0] = -1.0
+
+        monkeypatch.setattr(Solver, "_k_boundary", faulty)
+        node = int(bad_rank.orig_of_new[row])
+        with pytest.raises(AdmissibilityError, match=f"^inadmissible state at node {node}$"):
+            s.euler_step()
+        assert np.array_equal(s.get_state(), U)
 
 
 def test_owned_node_without_positive_rho_eps_fails_step_0_before_any_pow(small_periodic,
@@ -1083,3 +1111,30 @@ def test_a_stencil_wider_than_a_slot_number_holds_is_rejected_at_setup(ranks):
     assert s.pad_width == 255 and max(int(rk.card.max()) for rk in s.ranks) == 255
     with pytest.raises(ValueError, match="256 slots is wider than the 255"):
         Solver(star_matrices(255), ranks=ranks)
+
+
+# the solver's setup and step, in a process of its own
+SOLVE_ONCE = """
+import sys
+import eulerflow
+from eulerflow import assembly, problems
+setup = problems.make_problem("cylinder2d", refine=1)
+solver = eulerflow.Solver(assembly.assemble(setup.mesh), ranks=2, boundary=setup.boundary)
+solver.set_state(setup.U0)
+solver.ssp_rk3_step()
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_setup_and_step_load_no_scipy_sparse_or_linalg():
+    # the assembly, the partition and the pattern use numpy alone, and the
+    # Cuthill-McKee order is compiled: importing the package, setting a
+    # solver up and stepping it load no module of scipy.sparse (nor its
+    # csgraph) or scipy.linalg
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", SOLVE_ONCE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    modules = done.stdout.split()
+    assert "eulerflow.stepper" in modules
+    assert not [m for m in modules if m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "linalg"])]
