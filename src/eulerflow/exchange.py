@@ -4,7 +4,8 @@ Ranks are simulated in-process: the index range (in Cuthill-McKee order) is
 split into contiguous owned ranges, each rank additionally holding one ghost
 layer of locally relevant indices.  `partition` takes any object with the
 CSR arrays indptr and indices, such as assembly.PrecomputedMatrices, and
-uses numpy alone: it symmetrizes the pattern with one sort, orders the nodes
+uses numpy alone: it symmetrizes the pattern with one stable sort that
+merges its entries with those of its transpose, orders the nodes
 with the compiled reverse Cuthill-McKee search of rowkernels, and finds
 every rank's ghosts with one more sort of the entries that cross a rank's
 range.  A sync is a start and a finish, as in a
@@ -62,12 +63,13 @@ class Partition:
 def _symmetrized(rows: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """The entries of a pattern and of its transpose, (rows, indices) of
     every entry, as distinct ascending keys row * n + column."""
-    keys = rows * n + indices
-    mirrored = np.sort(indices * n + rows)
-    # a pattern with sorted columns that equals its transpose is its own union
-    if np.array_equal(keys, mirrored) and np.all(keys[1:] > keys[:-1]):
-        return keys
-    return np.union1d(keys, mirrored)
+    # two sorted runs (the pattern's own keys are one when its columns are
+    # sorted within rows), which numpy's stable sort merges in one pass
+    keys = np.sort(np.concatenate([rows * n + indices, np.sort(indices * n + rows)]),
+                   kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def partition(pattern, n_ranks: int) -> Partition:

@@ -45,9 +45,9 @@
  * arrays that stay in registers.  No other width is compiled, and
  * rowkernels.Binding rejects a rank of any other.
  *
- * Two functions run outside the time step's phases: admissible, the check of
- * U_next before a step commits, and cuthill_mckee, the breadth-first search
- * of the setup's node order, which takes CSR arrays instead of a rank.
+ * One function runs outside the time step's phases: cuthill_mckee, the
+ * breadth-first search of the setup's node order, which takes CSR arrays
+ * instead of a rank.
  *
  * Each kernel does the operations of the numpy expressions it stands for in
  * the same order (tests/oracles.py keeps them): products keep numpy's
@@ -424,28 +424,6 @@ void limited_update(const struct rank *r, idx lo, idx hi, int last)
         PER_WIDTH(r->nvar, update_rows, r, lo, hi, 1);
     else
         PER_WIDTH(r->nvar, update_rows, r, lo, hi, 0);
-}
-
-/* The first row of [lo, hi) whose state in U_next is not admissible, or -1:
- * not rho > 0 and eps > 0, eps = E - 0.5 |m|^2 / rho, as
- * physics.is_admissible forms it, with |m|^2 summed from +0.0 left to right;
- * a NaN density or energy is not admissible. */
-BODY idx admissible_rows(const struct rank *r, idx lo, idx hi, idx nvar)
-{
-    for (idx i = lo; i < hi; ++i) {
-        const double *Ui = r->U_next + i * nvar;
-        double mm = 0.0;
-        for (idx k = 1; k < nvar - 1; ++k)
-            mm += Ui[k] * Ui[k];
-        if (!(Ui[0] > 0.0 && Ui[nvar - 1] - 0.5 * mm / Ui[0] > 0.0))
-            return i;
-    }
-    return -1;
-}
-
-idx admissible(const struct rank *r, idx lo, idx hi)
-{
-    return PER_WIDTH(r->nvar, admissible_rows, r, lo, hi);
 }
 
 /* The graph viscosity d_ij = max(lambda_ij |c_ij|, lambda_ji |c_ji|) of the

@@ -183,7 +183,6 @@ _limiter_start = _declare("limiter_start", _i64, _ptr, _ptr, _i64, _i64, _f64, _
                           _ptr, _ptr, _ptr, _ptr)
 _limiter_round = _declare("limiter_round", _i64, _ptr, _ptr, _i64, _f64, _f64, _int, _i64, _ptr,
                           _ptr, _ptr)
-_admissible = _declare("admissible", _i64, _ptr, _i64, _i64)
 _cuthill_mckee = _declare("cuthill_mckee", None, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr)
 
 
@@ -291,7 +290,9 @@ class Binding:
     rows and L that sparsity.check_width rejects, and for index values that
     a kernel would follow out of its arrays: cols and up_row outside the
     rows, trans_slot, diag_slot and up_slot outside the L slots of a row,
-    card above L, and two_edge outside the edges or not strictly ascending.
+    an up_slot on a pad or the diagonal of its row (the slots whose column
+    is the row itself), card above L, and two_edge outside the edges or not
+    strictly ascending.
     The binding keeps the arrays alive, and rank their addresses, and the
     kernels raise to powers with the loop POWER of when it was made.
     """
@@ -329,6 +330,10 @@ class Binding:
             x = a[name]
             if x.size and (x.min() < 0 or x.max() >= top):
                 raise ValueError(f"{name} holds values outside [0, {what})")
+        # a pad and the diagonal point at their own row, an upper edge never:
+        # the wavespeed would write its d_ij into them
+        if np.any(a["cols"][a["up_row"], a["up_slot"]] == a["up_row"]):
+            raise ValueError("up_slot names a pad or the diagonal of its row")
         if np.any(a["two_edge"][1:] <= a["two_edge"][:-1]):
             raise ValueError("two_edge is not strictly ascending")
 
@@ -383,12 +388,6 @@ class Binding:
         P is then scaled by 1 - min(l_ij, l_ji) in place."""
         self.check("owned", lo, hi)
         _limited_update(self.address, lo, hi, int(last))
-
-    def admissible(self, lo, hi):
-        """The first of the owned rows [lo, hi) whose state in U_next is not
-        admissible (physics.is_admissible), or -1."""
-        self.check("owned", lo, hi)
-        return _admissible(self.address, lo, hi)
 
     def wavespeed(self, e0, e1, gas):
         """d_ij of the upper edges e0:e1 from the node states of step 0,

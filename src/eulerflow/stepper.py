@@ -531,9 +531,12 @@ class Solver:
     def _finish_step(self):
         # check before committing, so a failed step leaves U untouched
         for rk in self.ranks:
-            bad = rk.bound.admissible(0, rk.numbering.n_lo)
-            if bad >= 0:
-                raise AdmissibilityError(f"inadmissible state at node {rk.orig_of_new[bad]}")
+            n_lo = rk.numbering.n_lo
+            ok = physics.is_admissible(rk.U_next[:n_lo])
+            if not ok.all():
+                bad = int(np.argmin(ok))
+                gid = int(rk.orig_of_new[bad])
+                raise AdmissibilityError(f"inadmissible state at node {gid}")
         for rk in self.ranks:
             rk.U[:] = rk.U_next
         self.n_euler_steps += 1

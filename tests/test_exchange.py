@@ -64,6 +64,11 @@ def test_compiled_cuthill_mckee_order_is_scipys_on_random_graphs(n, data):
     # triangle takes the order of the whole graph
     upper = sp.csr_matrix(np.triu(dense).astype(np.int8))
     assert np.array_equal(exchange.partition(upper, 1).cm_inv, got[::-1])
+    # nor need its columns be sorted within rows
+    reversed_rows = sp.csr_matrix((upper.data, np.concatenate(
+        [upper.indices[a:b][::-1] for a, b in zip(upper.indptr[:-1], upper.indptr[1:])]),
+        upper.indptr), shape=upper.shape)
+    assert np.array_equal(exchange.partition(reversed_rows, 1).cm_inv, got[::-1])
 
 
 @pytest.mark.parametrize("indptr,indices", [

@@ -502,7 +502,6 @@ KERNEL_CALLS = {
                         lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
     "wavespeed": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed(e0, e1, physics.AIR)),
     "d_ij_low": ("edges", EDGE_ARRAYS, lambda b, e0, e1: riemann.d_ij_low(b, e0, e1)),
-    "admissible": ("owned", ("U_next",), lambda b, lo, hi: b.admissible(lo, hi)),
 }
 
 
@@ -568,8 +567,46 @@ def test_an_index_value_past_its_range_is_rejected(name):
     with pytest.raises(ValueError, match=f"^{name} holds values outside"):
         rank_binding(rk, **{name: bad})
     bad.reshape(-1)[-1] -= 1
-    if name != "two_edge":
+    if name in ("up_row", "up_slot"):
+        rank_binding(rk, **_moved_edge(rk, name, bad[-1]))
+    elif name != "two_edge":
         rank_binding(rk, **{name: bad})
+
+
+def _moved_edge(rk, name, value):
+    """Copies of up_row and up_slot whose last upper edge lies in the row
+    value (name up_row) or the slot value (name up_slot), at a slot whose
+    column is another row: a pad or the diagonal is rejected."""
+    up_row, up_slot = rk.up_row.copy(), rk.up_slot.copy()
+    other = rk.cols != np.arange(len(rk.cols))[:, None]
+    if name == "up_row":
+        up_row[-1], up_slot[-1] = value, np.flatnonzero(other[value])[0]
+    else:
+        up_row[-1], up_slot[-1] = np.flatnonzero(other[:, value])[0], value
+    return dict(up_row=up_row, up_slot=up_slot)
+
+
+@pytest.mark.parametrize("rank,target", [(0, "diagonal"), (0, "pad"), (1, "ghost row's pad")])
+def test_an_upper_edge_on_a_pad_or_the_diagonal_is_rejected(rank, target):
+    # the wavespeed writes d_ij into the slot of each upper edge; a pad and
+    # the diagonal hold their own row as column, an upper edge never.  A
+    # ghost row keeps the slots of its columns outside the rank as pads
+    # where they stand, before the end of its card (rank 1 of 3 has some)
+    rk = stepped_solver(2, 0, 3, 2048).ranks[rank]
+    n, L = rk.cols.shape
+    if target == "diagonal":
+        e, slot = 0, rk.diag_slot[rk.up_row[0]]
+    else:
+        pad = rk.cols == np.arange(n)[:, None]
+        pad[np.arange(n), rk.diag_slot] = False
+        if target == "ghost row's pad":
+            pad &= np.arange(L) < rk.card[:, None]
+        e = np.flatnonzero(pad[rk.up_row].any(axis=1))[0]
+        slot = np.flatnonzero(pad[rk.up_row[e]])[0]
+    up_slot = rk.up_slot.copy()
+    up_slot[e] = slot
+    with pytest.raises(ValueError, match="^up_slot names a pad or the diagonal of its row"):
+        rank_binding(rk, up_slot=up_slot)
 
 
 def test_a_negative_row_id_is_rejected():
@@ -592,58 +629,12 @@ def test_listed_edges_out_of_order_are_rejected(step):
         rank_binding(rk, two_edge=bad)
 
 
-# densities and energies: signed zeros, NaN, subnormals, and ordinary values
-_admissibility_entry = st.one_of(
-    st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 2.2e-308, 1.0]),
-    st.floats(-10.0, 10.0), st.floats(-1e-300, 1e-300))
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=st.integers(1, 12), dim=st.integers(1, 3), data=st.data())
-def test_admissible_finds_the_first_row_that_physics_rejects(rows, dim, data):
-    # the compiled check is physics.is_admissible's formula, row by row: the
-    # first row in [lo, hi) with rho <= 0 or eps <= 0 (NaN included), or -1
-    U = data.draw(hnp.arrays(np.float64, (rows, dim + 2), elements=_admissibility_entry))
-    # an energy that leaves eps exactly 0 on some rows: E = 0.5 |m|^2 / rho
-    exact = data.draw(hnp.arrays(np.bool_, rows))
-    with np.errstate(all="ignore"):
-        U[exact, -1] = 0.5 * physics.component_sum(U[exact, 1:-1] ** 2) / U[exact, 0]
-    lo = data.draw(st.integers(0, rows))
-    hi = data.draw(st.integers(lo, rows))
-    with np.errstate(all="ignore"):
-        ok = physics.is_admissible(U[lo:hi])
-    want = -1 if ok.all() else lo + int(np.argmin(ok))
-    assert oracles.bind(U_next=U).admissible(lo, hi) == want
-
-
-@pytest.mark.parametrize("state,admissible", [
-    ((1.0, 0.3, -0.2, 2.0), True),
-    ((0.0, 0.0, 0.0, 1.0), False), ((-0.0, 0.0, 0.0, 1.0), False),
-    ((np.nan, 0.0, 0.0, 1.0), False), ((1.0, np.nan, 0.0, 1.0), False),
-    ((1.0, 0.0, 0.0, np.nan), False),
-    # eps = E - 0.5 |m|^2 / rho is exactly 0, and just above it
-    ((1.0, 1.0, 0.0, 0.5), False), ((2.0, 1.0, 1.0, 0.5), False),
-    ((1.0, 1.0, 0.0, np.nextafter(0.5, 1.0)), True),
-    # subnormal density or energy
-    ((5e-324, 0.0, 0.0, 1.0), True), ((1.0, 0.0, 0.0, 5e-324), True),
-    ((1.0, 1e-160, 0.0, 5e-324), False), ((-5e-324, 0.0, 0.0, 1.0), False),
-])
-def test_admissible_agrees_with_physics_on_edge_states(state, admissible):
-    # the state sits between two admissible rows; the check finds it as
-    # physics.is_admissible does, with the same rounding
-    U = np.array([(1.0, 0.0, 0.0, 1.0), state, (1.0, 0.0, 0.0, 1.0)])
-    with np.errstate(all="ignore"):
-        assert bool(physics.is_admissible(U[1])) == admissible
-    bound = oracles.bind(U_next=U)
-    assert bound.admissible(0, 3) == (-1 if admissible else 1)
-    assert bound.admissible(0, 1) == bound.admissible(2, 3) == bound.admissible(1, 1) == -1
-
-
 @pytest.mark.parametrize("nvar", [2, 3, 4, 5, 6])
 def test_a_state_width_without_compiled_kernels_is_rejected(nvar):
     # every kernel is compiled for nvar 3, 4 and 5 only; a rank of another
     # width, its arrays shaped for it, would run the body of another width
     arrays = rowkernels.zeros(rowkernels.ARRAYS, rows=4, owned=3, edges=5, L=2, nvar=nvar)
+    arrays["cols"][0, 0] = 1  # the upper edges' slot, which must not point at its own row
     if nvar in rowkernels.WIDTHS:
         assert rowkernels.Binding(arrays).nvar == nvar
     else:
@@ -655,6 +646,7 @@ def test_a_state_width_without_compiled_kernels_is_rejected(nvar):
 def test_a_slot_width_beyond_the_index_types_is_rejected(L):
     # slot numbers and row lengths are uint8, so a row has at most 255 slots
     arrays = rowkernels.zeros(rowkernels.ARRAYS, rows=2, owned=2, edges=1, L=L, nvar=4)
+    arrays["cols"][0, 0] = 1  # the upper edge's slot, which must not point at its own row
     if L < 256:
         assert rowkernels.Binding(arrays).L == L
     else:
@@ -708,7 +700,7 @@ def test_declared_argument_types_follow_the_c_signatures():
     # mismatch passes a value of the wrong width or kind without any error
     c_types = {"idx": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}
     functions = exported_functions()
-    assert len(functions) == 13
+    assert len(functions) == 12
     for name, (ret, params, _) in functions.items():
         fn = getattr(rowkernels._lib, name)
         assert fn.restype == (None if ret == "void" else c_types[ret]), name
