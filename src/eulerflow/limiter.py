@@ -23,7 +23,6 @@ bits.
 from __future__ import annotations
 
 from . import rowkernels
-from .physics import AIR
 
 __all__ = ["limiter_compute", "quadratic_newton_step", "PSI_SIGN", "TOL_SCALE"]
 
@@ -33,7 +32,7 @@ PSI_SIGN = -1.0
 TOL_SCALE = 1e-10
 
 
-def limiter_compute(bound, lo, hi, max_newton=2, gas=AIR):
+def limiter_compute(bound, lo, hi, max_newton=2):
     """Largest admissible step factors l in [0, 1] of the updates
     U[i] + l[i, s] P[i, s] of the valid slots s < card[i] of the rows
     [lo, hi) of a bound rank (rowkernels.Binding), U its U_next, written into
@@ -47,16 +46,16 @@ def limiter_compute(bound, lo, hi, max_newton=2, gas=AIR):
     or 0.  A slot whose P is all +-0 takes 1; pads are not written.
     """
     chunk = rowkernels.LimiterChunk(bound, lo, hi)
-    chunk.start(TOL_SCALE, max_newton > 0, gas)
+    chunk.start(TOL_SCALE, max_newton > 0)
     for k in range(max_newton):
         if not chunk.open:
             break
-        quadratic_newton_step(chunk, last=k + 1 == max_newton, gas=gas)
+        quadratic_newton_step(chunk, last=k + 1 == max_newton)
     return chunk.factors
 
 
-def quadratic_newton_step(chunk, last=False, gas=AIR):
+def quadratic_newton_step(chunk, last=False):
     """One bracketing quadratic Newton iteration of the chunk's open
     entries, followed, unless it is the last, by the test at their new t_R;
     returns the number of entries still open."""
-    return chunk.round(PSI_SIGN, not last, gas)
+    return chunk.round(PSI_SIGN, not last)

@@ -13,19 +13,19 @@ along n_ij, so such an edge evaluates one direction, oriented by pressure,
 and every other edge both; the solver's setup lists the edges of two
 directions and stores the geometry of their c_ji alone.  A chunk's upper
 edges are one compiled call (rowkernels.Binding.wavespeed, from the node
-states of step 0), which raises the two pow() levels of each direction with
-np.power's own loop.  tests/oracles.py keeps the numpy form of the bound,
-which gives the same bits.
+states of step 0 and the gas of the binding), which raises the two pow()
+levels of each direction with np.power's own loop.  tests/oracles.py keeps
+the numpy form of the bound, which gives the same bits.
 """
 
 from __future__ import annotations
 
-from .physics import AIR, AdmissibilityError
+from .physics import AdmissibilityError
 
 __all__ = ["d_ij_low"]
 
 
-def d_ij_low(bound, e0, e1, gas=AIR):
+def d_ij_low(bound, e0, e1):
     """d_ij of the upper edges e0:e1 of a bound rank (rowkernels.Binding),
     written into their slots of d and returned as an (e1 - e0,) array.
 
@@ -35,7 +35,7 @@ def d_ij_low(bound, e0, e1, gas=AIR):
     normT_two.  Raises AdmissibilityError, before anything is written, when
     a node state of step 0 has rho <= 0 or p <= 0.
     """
-    out, directions = bound.wavespeed(e0, e1, gas)
+    out, directions = bound.wavespeed(e0, e1)
     if directions < 0:
         raise AdmissibilityError("projected state requires rho > 0 and p > 0")
     return out

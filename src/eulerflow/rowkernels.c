@@ -1,9 +1,14 @@
 /* Row kernels of the forward-Euler phases, step 0, the wavespeed and the
  * limiter.
  *
- * Every kernel takes one rank's arrays as a struct rank, whose addresses
- * rowkernels.Binding checked and bound once, and runs over a range of its
- * rows (or upper edges) plus scalars.  Every row kernel walks the rows
+ * Every kernel takes a struct rank, the whole context of one rank: its slot
+ * width L, nvar and count of listed edges, the gas (gamma and the pow()
+ * loop), and the addresses of its arrays, all of which rowkernels.Binding
+ * checked and bound once.  It runs over a range of the rank's rows (or
+ * upper edges) plus the scalars of its own step only: tau, last, newton,
+ * the limiter's tol_scale and sign, the indicator's floor.  No array holds
+ * the flux: step 0 stores the node states vpc = (v, p, c), and step 1 forms
+ * each flux it contracts from U and vpc.  Every row kernel walks the rows
  * [lo, hi) of the rank's padded slot view (sparsity.PaddedView): row i has
  * L slots, slot s of row i is entry i * L + s of cols, trans_slot and every
  * per-slot array, and a per-slot state vector is entry (i * L + s) * nvar.
@@ -26,8 +31,8 @@
  * The wavespeed walks a chunk's upper edges instead, and the limiter a
  * chunk's rows one limiter entry at a time.  Step 0, the wavespeed and the
  * limiter raise values to non-integer powers.  No kernel calls libm's
- * pow(), which differs from numpy's in the last bit: each takes a struct
- * power, the inner loop that np.power itself runs on float64 operands,
+ * pow(), which differs from numpy's in the last bit: each calls the rank's
+ * struct power, the inner loop that np.power itself runs on float64 operands,
  * which rowkernels.power_loop finds in the ufunc's table of loops and
  * checks against np.power at import.  A kernel works in blocks of at most
  * BLOCK values held in stack arrays, one per quantity: it forms the
@@ -83,26 +88,6 @@ typedef uint8_t idx8;
 #define PER_WIDTH(nvar, body, ...)                                                                 \
     ((nvar) == 3 ? body(__VA_ARGS__, 3) : (nvar) == 4 ? body(__VA_ARGS__, 4) : body(__VA_ARGS__, 5))
 
-/* One rank's arrays (stepper._RankData), in the order of rowkernels.ARRAYS,
- * which gives the row count of each (the rows of cols, the owned rows, the
- * upper edges or the twos listed edges) and its row shape.  Every upper edge
- * e has the unit normal and norm of its c_ij in n_up and norm_up; only the
- * edges that keep two directions, whose ascending numbers two_edge lists,
- * have those of c_ji, in nT_two and normT_two at their place in the list.
- * rowkernels.Binding requires every array and checks it once; an address
- * never changes, as the solver commits a step by copying into U. */
-struct rank {
-    idx L, nvar, twos;
-    const idx32 *cols;
-    const idx8 *trans_slot, *card, *diag_slot;
-    const idx32 *up_row;
-    const idx8 *up_slot;
-    const idx32 *two_edge;
-    const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_two, *normT_two;
-    double *U, *U_next, *R, *f, *vpc, *eor, *phi, *alpha, *d, *l;
-    double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
-};
-
 /* numpy's inner loop of a ufunc (PyUFuncGenericFunction), and np.power's
  * loop over float64 operands with its data pointer. */
 typedef void (*ufunc_loop)(char **args, const intptr_t *dimensions, const intptr_t *steps,
@@ -110,6 +95,29 @@ typedef void (*ufunc_loop)(char **args, const intptr_t *dimensions, const intptr
 struct power {
     ufunc_loop loop;
     void *data;
+};
+
+/* One rank: its sizes, the gas (gamma and the pow() loop pw) and its arrays
+ * (stepper._RankData), in the order of rowkernels.ARRAYS, which gives the
+ * row count of each (the rows of cols, the owned rows, the upper edges or
+ * the twos listed edges) and its row shape.  Every upper edge e has the unit
+ * normal and norm of its c_ij in n_up and norm_up; only the edges that keep
+ * two directions, whose ascending numbers two_edge lists, have those of
+ * c_ji, in nT_two and normT_two at their place in the list.
+ * rowkernels.Binding sets the gas, requires every array and checks it once;
+ * an address never changes, as the solver commits a step by copying into U. */
+struct rank {
+    idx L, nvar, twos;
+    double gamma;
+    const struct power *pw;
+    const idx32 *cols;
+    const idx8 *trans_slot, *card, *diag_slot;
+    const idx32 *up_row;
+    const idx8 *up_slot;
+    const idx32 *two_edge;
+    const double *m_slot, *c_slot, *inv_m, *n_up, *norm_up, *nT_two, *normT_two;
+    double *U, *U_next, *R, *vpc, *eor, *phi, *alpha, *d, *l;
+    double *P, *eta_scale, *rho_min, *rho_max, *phi_min;
 };
 
 /* out[k] = x[k]^y for k < n, x and out contiguous and apart: the loop runs
@@ -143,42 +151,31 @@ static inline double clip01(double x) { return x < 0.0 ? 0.0 : x > 1.0 ? 1.0 : x
 
 static inline idx min_idx(idx a, idx b) { return a < b ? a : b; }
 
-/* Phase step0 on the rows [lo, hi): the flux f(U_i) = (m, v m^T + p I,
- * v (E + p)), v = m / rho and p = (gamma - 1) eps with
- * eps = E - |m|^2 / (2 rho); the node state vpc_i = (v, p, c) with
- * c = sqrt(gamma p / rho), which the wavespeed reads; eta / rho =
+/* Phase step0 on the rows [lo, hi): the node state vpc_i = (v, p, c) with
+ * v = m / rho, p = (gamma - 1) eps, eps = E - |m|^2 / (2 rho) and
+ * c = sqrt(gamma p / rho), which the wavespeed and step 1 read; eta / rho =
  * (rho eps)^(1 / (gamma + 1)) / rho and phi = eps rho^(-gamma); and on the
  * rows below own the eta' scale (rho eps)^(-gamma / (gamma + 1)) /
  * (gamma + 1).  Returns the number of rows below own with rho eps <= 0,
  * where eta' is not defined; from the block that holds the first of them
  * on, no pow() level runs and eor, phi and eta_scale are not written. */
-BODY idx entropies_rows(const struct rank *r, const struct power *pw, idx lo, idx hi, idx own,
-                        double gamma, idx nvar)
+BODY idx entropies_rows(const struct rank *r, idx lo, idx hi, idx own, idx nvar)
 {
     idx dim = nvar - 2, bad = 0;
-    double gm1 = gamma - 1.0, gp1_inv = 1.0 / (gamma + 1.0);
+    double gamma = r->gamma, gm1 = gamma - 1.0, gp1_inv = 1.0 / (gamma + 1.0);
     double rho[BLOCK], eps[BLOCK], rho_eps[BLOCK], w[BLOCK];
     for (idx b0 = lo; b0 < hi; b0 += BLOCK) {
         idx nb = min_idx(hi - b0, BLOCK);
         for (idx k = 0; k < nb; ++k) {
             idx i = b0 + k;
             const double *Ui = r->U + i * nvar;
-            double *fi = r->f + i * nvar * dim, *Vi = r->vpc + i * nvar;
-            double E = Ui[nvar - 1], mm = 0.0;
+            double *Vi = r->vpc + i * nvar, mm = 0.0;
             rho[k] = Ui[0];
             for (idx c = 1; c < nvar - 1; ++c)
                 mm += Ui[c] * Ui[c];
-            double e = E - 0.5 * mm / rho[k], p = gm1 * e;
-            for (idx x = 0; x < dim; ++x)
-                fi[x] = Ui[1 + x];
-            for (idx c = 0; c < dim; ++c) {
-                double v = Ui[1 + c] / rho[k];
-                for (idx x = 0; x < dim; ++x)
-                    fi[(1 + c) * dim + x] = v * Ui[1 + x];
-                fi[(1 + c) * dim + c] += p;
-                fi[(nvar - 1) * dim + c] = v * (E + p);
-                Vi[c] = v;
-            }
+            double e = Ui[nvar - 1] - 0.5 * mm / rho[k], p = gm1 * e;
+            for (idx c = 0; c < dim; ++c)
+                Vi[c] = Ui[1 + c] / rho[k];
             Vi[dim] = p;
             Vi[dim + 1] = sqrt(gamma * p / rho[k]);
             eps[k] = e;
@@ -187,16 +184,16 @@ BODY idx entropies_rows(const struct rank *r, const struct power *pw, idx lo, id
         }
         if (bad)
             continue;
-        power_of(pw, nb, rho_eps, gp1_inv, w);
+        power_of(r->pw, nb, rho_eps, gp1_inv, w);
 #pragma omp simd
         for (idx k = 0; k < nb; ++k)
             r->eor[b0 + k] = w[k] / rho[k];
-        power_of(pw, nb, rho, -gamma, w);
+        power_of(r->pw, nb, rho, -gamma, w);
 #pragma omp simd
         for (idx k = 0; k < nb; ++k)
             r->phi[b0 + k] = eps[k] * w[k];
         idx n_own = own <= b0 ? 0 : min_idx(own - b0, nb);
-        power_of(pw, n_own, rho_eps, -gamma * gp1_inv, w);
+        power_of(r->pw, n_own, rho_eps, -gamma * gp1_inv, w);
 #pragma omp simd
         for (idx k = 0; k < n_own; ++k)
             r->eta_scale[b0 + k] = w[k] * gp1_inv;
@@ -204,27 +201,43 @@ BODY idx entropies_rows(const struct rank *r, const struct power *pw, idx lo, id
     return bad;
 }
 
-idx entropies(const struct rank *r, const struct power *pw, idx lo, idx hi, idx own,
-              double gamma)
+idx entropies(const struct rank *r, idx lo, idx hi, idx own)
 {
-    return PER_WIDTH(r->nvar, entropies_rows, r, pw, lo, hi, own, gamma);
+    return PER_WIDTH(r->nvar, entropies_rows, r, lo, hi, own);
+}
+
+/* The flux f(U) = (m, v m^T + p I, v (E + p)) into f, of shape (nvar, dim),
+ * with v and p from the node state V of step 0, in step 0's operations. */
+BODY void flux_of(const double *U, const double *V, double *f, idx nvar)
+{
+    idx dim = nvar - 2;
+    for (idx x = 0; x < dim; ++x)
+        f[x] = U[1 + x];
+    for (idx c = 0; c < dim; ++c) {
+        for (idx x = 0; x < dim; ++x)
+            f[(1 + c) * dim + x] = V[c] * U[1 + x];
+        f[(1 + c) * dim + c] += V[dim];
+        f[(nvar - 1) * dim + c] = V[c] * (U[nvar - 1] + V[dim]);
+    }
 }
 
 /* Phase step1: the flux contraction P[i, s, k] = (f_j - f_i)[k] . c_ij of
- * every valid slot, f of shape (rows, nvar, dim), c of (rows, L, dim), and
- * the indicator's slot sums of row i, added into entry i - lo of a and b:
+ * every valid slot, c of shape (rows, L, dim), with f_i formed once per row
+ * and f_j once per slot (flux_of), and the indicator's slot sums of row i,
+ * added into entry i - lo of a and b:
  * a = sum_s (eor_j - eor_i) (m_j . c_ij), m_j the momentum of U_j, and
  * b[k] = sum_s P[i, s, k]. */
 BODY void contraction_rows(const struct rank *r, idx lo, idx hi, double *a, double *b, idx nvar)
 {
     idx L = r->L, dim = nvar - 2;
-    const double *U = r->U, *eor = r->eor, *f = r->f;
+    const double *U = r->U, *eor = r->eor, *vpc = r->vpc;
+    double fi[NVAR_MAX * (NVAR_MAX - 2)], fj[NVAR_MAX * (NVAR_MAX - 2)];
     for (idx i = lo; i < hi; ++i) {
-        const double *fi = f + i * nvar * dim;
+        flux_of(U + i * nvar, vpc + i * nvar, fi, nvar);
         double *bi = b + (i - lo) * nvar;
         for (idx s = 0, ns = r->card[i]; s < ns; ++s) {
             idx is = i * L + s, j = r->cols[is];
-            const double *fj = f + j * nvar * dim;
+            flux_of(U + j * nvar, vpc + j * nvar, fj, nvar);
             const double *cs = r->c_slot + is * dim;
             double mc = 0.0;
             for (idx x = 0; x < dim; ++x)
@@ -548,11 +561,10 @@ static inline double neg_magnitude(double x) { return 0.5 * (fabs(x) - x); }
  * A zero-length c contributes zero.  Returns the number of directions, or
  * -1 when a node state gathered has rho <= 0 or p <= 0, and then writes no
  * slot of d. */
-BODY idx wavespeed_edges(const struct rank *r, const struct power *pw, idx e0, idx e1,
-                         double gamma, double *out, idx nvar)
+BODY idx wavespeed_edges(const struct rank *r, idx e0, idx e1, double *out, idx nvar)
 {
     idx dim = nvar - 2, nd = 0, bad = 0, t = first_two(r, e0);
-    double gm1 = gamma - 1.0, gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
+    double gamma = r->gamma, gm1 = gamma - 1.0, gp1_over_2g = (gamma + 1.0) / (2.0 * gamma);
     double y1 = -((gamma - 1.0) / (2.0 * gamma)), y2 = 2.0 * gamma / (gamma - 1.0);
     struct directions D;
     int two[BLOCK / 2];
@@ -563,13 +575,13 @@ BODY idx wavespeed_edges(const struct rank *r, const struct power *pw, idx e0, i
 #pragma omp simd
         for (idx m = 0; m < k; ++m)
             D.x[m] = D.p_l[m] / D.p_r[m];
-        power_of(pw, k, D.x, y1, D.y);
+        power_of(r->pw, k, D.x, y1, D.y);
 #pragma omp simd
         for (idx m = 0; m < k; ++m) {
             double num = D.c_l[m] + D.c_r[m] - 0.5 * gm1 * (D.u_r[m] - D.u_l[m]);
             D.x[m] = np_max(num / (D.c_l[m] * D.y[m] + D.c_r[m]), 0.0);
         }
-        power_of(pw, k, D.x, y2, D.y);
+        power_of(r->pw, k, D.x, y2, D.y);
         /* psi(p_max) is the sum of both wave functions and u_R - u_L, but
          * the wave function of the state whose pressure is p_max is +0
          * exactly, and adding +0 to the other, which is not -0, leaves it as
@@ -606,10 +618,9 @@ BODY idx wavespeed_edges(const struct rank *r, const struct power *pw, idx e0, i
     return nd;
 }
 
-idx wavespeed(const struct rank *r, const struct power *pw, idx e0, idx e1, double gamma,
-              double *out)
+idx wavespeed(const struct rank *r, idx e0, idx e1, double *out)
 {
-    return PER_WIDTH(r->nvar, wavespeed_edges, r, pw, e0, e1, gamma, out);
+    return PER_WIDTH(r->nvar, wavespeed_edges, r, e0, e1, out);
 }
 
 /* The convex limiter of the rows [lo, hi), U_i the row's state in U_next:
@@ -717,10 +728,10 @@ static void keep_open(struct scratch *s, idx m, const struct entries *B, idx b)
  * t_R; with newton every other entry stays open, appended to s from entry m
  * on, and without it closes at t_L.  Writes each entry's t_L into l and
  * out; returns the new number of open entries in s. */
-static idx test_t_R(const struct rank *r, const struct power *pw, double gp1, int newton,
-                    struct entries *B, idx nb, struct scratch *s, idx m, double *out)
+static idx test_t_R(const struct rank *r, int newton, struct entries *B, idx nb,
+                    struct scratch *s, idx m, double *out)
 {
-    power_of(pw, nb, B->rho, gp1, B->w);
+    power_of(r->pw, nb, B->rho, r->gamma + 1.0, B->w);
 #pragma omp simd
     for (idx b = 0; b < nb; ++b)
         B->psi_R[b] = B->rho_eps[b] - B->phi_min[b] * B->w[b];
@@ -738,8 +749,8 @@ static idx test_t_R(const struct rank *r, const struct power *pw, double gp1, in
  * density clamp and tol = tol_scale |rho eps(U_i)|, and their test at t_R;
  * every other valid slot takes 1.  Returns the number of open entries, and
  * in entries the number of entries. */
-BODY idx start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma,
-               double tol_scale, int newton, struct scratch s, double *out, idx *entries, idx nvar)
+BODY idx start(const struct rank *r, idx lo, idx hi, double tol_scale, int newton,
+               struct scratch s, double *out, idx *entries, idx nvar)
 {
     idx L = r->L, n = 0, m = 0, nb = 0;
     const double *U = r->U_next, *rho_min = r->rho_min, *rho_max = r->rho_max;
@@ -776,33 +787,32 @@ BODY idx start(const struct rank *r, const struct power *pw, idx lo, idx hi, dou
             B.phi_min[nb] = r->phi_min[i];
             B.rho[nb++] = Ui[0] + tR * p[0];
             if (nb == BLOCK) {
-                m = test_t_R(r, pw, gamma + 1.0, newton, &B, nb, &s, m, out);
+                m = test_t_R(r, newton, &B, nb, &s, m, out);
                 nb = 0;
             }
         }
     }
-    m = test_t_R(r, pw, gamma + 1.0, newton, &B, nb, &s, m, out);
+    m = test_t_R(r, newton, &B, nb, &s, m, out);
     *entries = n;
     return m;
 }
 
-idx limiter_start(const struct rank *r, const struct power *pw, idx lo, idx hi, double gamma,
-                  double tol_scale, int newton, idx cap, idx32 *ix, double *x, double *out,
-                  idx *entries)
+idx limiter_start(const struct rank *r, idx lo, idx hi, double tol_scale, int newton, idx cap,
+                  idx32 *ix, double *x, double *out, idx *entries)
 {
-    return PER_WIDTH(r->nvar, start, r, pw, lo, hi, gamma, tol_scale, newton,
-                     scratch_of(cap, ix, x), out, entries);
+    return PER_WIDTH(r->nvar, start, r, lo, hi, tol_scale, newton, scratch_of(cap, ix, x), out,
+                     entries);
 }
 
 /* One Newton round of the n open entries: Psi(t_L) <= tol closes an entry
  * at t_L, and every other one takes one Newton step, whose quadratic models
  * bend by sign, and then, with test, the test at its new t_R.  Returns the
  * number of entries still open. */
-BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, double gamma,
-                       double sign, int test, struct scratch s, double *out, idx nvar)
+BODY idx round_entries(const struct rank *r, idx n, double sign, int test, struct scratch s,
+                       double *out, idx nvar)
 {
     idx m = 0;
-    double gp1 = gamma + 1.0;
+    double gamma = r->gamma, gp1 = gamma + 1.0;
     const double *U = r->U_next, *P = r->P, *phi_min = r->phi_min;
     struct entries B;
     for (idx e0 = 0; e0 < n; e0 += BLOCK) {
@@ -818,7 +828,7 @@ BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, doub
             B.psi_R[b] = s.psi_R[e];
             B.rho[b] = U[B.row[b] * nvar] + B.t_L[b] * P[B.flat[b] * nvar];
         }
-        power_of(pw, nb, B.rho, gp1, B.w);
+        power_of(r->pw, nb, B.rho, gp1, B.w);
         /* the entries that go on are moved to the front of the block */
         for (idx b = 0; b < nb; ++b) {
             idx i = B.row[b];
@@ -844,7 +854,7 @@ BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, doub
             B.rho[b] = rho + B.t_L[b] * p[0];
             B.rho[c + b] = rho + B.t_R[b] * p[0];
         }
-        power_of(pw, 2 * c, B.rho, gamma, B.w);
+        power_of(r->pw, 2 * c, B.rho, gamma, B.w);
         for (idx b = 0; b < c; ++b) {
             idx i = B.row[b];
             const double *Ui = U + i * nvar, *p = P + B.flat[b] * nvar;
@@ -857,18 +867,17 @@ BODY idx round_entries(const struct rank *r, const struct power *pw, idx n, doub
             B.rho[b] = Ui[0] + B.t_R[b] * p[0];
         }
         if (test)
-            m = test_t_R(r, pw, gp1, 1, &B, c, &s, m, out);
+            m = test_t_R(r, 1, &B, c, &s, m, out);
         else
             m += c;
     }
     return m;
 }
 
-idx limiter_round(const struct rank *r, const struct power *pw, idx n, double gamma, double sign,
-                  int test, idx cap, idx32 *ix, double *x, double *out)
+idx limiter_round(const struct rank *r, idx n, double sign, int test, idx cap, idx32 *ix,
+                  double *x, double *out)
 {
-    return PER_WIDTH(r->nvar, round_entries, r, pw, n, gamma, sign, test, scratch_of(cap, ix, x),
-                     out);
+    return PER_WIDTH(r->nvar, round_entries, r, n, sign, test, scratch_of(cap, ix, x), out);
 }
 
 /* The Cuthill-McKee order of the n nodes of a symmetric CSR pattern (indptr,

@@ -13,14 +13,14 @@ The kernels raise to powers with np.power's own inner loop on float64
 operands, which power_loop takes from the ufunc's table of loops, not with
 libm's pow(), whose bits differ; at import, check_power_loop compares it
 with np.power.  A Binding checks one rank's arrays against ARRAYS once and
-keeps their addresses, which never change, in the struct rank that every
-kernel takes.  The index arrays are narrow: row ids and edge numbers are
-int32, slot numbers and row lengths uint8, and a rank's flat slots
-row * L + slot fit int32 (sparsity.check_width).  Each kernel (see
+keeps their addresses, which never change, and the gas in the struct rank
+that every kernel takes.  The index arrays are narrow: row ids and edge
+numbers are int32, slot numbers and row lengths uint8, and a rank's flat
+slots row * L + slot fit int32 (sparsity.check_width).  Each kernel (see
 rowkernels.c) is then one C call on a range of rows [lo, hi) or upper edges
-e0:e1 within the row count it indexes by (rows, owned or edges), plus
-scalars; the limiter's, one to start and one per Newton round, keep their
-int32 scratch indices in a LimiterChunk.  Every
+e0:e1 within the row count it indexes by (rows, owned or edges), plus the
+scalars of its step; the limiter's, one to start and one per Newton round,
+keep their int32 scratch indices in a LimiterChunk.  Every
 kernel is compiled once for each state width of WIDTHS, nvar = 3, 4 and 5
 in 1, 2 and 3 dimensions, and one dispatch in the C source picks the body
 of a rank's width on each call; a Binding rejects any other nvar.  The
@@ -136,8 +136,7 @@ ARRAYS = {
     "n_up": (_F, ("edges", "dim")), "norm_up": (_F, ("edges",)), "nT_two": (_F, ("twos", "dim")),
     "normT_two": (_F, ("twos",)),
     "U": (_F, ("rows", "nvar")), "U_next": (_F, ("rows", "nvar")), "R": (_F, ("rows", "nvar")),
-    "f": (_F, ("rows", "nvar", "dim")), "vpc": (_F, ("rows", "nvar")), "eor": (_F, ("rows",)),
-    "phi": (_F, ("rows",)),
+    "vpc": (_F, ("rows", "nvar")), "eor": (_F, ("rows",)), "phi": (_F, ("rows",)),
     "alpha": (_F, ("rows",)), "d": (_F, ("rows", "L")), "l": (_F, ("rows", "L")),
     "P": (_F, ("owned", "L", "nvar")), "eta_scale": (_F, ("owned",)),
     "rho_min": (_F, ("owned",)), "rho_max": (_F, ("owned",)), "phi_min": (_F, ("owned",)),
@@ -156,9 +155,10 @@ def zeros(names, rows, owned, edges, L, nvar, twos=0):
 
 
 class _Rank(ctypes.Structure):
-    """struct rank of rowkernels.c."""
+    """struct rank of rowkernels.c: the sizes, the gas and the arrays."""
 
-    _fields_ = [("L", _i64), ("nvar", _i64), ("twos", _i64)] + [(name, _ptr) for name in ARRAYS]
+    _fields_ = [("L", _i64), ("nvar", _i64), ("twos", _i64), ("gamma", _f64), ("pw", _ptr)] + [
+        (name, _ptr) for name in ARRAYS]
 
 
 def _declare(name, restype, *argtypes):
@@ -168,21 +168,20 @@ def _declare(name, restype, *argtypes):
     return fn
 
 
-# every kernel takes the address of a struct rank first, and those that
-# raise to a power the address of a struct power next
+# every kernel takes the address of a struct rank first; only the check of
+# the pow() loop, powers, takes the address of a struct power
 _powers = _declare("powers", None, _ptr, _i64, _ptr, _f64, _ptr)
-_entropies = _declare("entropies", _i64, _ptr, _ptr, _i64, _i64, _i64, _f64)
+_entropies = _declare("entropies", _i64, _ptr, _i64, _i64, _i64)
 _flux_contraction = _declare("flux_contraction", None, _ptr, _i64, _i64, _ptr, _ptr)
 _indicator = _declare("indicator", None, _ptr, _i64, _i64, _ptr, _ptr, _f64)
 _mirror = _declare("mirror", None, _ptr, _i64, _i64)
 _low_order = _declare("low_order", None, _ptr, _i64, _i64, _f64)
 _correction = _declare("correction", None, _ptr, _i64, _i64, _f64)
 _limited_update = _declare("limited_update", None, _ptr, _i64, _i64, _int)
-_wavespeed = _declare("wavespeed", _i64, _ptr, _ptr, _i64, _i64, _f64, _ptr)
-_limiter_start = _declare("limiter_start", _i64, _ptr, _ptr, _i64, _i64, _f64, _f64, _int, _i64,
-                          _ptr, _ptr, _ptr, _ptr)
-_limiter_round = _declare("limiter_round", _i64, _ptr, _ptr, _i64, _f64, _f64, _int, _i64, _ptr,
+_wavespeed = _declare("wavespeed", _i64, _ptr, _i64, _i64, _ptr)
+_limiter_start = _declare("limiter_start", _i64, _ptr, _i64, _i64, _f64, _int, _i64, _ptr, _ptr,
                           _ptr, _ptr)
+_limiter_round = _declare("limiter_round", _i64, _ptr, _i64, _f64, _int, _i64, _ptr, _ptr, _ptr)
 _cuthill_mckee = _declare("cuthill_mckee", None, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr)
 
 
@@ -279,9 +278,10 @@ def _address(a, size=0):
 
 
 class Binding:
-    """One rank's arrays, checked once and bound for the compiled kernels.
+    """One rank's arrays and gas, checked once and bound for the kernels.
 
-    arrays maps every name of ARRAYS to an array (other names are ignored).
+    arrays maps every name of ARRAYS to an array (other names are ignored),
+    and gas (a GasConstants) gives the gamma that every kernel reads.
     The slot width L is that of cols and nvar that of U; counts holds the
     row counts rows = len(cols), owned = len(P), edges = len(up_row) and
     twos = len(two_edge).  Raises ValueError for a missing array, one of
@@ -293,11 +293,11 @@ class Binding:
     an up_slot on a pad or the diagonal of its row (the slots whose column
     is the row itself), card above L, and two_edge outside the edges or not
     strictly ascending.
-    The binding keeps the arrays alive, and rank their addresses, and the
-    kernels raise to powers with the loop POWER of when it was made.
+    The binding keeps alive the arrays and the loop POWER of when it was
+    made, whose addresses rank holds and with which the kernels raise to powers.
     """
 
-    def __init__(self, arrays):
+    def __init__(self, arrays, gas):
         for name, (dtype, _) in ARRAYS.items():
             a = arrays.get(name)
             if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
@@ -313,9 +313,9 @@ class Binding:
                              f"{WIDTHS} only")
         check_width(self.counts["rows"], self.L)
         sizes = dict(self.counts, L=self.L, nvar=self.nvar, dim=self.nvar - 2)
-        self.rank = _Rank(self.L, self.nvar, self.counts["twos"])
-        self.address = ctypes.addressof(self.rank)
         self.power, self.pw = POWER, ctypes.addressof(POWER)
+        self.rank = _Rank(self.L, self.nvar, self.counts["twos"], gas.gamma, self.pw)
+        self.address = ctypes.addressof(self.rank)
         for name, x in a.items():
             shape = _shape(name, sizes)
             if x.shape != shape:
@@ -344,13 +344,13 @@ class Binding:
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"[{lo}, {hi}) is outside the range of {count}, [0, {n})")
 
-    def entropies(self, lo, hi, own, gas):
-        """Step 0 on the rows [lo, hi): f, vpc, eor, phi and eta_scale below
+    def entropies(self, lo, hi, own):
+        """Step 0 on the rows [lo, hi): vpc, eor, phi and eta_scale below
         own, an owned row count.  Returns the number of rows below own with
         rho eps <= 0; where it is not 0, the last three are written in part."""
         self.check("rows", lo, hi)
         self.check("owned", 0, own)
-        return _entropies(self.address, self.pw, lo, hi, own, gas.gamma)
+        return _entropies(self.address, lo, hi, own)
 
     def flux_contraction(self, lo, hi):
         """Writes the flux contraction of the rows [lo, hi) into P and
@@ -389,7 +389,7 @@ class Binding:
         self.check("owned", lo, hi)
         _limited_update(self.address, lo, hi, int(last))
 
-    def wavespeed(self, e0, e1, gas):
+    def wavespeed(self, e0, e1):
         """d_ij of the upper edges e0:e1 from the node states of step 0,
         written into their slots of d.  Returns d_ij as an (e1 - e0,) array
         and the number of directions evaluated, two for an edge of two_edge
@@ -397,7 +397,7 @@ class Binding:
         a node state has rho <= 0 or p <= 0."""
         self.check("edges", e0, e1)
         out = np.empty(e1 - e0)
-        return out, _wavespeed(self.address, self.pw, e0, e1, gas.gamma, out.ctypes.data)
+        return out, _wavespeed(self.address, e0, e1, out.ctypes.data)
 
 
 class LimiterChunk:
@@ -418,21 +418,20 @@ class LimiterChunk:
         # the factors of all entries
         self.ix, self.x = np.empty(3 * cap, dtype=ROW), np.empty(5 * cap)
         self.factors = self.x[4 * cap:]
-        self.kernel, self.rows = (bound.address, bound.pw), (lo, hi)
+        self.address, self.rows = bound.address, (lo, hi)
         self.scratch = (cap, self.ix.ctypes.data, self.x.ctypes.data, self.factors.ctypes.data)
 
-    def start(self, tol_scale, newton, gas):
+    def start(self, tol_scale, newton):
         """The entries, with tol = tol_scale |rho eps(U_i)|; without newton
         every entry closes."""
         entries = ctypes.c_int64()
-        self.open = _limiter_start(*self.kernel, *self.rows, gas.gamma, tol_scale, int(newton),
-                                   *self.scratch, ctypes.byref(entries))
+        self.open = _limiter_start(self.address, *self.rows, tol_scale, int(newton), *self.scratch,
+                                   ctypes.byref(entries))
         self.factors = self.factors[:entries.value]
         return self.open
 
-    def round(self, sign, test, gas):
+    def round(self, sign, test):
         """A Newton round, whose quadratic models bend by sign; with test,
         it ends with the test at the new t_R."""
-        self.open = _limiter_round(*self.kernel, self.open, gas.gamma, sign, int(test),
-                                   *self.scratch)
+        self.open = _limiter_round(self.address, self.open, sign, int(test), *self.scratch)
         return self.open

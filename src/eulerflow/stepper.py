@@ -1,7 +1,7 @@
 """Invariant-domain-preserving collocation update with convex limiting.
 
 One forward-Euler step proceeds in phases over the stencil graph: nodal
-entropies and fluxes, the low-order graph viscosity from the two-rarefaction
+entropies and node states, the low-order graph viscosity from the two-rarefaction
 wavespeed bound (once per edge, on the upper triangle) together with the
 entropy-commutator indicator, the viscosity mirroring and time-step bound,
 the low-order update with its density bar-state bounds, the antisymmetric
@@ -25,9 +25,9 @@ rescale leaves P = +-0 wherever the previous factor was 1, so a later
 pass evaluates only the slots the previous pass limited.
 With newton_steps = 0 an entry still takes its density-clamped full step
 where that step meets the entropy bound (see limiter.limiter_compute).
-Every phase runs compiled kernels (rowkernels) on one binding per rank,
-which checks the rank's arrays and takes their addresses once, at setup;
-a step commits U_next by copying it into U, so no address ever changes.
+Every phase runs compiled kernels (rowkernels) on one binding per rank and
+gas, which checks the rank's arrays and takes their addresses once, at
+setup; a step commits U_next by copying it into U, so no address changes.
 A chunk of rows, or of upper edges for the wavespeed, is then one C call
 per kernel, and one more per Newton round of the limiter; rowkernels.c
 says what each computes, and tests/oracles.py keeps numpy forms of them
@@ -317,7 +317,7 @@ class Solver:
                                         self.nvar).items():
             setattr(rk, name, a)
         # every kernel runs on these arrays: check and bind them once
-        rk.bound = rowkernels.Binding({name: getattr(rk, name) for name in rowkernels.ARRAYS})
+        rk.bound = rowkernels.Binding({n: getattr(rk, n) for n in rowkernels.ARRAYS}, self.gas)
 
         def to_owned(orig_ids):
             cm = part.cm_perm[orig_ids]
@@ -425,13 +425,13 @@ class Solver:
 
     def _k_entropies(self, rk, lo, hi):
         # eta' is formed on the owned rows only, which need alpha
-        if rk.bound.entropies(lo, hi, min(hi, rk.numbering.n_lo), self.gas):
+        if rk.bound.entropies(lo, hi, min(hi, rk.numbering.n_lo)):
             raise AdmissibilityError("eta' requires rho*epsilon > 0 on every owned node")
 
     def _k_viscosity(self, rk, lo, hi):
         # d_ij is evaluated once per edge, on the upper slots (global id of j
         # above that of i) only; _k_mirror fills the lower triangle
-        riemann.d_ij_low(rk.bound, int(rk.up_ptr[lo]), int(rk.up_ptr[hi]), self.gas)
+        riemann.d_ij_low(rk.bound, int(rk.up_ptr[lo]), int(rk.up_ptr[hi]))
         # ghost rows receive alpha from their owner
         own = min(hi, rk.numbering.n_lo)
         if lo < own:
@@ -454,7 +454,7 @@ class Solver:
     def _k_limit(self, rk, lo, hi):
         # the limiter values of the correction fluxes in P against U_next and
         # the bounds, into the valid slots of l
-        limiter.limiter_compute(rk.bound, lo, hi, max_newton=self.newton_steps, gas=self.gas)
+        limiter.limiter_compute(rk.bound, lo, hi, max_newton=self.newton_steps)
 
     def _k_correction(self, rk, lo, hi, tau):
         rk.bound.correction(lo, hi, tau)

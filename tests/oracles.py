@@ -23,7 +23,8 @@ from eulerflow import limiter, physics, riemann, rowkernels, stepper
 from eulerflow.indicator import DENOMINATOR_FLOOR
 from eulerflow.limiter import PSI_SIGN, TOL_SCALE
 from eulerflow.mesh import _LOCAL_FACES, _REF_CORNERS, Mesh, _on_disc
-from eulerflow.physics import AIR, AdmissibilityError, component_sum, power, sum_left_to_right
+from eulerflow.physics import (AIR, AdmissibilityError, GasConstants, component_sum, power,
+                               sum_left_to_right)
 
 GAMMA = 1.4
 
@@ -239,12 +240,12 @@ def edge_layout(Ui, Uj, c_ij, c_ji):
                 **stepper._edge_geometry(c_ij, c_ji))
 
 
-def bind(**arrays):
-    """A rowkernels.Binding of the arrays, each array of ARRAYS not given
-    filled with zeros.  A size is that of the first given array that has it;
-    the rows of cols default to the owned rows, those to the rows of cols,
-    and the upper edges, the listed edges, the slot width and nvar to 0, 0, 1
-    and 3."""
+def bind(gas=AIR, **arrays):
+    """A rowkernels.Binding of the arrays and the gas, each array of ARRAYS
+    not given filled with zeros.  A size is that of the first given array
+    that has it; the rows of cols default to the owned rows, those to the
+    rows of cols, and the upper edges, the listed edges, the slot width and
+    nvar to 0, 0, 1 and 3."""
     found = {}
     for name, a in arrays.items():
         for size, n in zip(rowkernels.ARRAYS[name][1], a.shape):
@@ -253,15 +254,15 @@ def bind(**arrays):
     missing = [name for name in rowkernels.ARRAYS if name not in arrays]
     return rowkernels.Binding({**rowkernels.zeros(
         missing, rows, found.get("owned", rows), found.get("edges", 0), found.get("L", 1),
-        found.get("nvar", found.get("dim", 1) + 2), found.get("twos", 0)), **arrays})
+        found.get("nvar", found.get("dim", 1) + 2), found.get("twos", 0)), **arrays}, gas)
 
 
 def bind_edges(gas=AIR, **arrays):
     """bind, after which step 0's stage writes the node states of every row
     of U, as the wavespeed reads them."""
-    bound = bind(**arrays)
+    bound = bind(gas, **arrays)
     with np.errstate(all="ignore"):
-        bound.entropies(0, bound.counts["rows"], 0, gas)
+        bound.entropies(0, bound.counts["rows"], 0)
     return bound
 
 
@@ -272,7 +273,7 @@ def compiled_d_ij_low(Ui, Uj, c_ij, c_ji, gas=AIR, e0=0):
     layout = edge_layout(Ui, Uj, c_ij, c_ji)
     E = len(layout["up_row"])
     d = np.full((2 * E, 2), np.nan)
-    out = riemann.d_ij_low(bind_edges(gas, d=d, **layout), e0, E, gas)
+    out = riemann.d_ij_low(bind_edges(gas, d=d, **layout), e0, E)
     return out.reshape(np.shape(Ui)[:-1] if e0 == 0 else -1), d
 
 
@@ -472,18 +473,19 @@ def indicator_loop_reference(solver, rk, lo, hi):
     """alpha of the owned rows [lo, hi) of a solver rank, summed one stencil
     slot at a time: the per-neighbour loop and accumulate body the stepper
     ran before the indicator took whole stencil blocks.  Needs the entropies
-    and fluxes of the current state (phase step0) in rk."""
+    of the current state (phase step0) in rk."""
     sl = slice(lo, hi)
     cols = rk.cols[sl]
     U_i = rk.U[sl]
     U_j = rk.U[cols]
     c = rk.c_slot[sl]
-    f_i = rk.f[sl]
+    f = physics.flux(rk.U, solver.gas)
+    f_i = f[sl]
     eor_i = rk.eor[sl]
     a, b = np.zeros(hi - lo), np.zeros(U_i.shape)
     for s in range(solver.pad_width):
         js = cols[:, s]
-        U_js, c_ij, eta_over_rho_j, f_j = U_j[:, s], c[:, s], rk.eor[js], rk.f[js]
+        U_js, c_ij, eta_over_rho_j, f_j = U_j[:, s], c[:, s], rk.eor[js], f[js]
         mom_j = U_js[..., 1:-1]
         a += (eta_over_rho_j - eor_i) * (mom_j * c_ij).sum(axis=-1)
         b += ((f_j - f_i) * c_ij[..., None, :]).sum(axis=-1)
@@ -699,10 +701,10 @@ def compiled_limiter(U, P, rho_min, rho_max, phi_min, max_newton=2, gas=AIR):
                                     dtype=np.float64)
 
     l = np.full((n, 1), np.nan)
-    limiter.limiter_compute(bind(card=np.ones(n, dtype=np.uint8), U_next=rows(U, (nvar,)),
+    limiter.limiter_compute(bind(gas, card=np.ones(n, dtype=np.uint8), U_next=rows(U, (nvar,)),
                                  P=rows(P, (nvar,)).reshape(n, 1, nvar), rho_min=rows(rho_min),
                                  rho_max=rows(rho_max), phi_min=rows(phi_min), l=l),
-                            0, n, max_newton=max_newton, gas=gas)
+                            0, n, max_newton=max_newton)
     return l.reshape(shape)
 
 
@@ -745,14 +747,15 @@ def low_order_reference(solver, rk, lo, hi, tau):
     read the flux contraction of phase step1: it gathers the fluxes f[cols]
     afresh, builds the full bar states Ubar, of which the bounds use the
     density, and takes every sum, minimum and maximum over the slots with a
-    numpy reduce.  Needs the state, fluxes, viscosities and alpha of the
-    substep in rk."""
+    numpy reduce.  Needs the state, viscosities and alpha of the substep in
+    rk."""
     sl = slice(lo, hi)
     cols = rk.cols[sl]
     U_i = rk.U[sl]
     U_j = rk.U[cols]
     dU = U_j - U_i[:, None]
-    fdc = component_sum((rk.f[cols] - rk.f[sl][:, None]) * rk.c_slot[sl][:, :, None, :])
+    f = physics.flux(rk.U, solver.gas)
+    fdc = component_sum((f[cols] - f[sl][:, None]) * rk.c_slot[sl][:, :, None, :])
     d = rk.d[sl]
     U_next = U_i + (tau * rk.inv_m[sl])[:, None] * ((d[..., None] * dU - fdc).sum(axis=1))
     dH = d * (0.5 * (rk.alpha[sl][:, None] + rk.alpha[cols]))
@@ -817,7 +820,8 @@ def viscosity_kernel(solver, rk, lo, hi):
     sl = slice(lo, min(hi, rk.numbering.n_lo))
     if sl.start < sl.stop:
         cols = rk.cols[sl]
-        fdc = flux_contraction(rk.f[cols], rk.f[sl][:, None], rk.c_slot[sl], out=rk.P[sl])
+        f = physics.flux(rk.U, solver.gas)
+        fdc = flux_contraction(f[cols], f[sl][:, None], rk.c_slot[sl], out=rk.P[sl])
         a, b = indicator_sums(rk.U[cols], rk.c_slot[sl], rk.eor[sl], rk.eor[cols], fdc)
         rk.alpha[sl] = indicator_result(a, b, rk.eor[sl],
                                         harten_entropy_derivative(rk.U[sl], solver.gas))
@@ -920,7 +924,7 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
     d = matrices.dim
     nvar = d + 2
     indptr, indices = matrices.indptr, matrices.indices
-    gp1 = gamma + 1.0
+    gas = GasConstants(gamma)
 
     def row(i):
         return indices[indptr[i]:indptr[i + 1]]
@@ -944,7 +948,7 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
         for j in row(i):
             if j <= i:
                 continue
-            dij = float(d_ij_low(U[i], U[j], cval(i, j), cval(j, i)))
+            dij = float(d_ij_low(U[i], U[j], cval(i, j), cval(j, i), gas))
             dmat[(i, j)] = dij
             dmat[(j, i)] = dij
     d_ii = np.zeros(n)
@@ -1007,7 +1011,7 @@ def dense_euler_step(U, matrices, c_cfl=0.9, tau=None, passes=2, newton=2,
             for j in row(i):
                 out[(i, j)] = float(limiter_compute(
                     U_cur[i], P[(i, j)], bounds[i, 0], bounds[i, 1],
-                    bounds[i, 2], max_newton=newton,
+                    bounds[i, 2], max_newton=newton, gas=gas,
                 ))
         return out
 

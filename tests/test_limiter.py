@@ -511,8 +511,8 @@ def test_every_pow_value_comes_from_the_bound_power_loop(monkeypatch):
             assert got.tobytes() == oracles.d_ij_low(Ui, Uj, c_ij, c_ji).tobytes()
             run.append(got)
             eor, phi, eta_scale = np.empty(E), np.empty(E), np.empty(E)
-            assert oracles.bind(U=Ui, eor=eor, phi=phi, eta_scale=eta_scale).entropies(
-                0, E, E, AIR) == 0
+            assert oracles.bind(AIR, U=Ui, eor=eor, phi=phi, eta_scale=eta_scale).entropies(
+                0, E, E) == 0
             assert eor.tobytes() == (oracles.harten_entropy(Ui) / Ui[:, 0]).tobytes()
             assert phi.tobytes() == oracles.specific_entropy_phi(Ui).tobytes()
             assert eta_scale.tobytes() == oracles.eta_scale(Ui).tobytes()

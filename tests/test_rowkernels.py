@@ -321,17 +321,21 @@ def test_correction_and_limited_update_match_their_numpy_forms_at_every_width(ro
     assert np.isnan(P[~valid]).all()
 
 
-@given(rows=st.integers(1, 4), width=st.integers(1, 33), dim=st.integers(1, 3), data=st.data())
+@given(rows=st.integers(1, 4), width=st.integers(1, 33), nvar=st.sampled_from(rowkernels.WIDTHS),
+       gamma=st.sampled_from([7.0 / 5.0, 5.0 / 3.0]), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, width, dim, data):
+def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, width, nvar, gamma,
+                                                                         data):
     # P and the indicator's sums a and b of the rows [lo, rows) are the numpy
-    # contraction of each valid slot and its slot-after-slot sums from +0.0,
-    # signed zeros included.  Each valid slot has a node of its own after the
-    # rows; the pads point at a node whose state, eta / rho and flux are NaN
-    # and have NaN c, and P's pads hold a NaN of its own payload, which the
-    # kernel must neither read nor overwrite
+    # contraction of each valid slot over physics.flux and its slot-after-slot
+    # sums from +0.0, signed zeros included: the kernel forms each flux from
+    # U and the node states vpc of step 0, here the oracle's, with step 0's
+    # operations.  Some momenta are +-0.  Each valid slot has a node of its
+    # own after the rows; the pads point at a node whose state, node state
+    # and eta / rho are NaN and have NaN c, and P's pads hold a NaN of its
+    # own payload, which the kernel must neither read nor overwrite
     # the neighbours' rows of the stencil arrays are not walked
-    nvar = dim + 2
+    gas, dim = physics.GasConstants(gamma), nvar - 2
     n = rows * (width + 1) + 1
     lo = data.draw(st.integers(0, rows - 1))
     card = data.draw(hnp.arrays(np.uint8, rows, elements=st.integers(1, width)))
@@ -339,10 +343,13 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     cols = np.where(valid, rows + np.arange(rows * width).reshape(rows, width),
                     n - 1).astype(np.int32)
     U = data.draw(hnp.arrays(np.float64, (n, nvar), elements=_entry))
+    zeros = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.sampled_from([0.0, -0.0])))
+    U[:, 1:-1] = np.where(data.draw(hnp.arrays(np.bool_, (n, dim))), zeros, U[:, 1:-1])
     eor = data.draw(hnp.arrays(np.float64, n, elements=_entry))
-    f = data.draw(hnp.arrays(np.float64, (n, nvar, dim), elements=_entry))
     c = data.draw(hnp.arrays(np.float64, (rows, width, dim), elements=_entry))
-    U[-1], eor[-1], f[-1], c[~valid] = np.nan, np.nan, np.nan, np.nan
+    U[-1], eor[-1], c[~valid] = np.nan, np.nan, np.nan
+    with np.errstate(all="ignore"):
+        vpc = np.stack(oracles.node_states(U, gas), axis=-1)
     pad_nan = np.array(0x7FF8000000000001, dtype=np.int64).view(np.float64)
     P = np.full((rows, width, nvar), pad_nan)
     P[valid] = 0.0
@@ -350,10 +357,11 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     stencil = dict(cols=cols, card=card, c_slot=c)
     stencil = {name: np.concatenate([x, np.zeros((n - rows,) + x.shape[1:], x.dtype)])
                for name, x in stencil.items()}
-    a, b = oracles.bind(U=U, eor=eor, f=f, P=P, **stencil).flux_contraction(lo, rows)
+    a, b = oracles.bind(gas, U=U, eor=eor, vpc=vpc, P=P, **stencil).flux_contraction(lo, rows)
 
     assert a.shape == (rows - lo,) and b.shape == (rows - lo, nvar)
     with np.errstate(all="ignore"):
+        f = physics.flux(U, gas)
         fdc = oracles.flux_contraction(f[cols], f[:rows][:, None], c)
         a_term = (eor[cols] - eor[:rows, None]) * physics.component_sum(U[cols][..., 1:-1] * c)
     want_P[lo:][valid[lo:]] = fdc[lo:][valid[lo:]]
@@ -386,9 +394,9 @@ def gas_states(data, n, dim, p_signs=(1.0,)):
 @given(rows=st.integers(1, 6), dim=st.integers(1, 3), gamma=st.sampled_from([1.4, 5.0 / 3.0]),
        data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, gamma, data):
-    # f of the rows [lo, hi) is physics.flux and vpc the oracle's node
-    # states, bit for bit; no other row of f and vpc is written.  Some rows
+def test_step0_stage_matches_the_node_states_and_internal_energy_bitwise(rows, dim, gamma, data):
+    # vpc of the rows [lo, hi) is the oracle's node states, bit for bit; no
+    # other row of vpc is written.  Some rows
     # have p <= 0, and the stage counts those below own whose rho eps <= 0.
     # Where there are none, eta / rho and phi of the rows [lo, hi) and the
     # eta' scale of those below own are numpy's forms of the internal energy
@@ -401,20 +409,19 @@ def test_step0_stage_matches_the_flux_and_internal_energy_bitwise(rows, dim, gam
     hi = data.draw(st.integers(lo, rows))
     own = data.draw(st.integers(lo, hi))
     U = gas_states(data, rows, dim, p_signs=(1.0, 1.0, 1.0, -1.0, 0.0))
-    f, vpc = np.full((rows, dim + 2, dim), np.nan), np.full((rows, dim + 2), np.nan)
+    vpc = np.full((rows, dim + 2), np.nan)
     eor, phi, eta_scale = np.full(rows, np.nan), np.full(rows, np.nan), np.full(rows, np.nan)
-    bad = oracles.bind(U=U, f=f, vpc=vpc, eor=eor, phi=phi,
-                       eta_scale=eta_scale).entropies(lo, hi, own, gas)
+    bad = oracles.bind(gas, U=U, vpc=vpc, eor=eor, phi=phi,
+                       eta_scale=eta_scale).entropies(lo, hi, own)
 
     sl = slice(lo, hi)
     with np.errstate(all="ignore"):
         eps = physics.internal_energy(U[sl])
         rho_eps = U[sl, 0] * eps
-        assert same_bits(f[sl], physics.flux(U[sl], gas))
         assert same_bits(vpc[sl], np.stack(oracles.node_states(U[sl], gas), axis=-1))
         want_eor = physics.power(rho_eps, gas.gp1_inv) / U[sl, 0]
     assert bad == np.count_nonzero(rho_eps[:own - lo] <= 0.0)
-    for a in (eor, phi, f, vpc):
+    for a in (eor, phi, vpc):
         assert np.isnan(a[:lo]).all() and np.isnan(a[hi:]).all()
     if bad:
         assert np.isnan(eor[sl]).all() and np.isnan(eta_scale).all()
@@ -481,10 +488,9 @@ def test_rows_outside_the_arrays_are_rejected(lo, hi):
 EDGE_ARRAYS = ("up_row", "up_slot", "two_edge", "n_up", "norm_up", "nT_two", "normT_two", "cols",
                "U", "vpc", "d")
 KERNEL_CALLS = {
-    "entropies": ("rows", ("U", "f", "vpc", "eor", "phi", "eta_scale"),
-                  lambda b, lo, hi: b.entropies(lo, hi, min(hi, b.counts["owned"]),
-                                                physics.AIR)),
-    "flux_contraction": ("owned", ("cols", "card", "c_slot", "U", "eor", "f", "P"),
+    "entropies": ("rows", ("U", "vpc", "eor", "phi", "eta_scale"),
+                  lambda b, lo, hi: b.entropies(lo, hi, min(hi, b.counts["owned"]))),
+    "flux_contraction": ("owned", ("cols", "card", "c_slot", "U", "vpc", "eor", "P"),
                          lambda b, lo, hi: b.flux_contraction(lo, hi)),
     "indicator": ("owned", ("U", "eor", "alpha", "eta_scale"),
                   lambda b, lo, hi: b.indicator(lo, hi, np.zeros(hi - lo),
@@ -500,15 +506,15 @@ KERNEL_CALLS = {
                        lambda b, lo, hi: b.limited_update(lo, hi, last=False)),
     "limiter_compute": ("owned", ("card", "U_next", "P", "rho_min", "rho_max", "phi_min", "l"),
                         lambda b, lo, hi: limiter.limiter_compute(b, lo, hi)),
-    "wavespeed": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed(e0, e1, physics.AIR)),
+    "wavespeed": ("edges", EDGE_ARRAYS, lambda b, e0, e1: b.wavespeed(e0, e1)),
     "d_ij_low": ("edges", EDGE_ARRAYS, lambda b, e0, e1: riemann.d_ij_low(b, e0, e1)),
 }
 
 
 def rank_binding(rk, **replaced):
-    """A binding of copies of the rank's arrays, some replaced."""
+    """A binding of copies of the rank's arrays, some replaced, for air."""
     return rowkernels.Binding({**{name: getattr(rk, name).copy() for name in rowkernels.ARRAYS},
-                               **replaced})
+                               **replaced}, physics.AIR)
 
 
 @pytest.mark.parametrize("kernel", list(KERNEL_CALLS))
@@ -541,7 +547,7 @@ def test_short_and_narrow_arrays_are_rejected(kernel):
                 rank_binding(rk, **{name: wide})
         with pytest.raises(ValueError, match=f"^{name} must be given"):
             rowkernels.Binding({other: getattr(rk, other) for other in rowkernels.ARRAYS
-                                if other != name})
+                                if other != name}, physics.AIR)
 
 
 def _past_the_end(rk, name):
@@ -636,10 +642,10 @@ def test_a_state_width_without_compiled_kernels_is_rejected(nvar):
     arrays = rowkernels.zeros(rowkernels.ARRAYS, rows=4, owned=3, edges=5, L=2, nvar=nvar)
     arrays["cols"][0, 0] = 1  # the upper edges' slot, which must not point at its own row
     if nvar in rowkernels.WIDTHS:
-        assert rowkernels.Binding(arrays).nvar == nvar
+        assert rowkernels.Binding(arrays, physics.AIR).nvar == nvar
     else:
         with pytest.raises(ValueError, match="compiled for"):
-            rowkernels.Binding(arrays)
+            rowkernels.Binding(arrays, physics.AIR)
 
 
 @pytest.mark.parametrize("L", [255, 256])
@@ -648,10 +654,10 @@ def test_a_slot_width_beyond_the_index_types_is_rejected(L):
     arrays = rowkernels.zeros(rowkernels.ARRAYS, rows=2, owned=2, edges=1, L=L, nvar=4)
     arrays["cols"][0, 0] = 1  # the upper edge's slot, which must not point at its own row
     if L < 256:
-        assert rowkernels.Binding(arrays).L == L
+        assert rowkernels.Binding(arrays, physics.AIR).L == L
     else:
         with pytest.raises(ValueError, match="wider than the 255"):
-            rowkernels.Binding(arrays)
+            rowkernels.Binding(arrays, physics.AIR)
 
 
 def test_limiter_rejects_strided_and_mistyped_arrays():
@@ -670,12 +676,24 @@ def test_limiter_rejects_strided_and_mistyped_arrays():
 
 def test_binding_follows_the_struct_of_the_c_source():
     # rowkernels.ARRAYS lays out struct rank of rowkernels.c field by field,
-    # after the sizes, and gives each array the integer type of its C field
+    # after the sizes and the gas, and gives each array the integer type of
+    # its C field.  _Rank declares every field with the ctypes type of its C
+    # declaration: a scalar field moved, dropped or of another width would
+    # misbind every pointer after it without any error
     source = rowkernels.SOURCE.read_text()
     body = re.search(r"struct rank \{(.*?)\};", source, re.S).group(1)
     fields = re.findall(r"\*?\s*(\w+)\s*[,;]", body)
-    assert fields == ["L", "nvar", "twos", *rowkernels.ARRAYS]
-    assert [f for f, _ in rowkernels._Rank._fields_] == fields
+    assert fields == ["L", "nvar", "twos", "gamma", "pw", *rowkernels.ARRAYS]
+    scalar = {"idx": ctypes.c_int64, "double": ctypes.c_double}
+    typed = []
+    for ctype, names in re.findall(r"^\s*(?:const )?(struct \w+|\w+) ([^;]*);", body, re.M):
+        for name in (name.strip() for name in names.split(",")):
+            typed.append((name.lstrip("*"), ctypes.c_void_p if "*" in name else scalar[ctype]))
+    assert [f for f, _ in typed] == fields
+    assert rowkernels._Rank._fields_ == typed
+    assert typed[:5] == [("L", ctypes.c_int64), ("nvar", ctypes.c_int64), ("twos", ctypes.c_int64),
+                         ("gamma", ctypes.c_double), ("pw", ctypes.c_void_p)]
+    assert re.search(r"^\s*const struct power \*pw;", body, re.M)
     assert "typedef int32_t idx32;" in source and "typedef uint8_t idx8;" in source
     c_int = {"idx32": np.int32, "idx8": np.uint8}
     declared = {name: c_int[ctype]
@@ -698,6 +716,8 @@ def exported_functions():
 def test_declared_argument_types_follow_the_c_signatures():
     # each kernel's restype and argtypes are those of its C declaration; a
     # mismatch passes a value of the wrong width or kind without any error
+    # the gas reaches a kernel through its struct rank alone: only powers,
+    # the check of the pow() loop at import, takes a struct power or gamma
     c_types = {"idx": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}
     functions = exported_functions()
     assert len(functions) == 12
@@ -706,6 +726,8 @@ def test_declared_argument_types_follow_the_c_signatures():
         assert fn.restype == (None if ret == "void" else c_types[ret]), name
         want = [ctypes.c_void_p if "*" in p else c_types[p.split()[0]] for p in params]
         assert fn.argtypes == tuple(want), name
+        gas = [p for p in params if "struct power" in p or re.search(r"\bgamma$", p)]
+        assert bool(gas) == (name == "powers"), (name, gas)
 
 
 def function_bodies():
@@ -731,18 +753,18 @@ def reached_bodies(name, bodies):
 
 
 def test_kernels_read_only_the_arrays_their_calls_name():
-    # the rank fields read by each kernel, its dispatch and every body it
+    # the rank arrays read by each kernel, its dispatch and every body it
     # reaches, are among the arrays that its entry of KERNEL_CALLS names, and
     # so among those its rejection test shortens and narrows; the two limiter
     # kernels run as limiter_compute, and the pow() helper takes no rank
-    # the size twos is that of two_edge
+    # the size twos is that of two_edge; the sizes and the gas are scalars
     bodies = function_bodies()
     for name, (_, params, _) in exported_functions().items():
         if params[0] != "const struct rank *r":
             continue
         fields = {"two_edge" if field == "twos" else field
                   for body in reached_bodies(name, bodies)
-                  for field in re.findall(r"\br->(\w+)", body)} - {"L", "nvar"}
+                  for field in re.findall(r"\br->(\w+)", body)} - {"L", "nvar", "gamma", "pw"}
         call = "limiter_compute" if name.startswith("limiter_") else name
         assert fields and fields <= set(KERNEL_CALLS[call][1]), (name, fields)
 
