@@ -206,8 +206,8 @@ idx entropies(const struct rank *r, idx lo, idx hi, idx own)
     return PER_WIDTH(r->nvar, entropies_rows, r, lo, hi, own);
 }
 
-/* The flux f(U) = (m, v m^T + p I, v (E + p)) into f, of shape (nvar, dim),
- * with v and p from the node state V of step 0, in step 0's operations. */
+/* The flux f(U) = (m, v m^T + p I, v (E + p)) of shape (nvar, dim) into f,
+ * v and p read from the node state V, in the operations of physics.flux. */
 BODY void flux_of(const double *U, const double *V, double *f, idx nvar)
 {
     idx dim = nvar - 2;

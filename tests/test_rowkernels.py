@@ -329,8 +329,8 @@ def test_flux_contraction_and_indicator_sums_match_the_slot_loop_bitwise(rows, w
     # P and the indicator's sums a and b of the rows [lo, rows) are the numpy
     # contraction of each valid slot over physics.flux and its slot-after-slot
     # sums from +0.0, signed zeros included: the kernel forms each flux from
-    # U and the node states vpc of step 0, here the oracle's, with step 0's
-    # operations.  Some momenta are +-0.  Each valid slot has a node of its
+    # U and the node states vpc of step 0, here the oracle's, in the
+    # operations of physics.flux.  Some momenta are +-0.  Each valid slot has a node of its
     # own after the rows; the pads point at a node whose state, node state
     # and eta / rho are NaN and have NaN c, and P's pads hold a NaN of its
     # own payload, which the kernel must neither read nor overwrite
@@ -396,8 +396,8 @@ def gas_states(data, n, dim, p_signs=(1.0,)):
 @settings(max_examples=300, deadline=None)
 def test_step0_stage_matches_the_node_states_and_internal_energy_bitwise(rows, dim, gamma, data):
     # vpc of the rows [lo, hi) is the oracle's node states, bit for bit; no
-    # other row of vpc is written.  Some rows
-    # have p <= 0, and the stage counts those below own whose rho eps <= 0.
+    # other row of vpc is written.  Some rows have p <= 0, and the stage
+    # counts those below own whose rho eps <= 0.
     # Where there are none, eta / rho and phi of the rows [lo, hi) and the
     # eta' scale of those below own are numpy's forms of the internal energy
     # eps: (rho eps)^(1 / (gamma + 1)) / rho, eps rho^(-gamma) and the
